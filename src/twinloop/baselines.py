@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import estimator, scheduler
+from . import estimator, sensing
 from .errors import InvalidInputError
 from .estimator import Belief
 from .scheduler import ScheduleDecision
@@ -31,7 +31,11 @@ class SchedulingMode(str, Enum):
 def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
                       rng, observe_fn=None, thresholds=None, true_state=None,
                       traditional_count: int = 2) -> ScheduleDecision:
-    """Per-interval decision for the non-adaptive benchmark modes."""
+    """Per-interval decision for the non-adaptive benchmark modes.
+
+    ``fleet`` is a ``sensing.FleetIndex`` or a plain list of agents; the
+    greedy modes take their fixed order and stacked model from the index.
+    """
     mode = SchedulingMode(mode)
     if mode is SchedulingMode.REVERB:
         raise InvalidInputError("the adaptive mode is served by scheduler.schedule")
@@ -46,32 +50,31 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
                            np.zeros_like(prior.cov), prior.qi)
         return _decision((), posterior, caps, 0, ratios)
 
+    index = sensing.FleetIndex.of(fleet)
     if mode in (SchedulingMode.COST_GREEDY, SchedulingMode.ERROR_GREEDY):
-        if mode is SchedulingMode.COST_GREEDY:
-            key = lambda a: (a.distance_m, a.agent_id)
-        else:
-            key = lambda a: (a.error_size, a.agent_id)
-        chosen = sorted(fleet, key=key)[:min(capacity, len(fleet))]
+        order = (index.by_distance if mode is SchedulingMode.COST_GREEDY
+                 else index.by_error)
+        chosen = order[:min(capacity, len(order))]
         if not chosen:
             return _decision((), prior.copy(), caps, 0, ratios)
-        stacked = estimator.stack(chosen)
+        stacked = index.stacked(chosen)
         if observe_fn is not None:
-            values = np.concatenate([np.atleast_1d(observe_fn(a)) for a in chosen])
+            values = np.concatenate(
+                [np.atleast_1d(observe_fn(index.agents[p])) for p in chosen])
             posterior = estimator.update(prior, stacked, values)
         else:
             cov, _ = estimator.posterior_cov(prior.cov, stacked)
             posterior = Belief(prior.mean.copy(), cov, prior.qi)
-        return _decision(tuple(a.agent_id for a in chosen), posterior, caps,
-                         len(chosen), ratios)
+        return _decision(stacked.agent_ids, posterior, caps, len(chosen), ratios)
 
     # TRADITIONAL: raw readings substituted into the belief, no filter
     # update. With one pick per interval the agent is uniform over the whole
     # fleet; with more picks they cover the features round-robin so the
     # policy sees a full noisy state.
     dim = prior.mean.shape[0]
-    count = min(traditional_count, len(fleet))
+    count = min(traditional_count, len(index))
     chosen = []
-    pool = list(fleet)
+    pool = list(index.agents)
     for i in range(count):
         if count < dim:
             options = pool

@@ -1,7 +1,9 @@
 """Command line front end: train, evaluate, validate-channel, sweep.
 
-Exit codes: 0 on success, 1 for configuration errors, 2 for numerical or
-training failures. Flags override the corresponding config keys.
+Exit codes: 0 on success, 1 for configuration errors and rejected inputs
+(including channel parameters outside the strong line-of-sight regime), 2
+for numerical or training failures. Errors print one line to stderr, never a
+traceback. Flags override the corresponding config keys.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import numpy as np
 
 from . import agent as agent_mod
 from . import channel as channel_mod
-from .errors import ConfigurationError, NumericalFailureError, TrainingFailureError
+from .errors import (ConfigurationError, InvalidInputError,
+                     NumericalFailureError, TrainingFailureError,
+                     WeakLineOfSightError)
 from .harness import ExperimentConfig, run_monte_carlo
 
 EXIT_OK = 0
@@ -209,6 +213,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (InvalidInputError, WeakLineOfSightError) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalFailureError, TrainingFailureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -21,7 +21,11 @@ class NumericalFailureError(TwinloopError):
 
     def __init__(self, message, qi=None):
         super().__init__(message if qi is None else f"{message} (QI {qi})")
+        self.message = message
         self.qi = qi
+
+    def __reduce__(self):   # keep qi across process boundaries
+        return type(self), (self.message, self.qi)
 
 
 class WeakLineOfSightError(TwinloopError):
@@ -39,3 +43,6 @@ class TrainingFailureError(TwinloopError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.diagnostics)

@@ -3,7 +3,8 @@
 ``predict`` propagates the belief blindly through the plant model (the mean
 through the full nonlinear map, the covariance through its Jacobian plus the
 process noise). ``stack`` combines several agents' observation models into one
-joint model, and ``update`` fuses the stacked observation vector. The
+joint model, and ``update`` fuses the stacked observation vector: the
+covariance and gain from ``posterior_cov``, the mean from ``fused_mean``. The
 covariance update uses the Joseph form, which keeps the result symmetric
 positive semidefinite under roundoff; it agrees with the plain (I - K H) P
 form in exact arithmetic.
@@ -104,7 +105,7 @@ def posterior_cov(prior_cov, stacked: StackedObservationModel):
     """Joseph-form posterior covariance and the Kalman gain (no observation values)."""
     h = stacked.matrix
     s = innovation_cov(prior_cov, stacked)
-    if not np.all(np.isfinite(s)) or np.linalg.cond(s) > CONDITION_LIMIT:
+    if not np.all(np.isfinite(s)) or _ill_conditioned(s):
         raise NumericalFailureError("ill-conditioned innovation covariance")
     gain = np.linalg.solve(s.T, (prior_cov @ h.T).T).T
     ikh = np.eye(prior_cov.shape[0]) - gain @ h
@@ -112,20 +113,36 @@ def posterior_cov(prior_cov, stacked: StackedObservationModel):
     return symmetrize(cov), gain
 
 
+def _ill_conditioned(s) -> bool:
+    """2-norm condition number of symmetric ``s`` above CONDITION_LIMIT.
+
+    For a symmetric matrix the singular values are the absolute
+    eigenvalues, so eigvalsh gives the same number as an SVD, cheaper.
+    """
+    lam = np.abs(np.linalg.eigvalsh(s))
+    return lam.min() == 0 or lam.max() > CONDITION_LIMIT * lam.min()
+
+
 def update(prior: Belief, stacked: StackedObservationModel, values) -> Belief:
     """Fuse the stacked observation vector into the prior belief."""
+    if stacked.matrix.shape[1] != prior.mean.shape[0]:
+        raise InvalidInputError("observation matrix does not match state dimension")
+    cov, gain = posterior_cov(prior.cov, stacked)
+    return Belief(fused_mean(prior, stacked, gain, values), cov, prior.qi)
+
+
+def fused_mean(prior: Belief, stacked: StackedObservationModel, gain,
+               values) -> np.ndarray:
+    """Posterior mean m + K (o - H m), with K from posterior_cov."""
     values = np.atleast_1d(np.asarray(values, dtype=float))
     h = stacked.matrix
-    if h.shape[1] != prior.mean.shape[0]:
-        raise InvalidInputError("observation matrix does not match state dimension")
     if values.shape[0] != h.shape[0]:
         raise InvalidInputError(
             f"observation vector length {values.shape[0]} != stacked rows {h.shape[0]}")
-    cov, gain = posterior_cov(prior.cov, stacked)
     mean = prior.mean + gain @ (values - h @ prior.mean)
     if not np.all(np.isfinite(mean)):
         raise NumericalFailureError("non-finite posterior mean", qi=prior.qi)
-    return Belief(mean, cov, prior.qi)
+    return mean
 
 
 def moment_matched_initial_belief(position_range, velocity_variance=1e-4, qi=0) -> Belief:

@@ -27,7 +27,7 @@ from .agent import PolicyNetwork, PpoHyperparams, _hyper_to_dict
 from .baselines import SchedulingMode
 from .channel import ChannelParams
 from .dynamics import PLANT_REGISTRY
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TwinloopError
 from .loop import TwinLoop
 
 MRMSE_DEFINITION = ("per-episode mean over query intervals of "
@@ -230,10 +230,19 @@ def run_episode(policy: PolicyNetwork, config: ExperimentConfig,
 
 
 def _episode_worker(args):
+    """One episode in a pool process; a package error is returned, not raised,
+    so the parent records it by index as the serial path does."""
     config_dict, policy_state, index = args
     config = ExperimentConfig.from_dict(config_dict)
     policy = PolicyNetwork.from_state(policy_state)
-    return run_episode(policy, config, index)
+    try:
+        return run_episode(policy, config, index)
+    except TwinloopError as exc:
+        return exc
+
+
+def _failure(exc: TwinloopError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_monte_carlo(config: ExperimentConfig, policy: PolicyNetwork = None,
@@ -241,8 +250,10 @@ def run_monte_carlo(config: ExperimentConfig, policy: PolicyNetwork = None,
     """Run the configured number of seeded episodes and aggregate metrics.
 
     Episodes are independent; with TWINLOOP_WORKERS > 1 they run in a process
-    pool, results ordered by episode index either way. Failed episodes are
-    reported by index instead of aborting the whole run.
+    pool, results ordered by episode index either way. Episodes that fail
+    with a package error (``TwinloopError``) are reported by index, the same
+    way serially and in parallel, instead of aborting the whole run; any
+    other exception is a bug and propagates.
     """
     config.validate()
     if policy is None:
@@ -259,14 +270,17 @@ def run_monte_carlo(config: ExperimentConfig, policy: PolicyNetwork = None,
         args = [(config.to_dict(), payload, i) for i in indices]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, outcome in zip(indices, pool.map(_episode_worker, args)):
-                results[i] = outcome
+                if isinstance(outcome, TwinloopError):
+                    failures[i] = _failure(outcome)
+                else:
+                    results[i] = outcome
     else:
         env = TwinLoop.from_config(config, record_trace=True)
         for i in indices:
             try:
                 results[i] = run_episode(policy, config, i, env=env)
-            except Exception as exc:   # record, keep going
-                failures[i] = f"{type(exc).__name__}: {exc}"
+            except TwinloopError as exc:   # record, keep going
+                failures[i] = _failure(exc)
     metrics = [results[i] for i in indices if i in results]
     report = {
         "aggregate": aggregate_metrics(metrics),

@@ -47,7 +47,9 @@ class TwinLoop:
                  record_trace=False):
         self.plant = plant
         self.fleet = list(fleet)
-        if not sensing.covers_all_features(self.fleet, plant.dim):
+        self.fleet_index = sensing.FleetIndex(self.fleet)
+        measured = self.fleet_index.by_feature
+        if len(measured) < plant.dim or not all(measured[:plant.dim]):
             raise ConfigurationError("fleet does not cover every state feature")
         self.channel_params = channel_params
         self.variance_caps = np.asarray(variance_caps, dtype=float)
@@ -119,13 +121,13 @@ class TwinLoop:
         if self.mode is SchedulingMode.REVERB:
             thresholds = scheduler.QosThresholds(self.variance_caps,
                                                  action.accuracy)
-            decision = scheduler.schedule(self._prior, thresholds, self.fleet,
-                                          self.capacity,
+            decision = scheduler.schedule(self._prior, thresholds,
+                                          self.fleet_index, self.capacity,
                                           observe_fn=self._observe_fn())
         else:
             thresholds = scheduler.QosThresholds(self.variance_caps)
             decision = baseline_schedule(
-                self.mode, self._prior, self.fleet, self.capacity,
+                self.mode, self._prior, self.fleet_index, self.capacity,
                 self._pick_rng, observe_fn=self._observe_fn(),
                 thresholds=thresholds, true_state=self._true_state,
                 traditional_count=self.traditional_count)

@@ -7,9 +7,11 @@ the selector repeatedly picks the violated feature with the largest
 variance-to-cap ratio among features still measurable by an available agent,
 schedules the cheapest-error agent measuring it, and recomputes the joint
 posterior covariance — observation values are not needed for that, so the
-actual measurements are requested once, for the final selection. The loop
-stops when every cap holds, the uplink capacity is exhausted, or no violated
-feature has an agent left.
+actual measurements are requested once, for the final selection, and fused
+with the gain already computed for it. The loop stops when every cap holds,
+the uplink capacity is exhausted, or no violated feature has an agent left.
+Per-fleet lookups (agents per feature in cost order, the stacked fleet
+model) come from a ``sensing.FleetIndex`` built once per fleet.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import estimator
+from . import estimator, sensing
 from .errors import InvalidInputError
 from .estimator import Belief
 
@@ -33,8 +35,8 @@ def effective_thresholds(variance_caps, accuracy_request) -> np.ndarray:
         raise InvalidInputError("variance caps must be positive")
     if np.any(eta < 0):
         raise InvalidInputError("accuracy requests must be nonnegative")
-    with np.errstate(divide="ignore"):
-        requested = np.where(eta > 0, 1.0 / np.where(eta > 0, eta, 1.0), np.inf)
+    requested = np.full(eta.shape, np.inf)
+    np.divide(1.0, eta, out=requested, where=eta > 0)
     return np.minimum(caps, requested)
 
 
@@ -73,62 +75,60 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
              observe_fn=None) -> ScheduleDecision:
     """Select at most ``capacity`` agents so the posterior meets the caps.
 
-    ``observe_fn(agent)`` supplies the measurement vector of a scheduled
-    agent; when omitted the decision carries the covariance-only posterior
-    with the prior mean (enough for selection analysis and tests).
+    ``fleet`` is a ``sensing.FleetIndex`` or a plain list of agents (indexed
+    on the fly). ``observe_fn(agent)`` supplies the measurement vector of a
+    scheduled agent; when omitted the decision carries the covariance-only
+    posterior with the prior mean (enough for selection analysis and tests).
     """
+    index = sensing.FleetIndex.of(fleet)
     caps = thresholds.effective_caps
     if caps.shape[0] != prior.mean.shape[0]:
         raise InvalidInputError("threshold dimension does not match belief")
-    if fleet and fleet[0].observation_matrix.shape[1] != prior.mean.shape[0]:
+    if index.state_dim not in (None, prior.mean.shape[0]):
         raise InvalidInputError("fleet observation matrices do not match belief")
     if capacity < 0:
         raise InvalidInputError("capacity must be nonnegative")
 
-    prior_diag = np.diag(prior.cov)
-    ratios_prior = prior_diag / caps
+    ratios_prior = prior.cov.diagonal() / caps
     cov = prior.cov
-    available = list(fleet)
-    chosen = []
+    chosen = []           # fleet positions, in selection order
     iterations = 0
 
-    while len(chosen) < capacity:
-        diag = np.diag(cov)
+    while len(chosen) < min(capacity, len(index)):
+        diag = cov.diagonal()
         violated = np.nonzero(diag > caps)[0]
         if violated.size == 0:
             break
-        # candidate features: violated AND measurable by an available agent
-        candidates = [k for k in violated
-                      if any(np.any(a.observation_matrix[:, k] != 0) for a in available)]
-        if not candidates:
+        # candidate features: violated AND measurable by an available agent;
+        # each one's cheapest available agent (error size, then agent id)
+        picks = {}
+        for k in violated.tolist():
+            pick = next((p for p in index.by_feature[k] if p not in chosen), None)
+            if pick is not None:
+                picks[k] = pick
+        if not picks:
             break
         # largest ratio wins; ties break on the lowest feature index
+        candidates = list(picks)
         ratios = diag[candidates] / caps[candidates]
-        best = int(np.argmax(ratios))
-        k_star = candidates[best]
-        pool = [a for a in available if np.any(a.observation_matrix[:, k_star] != 0)]
-        # cheapest measurement error, ties on lowest agent id
-        agent = min(pool, key=lambda a: (a.error_size, a.agent_id))
-        chosen.append(agent)
-        available.remove(agent)
+        chosen.append(picks[candidates[int(np.argmax(ratios))]])
         iterations += 1
-        cov, _ = estimator.posterior_cov(prior.cov, estimator.stack(chosen))
+        stacked = index.stacked(chosen)
+        cov, gain = estimator.posterior_cov(prior.cov, stacked)
 
-    if chosen:
-        stacked = estimator.stack(chosen)
-        if observe_fn is not None:
-            values = np.concatenate(
-                [np.atleast_1d(observe_fn(a)) for a in chosen])
-            posterior = estimator.update(prior, stacked, values)
-        else:
-            cov, _ = estimator.posterior_cov(prior.cov, stacked)
-            posterior = Belief(prior.mean.copy(), cov, prior.qi)
-    else:
+    if not chosen:
         posterior = prior.copy()
+    elif observe_fn is not None:
+        values = np.concatenate(
+            [np.atleast_1d(observe_fn(index.agents[p])) for p in chosen])
+        posterior = Belief(estimator.fused_mean(prior, stacked, gain, values),
+                           cov, prior.qi)
+    else:
+        posterior = Belief(prior.mean.copy(), cov, prior.qi)
 
-    satisfied = np.diag(posterior.cov) <= caps
+    satisfied = posterior.cov.diagonal() <= caps
     return ScheduleDecision(
-        selected_ids=tuple(a.agent_id for a in chosen),
+        selected_ids=stacked.agent_ids if chosen else (),
         posterior=posterior,
         satisfied=satisfied,
         iterations=iterations,

@@ -4,7 +4,8 @@ Each generated agent measures one scalar state feature through a one-row
 observation matrix; its noise variance is drawn log-uniformly between the
 bounds of the supplied level list and its distance to the access point
 uniformly on (min_distance, max_distance]. Fleets serialize to plain JSON so
-an experiment can be replayed exactly.
+an experiment can be replayed exactly. A ``FleetIndex`` holds the tables the
+schedulers look up every query interval, computed once per fleet.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimator
 from .errors import ConfigurationError, InvalidInputError
 
 DEFAULT_MIN_DISTANCE_M = 1.0
@@ -118,6 +120,76 @@ def place_agents(count: int, max_distance_m: float, position_noise_levels,
             agent_id=i + 1, observation_matrix=h,
             noise_cov=np.array([[variance]]), distance_m=float(distance)))
     return fleet
+
+
+@dataclass(frozen=True, eq=False)
+class FleetIndex:
+    """A fleet's scheduling tables, computed once and never changed.
+
+    Agents are addressed by their position in ``agents``. ``by_error`` and
+    ``by_distance`` order the whole fleet by (error_size, agent_id) and
+    (distance_m, agent_id); ``by_feature[k]`` is ``by_error`` restricted to
+    the agents measuring feature k. ``matrix`` and ``noise_cov`` stack every
+    agent's observation rows and noise blocks in fleet order, so the model
+    of a selection is an indexed copy of them.
+    """
+
+    agents: tuple
+
+    def __post_init__(self):
+        agents = tuple(self.agents)
+        dims = {a.observation_matrix.shape[1] for a in agents}
+        if len(dims) > 1:
+            raise InvalidInputError(
+                f"agents disagree on the state dimension: {sorted(dims)}")
+        state_dim = dims.pop() if dims else None
+        if agents:
+            whole = estimator.stack(agents)     # also rejects duplicate ids
+            matrix, noise, ids = whole.matrix, whole.noise_cov, whole.agent_ids
+        else:
+            matrix, noise, ids = np.zeros((0, 0)), np.zeros((0, 0)), ()
+        matrix.setflags(write=False)
+        noise.setflags(write=False)
+        rows, at = [], 0
+        for a in agents:
+            rows.append(range(at, at + a.observation_matrix.shape[0]))
+            at += a.observation_matrix.shape[0]
+        error = [a.error_size for a in agents]
+        by_error = tuple(sorted(range(len(agents)), key=lambda p: (error[p], ids[p])))
+        by_distance = tuple(sorted(range(len(agents)),
+                                   key=lambda p: (agents[p].distance_m, ids[p])))
+        nonzero = (matrix != 0).tolist()
+        by_feature = tuple(
+            tuple(p for p in by_error if any(nonzero[r][k] for r in rows[p]))
+            for k in range(state_dim or 0))
+        for name, value in (("agents", agents), ("ids", ids),
+                            ("state_dim", state_dim), ("matrix", matrix),
+                            ("noise_cov", noise), ("by_error", by_error),
+                            ("by_distance", by_distance),
+                            ("by_feature", by_feature), ("_rows", tuple(rows))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of(cls, fleet) -> "FleetIndex":
+        """``fleet`` itself when it is an index, else a new index of it."""
+        return fleet if isinstance(fleet, cls) else cls(fleet)
+
+    def __len__(self) -> int:
+        return len(self.agents)
+
+    def stacked(self, positions) -> estimator.StackedObservationModel:
+        """Joint observation model of the agents at ``positions``, in that order.
+
+        Equal, element for element, to ``estimator.stack`` of those agents.
+        """
+        if not positions:
+            raise InvalidInputError("cannot stack an empty selection")
+        if len(set(positions)) != len(positions):
+            raise InvalidInputError(f"duplicate positions in selection: {positions}")
+        rows = [r for p in positions for r in self._rows[p]]
+        return estimator.StackedObservationModel(
+            self.matrix.take(rows, 0), self.noise_cov.take(rows, 0).take(rows, 1),
+            tuple(self.ids[p] for p in positions))
 
 
 def agents_measuring(fleet, feature: int):

@@ -1,9 +1,12 @@
-"""Shared test oracles: batch Bayesian least squares, Marcum Q, finite differences."""
+"""Shared test oracles: batch Bayesian least squares, Marcum Q, finite
+differences, and the list-based greedy scheduler the indexed one replaced."""
 
 import numpy as np
 from scipy import stats
 
-from twinloop import Belief, SensingAgentSpec
+from twinloop import Belief, SensingAgentSpec, estimator
+from twinloop.errors import InvalidInputError
+from twinloop.scheduler import ScheduleDecision
 
 
 def batch_linear_gaussian_posterior(transition, control_matrix, process_cov,
@@ -58,12 +61,16 @@ def marcum_q1(a, b):
 
 
 def invert_marcum_tail(rician_factor, epsilon, hi=None):
-    """y solving 1 - Q1(sqrt(2G), y) = epsilon, by bisection."""
+    """y solving 1 - Q1(sqrt(2G), y) = epsilon, by bisection.
+
+    1 - Q1(a, y) is the noncentral chi-square CDF at y^2, evaluated directly
+    rather than as 1 - sf, which cancels in deep tails.
+    """
     a = np.sqrt(2.0 * rician_factor)
     lo, hi = 0.0, hi or (a + 10.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if 1.0 - marcum_q1(a, mid) < epsilon:
+        if stats.ncx2.cdf(mid * mid, 2, a * a) < epsilon:
             lo = mid
         else:
             hi = mid
@@ -110,3 +117,66 @@ def diag_belief(*variances, mean=None, qi=0):
     k = len(variances)
     return Belief(np.zeros(k) if mean is None else np.asarray(mean, float),
                   np.diag(variances), qi)
+
+
+def reference_schedule(prior, thresholds, fleet, capacity, observe_fn=None):
+    """The greedy value-of-information loop over a plain agent list.
+
+    Re-scans the fleet for each candidate feature, re-stacks the selection
+    with ``estimator.stack`` every iteration, and fuses the final selection
+    through ``estimator.update``. ``scheduler.schedule`` must reproduce its
+    decisions bit for bit.
+    """
+    caps = thresholds.effective_caps
+    if caps.shape[0] != prior.mean.shape[0]:
+        raise InvalidInputError("threshold dimension does not match belief")
+    if fleet and fleet[0].observation_matrix.shape[1] != prior.mean.shape[0]:
+        raise InvalidInputError("fleet observation matrices do not match belief")
+    if capacity < 0:
+        raise InvalidInputError("capacity must be nonnegative")
+
+    prior_diag = np.diag(prior.cov)
+    ratios_prior = prior_diag / caps
+    cov = prior.cov
+    available = list(fleet)
+    chosen = []
+    iterations = 0
+
+    while len(chosen) < capacity:
+        diag = np.diag(cov)
+        violated = np.nonzero(diag > caps)[0]
+        if violated.size == 0:
+            break
+        candidates = [k for k in violated
+                      if any(np.any(a.observation_matrix[:, k] != 0) for a in available)]
+        if not candidates:
+            break
+        ratios = diag[candidates] / caps[candidates]
+        best = int(np.argmax(ratios))
+        k_star = candidates[best]
+        pool = [a for a in available if np.any(a.observation_matrix[:, k_star] != 0)]
+        agent = min(pool, key=lambda a: (a.error_size, a.agent_id))
+        chosen.append(agent)
+        available.remove(agent)
+        iterations += 1
+        cov, _ = estimator.posterior_cov(prior.cov, estimator.stack(chosen))
+
+    if chosen:
+        stacked = estimator.stack(chosen)
+        if observe_fn is not None:
+            values = np.concatenate(
+                [np.atleast_1d(observe_fn(a)) for a in chosen])
+            posterior = estimator.update(prior, stacked, values)
+        else:
+            cov, _ = estimator.posterior_cov(prior.cov, stacked)
+            posterior = Belief(prior.mean.copy(), cov, prior.qi)
+    else:
+        posterior = prior.copy()
+
+    return ScheduleDecision(
+        selected_ids=tuple(a.agent_id for a in chosen),
+        posterior=posterior,
+        satisfied=np.diag(posterior.cov) <= caps,
+        iterations=iterations,
+        ratios_prior=ratios_prior,
+    )

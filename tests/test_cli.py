@@ -48,6 +48,22 @@ class TestValidateChannel:
             required_power(20.0, params), rel=1e-12)
         assert 0.0 <= float(rows[0]["empirical_outage"]) <= 0.05
 
+    def test_weak_line_of_sight_exits_one_without_traceback(self, capsys):
+        code = main(["validate-channel", "--rician-db", "3",
+                     "--epsilon", "1e-5", "--trials", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_invalid_input_exits_one_without_traceback(self, capsys):
+        code = main(["validate-channel", "--distance-m", "-5",
+                     "--trials", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestEvaluate:
     def test_writes_outputs_and_returns_zero(self, tmp_path):

@@ -113,6 +113,35 @@ class TestUpdate:
         with pytest.raises(NumericalFailureError):
             update(prior, stack(agents), np.array([0.0, 0.0]))
 
+    def test_condition_guard_agrees_with_svd_condition_number(self):
+        # Innovation covariances with 2-norm condition numbers from 1e9 to
+        # 1e15: the guard rejects exactly those above CONDITION_LIMIT as
+        # np.linalg.cond (SVD) measures them, away from the limit itself.
+        from twinloop.estimator import CONDITION_LIMIT, StackedObservationModel
+
+        rng = np.random.default_rng(17)
+        prior_cov = np.zeros((2, 2))
+        h = np.eye(2)
+        decided = {True: 0, False: 0}
+        for _ in range(400):
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            lam = 10.0 ** rng.uniform(-3, 3)
+            cond = 10.0 ** rng.uniform(9, 15)
+            r = q @ np.diag([lam, lam / cond]) @ q.T
+            r = 0.5 * (r + r.T)
+            svd_cond = np.linalg.cond(r)
+            if abs(np.log10(svd_cond / CONDITION_LIMIT)) < 0.01:
+                continue
+            stacked = StackedObservationModel(h, r, (1, 2))
+            rejected = svd_cond > CONDITION_LIMIT
+            if rejected:
+                with pytest.raises(NumericalFailureError):
+                    posterior_cov(prior_cov, stacked)
+            else:
+                posterior_cov(prior_cov, stacked)
+            decided[rejected] += 1
+        assert min(decided.values()) > 100
+
 
 def _scalar_1d_agent(variance):
     from twinloop import SensingAgentSpec

@@ -9,6 +9,7 @@ import pytest
 from twinloop import (ConfigurationError, EpisodeMetrics, ExperimentConfig,
                       SchedulingMode, TwinLoop, aggregate_metrics,
                       export_traces, run_episode, run_monte_carlo)
+from twinloop.errors import NumericalFailureError, TrainingFailureError
 from twinloop.harness import fresh_policy
 from twinloop.agent import train
 
@@ -156,13 +157,45 @@ class TestMonteCarlo:
 
         def flaky(policy, cfg, index, env=None, rng=None):
             if index == 1:
-                raise RuntimeError("boom")
+                raise NumericalFailureError("boom", qi=4)
             return real(policy, cfg, index, env=env, rng=rng)
 
         monkeypatch.setattr(harness_mod, "run_episode", flaky)
         report = harness_mod.run_monte_carlo(config)
-        assert list(report["failures"]) == [1]
+        assert report["failures"] == {1: "NumericalFailureError: boom (QI 4)"}
         assert len(report["episodes"]) == 1
+
+    def test_untyped_exception_propagates(self, monkeypatch):
+        from twinloop import harness as harness_mod
+
+        def broken(policy, cfg, index, env=None, rng=None):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(harness_mod, "run_episode", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            harness_mod.run_monte_carlo(small_config(episodes=2))
+
+    def test_parallel_failures_match_serial(self):
+        config = small_config(episodes=2)
+        policy = fresh_policy(config)
+        for weights in policy.actor.weights:
+            weights[...] = np.nan
+        serial = run_monte_carlo(config, policy=policy, workers=1)
+        parallel = run_monte_carlo(config, policy=policy, workers=2)
+        assert sorted(serial["failures"]) == [0, 1]
+        assert parallel["failures"] == serial["failures"]
+        assert parallel["episodes"] == serial["episodes"] == []
+
+    def test_package_errors_survive_pickling(self):
+        import pickle
+
+        exc = pickle.loads(pickle.dumps(NumericalFailureError("bad", qi=7)))
+        assert (type(exc), exc.qi, str(exc)) == (
+            NumericalFailureError, 7, "bad (QI 7)")
+        exc = pickle.loads(pickle.dumps(
+            TrainingFailureError("nan loss", {"policy_loss": float("inf")})))
+        assert (str(exc), exc.diagnostics) == ("nan loss",
+                                               {"policy_loss": float("inf")})
 
     def test_summary_differs_only_in_output_path(self, tmp_path):
         summaries = []

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from twinloop import ExperimentConfig, SchedulingMode, TwinLoop
+from twinloop import (ConfigurationError, ExperimentConfig, InvalidInputError,
+                      SchedulingMode, TwinLoop)
 from twinloop.harness import fresh_policy, run_monte_carlo
 
 
@@ -37,6 +38,42 @@ class TestPolicyInput:
         env = TwinLoop.from_config(loop_config())
         assert env.action_dim == 3
         assert env.obs_dim == 4
+
+
+class TestFleetIndex:
+    def test_built_once_and_passed_to_the_schedulers(self, monkeypatch):
+        from twinloop import scheduler
+
+        env = TwinLoop.from_config(loop_config())
+        assert env.fleet_index.agents == tuple(env.fleet)
+        seen = []
+        real = scheduler.schedule
+
+        def spy(prior, thresholds, fleet, capacity, observe_fn=None):
+            seen.append(fleet)
+            return real(prior, thresholds, fleet, capacity, observe_fn)
+
+        monkeypatch.setattr(scheduler, "schedule", spy)
+        env.reset(0)
+        for _ in range(3):
+            env.step(np.zeros(env.action_dim))
+        assert seen and all(f is env.fleet_index for f in seen)
+
+    def test_duplicate_agent_ids_rejected(self):
+        config = loop_config()
+        config.fleet.agents = [
+            {"id": 1, "feature": 0, "variance": 1e-3, "distance": 5.0},
+            {"id": 1, "feature": 1, "variance": 1e-4, "distance": 6.0}]
+        with pytest.raises(InvalidInputError, match="duplicate agent ids"):
+            TwinLoop.from_config(config)
+
+    def test_uncovered_feature_rejected(self):
+        config = loop_config()
+        config.fleet.agents = [
+            {"id": 1, "feature": 0, "variance": 1e-3, "distance": 5.0},
+            {"id": 2, "feature": 0, "variance": 1e-4, "distance": 6.0}]
+        with pytest.raises(ConfigurationError, match="cover"):
+            TwinLoop.from_config(config)
 
 
 class TestEtaCoupling:

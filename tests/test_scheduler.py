@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from twinloop import (Belief, InvalidInputError, QosThresholds,
-                      effective_thresholds, schedule, weighted_objective)
+                      SensingAgentSpec, effective_thresholds, estimator,
+                      schedule, sensing, weighted_objective)
 from twinloop.estimator import posterior_cov, stack
-from tests.helpers import diag_belief, scalar_agent
+from twinloop.sensing import FleetIndex
+from tests.helpers import diag_belief, reference_schedule, scalar_agent
 
 
 class TestEffectiveThresholds:
@@ -176,6 +178,183 @@ class TestScheduleProperties:
                 assert decision.satisfied.all(), (
                     prior.cov, caps, [(a.agent_id, a.noise_cov[0, 0]) for a in fleet],
                     capacity, decision)
+
+
+def two_row_agent(agent_id, features, variances, dim, distance=5.0):
+    h = np.zeros((2, dim))
+    h[0, features[0]] = 1.0
+    h[1, features[1]] = 0.5
+    r = np.array([[variances[0], 0.3 * np.sqrt(variances[0] * variances[1])],
+                  [0.3 * np.sqrt(variances[0] * variances[1]), variances[1]]])
+    return SensingAgentSpec(agent_id=agent_id, observation_matrix=h,
+                            noise_cov=r, distance_m=distance)
+
+
+def random_case(rng):
+    """A prior, caps, fleet and capacity covering the scheduler's branches:
+    error-size ties (variances from a short list), two-row agents, empty
+    fleets, shuffled ids and capacities from 0 to beyond the fleet size."""
+    dim = int(rng.integers(2, 4))
+    a = rng.normal(size=(dim, dim))
+    cov = a @ a.T * 10.0 ** rng.uniform(-4, -2) + np.diag(10.0 ** rng.uniform(-4, -1, dim))
+    prior = Belief(rng.normal(size=dim), cov, qi=int(rng.integers(1, 50)))
+    caps = 10.0 ** rng.uniform(-4, -1.5, size=dim)
+    eta = np.where(rng.random(dim) < 0.5, 0.0, 10.0 ** rng.uniform(0, 3, size=dim))
+    m = int(rng.integers(0, 9))
+    levels = (1e-4, 1e-3, 1e-2)       # few values, so error sizes tie often
+    ids = rng.permutation(np.arange(1, 3 * m + 2))[:m]
+    fleet = []
+    for agent_id in ids.tolist():
+        if rng.random() < 0.15:
+            features = rng.choice(dim, size=2, replace=False).tolist()
+            fleet.append(two_row_agent(agent_id, features,
+                                       rng.choice(levels, size=2).tolist(), dim))
+        else:
+            fleet.append(scalar_agent(agent_id, int(rng.integers(dim)),
+                                      float(rng.choice(levels)),
+                                      distance=float(rng.uniform(1, 20)), dim=dim))
+    capacity = int(rng.integers(0, m + 2))
+    return prior, QosThresholds(caps, eta), fleet, capacity
+
+
+def seeded_observer(seed, prior):
+    """observe_fn drawing noisy readings of a fixed state from its own stream."""
+    rng = np.random.default_rng(seed)
+    state = prior.mean + rng.normal(size=prior.mean.shape[0]) * 0.01
+    return lambda agent: sensing.observe(agent, state, rng).values
+
+
+class TestMatchesReference:
+    """The indexed scheduler reproduces the list-based loop bit for bit."""
+
+    def assert_same(self, got, want):
+        assert got.selected_ids == want.selected_ids
+        assert got.iterations == want.iterations
+        assert got.posterior.qi == want.posterior.qi
+        assert np.array_equal(got.posterior.mean, want.posterior.mean)
+        assert np.array_equal(got.posterior.cov, want.posterior.cov)
+        assert np.array_equal(got.satisfied, want.satisfied)
+        assert np.array_equal(got.ratios_prior, want.ratios_prior)
+
+    def test_randomized_instances(self):
+        rng = np.random.default_rng(2024)
+        seen = {"tie": 0, "two_row": 0, "empty": 0, "zero_capacity": 0,
+                "selected": 0}
+        for case in range(1500):
+            prior, thresholds, fleet, capacity = random_case(rng)
+            want = reference_schedule(prior, thresholds, fleet, capacity,
+                                      observe_fn=seeded_observer(case, prior))
+            for given in (fleet, FleetIndex(fleet)):
+                got = schedule(prior, thresholds, given, capacity,
+                               observe_fn=seeded_observer(case, prior))
+                self.assert_same(got, want)
+            self.assert_same(schedule(prior, thresholds, fleet, capacity),
+                             reference_schedule(prior, thresholds, fleet, capacity))
+            sizes = [a.error_size for a in fleet]
+            seen["tie"] += len(set(sizes)) < len(sizes)
+            seen["two_row"] += any(a.observation_matrix.shape[0] == 2 for a in fleet)
+            seen["empty"] += not fleet
+            seen["zero_capacity"] += capacity == 0
+            seen["selected"] += len(want.selected_ids) > 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_tie_on_error_size_breaks_on_lowest_id(self):
+        prior = diag_belief(0.05, 0.0005)
+        fleet = [scalar_agent(7, 0, 0.004), scalar_agent(3, 0, 0.004),
+                 scalar_agent(5, 0, 0.004)]
+        got = schedule(prior, basic_thresholds(), fleet, capacity=1)
+        assert got.selected_ids == (3,)
+        self.assert_same(got, reference_schedule(prior, basic_thresholds(),
+                                                 fleet, capacity=1))
+
+    def test_zero_capacity_and_empty_fleet(self):
+        prior = diag_belief(0.05, 0.005)
+        fleet = [scalar_agent(1, 0, 0.004), scalar_agent(2, 1, 0.0001)]
+        for given, capacity in ((fleet, 0), ([], 3), (FleetIndex([]), 3)):
+            got = schedule(prior, basic_thresholds(), given, capacity)
+            assert got.selected_ids == () and got.iterations == 0
+            self.assert_same(got, reference_schedule(
+                prior, basic_thresholds(), list(getattr(given, "agents", given)),
+                capacity))
+
+    def test_single_two_row_agent(self):
+        prior = Belief(np.array([0.1, -0.2]),
+                       np.array([[0.05, 0.001], [0.001, 0.004]]), qi=3)
+        fleet = [two_row_agent(4, [0, 1], [0.003, 0.0004], dim=2)]
+        got = schedule(prior, basic_thresholds(), fleet, capacity=2,
+                       observe_fn=seeded_observer(0, prior))
+        assert got.selected_ids == (4,) and got.iterations == 1
+        self.assert_same(got, reference_schedule(
+            prior, basic_thresholds(), fleet, capacity=2,
+            observe_fn=seeded_observer(0, prior)))
+
+    def test_one_posterior_per_selection(self, monkeypatch):
+        calls = []
+        original = estimator.posterior_cov
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(estimator, "posterior_cov", counted)
+        rng = np.random.default_rng(9)
+        for case in range(200):
+            prior, thresholds, fleet, capacity = random_case(rng)
+            calls.clear()
+            decision = schedule(prior, thresholds, fleet, capacity,
+                                observe_fn=seeded_observer(case, prior))
+            assert len(calls) == decision.iterations
+
+    def test_duplicate_ids_rejected(self):
+        fleet = [scalar_agent(1, 0, 0.01), scalar_agent(1, 1, 0.001)]
+        with pytest.raises(InvalidInputError, match="duplicate agent ids"):
+            FleetIndex(fleet)
+        with pytest.raises(InvalidInputError, match="duplicate agent ids"):
+            schedule(diag_belief(0.05, 0.005), basic_thresholds(), fleet, 2)
+
+
+class TestFleetIndex:
+    def test_stacked_equals_stack(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            _, _, fleet, _ = random_case(rng)
+            if not fleet:
+                continue
+            index = FleetIndex(fleet)
+            positions = rng.permutation(len(fleet))[:int(rng.integers(1, len(fleet) + 1))]
+            got = index.stacked(positions.tolist())
+            want = stack([fleet[p] for p in positions])
+            assert np.array_equal(got.matrix, want.matrix)
+            assert np.array_equal(got.noise_cov, want.noise_cov)
+            assert got.matrix.flags.c_contiguous and got.noise_cov.flags.c_contiguous
+            assert got.agent_ids == want.agent_ids
+
+    def test_orders(self):
+        fleet = [scalar_agent(5, 0, 0.01, distance=3.0),
+                 scalar_agent(2, 1, 0.001, distance=3.0),
+                 scalar_agent(9, 0, 0.001, distance=1.0)]
+        index = FleetIndex(fleet)
+        assert index.by_error == (1, 2, 0)
+        assert index.by_distance == (2, 1, 0)
+        assert index.by_feature == ((2, 0), (1,))
+        assert index.state_dim == 2
+        assert FleetIndex.of(index) is index
+
+    def test_immutable(self):
+        index = FleetIndex([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)])
+        with pytest.raises(AttributeError):
+            index.by_error = ()
+        with pytest.raises(ValueError):
+            index.matrix[0, 0] = 2.0
+
+    def test_mixed_state_dimensions_rejected(self):
+        with pytest.raises(InvalidInputError):
+            FleetIndex([scalar_agent(1, 0, 0.01, dim=2),
+                        scalar_agent(2, 0, 0.01, dim=3)])
+
+    def test_empty_selection_rejected(self):
+        with pytest.raises(InvalidInputError):
+            FleetIndex([scalar_agent(1, 0, 0.01)]).stacked([])
 
 
 class TestWeightedObjective:
