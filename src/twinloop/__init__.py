@@ -27,7 +27,7 @@ from .harness import (ChannelConfig, EpisodeMetrics, ExperimentConfig,
 from .loop import StepResult, TwinLoop
 from .scheduler import (QosThresholds, ScheduleDecision, effective_thresholds,
                         schedule, weighted_objective)
-from .sensing import (Observation, SensingAgentSpec, agents_measuring,
-                      fleet_from_json, fleet_to_json, observe, place_agents)
+from .sensing import (SensingAgentSpec, agents_measuring, fleet_from_json,
+                      fleet_to_json, observe, place_agents)
 
 __version__ = "0.1.0"

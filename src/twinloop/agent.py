@@ -109,8 +109,8 @@ def decode_action(raw, eta_max: float, control_dim: int = 1) -> AugmentedAction:
     Out-of-range raw entries (including +-inf) are clamped before mapping.
     """
     raw = np.atleast_1d(np.asarray(raw, dtype=float))
-    control = np.clip(raw[:control_dim], -1.0, 1.0)
-    eta = np.clip(eta_max * (raw[control_dim:] + 1.0) / 2.0, 0.0, eta_max)
+    control = np.minimum(1.0, np.maximum(-1.0, raw[:control_dim]))
+    eta = np.minimum(eta_max, np.maximum(0.0, eta_max * (raw[control_dim:] + 1.0) / 2.0))
     return AugmentedAction(control, eta)
 
 
@@ -128,10 +128,10 @@ class RunningNormalizer:
         if self.count > 1:
             out = (x - self.mean) / np.sqrt(self.var + 1e-8)
         else:
-            out = x.copy()
+            out = x
         if update:
             self._update(x)
-        return np.clip(out, -self.clip, self.clip)
+        return np.minimum(self.clip, np.maximum(-self.clip, out))
 
     def _update(self, x):
         # Welford update, one sample at a time
@@ -180,7 +180,8 @@ class Mlp:
 
     def forward(self, x):
         """Returns the output (N, out) and the activation cache for backward."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if not (type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64):
+            x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.sizes[0]:
             raise InvalidInputError(
                 f"input width {x.shape[1]} != expected {self.sizes[0]}")
@@ -215,27 +216,40 @@ class Mlp:
 
 
 class Adam:
+    """Adam over a fixed list of parameter arrays.
+
+    The moment estimates live in two flat buffers that follow the
+    parameters' C order, so a step is one elementwise update of all of them
+    followed by one in-place subtraction per parameter.
+    """
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        size = sum(p.size for p in params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        g = np.concatenate([q.ravel() for q in grads])
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g * g
+        delta = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        at = 0
+        for p in params:
+            p -= delta[at:at + p.size].reshape(p.shape)
+            at += p.size
 
 
 def _clip_global_norm(grads, max_norm):
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / (total + 1e-12)
         grads = [g * scale for g in grads]
@@ -343,7 +357,7 @@ def gaussian_logprob(actions, means, logstd):
     """Row-wise diagonal Gaussian log density."""
     std = np.exp(logstd)
     z = (actions - means) / std
-    return -0.5 * np.sum(z * z, axis=1) - np.sum(logstd) \
+    return -0.5 * (z * z).sum(axis=1) - logstd.sum() \
         - 0.5 * actions.shape[1] * LOG_2PI
 
 
@@ -392,11 +406,12 @@ def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
         std = np.exp(policy.logstd)
         logp = gaussian_logprob(actions, mean, policy.logstd)
         ratio = np.exp(logp - logp_old)
-        clipped = np.clip(ratio, 1.0 - hyper.clip_ratio, 1.0 + hyper.clip_ratio)
+        clipped = np.minimum(1.0 + hyper.clip_ratio,
+                             np.maximum(1.0 - hyper.clip_ratio, ratio))
         surr1 = ratio * adv
         surr2 = clipped * adv
-        policy_loss = -np.mean(np.minimum(surr1, surr2))
-        entropy = np.sum(policy.logstd + 0.5 * (1.0 + LOG_2PI))
+        policy_loss = -np.minimum(surr1, surr2).mean()
+        entropy = (policy.logstd + 0.5 * (1.0 + LOG_2PI)).sum()
 
         # surrogate gradient flows only where the unclipped branch is active
         active = (surr1 <= surr2).astype(float)
@@ -405,14 +420,14 @@ def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
         dmean = dlogp[:, None] * z / std              # d logp / d mean = z / std
         dhead = dmean * (1.0 - mean ** 2)
         grad_w, grad_b, _ = policy.actor.backward(actor_cache, dhead)
-        dlogstd = np.sum(dlogp[:, None] * (z * z - 1.0), axis=0) \
-            - hyper.entropy_coef * np.ones_like(policy.logstd)
+        dlogstd = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0) \
+            - hyper.entropy_coef
         actor_grads = grad_w + grad_b + [dlogstd]
 
         values, critic_cache = policy.critic.forward(obs)
         values = values[:, 0]
         verr = values - targets
-        value_loss = 0.5 * float(np.mean(verr ** 2))
+        value_loss = 0.5 * float((verr ** 2).mean())
         dv = (hyper.value_coef * verr / n)[:, None]
         cw, cb, _ = policy.critic.backward(critic_cache, dv)
         critic_grads = cw + cb
@@ -421,9 +436,9 @@ def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
             "policy_loss": float(policy_loss),
             "value_loss": value_loss,
             "entropy": float(entropy),
-            "approx_kl": float(np.mean(logp_old - logp)),
-            "clip_fraction": float(np.mean((np.abs(ratio - 1.0)
-                                            > hyper.clip_ratio))),
+            "approx_kl": float((logp_old - logp).mean()),
+            "clip_fraction": float((np.abs(ratio - 1.0)
+                                    > hyper.clip_ratio).mean()),
             "total_loss": float(policy_loss + hyper.value_coef * value_loss
                                 - hyper.entropy_coef * entropy),
         }
@@ -451,14 +466,14 @@ def ppo_update(batch: dict, policy: PolicyNetwork, hyper: PpoHyperparams,
             idx = order[start:start + hyper.minibatch_size]
             mb = {k: v[idx] for k, v in data.items()}
             diags, actor_grads, critic_grads = ppo_loss_and_grads(policy, mb, hyper)
-            if not all(np.isfinite(v) for v in diags.values()):
+            if not all(map(math.isfinite, diags.values())):
                 raise TrainingFailureError("non-finite PPO loss", diagnostics=diags)
             actor_grads, _ = _clip_global_norm(actor_grads, hyper.max_grad_norm)
             critic_grads, _ = _clip_global_norm(critic_grads, hyper.max_grad_norm)
             policy._actor_opt.step(policy.actor.parameters() + [policy.logstd],
                                    actor_grads)
             policy._critic_opt.step(policy.critic.parameters(), critic_grads)
-            np.clip(policy.logstd, hyper.min_logstd, None, out=policy.logstd)
+            np.maximum(policy.logstd, hyper.min_logstd, out=policy.logstd)
             for k, v in diags.items():
                 totals[k] = totals.get(k, 0.0) + v
             count += 1

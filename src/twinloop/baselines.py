@@ -35,13 +35,15 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
 
     ``fleet`` is a ``sensing.FleetIndex`` or a plain list of agents; the
     greedy modes take their fixed order and stacked model from the index.
+    ``observe_fn(agent)`` returns the agent's 1-D float reading, as
+    ``sensing.observe`` does.
     """
     mode = SchedulingMode(mode)
     if mode is SchedulingMode.REVERB:
         raise InvalidInputError("the adaptive mode is served by scheduler.schedule")
 
     caps = thresholds.effective_caps if thresholds is not None else None
-    ratios = (np.diag(prior.cov) / caps) if caps is not None else None
+    ratios = (prior.cov.diagonal() / caps) if caps is not None else None
 
     if mode is SchedulingMode.PERFECT:
         if true_state is None:
@@ -59,8 +61,8 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
             return _decision((), prior.copy(), caps, 0, ratios)
         stacked = index.stacked(chosen)
         if observe_fn is not None:
-            values = np.concatenate(
-                [np.atleast_1d(observe_fn(index.agents[p])) for p in chosen])
+            values = sensing.stack_readings(
+                observe_fn, [index.agents[p] for p in chosen], stacked.matrix.shape[0])
             posterior = estimator.update(prior, stacked, values)
         else:
             cov, _ = estimator.posterior_cov(prior.cov, stacked)
@@ -94,7 +96,8 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
     for agent in chosen:
         if observe_fn is None:
             continue
-        values = np.atleast_1d(observe_fn(agent))
+        values = sensing.stack_readings(observe_fn, [agent],
+                                        agent.observation_matrix.shape[0])
         for row, value in zip(agent.observation_matrix, values):
             k = int(np.nonzero(row)[0][0])
             mean[k] = value / row[k]
@@ -108,7 +111,7 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
 
 def _decision(ids, posterior, caps, iterations, ratios):
     if caps is not None:
-        satisfied = np.diag(posterior.cov) <= caps
+        satisfied = posterior.cov.diagonal() <= caps
     else:
         satisfied = np.ones(posterior.mean.shape[0], dtype=bool)
     return ScheduleDecision(selected_ids=ids, posterior=posterior,

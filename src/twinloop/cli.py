@@ -9,6 +9,7 @@ traceback. Flags override the corresponding config keys.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -109,47 +110,55 @@ def cmd_validate_channel(args) -> int:
     return EXIT_OK
 
 
+SWEEP_COLUMNS = ("kappa", "capacity", "epsilon", "goal_rate", "median_qis",
+                 "mean_power_w", "mean_mrmse")
+
+
 def cmd_sweep(args) -> int:
+    """Run the grid; each point's row reaches sweep.csv as soon as it finishes,
+    so a failing point keeps the rows of the points before it."""
     config = _load_config(args)
     out = Path(config.output_dir or "sweep_out")
     out.mkdir(parents=True, exist_ok=True)
     kappas = args.kappa or [config.rl.reward_weight]
     capacities = args.capacity or [config.capacity]
     epsilons = args.epsilon or [config.channel.outage_epsilon]
-    rows = []
-    for kappa in kappas:
-        for capacity in capacities:
-            for eps in epsilons:
-                point = ExperimentConfig.from_dict(config.to_dict())
-                point.rl.reward_weight = kappa
-                point.capacity = capacity
-                point.channel.outage_epsilon = eps
-                point.output_dir = None
-                point.validate()
-                if args.train_steps:
-                    point.rl.total_steps = args.train_steps
-                    policy, _ = agent_mod.train(point, point.rl,
-                                                point.master_seed)
-                else:
-                    policy = None
-                report = run_monte_carlo(point, policy=policy)
-                agg = report["aggregate"]
-                rows.append({
-                    "kappa": kappa, "capacity": capacity, "epsilon": eps,
-                    "goal_rate": agg.get("goal_rate"),
-                    "median_qis": agg.get("qis", {}).get("median"),
-                    "mean_power_w": agg.get("total_power_w", {}).get("mean"),
-                    "mean_mrmse": agg.get("mrmse", {}).get("mean"),
-                })
-                print(json.dumps(rows[-1]))
-    import csv
-
     with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
-        writer.writerows(rows)
+        fh.flush()
+        for kappa in kappas:
+            for capacity in capacities:
+                for eps in epsilons:
+                    row = _sweep_point(config, kappa, capacity, eps,
+                                       args.train_steps)
+                    writer.writerow(row)
+                    fh.flush()
+                    print(json.dumps(row))
     print(f"wrote {out / 'sweep.csv'}")
     return EXIT_OK
+
+
+def _sweep_point(config, kappa, capacity, eps, train_steps) -> dict:
+    point = ExperimentConfig.from_dict(config.to_dict())
+    point.rl.reward_weight = kappa
+    point.capacity = capacity
+    point.channel.outage_epsilon = eps
+    point.output_dir = None
+    point.validate()
+    if train_steps:
+        point.rl.total_steps = train_steps
+        policy, _ = agent_mod.train(point, point.rl, point.master_seed)
+    else:
+        policy = None
+    agg = run_monte_carlo(point, policy=policy)["aggregate"]
+    return {
+        "kappa": kappa, "capacity": capacity, "epsilon": eps,
+        "goal_rate": agg.get("goal_rate"),
+        "median_qis": agg.get("qis", {}).get("median"),
+        "mean_power_w": agg.get("total_power_w", {}).get("mean"),
+        "mean_mrmse": agg.get("mrmse", {}).get("mean"),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,8 @@ slope in both rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class MountainCar:
     def jacobian(self, state) -> np.ndarray:
         """d f / d state. Matches central finite differences of ``f``."""
         state = np.asarray(state, dtype=float)
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise InvalidInputError("non-finite state")
         slope = 3.0 * self.params.gravity * np.sin(3.0 * state[0])
         return np.array([[1.0 + slope, 1.0],
@@ -89,20 +90,25 @@ class MountainCar:
         unconditionally.
         """
         state = np.asarray(state, dtype=float)
-        if state.shape != (2,) or not np.all(np.isfinite(state)):
+        if state.shape != (2,) or not np.isfinite(state).all():
             raise InvalidInputError(f"invalid state {state!r}")
-        if not np.isfinite(control):
+        control = float(control)
+        if not math.isfinite(control):
             raise InvalidInputError(f"invalid control {control!r}")
-        control = float(np.clip(control, -1.0, 1.0))
+        control = min(max(control, -1.0), 1.0)
         p = self.params
         if self._noise_scale is None:
             u = np.zeros(2)
         else:
             u = self._noise_scale @ rng.standard_normal(2)
+        # state, control and noise are finite here, so min(max(x, lo), hi)
+        # gives the bits np.clip gives for a scalar, signed zeros included
+        lo, hi = p.velocity_bounds
         vel = state[1] + p.force_gain * control - p.gravity * np.cos(3.0 * state[0]) + u[1]
-        vel = float(np.clip(vel, *p.velocity_bounds))
+        vel = float(min(max(vel, lo), hi))
+        lo, hi = p.position_bounds
         pos = state[0] + vel + u[0]
-        pos = float(np.clip(pos, *p.position_bounds))
+        pos = float(min(max(pos, lo), hi))
         return np.array([pos, vel])
 
     def is_goal(self, state) -> bool:
@@ -144,7 +150,7 @@ class LinearPlant:
 
     def step(self, state, control, rng) -> np.ndarray:
         state = np.asarray(state, dtype=float)
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise InvalidInputError(f"invalid state {state!r}")
         u = (self._noise_scale @ rng.standard_normal(self.dim)
              if self._noise_scale is not None else np.zeros(self.dim))

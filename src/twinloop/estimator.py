@@ -8,11 +8,17 @@ covariance and gain from ``posterior_cov``, the mean from ``fused_mean``. The
 covariance update uses the Joseph form, which keeps the result symmetric
 positive semidefinite under roundoff; it agrees with the plain (I - K H) P
 form in exact arithmetic.
+
+Each covariance is symmetrized once, by the function that computes it:
+``predict`` and ``posterior_cov`` return symmetric matrices, and a ``Belief``
+stores the covariance it is given as it is. Code that builds a belief from
+its own matrix passes a symmetric one (``symmetrize`` makes it so).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +29,10 @@ CONDITION_LIMIT = 1e12
 
 @dataclass
 class Belief:
-    """Gaussian belief N(mean, cov) about the plant state at query interval qi."""
+    """Gaussian belief N(mean, cov) about the plant state at query interval qi.
+
+    ``cov`` must be symmetric; it is stored as given, not symmetrized again.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -31,11 +40,11 @@ class Belief:
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = symmetrize(np.asarray(self.cov, dtype=float))
+        self.cov = np.asarray(self.cov, dtype=float)
 
     @property
     def std(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
+        return np.sqrt(np.maximum(self.cov.diagonal(), 0.0))
 
     def copy(self) -> "Belief":
         return Belief(self.mean.copy(), self.cov.copy(), self.qi)
@@ -55,8 +64,17 @@ class StackedObservationModel:
 
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * (matrix + matrix.T)
+    """(M + M^T) / 2. An exactly symmetric matrix keeps its bits, unless an
+    entry exceeds half the largest float and the sum overflows."""
+    return 0.5 * (matrix + matrix.T)
+
+
+@functools.lru_cache(maxsize=None)
+def identity(dim: int) -> np.ndarray:
+    """The read-only dim x dim identity, built once per size."""
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
 
 
 def predict(belief: Belief, control, model) -> Belief:
@@ -69,7 +87,7 @@ def predict(belief: Belief, control, model) -> Belief:
         jac = model.jacobian(belief.mean)
         mean = model.f(belief.mean) + model.control_matrix @ np.atleast_1d(control)
         cov = jac @ belief.cov @ jac.T + model.process_cov
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise NumericalFailureError("non-finite belief prediction",
                                         qi=belief.qi + 1)
         return Belief(mean, symmetrize(cov), belief.qi + 1)
@@ -96,51 +114,60 @@ def stack(selected) -> StackedObservationModel:
     return StackedObservationModel(matrix, noise, tuple(ids))
 
 
-def innovation_cov(prior_cov, stacked: StackedObservationModel) -> np.ndarray:
-    h = stacked.matrix
-    return stacked.noise_cov + h @ prior_cov @ h.T
-
-
 def posterior_cov(prior_cov, stacked: StackedObservationModel):
-    """Joseph-form posterior covariance and the Kalman gain (no observation values)."""
+    """Joseph-form posterior covariance and the Kalman gain (no observation values).
+
+    The covariance is symmetrized before it is returned. Raises
+    NumericalFailureError when the innovation covariance
+    S = R + H P H^T is not finite or is ill-conditioned.
+    """
     h = stacked.matrix
-    s = innovation_cov(prior_cov, stacked)
-    if not np.all(np.isfinite(s)) or _ill_conditioned(s):
+    s = stacked.noise_cov + h @ prior_cov @ h.T
+    if not np.isfinite(s).all() or _ill_conditioned(s):
         raise NumericalFailureError("ill-conditioned innovation covariance")
     gain = np.linalg.solve(s.T, (prior_cov @ h.T).T).T
-    ikh = np.eye(prior_cov.shape[0]) - gain @ h
+    ikh = identity(prior_cov.shape[0]) - gain @ h
     cov = ikh @ prior_cov @ ikh.T + gain @ stacked.noise_cov @ gain.T
     return symmetrize(cov), gain
 
 
 def _ill_conditioned(s) -> bool:
-    """2-norm condition number of symmetric ``s`` above CONDITION_LIMIT.
+    """2-norm condition number of finite symmetric ``s`` above CONDITION_LIMIT.
 
     For a symmetric matrix the singular values are the absolute
-    eigenvalues, so eigvalsh gives the same number as an SVD, cheaper.
+    eigenvalues, so eigvalsh gives the same number as an SVD, cheaper. A
+    1x1 matrix has condition number 1 unless it is zero, so it is decided
+    by ``s == 0`` without a decomposition.
     """
+    if s.shape[0] == 1:
+        return s[0, 0] == 0
     lam = np.abs(np.linalg.eigvalsh(s))
     return lam.min() == 0 or lam.max() > CONDITION_LIMIT * lam.min()
 
 
 def update(prior: Belief, stacked: StackedObservationModel, values) -> Belief:
     """Fuse the stacked observation vector into the prior belief."""
-    if stacked.matrix.shape[1] != prior.mean.shape[0]:
+    h = stacked.matrix
+    if h.shape[1] != prior.mean.shape[0]:
         raise InvalidInputError("observation matrix does not match state dimension")
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if values.shape[0] != h.shape[0]:
+        raise InvalidInputError(
+            f"observation vector length {values.shape[0]} != stacked rows {h.shape[0]}")
     cov, gain = posterior_cov(prior.cov, stacked)
     return Belief(fused_mean(prior, stacked, gain, values), cov, prior.qi)
 
 
 def fused_mean(prior: Belief, stacked: StackedObservationModel, gain,
-               values) -> np.ndarray:
-    """Posterior mean m + K (o - H m), with K from posterior_cov."""
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    h = stacked.matrix
-    if values.shape[0] != h.shape[0]:
-        raise InvalidInputError(
-            f"observation vector length {values.shape[0]} != stacked rows {h.shape[0]}")
-    mean = prior.mean + gain @ (values - h @ prior.mean)
-    if not np.all(np.isfinite(mean)):
+               values: np.ndarray) -> np.ndarray:
+    """Posterior mean m + K (o - H m), with K from posterior_cov.
+
+    ``values`` is the 1-D float vector of the stacked readings, one per row
+    of ``stacked.matrix``; ``update`` and ``sensing.stack_readings`` check
+    that before they call this.
+    """
+    mean = prior.mean + gain @ (values - stacked.matrix @ prior.mean)
+    if not np.isfinite(mean).all():
         raise NumericalFailureError("non-finite posterior mean", qi=prior.qi)
     return mean
 

@@ -22,7 +22,7 @@ from . import channel as channel_mod
 from . import estimator, scheduler, sensing
 from .agent import CostMode, base_reward, decode_action, shape_reward
 from .baselines import SchedulingMode, baseline_schedule
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalFailureError
 from .estimator import Belief
 
 
@@ -54,6 +54,8 @@ class TwinLoop:
         self.channel_params = channel_params
         self.variance_caps = np.asarray(variance_caps, dtype=float)
         self.mode = SchedulingMode(mode)
+        # the non-adaptive modes never see an accuracy request
+        self.fixed_thresholds = scheduler.QosThresholds(self.variance_caps)
         self.capacity = int(capacity)
         self.kappa = float(kappa)
         self.eta_max = float(eta_max)
@@ -114,8 +116,16 @@ class TwinLoop:
         return self._policy_input(self._prior)
 
     def step(self, raw_action) -> StepResult:
-        """Run one query interval with the raw policy output."""
-        action = decode_action(raw_action, self.eta_max, self.control_dim)
+        """Run one query interval with the raw policy output.
+
+        Raises NumericalFailureError, with the QI, for a NaN in the policy
+        output, before anything else runs; +-inf entries are clamped by
+        ``decode_action`` like any other out-of-range entry.
+        """
+        raw = np.asarray(raw_action, dtype=float)
+        if np.isnan(raw).any():
+            raise NumericalFailureError("non-finite policy action", qi=self._qi)
+        action = decode_action(raw, self.eta_max, self.control_dim)
         control = float(action.control[0])
 
         if self.mode is SchedulingMode.REVERB:
@@ -125,7 +135,7 @@ class TwinLoop:
                                           self.fleet_index, self.capacity,
                                           observe_fn=self._observe_fn())
         else:
-            thresholds = scheduler.QosThresholds(self.variance_caps)
+            thresholds = self.fixed_thresholds
             decision = baseline_schedule(
                 self.mode, self._prior, self.fleet_index, self.capacity,
                 self._pick_rng, observe_fn=self._observe_fn(),
@@ -148,7 +158,8 @@ class TwinLoop:
         self.episode_power += power
         self.error_norms.append(float(np.linalg.norm(error)))
         self.selected_counts.append(len(decision.selected_ids))
-        self.satisfied_flags.append(bool(np.all(decision.satisfied)))
+        satisfied = bool(decision.satisfied.all())
+        self.satisfied_flags.append(satisfied)
         info = {"qi": self._qi, "power": power,
                 "selected_ids": decision.selected_ids,
                 "reached_goal": reached_goal}
@@ -174,7 +185,7 @@ class TwinLoop:
                 "eta_vel": float(action.accuracy[1]),
                 "control": control,
                 "base_reward": reward,
-                "satisfied": int(np.all(decision.satisfied)),
+                "satisfied": int(satisfied),
                 "weighted_objective": objective,
             })
 
@@ -193,7 +204,7 @@ class TwinLoop:
         state = self._true_state
         qi = self._qi
         rng = self._obs_rng
-        return lambda agent: sensing.observe(agent, state, rng, qi=qi).values
+        return lambda agent: sensing.observe(agent, state, rng, qi=qi)
 
     def _policy_input(self, belief: Belief) -> np.ndarray:
         return np.concatenate([belief.mean, belief.std])
@@ -204,4 +215,4 @@ class TwinLoop:
                 self.plant.params.initial_position_range,
                 self.initial_velocity_variance, qi=1)
         return Belief(self.plant.initial_mean.copy(),
-                      self.plant.initial_cov.copy(), qi=1)
+                      estimator.symmetrize(self.plant.initial_cov), qi=1)

@@ -10,13 +10,18 @@ posterior covariance — observation values are not needed for that, so the
 actual measurements are requested once, for the final selection, and fused
 with the gain already computed for it. The loop stops when every cap holds,
 the uplink capacity is exhausted, or no violated feature has an agent left.
-Per-fleet lookups (agents per feature in cost order, the stacked fleet
-model) come from a ``sensing.FleetIndex`` built once per fleet.
+Per-fleet lookups (agents per feature in cost order, the stacked model of
+each ordered selection) come from a ``sensing.FleetIndex`` built once per
+fleet. The scheduler trusts what the layers before it checked: the prior
+covariance is symmetric (``estimator.predict`` made it so), each reading is
+finite (``sensing.observe`` checked it), and the posterior covariance comes
+symmetrized from ``estimator.posterior_cov``. The shape of what
+``observe_fn`` returns is checked once, by ``sensing.stack_readings``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +36,9 @@ def effective_thresholds(variance_caps, accuracy_request) -> np.ndarray:
     eta = np.asarray(accuracy_request, dtype=float)
     if caps.shape != eta.shape:
         raise InvalidInputError("caps and accuracy request differ in length")
-    if np.any(caps <= 0):
+    if (caps <= 0).any():
         raise InvalidInputError("variance caps must be positive")
-    if np.any(eta < 0):
+    if (eta < 0).any():
         raise InvalidInputError("accuracy requests must be nonnegative")
     requested = np.full(eta.shape, np.inf)
     np.divide(1.0, eta, out=requested, where=eta > 0)
@@ -76,9 +81,10 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
     """Select at most ``capacity`` agents so the posterior meets the caps.
 
     ``fleet`` is a ``sensing.FleetIndex`` or a plain list of agents (indexed
-    on the fly). ``observe_fn(agent)`` supplies the measurement vector of a
-    scheduled agent; when omitted the decision carries the covariance-only
-    posterior with the prior mean (enough for selection analysis and tests).
+    on the fly). ``observe_fn(agent)`` supplies the 1-D float reading of a
+    scheduled agent, as ``sensing.observe`` returns it; when omitted the
+    decision carries the covariance-only posterior with the prior mean
+    (enough for selection analysis and tests).
     """
     index = sensing.FleetIndex.of(fleet)
     caps = thresholds.effective_caps
@@ -89,14 +95,15 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
     if capacity < 0:
         raise InvalidInputError("capacity must be nonnegative")
 
-    ratios_prior = prior.cov.diagonal() / caps
-    cov = prior.cov
+    prior_cov = prior.cov
+    ratios_prior = prior_cov.diagonal() / caps
+    cov = prior_cov
     chosen = []           # fleet positions, in selection order
-    iterations = 0
+    limit = min(capacity, len(index))
 
-    while len(chosen) < min(capacity, len(index)):
+    while len(chosen) < limit:
         diag = cov.diagonal()
-        violated = np.nonzero(diag > caps)[0]
+        violated = (diag > caps).nonzero()[0]
         if violated.size == 0:
             break
         # candidate features: violated AND measurable by an available agent;
@@ -111,16 +118,15 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
         # largest ratio wins; ties break on the lowest feature index
         candidates = list(picks)
         ratios = diag[candidates] / caps[candidates]
-        chosen.append(picks[candidates[int(np.argmax(ratios))]])
-        iterations += 1
+        chosen.append(picks[candidates[int(ratios.argmax())]])
         stacked = index.stacked(chosen)
-        cov, gain = estimator.posterior_cov(prior.cov, stacked)
+        cov, gain = estimator.posterior_cov(prior_cov, stacked)
 
     if not chosen:
         posterior = prior.copy()
     elif observe_fn is not None:
-        values = np.concatenate(
-            [np.atleast_1d(observe_fn(index.agents[p])) for p in chosen])
+        values = sensing.stack_readings(
+            observe_fn, [index.agents[p] for p in chosen], stacked.matrix.shape[0])
         posterior = Belief(estimator.fused_mean(prior, stacked, gain, values),
                            cov, prior.qi)
     else:
@@ -131,7 +137,7 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
         selected_ids=stacked.agent_ids if chosen else (),
         posterior=posterior,
         satisfied=satisfied,
-        iterations=iterations,
+        iterations=len(chosen),
         ratios_prior=ratios_prior,
     )
 
@@ -145,7 +151,7 @@ def weighted_objective(decision: ScheduleDecision, thresholds: QosThresholds,
     """
     if not 0.0 <= accuracy_weight <= 1.0:
         raise InvalidInputError("accuracy_weight must lie in [0, 1]")
-    ratios = np.diag(decision.posterior.cov) / thresholds.effective_caps
-    hinge = np.clip(ratios - 1.0, 0.0, None).sum()
+    ratios = decision.posterior.cov.diagonal() / thresholds.effective_caps
+    hinge = np.maximum(ratios - 1.0, 0.0).sum()
     return float((1.0 - accuracy_weight) * hinge
                  + accuracy_weight * float(np.sum(powers)))

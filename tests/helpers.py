@@ -1,11 +1,15 @@
 """Shared test oracles: batch Bayesian least squares, Marcum Q, finite
-differences, and the list-based greedy scheduler the indexed one replaced."""
+differences, the list-based greedy scheduler the indexed one replaced, and
+the straightforward forms of the per-step numerics that the package computes
+with fewer numpy calls (Adam, the mountain-car step, action decoding, input
+normalization and the innovation conditioning guard)."""
 
 import numpy as np
 from scipy import stats
 
 from twinloop import Belief, SensingAgentSpec, estimator
 from twinloop.errors import InvalidInputError
+from twinloop.estimator import CONDITION_LIMIT
 from twinloop.scheduler import ScheduleDecision
 
 
@@ -180,3 +184,86 @@ def reference_schedule(prior, thresholds, fleet, capacity, observe_fn=None):
         iterations=iterations,
         ratios_prior=ratios_prior,
     )
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bit patterns (signed zeros, NaNs too)."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def edgy_floats(rng, size, scale=1.0, specials=(0.0, -0.0, 1.0, -1.0)):
+    """Normal draws at ``scale`` with some entries swapped for ``specials``."""
+    x = rng.normal(scale=scale, size=size)
+    swap = rng.random(size) < 0.2
+    x[swap] = rng.choice(np.asarray(specials, dtype=float), size=int(swap.sum()))
+    return x
+
+
+class ReferenceAdam:
+    """Adam as one loop over the parameter arrays, each with its own moments."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+def reference_mountain_car_step(car, state, control, rng):
+    """MountainCar.step with every clamp written as np.clip."""
+    state = np.asarray(state, dtype=float)
+    if state.shape != (2,) or not np.all(np.isfinite(state)):
+        raise InvalidInputError(f"invalid state {state!r}")
+    if not np.isfinite(control):
+        raise InvalidInputError(f"invalid control {control!r}")
+    control = float(np.clip(control, -1.0, 1.0))
+    p = car.params
+    if car._noise_scale is None:
+        u = np.zeros(2)
+    else:
+        u = car._noise_scale @ rng.standard_normal(2)
+    vel = state[1] + p.force_gain * control - p.gravity * np.cos(3.0 * state[0]) + u[1]
+    vel = float(np.clip(vel, *p.velocity_bounds))
+    pos = state[0] + vel + u[0]
+    pos = float(np.clip(pos, *p.position_bounds))
+    return np.array([pos, vel])
+
+
+def reference_decode_action(raw, eta_max, control_dim=1):
+    """(control, accuracy) of decode_action, clamped with np.clip."""
+    raw = np.atleast_1d(np.asarray(raw, dtype=float))
+    control = np.clip(raw[:control_dim], -1.0, 1.0)
+    eta = np.clip(eta_max * (raw[control_dim:] + 1.0) / 2.0, 0.0, eta_max)
+    return control, eta
+
+
+def reference_normalize(normalizer, x, update=False):
+    """RunningNormalizer.normalize with a copy and np.clip; updates its stats."""
+    x = np.asarray(x, dtype=float)
+    if normalizer.count > 1:
+        out = (x - normalizer.mean) / np.sqrt(normalizer.var + 1e-8)
+    else:
+        out = x.copy()
+    if update:
+        normalizer._update(x)
+    return np.clip(out, -normalizer.clip, normalizer.clip)
+
+
+def reference_ill_conditioned(s) -> bool:
+    """The conditioning guard through eigvalsh at every size, 1x1 included."""
+    lam = np.abs(np.linalg.eigvalsh(s))
+    return lam.min() == 0 or lam.max() > CONDITION_LIMIT * lam.min()

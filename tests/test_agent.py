@@ -7,7 +7,10 @@ from twinloop import (CostMode, PolicyNetwork, PpoHyperparams, TrainingFailureEr
                       base_reward, decode_action, policy_forward, shape_reward)
 from twinloop.agent import (Adam, Mlp, compute_gae, gaussian_logprob,
                             ppo_loss_and_grads, ppo_update)
-from tests.helpers import finite_difference_gradient, relative_gradient_error
+from twinloop.agent import RunningNormalizer
+from tests.helpers import (ReferenceAdam, edgy_floats, finite_difference_gradient,
+                           reference_decode_action, reference_normalize,
+                           relative_gradient_error, same_bits)
 
 
 class TestRewards:
@@ -284,3 +287,105 @@ class TestCheckpoint:
                                       policy_forward(x, loaded)[0])
         assert policy_forward(x, policy)[2] == policy_forward(x, loaded)[2]
         assert loaded.normalizer.count == policy.normalizer.count
+
+
+class TestMatchesReference:
+    """Flat Adam, min/max clamps and skipped coercion change no bit."""
+
+    def test_adam_step(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            shapes = [tuple(rng.integers(1, 9, size=rng.integers(1, 3)))
+                      for _ in range(rng.integers(1, 14))]
+            params = [rng.normal(size=shape) for shape in shapes]
+            mine = [p.copy() for p in params]
+            lr = 10.0 ** rng.uniform(-5, -1)
+            opt, ref = Adam(mine, lr), ReferenceAdam(params, lr)
+            for _ in range(int(rng.integers(1, 6))):
+                grads = [edgy_floats(rng, shape, 10.0 ** rng.uniform(-6, 2))
+                         for shape in shapes]
+                opt.step(mine, grads)
+                ref.step(params, grads)
+            for a, b in zip(mine, params):
+                assert same_bits(a, b)
+
+    def test_adam_step_with_transposed_gradients(self):
+        # gradients need not share their parameter's memory layout
+        rng = np.random.default_rng(22)
+        params = [rng.normal(size=(3, 5)), rng.normal(size=4)]
+        mine = [p.copy() for p in params]
+        opt, ref = Adam(mine, 1e-2), ReferenceAdam(params, 1e-2)
+        for _ in range(3):
+            grads = [np.asfortranarray(rng.normal(size=(3, 5))), rng.normal(size=4)]
+            opt.step(mine, grads)
+            ref.step(params, grads)
+        assert all(same_bits(a, b) for a, b in zip(mine, params))
+
+    def test_decode_action(self):
+        rng = np.random.default_rng(23)
+        specials = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e300, -1e300)
+        for _ in range(2000):
+            control_dim = int(rng.integers(1, 3))
+            raw = edgy_floats(rng, control_dim + int(rng.integers(1, 4)),
+                              10.0 ** rng.uniform(-3, 1), specials)
+            eta_max = float(rng.choice([1.0, 380.0, 1000.0, 10.0 ** rng.uniform(-3, 6)]))
+            act = decode_action(raw, eta_max, control_dim)
+            control, eta = reference_decode_action(raw, eta_max, control_dim)
+            assert same_bits(act.control, control)
+            assert same_bits(act.accuracy, eta)
+
+    def test_normalize(self):
+        rng = np.random.default_rng(24)
+        specials = (0.0, -0.0, 10.0, -10.0, 1e6, -1e6)
+        for _ in range(200):
+            dim = int(rng.integers(1, 6))
+            mine, ref = RunningNormalizer(dim), RunningNormalizer(dim)
+            for _ in range(int(rng.integers(1, 8))):
+                x = edgy_floats(rng, dim, 10.0 ** rng.uniform(-2, 2), specials)
+                update = bool(rng.random() < 0.7)
+                assert same_bits(mine.normalize(x, update=update),
+                                 reference_normalize(ref, x, update=update))
+                assert same_bits(mine.mean, ref.mean)
+                assert same_bits(mine.var, ref.var)
+
+    def test_normalize_leaves_its_input_alone(self):
+        x = np.array([-0.0, 3.0])
+        out = RunningNormalizer(2).normalize(x)
+        out[1] = 7.0
+        assert same_bits(x, [-0.0, 3.0])
+
+    def test_mlp_forward_skips_coercion_only_for_2d_float64(self):
+        policy, _ = small_policy(25)
+        x = np.random.default_rng(25).normal(size=(5, policy.obs_dim))
+        head, cache = policy.actor.forward(x)
+        assert cache[0] is x
+        got, cache = policy.actor.forward(x.tolist())
+        assert isinstance(cache[0], np.ndarray) and same_bits(got, head)
+        row, _ = policy.actor.forward(x[:1])
+        got, cache = policy.actor.forward(x[0])
+        assert cache[0].shape == (1, policy.obs_dim) and same_bits(got, row)
+
+    def test_training_with_reference_adam_is_identical(self, monkeypatch):
+        from twinloop import ExperimentConfig, agent, train
+
+        config = ExperimentConfig()
+        config.fleet.count = 4
+        config.capacity = 3
+        config.plant.episode_cap = 40
+        config.plant.process_noise_std = (0.02, 1e-3)
+        config.rl.batch_size = 128
+        config.rl.minibatch_size = 32
+        config.rl.epochs = 2
+        config.rl.total_steps = 2 * config.rl.batch_size
+        config.validate()
+        runs = []
+        for optimizer in (Adam, ReferenceAdam):
+            monkeypatch.setattr(agent, "Adam", optimizer)
+            policy, curve = train(config, config.rl, seed=6)
+            assert type(policy._actor_opt) is optimizer
+            weights = (policy.actor.parameters() + policy.critic.parameters()
+                       + [policy.logstd])
+            runs.append((curve, weights))
+        (curve, weights), (ref_curve, ref_weights) = runs
+        assert len(curve) == 2 and curve == ref_curve
+        assert all(same_bits(a, b) for a, b in zip(weights, ref_weights))

@@ -63,6 +63,23 @@ class TestGreedy:
         assert decision.posterior.cov[0, 0] == pytest.approx(
             0.02 * 0.01 / 0.03, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", [SchedulingMode.COST_GREEDY,
+                                      SchedulingMode.ERROR_GREEDY])
+    @pytest.mark.parametrize("reading", [lambda a: 0.5, lambda a: np.array([[0.5]])])
+    def test_readings_that_are_not_vectors_rejected(self, mode, reading):
+        fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
+        with pytest.raises(InvalidInputError):
+            baseline_schedule(mode, diag_belief(0.02, 0.001), fleet, 2,
+                              np.random.default_rng(0), observe_fn=reading)
+
+    def test_one_reading_for_two_rows_rejected(self):
+        fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
+        readings = iter([np.array([0.5]), np.empty(0)])
+        with pytest.raises(InvalidInputError):
+            baseline_schedule(SchedulingMode.COST_GREEDY, diag_belief(0.02, 0.001),
+                              fleet, 2, np.random.default_rng(0),
+                              observe_fn=lambda a: next(readings))
+
 
 class TestTraditional:
     def test_substitutes_raw_observations(self):
@@ -88,6 +105,13 @@ class TestTraditional:
         assert decision.posterior.mean[1] == pytest.approx(0.02)
         assert decision.posterior.cov[1, 1] == pytest.approx(0.0005)
         assert decision.posterior.mean[0] == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize("reading", [lambda a: -0.5, lambda a: np.array([-0.5, 0.1])])
+    def test_reading_that_does_not_fit_the_agent_rejected(self, reading):
+        with pytest.raises(InvalidInputError):
+            baseline_schedule(SchedulingMode.TRADITIONAL, diag_belief(0.02, 0.0005),
+                              [scalar_agent(1, 0, 0.04)], 10, np.random.default_rng(3),
+                              observe_fn=reading, traditional_count=1)
 
     def test_single_pick_is_uniform_over_the_fleet(self):
         fleet = [scalar_agent(1, 0, 0.04), scalar_agent(2, 1, 0.001)]

@@ -136,3 +136,17 @@ class TestSweep:
         rows = list(csv.DictReader((out / "sweep.csv").open()))
         assert len(rows) == 2
         assert {row["capacity"] for row in rows} == {"1", "2"}
+
+    def test_rows_before_a_failing_point_stay_on_disk(self, tmp_path, capsys):
+        # eps = 1e-30 is outside the strong line-of-sight regime at 15 dB, so
+        # the second grid point fails validation after the first finished
+        config_path = small_config_file(tmp_path, episodes=1)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(config_path), "--out", str(out),
+                     "--capacity", "2", "--epsilon", "1e-2", "1e-30"])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        assert len(rows) == 1
+        assert (rows[0]["capacity"], rows[0]["epsilon"]) == ("2", "0.01")
+        assert float(rows[0]["median_qis"]) > 0

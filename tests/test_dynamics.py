@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from twinloop import InvalidInputError, build_linear_2d, build_mountain_car
+from tests.helpers import edgy_floats, reference_mountain_car_step, same_bits
 
 
 def noiseless_car():
@@ -86,6 +87,33 @@ class TestStep:
                 traj.append(state)
             trajs.append(np.array(traj))
         np.testing.assert_array_equal(trajs[0], trajs[1])
+
+
+class TestMatchesReference:
+    """Scalar min/max clamps give the bits np.clip gave."""
+
+    @pytest.mark.parametrize("noise", [(0.0, 0.0), (1e-4, 1e-5), (0.045, 0.001)])
+    def test_random_states_and_controls(self, noise):
+        car = build_mountain_car(process_noise_std=noise)
+        pick = np.random.default_rng(31)
+        positions = (-1.2, 0.6, 0.45, -0.5, 0.0, -0.0)
+        velocities = (-0.07, 0.07, 0.0, -0.0)
+        for seed in range(1500):
+            state = np.array([
+                pick.choice(positions) if pick.random() < 0.2 else pick.uniform(-1.3, 0.7),
+                pick.choice(velocities) if pick.random() < 0.2 else pick.uniform(-0.08, 0.08)])
+            control = float(edgy_floats(pick, 1, 1.5, (0.0, -0.0, 1.0, -1.0, 3.0))[0])
+            got = car.step(state, control, np.random.default_rng(seed))
+            want = reference_mountain_car_step(car, state, control,
+                                               np.random.default_rng(seed))
+            assert same_bits(got, want)
+
+    def test_numpy_scalar_control(self):
+        car = noiseless_car()
+        state = np.array([-0.5, 0.01])
+        for control in (np.float64(0.25), np.float64(-4.0), np.array(2.0), 1):
+            assert same_bits(car.step(state, control, None),
+                             reference_mountain_car_step(car, state, control, None))
 
 
 class TestJacobian:

@@ -6,8 +6,10 @@ import pytest
 from twinloop import (Belief, InvalidInputError, NumericalFailureError,
                       build_linear_2d, build_mountain_car, predict, stack,
                       update)
-from twinloop.estimator import posterior_cov
-from tests.helpers import batch_linear_gaussian_posterior, diag_belief, scalar_agent
+from twinloop import estimator
+from twinloop.estimator import StackedObservationModel, posterior_cov
+from tests.helpers import (batch_linear_gaussian_posterior, diag_belief,
+                           reference_ill_conditioned, same_bits, scalar_agent)
 
 
 class IdentityPlant:
@@ -207,6 +209,76 @@ class TestProperties:
                                 rng.normal(size=2))
             assert np.max(np.abs(belief.cov - belief.cov.T)) <= 1e-12
             assert np.linalg.eigvalsh(belief.cov).min() >= -1e-10
+
+
+class TestConditioningGuard:
+    def test_matches_eigvalsh_reference_at_every_size(self):
+        rng = np.random.default_rng(41)
+        specials = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, 1.7e308, -1.0)
+        decided = {True: 0, False: 0}
+        for _ in range(3000):
+            dim = int(rng.choice([1, 1, 2, 3]))
+            if dim == 1 and rng.random() < 0.5:
+                s = np.array([[rng.choice(specials)]])
+            else:
+                q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+                lam = 10.0 ** rng.uniform(-300, 300) * 10.0 ** rng.uniform(-14, 0, dim)
+                lam[rng.random(dim) < 0.1] = 0.0
+                s = q @ np.diag(lam * rng.choice([-1.0, 1.0], dim)) @ q.T
+                s = 0.5 * (s + s.T)
+            if not np.isfinite(s).all():
+                continue
+            with np.errstate(over="ignore"):   # limit * tiny eigenvalue
+                want = bool(reference_ill_conditioned(s))
+                assert bool(estimator._ill_conditioned(s)) is want
+            decided[want] += 1
+        assert min(decided.values()) > 300
+
+    def test_zero_one_by_one_innovation_raises(self):
+        stacked = StackedObservationModel(np.array([[1.0, 0.0]]),
+                                          np.array([[0.0]]), (1,))
+        with pytest.raises(NumericalFailureError):
+            posterior_cov(np.zeros((2, 2)), stacked)
+
+    def test_positive_one_by_one_innovation_passes(self):
+        stacked = StackedObservationModel(np.array([[1.0, 0.0]]),
+                                          np.array([[1e-300]]), (1,))
+        cov, gain = posterior_cov(np.zeros((2, 2)), stacked)
+        assert np.isfinite(cov).all() and np.isfinite(gain).all()
+        cov, gain = posterior_cov(np.diag([0.5, 0.1]), stack([scalar_agent(1, 0, 0.5)]))
+        assert cov[0, 0] == pytest.approx(0.25, rel=1e-15)
+
+
+class TestSymmetrizeOnce:
+    def test_identity_is_cached_and_read_only(self):
+        eye = estimator.identity(2)
+        assert eye is estimator.identity(2)
+        assert not eye.flags.writeable
+        np.testing.assert_array_equal(eye, np.eye(2))
+        with pytest.raises(ValueError):
+            eye[0, 1] = 1.0
+
+    def test_belief_stores_its_covariance_unchanged(self):
+        cov = np.array([[1.0, 0.3], [0.30000000000000004, 2.0]])
+        assert Belief(np.zeros(2), cov).cov is cov
+
+    def test_symmetrize_keeps_symmetric_bits(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            a = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-300, 300)
+            m = 0.5 * (a + a.T)
+            assert same_bits(estimator.symmetrize(m), m)
+
+    def test_producers_return_exactly_symmetric_covariances(self):
+        rng = np.random.default_rng(44)
+        car = build_mountain_car(process_noise_std=(1e-3, 1e-4))
+        agents = [scalar_agent(1, 0, 5e-3), scalar_agent(2, 1, 5e-4)]
+        belief = diag_belief(0.01, 0.001, mean=[-0.5, 0.0])
+        for _ in range(100):
+            belief = predict(belief, rng.uniform(-1, 1), car)
+            assert same_bits(belief.cov, belief.cov.T)
+            belief = update(belief, stack(agents), rng.normal(size=2) * 0.01)
+            assert same_bits(belief.cov, belief.cov.T)
 
 
 class TestBatchOracleEquivalence:

@@ -185,6 +185,9 @@ class TestMonteCarlo:
         assert sorted(serial["failures"]) == [0, 1]
         assert parallel["failures"] == serial["failures"]
         assert parallel["episodes"] == serial["episodes"] == []
+        for message in serial["failures"].values():
+            assert message == ("NumericalFailureError: "
+                               "non-finite policy action (QI 1)")
 
     def test_package_errors_survive_pickling(self):
         import pickle

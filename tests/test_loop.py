@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twinloop import (ConfigurationError, ExperimentConfig, InvalidInputError,
-                      SchedulingMode, TwinLoop)
+                      NumericalFailureError, SchedulingMode, TwinLoop)
 from twinloop.harness import fresh_policy, run_monte_carlo
 
 
@@ -143,6 +143,72 @@ class TestModeBehaviors:
         outcomes = [env.step(np.array([0.0, 0.0, 0.0])) for _ in range(3)]
         assert not outcomes[0].truncated and not outcomes[1].truncated
         assert outcomes[2].truncated and not outcomes[2].terminated
+
+
+class TestNonFinitePolicyAction:
+    @pytest.mark.parametrize("mode", ["reverb", "perfect", "error_greedy"])
+    @pytest.mark.parametrize("raw", [[np.nan, 0.0, 0.0], [0.0, np.nan, 0.0],
+                                     [0.0, 0.0, np.nan]])
+    def test_raises_numerical_failure_with_the_qi(self, mode, raw):
+        env = TwinLoop.from_config(loop_config(mode))
+        env.reset(0)
+        for _ in range(2):
+            env.step(np.zeros(env.action_dim))
+        with pytest.raises(NumericalFailureError) as err:
+            env.step(np.array(raw))
+        assert err.value.qi == 3
+        assert "non-finite policy action (QI 3)" in str(err.value)
+
+    def test_nothing_runs_before_the_check(self, monkeypatch):
+        from twinloop import scheduler
+
+        env = TwinLoop.from_config(loop_config())
+        env.reset(0)
+        state, prior = env._true_state.copy(), env._prior
+        monkeypatch.setattr(scheduler, "schedule", None)   # must not be reached
+        with pytest.raises(NumericalFailureError):
+            env.step(np.array([0.2, np.nan, 0.1]))
+        assert np.array_equal(env._true_state, state) and env._prior is prior
+        assert env._qi == 1 and env.error_norms == []
+
+    @pytest.mark.parametrize("mode", ["reverb", "error_greedy"])
+    def test_infinite_entries_are_clamped_as_before(self, mode):
+        results = []
+        for raw in ([np.inf, -np.inf, np.inf], [1.0, -1.0, 1.0]):
+            env = TwinLoop.from_config(loop_config(mode))
+            env.reset(0)
+            results.append([env.step(np.array(raw)) for _ in range(3)])
+        for clamped, bounded in zip(*results):
+            assert np.array_equal(clamped.policy_input, bounded.policy_input)
+            assert clamped.shaped_reward == bounded.shaped_reward
+            assert np.isfinite(clamped.shaped_reward)
+
+    def test_nan_accuracy_no_longer_yields_a_nan_reward(self):
+        env = TwinLoop.from_config(loop_config())
+        env.reset(0)
+        with pytest.raises(NumericalFailureError):
+            env.step(np.array([0.0, np.nan, np.nan]))
+
+
+class TestFixedThresholds:
+    def test_non_adaptive_modes_share_one_threshold_object(self, monkeypatch):
+        from twinloop import loop as loop_mod
+
+        env = TwinLoop.from_config(loop_config("cost_greedy"))
+        seen = []
+        real = loop_mod.baseline_schedule
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["thresholds"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(loop_mod, "baseline_schedule", spy)
+        env.reset(0)
+        for _ in range(3):
+            env.step(np.array([0.0, 1.0, 1.0]))
+        assert len(seen) == 3 and all(t is env.fixed_thresholds for t in seen)
+        np.testing.assert_array_equal(env.fixed_thresholds.effective_caps,
+                                      env.variance_caps)
 
 
 class TestWorkerPool:

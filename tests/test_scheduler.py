@@ -91,6 +91,27 @@ class TestScheduleBranches:
         gain = 0.02 / 0.03
         assert decision.posterior.mean[0] == pytest.approx(gain * 0.3, rel=1e-12)
 
+    @pytest.mark.parametrize("reading", [lambda a: np.array([0.3]),
+                                         lambda a: 0.3,
+                                         lambda a: np.array([[0.3]])])
+    def test_readings_that_do_not_fill_the_selection_rejected(self, reading):
+        prior = diag_belief(0.05, 0.005)
+        fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
+        assert len(schedule(prior, basic_thresholds(), fleet, 2).selected_ids) == 2
+        calls = []
+
+        def one_value_for_all(agent):   # a single reading for the two-row selection
+            calls.append(agent)
+            return reading(agent) if len(calls) == 1 else np.empty(0)
+
+        with pytest.raises(InvalidInputError):
+            schedule(prior, basic_thresholds(), fleet, 2, observe_fn=one_value_for_all)
+
+    def test_scalar_reading_rejected(self):
+        with pytest.raises(InvalidInputError, match="1-D readings"):
+            schedule(diag_belief(0.05, 0.005), basic_thresholds(),
+                     [scalar_agent(1, 0, 0.01)], 1, observe_fn=lambda a: 0.3)
+
     def test_dimension_mismatch_rejected(self):
         prior = diag_belief(0.02, 0.0005)
         with pytest.raises(InvalidInputError):
@@ -221,7 +242,7 @@ def seeded_observer(seed, prior):
     """observe_fn drawing noisy readings of a fixed state from its own stream."""
     rng = np.random.default_rng(seed)
     state = prior.mean + rng.normal(size=prior.mean.shape[0]) * 0.01
-    return lambda agent: sensing.observe(agent, state, rng).values
+    return lambda agent: sensing.observe(agent, state, rng)
 
 
 class TestMatchesReference:
@@ -355,6 +376,43 @@ class TestFleetIndex:
     def test_empty_selection_rejected(self):
         with pytest.raises(InvalidInputError):
             FleetIndex([scalar_agent(1, 0, 0.01)]).stacked([])
+
+    def test_stacked_is_memoised_per_ordered_selection(self):
+        index = FleetIndex([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001),
+                            scalar_agent(3, 0, 0.02)])
+        model = index.stacked([0, 2])
+        assert index.stacked((0, 2)) is model
+        assert index.stacked([2, 0]) is not model
+        assert index.stacked([2, 0]).agent_ids == (3, 1)
+        with pytest.raises(InvalidInputError):
+            index.stacked([1, 1])
+
+    def test_memo_stops_growing_at_its_limit(self, monkeypatch):
+        from twinloop import sensing
+
+        monkeypatch.setattr(sensing, "STACKED_MEMO_LIMIT", 2)
+        fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001),
+                 scalar_agent(3, 0, 0.02)]
+        index = FleetIndex(fleet)
+        first, second = index.stacked([0]), index.stacked([1])
+        late = index.stacked([2, 0])
+        assert index.stacked([0]) is first and index.stacked([1]) is second
+        assert index.stacked([2, 0]) is not late
+        assert len(index._stacked) == 2
+        want = stack([fleet[2], fleet[0]])
+        assert np.array_equal(late.matrix, want.matrix)
+        assert np.array_equal(late.noise_cov, want.noise_cov)
+        assert not late.matrix.flags.writeable and not late.noise_cov.flags.writeable
+
+    def test_memoised_models_are_read_only(self):
+        index = FleetIndex([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)])
+        model = index.stacked([1, 0])
+        assert not model.matrix.flags.writeable
+        assert not model.noise_cov.flags.writeable
+        with pytest.raises(ValueError):
+            model.matrix[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            model.noise_cov[0, 0] = 2.0
 
 
 class TestWeightedObjective:

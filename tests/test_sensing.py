@@ -12,21 +12,21 @@ from tests.helpers import scalar_agent
 class TestObserve:
     def test_position_row_noiseless(self):
         agent = scalar_agent(1, 0, 0.01)
-        obs = observe(agent, np.array([-0.5, 0.02]), np.random.default_rng(0),
-                      noiseless=True)
-        np.testing.assert_allclose(obs.values, [-0.5])
+        values = observe(agent, np.array([-0.5, 0.02]), np.random.default_rng(0),
+                         noiseless=True)
+        np.testing.assert_allclose(values, [-0.5])
 
     def test_velocity_row_noiseless(self):
         agent = scalar_agent(1, 1, 0.01)
-        obs = observe(agent, np.array([-0.5, 0.02]), np.random.default_rng(0),
-                      noiseless=True)
-        np.testing.assert_allclose(obs.values, [0.02])
+        values = observe(agent, np.array([-0.5, 0.02]), np.random.default_rng(0),
+                         noiseless=True)
+        np.testing.assert_allclose(values, [0.02])
 
     def test_empirical_variance_matches_configured(self):
         agent = scalar_agent(1, 0, 0.01)
         rng = np.random.default_rng(5)
         state = np.array([0.1, 0.0])
-        draws = np.array([observe(agent, state, rng).values[0]
+        draws = np.array([observe(agent, state, rng)[0]
                           for _ in range(100_000)])
         assert draws.var() == pytest.approx(0.01, rel=0.05)
         assert draws.mean() == pytest.approx(0.1, abs=0.002)
@@ -36,7 +36,7 @@ class TestObserve:
         rng = np.random.default_rng(9)
         state = np.zeros(2)
         n = 100_000
-        noise = np.array([observe(agent, state, rng).values[0] for _ in range(n)])
+        noise = np.array([observe(agent, state, rng)[0] for _ in range(n)])
         noise -= noise.mean()
         for lag in (1, 2, 5):
             corr = np.dot(noise[:-lag], noise[lag:]) / (n * noise.var())
@@ -47,8 +47,8 @@ class TestObserve:
         rng = np.random.default_rng(2)
         s1 = np.array([0.3, -0.01])
         s2 = np.array([-0.2, 0.04])
-        diffs = [observe(agent, s1 + s2, rng).values[0]
-                 - observe(agent, s2, rng).values[0] for _ in range(50_000)]
+        diffs = [observe(agent, s1 + s2, rng)[0]
+                 - observe(agent, s2, rng)[0] for _ in range(50_000)]
         assert np.mean(diffs) == pytest.approx(
             (agent.observation_matrix @ s1)[0], abs=0.003)
 
@@ -56,6 +56,20 @@ class TestObserve:
         agent = scalar_agent(1, 0, 0.01)
         with pytest.raises(InvalidInputError):
             observe(agent, np.array([1.0, 2.0, 3.0]), np.random.default_rng(0))
+
+    def test_returns_a_float_vector_per_observation_row(self):
+        agent = SensingAgentSpec(1, np.array([[1.0, 0.0], [0.5, 1.0]]),
+                                 np.diag([0.01, 0.02]), 5.0)
+        values = observe(agent, [1, 2], np.random.default_rng(0), noiseless=True)
+        assert isinstance(values, np.ndarray)
+        assert values.shape == (2,) and values.dtype == np.float64
+        np.testing.assert_array_equal(values, [1.0, 2.5])
+
+    def test_non_finite_reading_rejected(self):
+        agent = scalar_agent(7, 0, 0.01)
+        with pytest.raises(InvalidInputError, match="agent 7 at QI 12"):
+            observe(agent, np.array([np.inf, 0.0]), np.random.default_rng(0),
+                    qi=12)
 
 
 class TestAgentSpecValidation:
