@@ -9,8 +9,7 @@ against perfect-information, greedy and unfiltered baselines.
 """
 
 from .agent import (AugmentedAction, CostMode, PolicyNetwork, PpoHyperparams,
-                    base_reward, decode_action, policy_forward, shape_reward,
-                    train)
+                    base_reward, decode_action, shape_reward, train)
 from .baselines import SchedulingMode, baseline_schedule
 from .channel import (ChannelParams, inverse_gaussian_q, outage_probability_mc,
                       required_power, sample_rician_gain, y_q)
@@ -19,8 +18,7 @@ from .dynamics import (PLANT_REGISTRY, LinearPlant, MountainCar,
 from .errors import (ConfigurationError, InvalidInputError,
                      NumericalFailureError, TrainingFailureError,
                      TwinloopError, WeakLineOfSightError)
-from .estimator import (Belief, StackedObservationModel,
-                        moment_matched_initial_belief, predict, stack, update)
+from .estimator import Belief, StackedObservationModel, predict, stack, update
 from .harness import (ChannelConfig, EpisodeMetrics, ExperimentConfig,
                       FleetConfig, PlantConfig, aggregate_metrics,
                       export_traces, run_episode, run_monte_carlo)

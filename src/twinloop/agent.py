@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from enum import Enum
 
 import numpy as np
@@ -209,11 +209,6 @@ class Mlp:
     def parameters(self):
         return self.weights + self.biases
 
-    def set_parameters(self, params):
-        n = len(self.weights)
-        self.weights = [np.asarray(p, dtype=float) for p in params[:n]]
-        self.biases = [np.asarray(p, dtype=float) for p in params[n:]]
-
 
 class Adam:
     """Adam over a fixed list of parameter arrays.
@@ -274,13 +269,10 @@ class PolicyNetwork:
     # -- forward passes ----------------------------------------------------
 
     def forward(self, policy_input):
-        """Distribution mean/std and value for one raw (unnormalized) input."""
-        x = self.normalizer.normalize(policy_input, update=False)
-        head, _ = self.actor.forward(x[None, :])
-        value, _ = self.critic.forward(x[None, :])
-        mean = np.tanh(head[0])
-        std = np.exp(self.logstd)
-        return mean, std, float(value[0, 0])
+        """Distribution mean/std and value for one raw (unnormalized) input:
+        the action, std and value of ``act(..., deterministic=True)``."""
+        mean, _, value, _ = self.act(policy_input, None, deterministic=True)
+        return mean, np.exp(self.logstd), value
 
     def act(self, policy_input, rng, deterministic: bool = False,
             update_stats: bool = False):
@@ -346,11 +338,6 @@ class PolicyNetwork:
     def load(cls, path) -> "PolicyNetwork":
         with open(path) as fh:
             return cls.from_state(json.load(fh))
-
-
-def policy_forward(policy_input, policy: PolicyNetwork):
-    """(action mean, action std, value estimate) for one belief summary."""
-    return policy.forward(policy_input)
 
 
 def gaussian_logprob(actions, means, logstd):
@@ -480,11 +467,11 @@ def ppo_update(batch: dict, policy: PolicyNetwork, hyper: PpoHyperparams,
     return {k: v / count for k, v in totals.items()}
 
 
-def train(config, hyper: PpoHyperparams, seed: int, out_dir=None,
-          progress=None):
+def train(config, hyper: PpoHyperparams, seed: int, progress=None):
     """Collect-and-update loop over the full twin control loop.
 
-    Returns (policy, training curve). Deterministic for a fixed seed. With
+    Returns (policy, training curve), one curve row per PPO batch; writing
+    them to files is the caller's job. Deterministic for a fixed seed. With
     ``total_steps`` = 0 the initial policy is returned untouched.
     """
     from .loop import TwinLoop  # deferred: loop depends on this module
@@ -561,34 +548,12 @@ def train(config, hyper: PpoHyperparams, seed: int, out_dir=None,
         if progress is not None:
             progress(row)
 
-    if out_dir is not None:
-        from pathlib import Path
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        policy.save(out / "policy.json")
-        _write_curve(curve, out / "training_curve.csv")
     return policy, curve
 
 
 def _episode_seed(master_seed: int, episode_index: int) -> np.random.SeedSequence:
     # namespace (1, .) reserves (2, .) for evaluation episodes in the harness
     return np.random.SeedSequence(master_seed, spawn_key=(1, episode_index))
-
-
-def _write_curve(curve, path):
-    import csv
-
-    if not curve:
-        with open(path, "w", newline="") as fh:
-            fh.write("")
-        return
-    keys = list(curve[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(keys)
-        for row in curve:
-            writer.writerow([repr(row[k]) if isinstance(row[k], float) else row[k]
-                             for k in keys])
 
 
 def _mlp_state(mlp: Mlp) -> dict:

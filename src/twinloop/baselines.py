@@ -3,9 +3,10 @@
 PERFECT short-circuits estimation entirely (the twin is handed the true
 state, zero covariance, zero uplink power). COST_GREEDY and ERROR_GREEDY
 always query exactly min(C, M) agents, sorted by distance or by measurement
-error, and fuse them through the filter. TRADITIONAL queries a fixed number
-of randomly drawn agents (one per feature by default) and substitutes their
-raw readings into the belief without any filtering.
+error, and fuse them through the filter, in the adaptive scheduler's fusion
+tail. TRADITIONAL queries a fixed number of randomly drawn agents (one per
+feature by default) and substitutes their raw readings into the belief
+without any filtering.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import estimator, sensing
 from .errors import InvalidInputError
 from .estimator import Belief
-from .scheduler import ScheduleDecision
+from .scheduler import ScheduleDecision, _caps_met, _fused_decision
 
 
 class SchedulingMode(str, Enum):
@@ -43,31 +44,27 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
         raise InvalidInputError("the adaptive mode is served by scheduler.schedule")
 
     caps = thresholds.effective_caps if thresholds is not None else None
-    ratios = (prior.cov.diagonal() / caps) if caps is not None else None
 
     if mode is SchedulingMode.PERFECT:
         if true_state is None:
             raise InvalidInputError("PERFECT mode needs the true state")
         posterior = Belief(np.asarray(true_state, dtype=float),
                            np.zeros_like(prior.cov), prior.qi)
-        return _decision((), posterior, caps, 0, ratios)
+        return ScheduleDecision((), posterior, _caps_met(posterior, caps), 0)
 
     index = sensing.FleetIndex.of(fleet)
     if mode in (SchedulingMode.COST_GREEDY, SchedulingMode.ERROR_GREEDY):
+        if index.state_dim not in (None, prior.mean.shape[0]):
+            raise InvalidInputError("fleet observation matrices do not match belief")
         order = (index.by_distance if mode is SchedulingMode.COST_GREEDY
                  else index.by_error)
         chosen = order[:min(capacity, len(order))]
-        if not chosen:
-            return _decision((), prior.copy(), caps, 0, ratios)
-        stacked = index.stacked(chosen)
-        if observe_fn is not None:
-            values = sensing.stack_readings(
-                observe_fn, [index.agents[p] for p in chosen], stacked.matrix.shape[0])
-            posterior = estimator.update(prior, stacked, values)
-        else:
-            cov, _ = estimator.posterior_cov(prior.cov, stacked)
-            posterior = Belief(prior.mean.copy(), cov, prior.qi)
-        return _decision(stacked.agent_ids, posterior, caps, len(chosen), ratios)
+        stacked = cov = gain = None
+        if chosen:
+            stacked = index.stacked(chosen)
+            cov, gain = estimator.posterior_cov(prior.cov, stacked)
+        return _fused_decision(prior, index, chosen, stacked, cov, gain, caps,
+                               observe_fn)
 
     # TRADITIONAL: raw readings substituted into the belief, no filter
     # update. With one pick per interval the agent is uniform over the whole
@@ -81,9 +78,7 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
         if count < dim:
             options = pool
         else:
-            feature = i % dim
-            options = [a for a in pool
-                       if np.any(a.observation_matrix[:, feature] != 0)]
+            options = sensing.agents_measuring(pool, i % dim)
             if not options:
                 options = pool
         if not options:
@@ -105,15 +100,5 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
             cov[:, k] = 0.0
             cov[k, k] = agent.noise_cov[0, 0] / row[k] ** 2
     posterior = Belief(mean, cov, prior.qi)
-    return _decision(tuple(a.agent_id for a in chosen), posterior, caps,
-                     len(chosen), ratios)
-
-
-def _decision(ids, posterior, caps, iterations, ratios):
-    if caps is not None:
-        satisfied = posterior.cov.diagonal() <= caps
-    else:
-        satisfied = np.ones(posterior.mean.shape[0], dtype=bool)
-    return ScheduleDecision(selected_ids=ids, posterior=posterior,
-                            satisfied=satisfied, iterations=iterations,
-                            ratios_prior=ratios)
+    return ScheduleDecision(tuple(a.agent_id for a in chosen), posterior,
+                            _caps_met(posterior, caps), len(chosen))

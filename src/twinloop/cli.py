@@ -21,7 +21,7 @@ from . import channel as channel_mod
 from .errors import (ConfigurationError, InvalidInputError,
                      NumericalFailureError, TrainingFailureError,
                      WeakLineOfSightError)
-from .harness import ExperimentConfig, run_monte_carlo
+from .harness import ExperimentConfig, run_monte_carlo, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -57,7 +57,10 @@ def cmd_train(args) -> int:
                   f"goal {row['goal_rate']:.2f}")
 
     policy, curve = agent_mod.train(config, config.rl, config.master_seed,
-                                    out_dir=out, progress=progress)
+                                    progress=progress)
+    out.mkdir(parents=True, exist_ok=True)
+    policy.save(out / "policy.json")
+    write_csv(out / "training_curve.csv", list(curve[0]) if curve else [], curve)
     final = curve[-1] if curve else {}
     print(f"trained mode={config.mode} seed={config.master_seed} "
           f"steps={final.get('steps', 0)} "

@@ -5,7 +5,8 @@ benchmark the control loop is evaluated on) and a 2-state linear system used
 by the estimator oracle tests. Both expose the same surface: ``step`` advances
 the true state with process noise, ``f``/``control_matrix``/``jacobian``
 describe the noiseless state-update map the estimator linearizes, ``is_goal``
-tests termination.
+tests termination, and ``initial_mean``/``initial_cov`` give the twin's
+initial belief.
 
 The mountain-car update follows the reference environment semantics: the
 velocity is updated (force, gravity, noise) and clamped first, then the
@@ -27,6 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+
+# The mountain car starts at rest; the twin's initial belief gives that
+# velocity this small variance.
+INITIAL_VELOCITY_VARIANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,11 @@ class MountainCar:
         # velocity, and the new velocity immediately moves the position.
         g = params.force_gain
         self.control_matrix = np.array([[g], [g]])
+        # moments of the start distribution: uniform position, zero velocity
+        lo, hi = params.initial_position_range
+        self.initial_mean = np.array([0.5 * (lo + hi), 0.0])
+        self.initial_cov = np.diag([(hi - lo) ** 2 / 12.0,
+                                    INITIAL_VELOCITY_VARIANCE])
 
     def f(self, state) -> np.ndarray:
         """Noiseless zero-control next-state map, without clamping."""

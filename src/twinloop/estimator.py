@@ -3,11 +3,12 @@
 ``predict`` propagates the belief blindly through the plant model (the mean
 through the full nonlinear map, the covariance through its Jacobian plus the
 process noise). ``stack`` combines several agents' observation models into one
-joint model, and ``update`` fuses the stacked observation vector: the
-covariance and gain from ``posterior_cov``, the mean from ``fused_mean``. The
-covariance update uses the Joseph form, which keeps the result symmetric
-positive semidefinite under roundoff; it agrees with the plain (I - K H) P
-form in exact arithmetic.
+joint model, ``posterior_cov`` gives the Joseph-form posterior covariance
+and the Kalman gain of a stacked model, and ``fused_mean`` the posterior mean
+once the readings arrive (the schedulers' shared fusion tail calls both).
+``update`` fuses a stacked observation vector in one call. The Joseph form
+keeps the covariance symmetric positive semidefinite under roundoff; it
+agrees with the plain (I - K H) P form in exact arithmetic.
 
 Each covariance is symmetrized once, by the function that computes it:
 ``predict`` and ``posterior_cov`` return symmetric matrices, and a ``Belief``
@@ -25,6 +26,10 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
 
 CONDITION_LIMIT = 1e12
+# Innovation eigenvalues below the smallest normal float are subnormal or
+# zero: solving with them can overflow the gain to inf, and the covariance
+# and gain then come back NaN without an error.
+TINY = float(np.finfo(float).tiny)
 
 
 @dataclass
@@ -132,21 +137,27 @@ def posterior_cov(prior_cov, stacked: StackedObservationModel):
 
 
 def _ill_conditioned(s) -> bool:
-    """2-norm condition number of finite symmetric ``s`` above CONDITION_LIMIT.
+    """Finite symmetric ``s`` has an absolute eigenvalue below TINY, or a
+    2-norm condition number above CONDITION_LIMIT.
 
     For a symmetric matrix the singular values are the absolute
     eigenvalues, so eigvalsh gives the same number as an SVD, cheaper. A
-    1x1 matrix has condition number 1 unless it is zero, so it is decided
-    by ``s == 0`` without a decomposition.
+    1x1 matrix has condition number 1, so it is decided by its one entry
+    without a decomposition.
     """
     if s.shape[0] == 1:
-        return s[0, 0] == 0
+        return abs(s[0, 0]) < TINY
     lam = np.abs(np.linalg.eigvalsh(s))
-    return lam.min() == 0 or lam.max() > CONDITION_LIMIT * lam.min()
+    return lam.min() < TINY or lam.max() > CONDITION_LIMIT * lam.min()
 
 
 def update(prior: Belief, stacked: StackedObservationModel, values) -> Belief:
-    """Fuse the stacked observation vector into the prior belief."""
+    """Fuse the stacked observation vector into the prior belief.
+
+    Checks its inputs and writes the mean out itself rather than through
+    ``fused_mean``: it is the independent reference that the schedulers'
+    fusion tail is tested against, bit for bit.
+    """
     h = stacked.matrix
     if h.shape[1] != prior.mean.shape[0]:
         raise InvalidInputError("observation matrix does not match state dimension")
@@ -155,7 +166,10 @@ def update(prior: Belief, stacked: StackedObservationModel, values) -> Belief:
         raise InvalidInputError(
             f"observation vector length {values.shape[0]} != stacked rows {h.shape[0]}")
     cov, gain = posterior_cov(prior.cov, stacked)
-    return Belief(fused_mean(prior, stacked, gain, values), cov, prior.qi)
+    mean = prior.mean + gain @ (values - h @ prior.mean)
+    if not np.isfinite(mean).all():
+        raise NumericalFailureError("non-finite posterior mean", qi=prior.qi)
+    return Belief(mean, cov, prior.qi)
 
 
 def fused_mean(prior: Belief, stacked: StackedObservationModel, gain,
@@ -163,18 +177,10 @@ def fused_mean(prior: Belief, stacked: StackedObservationModel, gain,
     """Posterior mean m + K (o - H m), with K from posterior_cov.
 
     ``values`` is the 1-D float vector of the stacked readings, one per row
-    of ``stacked.matrix``; ``update`` and ``sensing.stack_readings`` check
-    that before they call this.
+    of ``stacked.matrix``; ``sensing.stack_readings`` checks that before
+    this is called.
     """
     mean = prior.mean + gain @ (values - stacked.matrix @ prior.mean)
     if not np.isfinite(mean).all():
         raise NumericalFailureError("non-finite posterior mean", qi=prior.qi)
     return mean
-
-
-def moment_matched_initial_belief(position_range, velocity_variance=1e-4, qi=0) -> Belief:
-    """Belief matching a uniform initial position and zero initial velocity."""
-    lo, hi = position_range
-    mean = np.array([0.5 * (lo + hi), 0.0])
-    cov = np.diag([(hi - lo) ** 2 / 12.0, velocity_variance])
-    return Belief(mean, cov, qi)

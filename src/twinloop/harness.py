@@ -28,7 +28,7 @@ from .baselines import SchedulingMode
 from .channel import ChannelParams
 from .dynamics import PLANT_REGISTRY
 from .errors import ConfigurationError, TwinloopError
-from .loop import TwinLoop
+from .loop import TRACE_COLUMNS, TwinLoop
 
 MRMSE_DEFINITION = ("per-episode mean over query intervals of "
                     "||true_state - belief_mean||_2, averaged over episodes")
@@ -333,11 +333,6 @@ def aggregate_metrics(metrics) -> dict:
 
 EPISODE_COLUMNS = ("episode", "qis", "reached_goal", "total_power_w", "mrmse",
                    "mean_selected", "satisfaction_rate", "total_base_reward")
-TRACE_COLUMNS = ("qi", "true_pos", "true_vel", "belief_pos", "belief_vel",
-                 "std_pos", "std_vel", "prior_ratio_pos", "prior_ratio_vel",
-                 "n_selected", "selected_ids", "iterations", "power_w",
-                 "eta_pos", "eta_vel", "control", "base_reward", "satisfied",
-                 "weighted_objective")
 
 
 def _fmt(value):
@@ -348,22 +343,28 @@ def _fmt(value):
     return value
 
 
+def write_csv(path, columns, rows):
+    """Write ``rows`` (mappings) as CSV under a header of ``columns``.
+
+    Floats are written with ``repr``, so they read back bit for bit, and
+    bools as 0/1. With no columns the file is empty.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if columns:
+            writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(row[c]) for c in columns])
+
+
 def export_traces(metrics, out_dir, report=None):
     """Write episodes.csv, one trace_<i>.csv per episode, and summary.json."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "episodes.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EPISODE_COLUMNS)
-            for m in metrics:
-                writer.writerow([_fmt(getattr(m, c)) for c in EPISODE_COLUMNS])
+        write_csv(out / "episodes.csv", EPISODE_COLUMNS, map(vars, metrics))
         for m in metrics:
-            with open(out / f"trace_{m.episode}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(TRACE_COLUMNS)
-                for row in m.trace:
-                    writer.writerow([_fmt(row[c]) for c in TRACE_COLUMNS])
+            write_csv(out / f"trace_{m.episode}.csv", TRACE_COLUMNS, m.trace)
         if report is not None:
             summary = {k: v for k, v in report.items() if k != "episodes"}
             with open(out / "summary.json", "w") as fh:

@@ -25,6 +25,14 @@ from .baselines import SchedulingMode, baseline_schedule
 from .errors import ConfigurationError, NumericalFailureError
 from .estimator import Belief
 
+# One row per query interval when a TwinLoop records its trace; the harness
+# writes trace_<i>.csv with these columns, in this order.
+TRACE_COLUMNS = ("qi", "true_pos", "true_vel", "belief_pos", "belief_vel",
+                 "std_pos", "std_vel", "prior_ratio_pos", "prior_ratio_vel",
+                 "n_selected", "selected_ids", "iterations", "power_w",
+                 "eta_pos", "eta_vel", "control", "base_reward", "satisfied",
+                 "weighted_objective")
+
 
 @dataclass
 class StepResult:
@@ -43,8 +51,7 @@ class TwinLoop:
                  mode=SchedulingMode.REVERB, capacity=10,
                  kappa=5e-6, eta_max=1000.0, cost_mode=CostMode.PENALTY,
                  traditional_count=2, termination_bonus=100.0,
-                 initial_velocity_variance=1e-4, accuracy_weight=0.5,
-                 record_trace=False):
+                 accuracy_weight=0.5, record_trace=False):
         self.plant = plant
         self.fleet = list(fleet)
         self.fleet_index = sensing.FleetIndex(self.fleet)
@@ -62,7 +69,6 @@ class TwinLoop:
         self.cost_mode = CostMode(cost_mode)
         self.traditional_count = int(traditional_count)
         self.termination_bonus = float(termination_bonus)
-        self.initial_velocity_variance = float(initial_velocity_variance)
         self.accuracy_weight = float(accuracy_weight)
         self.record_trace = record_trace
 
@@ -164,30 +170,20 @@ class TwinLoop:
                 "selected_ids": decision.selected_ids,
                 "reached_goal": reached_goal}
         if self.record_trace:
+            ids = decision.selected_ids
             objective = scheduler.weighted_objective(
                 decision, thresholds, self.accuracy_weight,
-                [self.power_by_id[i] for i in decision.selected_ids])
-            self.trace.append({
-                "qi": self._qi,
-                "true_pos": float(self._true_state[0]),
-                "true_vel": float(self._true_state[1]),
-                "belief_pos": float(posterior.mean[0]),
-                "belief_vel": float(posterior.mean[1]),
-                "std_pos": float(posterior.std[0]),
-                "std_vel": float(posterior.std[1]),
-                "prior_ratio_pos": float(decision.ratios_prior[0]),
-                "prior_ratio_vel": float(decision.ratios_prior[1]),
-                "n_selected": len(decision.selected_ids),
-                "selected_ids": ";".join(str(i) for i in decision.selected_ids),
-                "iterations": decision.iterations,
-                "power_w": power,
-                "eta_pos": float(action.accuracy[0]),
-                "eta_vel": float(action.accuracy[1]),
-                "control": control,
-                "base_reward": reward,
-                "satisfied": int(satisfied),
-                "weighted_objective": objective,
-            })
+                [self.power_by_id[i] for i in ids])
+            true = self._true_state.tolist()
+            mean = posterior.mean.tolist()
+            std = posterior.std.tolist()
+            ratio = (self._prior.cov.diagonal() / thresholds.effective_caps).tolist()
+            eta = action.accuracy.tolist()
+            self.trace.append(dict(zip(TRACE_COLUMNS, (
+                self._qi, true[0], true[1], mean[0], mean[1], std[0], std[1],
+                ratio[0], ratio[1], len(ids), ";".join(str(i) for i in ids),
+                decision.iterations, power, eta[0], eta[1], control, reward,
+                int(satisfied), objective))))
 
         terminated = reached_goal
         truncated = (not terminated) and self._qi >= self.plant.episode_cap
@@ -210,9 +206,5 @@ class TwinLoop:
         return np.concatenate([belief.mean, belief.std])
 
     def _initial_belief(self) -> Belief:
-        if hasattr(self.plant, "params"):   # mountain-car style plant
-            return estimator.moment_matched_initial_belief(
-                self.plant.params.initial_position_range,
-                self.initial_velocity_variance, qi=1)
         return Belief(self.plant.initial_mean.copy(),
                       estimator.symmetrize(self.plant.initial_cov), qi=1)

@@ -10,6 +10,8 @@ posterior covariance — observation values are not needed for that, so the
 actual measurements are requested once, for the final selection, and fused
 with the gain already computed for it. The loop stops when every cap holds,
 the uplink capacity is exhausted, or no violated feature has an agent left.
+That last step, reading and fusing a selection whose covariance and gain are
+known, is ``_fused_decision``; the greedy baselines end in it too.
 Per-fleet lookups (agents per feature in cost order, the stacked model of
 each ordered selection) come from a ``sensing.FleetIndex`` built once per
 fleet. The scheduler trusts what the layers before it checked: the prior
@@ -73,7 +75,6 @@ class ScheduleDecision:
     posterior: Belief
     satisfied: np.ndarray
     iterations: int
-    ratios_prior: np.ndarray = None  # prior diag / effective caps, for tracing
 
 
 def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
@@ -96,8 +97,8 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
         raise InvalidInputError("capacity must be nonnegative")
 
     prior_cov = prior.cov
-    ratios_prior = prior_cov.diagonal() / caps
     cov = prior_cov
+    stacked = gain = None
     chosen = []           # fleet positions, in selection order
     limit = min(capacity, len(index))
 
@@ -122,24 +123,39 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
         stacked = index.stacked(chosen)
         cov, gain = estimator.posterior_cov(prior_cov, stacked)
 
+    return _fused_decision(prior, index, chosen, stacked, cov, gain, caps,
+                           observe_fn)
+
+
+def _fused_decision(prior: Belief, index, chosen, stacked, cov, gain, caps,
+                    observe_fn) -> ScheduleDecision:
+    """The decision that fuses the agents at fleet positions ``chosen``.
+
+    ``stacked`` is their joint model, and ``cov`` and ``gain`` are what
+    ``estimator.posterior_cov`` returned for it; none of the three is read
+    when nothing was chosen. The readings come from ``observe_fn`` through
+    ``sensing.stack_readings``; without it the posterior keeps the prior
+    mean. ``caps`` None counts every cap as met.
+    """
     if not chosen:
         posterior = prior.copy()
-    elif observe_fn is not None:
+    elif observe_fn is None:
+        posterior = Belief(prior.mean.copy(), cov, prior.qi)
+    else:
         values = sensing.stack_readings(
             observe_fn, [index.agents[p] for p in chosen], stacked.matrix.shape[0])
         posterior = Belief(estimator.fused_mean(prior, stacked, gain, values),
                            cov, prior.qi)
-    else:
-        posterior = Belief(prior.mean.copy(), cov, prior.qi)
+    return ScheduleDecision(stacked.agent_ids if chosen else (), posterior,
+                            _caps_met(posterior, caps), len(chosen))
 
-    satisfied = posterior.cov.diagonal() <= caps
-    return ScheduleDecision(
-        selected_ids=stacked.agent_ids if chosen else (),
-        posterior=posterior,
-        satisfied=satisfied,
-        iterations=len(chosen),
-        ratios_prior=ratios_prior,
-    )
+
+def _caps_met(posterior: Belief, caps) -> np.ndarray:
+    """Per feature, whether the posterior variance is within its effective
+    cap; every feature when ``caps`` is None."""
+    if caps is None:
+        return np.ones(posterior.mean.shape[0], dtype=bool)
+    return posterior.cov.diagonal() <= caps
 
 
 def weighted_objective(decision: ScheduleDecision, thresholds: QosThresholds,

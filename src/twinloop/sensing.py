@@ -229,13 +229,6 @@ def agents_measuring(fleet, feature: int):
     return [a for a in fleet if np.any(a.observation_matrix[:, feature] != 0)]
 
 
-def covers_all_features(fleet, state_dim: int) -> bool:
-    seen = set()
-    for agent in fleet:
-        seen.update(agent.measured_features)
-    return seen >= set(range(state_dim))
-
-
 def fleet_to_json(fleet, state_dim: int = 2) -> str:
     """Serialize a single-feature fleet to JSON (id, feature, variance, distance)."""
     records = []

@@ -1,13 +1,14 @@
 """Shared test oracles: batch Bayesian least squares, Marcum Q, finite
-differences, the list-based greedy scheduler the indexed one replaced, and
-the straightforward forms of the per-step numerics that the package computes
-with fewer numpy calls (Adam, the mountain-car step, action decoding, input
-normalization and the innovation conditioning guard)."""
+differences, the list-based greedy scheduler the indexed one replaced, the
+greedy baselines fused through ``estimator.update``, randomized scheduling
+cases, and the straightforward forms of the per-step numerics that the
+package computes with fewer numpy calls (Adam, the mountain-car step, action
+decoding, input normalization and the innovation conditioning guard)."""
 
 import numpy as np
 from scipy import stats
 
-from twinloop import Belief, SensingAgentSpec, estimator
+from twinloop import Belief, QosThresholds, SensingAgentSpec, estimator, sensing
 from twinloop.errors import InvalidInputError
 from twinloop.estimator import CONDITION_LIMIT
 from twinloop.scheduler import ScheduleDecision
@@ -139,8 +140,6 @@ def reference_schedule(prior, thresholds, fleet, capacity, observe_fn=None):
     if capacity < 0:
         raise InvalidInputError("capacity must be nonnegative")
 
-    prior_diag = np.diag(prior.cov)
-    ratios_prior = prior_diag / caps
     cov = prior.cov
     available = list(fleet)
     chosen = []
@@ -182,8 +181,86 @@ def reference_schedule(prior, thresholds, fleet, capacity, observe_fn=None):
         posterior=posterior,
         satisfied=np.diag(posterior.cov) <= caps,
         iterations=iterations,
-        ratios_prior=ratios_prior,
     )
+
+
+def reference_baseline_schedule(mode, prior, fleet, capacity, observe_fn=None,
+                                thresholds=None):
+    """The cost- and error-greedy baselines over a plain agent list.
+
+    Sorts the fleet by (distance, id) or (error size, id), stacks the first
+    ``capacity`` agents with ``estimator.stack``, and fuses their readings
+    through ``estimator.update``, or computes the covariance alone without
+    ``observe_fn``: the greedy tail as written before it shared the
+    scheduler's. ``baseline_schedule`` must reproduce it bit for bit.
+    """
+    key = ((lambda a: (a.distance_m, a.agent_id)) if mode == "cost_greedy"
+           else (lambda a: (a.error_size, a.agent_id)))
+    chosen = sorted(fleet, key=key)[:capacity]
+    if not chosen:
+        posterior = prior.copy()
+    else:
+        stacked = estimator.stack(chosen)
+        if observe_fn is not None:
+            values = np.concatenate([observe_fn(a) for a in chosen])
+            posterior = estimator.update(prior, stacked, values)
+        else:
+            cov, _ = estimator.posterior_cov(prior.cov, stacked)
+            posterior = Belief(prior.mean.copy(), cov, prior.qi)
+    if thresholds is None:
+        satisfied = np.ones(prior.mean.shape[0], dtype=bool)
+    else:
+        satisfied = np.diag(posterior.cov) <= thresholds.effective_caps
+    return ScheduleDecision(
+        selected_ids=tuple(a.agent_id for a in chosen),
+        posterior=posterior,
+        satisfied=satisfied,
+        iterations=len(chosen),
+    )
+
+
+def two_row_agent(agent_id, features, variances, dim, distance=5.0):
+    h = np.zeros((2, dim))
+    h[0, features[0]] = 1.0
+    h[1, features[1]] = 0.5
+    r = np.array([[variances[0], 0.3 * np.sqrt(variances[0] * variances[1])],
+                  [0.3 * np.sqrt(variances[0] * variances[1]), variances[1]]])
+    return SensingAgentSpec(agent_id=agent_id, observation_matrix=h,
+                            noise_cov=r, distance_m=distance)
+
+
+def random_case(rng):
+    """A prior, caps, fleet and capacity covering the scheduler's branches:
+    error-size ties (variances from a short list), two-row agents, empty
+    fleets, shuffled ids and capacities from 0 to beyond the fleet size."""
+    dim = int(rng.integers(2, 4))
+    a = rng.normal(size=(dim, dim))
+    cov = a @ a.T * 10.0 ** rng.uniform(-4, -2) + np.diag(10.0 ** rng.uniform(-4, -1, dim))
+    prior = Belief(rng.normal(size=dim), cov, qi=int(rng.integers(1, 50)))
+    caps = 10.0 ** rng.uniform(-4, -1.5, size=dim)
+    eta = np.where(rng.random(dim) < 0.5, 0.0, 10.0 ** rng.uniform(0, 3, size=dim))
+    m = int(rng.integers(0, 9))
+    levels = (1e-4, 1e-3, 1e-2)       # few values, so error sizes tie often
+    ids = rng.permutation(np.arange(1, 3 * m + 2))[:m]
+    fleet = []
+    for agent_id in ids.tolist():
+        if rng.random() < 0.15:
+            features = rng.choice(dim, size=2, replace=False).tolist()
+            fleet.append(two_row_agent(agent_id, features,
+                                       rng.choice(levels, size=2).tolist(), dim))
+        else:
+            fleet.append(scalar_agent(agent_id, int(rng.integers(dim)),
+                                      float(rng.choice(levels)),
+                                      distance=float(rng.uniform(1, 20)), dim=dim))
+    capacity = int(rng.integers(0, m + 2))
+    return prior, QosThresholds(caps, eta), fleet, capacity
+
+
+def seeded_observer(seed, prior):
+    """observe_fn drawing noisy readings of a fixed state from its own stream."""
+    rng = np.random.default_rng(seed)
+    state = prior.mean + rng.normal(size=prior.mean.shape[0]) * 0.01
+    return lambda agent: sensing.observe(agent, state, rng)
 
 
 def same_bits(a, b) -> bool:
@@ -264,6 +341,8 @@ def reference_normalize(normalizer, x, update=False):
 
 
 def reference_ill_conditioned(s) -> bool:
-    """The conditioning guard through eigvalsh at every size, 1x1 included."""
+    """The conditioning guard through eigvalsh at every size, 1x1 included:
+    an absolute eigenvalue below the smallest normal float, or a condition
+    number above CONDITION_LIMIT."""
     lam = np.abs(np.linalg.eigvalsh(s))
-    return lam.min() == 0 or lam.max() > CONDITION_LIMIT * lam.min()
+    return lam.min() < np.finfo(float).tiny or lam.max() > CONDITION_LIMIT * lam.min()

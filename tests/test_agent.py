@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twinloop import (CostMode, PolicyNetwork, PpoHyperparams, TrainingFailureError,
-                      base_reward, decode_action, policy_forward, shape_reward)
+                      base_reward, decode_action, shape_reward)
 from twinloop.agent import (Adam, Mlp, compute_gae, gaussian_logprob,
                             ppo_loss_and_grads, ppo_update)
 from twinloop.agent import RunningNormalizer
@@ -87,7 +87,7 @@ class TestPolicyForward:
         policy, _ = small_policy()
         for w in policy.actor.weights + policy.critic.weights:
             w[:] = 0.0
-        mean, std, value = policy_forward(np.array([0.3, -0.2, 0.05, 0.01]), policy)
+        mean, std, value = policy.forward(np.array([0.3, -0.2, 0.05, 0.01]))
         np.testing.assert_allclose(mean, 0.0)
         assert value == 0.0
         np.testing.assert_allclose(std, 1.0)   # exp(0)
@@ -95,10 +95,20 @@ class TestPolicyForward:
     def test_deterministic_repeat(self):
         policy, _ = small_policy(3)
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        first = policy_forward(x, policy)
-        second = policy_forward(x, policy)
+        first = policy.forward(x)
+        second = policy.forward(x)
         np.testing.assert_array_equal(first[0], second[0])
         assert first[2] == second[2]
+
+    def test_mean_and_value_are_those_of_the_deterministic_act(self):
+        policy, _ = small_policy(5)
+        policy.normalizer._update(np.array([1.0, 2.0, 3.0, 4.0]))
+        policy.normalizer._update(np.array([2.0, 1.0, 0.0, -1.0]))
+        x = np.array([0.1, -0.2, 0.3, 0.4])
+        mean, std, value = policy.forward(x)
+        action, _, act_value, _ = policy.act(x, None, deterministic=True)
+        assert same_bits(mean, action) and value == act_value
+        assert same_bits(std, np.exp(policy.logstd))
 
     def test_network_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -283,9 +293,9 @@ class TestCheckpoint:
         policy.save(path)
         loaded = PolicyNetwork.load(path)
         x = np.array([0.2, -0.4, 1.0, 0.5])
-        np.testing.assert_array_equal(policy_forward(x, policy)[0],
-                                      policy_forward(x, loaded)[0])
-        assert policy_forward(x, policy)[2] == policy_forward(x, loaded)[2]
+        np.testing.assert_array_equal(policy.forward(x)[0],
+                                      loaded.forward(x)[0])
+        assert policy.forward(x)[2] == loaded.forward(x)[2]
         assert loaded.normalizer.count == policy.normalizer.count
 
 

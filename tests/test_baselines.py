@@ -5,7 +5,9 @@ import pytest
 
 from twinloop import (Belief, InvalidInputError, QosThresholds, SchedulingMode,
                       baseline_schedule)
-from tests.helpers import diag_belief, scalar_agent
+from twinloop.sensing import FleetIndex
+from tests.helpers import (diag_belief, random_case, reference_baseline_schedule,
+                           same_bits, scalar_agent, seeded_observer)
 
 
 def fleet_with_distances(distances, feature=0, variance=0.01):
@@ -79,6 +81,50 @@ class TestGreedy:
             baseline_schedule(SchedulingMode.COST_GREEDY, diag_belief(0.02, 0.001),
                               fleet, 2, np.random.default_rng(0),
                               observe_fn=lambda a: next(readings))
+
+
+class TestMatchesReference:
+    """The greedy baselines, fused in the scheduler's tail, reproduce the
+    list-based greedy fused through estimator.update bit for bit."""
+
+    MODES = (SchedulingMode.COST_GREEDY, SchedulingMode.ERROR_GREEDY)
+
+    def assert_same(self, got, want):
+        assert got.selected_ids == want.selected_ids
+        assert got.iterations == want.iterations
+        assert got.posterior.qi == want.posterior.qi
+        assert same_bits(got.posterior.mean, want.posterior.mean)
+        assert same_bits(got.posterior.cov, want.posterior.cov)
+        assert np.array_equal(got.satisfied, want.satisfied)
+
+    def test_randomized_fleets(self):
+        rng = np.random.default_rng(2025)
+        seen = {"empty": 0, "zero_capacity": 0, "selected": 0, "no_caps": 0}
+        for case in range(600):
+            prior, thresholds, fleet, capacity = random_case(rng)
+            if case % 4 == 0:
+                thresholds = None
+            for mode in self.MODES:
+                want = reference_baseline_schedule(
+                    mode, prior, fleet, capacity,
+                    observe_fn=seeded_observer(case, prior), thresholds=thresholds)
+                for given in (fleet, FleetIndex(fleet)):
+                    got = baseline_schedule(
+                        mode, prior, given, capacity, np.random.default_rng(0),
+                        observe_fn=seeded_observer(case, prior),
+                        thresholds=thresholds)
+                    self.assert_same(got, want)
+                self.assert_same(
+                    baseline_schedule(mode, prior, fleet, capacity,
+                                      np.random.default_rng(0),
+                                      thresholds=thresholds),
+                    reference_baseline_schedule(mode, prior, fleet, capacity,
+                                                thresholds=thresholds))
+            seen["empty"] += not fleet
+            seen["zero_capacity"] += capacity == 0
+            seen["selected"] += len(want.selected_ids) > 1
+            seen["no_caps"] += thresholds is None
+        assert min(seen.values()) >= 20, seen
 
 
 class TestTraditional:

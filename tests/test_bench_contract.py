@@ -1,0 +1,54 @@
+"""The names and decision fields the benchmark in ``perfbench/`` relies on.
+
+``perfbench/workloads.py`` wraps the package's functions by looking them up
+in ``owner.__dict__`` and counts what ``scheduler.schedule`` returns; a
+rename there would crash the benchmark, so it fails here first. The file is
+loaded, never changed.
+"""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from twinloop import QosThresholds, agent, harness, scheduler
+from tests.helpers import diag_belief, scalar_agent
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module        # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[name]
+
+
+def test_every_span_target_is_in_its_owner_dict(workloads):
+    missing = [name for name, owner, attr in workloads.SPAN_TARGETS
+               if attr not in owner.__dict__]
+    assert not missing
+
+
+def test_schedule_decision_feeds_the_counter(workloads):
+    fleet = [scalar_agent(1, 0, 0.004), scalar_agent(2, 1, 0.0001)]
+    decision = scheduler.schedule(diag_belief(0.05, 0.005),
+                                  QosThresholds(np.array([0.01, 0.001])), fleet, 2)
+    counter = workloads.ScheduleCounter()
+    counter(decision)
+    assert (counter.calls, counter.iterations, counter.selected,
+            counter.caps_met) == (1, 2, 2, 1)
+
+
+def test_entry_points_take_the_benchmark_arguments():
+    inspect.signature(agent.train).bind("config", "hyper", 0)
+    inspect.signature(harness.run_monte_carlo).bind("config", policy=None, workers=1)

@@ -240,6 +240,18 @@ class TestConditioningGuard:
         with pytest.raises(NumericalFailureError):
             posterior_cov(np.zeros((2, 2)), stacked)
 
+    def test_subnormal_one_by_one_innovation_raises(self):
+        stacked = StackedObservationModel(np.array([[1.0, 0.0]]),
+                                          np.array([[5e-324]]), (1,))
+        with pytest.raises(NumericalFailureError):
+            posterior_cov(np.zeros((2, 2)), stacked)
+
+    def test_subnormal_noise_on_a_subnormal_prior_raises(self):
+        stacked = StackedObservationModel(np.array([[1.0, 0.0]]),
+                                          np.array([[1e-310]]), (1,))
+        with pytest.raises(NumericalFailureError):
+            posterior_cov(np.diag([1e-320, 1.0]), stacked)
+
     def test_positive_one_by_one_innovation_passes(self):
         stacked = StackedObservationModel(np.array([[1.0, 0.0]]),
                                           np.array([[1e-300]]), (1,))

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from twinloop import (Belief, InvalidInputError, QosThresholds,
-                      SensingAgentSpec, effective_thresholds, estimator,
-                      schedule, sensing, weighted_objective)
+                      effective_thresholds, estimator, schedule, sensing,
+                      weighted_objective)
 from twinloop.estimator import posterior_cov, stack
 from twinloop.sensing import FleetIndex
-from tests.helpers import diag_belief, reference_schedule, scalar_agent
+from tests.helpers import (diag_belief, random_case, reference_schedule,
+                           scalar_agent, seeded_observer, two_row_agent)
 
 
 class TestEffectiveThresholds:
@@ -201,50 +202,6 @@ class TestScheduleProperties:
                     capacity, decision)
 
 
-def two_row_agent(agent_id, features, variances, dim, distance=5.0):
-    h = np.zeros((2, dim))
-    h[0, features[0]] = 1.0
-    h[1, features[1]] = 0.5
-    r = np.array([[variances[0], 0.3 * np.sqrt(variances[0] * variances[1])],
-                  [0.3 * np.sqrt(variances[0] * variances[1]), variances[1]]])
-    return SensingAgentSpec(agent_id=agent_id, observation_matrix=h,
-                            noise_cov=r, distance_m=distance)
-
-
-def random_case(rng):
-    """A prior, caps, fleet and capacity covering the scheduler's branches:
-    error-size ties (variances from a short list), two-row agents, empty
-    fleets, shuffled ids and capacities from 0 to beyond the fleet size."""
-    dim = int(rng.integers(2, 4))
-    a = rng.normal(size=(dim, dim))
-    cov = a @ a.T * 10.0 ** rng.uniform(-4, -2) + np.diag(10.0 ** rng.uniform(-4, -1, dim))
-    prior = Belief(rng.normal(size=dim), cov, qi=int(rng.integers(1, 50)))
-    caps = 10.0 ** rng.uniform(-4, -1.5, size=dim)
-    eta = np.where(rng.random(dim) < 0.5, 0.0, 10.0 ** rng.uniform(0, 3, size=dim))
-    m = int(rng.integers(0, 9))
-    levels = (1e-4, 1e-3, 1e-2)       # few values, so error sizes tie often
-    ids = rng.permutation(np.arange(1, 3 * m + 2))[:m]
-    fleet = []
-    for agent_id in ids.tolist():
-        if rng.random() < 0.15:
-            features = rng.choice(dim, size=2, replace=False).tolist()
-            fleet.append(two_row_agent(agent_id, features,
-                                       rng.choice(levels, size=2).tolist(), dim))
-        else:
-            fleet.append(scalar_agent(agent_id, int(rng.integers(dim)),
-                                      float(rng.choice(levels)),
-                                      distance=float(rng.uniform(1, 20)), dim=dim))
-    capacity = int(rng.integers(0, m + 2))
-    return prior, QosThresholds(caps, eta), fleet, capacity
-
-
-def seeded_observer(seed, prior):
-    """observe_fn drawing noisy readings of a fixed state from its own stream."""
-    rng = np.random.default_rng(seed)
-    state = prior.mean + rng.normal(size=prior.mean.shape[0]) * 0.01
-    return lambda agent: sensing.observe(agent, state, rng)
-
-
 class TestMatchesReference:
     """The indexed scheduler reproduces the list-based loop bit for bit."""
 
@@ -255,7 +212,6 @@ class TestMatchesReference:
         assert np.array_equal(got.posterior.mean, want.posterior.mean)
         assert np.array_equal(got.posterior.cov, want.posterior.cov)
         assert np.array_equal(got.satisfied, want.satisfied)
-        assert np.array_equal(got.ratios_prior, want.ratios_prior)
 
     def test_randomized_instances(self):
         rng = np.random.default_rng(2024)
