@@ -38,14 +38,11 @@ class CostMode(str, Enum):
 
 @dataclass(frozen=True)
 class AugmentedAction:
-    """Physical control plus requested per-feature accuracies."""
+    """Physical control plus requested per-feature accuracies, both float
+    vectors, as ``decode_action`` builds them."""
 
     control: np.ndarray   # (Z,) in [-1, 1]
     accuracy: np.ndarray  # (K,) in [0, eta_max]
-
-    def __post_init__(self):
-        object.__setattr__(self, "control", np.atleast_1d(np.asarray(self.control, dtype=float)))
-        object.__setattr__(self, "accuracy", np.atleast_1d(np.asarray(self.accuracy, dtype=float)))
 
 
 @dataclass
@@ -214,8 +211,11 @@ class Adam:
     """Adam over a fixed list of parameter arrays.
 
     The moment estimates live in two flat buffers that follow the
-    parameters' C order, so a step is one elementwise update of all of them
-    followed by one in-place subtraction per parameter.
+    parameters' C order, and a step works in place in three more (the
+    gradient, a scratch term and the step), so it allocates no array of the
+    parameters' total size: one elementwise update of all of them, in the
+    operation order of the textbook form, then one in-place subtraction per
+    parameter.
     """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -224,31 +224,39 @@ class Adam:
         size = sum(p.size for p in params)
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._grad, self._work, self._delta = (np.empty(size) for _ in range(3))
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        g = np.concatenate([q.ravel() for q in grads])
-        m, v = self.m, self.v
+        g, w, delta, m, v = self._grad, self._work, self._delta, self.m, self.v
+        np.concatenate([q.ravel() for q in grads], out=g)
         m *= self.beta1
-        m += (1 - self.beta1) * g
+        m += np.multiply(g, 1 - self.beta1, out=w)          # (1 - b1) g
         v *= self.beta2
-        v += (1 - self.beta2) * g * g
-        delta = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        v += np.multiply(np.multiply(g, 1 - self.beta2, out=w), g, out=w)
+        np.divide(m, b1c, out=delta)
+        delta *= self.lr                                    # lr (m / b1c)
+        np.sqrt(np.divide(v, b2c, out=w), out=w)
+        w += self.eps
+        delta /= w
         at = 0
         for p in params:
             p -= delta[at:at + p.size].reshape(p.shape)
             at += p.size
 
 
-def _clip_global_norm(grads, max_norm):
+def _clip_global_norm(grads, max_norm) -> float:
+    """Scale ``grads`` in place so that their global norm is at most
+    ``max_norm``; returns the norm before scaling."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / (total + 1e-12)
-        grads = [g * scale for g in grads]
-    return grads, total
+        for g in grads:
+            g *= scale
+    return total
 
 
 class PolicyNetwork:
@@ -288,9 +296,12 @@ class PolicyNetwork:
             action = mean.copy()
         else:
             action = mean + std * rng.standard_normal(self.action_dim)
-        logp = gaussian_logprob(action[None, :], mean[None, :], self.logstd)[0]
+        # gaussian_logprob of the one row, with the std already in hand
+        z = (action - mean) / std
+        logp = (-0.5 * float((z * z).sum()) - float(self.logstd.sum())
+                - 0.5 * self.action_dim * LOG_2PI)
         value, _ = self.critic.forward(x[None, :])
-        return action, float(logp), float(value[0, 0]), x
+        return action, logp, float(value[0, 0]), x
 
     def value(self, policy_input) -> float:
         x = self.normalizer.normalize(policy_input, update=False)
@@ -455,8 +466,8 @@ def ppo_update(batch: dict, policy: PolicyNetwork, hyper: PpoHyperparams,
             diags, actor_grads, critic_grads = ppo_loss_and_grads(policy, mb, hyper)
             if not all(map(math.isfinite, diags.values())):
                 raise TrainingFailureError("non-finite PPO loss", diagnostics=diags)
-            actor_grads, _ = _clip_global_norm(actor_grads, hyper.max_grad_norm)
-            critic_grads, _ = _clip_global_norm(critic_grads, hyper.max_grad_norm)
+            _clip_global_norm(actor_grads, hyper.max_grad_norm)
+            _clip_global_norm(critic_grads, hyper.max_grad_norm)
             policy._actor_opt.step(policy.actor.parameters() + [policy.logstd],
                                    actor_grads)
             policy._critic_opt.step(policy.critic.parameters(), critic_grads)
@@ -474,7 +485,7 @@ def train(config, hyper: PpoHyperparams, seed: int, progress=None):
     them to files is the caller's job. Deterministic for a fixed seed. With
     ``total_steps`` = 0 the initial policy is returned untouched.
     """
-    from .loop import TwinLoop  # deferred: loop depends on this module
+    from .loop import TwinLoop, episode_seed  # deferred: loop depends on this module
 
     env = TwinLoop.from_config(config)
     root = np.random.SeedSequence(seed)
@@ -485,7 +496,7 @@ def train(config, hyper: PpoHyperparams, seed: int, progress=None):
     curve = []
     iterations = hyper.total_steps // hyper.batch_size
     episode_counter = 0
-    obs = env.reset(seed=_episode_seed(seed, episode_counter))
+    obs = env.reset(seed=episode_seed(seed, 1, episode_counter))
     ep_return = 0.0
     ep_len = 0
     finished_returns, finished_lengths, finished_goals = [], [], []
@@ -520,7 +531,7 @@ def train(config, hyper: PpoHyperparams, seed: int, progress=None):
                 finished_goals.append(step.terminated)
                 ep_return, ep_len = 0.0, 0
                 episode_counter += 1
-                obs = env.reset(seed=_episode_seed(seed, episode_counter))
+                obs = env.reset(seed=episode_seed(seed, 1, episode_counter))
             else:
                 obs = step.policy_input
                 if t == n - 1:  # batch cut inside an episode
@@ -549,11 +560,6 @@ def train(config, hyper: PpoHyperparams, seed: int, progress=None):
             progress(row)
 
     return policy, curve
-
-
-def _episode_seed(master_seed: int, episode_index: int) -> np.random.SeedSequence:
-    # namespace (1, .) reserves (2, .) for evaluation episodes in the harness
-    return np.random.SeedSequence(master_seed, spawn_key=(1, episode_index))
 
 
 def _mlp_state(mlp: Mlp) -> dict:

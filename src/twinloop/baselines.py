@@ -18,7 +18,7 @@ import numpy as np
 from . import estimator, sensing
 from .errors import InvalidInputError
 from .estimator import Belief
-from .scheduler import ScheduleDecision, _caps_met, _fused_decision
+from .scheduler import ScheduleDecision, _caps_met, _fused_decision, _readings
 
 
 class SchedulingMode(str, Enum):
@@ -36,8 +36,8 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
 
     ``fleet`` is a ``sensing.FleetIndex`` or a plain list of agents; the
     greedy modes take their fixed order and stacked model from the index.
-    ``observe_fn(agent)`` returns the agent's 1-D float reading, as
-    ``sensing.observe`` does.
+    ``observe_fn(model)`` returns the 1-D float readings of a selection's
+    stacked model, as ``sensing.read`` does.
     """
     mode = SchedulingMode(mode)
     if mode is SchedulingMode.REVERB:
@@ -69,36 +69,31 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
     # TRADITIONAL: raw readings substituted into the belief, no filter
     # update. With one pick per interval the agent is uniform over the whole
     # fleet; with more picks they cover the features round-robin so the
-    # policy sees a full noisy state.
+    # policy sees a full noisy state. Picks are drawn from fleet positions
+    # in fleet order.
     dim = prior.mean.shape[0]
     count = min(traditional_count, len(index))
     chosen = []
-    pool = list(index.agents)
+    pool = list(range(len(index)))
     for i in range(count):
-        if count < dim:
-            options = pool
-        else:
-            options = sensing.agents_measuring(pool, i % dim)
-            if not options:
-                options = pool
-        if not options:
-            break
+        options = pool
+        if count >= dim:
+            options = [p for p in index.measuring[i % dim] if p in pool] or pool
         pick = options[int(rng.integers(len(options)))]
         chosen.append(pick)
         pool.remove(pick)
     mean = prior.mean.copy()
     cov = prior.cov.copy()
-    for agent in chosen:
-        if observe_fn is None:
-            continue
-        values = sensing.stack_readings(observe_fn, [agent],
-                                        agent.observation_matrix.shape[0])
-        for row, value in zip(agent.observation_matrix, values):
-            k = int(np.nonzero(row)[0][0])
-            mean[k] = value / row[k]
-            cov[k, :] = 0.0
-            cov[:, k] = 0.0
-            cov[k, k] = agent.noise_cov[0, 0] / row[k] ** 2
+    if chosen and observe_fn is not None:
+        values = iter(_readings(observe_fn, index.stacked(chosen)))
+        for p in chosen:
+            agent = index.agents[p]
+            for row, value in zip(agent.observation_matrix, values):
+                k = int(np.nonzero(row)[0][0])
+                mean[k] = value / row[k]
+                cov[k, :] = 0.0
+                cov[:, k] = 0.0
+                cov[k, k] = agent.noise_cov[0, 0] / row[k] ** 2
     posterior = Belief(mean, cov, prior.qi)
-    return ScheduleDecision(tuple(a.agent_id for a in chosen), posterior,
+    return ScheduleDecision(tuple(index.ids[p] for p in chosen), posterior,
                             _caps_met(posterior, caps), len(chosen))

@@ -1,9 +1,10 @@
 """Command line front end: train, evaluate, validate-channel, sweep.
 
 Exit codes: 0 on success, 1 for configuration errors and rejected inputs
-(including channel parameters outside the strong line-of-sight regime), 2
-for numerical or training failures. Errors print one line to stderr, never a
-traceback. Flags override the corresponding config keys.
+(including channel parameters outside the strong line-of-sight regime and
+files or directories that cannot be read or written), 2 for numerical or
+training failures. Errors print one line to stderr, never a traceback. Flags
+override the corresponding config keys.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ def _load_config(args) -> ExperimentConfig:
 def cmd_train(args) -> int:
     config = _load_config(args)
     out = Path(config.output_dir or "train_out")
+    out.mkdir(parents=True, exist_ok=True)     # a bad path fails before training
 
     def progress(row):
         if args.verbose:
@@ -58,7 +60,6 @@ def cmd_train(args) -> int:
 
     policy, curve = agent_mod.train(config, config.rl, config.master_seed,
                                     progress=progress)
-    out.mkdir(parents=True, exist_ok=True)
     policy.save(out / "policy.json")
     write_csv(out / "training_curve.csv", list(curve[0]) if curve else [], curve)
     final = curve[-1] if curve else {}
@@ -223,7 +224,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InvalidInputError, WeakLineOfSightError) as exc:

@@ -62,6 +62,7 @@ class StackedObservationModel:
     matrix: np.ndarray        # rows stacked in selection order
     noise_cov: np.ndarray     # block-diagonal, same order
     agent_ids: tuple
+    noise_scale: np.ndarray = None  # block-diagonal Cholesky factor of noise_cov
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
@@ -99,24 +100,24 @@ def predict(belief: Belief, control, model) -> Belief:
 
 
 def stack(selected) -> StackedObservationModel:
-    """Stack the selected agents' observation rows / noise blocks in order."""
+    """Stack the selected agents' observation rows, noise blocks and noise
+    Cholesky factors in order."""
     selected = list(selected)
     if not selected:
         raise InvalidInputError("cannot stack an empty selection")
     ids = [a.agent_id for a in selected]
     if len(set(ids)) != len(ids):
         raise InvalidInputError(f"duplicate agent ids in selection: {ids}")
-    rows = [np.atleast_2d(a.observation_matrix) for a in selected]
-    blocks = [np.atleast_2d(a.noise_cov) for a in selected]
-    matrix = np.vstack(rows)
-    total = sum(b.shape[0] for b in blocks)
-    noise = np.zeros((total, total))
+    matrix = np.vstack([a.observation_matrix for a in selected])
+    total = matrix.shape[0]
+    noise, scale = np.zeros((total, total)), np.zeros((total, total))
     at = 0
-    for b in blocks:
-        d = b.shape[0]
-        noise[at:at + d, at:at + d] = b
+    for a in selected:
+        d = a.noise_cov.shape[0]
+        noise[at:at + d, at:at + d] = a.noise_cov
+        scale[at:at + d, at:at + d] = a.noise_scale
         at += d
-    return StackedObservationModel(matrix, noise, tuple(ids))
+    return StackedObservationModel(matrix, noise, tuple(ids), scale)
 
 
 def posterior_cov(prior_cov, stacked: StackedObservationModel):
@@ -124,13 +125,20 @@ def posterior_cov(prior_cov, stacked: StackedObservationModel):
 
     The covariance is symmetrized before it is returned. Raises
     NumericalFailureError when the innovation covariance
-    S = R + H P H^T is not finite or is ill-conditioned.
+    S = R + H P H^T is not finite or is ill-conditioned. The gain of a
+    one-row model is P H^T times 1/s, without a LAPACK call. For a state of
+    two or more features that has the bits of OpenBLAS's solve, which scales
+    its right-hand sides by the reciprocal pivot too; for a one-feature
+    state solve divides, and the two can differ in the last bit.
     """
     h = stacked.matrix
     s = stacked.noise_cov + h @ prior_cov @ h.T
     if not np.isfinite(s).all() or _ill_conditioned(s):
         raise NumericalFailureError("ill-conditioned innovation covariance")
-    gain = np.linalg.solve(s.T, (prior_cov @ h.T).T).T
+    if s.shape[0] == 1:
+        gain = (prior_cov @ h.T) * (1.0 / s)
+    else:
+        gain = np.linalg.solve(s.T, (prior_cov @ h.T).T).T
     ikh = identity(prior_cov.shape[0]) - gain @ h
     cov = ikh @ prior_cov @ ikh.T + gain @ stacked.noise_cov @ gain.T
     return symmetrize(cov), gain

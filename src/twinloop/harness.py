@@ -28,7 +28,7 @@ from .baselines import SchedulingMode
 from .channel import ChannelParams
 from .dynamics import PLANT_REGISTRY
 from .errors import ConfigurationError, TwinloopError
-from .loop import TRACE_COLUMNS, TwinLoop
+from .loop import TRACE_COLUMNS, TwinLoop, episode_seed
 
 MRMSE_DEFINITION = ("per-episode mean over query intervals of "
                     "||true_state - belief_mean||_2, averaged over episodes")
@@ -188,18 +188,13 @@ class EpisodeMetrics:
     trace: list = field(default_factory=list, repr=False)
 
 
-def episode_seed(master_seed: int, episode_index: int) -> np.random.SeedSequence:
-    # namespace (2, .): training uses (1, .)
-    return np.random.SeedSequence(master_seed, spawn_key=(2, episode_index))
-
-
 def run_episode(policy: PolicyNetwork, config: ExperimentConfig,
                 episode_index: int, env: TwinLoop = None,
                 rng=None) -> EpisodeMetrics:
     """Roll one evaluation episode; numerical failures propagate."""
     if env is None:
         env = TwinLoop.from_config(config, record_trace=True)
-    seed = episode_seed(config.master_seed, episode_index)
+    seed = episode_seed(config.master_seed, 2, episode_index)
     obs = env.reset(seed)
     action_rng = rng if rng is not None else np.random.default_rng(seed.spawn(1)[0])
     total_base = 0.0

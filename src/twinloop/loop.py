@@ -14,6 +14,7 @@ common random numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import channel as channel_mod
 from . import estimator, scheduler, sensing
 from .agent import CostMode, base_reward, decode_action, shape_reward
 from .baselines import SchedulingMode, baseline_schedule
-from .errors import ConfigurationError, NumericalFailureError
+from .errors import ConfigurationError, InvalidInputError, NumericalFailureError
 from .estimator import Belief
 
 # One row per query interval when a TwinLoop records its trace; the harness
@@ -34,6 +35,12 @@ TRACE_COLUMNS = ("qi", "true_pos", "true_vel", "belief_pos", "belief_vel",
                  "weighted_objective")
 
 
+def episode_seed(master_seed: int, namespace: int, index: int) -> np.random.SeedSequence:
+    """Seed of episode ``index`` of a run: training episodes use namespace 1
+    and evaluation episodes namespace 2, so the two never share a seed."""
+    return np.random.SeedSequence(master_seed, spawn_key=(namespace, index))
+
+
 @dataclass
 class StepResult:
     policy_input: np.ndarray
@@ -41,7 +48,6 @@ class StepResult:
     shaped_reward: float
     terminated: bool
     truncated: bool
-    info: dict
 
 
 class TwinLoop:
@@ -55,13 +61,16 @@ class TwinLoop:
         self.plant = plant
         self.fleet = list(fleet)
         self.fleet_index = sensing.FleetIndex(self.fleet)
-        measured = self.fleet_index.by_feature
-        if len(measured) < plant.dim or not all(measured[:plant.dim]):
-            raise ConfigurationError("fleet does not cover every state feature")
+        if self.fleet_index.state_dim != plant.dim or not all(self.fleet_index.measuring):
+            raise ConfigurationError("fleet does not cover exactly the plant's features")
         self.channel_params = channel_params
         self.variance_caps = np.asarray(variance_caps, dtype=float)
+        if self.variance_caps.shape != (plant.dim,):
+            raise ConfigurationError("need one variance cap per state feature")
         self.mode = SchedulingMode(mode)
-        # the non-adaptive modes never see an accuracy request
+        # the caps are checked here, once; the non-adaptive modes never see
+        # an accuracy request, and the adaptive one applies each request to
+        # these thresholds without a second check
         self.fixed_thresholds = scheduler.QosThresholds(self.variance_caps)
         self.capacity = int(capacity)
         self.kappa = float(kappa)
@@ -113,7 +122,6 @@ class TwinLoop:
         self._true_state = self.plant.initial_state(self._plant_rng)
         self._prior = self._initial_belief()
         self._qi = 1
-        self._last_control = np.zeros(self.control_dim)
         self.trace = []
         self.episode_power = 0.0
         self.error_norms = []
@@ -124,27 +132,29 @@ class TwinLoop:
     def step(self, raw_action) -> StepResult:
         """Run one query interval with the raw policy output.
 
-        Raises NumericalFailureError, with the QI, for a NaN in the policy
-        output, before anything else runs; +-inf entries are clamped by
+        Raises InvalidInputError for an output that is not one float vector
+        of ``action_dim`` entries and NumericalFailureError, with the QI, for
+        a NaN in it, before anything else runs; +-inf entries are clamped by
         ``decode_action`` like any other out-of-range entry.
         """
         raw = np.asarray(raw_action, dtype=float)
+        if raw.shape != (self.action_dim,):
+            raise InvalidInputError(f"action shape {raw.shape} != ({self.action_dim},)")
         if np.isnan(raw).any():
             raise NumericalFailureError("non-finite policy action", qi=self._qi)
         action = decode_action(raw, self.eta_max, self.control_dim)
         control = float(action.control[0])
 
         if self.mode is SchedulingMode.REVERB:
-            thresholds = scheduler.QosThresholds(self.variance_caps,
-                                                 action.accuracy)
+            thresholds = self.fixed_thresholds.with_request(action.accuracy)
             decision = scheduler.schedule(self._prior, thresholds,
                                           self.fleet_index, self.capacity,
-                                          observe_fn=self._observe_fn())
+                                          observe_fn=self._observe)
         else:
             thresholds = self.fixed_thresholds
             decision = baseline_schedule(
                 self.mode, self._prior, self.fleet_index, self.capacity,
-                self._pick_rng, observe_fn=self._observe_fn(),
+                self._pick_rng, observe_fn=self._observe,
                 thresholds=thresholds, true_state=self._true_state,
                 traditional_count=self.traditional_count)
 
@@ -162,13 +172,10 @@ class TwinLoop:
             shaped = reward
 
         self.episode_power += power
-        self.error_norms.append(float(np.linalg.norm(error)))
+        self.error_norms.append(math.sqrt(error.dot(error)))  # np.linalg.norm's bits
         self.selected_counts.append(len(decision.selected_ids))
         satisfied = bool(decision.satisfied.all())
         self.satisfied_flags.append(satisfied)
-        info = {"qi": self._qi, "power": power,
-                "selected_ids": decision.selected_ids,
-                "reached_goal": reached_goal}
         if self.record_trace:
             ids = decision.selected_ids
             objective = scheduler.weighted_objective(
@@ -188,19 +195,17 @@ class TwinLoop:
         terminated = reached_goal
         truncated = (not terminated) and self._qi >= self.plant.episode_cap
         self._true_state = next_state
-        self._last_control = action.control
         self._prior = estimator.predict(posterior, action.control, self.plant)
         self._qi += 1
         return StepResult(self._policy_input(self._prior), reward, shaped,
-                          terminated, truncated, info)
+                          terminated, truncated)
 
     # -- helpers -------------------------------------------------------------
 
-    def _observe_fn(self):
-        state = self._true_state
-        qi = self._qi
-        rng = self._obs_rng
-        return lambda agent: sensing.observe(agent, state, rng, qi=qi)
+    def _observe(self, model) -> np.ndarray:
+        """This QI's readings of a selection's stacked model (the schedulers'
+        ``observe_fn``)."""
+        return sensing.read(model, self._true_state, self._obs_rng, self._qi)
 
     def _policy_input(self, belief: Belief) -> np.ndarray:
         return np.concatenate([belief.mean, belief.std])

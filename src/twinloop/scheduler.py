@@ -15,10 +15,10 @@ known, is ``_fused_decision``; the greedy baselines end in it too.
 Per-fleet lookups (agents per feature in cost order, the stacked model of
 each ordered selection) come from a ``sensing.FleetIndex`` built once per
 fleet. The scheduler trusts what the layers before it checked: the prior
-covariance is symmetric (``estimator.predict`` made it so), each reading is
-finite (``sensing.observe`` checked it), and the posterior covariance comes
+covariance is symmetric (``estimator.predict`` made it so), the readings are
+finite (``sensing.read`` checked them), and the posterior covariance comes
 symmetrized from ``estimator.posterior_cov``. The shape of what
-``observe_fn`` returns is checked once, by ``sensing.stack_readings``.
+``observe_fn`` returns is checked once, by ``_readings``.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ def effective_thresholds(variance_caps, accuracy_request) -> np.ndarray:
         raise InvalidInputError("variance caps must be positive")
     if (eta < 0).any():
         raise InvalidInputError("accuracy requests must be nonnegative")
+    return _capped(caps, eta)
+
+
+def _capped(caps, eta) -> np.ndarray:
+    """min(cap_k, 1/eta_k), with 1/0 treated as +inf, for inputs known good."""
     requested = np.full(eta.shape, np.inf)
     np.divide(1.0, eta, out=requested, where=eta > 0)
     return np.minimum(caps, requested)
@@ -61,6 +66,19 @@ class QosThresholds:
         object.__setattr__(self, "variance_caps", caps)
         object.__setattr__(self, "accuracy_request", eta)
         object.__setattr__(self, "effective_caps", effective_thresholds(caps, eta))
+
+    def with_request(self, accuracy_request: np.ndarray) -> "QosThresholds":
+        """These caps under a new accuracy request, not checked again.
+
+        The request must be a float vector of the caps' length with entries
+        in [0, inf), as ``agent.decode_action`` returns it from an action
+        without NaN; these caps were checked when this object was built.
+        """
+        new = object.__new__(QosThresholds)     # frozen: fill its fields directly
+        new.__dict__.update(variance_caps=self.variance_caps,
+                            accuracy_request=accuracy_request,
+                            effective_caps=_capped(self.variance_caps, accuracy_request))
+        return new
 
     @property
     def dim(self) -> int:
@@ -82,10 +100,11 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
     """Select at most ``capacity`` agents so the posterior meets the caps.
 
     ``fleet`` is a ``sensing.FleetIndex`` or a plain list of agents (indexed
-    on the fly). ``observe_fn(agent)`` supplies the 1-D float reading of a
-    scheduled agent, as ``sensing.observe`` returns it; when omitted the
-    decision carries the covariance-only posterior with the prior mean
-    (enough for selection analysis and tests).
+    on the fly). ``observe_fn(model)`` supplies the 1-D float readings of
+    the final selection, one per row of its stacked model, as
+    ``sensing.read`` returns them; when omitted the decision carries the
+    covariance-only posterior with the prior mean (enough for selection
+    analysis and tests).
     """
     index = sensing.FleetIndex.of(fleet)
     caps = thresholds.effective_caps
@@ -133,21 +152,31 @@ def _fused_decision(prior: Belief, index, chosen, stacked, cov, gain, caps,
 
     ``stacked`` is their joint model, and ``cov`` and ``gain`` are what
     ``estimator.posterior_cov`` returned for it; none of the three is read
-    when nothing was chosen. The readings come from ``observe_fn`` through
-    ``sensing.stack_readings``; without it the posterior keeps the prior
-    mean. ``caps`` None counts every cap as met.
+    when nothing was chosen. The readings are ``observe_fn(stacked)``;
+    without it the posterior keeps the prior mean. ``caps`` None counts
+    every cap as met.
     """
     if not chosen:
         posterior = prior.copy()
     elif observe_fn is None:
         posterior = Belief(prior.mean.copy(), cov, prior.qi)
     else:
-        values = sensing.stack_readings(
-            observe_fn, [index.agents[p] for p in chosen], stacked.matrix.shape[0])
+        values = _readings(observe_fn, stacked)
         posterior = Belief(estimator.fused_mean(prior, stacked, gain, values),
                            cov, prior.qi)
     return ScheduleDecision(stacked.agent_ids if chosen else (), posterior,
                             _caps_met(posterior, caps), len(chosen))
+
+
+def _readings(observe_fn, model) -> np.ndarray:
+    """``observe_fn(model)``, checked once: the caller's callback must give
+    a 1-D vector with one reading per row of ``model``, which
+    ``estimator.fused_mean`` then trusts."""
+    values = observe_fn(model)
+    if getattr(values, "shape", None) != model.matrix.shape[:1]:
+        raise InvalidInputError(f"observe_fn must return 1-D readings, one per row "
+                                f"of {model.matrix.shape}: got {np.shape(values)}")
+    return values
 
 
 def _caps_met(posterior: Belief, caps) -> np.ndarray:

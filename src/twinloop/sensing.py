@@ -4,10 +4,11 @@ Each generated agent measures one scalar state feature through a one-row
 observation matrix; its noise variance is drawn log-uniformly between the
 bounds of the supplied level list and its distance to the access point
 uniformly on (min_distance, max_distance]. Fleets serialize to plain JSON so
-an experiment can be replayed exactly. ``observe`` returns an agent's reading
-as a checked value vector. A ``FleetIndex`` holds the tables the schedulers
-look up every query interval, computed once per fleet, and memoises the
-stacked model of each ordered selection it is asked for.
+an experiment can be replayed exactly. ``observe`` returns one agent's reading
+and ``read`` a whole selection's, in one draw, each as a checked value
+vector. A ``FleetIndex`` holds the tables the schedulers look up every query
+interval, computed once per fleet, and memoises the stacked model of each
+ordered selection it is asked for.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class SensingAgentSpec:
             raise InvalidInputError("observation matrix has an all-zero row")
         if not self.distance_m > 0:
             raise InvalidInputError("distance must be positive")
-        object.__setattr__(self, "_noise_scale", np.linalg.cholesky(c))
+        object.__setattr__(self, "noise_scale", np.linalg.cholesky(c))
 
     @property
     def measured_features(self) -> tuple:
@@ -80,11 +81,36 @@ def observe(agent: SensingAgentSpec, true_state, rng, qi: int = 0,
             f"{h.shape}")
     values = h @ state
     if not noiseless:
-        values = values + agent._noise_scale @ rng.standard_normal(values.shape[0])
+        values += _correlate(agent.noise_scale, rng.standard_normal(len(values)))
     if not np.isfinite(values).all():
         raise InvalidInputError(
             f"non-finite observation from agent {agent.agent_id} at QI {qi}")
     return values
+
+
+def read(model, true_state, rng, qi: int = 0) -> np.ndarray:
+    """Draw the readings o = H s + L z, z ~ N(0, I), of a stacked selection.
+
+    ``model`` is an ``estimator.StackedObservationModel`` with its noise
+    factor L and ``true_state`` a float vector of its width. One draw of
+    ``rows`` normals equals the agents' own draws in selection order, and
+    L's off-block zeros add exact zeros, so this gives the bits of
+    ``observe`` called agent by agent. Checked finite, as ``observe`` does.
+    """
+    values = model.matrix @ true_state + _correlate(
+        model.noise_scale, rng.standard_normal(model.matrix.shape[0]))
+    if not np.isfinite(values).all():
+        raise InvalidInputError(
+            f"non-finite observation from agents {model.agent_ids} at QI {qi}")
+    return values
+
+
+def _correlate(scale, normals) -> np.ndarray:
+    """L z as row sums of the products L_ij z_j. A BLAS product may sum in
+    an order that depends on the matrix size; here a row with at most two
+    nonzero products (any agent with up to two rows) rounds once, so an
+    agent's noise has the same bits alone and inside a stacked selection."""
+    return np.add.reduce(scale * normals, axis=1)
 
 
 def place_agents(count: int, max_distance_m: float, position_noise_levels,
@@ -130,11 +156,13 @@ class FleetIndex:
 
     Agents are addressed by their position in ``agents``. ``by_error`` and
     ``by_distance`` order the whole fleet by (error_size, agent_id) and
-    (distance_m, agent_id); ``by_feature[k]`` is ``by_error`` restricted to
-    the agents measuring feature k. ``matrix`` and ``noise_cov`` stack every
-    agent's observation rows and noise blocks in fleet order, so the model
-    of a selection is an indexed copy of them. ``stacked`` keeps the first
-    ``STACKED_MEMO_LIMIT`` models it builds, keyed by the ordered selection.
+    (distance_m, agent_id); ``measuring[k]`` lists the agents measuring
+    feature k in fleet order, and ``by_feature[k]`` lists them in
+    ``by_error`` order. ``matrix``, ``noise_cov`` and ``noise_scale`` stack
+    every agent's observation rows, noise blocks and noise Cholesky factors
+    in fleet order, so the model of a selection is an indexed copy of them.
+    ``stacked`` keeps the first ``STACKED_MEMO_LIMIT`` models it builds,
+    keyed by the ordered selection.
     """
 
     agents: tuple
@@ -148,11 +176,13 @@ class FleetIndex:
         state_dim = dims.pop() if dims else None
         if agents:
             whole = estimator.stack(agents)     # also rejects duplicate ids
-            matrix, noise, ids = whole.matrix, whole.noise_cov, whole.agent_ids
+            matrix, noise, scale, ids = (whole.matrix, whole.noise_cov,
+                                         whole.noise_scale, whole.agent_ids)
         else:
-            matrix, noise, ids = np.zeros((0, 0)), np.zeros((0, 0)), ()
-        matrix.setflags(write=False)
-        noise.setflags(write=False)
+            matrix, noise, scale, ids = (np.zeros((0, 0)), np.zeros((0, 0)),
+                                         np.zeros((0, 0)), ())
+        for array in (matrix, noise, scale):
+            array.setflags(write=False)
         rows, at = [], 0
         for a in agents:
             rows.append(range(at, at + a.observation_matrix.shape[0]))
@@ -162,15 +192,16 @@ class FleetIndex:
         by_distance = tuple(sorted(range(len(agents)),
                                    key=lambda p: (agents[p].distance_m, ids[p])))
         nonzero = (matrix != 0).tolist()
-        by_feature = tuple(
-            tuple(p for p in by_error if any(nonzero[r][k] for r in rows[p]))
+        measuring = tuple(
+            tuple(p for p, r in enumerate(rows) if any(nonzero[i][k] for i in r))
             for k in range(state_dim or 0))
+        by_feature = tuple(tuple(p for p in by_error if p in m) for m in measuring)
         for name, value in (("agents", agents), ("ids", ids),
                             ("state_dim", state_dim), ("matrix", matrix),
-                            ("noise_cov", noise), ("by_error", by_error),
-                            ("by_distance", by_distance),
-                            ("by_feature", by_feature), ("_rows", tuple(rows)),
-                            ("_stacked", {})):
+                            ("noise_cov", noise), ("noise_scale", scale),
+                            ("by_error", by_error), ("by_distance", by_distance),
+                            ("measuring", measuring), ("by_feature", by_feature),
+                            ("_rows", tuple(rows)), ("_stacked", {})):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -197,31 +228,14 @@ class FleetIndex:
             rows = [r for p in key for r in self._rows[p]]
             matrix = self.matrix.take(rows, 0)
             noise = self.noise_cov.take(rows, 0).take(rows, 1)
-            matrix.setflags(write=False)
-            noise.setflags(write=False)
+            scale = self.noise_scale.take(rows, 0).take(rows, 1)
+            for array in (matrix, noise, scale):
+                array.setflags(write=False)
             model = estimator.StackedObservationModel(
-                matrix, noise, tuple(self.ids[p] for p in key))
+                matrix, noise, tuple(self.ids[p] for p in key), scale)
             if len(self._stacked) < STACKED_MEMO_LIMIT:
                 self._stacked[key] = model
         return model
-
-
-def stack_readings(observe_fn, agents, rows: int) -> np.ndarray:
-    """The readings ``observe_fn(agent)`` of ``agents``, concatenated in order.
-
-    ``observe_fn`` is the caller's callback, so its output is checked here,
-    once: each reading must be a 1-D vector and together they must fill the
-    ``rows`` rows of the stacked model. ``estimator.fused_mean`` trusts it.
-    """
-    readings = [observe_fn(agent) for agent in agents]
-    try:
-        values = np.concatenate(readings)
-    except ValueError as exc:          # a 0-d reading cannot be concatenated
-        raise InvalidInputError(f"observe_fn must return 1-D readings: {exc}") from None
-    if values.shape != (rows,):
-        raise InvalidInputError(
-            f"observation vector shape {values.shape} != ({rows},) stacked rows")
-    return values
 
 
 def agents_measuring(fleet, feature: int):

@@ -2,8 +2,11 @@
 differences, the list-based greedy scheduler the indexed one replaced, the
 greedy baselines fused through ``estimator.update``, randomized scheduling
 cases, and the straightforward forms of the per-step numerics that the
-package computes with fewer numpy calls (Adam, the mountain-car step, action
-decoding, input normalization and the innovation conditioning guard)."""
+package computes with fewer numpy calls or in place (Adam, the global-norm
+clip, the mountain-car step, action decoding, input normalization and the
+innovation conditioning guard)."""
+
+import math
 
 import numpy as np
 from scipy import stats
@@ -219,6 +222,32 @@ def reference_baseline_schedule(mode, prior, fleet, capacity, observe_fn=None,
     )
 
 
+def reference_traditional(prior, fleet, rng, observe_fn=None, traditional_count=2):
+    """TRADITIONAL over a plain agent list: each pick filters the agents left
+    with ``sensing.agents_measuring``, and each picked agent is read on its
+    own. Returns the ids and the belief; ``baseline_schedule`` must give
+    them bit for bit from the same pick stream."""
+    dim = prior.mean.shape[0]
+    count = min(traditional_count, len(fleet))
+    chosen = []
+    pool = list(fleet)
+    for i in range(count):
+        options = pool if count < dim else (
+            sensing.agents_measuring(pool, i % dim) or pool)
+        pick = options[int(rng.integers(len(options)))]
+        chosen.append(pick)
+        pool.remove(pick)
+    mean, cov = prior.mean.copy(), prior.cov.copy()
+    for agent in chosen if observe_fn is not None else ():
+        for row, value in zip(agent.observation_matrix, observe_fn(agent)):
+            k = int(np.nonzero(row)[0][0])
+            mean[k] = value / row[k]
+            cov[k, :] = 0.0
+            cov[:, k] = 0.0
+            cov[k, k] = agent.noise_cov[0, 0] / row[k] ** 2
+    return tuple(a.agent_id for a in chosen), Belief(mean, cov, prior.qi)
+
+
 def two_row_agent(agent_id, features, variances, dim, distance=5.0):
     h = np.zeros((2, dim))
     h[0, features[0]] = 1.0
@@ -257,10 +286,30 @@ def random_case(rng):
 
 
 def seeded_observer(seed, prior):
-    """observe_fn drawing noisy readings of a fixed state from its own stream."""
+    """Per-agent reader drawing noisy readings of a fixed state from its own
+    stream, agent by agent through ``sensing.observe``: the oracle side."""
     rng = np.random.default_rng(seed)
     state = prior.mean + rng.normal(size=prior.mean.shape[0]) * 0.01
     return lambda agent: sensing.observe(agent, state, rng)
+
+
+def seeded_reader(seed, prior):
+    """The schedulers' ``observe_fn`` over the same state and stream as
+    ``seeded_observer(seed, prior)``, reading a whole selection at once
+    through ``sensing.read``."""
+    rng = np.random.default_rng(seed)
+    state = prior.mean + rng.normal(size=prior.mean.shape[0]) * 0.01
+    return lambda model: sensing.read(model, state, rng)
+
+
+def reference_clip_global_norm(grads, max_norm):
+    """The global-norm clip returning scaled copies of the gradients and
+    the norm before scaling."""
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
+    if max_norm > 0 and total > max_norm:
+        scale = max_norm / (total + 1e-12)
+        grads = [g * scale for g in grads]
+    return grads, total
 
 
 def same_bits(a, b) -> bool:

@@ -5,12 +5,12 @@ import pytest
 
 from twinloop import (CostMode, PolicyNetwork, PpoHyperparams, TrainingFailureError,
                       base_reward, decode_action, shape_reward)
-from twinloop.agent import (Adam, Mlp, compute_gae, gaussian_logprob,
-                            ppo_loss_and_grads, ppo_update)
+from twinloop.agent import (Adam, Mlp, _clip_global_norm, compute_gae,
+                            gaussian_logprob, ppo_loss_and_grads, ppo_update)
 from twinloop.agent import RunningNormalizer
 from tests.helpers import (ReferenceAdam, edgy_floats, finite_difference_gradient,
-                           reference_decode_action, reference_normalize,
-                           relative_gradient_error, same_bits)
+                           reference_clip_global_norm, reference_decode_action,
+                           reference_normalize, relative_gradient_error, same_bits)
 
 
 class TestRewards:
@@ -330,6 +330,31 @@ class TestMatchesReference:
             opt.step(mine, grads)
             ref.step(params, grads)
         assert all(same_bits(a, b) for a, b in zip(mine, params))
+
+    def test_clip_in_place_then_adam(self):
+        # what ppo_update does to each network's gradients, against scaled
+        # copies fed to ReferenceAdam
+        rng = np.random.default_rng(27)
+        clipped = 0
+        for _ in range(100):
+            shapes = [tuple(rng.integers(1, 9, size=rng.integers(1, 3)))
+                      for _ in range(rng.integers(1, 8))]
+            params = [rng.normal(size=shape) for shape in shapes]
+            mine = [p.copy() for p in params]
+            lr = 10.0 ** rng.uniform(-5, -1)
+            opt, ref = Adam(mine, lr), ReferenceAdam(params, lr)
+            for _ in range(int(rng.integers(1, 5))):
+                grads = [edgy_floats(rng, shape, 10.0 ** rng.uniform(-3, 1))
+                         for shape in shapes]
+                max_norm = float(rng.choice([0.0, 0.5, 10.0 ** rng.uniform(-2, 2)]))
+                want, want_total = reference_clip_global_norm(grads, max_norm)
+                clipped += want_total > max_norm > 0
+                assert _clip_global_norm(grads, max_norm) == want_total
+                assert all(same_bits(a, b) for a, b in zip(grads, want))
+                opt.step(mine, grads)
+                ref.step(params, want)
+            assert all(same_bits(a, b) for a, b in zip(mine, params))
+        assert clipped >= 50
 
     def test_decode_action(self):
         rng = np.random.default_rng(23)

@@ -7,7 +7,8 @@ from twinloop import (Belief, InvalidInputError, QosThresholds, SchedulingMode,
                       baseline_schedule)
 from twinloop.sensing import FleetIndex
 from tests.helpers import (diag_belief, random_case, reference_baseline_schedule,
-                           same_bits, scalar_agent, seeded_observer)
+                           reference_traditional, same_bits, scalar_agent,
+                           seeded_observer, seeded_reader)
 
 
 def fleet_with_distances(distances, feature=0, variance=0.01):
@@ -111,7 +112,7 @@ class TestMatchesReference:
                 for given in (fleet, FleetIndex(fleet)):
                     got = baseline_schedule(
                         mode, prior, given, capacity, np.random.default_rng(0),
-                        observe_fn=seeded_observer(case, prior),
+                        observe_fn=seeded_reader(case, prior),
                         thresholds=thresholds)
                     self.assert_same(got, want)
                 self.assert_same(
@@ -127,6 +128,31 @@ class TestMatchesReference:
         assert min(seen.values()) >= 20, seen
 
 
+    def test_traditional_randomized_fleets(self):
+        rng = np.random.default_rng(2027)
+        seen = {"read": 0, "round_robin": 0, "uniform": 0}
+        for case in range(600):
+            prior, thresholds, fleet, _ = random_case(rng)
+            count = int(rng.integers(1, 4))
+            observed = case % 3 != 0
+            want_ids, want = reference_traditional(
+                prior, fleet, np.random.default_rng(case),
+                seeded_observer(case, prior) if observed else None, count)
+            got = baseline_schedule(
+                SchedulingMode.TRADITIONAL, prior, FleetIndex(fleet), 10,
+                np.random.default_rng(case),
+                observe_fn=seeded_reader(case, prior) if observed else None,
+                thresholds=thresholds, traditional_count=count)
+            assert got.selected_ids == want_ids
+            assert got.iterations == len(want_ids)
+            assert same_bits(got.posterior.mean, want.mean)
+            assert same_bits(got.posterior.cov, want.cov)
+            seen["read"] += observed and len(want_ids) > 1
+            seen["round_robin"] += len(want_ids) >= prior.mean.shape[0]
+            seen["uniform"] += 0 < len(want_ids) < prior.mean.shape[0]
+        assert min(seen.values()) >= 20, seen
+
+
 class TestTraditional:
     def test_substitutes_raw_observations(self):
         fleet = [scalar_agent(1, 0, 0.04), scalar_agent(2, 1, 0.001)]
@@ -134,7 +160,7 @@ class TestTraditional:
         decision = baseline_schedule(
             SchedulingMode.TRADITIONAL, prior, fleet, 10,
             np.random.default_rng(0),
-            observe_fn=lambda a: a.observation_matrix @ np.array([-0.42, 0.031]),
+            observe_fn=lambda model: model.matrix @ np.array([-0.42, 0.031]),
             traditional_count=2)
         np.testing.assert_allclose(decision.posterior.mean, [-0.42, 0.031])
         assert decision.posterior.cov[0, 0] == pytest.approx(0.04)

@@ -123,6 +123,23 @@ class TestTrain:
                          "--out", str(tmp_path / "eval")])
         assert code == 0
 
+    def test_unwritable_out_exits_one_before_training(self, tmp_path, capsys,
+                                                      monkeypatch):
+        from twinloop import agent
+
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("trained before the output directory was made")
+
+        monkeypatch.setattr(agent, "train", must_not_train)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        code = main(["train", "--config", str(small_config_file(tmp_path)),
+                     "--out", str(blocker / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_grid_csv(self, tmp_path):
@@ -150,3 +167,13 @@ class TestSweep:
         assert len(rows) == 1
         assert (rows[0]["capacity"], rows[0]["epsilon"]) == ("2", "0.01")
         assert float(rows[0]["median_qis"]) > 0
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        code = main(["sweep", "--config", str(small_config_file(tmp_path, episodes=1)),
+                     "--out", str(blocker / "y"), "--capacity", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -75,6 +75,14 @@ class TestFleetIndex:
         with pytest.raises(ConfigurationError, match="cover"):
             TwinLoop.from_config(config)
 
+    @pytest.mark.parametrize("caps", [(0.01,), (0.01, 0.001, 0.1)])
+    def test_caps_of_the_wrong_length_rejected(self, caps):
+        # checked once, at construction: no QI checks the caps again
+        config = loop_config()
+        config.variance_caps = caps
+        with pytest.raises(ConfigurationError, match="one variance cap"):
+            TwinLoop.from_config(config)
+
 
 class TestEtaCoupling:
     def test_requested_accuracy_tightens_caps(self):
@@ -182,6 +190,16 @@ class TestNonFinitePolicyAction:
             assert np.array_equal(clamped.policy_input, bounded.policy_input)
             assert clamped.shaped_reward == bounded.shaped_reward
             assert np.isfinite(clamped.shaped_reward)
+
+    @pytest.mark.parametrize("raw", [[0.0, 1.0], [0.0, 1.0, 1.0, 1.0], [[0.0, 1.0, 1.0]]])
+    def test_action_of_the_wrong_shape_rejected(self, raw):
+        # the accuracy request is applied to the caps without a second check,
+        # so its length is settled here
+        env = TwinLoop.from_config(loop_config())
+        env.reset(0)
+        with pytest.raises(InvalidInputError, match="action shape"):
+            env.step(np.array(raw))
+        assert env._qi == 1
 
     def test_nan_accuracy_no_longer_yields_a_nan_reward(self):
         env = TwinLoop.from_config(loop_config())

@@ -10,8 +10,9 @@ from twinloop import (Belief, InvalidInputError, QosThresholds,
                       weighted_objective)
 from twinloop.estimator import posterior_cov, stack
 from twinloop.sensing import FleetIndex
-from tests.helpers import (diag_belief, random_case, reference_schedule,
-                           scalar_agent, seeded_observer, two_row_agent)
+from tests.helpers import (diag_belief, random_case, reference_schedule, same_bits,
+                           scalar_agent, seeded_observer, seeded_reader,
+                           two_row_agent)
 
 
 class TestEffectiveThresholds:
@@ -223,7 +224,7 @@ class TestMatchesReference:
                                       observe_fn=seeded_observer(case, prior))
             for given in (fleet, FleetIndex(fleet)):
                 got = schedule(prior, thresholds, given, capacity,
-                               observe_fn=seeded_observer(case, prior))
+                               observe_fn=seeded_reader(case, prior))
                 self.assert_same(got, want)
             self.assert_same(schedule(prior, thresholds, fleet, capacity),
                              reference_schedule(prior, thresholds, fleet, capacity))
@@ -234,6 +235,21 @@ class TestMatchesReference:
             seen["zero_capacity"] += capacity == 0
             seen["selected"] += len(want.selected_ids) > 1
         assert min(seen.values()) >= 20, seen
+
+    def test_requested_caps_match_effective_thresholds(self):
+        # what TwinLoop computes per QI, unchecked, against the checked form
+        rng = np.random.default_rng(2026)
+        for _ in range(2000):
+            dim = int(rng.integers(1, 5))
+            caps = 10.0 ** rng.uniform(-6, 2, size=dim)
+            eta = rng.choice([0.0, 1e-300, 1.0 / caps[0], 1000.0, 1e300], size=dim)
+            eta = np.where(rng.random(dim) < 0.5, eta, 10.0 ** rng.uniform(-3, 4, dim))
+            thresholds = QosThresholds(caps).with_request(eta)
+            want = QosThresholds(caps, eta)
+            assert same_bits(thresholds.effective_caps, effective_thresholds(caps, eta))
+            assert same_bits(thresholds.effective_caps, want.effective_caps)
+            assert same_bits(thresholds.variance_caps, want.variance_caps)
+            assert thresholds.accuracy_request is eta and thresholds.dim == dim
 
     def test_tie_on_error_size_breaks_on_lowest_id(self):
         prior = diag_belief(0.05, 0.0005)
@@ -259,7 +275,7 @@ class TestMatchesReference:
                        np.array([[0.05, 0.001], [0.001, 0.004]]), qi=3)
         fleet = [two_row_agent(4, [0, 1], [0.003, 0.0004], dim=2)]
         got = schedule(prior, basic_thresholds(), fleet, capacity=2,
-                       observe_fn=seeded_observer(0, prior))
+                       observe_fn=seeded_reader(0, prior))
         assert got.selected_ids == (4,) and got.iterations == 1
         self.assert_same(got, reference_schedule(
             prior, basic_thresholds(), fleet, capacity=2,
@@ -279,7 +295,7 @@ class TestMatchesReference:
             prior, thresholds, fleet, capacity = random_case(rng)
             calls.clear()
             decision = schedule(prior, thresholds, fleet, capacity,
-                                observe_fn=seeded_observer(case, prior))
+                                observe_fn=seeded_reader(case, prior))
             assert len(calls) == decision.iterations
 
     def test_duplicate_ids_rejected(self):

@@ -6,7 +6,8 @@ import pytest
 from twinloop import (ConfigurationError, InvalidInputError, SensingAgentSpec,
                       agents_measuring, fleet_from_json, fleet_to_json,
                       observe, place_agents)
-from tests.helpers import scalar_agent
+from twinloop.sensing import FleetIndex, read
+from tests.helpers import random_case, same_bits, scalar_agent
 
 
 class TestObserve:
@@ -147,3 +148,43 @@ class TestSerialization:
             assert x.distance_m == y.distance_m
             np.testing.assert_array_equal(x.observation_matrix, y.observation_matrix)
             np.testing.assert_array_equal(x.noise_cov, y.noise_cov)
+
+
+class TestMatchesReference:
+    """One draw per selection gives the bits of the per-agent readers."""
+
+    def test_read_matches_per_agent_observe(self):
+        # a part of the selection and all of it, each in a random order
+        rng = np.random.default_rng(31)
+        seen = {"two_row": 0, "reordered": 0}
+        for case in range(1500):
+            prior, _, fleet, _ = random_case(rng)
+            if not fleet:
+                continue
+            index = FleetIndex(fleet)
+            order = rng.permutation(len(fleet))
+            state = prior.mean + rng.normal(size=prior.mean.shape[0])
+            for selection in (tuple(order[:rng.integers(1, len(fleet) + 1)]), tuple(order)):
+                got = read(index.stacked(selection), state, np.random.default_rng(case))
+                draws = np.random.default_rng(case)
+                want = np.concatenate([observe(index.agents[p], state, draws)
+                                       for p in selection])
+                assert same_bits(got, want)
+                seen["two_row"] += any(index.agents[p].observation_matrix.shape[0] == 2
+                                       for p in selection)
+                seen["reordered"] += list(selection) != sorted(selection)
+        assert min(seen.values()) >= 20, seen
+
+    def test_read_rejects_a_non_finite_reading_with_the_qi(self):
+        index = FleetIndex([scalar_agent(7, 0, 0.01), scalar_agent(9, 1, 0.01)])
+        with pytest.raises(InvalidInputError, match=r"agents \(9, 7\) at QI 12"):
+            read(index.stacked((1, 0)), np.array([np.nan, 0.0]),
+                 np.random.default_rng(0), qi=12)
+
+    def test_feature_table_lists_the_fleet_in_fleet_order(self):
+        fleet = [scalar_agent(5, 1, 0.01), scalar_agent(2, 0, 0.03),
+                 scalar_agent(8, 0, 0.001), scalar_agent(1, 1, 0.02)]
+        index = FleetIndex(fleet)
+        for k in (0, 1):
+            assert [index.agents[p] for p in index.measuring[k]] == \
+                agents_measuring(fleet, k)
