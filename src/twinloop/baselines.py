@@ -6,7 +6,8 @@ always query exactly min(C, M) agents, sorted by distance or by measurement
 error, and fuse them through the filter, in the adaptive scheduler's fusion
 tail. TRADITIONAL queries a fixed number of randomly drawn agents (one per
 feature by default) and substitutes their raw readings into the belief
-without any filtering.
+without any filtering: each agent's reading becomes the mean of its feature,
+and its noise variance that feature's variance, uncorrelated with the rest.
 """
 
 from __future__ import annotations
@@ -85,15 +86,13 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
     mean = prior.mean.copy()
     cov = prior.cov.copy()
     if chosen and observe_fn is not None:
-        values = iter(_readings(observe_fn, index.stacked(chosen)))
-        for p in chosen:
-            agent = index.agents[p]
-            for row, value in zip(agent.observation_matrix, values):
-                k = int(np.nonzero(row)[0][0])
-                mean[k] = value / row[k]
-                cov[k, :] = 0.0
-                cov[:, k] = 0.0
-                cov[k, k] = agent.noise_cov[0, 0] / row[k] ** 2
+        values = _readings(observe_fn, index.stacked(chosen))
+        for p, value in zip(chosen, values):
+            k = index.agents[p].feature
+            mean[k] = value
+            cov[k, :] = 0.0
+            cov[:, k] = 0.0
+            cov[k, k] = index.variance[p]
     posterior = Belief(mean, cov, prior.qi)
     return ScheduleDecision(tuple(index.ids[p] for p in chosen), posterior,
                             _caps_met(posterior, caps), len(chosen))

@@ -2,13 +2,17 @@
 
 ``predict`` propagates the belief blindly through the plant model (the mean
 through the full nonlinear map, the covariance through its Jacobian plus the
-process noise). ``stack`` combines several agents' observation models into one
-joint model, ``posterior_cov`` gives the Joseph-form posterior covariance
-and the Kalman gain of a stacked model, and ``fused_mean`` the posterior mean
-once the readings arrive (the schedulers' shared fusion tail calls both).
+process noise). ``stack`` combines several agents' observation rows and
+noise variances into one joint model, ``posterior_cov`` gives the
+Joseph-form posterior covariance and the Kalman gain of a stacked model, and
+``fused_mean`` the posterior mean once the readings arrive (the schedulers'
+shared fusion tail calls both).
 ``update`` fuses a stacked observation vector in one call. The Joseph form
 keeps the covariance symmetric positive semidefinite under roundoff; it
-agrees with the plain (I - K H) P form in exact arithmetic.
+agrees with the plain (I - K H) P form in exact arithmetic. Every agent
+reads one feature with independent noise, so a stacked model has one-hot
+rows and a diagonal noise covariance; ``posterior_cov``, ``update`` and
+``predict`` do not rely on that and take any observation model.
 
 Each covariance is symmetrized once, by the function that computes it:
 ``predict`` and ``posterior_cov`` return symmetric matrices, and a ``Belief``
@@ -57,12 +61,16 @@ class Belief:
 
 @dataclass(frozen=True)
 class StackedObservationModel:
-    """Joint observation model of an ordered agent selection."""
+    """Joint observation model of an ordered agent selection.
+
+    ``noise_std`` holds the per-row noise standard deviations, for drawing
+    readings; a model of correlated noise, built directly, has none.
+    """
 
     matrix: np.ndarray        # rows stacked in selection order
-    noise_cov: np.ndarray     # block-diagonal, same order
+    noise_cov: np.ndarray     # diagonal for an agent selection, same order
     agent_ids: tuple
-    noise_scale: np.ndarray = None  # block-diagonal Cholesky factor of noise_cov
+    noise_std: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
@@ -100,24 +108,17 @@ def predict(belief: Belief, control, model) -> Belief:
 
 
 def stack(selected) -> StackedObservationModel:
-    """Stack the selected agents' observation rows, noise blocks and noise
-    Cholesky factors in order."""
+    """Stack the selected agents' observation rows, noise variances (as a
+    diagonal covariance) and noise standard deviations, in order."""
     selected = list(selected)
     if not selected:
         raise InvalidInputError("cannot stack an empty selection")
     ids = [a.agent_id for a in selected]
     if len(set(ids)) != len(ids):
         raise InvalidInputError(f"duplicate agent ids in selection: {ids}")
-    matrix = np.vstack([a.observation_matrix for a in selected])
-    total = matrix.shape[0]
-    noise, scale = np.zeros((total, total)), np.zeros((total, total))
-    at = 0
-    for a in selected:
-        d = a.noise_cov.shape[0]
-        noise[at:at + d, at:at + d] = a.noise_cov
-        scale[at:at + d, at:at + d] = a.noise_scale
-        at += d
-    return StackedObservationModel(matrix, noise, tuple(ids), scale)
+    variance = np.array([a.variance for a in selected], dtype=float)
+    return StackedObservationModel(np.vstack([a.observation_matrix for a in selected]),
+                                   np.diag(variance), tuple(ids), np.sqrt(variance))
 
 
 def posterior_cov(prior_cov, stacked: StackedObservationModel):
@@ -185,8 +186,8 @@ def fused_mean(prior: Belief, stacked: StackedObservationModel, gain,
     """Posterior mean m + K (o - H m), with K from posterior_cov.
 
     ``values`` is the 1-D float vector of the stacked readings, one per row
-    of ``stacked.matrix``; ``sensing.stack_readings`` checks that before
-    this is called.
+    of ``stacked.matrix``; ``scheduler._readings`` checks that before this
+    is called.
     """
     mean = prior.mean + gain @ (values - stacked.matrix @ prior.mean)
     if not np.isfinite(mean).all():

@@ -97,8 +97,7 @@ class ExperimentConfig:
             raise ConfigurationError("variance caps must be positive")
         if self.plant.name not in PLANT_REGISTRY:
             raise ConfigurationError(f"unknown plant {self.plant.name!r}")
-        if self.fleet.agents is None and self.fleet.count < 2:
-            raise ConfigurationError("fleet must cover position and velocity")
+        self.build_fleet()     # a bad fleet fails here, before any episode runs
         try:
             self.build_channel()
         except Exception as exc:
@@ -113,8 +112,7 @@ class ExperimentConfig:
     def build_fleet(self):
         f = self.fleet
         if f.agents is not None:
-            payload = json.dumps({"state_dim": 2, "agents": f.agents})
-            return sensing.fleet_from_json(payload)
+            return [sensing.agent_from_record(rec, 2) for rec in f.agents]
         rng = np.random.default_rng(np.random.SeedSequence(f.seed))
         return sensing.place_agents(
             f.count, f.max_distance_m, f.position_noise_levels,

@@ -127,7 +127,7 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
         if violated.size == 0:
             break
         # candidate features: violated AND measurable by an available agent;
-        # each one's cheapest available agent (error size, then agent id)
+        # each one's cheapest available agent (noise variance, then agent id)
         picks = {}
         for k in violated.tolist():
             pick = next((p for p in index.by_feature[k] if p not in chosen), None)

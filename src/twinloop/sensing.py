@@ -1,14 +1,15 @@
-"""Sensing agent fleet: placement, linear noisy observations, coverage queries.
+"""Sensing agent fleet: placement, noisy scalar readings, coverage queries.
 
-Each generated agent measures one scalar state feature through a one-row
-observation matrix; its noise variance is drawn log-uniformly between the
-bounds of the supplied level list and its distance to the access point
-uniformly on (min_distance, max_distance]. Fleets serialize to plain JSON so
-an experiment can be replayed exactly. ``observe`` returns one agent's reading
-and ``read`` a whole selection's, in one draw, each as a checked value
-vector. A ``FleetIndex`` holds the tables the schedulers look up every query
-interval, computed once per fleet, and memoises the stacked model of each
-ordered selection it is asked for.
+Each agent reads one state feature (the car's position or its velocity)
+with its own noise variance, over an uplink of its own length. Generated
+agents draw the variance log-uniformly between the bounds of the supplied
+level list and the distance uniformly on (min_distance, max_distance].
+Fleets serialize to plain JSON records (id, feature, variance, distance), so
+an experiment can be replayed exactly; ``agent_from_record`` parses one.
+``observe`` returns one agent's reading and ``read`` a whole selection's, in
+one draw, each as a checked value vector. A ``FleetIndex`` holds the tables
+the schedulers look up every query interval, computed once per fleet, and
+memoises the stacked model of each ordered selection it is asked for.
 """
 
 from __future__ import annotations
@@ -30,58 +31,51 @@ STACKED_MEMO_LIMIT = 256
 
 @dataclass(frozen=True)
 class SensingAgentSpec:
-    """One sensor: observation map, noise covariance, uplink distance."""
+    """One sensor: the state feature it reads, the variance of its noise and
+    its uplink distance, in a state of ``state_dim`` features.
+
+    ``observation_matrix`` (the 1 x state_dim one-hot row of ``feature``)
+    and ``noise_cov`` (the 1 x 1 matrix of ``variance``) are derived once,
+    read-only.
+    """
 
     agent_id: int
-    observation_matrix: np.ndarray  # (D, K)
-    noise_cov: np.ndarray           # (D, D), positive definite
+    feature: int
+    variance: float
     distance_m: float
+    state_dim: int = 2
 
     def __post_init__(self):
-        h = np.atleast_2d(np.asarray(self.observation_matrix, dtype=float))
-        c = np.atleast_2d(np.asarray(self.noise_cov, dtype=float))
-        object.__setattr__(self, "observation_matrix", h)
-        object.__setattr__(self, "noise_cov", c)
-        if c.shape[0] != c.shape[1] or c.shape[0] != h.shape[0]:
-            raise InvalidInputError("noise covariance shape does not match observation rows")
-        if not np.allclose(c, c.T, atol=1e-12):
-            raise InvalidInputError("noise covariance must be symmetric")
-        if np.linalg.eigvalsh(c).min() <= 0:
-            raise InvalidInputError("noise covariance must be positive definite")
-        if np.any(np.all(h == 0, axis=1)):
-            raise InvalidInputError("observation matrix has an all-zero row")
+        if not 0 <= self.feature < self.state_dim:
+            raise InvalidInputError(f"agent {self.agent_id}: feature {self.feature} "
+                                    f"is not in 0..{self.state_dim - 1}")
+        if not self.variance > 0:
+            raise InvalidInputError("noise variance must be positive")
         if not self.distance_m > 0:
             raise InvalidInputError("distance must be positive")
-        object.__setattr__(self, "noise_scale", np.linalg.cholesky(c))
-
-    @property
-    def measured_features(self) -> tuple:
-        """Indices of state features this agent's observation depends on."""
-        return tuple(np.nonzero(np.any(self.observation_matrix != 0, axis=0))[0])
-
-    @property
-    def error_size(self) -> float:
-        """Scalar summary of the measurement error (trace of the covariance)."""
-        return float(np.trace(self.noise_cov))
+        h = np.zeros((1, self.state_dim))
+        h[0, self.feature] = 1.0
+        noise = np.array([[self.variance]], dtype=float)
+        for name, array in (("observation_matrix", h), ("noise_cov", noise)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
 
 def observe(agent: SensingAgentSpec, true_state, rng, qi: int = 0,
             noiseless: bool = False) -> np.ndarray:
-    """Draw o = H s + w with w ~ N(0, C_w); ``noiseless`` skips w (test only).
+    """Draw o = h s + w with w ~ N(0, variance); ``noiseless`` skips w (test only).
 
-    Returns the reading as a 1-D float vector with one entry per observation
-    row, checked finite here so the filter can fuse it without a second
-    check. ``qi`` only labels the error raised for a non-finite reading.
+    Returns the reading as a 1-entry float vector, checked finite here so
+    the filter can fuse it without a second check. ``qi`` only labels the
+    error raised for a non-finite reading.
     """
     state = np.asarray(true_state, dtype=float)
-    h = agent.observation_matrix
-    if state.shape[0] != h.shape[1]:
-        raise InvalidInputError(
-            f"state dim {state.shape[0]} incompatible with observation matrix "
-            f"{h.shape}")
-    values = h @ state
+    if state.shape[0] != agent.state_dim:
+        raise InvalidInputError(f"state dim {state.shape[0]} incompatible with "
+                                f"an agent of state dim {agent.state_dim}")
+    values = agent.observation_matrix @ state
     if not noiseless:
-        values += _correlate(agent.noise_scale, rng.standard_normal(len(values)))
+        values += np.sqrt(agent.variance) * rng.standard_normal(1)
     if not np.isfinite(values).all():
         raise InvalidInputError(
             f"non-finite observation from agent {agent.agent_id} at QI {qi}")
@@ -89,28 +83,20 @@ def observe(agent: SensingAgentSpec, true_state, rng, qi: int = 0,
 
 
 def read(model, true_state, rng, qi: int = 0) -> np.ndarray:
-    """Draw the readings o = H s + L z, z ~ N(0, I), of a stacked selection.
+    """Draw the readings o = H s + std * z, z ~ N(0, I), of a stacked selection.
 
-    ``model`` is an ``estimator.StackedObservationModel`` with its noise
-    factor L and ``true_state`` a float vector of its width. One draw of
-    ``rows`` normals equals the agents' own draws in selection order, and
-    L's off-block zeros add exact zeros, so this gives the bits of
-    ``observe`` called agent by agent. Checked finite, as ``observe`` does.
+    ``model`` is an ``estimator.StackedObservationModel`` with its per-row
+    noise standard deviations and ``true_state`` a float vector of its
+    width. One draw of ``rows`` normals equals the agents' own draws in
+    selection order, so this gives the bits of ``observe`` called agent by
+    agent. Checked finite, as ``observe`` does.
     """
-    values = model.matrix @ true_state + _correlate(
-        model.noise_scale, rng.standard_normal(model.matrix.shape[0]))
+    values = model.matrix @ true_state + model.noise_std * rng.standard_normal(
+        model.noise_std.shape[0])
     if not np.isfinite(values).all():
         raise InvalidInputError(
             f"non-finite observation from agents {model.agent_ids} at QI {qi}")
     return values
-
-
-def _correlate(scale, normals) -> np.ndarray:
-    """L z as row sums of the products L_ij z_j. A BLAS product may sum in
-    an order that depends on the matrix size; here a row with at most two
-    nonzero products (any agent with up to two rows) rounds once, so an
-    agent's noise has the same bits alone and inside a stacked selection."""
-    return np.add.reduce(scale * normals, axis=1)
 
 
 def place_agents(count: int, max_distance_m: float, position_noise_levels,
@@ -142,11 +128,8 @@ def place_agents(count: int, max_distance_m: float, position_noise_levels,
             np.exp(rng.uniform(np.log(lo), np.log(hi))))
         # distance uniform on (min, max]
         distance = max_distance_m - (max_distance_m - min_distance_m) * rng.uniform()
-        h = np.zeros((1, state_dim))
-        h[0, feature] = 1.0
-        fleet.append(SensingAgentSpec(
-            agent_id=i + 1, observation_matrix=h,
-            noise_cov=np.array([[variance]]), distance_m=float(distance)))
+        fleet.append(SensingAgentSpec(i + 1, feature, variance, float(distance),
+                                      state_dim))
     return fleet
 
 
@@ -155,53 +138,45 @@ class FleetIndex:
     """A fleet's scheduling tables, computed once and never changed.
 
     Agents are addressed by their position in ``agents``. ``by_error`` and
-    ``by_distance`` order the whole fleet by (error_size, agent_id) and
+    ``by_distance`` order the whole fleet by (variance, agent_id) and
     (distance_m, agent_id); ``measuring[k]`` lists the agents measuring
     feature k in fleet order, and ``by_feature[k]`` lists them in
-    ``by_error`` order. ``matrix``, ``noise_cov`` and ``noise_scale`` stack
-    every agent's observation rows, noise blocks and noise Cholesky factors
-    in fleet order, so the model of a selection is an indexed copy of them.
-    ``stacked`` keeps the first ``STACKED_MEMO_LIMIT`` models it builds,
-    keyed by the ordered selection.
+    ``by_error`` order. ``matrix`` stacks every agent's observation row and
+    ``variance`` holds every agent's noise variance, in fleet order, so the
+    model of a selection is an indexed copy of them. ``stacked`` keeps the
+    first ``STACKED_MEMO_LIMIT`` models it builds, keyed by the ordered
+    selection.
     """
 
     agents: tuple
 
     def __post_init__(self):
         agents = tuple(self.agents)
-        dims = {a.observation_matrix.shape[1] for a in agents}
+        dims = {a.state_dim for a in agents}
         if len(dims) > 1:
             raise InvalidInputError(
                 f"agents disagree on the state dimension: {sorted(dims)}")
         state_dim = dims.pop() if dims else None
         if agents:
             whole = estimator.stack(agents)     # also rejects duplicate ids
-            matrix, noise, scale, ids = (whole.matrix, whole.noise_cov,
-                                         whole.noise_scale, whole.agent_ids)
+            matrix, ids = whole.matrix, whole.agent_ids
         else:
-            matrix, noise, scale, ids = (np.zeros((0, 0)), np.zeros((0, 0)),
-                                         np.zeros((0, 0)), ())
-        for array in (matrix, noise, scale):
+            matrix, ids = np.zeros((0, 0)), ()
+        variance = np.array([a.variance for a in agents], dtype=float)
+        for array in (matrix, variance):
             array.setflags(write=False)
-        rows, at = [], 0
-        for a in agents:
-            rows.append(range(at, at + a.observation_matrix.shape[0]))
-            at += a.observation_matrix.shape[0]
-        error = [a.error_size for a in agents]
-        by_error = tuple(sorted(range(len(agents)), key=lambda p: (error[p], ids[p])))
+        by_error = tuple(sorted(range(len(agents)),
+                                key=lambda p: (agents[p].variance, ids[p])))
         by_distance = tuple(sorted(range(len(agents)),
                                    key=lambda p: (agents[p].distance_m, ids[p])))
-        nonzero = (matrix != 0).tolist()
-        measuring = tuple(
-            tuple(p for p, r in enumerate(rows) if any(nonzero[i][k] for i in r))
-            for k in range(state_dim or 0))
+        measuring = tuple(tuple(p for p, a in enumerate(agents) if a.feature == k)
+                          for k in range(state_dim or 0))
         by_feature = tuple(tuple(p for p in by_error if p in m) for m in measuring)
         for name, value in (("agents", agents), ("ids", ids),
                             ("state_dim", state_dim), ("matrix", matrix),
-                            ("noise_cov", noise), ("noise_scale", scale),
-                            ("by_error", by_error), ("by_distance", by_distance),
-                            ("measuring", measuring), ("by_feature", by_feature),
-                            ("_rows", tuple(rows)), ("_stacked", {})):
+                            ("variance", variance), ("by_error", by_error),
+                            ("by_distance", by_distance), ("measuring", measuring),
+                            ("by_feature", by_feature), ("_stacked", {})):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -225,50 +200,51 @@ class FleetIndex:
                 raise InvalidInputError("cannot stack an empty selection")
             if len(set(key)) != len(key):
                 raise InvalidInputError(f"duplicate positions in selection: {key}")
-            rows = [r for p in key for r in self._rows[p]]
-            matrix = self.matrix.take(rows, 0)
-            noise = self.noise_cov.take(rows, 0).take(rows, 1)
-            scale = self.noise_scale.take(rows, 0).take(rows, 1)
-            for array in (matrix, noise, scale):
+            variance = self.variance.take(key)
+            matrix, noise, std = (self.matrix.take(key, 0), np.diag(variance),
+                                  np.sqrt(variance))
+            for array in (matrix, noise, std):
                 array.setflags(write=False)
             model = estimator.StackedObservationModel(
-                matrix, noise, tuple(self.ids[p] for p in key), scale)
+                matrix, noise, tuple(self.ids[p] for p in key), std)
             if len(self._stacked) < STACKED_MEMO_LIMIT:
                 self._stacked[key] = model
         return model
 
 
 def agents_measuring(fleet, feature: int):
-    """Agents whose observation matrix has a nonzero entry in ``feature``'s column."""
-    return [a for a in fleet if np.any(a.observation_matrix[:, feature] != 0)]
+    """Agents that read state feature ``feature``."""
+    return [a for a in fleet if a.feature == feature]
+
+
+def agent_from_record(record, state_dim: int = 2) -> SensingAgentSpec:
+    """The agent of one pinned-fleet record {id, feature, variance, distance}.
+
+    Raises ConfigurationError when a field is missing or is not a number,
+    and InvalidInputError, from the spec, when the feature is not in
+    0..state_dim-1 or the variance or distance is not positive.
+    """
+    try:
+        fields = (int(record["id"]), int(record["feature"]),
+                  float(record["variance"]), float(record["distance"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad fleet record {record!r}: a field is missing or "
+                                 f"not a number ({type(exc).__name__}: {exc})") from None
+    return SensingAgentSpec(*fields, state_dim)
 
 
 def fleet_to_json(fleet, state_dim: int = 2) -> str:
-    """Serialize a single-feature fleet to JSON (id, feature, variance, distance)."""
-    records = []
-    for agent in fleet:
-        features = agent.measured_features
-        if len(features) != 1 or agent.observation_matrix.shape != (1, state_dim):
-            raise InvalidInputError(
-                "only single-feature fleets are serializable")
-        records.append({
-            "id": agent.agent_id,
-            "feature": int(features[0]),
-            "variance": float(agent.noise_cov[0, 0]),
-            "distance": agent.distance_m,
-        })
+    """Serialize a fleet of ``state_dim``-feature agents to JSON records."""
+    if any(a.state_dim != state_dim for a in fleet):
+        raise InvalidInputError(f"fleet does not have state dimension {state_dim}")
+    records = [{"id": a.agent_id, "feature": int(a.feature),
+                "variance": float(a.variance), "distance": a.distance_m}
+               for a in fleet]
     return json.dumps({"state_dim": state_dim, "agents": records}, indent=2)
 
 
 def fleet_from_json(text: str):
+    """The fleet that ``fleet_to_json`` wrote, each record parsed by
+    ``agent_from_record``."""
     data = json.loads(text)
-    state_dim = int(data["state_dim"])
-    fleet = []
-    for rec in data["agents"]:
-        h = np.zeros((1, state_dim))
-        h[0, int(rec["feature"])] = 1.0
-        fleet.append(SensingAgentSpec(
-            agent_id=int(rec["id"]), observation_matrix=h,
-            noise_cov=np.array([[float(rec["variance"])]]),
-            distance_m=float(rec["distance"])))
-    return fleet
+    return [agent_from_record(rec, int(data["state_dim"])) for rec in data["agents"]]

@@ -114,11 +114,8 @@ def relative_gradient_error(analytic, numeric):
 
 
 def scalar_agent(agent_id, feature, variance, distance=5.0, dim=2):
-    h = np.zeros((1, dim))
-    h[0, feature] = 1.0
-    return SensingAgentSpec(agent_id=agent_id, observation_matrix=h,
-                            noise_cov=np.array([[variance]]),
-                            distance_m=distance)
+    return SensingAgentSpec(agent_id=agent_id, feature=feature, variance=variance,
+                            distance_m=distance, state_dim=dim)
 
 
 def diag_belief(*variances, mean=None, qi=0):
@@ -138,7 +135,7 @@ def reference_schedule(prior, thresholds, fleet, capacity, observe_fn=None):
     caps = thresholds.effective_caps
     if caps.shape[0] != prior.mean.shape[0]:
         raise InvalidInputError("threshold dimension does not match belief")
-    if fleet and fleet[0].observation_matrix.shape[1] != prior.mean.shape[0]:
+    if fleet and fleet[0].state_dim != prior.mean.shape[0]:
         raise InvalidInputError("fleet observation matrices do not match belief")
     if capacity < 0:
         raise InvalidInputError("capacity must be nonnegative")
@@ -153,15 +150,14 @@ def reference_schedule(prior, thresholds, fleet, capacity, observe_fn=None):
         violated = np.nonzero(diag > caps)[0]
         if violated.size == 0:
             break
-        candidates = [k for k in violated
-                      if any(np.any(a.observation_matrix[:, k] != 0) for a in available)]
+        candidates = [k for k in violated if any(a.feature == k for a in available)]
         if not candidates:
             break
         ratios = diag[candidates] / caps[candidates]
         best = int(np.argmax(ratios))
         k_star = candidates[best]
-        pool = [a for a in available if np.any(a.observation_matrix[:, k_star] != 0)]
-        agent = min(pool, key=lambda a: (a.error_size, a.agent_id))
+        pool = [a for a in available if a.feature == k_star]
+        agent = min(pool, key=lambda a: (a.variance, a.agent_id))
         chosen.append(agent)
         available.remove(agent)
         iterations += 1
@@ -191,14 +187,14 @@ def reference_baseline_schedule(mode, prior, fleet, capacity, observe_fn=None,
                                 thresholds=None):
     """The cost- and error-greedy baselines over a plain agent list.
 
-    Sorts the fleet by (distance, id) or (error size, id), stacks the first
+    Sorts the fleet by (distance, id) or (variance, id), stacks the first
     ``capacity`` agents with ``estimator.stack``, and fuses their readings
     through ``estimator.update``, or computes the covariance alone without
     ``observe_fn``: the greedy tail as written before it shared the
     scheduler's. ``baseline_schedule`` must reproduce it bit for bit.
     """
     key = ((lambda a: (a.distance_m, a.agent_id)) if mode == "cost_greedy"
-           else (lambda a: (a.error_size, a.agent_id)))
+           else (lambda a: (a.variance, a.agent_id)))
     chosen = sorted(fleet, key=key)[:capacity]
     if not chosen:
         posterior = prior.copy()
@@ -225,8 +221,9 @@ def reference_baseline_schedule(mode, prior, fleet, capacity, observe_fn=None,
 def reference_traditional(prior, fleet, rng, observe_fn=None, traditional_count=2):
     """TRADITIONAL over a plain agent list: each pick filters the agents left
     with ``sensing.agents_measuring``, and each picked agent is read on its
-    own. Returns the ids and the belief; ``baseline_schedule`` must give
-    them bit for bit from the same pick stream."""
+    own: its reading becomes its feature's mean and its variance that
+    feature's variance. Returns the ids and the belief; ``baseline_schedule``
+    must give them bit for bit from the same pick stream."""
     dim = prior.mean.shape[0]
     count = min(traditional_count, len(fleet))
     chosen = []
@@ -239,29 +236,18 @@ def reference_traditional(prior, fleet, rng, observe_fn=None, traditional_count=
         pool.remove(pick)
     mean, cov = prior.mean.copy(), prior.cov.copy()
     for agent in chosen if observe_fn is not None else ():
-        for row, value in zip(agent.observation_matrix, observe_fn(agent)):
-            k = int(np.nonzero(row)[0][0])
-            mean[k] = value / row[k]
-            cov[k, :] = 0.0
-            cov[:, k] = 0.0
-            cov[k, k] = agent.noise_cov[0, 0] / row[k] ** 2
+        k = agent.feature
+        (mean[k],) = observe_fn(agent)      # one reading per agent
+        cov[k, :] = 0.0
+        cov[:, k] = 0.0
+        cov[k, k] = agent.variance
     return tuple(a.agent_id for a in chosen), Belief(mean, cov, prior.qi)
-
-
-def two_row_agent(agent_id, features, variances, dim, distance=5.0):
-    h = np.zeros((2, dim))
-    h[0, features[0]] = 1.0
-    h[1, features[1]] = 0.5
-    r = np.array([[variances[0], 0.3 * np.sqrt(variances[0] * variances[1])],
-                  [0.3 * np.sqrt(variances[0] * variances[1]), variances[1]]])
-    return SensingAgentSpec(agent_id=agent_id, observation_matrix=h,
-                            noise_cov=r, distance_m=distance)
 
 
 def random_case(rng):
     """A prior, caps, fleet and capacity covering the scheduler's branches:
-    error-size ties (variances from a short list), two-row agents, empty
-    fleets, shuffled ids and capacities from 0 to beyond the fleet size."""
+    variance ties (variances from a short list), empty fleets, shuffled ids
+    and capacities from 0 to beyond the fleet size."""
     dim = int(rng.integers(2, 4))
     a = rng.normal(size=(dim, dim))
     cov = a @ a.T * 10.0 ** rng.uniform(-4, -2) + np.diag(10.0 ** rng.uniform(-4, -1, dim))
@@ -269,18 +255,11 @@ def random_case(rng):
     caps = 10.0 ** rng.uniform(-4, -1.5, size=dim)
     eta = np.where(rng.random(dim) < 0.5, 0.0, 10.0 ** rng.uniform(0, 3, size=dim))
     m = int(rng.integers(0, 9))
-    levels = (1e-4, 1e-3, 1e-2)       # few values, so error sizes tie often
+    levels = (1e-4, 1e-3, 1e-2)       # few values, so variances tie often
     ids = rng.permutation(np.arange(1, 3 * m + 2))[:m]
-    fleet = []
-    for agent_id in ids.tolist():
-        if rng.random() < 0.15:
-            features = rng.choice(dim, size=2, replace=False).tolist()
-            fleet.append(two_row_agent(agent_id, features,
-                                       rng.choice(levels, size=2).tolist(), dim))
-        else:
-            fleet.append(scalar_agent(agent_id, int(rng.integers(dim)),
-                                      float(rng.choice(levels)),
-                                      distance=float(rng.uniform(1, 20)), dim=dim))
+    fleet = [scalar_agent(agent_id, int(rng.integers(dim)), float(rng.choice(levels)),
+                          distance=float(rng.uniform(1, 20)), dim=dim)
+             for agent_id in ids.tolist()]
     capacity = int(rng.integers(0, m + 2))
     return prior, QosThresholds(caps, eta), fleet, capacity
 

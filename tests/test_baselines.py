@@ -167,6 +167,28 @@ class TestTraditional:
         assert decision.posterior.cov[1, 1] == pytest.approx(0.001)
         assert len(decision.selected_ids) == 2
 
+    def test_each_feature_gets_its_own_agents_variance(self):
+        # three agents per feature, every variance different: the variance
+        # substituted for feature k is that of the agent read for k
+        fleet = [scalar_agent(i + 1, i % 3, 10.0 ** -(i + 1), dim=3) for i in range(9)]
+        by_id = {a.agent_id: a for a in fleet}
+        prior = Belief(np.zeros(3), np.full((3, 3), 0.01) + np.eye(3), qi=4)
+        truth = np.array([0.5, -0.25, 2.0])
+        read = set()
+        for seed in range(20):
+            decision = baseline_schedule(
+                SchedulingMode.TRADITIONAL, prior, fleet, 10,
+                np.random.default_rng(seed),
+                observe_fn=lambda model: model.matrix @ truth, traditional_count=3)
+            want = np.zeros((3, 3))
+            for agent in map(by_id.get, decision.selected_ids):
+                want[agent.feature, agent.feature] = agent.variance
+            assert sorted(by_id[i].feature for i in decision.selected_ids) == [0, 1, 2]
+            assert decision.posterior.cov.tolist() == want.tolist()
+            assert decision.posterior.mean.tolist() == truth.tolist()
+            read.update(decision.selected_ids)
+        assert len(read) == 9
+
     def test_single_agent_keeps_other_feature_prior(self):
         fleet = [scalar_agent(1, 0, 0.04)]
         prior = diag_belief(0.02, 0.0005, mean=[0.1, 0.02])

@@ -1,11 +1,14 @@
 """The names and decision fields the benchmark in ``perfbench/`` relies on.
 
 ``perfbench/workloads.py`` wraps the package's functions by looking them up
-in ``owner.__dict__`` and counts what ``scheduler.schedule`` returns; a
-rename there would crash the benchmark, so it fails here first. The file is
-loaded, never changed.
+in ``owner.__dict__`` and counts what ``scheduler.schedule`` returns, and
+its set-up builds a ``TwinLoop`` in every mode from
+``perfbench/acceptance.json``, a config with a pinned fleet; a rename or a
+change of the config format would crash the benchmark, so it fails here
+first. The files are loaded, never changed.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 import sys
@@ -14,10 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinloop import QosThresholds, agent, harness, scheduler
+from twinloop import QosThresholds, SchedulingMode, agent, harness, loop, scheduler
 from tests.helpers import diag_belief, scalar_agent
 
-WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS_PATH = PERFBENCH / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +56,13 @@ def test_schedule_decision_feeds_the_counter(workloads):
 def test_entry_points_take_the_benchmark_arguments():
     inspect.signature(agent.train).bind("config", "hyper", 0)
     inspect.signature(harness.run_monte_carlo).bind("config", policy=None, workers=1)
+
+
+@pytest.mark.parametrize("mode", list(SchedulingMode))
+def test_acceptance_config_builds_a_loop_in_every_mode(mode):
+    config = harness.ExperimentConfig.from_json_file(PERFBENCH / "acceptance.json")
+    env = loop.TwinLoop.from_config(dataclasses.replace(config, mode=mode.value),
+                                    record_trace=True)
+    assert env.mode is mode
+    assert [a.agent_id for a in env.fleet] == list(range(1, 11))
+    assert [len(m) for m in env.fleet_index.measuring] == [5, 5]

@@ -100,6 +100,29 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(path)]) == 1
 
 
+class TestPinnedFleetRecords:
+    @pytest.mark.parametrize("record, prefix", [
+        ({"id": 2, "feature": 5, "variance": 1e-4, "distance": 4.4}, "invalid input:"),
+        ({"id": 2, "feature": -1, "variance": 1e-4, "distance": 4.4}, "invalid input:"),
+        ({"id": 2, "feature": 1, "distance": 4.4}, "configuration error:"),
+    ])
+    def test_bad_record_exits_one_with_one_line(self, tmp_path, capsys,
+                                                monkeypatch, record, prefix):
+        monkeypatch.delenv("TWINLOOP_WORKERS", raising=False)
+        config = json.loads(small_config_file(tmp_path).read_text())
+        config["fleet"]["agents"] = [
+            {"id": 1, "feature": 0, "variance": 6e-3, "distance": 11.5}, record]
+        path = tmp_path / "pinned.json"
+        path.write_text(json.dumps(config))
+        code = main(["evaluate", "--config", str(path), "--mode", "cost_greedy",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrain:
     def test_tiny_training_run(self, tmp_path):
         config_path = small_config_file(tmp_path, total_steps=256)

@@ -64,6 +64,7 @@ class TestStack:
         stacked = stack([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.02)])
         np.testing.assert_allclose(stacked.matrix, [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(stacked.noise_cov, np.diag([0.01, 0.02]))
+        assert same_bits(stacked.noise_std, np.sqrt([0.01, 0.02]))
 
     def test_permutation_permutes_rows(self):
         a, b = scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.02)
@@ -147,7 +148,7 @@ class TestUpdate:
 
 def _scalar_1d_agent(variance):
     from twinloop import SensingAgentSpec
-    return SensingAgentSpec(1, np.array([[1.0]]), np.array([[variance]]), 5.0)
+    return SensingAgentSpec(1, 0, variance, 5.0, state_dim=1)
 
 
 class TestProperties:

@@ -9,7 +9,8 @@ import pytest
 from twinloop import (ConfigurationError, EpisodeMetrics, ExperimentConfig,
                       SchedulingMode, TwinLoop, aggregate_metrics,
                       export_traces, run_episode, run_monte_carlo)
-from twinloop.errors import NumericalFailureError, TrainingFailureError
+from twinloop.errors import (InvalidInputError, NumericalFailureError,
+                             TrainingFailureError)
 from twinloop.harness import fresh_policy
 from twinloop.agent import train
 
@@ -62,6 +63,19 @@ class TestConfig:
             data.update(patch)
             with pytest.raises(ConfigurationError):
                 ExperimentConfig.from_dict(data).validate()
+
+    @pytest.mark.parametrize("fleet, error", [
+        ({"count": 1}, ConfigurationError),
+        ({"agents": [{"id": 1, "feature": 0, "variance": 0.01}]}, ConfigurationError),
+        ({"agents": [{"id": 1, "feature": 2, "variance": 0.01, "distance": 5.0}]},
+         InvalidInputError),
+    ])
+    def test_bad_fleet_rejected_before_any_episode(self, fleet, error):
+        # in validate, so a parallel run fails as a whole, not once per episode
+        data = small_config().to_dict()
+        data["fleet"].update(fleet)
+        with pytest.raises(error):
+            ExperimentConfig.from_dict(data).validate()
 
     def test_explicit_fleet_wins(self):
         config = small_config()

@@ -1,17 +1,22 @@
-"""Invariants of fusion and scheduling as properties over drawn inputs.
+"""Invariants of fusion, scheduling and the link budget as properties over
+drawn inputs.
 
 Each property is derandomized with a fixed number of examples and no example
 database, so every run draws the same inputs and Tier-1 stays deterministic.
 Tolerances allow roundoff of a few float64 ulps of the prior's scale.
 """
 
-import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import math
 
-from twinloop import estimator, schedule
-from twinloop.estimator import posterior_cov
-from tests.helpers import random_case, scalar_agent, two_row_agent
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import stats
+
+from twinloop import SchedulingMode, baseline_schedule, estimator, schedule
+from twinloop.channel import inverse_gaussian_q, y_q
+from twinloop.estimator import StackedObservationModel, posterior_cov
+from tests.helpers import random_case, seeded_reader
 
 PROPERTY = settings(max_examples=300, derandomize=True, deadline=None,
                     database=None)
@@ -20,7 +25,10 @@ PROPERTY = settings(max_examples=300, derandomize=True, deadline=None,
 @st.composite
 def prior_and_selection(draw):
     """A positive definite prior of 1-4 features (variances 1e-6 to 10,
-    correlated) and a selection of one-row and two-row agents on it."""
+    correlated) and an observation model on it of one-hot rows with their
+    own noise and, from two features on, two-row blocks with correlated
+    noise (unit and half gain). ``posterior_cov`` takes any model, so the
+    blocks keep its general ``solve`` path covered."""
     dim = draw(st.integers(1, 4))
     unit = st.floats(-1.0, 1.0)
     factor = np.array(draw(st.lists(unit, min_size=dim * dim, max_size=dim * dim)))
@@ -29,16 +37,28 @@ def prior_and_selection(draw):
     cov = estimator.symmetrize(factor.reshape(dim, dim) @ factor.reshape(dim, dim).T
                                * scale + np.diag(10.0 ** np.array(floor)))
     variance = st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e)
-    agents = []
-    for agent_id in range(1, draw(st.integers(1, 6)) + 1):
+    rows, blocks = [], []
+    for _ in range(draw(st.integers(1, 6))):
         if dim >= 2 and draw(st.booleans()):
-            features = draw(st.permutations(range(dim)))[:2]
-            agents.append(two_row_agent(agent_id, features,
-                                        [draw(variance), draw(variance)], dim))
+            first, second = draw(st.permutations(range(dim)))[:2]
+            h = np.zeros((2, dim))
+            h[0, first], h[1, second] = 1.0, 0.5
+            v0, v1 = draw(variance), draw(variance)
+            c = 0.3 * math.sqrt(v0 * v1)
+            rows.append(h)
+            blocks.append(np.array([[v0, c], [c, v1]]))
         else:
-            agents.append(scalar_agent(agent_id, draw(st.integers(0, dim - 1)),
-                                       draw(variance), dim=dim))
-    return cov, estimator.stack(agents)
+            h = np.zeros((1, dim))
+            h[0, draw(st.integers(0, dim - 1))] = 1.0
+            rows.append(h)
+            blocks.append(np.array([[draw(variance)]]))
+    matrix = np.vstack(rows)
+    noise = np.zeros((matrix.shape[0], matrix.shape[0]))
+    at = 0
+    for block in blocks:
+        noise[at:at + len(block), at:at + len(block)] = block
+        at += len(block)
+    return cov, StackedObservationModel(matrix, noise, tuple(range(1, len(blocks) + 1)))
 
 
 @PROPERTY
@@ -67,3 +87,44 @@ def test_selection_never_exceeds_capacity(seed, capacity):
     assert len(decision.selected_ids) <= capacity
     assert len(decision.selected_ids) == decision.iterations
     assert len(set(decision.selected_ids)) == len(decision.selected_ids)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.sampled_from(SchedulingMode))
+def test_satisfied_reports_the_caps_met(seed, capacity, mode):
+    # with the readings fused, so the posterior is the one the loop keeps
+    prior, thresholds, fleet, _ = random_case(np.random.default_rng(seed))
+    reader = seeded_reader(seed, prior)
+    if mode is SchedulingMode.REVERB:
+        decision = schedule(prior, thresholds, fleet, capacity, observe_fn=reader)
+    else:
+        decision = baseline_schedule(mode, prior, fleet, capacity,
+                                     np.random.default_rng(seed), observe_fn=reader,
+                                     thresholds=thresholds, true_state=prior.mean)
+    met = decision.posterior.cov.diagonal() <= thresholds.effective_caps
+    assert np.array_equal(decision.satisfied, met)
+    assert bool(decision.satisfied.all()) == bool(met.all())
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12))
+def test_greedy_stopping_with_room_left_meets_every_cap(seed, capacity):
+    # The loop stops early only when every cap holds or when no violated
+    # feature has an agent left; so with capacity to spare and an unchosen
+    # agent for every violated feature, nothing can be violated.
+    prior, thresholds, fleet, _ = random_case(np.random.default_rng(seed))
+    decision = schedule(prior, thresholds, fleet, capacity)
+    violated = np.nonzero(~decision.satisfied)[0].tolist()
+    unchosen = {a.feature for a in fleet if a.agent_id not in decision.selected_ids}
+    if len(decision.selected_ids) < capacity and set(violated) <= unchosen:
+        assert decision.satisfied.all()
+
+
+@PROPERTY
+@given(st.floats(5.0, 25.0), st.floats(-9.0, math.log10(3e-2)))
+def test_threshold_meets_the_outage_target(rician_db, log_epsilon):
+    # strong line of sight only: outside it y_q raises WeakLineOfSightError
+    g, epsilon = 10.0 ** (rician_db / 10.0), 10.0 ** log_epsilon
+    assume(math.sqrt(2.0 * g) > inverse_gaussian_q(epsilon))
+    y = y_q(g, epsilon)
+    assert abs(stats.ncx2.cdf(y * y, 2, 2.0 * g) / epsilon - 1.0) <= 1e-10

@@ -11,8 +11,7 @@ from twinloop import (Belief, InvalidInputError, QosThresholds,
 from twinloop.estimator import posterior_cov, stack
 from twinloop.sensing import FleetIndex
 from tests.helpers import (diag_belief, random_case, reference_schedule, same_bits,
-                           scalar_agent, seeded_observer, seeded_reader,
-                           two_row_agent)
+                           scalar_agent, seeded_observer, seeded_reader)
 
 
 class TestEffectiveThresholds:
@@ -150,7 +149,7 @@ class TestScheduleProperties:
                 assert decision.selected_ids == ()
             elif capacity > 0 and any(
                     np.diag(prior.cov)[k] > thresholds.effective_caps[k]
-                    and any(np.any(a.observation_matrix[:, k] != 0) for a in fleet)
+                    and any(a.feature == k for a in fleet)
                     for k in range(2)):
                 assert len(decision.selected_ids) >= 1
             # posterior diagonal never above prior diagonal
@@ -168,7 +167,7 @@ class TestScheduleProperties:
             decision = schedule(prior, thresholds, fleet, capacity)
             for agent_id in decision.selected_ids:
                 agent = next(a for a in fleet if a.agent_id == agent_id)
-                feature = agent.measured_features[0]
+                feature = agent.feature
                 before = running_cov[feature, feature]
                 chosen.append(agent)
                 running_cov, _ = posterior_cov(prior.cov, stack(chosen))
@@ -199,7 +198,7 @@ class TestScheduleProperties:
             decision = schedule(prior, thresholds, fleet, capacity)
             if brute_can:
                 assert decision.satisfied.all(), (
-                    prior.cov, caps, [(a.agent_id, a.noise_cov[0, 0]) for a in fleet],
+                    prior.cov, caps, [(a.agent_id, a.variance) for a in fleet],
                     capacity, decision)
 
 
@@ -216,8 +215,7 @@ class TestMatchesReference:
 
     def test_randomized_instances(self):
         rng = np.random.default_rng(2024)
-        seen = {"tie": 0, "two_row": 0, "empty": 0, "zero_capacity": 0,
-                "selected": 0}
+        seen = {"tie": 0, "empty": 0, "zero_capacity": 0, "selected": 0}
         for case in range(1500):
             prior, thresholds, fleet, capacity = random_case(rng)
             want = reference_schedule(prior, thresholds, fleet, capacity,
@@ -228,9 +226,8 @@ class TestMatchesReference:
                 self.assert_same(got, want)
             self.assert_same(schedule(prior, thresholds, fleet, capacity),
                              reference_schedule(prior, thresholds, fleet, capacity))
-            sizes = [a.error_size for a in fleet]
-            seen["tie"] += len(set(sizes)) < len(sizes)
-            seen["two_row"] += any(a.observation_matrix.shape[0] == 2 for a in fleet)
+            variances = [a.variance for a in fleet]
+            seen["tie"] += len(set(variances)) < len(variances)
             seen["empty"] += not fleet
             seen["zero_capacity"] += capacity == 0
             seen["selected"] += len(want.selected_ids) > 1
@@ -270,17 +267,6 @@ class TestMatchesReference:
                 prior, basic_thresholds(), list(getattr(given, "agents", given)),
                 capacity))
 
-    def test_single_two_row_agent(self):
-        prior = Belief(np.array([0.1, -0.2]),
-                       np.array([[0.05, 0.001], [0.001, 0.004]]), qi=3)
-        fleet = [two_row_agent(4, [0, 1], [0.003, 0.0004], dim=2)]
-        got = schedule(prior, basic_thresholds(), fleet, capacity=2,
-                       observe_fn=seeded_reader(0, prior))
-        assert got.selected_ids == (4,) and got.iterations == 1
-        self.assert_same(got, reference_schedule(
-            prior, basic_thresholds(), fleet, capacity=2,
-            observe_fn=seeded_observer(0, prior)))
-
     def test_one_posterior_per_selection(self, monkeypatch):
         calls = []
         original = estimator.posterior_cov
@@ -319,6 +305,7 @@ class TestFleetIndex:
             want = stack([fleet[p] for p in positions])
             assert np.array_equal(got.matrix, want.matrix)
             assert np.array_equal(got.noise_cov, want.noise_cov)
+            assert same_bits(got.noise_std, want.noise_std)
             assert got.matrix.flags.c_contiguous and got.noise_cov.flags.c_contiguous
             assert got.agent_ids == want.agent_ids
 
@@ -329,7 +316,9 @@ class TestFleetIndex:
         index = FleetIndex(fleet)
         assert index.by_error == (1, 2, 0)
         assert index.by_distance == (2, 1, 0)
+        assert index.measuring == ((0, 2), (1,))
         assert index.by_feature == ((2, 0), (1,))
+        assert index.variance.tolist() == [0.01, 0.001, 0.001]
         assert index.state_dim == 2
         assert FleetIndex.of(index) is index
 
@@ -339,6 +328,8 @@ class TestFleetIndex:
             index.by_error = ()
         with pytest.raises(ValueError):
             index.matrix[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            index.variance[0] = 2.0
 
     def test_mixed_state_dimensions_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -379,12 +370,10 @@ class TestFleetIndex:
     def test_memoised_models_are_read_only(self):
         index = FleetIndex([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)])
         model = index.stacked([1, 0])
-        assert not model.matrix.flags.writeable
-        assert not model.noise_cov.flags.writeable
-        with pytest.raises(ValueError):
-            model.matrix[0, 0] = 2.0
-        with pytest.raises(ValueError):
-            model.noise_cov[0, 0] = 2.0
+        for array in (model.matrix, model.noise_cov, model.noise_std):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 2.0
 
 
 class TestWeightedObjective:

@@ -6,7 +6,7 @@ import pytest
 from twinloop import (ConfigurationError, InvalidInputError, SensingAgentSpec,
                       agents_measuring, fleet_from_json, fleet_to_json,
                       observe, place_agents)
-from twinloop.sensing import FleetIndex, read
+from twinloop.sensing import FleetIndex, agent_from_record, read
 from tests.helpers import random_case, same_bits, scalar_agent
 
 
@@ -59,12 +59,11 @@ class TestObserve:
             observe(agent, np.array([1.0, 2.0, 3.0]), np.random.default_rng(0))
 
     def test_returns_a_float_vector_per_observation_row(self):
-        agent = SensingAgentSpec(1, np.array([[1.0, 0.0], [0.5, 1.0]]),
-                                 np.diag([0.01, 0.02]), 5.0)
-        values = observe(agent, [1, 2], np.random.default_rng(0), noiseless=True)
+        agent = SensingAgentSpec(1, 2, 0.01, 5.0, state_dim=3)
+        values = observe(agent, [1, 2, 3], np.random.default_rng(0), noiseless=True)
         assert isinstance(values, np.ndarray)
-        assert values.shape == (2,) and values.dtype == np.float64
-        np.testing.assert_array_equal(values, [1.0, 2.5])
+        assert values.shape == (1,) and values.dtype == np.float64
+        np.testing.assert_array_equal(values, [3.0])
 
     def test_non_finite_reading_rejected(self):
         agent = scalar_agent(7, 0, 0.01)
@@ -75,14 +74,22 @@ class TestObserve:
 
 class TestAgentSpecValidation:
     def test_rejects_singular_noise(self):
-        with pytest.raises(InvalidInputError):
-            SensingAgentSpec(1, np.array([[1.0, 0.0]]),
-                             np.array([[0.0]]), 5.0)
+        for variance in (0.0, -0.1, np.nan):
+            with pytest.raises(InvalidInputError):
+                SensingAgentSpec(1, 0, variance, 5.0)
 
-    def test_rejects_zero_observation_row(self):
-        with pytest.raises(InvalidInputError):
-            SensingAgentSpec(1, np.array([[0.0, 0.0]]),
-                             np.array([[0.1]]), 5.0)
+    @pytest.mark.parametrize("feature, state_dim", [(2, 2), (-1, 2), (5, 2), (0, 0)])
+    def test_rejects_feature_outside_the_state(self, feature, state_dim):
+        with pytest.raises(InvalidInputError, match="feature"):
+            SensingAgentSpec(1, feature, 0.1, 5.0, state_dim)
+
+    def test_derived_model_is_one_read_only_unit_row(self):
+        agent = SensingAgentSpec(4, 1, 0.02, 5.0, state_dim=3)
+        np.testing.assert_array_equal(agent.observation_matrix, [[0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(agent.noise_cov, [[0.02]])
+        for array in (agent.observation_matrix, agent.noise_cov):
+            with pytest.raises(ValueError):
+                array[0, 0] = 2.0
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(InvalidInputError):
@@ -109,15 +116,14 @@ class TestPlacement:
         b = place_agents(rng=np.random.default_rng(3), **kwargs)
         for x, y in zip(a, b):
             assert x.distance_m == y.distance_m
-            np.testing.assert_array_equal(x.noise_cov, y.noise_cov)
+            assert x.variance == y.variance
 
     def test_variances_within_levels(self):
         fleet = place_agents(40, 20.0, [1e-3, 1e-1], [1e-4, 1e-2],
                              np.random.default_rng(1))
         for agent in fleet:
-            lo, hi = ((1e-3, 1e-1) if agent.measured_features == (0,)
-                      else (1e-4, 1e-2))
-            assert lo <= agent.noise_cov[0, 0] <= hi
+            lo, hi = (1e-3, 1e-1) if agent.feature == 0 else (1e-4, 1e-2)
+            assert lo <= agent.variance <= hi
 
     def test_impossible_coverage_is_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -144,10 +150,37 @@ class TestSerialization:
         back = fleet_from_json(text)
         assert len(back) == len(fleet)
         for x, y in zip(fleet, back):
-            assert x.agent_id == y.agent_id
-            assert x.distance_m == y.distance_m
+            assert x == y
             np.testing.assert_array_equal(x.observation_matrix, y.observation_matrix)
             np.testing.assert_array_equal(x.noise_cov, y.noise_cov)
+
+    def test_fleet_of_another_state_dimension_rejected(self):
+        with pytest.raises(InvalidInputError):
+            fleet_to_json([scalar_agent(1, 2, 0.01, dim=3)])
+
+
+class TestPinnedRecords:
+    RECORD = {"id": 3, "feature": 1, "variance": 2e-3, "distance": 7.5}
+
+    def test_builds_the_agent(self):
+        assert agent_from_record(self.RECORD) == SensingAgentSpec(3, 1, 2e-3, 7.5)
+
+    @pytest.mark.parametrize("field", ["id", "feature", "variance", "distance"])
+    def test_missing_field_is_a_configuration_error(self, field):
+        record = {k: v for k, v in self.RECORD.items() if k != field}
+        with pytest.raises(ConfigurationError, match=field):
+            agent_from_record(record)
+
+    @pytest.mark.parametrize("record", [dict(RECORD, variance="small"),
+                                        dict(RECORD, feature=None), [1, 0, 0.1, 2.0]])
+    def test_value_that_is_not_a_number_is_a_configuration_error(self, record):
+        with pytest.raises(ConfigurationError):
+            agent_from_record(record)
+
+    @pytest.mark.parametrize("feature", [2, 5, -1])
+    def test_feature_outside_the_state_is_invalid_input(self, feature):
+        with pytest.raises(InvalidInputError, match="feature"):
+            agent_from_record(dict(self.RECORD, feature=feature))
 
 
 class TestMatchesReference:
@@ -156,7 +189,7 @@ class TestMatchesReference:
     def test_read_matches_per_agent_observe(self):
         # a part of the selection and all of it, each in a random order
         rng = np.random.default_rng(31)
-        seen = {"two_row": 0, "reordered": 0}
+        seen = {"several": 0, "reordered": 0}
         for case in range(1500):
             prior, _, fleet, _ = random_case(rng)
             if not fleet:
@@ -170,8 +203,7 @@ class TestMatchesReference:
                 want = np.concatenate([observe(index.agents[p], state, draws)
                                        for p in selection])
                 assert same_bits(got, want)
-                seen["two_row"] += any(index.agents[p].observation_matrix.shape[0] == 2
-                                       for p in selection)
+                seen["several"] += len(selection) > 1
                 seen["reordered"] += list(selection) != sorted(selection)
         assert min(seen.values()) >= 20, seen
 
