@@ -177,8 +177,8 @@ def required_power(distance_m: float, params: ChannelParams) -> float:
     path-loss distance term d^alpha and with the rate demand
     2^(D / (tau_max W)) - 1.
     """
-    if not distance_m > 0:
-        raise InvalidInputError("distance must be positive")
+    if not 0 < distance_m < math.inf:
+        raise InvalidInputError("distance must be positive and finite")
     y = y_q(params.rician_factor, params.outage_epsilon)
     rate_demand = 2.0 ** (params.packet_bits
                           / (params.latency_max_s * params.bandwidth_hz)) - 1.0

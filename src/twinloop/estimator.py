@@ -6,23 +6,31 @@ process noise). ``stack`` combines several agents' observation rows and
 noise variances into one joint model, ``posterior_cov`` gives the
 Joseph-form posterior covariance and the Kalman gain of a stacked model, and
 ``fused_mean`` the posterior mean once the readings arrive (the schedulers'
-shared fusion tail calls both).
-``update`` fuses a stacked observation vector in one call. The Joseph form
-keeps the covariance symmetric positive semidefinite under roundoff; it
-agrees with the plain (I - K H) P form in exact arithmetic. Every agent
-reads one feature with independent noise, so a stacked model has one-hot
-rows and a diagonal noise covariance; ``posterior_cov``, ``update`` and
-``predict`` do not rely on that and take any observation model.
+shared fusion tail calls it). ``scalar_posterior_cov`` is the one-reading
+case written for a one-hot row: a rank-1 Joseph step with a scalar
+innovation and no LAPACK call. The value-of-information scheduler chains
+one per pick; since agent noises are independent, the chain gives the batch
+posterior of the whole selection up to roundoff (sequential processing of
+uncorrelated measurements). ``update`` fuses a stacked observation vector
+in one call. The Joseph form keeps the covariance symmetric positive
+semidefinite under roundoff; it agrees with the plain (I - K H) P form in
+exact arithmetic. Every agent reads one feature with independent noise, so
+a stacked model has one-hot rows and a diagonal noise covariance;
+``posterior_cov``, ``update`` and ``predict`` do not rely on that, take any
+observation model, and are the references the rank-1 step is tested
+against.
 
 Each covariance is symmetrized once, by the function that computes it:
-``predict`` and ``posterior_cov`` return symmetric matrices, and a ``Belief``
-stores the covariance it is given as it is. Code that builds a belief from
-its own matrix passes a symmetric one (``symmetrize`` makes it so).
+``predict`` and ``posterior_cov`` return symmetric matrices, as
+``scalar_posterior_cov`` does by construction, and a ``Belief`` stores the
+covariance it is given as it is. Code that builds a belief from its own
+matrix passes a symmetric one (``symmetrize`` makes it so).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +151,27 @@ def posterior_cov(prior_cov, stacked: StackedObservationModel):
     ikh = identity(prior_cov.shape[0]) - gain @ h
     cov = ikh @ prior_cov @ ikh.T + gain @ stacked.noise_cov @ gain.T
     return symmetrize(cov), gain
+
+
+def scalar_posterior_cov(cov, feature: int, variance: float) -> np.ndarray:
+    """Joseph-form posterior covariance after one reading of ``feature``
+    with noise ``variance``: the rank-1 update of ``cov`` by a one-hot row.
+
+    With c = P[:, k], s = c[k] + r and g = c / s, the Joseph form
+    (I - g h) P (I - g h)^T + r g g^T is P - (g c^T + c g^T) + s g g^T.
+    Each term is symmetric bit for bit (a product and a sum of two floats
+    do not depend on their order), so the result needs no ``symmetrize``.
+    ``cov`` must be finite and symmetric, as ``predict`` and this function
+    return it. Raises NumericalFailureError unless TINY <= s < inf, the
+    one-row case of the conditioning guard.
+    """
+    c = cov[:, feature]
+    s = float(c[feature]) + variance
+    if not TINY <= s < math.inf:
+        raise NumericalFailureError("ill-conditioned innovation covariance")
+    g = c * (1.0 / s)
+    gc = g[:, None] * c
+    return cov - (gc + gc.T) + s * (g[:, None] * g)
 
 
 def _ill_conditioned(s) -> bool:

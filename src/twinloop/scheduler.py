@@ -5,20 +5,25 @@ under the tighter of the twin's own cap and the accuracy the control agent
 requested (effective cap = min(cap, 1/eta)). Starting from the blind prior,
 the selector repeatedly picks the violated feature with the largest
 variance-to-cap ratio among features still measurable by an available agent,
-schedules the cheapest-error agent measuring it, and recomputes the joint
-posterior covariance — observation values are not needed for that, so the
-actual measurements are requested once, for the final selection, and fused
-with the gain already computed for it. The loop stops when every cap holds,
-the uplink capacity is exhausted, or no violated feature has an agent left.
+schedules the cheapest-error agent measuring it, and updates the posterior
+covariance with that agent's one reading: a rank-1 Joseph step of the
+previous posterior (``estimator.scalar_posterior_cov``), exact because every
+agent reads one feature with independent noise. Observation values are not
+needed for that, so the readings are requested once, for the final
+selection, and fused with the joint gain K = P+ H^T R^-1, which the final
+posterior gives without a solve. The loop stops when every cap holds, the
+uplink capacity is exhausted, or no violated feature has an agent left.
 That last step, reading and fusing a selection whose covariance and gain are
-known, is ``_fused_decision``; the greedy baselines end in it too.
-Per-fleet lookups (agents per feature in cost order, the stacked model of
-each ordered selection) come from a ``sensing.FleetIndex`` built once per
-fleet. The scheduler trusts what the layers before it checked: the prior
-covariance is symmetric (``estimator.predict`` made it so), the readings are
-finite (``sensing.read`` checked them), and the posterior covariance comes
-symmetrized from ``estimator.posterior_cov``. The shape of what
-``observe_fn`` returns is checked once, by ``_readings``.
+known, is ``_fused_decision``; the greedy baselines end in it too, with the
+covariance and gain of one batch ``estimator.posterior_cov`` call.
+Per-fleet lookups (agents per feature in cost order, each agent's feature
+and noise variance, the stacked model of each ordered selection) come from a
+``sensing.FleetIndex`` built once per fleet. The scheduler trusts what the
+layers before it checked: the prior covariance is finite and symmetric
+(``estimator.predict`` made it so), the readings are finite
+(``sensing.read`` checked them), and each rank-1 step returns a symmetric
+covariance. The shape of what ``observe_fn`` returns is checked once, by
+``_readings``.
 """
 
 from __future__ import annotations
@@ -115,9 +120,8 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
     if capacity < 0:
         raise InvalidInputError("capacity must be nonnegative")
 
-    prior_cov = prior.cov
-    cov = prior_cov
-    stacked = gain = None
+    cov = prior.cov
+    features, variance = index.features, index.variance
     chosen = []           # fleet positions, in selection order
     limit = min(capacity, len(index))
 
@@ -138,10 +142,15 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
         # largest ratio wins; ties break on the lowest feature index
         candidates = list(picks)
         ratios = diag[candidates] / caps[candidates]
-        chosen.append(picks[candidates[int(ratios.argmax())]])
-        stacked = index.stacked(chosen)
-        cov, gain = estimator.posterior_cov(prior_cov, stacked)
+        pick = picks[candidates[int(ratios.argmax())]]
+        chosen.append(pick)
+        cov = estimator.scalar_posterior_cov(cov, features[pick], variance[pick])
 
+    stacked = gain = None
+    if chosen:
+        # K = P+ H^T R^-1: H^T picks the measured columns, R is diagonal
+        stacked = index.stacked(chosen)
+        gain = cov[:, [features[p] for p in chosen]] * (1.0 / variance[chosen])
     return _fused_decision(prior, index, chosen, stacked, cov, gain, caps,
                            observe_fn)
 
@@ -150,9 +159,9 @@ def _fused_decision(prior: Belief, index, chosen, stacked, cov, gain, caps,
                     observe_fn) -> ScheduleDecision:
     """The decision that fuses the agents at fleet positions ``chosen``.
 
-    ``stacked`` is their joint model, and ``cov`` and ``gain`` are what
-    ``estimator.posterior_cov`` returned for it; none of the three is read
-    when nothing was chosen. The readings are ``observe_fn(stacked)``;
+    ``stacked`` is their joint model, and ``cov`` and ``gain`` are its
+    posterior covariance and Kalman gain; none of the three is read when
+    nothing was chosen. The readings are ``observe_fn(stacked)``;
     without it the posterior keeps the prior mean. ``caps`` None counts
     every cap as met.
     """

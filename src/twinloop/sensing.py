@@ -15,6 +15,8 @@ memoises the stacked model of each ordered selection it is asked for.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +51,10 @@ class SensingAgentSpec:
         if not 0 <= self.feature < self.state_dim:
             raise InvalidInputError(f"agent {self.agent_id}: feature {self.feature} "
                                     f"is not in 0..{self.state_dim - 1}")
-        if not self.variance > 0:
-            raise InvalidInputError("noise variance must be positive")
-        if not self.distance_m > 0:
-            raise InvalidInputError("distance must be positive")
+        if not 0 < self.variance < math.inf:
+            raise InvalidInputError("noise variance must be positive and finite")
+        if not 0 < self.distance_m < math.inf:
+            raise InvalidInputError("distance must be positive and finite")
         h = np.zeros((1, self.state_dim))
         h[0, self.feature] = 1.0
         noise = np.array([[self.variance]], dtype=float)
@@ -141,9 +143,10 @@ class FleetIndex:
     ``by_distance`` order the whole fleet by (variance, agent_id) and
     (distance_m, agent_id); ``measuring[k]`` lists the agents measuring
     feature k in fleet order, and ``by_feature[k]`` lists them in
-    ``by_error`` order. ``matrix`` stacks every agent's observation row and
-    ``variance`` holds every agent's noise variance, in fleet order, so the
-    model of a selection is an indexed copy of them. ``stacked`` keeps the
+    ``by_error`` order. ``features`` holds the feature each agent reads,
+    ``matrix`` stacks every agent's observation row and ``variance`` holds
+    every agent's noise variance, all in fleet order, so the model of a
+    selection is an indexed copy of them. ``stacked`` keeps the
     first ``STACKED_MEMO_LIMIT`` models it builds, keyed by the ordered
     selection.
     """
@@ -162,6 +165,7 @@ class FleetIndex:
             matrix, ids = whole.matrix, whole.agent_ids
         else:
             matrix, ids = np.zeros((0, 0)), ()
+        features = tuple(a.feature for a in agents)
         variance = np.array([a.variance for a in agents], dtype=float)
         for array in (matrix, variance):
             array.setflags(write=False)
@@ -173,7 +177,8 @@ class FleetIndex:
                           for k in range(state_dim or 0))
         by_feature = tuple(tuple(p for p in by_error if p in m) for m in measuring)
         for name, value in (("agents", agents), ("ids", ids),
-                            ("state_dim", state_dim), ("matrix", matrix),
+                            ("state_dim", state_dim), ("features", features),
+                            ("matrix", matrix),
                             ("variance", variance), ("by_error", by_error),
                             ("by_distance", by_distance), ("measuring", measuring),
                             ("by_feature", by_feature), ("_stacked", {})):
@@ -221,16 +226,25 @@ def agent_from_record(record, state_dim: int = 2) -> SensingAgentSpec:
     """The agent of one pinned-fleet record {id, feature, variance, distance}.
 
     Raises ConfigurationError when a field is missing or is not a number,
-    and InvalidInputError, from the spec, when the feature is not in
-    0..state_dim-1 or the variance or distance is not positive.
+    or when the id or feature is not an integer (a bool, 2.9 and 2.0 are
+    not), and InvalidInputError, from the spec, when the feature is not in
+    0..state_dim-1 or the variance or distance is not positive and finite.
     """
     try:
-        fields = (int(record["id"]), int(record["feature"]),
+        fields = (_integer(record["id"]), _integer(record["feature"]),
                   float(record["variance"]), float(record["distance"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad fleet record {record!r}: a field is missing or "
-                                 f"not a number ({type(exc).__name__}: {exc})") from None
+                                 f"malformed ({type(exc).__name__}: {exc})") from None
     return SensingAgentSpec(*fields, state_dim)
+
+
+def _integer(value) -> int:
+    """``value`` as an int when it is an integer and not a bool; TypeError
+    otherwise, so that no id or feature is truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def fleet_to_json(fleet, state_dim: int = 2) -> str:

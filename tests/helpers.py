@@ -298,6 +298,16 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def relative_error(got, want) -> float:
+    """Largest absolute difference over the largest absolute entry of
+    ``want``: 0 for equal arrays, inf for a nonzero difference from zeros."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, (got.shape, want.shape)
+    diff = np.abs(got - want).max(initial=0.0)
+    scale = np.abs(want).max(initial=0.0)
+    return 0.0 if diff == 0.0 else diff / scale
+
+
 def edgy_floats(rng, size, scale=1.0, specials=(0.0, -0.0, 1.0, -1.0)):
     """Normal draws at ``scale`` with some entries swapped for ``specials``."""
     x = rng.normal(scale=scale, size=size)

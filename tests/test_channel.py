@@ -122,6 +122,11 @@ class TestRequiredPower:
         with pytest.raises(InvalidInputError):
             required_power(0.0, table_params())
 
+    @pytest.mark.parametrize("distance", [np.inf, np.nan, -1.0])
+    def test_distance_that_is_not_finite_and_positive_rejected(self, distance):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            required_power(distance, table_params())
+
 
 class TestRicianGain:
     def test_pure_los_limit(self):

@@ -109,6 +109,33 @@ class TestPinnedFleetRecords:
     def test_bad_record_exits_one_with_one_line(self, tmp_path, capsys,
                                                 monkeypatch, record, prefix):
         monkeypatch.delenv("TWINLOOP_WORKERS", raising=False)
+        self.assert_rejected(tmp_path, capsys, record, prefix)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("record, prefix", [
+        # an id or feature that int() would truncate
+        ({"id": 2, "feature": 1.7, "variance": 1e-4, "distance": 4.4},
+         "configuration error:"),
+        ({"id": 2.9, "feature": 1, "variance": 1e-4, "distance": 4.4},
+         "configuration error:"),
+        ({"id": 2, "feature": True, "variance": 1e-4, "distance": 4.4},
+         "configuration error:"),
+        ({"id": True, "feature": 1, "variance": 1e-4, "distance": 4.4},
+         "configuration error:"),
+        # written by json.dumps as Infinity, which json.loads reads back
+        ({"id": 2, "feature": 1, "variance": float("inf"), "distance": 4.4},
+         "invalid input:"),
+        ({"id": 2, "feature": 1, "variance": 1e-4, "distance": float("inf")},
+         "invalid input:"),
+    ], ids=["fractional-feature", "fractional-id", "bool-feature", "bool-id",
+            "infinite-variance", "infinite-distance"])
+    def test_record_that_would_run_wrongly_exits_one_with_one_line(
+            self, tmp_path, capsys, monkeypatch, record, prefix, workers):
+        monkeypatch.setenv("TWINLOOP_WORKERS", workers)
+        self.assert_rejected(tmp_path, capsys, record, prefix)
+
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, record, prefix):
         config = json.loads(small_config_file(tmp_path).read_text())
         config["fleet"]["agents"] = [
             {"id": 1, "feature": 0, "variance": 6e-3, "distance": 11.5}, record]

@@ -261,6 +261,32 @@ class TestConditioningGuard:
         cov, gain = posterior_cov(np.diag([0.5, 0.1]), stack([scalar_agent(1, 0, 0.5)]))
         assert cov[0, 0] == pytest.approx(0.25, rel=1e-15)
 
+    @pytest.mark.parametrize("prior, variance", [
+        (np.zeros((2, 2)), 0.0),
+        (np.zeros((2, 2)), 5e-324),
+        (np.diag([1e-320, 1.0]), 1e-310),     # s = 1e-310 + 1e-320, subnormal
+    ])
+    def test_scalar_step_with_a_zero_or_subnormal_innovation_raises(self, prior,
+                                                                    variance):
+        with pytest.raises(NumericalFailureError, match="ill-conditioned"):
+            estimator.scalar_posterior_cov(prior, 0, variance)
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_scalar_step_on_a_non_finite_prior_variance_raises(self, entry):
+        prior = np.diag([0.5, entry])
+        with pytest.raises(NumericalFailureError, match="ill-conditioned"):
+            estimator.scalar_posterior_cov(prior, 1, 0.01)
+
+    def test_scalar_step_with_an_infinite_noise_variance_raises(self):
+        with pytest.raises(NumericalFailureError, match="ill-conditioned"):
+            estimator.scalar_posterior_cov(np.diag([0.5, 0.1]), 0, np.inf)
+
+    def test_scalar_step_with_a_tiny_normal_innovation_passes(self):
+        cov = estimator.scalar_posterior_cov(np.zeros((2, 2)), 0, 1e-300)
+        assert np.isfinite(cov).all()
+        cov = estimator.scalar_posterior_cov(np.diag([0.5, 0.1]), 0, 0.5)
+        assert cov[0, 0] == pytest.approx(0.25, rel=1e-15) and cov[1, 1] == 0.1
+
 
 class TestSymmetrizeOnce:
     def test_identity_is_cached_and_read_only(self):

@@ -15,11 +15,24 @@ from scipy import stats
 
 from twinloop import SchedulingMode, baseline_schedule, estimator, schedule
 from twinloop.channel import inverse_gaussian_q, y_q
-from twinloop.estimator import StackedObservationModel, posterior_cov
-from tests.helpers import random_case, seeded_reader
+from twinloop.errors import NumericalFailureError
+from twinloop.estimator import (StackedObservationModel, posterior_cov,
+                                scalar_posterior_cov)
+from tests.helpers import random_case, relative_error, seeded_reader
 
 PROPERTY = settings(max_examples=300, derandomize=True, deadline=None,
                     database=None)
+
+
+def draw_prior(draw, dim, top):
+    """A positive definite ``dim`` x ``dim`` covariance: a random factor's
+    Gram matrix scaled by 10**(-6..top), plus a diagonal of 10**(-6..0)."""
+    unit = st.floats(-1.0, 1.0)
+    factor = np.array(draw(st.lists(unit, min_size=dim * dim, max_size=dim * dim)))
+    floor = draw(st.lists(st.floats(-6.0, 0.0), min_size=dim, max_size=dim))
+    scale = 10.0 ** draw(st.floats(-6.0, top))
+    return estimator.symmetrize(factor.reshape(dim, dim) @ factor.reshape(dim, dim).T
+                                * scale + np.diag(10.0 ** np.array(floor)))
 
 
 @st.composite
@@ -30,12 +43,7 @@ def prior_and_selection(draw):
     noise (unit and half gain). ``posterior_cov`` takes any model, so the
     blocks keep its general ``solve`` path covered."""
     dim = draw(st.integers(1, 4))
-    unit = st.floats(-1.0, 1.0)
-    factor = np.array(draw(st.lists(unit, min_size=dim * dim, max_size=dim * dim)))
-    floor = draw(st.lists(st.floats(-6.0, 0.0), min_size=dim, max_size=dim))
-    scale = 10.0 ** draw(st.floats(-6.0, 1.0))
-    cov = estimator.symmetrize(factor.reshape(dim, dim) @ factor.reshape(dim, dim).T
-                               * scale + np.diag(10.0 ** np.array(floor)))
+    cov = draw_prior(draw, dim, 1.0)
     variance = st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e)
     rows, blocks = [], []
     for _ in range(draw(st.integers(1, 6))):
@@ -77,6 +85,59 @@ def test_no_variance_grows_under_fusion(case):
     cov, _ = posterior_cov(prior_cov, model)
     slack = 1e-12 * np.abs(prior_cov).max()
     assert np.all(cov.diagonal() <= prior_cov.diagonal() + slack)
+
+
+@st.composite
+def prior_and_readings(draw):
+    """A correlated prior of 1-4 features (variances about 1e-6 to 1) and
+    1-6 scalar readings of it: (feature, noise variance 1e-6 to 1) pairs,
+    features repeating."""
+    dim = draw(st.integers(1, 4))
+    cov = draw_prior(draw, dim, 0.0)
+    variance = st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e)
+    reading = st.tuples(st.integers(0, dim - 1), variance)
+    return cov, draw(st.lists(reading, min_size=1, max_size=6))
+
+
+def batch_of(prior_cov, readings):
+    """The batch posterior and gain of ``readings`` as one stacked model, or
+    None where the batch guard rejects the stacked innovation."""
+    matrix = np.zeros((len(readings), prior_cov.shape[0]))
+    matrix[np.arange(len(readings)), [k for k, _ in readings]] = 1.0
+    model = StackedObservationModel(matrix, np.diag([r for _, r in readings]),
+                                    tuple(range(1, len(readings) + 1)))
+    try:
+        return posterior_cov(prior_cov, model)
+    except NumericalFailureError:
+        return None
+
+
+@PROPERTY
+@given(prior_and_readings())
+def test_scalar_steps_match_the_batch_posterior(case):
+    prior_cov, readings = case
+    batch = batch_of(prior_cov, readings)
+    assume(batch is not None)
+    cov = prior_cov
+    for k, r in readings:
+        cov = scalar_posterior_cov(cov, k, r)
+    assert relative_error(cov, batch[0]) <= 1e-9
+    # the joint gain from the posterior: K = P+ H^T R^-1
+    gain = cov[:, [k for k, _ in readings]] * (1.0 / np.array([r for _, r in readings]))
+    assert relative_error(gain, batch[1]) <= 1e-9
+
+
+@PROPERTY
+@given(prior_and_readings())
+def test_scalar_step_is_symmetric_psd_and_shrinks_variances(case):
+    prior_cov, readings = case
+    slack = 1e-12 * np.abs(prior_cov).max()
+    cov = prior_cov
+    for k, r in readings:
+        before, cov = cov, scalar_posterior_cov(cov, k, r)
+        assert np.array_equal(cov, cov.T)
+        assert np.linalg.eigvalsh(cov).min() >= -slack
+        assert np.all(cov.diagonal() <= before.diagonal() + slack)
 
 
 @PROPERTY

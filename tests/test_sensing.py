@@ -182,6 +182,25 @@ class TestPinnedRecords:
         with pytest.raises(InvalidInputError, match="feature"):
             agent_from_record(dict(self.RECORD, feature=feature))
 
+    @pytest.mark.parametrize("field, value", [
+        ("feature", 0.7), ("feature", 1.0), ("feature", True), ("feature", "1"),
+        ("id", 2.9), ("id", 3.0), ("id", True), ("id", False)])
+    def test_id_or_feature_that_is_not_an_integer_is_a_configuration_error(
+            self, field, value):
+        with pytest.raises(ConfigurationError, match="not an integer"):
+            agent_from_record(dict(self.RECORD, **{field: value}))
+
+    def test_numpy_integers_are_integers(self):
+        record = dict(self.RECORD, id=np.int64(3), feature=np.int32(1))
+        assert agent_from_record(record) == SensingAgentSpec(3, 1, 2e-3, 7.5)
+
+    @pytest.mark.parametrize("field", ["variance", "distance"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0])
+    def test_variance_or_distance_that_is_not_positive_and_finite_is_invalid(
+            self, field, value):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            agent_from_record(dict(self.RECORD, **{field: value}))
+
 
 class TestMatchesReference:
     """One draw per selection gives the bits of the per-agent readers."""
