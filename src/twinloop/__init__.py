@@ -10,7 +10,6 @@ against perfect-information, greedy and unfiltered baselines.
 
 from .agent import (AugmentedAction, CostMode, PolicyNetwork, PpoHyperparams,
                     base_reward, decode_action, shape_reward, train)
-from .baselines import SchedulingMode, baseline_schedule
 from .channel import (ChannelParams, inverse_gaussian_q, outage_probability_mc,
                       required_power, sample_rician_gain, y_q)
 from .dynamics import (PLANT_REGISTRY, LinearPlant, MountainCar,
@@ -23,8 +22,8 @@ from .harness import (ChannelConfig, EpisodeMetrics, ExperimentConfig,
                       FleetConfig, PlantConfig, aggregate_metrics,
                       export_traces, run_episode, run_monte_carlo)
 from .loop import StepResult, TwinLoop
-from .scheduler import (QosThresholds, ScheduleDecision, effective_thresholds,
-                        schedule, weighted_objective)
+from .scheduler import (ScheduleDecision, SchedulingMode, baseline_schedule,
+                        effective_thresholds, schedule, weighted_objective)
 from .sensing import (SensingAgentSpec, agents_measuring, fleet_from_json,
                       fleet_to_json, observe, place_agents)
 

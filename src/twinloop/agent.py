@@ -78,6 +78,14 @@ class PpoHyperparams:
             self.cost_mode = CostMode(self.cost_mode)
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
 
+    def to_dict(self) -> dict:
+        """Plain JSON-ready fields: the cost mode by value, the hidden sizes
+        as a list."""
+        d = asdict(self)
+        d["cost_mode"] = CostMode(self.cost_mode).value
+        d["hidden_sizes"] = list(self.hidden_sizes)
+        return d
+
 
 def base_reward(control: float, reached_goal: bool,
                 termination_bonus: float = 100.0) -> float:
@@ -308,9 +316,6 @@ class PolicyNetwork:
         v, _ = self.critic.forward(x[None, :])
         return float(v[0, 0])
 
-    def entropy(self) -> float:
-        return float(np.sum(self.logstd + 0.5 * (1.0 + LOG_2PI)))
-
     # -- persistence ---------------------------------------------------------
 
     def state_dict(self) -> dict:
@@ -318,7 +323,7 @@ class PolicyNetwork:
             "format": "twinloop-policy-v1",
             "obs_dim": self.obs_dim,
             "action_dim": self.action_dim,
-            "hyper": _hyper_to_dict(self.hyper),
+            "hyper": self.hyper.to_dict(),
             "actor": _mlp_state(self.actor),
             "critic": _mlp_state(self.critic),
             "logstd": self.logstd.tolist(),
@@ -573,9 +578,3 @@ def _mlp_load(mlp: Mlp, state: dict):
     mlp.biases = [np.asarray(b, dtype=float) for b in state["biases"]]
     mlp.sizes = tuple(state["sizes"])
 
-
-def _hyper_to_dict(hyper: PpoHyperparams) -> dict:
-    d = asdict(hyper)
-    d["cost_mode"] = CostMode(hyper.cost_mode).value
-    d["hidden_sizes"] = list(hyper.hidden_sizes)
-    return d

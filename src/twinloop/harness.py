@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import sensing
-from .agent import PolicyNetwork, PpoHyperparams, _hyper_to_dict
-from .baselines import SchedulingMode
+from .agent import PolicyNetwork, PpoHyperparams
 from .channel import ChannelParams
 from .dynamics import PLANT_REGISTRY
 from .errors import ConfigurationError, TwinloopError
 from .loop import TRACE_COLUMNS, TwinLoop, episode_seed
+from .scheduler import SchedulingMode
 
 MRMSE_DEFINITION = ("per-episode mean over query intervals of "
                     "||true_state - belief_mean||_2, averaged over episodes")
@@ -93,7 +93,12 @@ class ExperimentConfig:
             raise ConfigurationError("capacity must be >= 0")
         if not 0.0 <= self.accuracy_weight <= 1.0:
             raise ConfigurationError("accuracy_weight must lie in [0, 1]")
-        if any(c <= 0 for c in self.variance_caps):
+        try:
+            caps = np.asarray(self.variance_caps, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"variance caps must be numbers: "
+                                     f"{self.variance_caps!r}") from None
+        if not (caps > 0).all():
             raise ConfigurationError("variance caps must be positive")
         if self.plant.name not in PLANT_REGISTRY:
             raise ConfigurationError(f"unknown plant {self.plant.name!r}")
@@ -120,22 +125,13 @@ class ExperimentConfig:
             min_distance_m=f.min_distance_m)
 
     def build_channel(self) -> ChannelParams:
-        c = self.channel
-        return ChannelParams.from_config(
-            rician_factor_db=c.rician_factor_db,
-            noise_power_dbm=c.noise_power_dbm,
-            bandwidth_hz=c.bandwidth_hz,
-            outage_epsilon=c.outage_epsilon,
-            latency_max_s=c.latency_max_s,
-            packet_bits=c.packet_bits,
-            system_gain=c.system_gain,
-            path_loss_exponent=c.path_loss_exponent)
+        return ChannelParams.from_config(**dataclasses.asdict(self.channel))
 
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["rl"] = _hyper_to_dict(self.rl)
+        d["rl"] = self.rl.to_dict()
         return json.loads(json.dumps(d))   # canonical JSON types (tuples -> lists)
 
     def to_json(self) -> str:
@@ -187,14 +183,13 @@ class EpisodeMetrics:
 
 
 def run_episode(policy: PolicyNetwork, config: ExperimentConfig,
-                episode_index: int, env: TwinLoop = None,
-                rng=None) -> EpisodeMetrics:
+                episode_index: int, env: TwinLoop = None) -> EpisodeMetrics:
     """Roll one evaluation episode; numerical failures propagate."""
     if env is None:
         env = TwinLoop.from_config(config, record_trace=True)
     seed = episode_seed(config.master_seed, 2, episode_index)
     obs = env.reset(seed)
-    action_rng = rng if rng is not None else np.random.default_rng(seed.spawn(1)[0])
+    action_rng = np.random.default_rng(seed.spawn(1)[0])
     total_base = 0.0
     qis = 0
     reached = False

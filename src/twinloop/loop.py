@@ -1,10 +1,13 @@
 """The per-interval digital twin control loop shared by training and evaluation.
 
 One query interval runs: blind prediction -> policy action on the prior
-belief -> agent scheduling under the effective variance caps -> uplink power
-for the selected agents -> observation fusion -> plant step -> reward. The
-environment surface mirrors the usual gym step/reset contract so the trainer
-and the evaluation harness drive the same code.
+belief -> agent scheduling (``scheduler.schedule`` under the requested caps
+in REVERB mode, ``baseline_schedule`` under the fixed caps otherwise) ->
+uplink power for the selected agents -> observation fusion -> plant step ->
+reward. A ``TwinLoop`` takes every setting from one ``ExperimentConfig`` and
+checks the variance caps once, when it is built. The environment surface
+mirrors the usual gym step/reset contract so the trainer and the evaluation
+harness drive the same code.
 
 Episode randomness is split into independent substreams (initial state and
 process noise / observation noise / benchmark agent picks), so two modes run
@@ -22,9 +25,9 @@ import numpy as np
 from . import channel as channel_mod
 from . import estimator, scheduler, sensing
 from .agent import CostMode, base_reward, decode_action, shape_reward
-from .baselines import SchedulingMode, baseline_schedule
 from .errors import ConfigurationError, InvalidInputError, NumericalFailureError
 from .estimator import Belief
+from .scheduler import SchedulingMode, baseline_schedule
 
 # One row per query interval when a TwinLoop records its trace; the harness
 # writes trace_<i>.csv with these columns, in this order.
@@ -53,32 +56,29 @@ class StepResult:
 class TwinLoop:
     """Episode driver binding plant, fleet, filter, scheduler and channel."""
 
-    def __init__(self, plant, fleet, channel_params, variance_caps,
-                 mode=SchedulingMode.REVERB, capacity=10,
-                 kappa=5e-6, eta_max=1000.0, cost_mode=CostMode.PENALTY,
-                 traditional_count=2, termination_bonus=100.0,
-                 accuracy_weight=0.5, record_trace=False):
-        self.plant = plant
-        self.fleet = list(fleet)
+    def __init__(self, config, record_trace=False):
+        self.plant = plant = config.build_plant()
+        self.fleet = config.build_fleet()
         self.fleet_index = sensing.FleetIndex(self.fleet)
         if self.fleet_index.state_dim != plant.dim or not all(self.fleet_index.measuring):
             raise ConfigurationError("fleet does not cover exactly the plant's features")
-        self.channel_params = channel_params
-        self.variance_caps = np.asarray(variance_caps, dtype=float)
+        self.channel_params = config.build_channel()
+        # the caps are checked here, once: the non-adaptive modes are judged
+        # by these caps, and each adaptive QI applies its request to them
+        # without a second check
+        self.variance_caps = np.asarray(config.variance_caps, dtype=float)
         if self.variance_caps.shape != (plant.dim,):
             raise ConfigurationError("need one variance cap per state feature")
-        self.mode = SchedulingMode(mode)
-        # the caps are checked here, once; the non-adaptive modes never see
-        # an accuracy request, and the adaptive one applies each request to
-        # these thresholds without a second check
-        self.fixed_thresholds = scheduler.QosThresholds(self.variance_caps)
-        self.capacity = int(capacity)
-        self.kappa = float(kappa)
-        self.eta_max = float(eta_max)
-        self.cost_mode = CostMode(cost_mode)
-        self.traditional_count = int(traditional_count)
-        self.termination_bonus = float(termination_bonus)
-        self.accuracy_weight = float(accuracy_weight)
+        if not (self.variance_caps > 0).all():
+            raise ConfigurationError("variance caps must be positive")
+        self.mode = SchedulingMode(config.mode)
+        self.capacity = int(config.capacity)
+        self.kappa = float(config.rl.reward_weight)
+        self.eta_max = float(config.rl.eta_max)
+        self.cost_mode = CostMode(config.rl.cost_mode)
+        self.traditional_count = int(config.traditional_count)
+        self.termination_bonus = float(config.rl.termination_bonus)
+        self.accuracy_weight = float(config.accuracy_weight)
         self.record_trace = record_trace
 
         self.control_dim = plant.control_dim
@@ -86,7 +86,7 @@ class TwinLoop:
         self.action_dim = plant.control_dim + plant.dim
         # distances are fixed, so each agent's uplink power is a constant
         self.power_by_id = {
-            a.agent_id: channel_mod.required_power(a.distance_m, channel_params)
+            a.agent_id: channel_mod.required_power(a.distance_m, self.channel_params)
             for a in self.fleet}
 
         self._true_state = None
@@ -95,19 +95,7 @@ class TwinLoop:
 
     @classmethod
     def from_config(cls, config, record_trace=False) -> "TwinLoop":
-        return cls(plant=config.build_plant(),
-                   fleet=config.build_fleet(),
-                   channel_params=config.build_channel(),
-                   variance_caps=config.variance_caps,
-                   mode=config.mode,
-                   capacity=config.capacity,
-                   kappa=config.rl.reward_weight,
-                   eta_max=config.rl.eta_max,
-                   cost_mode=config.rl.cost_mode,
-                   traditional_count=config.traditional_count,
-                   termination_bonus=config.rl.termination_bonus,
-                   accuracy_weight=config.accuracy_weight,
-                   record_trace=record_trace)
+        return cls(config, record_trace)
 
     # -- episode control ----------------------------------------------------
 
@@ -146,16 +134,16 @@ class TwinLoop:
         control = float(action.control[0])
 
         if self.mode is SchedulingMode.REVERB:
-            thresholds = self.fixed_thresholds.with_request(action.accuracy)
-            decision = scheduler.schedule(self._prior, thresholds,
+            caps = scheduler.requested_caps(self.variance_caps, action.accuracy)
+            decision = scheduler.schedule(self._prior, caps,
                                           self.fleet_index, self.capacity,
                                           observe_fn=self._observe)
         else:
-            thresholds = self.fixed_thresholds
+            caps = self.variance_caps
             decision = baseline_schedule(
                 self.mode, self._prior, self.fleet_index, self.capacity,
                 self._pick_rng, observe_fn=self._observe,
-                thresholds=thresholds, true_state=self._true_state,
+                caps=caps, true_state=self._true_state,
                 traditional_count=self.traditional_count)
 
         power = sum(self.power_by_id[i] for i in decision.selected_ids)
@@ -179,12 +167,12 @@ class TwinLoop:
         if self.record_trace:
             ids = decision.selected_ids
             objective = scheduler.weighted_objective(
-                decision, thresholds, self.accuracy_weight,
+                decision, caps, self.accuracy_weight,
                 [self.power_by_id[i] for i in ids])
             true = self._true_state.tolist()
             mean = posterior.mean.tolist()
             std = posterior.std.tolist()
-            ratio = (self._prior.cov.diagonal() / thresholds.effective_caps).tolist()
+            ratio = (self._prior.cov.diagonal() / caps).tolist()
             eta = action.accuracy.tolist()
             self.trace.append(dict(zip(TRACE_COLUMNS, (
                 self._qi, true[0], true[1], mean[0], mean[1], std[0], std[1],

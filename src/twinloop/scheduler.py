@@ -1,34 +1,46 @@
-"""Greedy value-of-information agent selection under per-feature variance caps.
+"""One query interval's agent selection, in every scheduling mode.
 
-Each query interval the twin must bring every feature's posterior variance
+REVERB, the adaptive mode, must bring every feature's posterior variance
 under the tighter of the twin's own cap and the accuracy the control agent
-requested (effective cap = min(cap, 1/eta)). Starting from the blind prior,
-the selector repeatedly picks the violated feature with the largest
-variance-to-cap ratio among features still measurable by an available agent,
-schedules the cheapest-error agent measuring it, and updates the posterior
-covariance with that agent's one reading: a rank-1 Joseph step of the
-previous posterior (``estimator.scalar_posterior_cov``), exact because every
-agent reads one feature with independent noise. Observation values are not
-needed for that, so the readings are requested once, for the final
-selection, and fused with the joint gain K = P+ H^T R^-1, which the final
-posterior gives without a solve. The loop stops when every cap holds, the
-uplink capacity is exhausted, or no violated feature has an agent left.
-That last step, reading and fusing a selection whose covariance and gain are
-known, is ``_fused_decision``; the greedy baselines end in it too, with the
-covariance and gain of one batch ``estimator.posterior_cov`` call.
-Per-fleet lookups (agents per feature in cost order, each agent's feature
-and noise variance, the stacked model of each ordered selection) come from a
-``sensing.FleetIndex`` built once per fleet. The scheduler trusts what the
-layers before it checked: the prior covariance is finite and symmetric
-(``estimator.predict`` made it so), the readings are finite
-(``sensing.read`` checked them), and each rank-1 step returns a symmetric
-covariance. The shape of what ``observe_fn`` returns is checked once, by
-``_readings``.
+requested (effective cap = min(cap, 1/eta), ``requested_caps``). Starting
+from the blind prior, ``schedule`` repeatedly picks the violated feature
+with the largest variance-to-cap ratio among features still measurable by an
+available agent, schedules the cheapest-error agent measuring it, and
+updates the posterior covariance with that agent's one reading: a rank-1
+Joseph step of the previous posterior (``estimator.scalar_posterior_cov``),
+exact because every agent reads one feature with independent noise.
+Observation values are not needed for that, so the readings are requested
+once, for the final selection, and fused with the joint gain
+K = P+ H^T R^-1, which the final posterior gives without a solve. The loop
+stops when every cap holds, the uplink capacity is exhausted, or no violated
+feature has an agent left.
+
+``baseline_schedule`` serves the benchmark modes, under the fixed caps.
+PERFECT short-circuits estimation entirely (the twin is handed the true
+state, zero covariance, zero uplink power). COST_GREEDY and ERROR_GREEDY
+always query exactly min(C, M) agents, sorted by distance or by measurement
+error, with the covariance and gain of one batch ``estimator.posterior_cov``
+call. TRADITIONAL queries a fixed number of randomly drawn agents (one per
+feature by default) and substitutes their raw readings into the belief
+without any filtering: each agent's reading becomes the mean of its feature,
+and its noise variance that feature's variance, uncorrelated with the rest.
+
+Reading and fusing a selection whose covariance and gain are known is
+``_fused_decision``, shared by REVERB and the greedy modes. Per-fleet
+lookups (agents per feature in cost order, each agent's feature and noise
+variance, the stacked model of each ordered selection) come from a
+``sensing.FleetIndex`` built once per fleet. The schedulers trust what the
+layers before them checked: the caps are positive (``TwinLoop`` checked
+them), the prior covariance is finite and symmetric (``estimator.predict``
+made it so), the readings are finite (``sensing.read`` checked them), and
+each rank-1 step returns a symmetric covariance. The shape of what
+``observe_fn`` returns is checked once, by ``_readings``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -37,57 +49,35 @@ from .errors import InvalidInputError
 from .estimator import Belief
 
 
+class SchedulingMode(str, Enum):
+    REVERB = "reverb"
+    PERFECT = "perfect"
+    TRADITIONAL = "traditional"
+    COST_GREEDY = "cost_greedy"
+    ERROR_GREEDY = "error_greedy"
+
+
 def effective_thresholds(variance_caps, accuracy_request) -> np.ndarray:
-    """Elementwise min(cap_k, 1/eta_k), with 1/0 treated as +inf."""
+    """Elementwise min(cap_k, 1/eta_k), with 1/0 treated as +inf; NaN caps
+    and requests are rejected."""
     caps = np.asarray(variance_caps, dtype=float)
     eta = np.asarray(accuracy_request, dtype=float)
     if caps.shape != eta.shape:
         raise InvalidInputError("caps and accuracy request differ in length")
-    if (caps <= 0).any():
+    if not (caps > 0).all():
         raise InvalidInputError("variance caps must be positive")
-    if (eta < 0).any():
+    if not (eta >= 0).all():
         raise InvalidInputError("accuracy requests must be nonnegative")
-    return _capped(caps, eta)
+    return requested_caps(caps, eta)
 
 
-def _capped(caps, eta) -> np.ndarray:
-    """min(cap_k, 1/eta_k), with 1/0 treated as +inf, for inputs known good."""
+def requested_caps(caps, eta) -> np.ndarray:
+    """min(cap_k, 1/eta_k), with 1/0 treated as +inf, for inputs known good:
+    positive caps and a float request of their length in [0, inf), as
+    ``agent.decode_action`` returns it from an action without NaN."""
     requested = np.full(eta.shape, np.inf)
     np.divide(1.0, eta, out=requested, where=eta > 0)
     return np.minimum(caps, requested)
-
-
-@dataclass(frozen=True)
-class QosThresholds:
-    """Per-feature variance caps combined with the requested accuracy vector."""
-
-    variance_caps: np.ndarray
-    accuracy_request: np.ndarray = None
-
-    def __post_init__(self):
-        caps = np.asarray(self.variance_caps, dtype=float)
-        eta = (np.zeros_like(caps) if self.accuracy_request is None
-               else np.asarray(self.accuracy_request, dtype=float))
-        object.__setattr__(self, "variance_caps", caps)
-        object.__setattr__(self, "accuracy_request", eta)
-        object.__setattr__(self, "effective_caps", effective_thresholds(caps, eta))
-
-    def with_request(self, accuracy_request: np.ndarray) -> "QosThresholds":
-        """These caps under a new accuracy request, not checked again.
-
-        The request must be a float vector of the caps' length with entries
-        in [0, inf), as ``agent.decode_action`` returns it from an action
-        without NaN; these caps were checked when this object was built.
-        """
-        new = object.__new__(QosThresholds)     # frozen: fill its fields directly
-        new.__dict__.update(variance_caps=self.variance_caps,
-                            accuracy_request=accuracy_request,
-                            effective_caps=_capped(self.variance_caps, accuracy_request))
-        return new
-
-    @property
-    def dim(self) -> int:
-        return self.variance_caps.shape[0]
 
 
 @dataclass
@@ -100,9 +90,10 @@ class ScheduleDecision:
     iterations: int
 
 
-def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
+def schedule(prior: Belief, caps: np.ndarray, fleet, capacity: int,
              observe_fn=None) -> ScheduleDecision:
-    """Select at most ``capacity`` agents so the posterior meets the caps.
+    """Select at most ``capacity`` agents so the posterior meets ``caps``,
+    the effective caps (a float vector, one per feature).
 
     ``fleet`` is a ``sensing.FleetIndex`` or a plain list of agents (indexed
     on the fly). ``observe_fn(model)`` supplies the 1-D float readings of
@@ -112,7 +103,6 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
     analysis and tests).
     """
     index = sensing.FleetIndex.of(fleet)
-    caps = thresholds.effective_caps
     if caps.shape[0] != prior.mean.shape[0]:
         raise InvalidInputError("threshold dimension does not match belief")
     if index.state_dim not in (None, prior.mean.shape[0]):
@@ -153,6 +143,72 @@ def schedule(prior: Belief, thresholds: QosThresholds, fleet, capacity: int,
         gain = cov[:, [features[p] for p in chosen]] * (1.0 / variance[chosen])
     return _fused_decision(prior, index, chosen, stacked, cov, gain, caps,
                            observe_fn)
+
+
+def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
+                      rng, observe_fn=None, caps=None, true_state=None,
+                      traditional_count: int = 2) -> ScheduleDecision:
+    """Per-interval decision for the non-adaptive benchmark modes.
+
+    ``fleet`` is a ``sensing.FleetIndex`` or a plain list of agents; the
+    greedy modes take their fixed order and stacked model from the index.
+    ``observe_fn(model)`` returns the 1-D float readings of a selection's
+    stacked model, as ``sensing.read`` does. ``caps`` are the fixed variance
+    caps that ``satisfied`` is judged by; None counts every cap as met.
+    """
+    mode = SchedulingMode(mode)
+    if mode is SchedulingMode.REVERB:
+        raise InvalidInputError("the adaptive mode is served by schedule")
+    if mode is SchedulingMode.PERFECT:
+        if true_state is None:
+            raise InvalidInputError("PERFECT mode needs the true state")
+        posterior = Belief(np.asarray(true_state, dtype=float),
+                           np.zeros_like(prior.cov), prior.qi)
+        return ScheduleDecision((), posterior, _caps_met(posterior, caps), 0)
+
+    index = sensing.FleetIndex.of(fleet)
+    if mode in (SchedulingMode.COST_GREEDY, SchedulingMode.ERROR_GREEDY):
+        if index.state_dim not in (None, prior.mean.shape[0]):
+            raise InvalidInputError("fleet observation matrices do not match belief")
+        order = (index.by_distance if mode is SchedulingMode.COST_GREEDY
+                 else index.by_error)
+        chosen = order[:min(capacity, len(order))]
+        stacked = cov = gain = None
+        if chosen:
+            stacked = index.stacked(chosen)
+            cov, gain = estimator.posterior_cov(prior.cov, stacked)
+        return _fused_decision(prior, index, chosen, stacked, cov, gain, caps,
+                               observe_fn)
+
+    # TRADITIONAL: raw readings substituted into the belief, no filter
+    # update. With one pick per interval the agent is uniform over the whole
+    # fleet; with more picks they cover the features round-robin so the
+    # policy sees a full noisy state. Picks are drawn from fleet positions
+    # in fleet order.
+    dim = prior.mean.shape[0]
+    count = min(traditional_count, len(index))
+    chosen = []
+    pool = list(range(len(index)))
+    for i in range(count):
+        options = pool
+        if count >= dim:
+            options = [p for p in index.measuring[i % dim] if p in pool] or pool
+        pick = options[int(rng.integers(len(options)))]
+        chosen.append(pick)
+        pool.remove(pick)
+    mean = prior.mean.copy()
+    cov = prior.cov.copy()
+    if chosen and observe_fn is not None:
+        values = _readings(observe_fn, index.stacked(chosen))
+        for p, value in zip(chosen, values):
+            k = index.agents[p].feature
+            mean[k] = value
+            cov[k, :] = 0.0
+            cov[:, k] = 0.0
+            cov[k, k] = index.variance[p]
+    posterior = Belief(mean, cov, prior.qi)
+    return ScheduleDecision(tuple(index.ids[p] for p in chosen), posterior,
+                            _caps_met(posterior, caps), len(chosen))
 
 
 def _fused_decision(prior: Belief, index, chosen, stacked, cov, gain, caps,
@@ -196,7 +252,7 @@ def _caps_met(posterior: Belief, caps) -> np.ndarray:
     return posterior.cov.diagonal() <= caps
 
 
-def weighted_objective(decision: ScheduleDecision, thresholds: QosThresholds,
+def weighted_objective(decision: ScheduleDecision, caps: np.ndarray,
                        accuracy_weight: float, powers) -> float:
     """Diagnostic mixing residual threshold violations with spent power.
 
@@ -205,7 +261,7 @@ def weighted_objective(decision: ScheduleDecision, thresholds: QosThresholds,
     """
     if not 0.0 <= accuracy_weight <= 1.0:
         raise InvalidInputError("accuracy_weight must lie in [0, 1]")
-    ratios = decision.posterior.cov.diagonal() / thresholds.effective_caps
+    ratios = decision.posterior.cov.diagonal() / caps
     hinge = np.maximum(ratios - 1.0, 0.0).sum()
     return float((1.0 - accuracy_weight) * hinge
                  + accuracy_weight * float(np.sum(powers)))

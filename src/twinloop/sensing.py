@@ -259,6 +259,16 @@ def fleet_to_json(fleet, state_dim: int = 2) -> str:
 
 def fleet_from_json(text: str):
     """The fleet that ``fleet_to_json`` wrote, each record parsed by
-    ``agent_from_record``."""
+    ``agent_from_record``.
+
+    Raises ConfigurationError when the document is not an object with an
+    integer ``state_dim`` (a bool, 2.7 and 2.0 are not) and an ``agents``
+    list, whether or not that list is empty.
+    """
     data = json.loads(text)
-    return [agent_from_record(rec, int(data["state_dim"])) for rec in data["agents"]]
+    try:
+        state_dim, records = _integer(data["state_dim"]), list(data["agents"])
+    except (KeyError, TypeError) as exc:
+        raise ConfigurationError(f"bad fleet document: {type(exc).__name__}: "
+                                 f"{exc}") from None
+    return [agent_from_record(rec, state_dim) for rec in records]

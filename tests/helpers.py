@@ -11,7 +11,8 @@ import math
 import numpy as np
 from scipy import stats
 
-from twinloop import Belief, QosThresholds, SensingAgentSpec, estimator, sensing
+from twinloop import (Belief, SensingAgentSpec, effective_thresholds, estimator,
+                      sensing)
 from twinloop.errors import InvalidInputError
 from twinloop.estimator import CONDITION_LIMIT
 from twinloop.scheduler import ScheduleDecision
@@ -124,7 +125,7 @@ def diag_belief(*variances, mean=None, qi=0):
                   np.diag(variances), qi)
 
 
-def reference_schedule(prior, thresholds, fleet, capacity, observe_fn=None):
+def reference_schedule(prior, caps, fleet, capacity, observe_fn=None):
     """The greedy value-of-information loop over a plain agent list.
 
     Re-scans the fleet for each candidate feature, re-stacks the selection
@@ -132,7 +133,6 @@ def reference_schedule(prior, thresholds, fleet, capacity, observe_fn=None):
     through ``estimator.update``. ``scheduler.schedule`` must reproduce its
     decisions bit for bit.
     """
-    caps = thresholds.effective_caps
     if caps.shape[0] != prior.mean.shape[0]:
         raise InvalidInputError("threshold dimension does not match belief")
     if fleet and fleet[0].state_dim != prior.mean.shape[0]:
@@ -184,7 +184,7 @@ def reference_schedule(prior, thresholds, fleet, capacity, observe_fn=None):
 
 
 def reference_baseline_schedule(mode, prior, fleet, capacity, observe_fn=None,
-                                thresholds=None):
+                                caps=None):
     """The cost- and error-greedy baselines over a plain agent list.
 
     Sorts the fleet by (distance, id) or (variance, id), stacks the first
@@ -206,10 +206,10 @@ def reference_baseline_schedule(mode, prior, fleet, capacity, observe_fn=None,
         else:
             cov, _ = estimator.posterior_cov(prior.cov, stacked)
             posterior = Belief(prior.mean.copy(), cov, prior.qi)
-    if thresholds is None:
+    if caps is None:
         satisfied = np.ones(prior.mean.shape[0], dtype=bool)
     else:
-        satisfied = np.diag(posterior.cov) <= thresholds.effective_caps
+        satisfied = np.diag(posterior.cov) <= caps
     return ScheduleDecision(
         selected_ids=tuple(a.agent_id for a in chosen),
         posterior=posterior,
@@ -261,7 +261,7 @@ def random_case(rng):
                           distance=float(rng.uniform(1, 20)), dim=dim)
              for agent_id in ids.tolist()]
     capacity = int(rng.integers(0, m + 2))
-    return prior, QosThresholds(caps, eta), fleet, capacity
+    return prior, effective_thresholds(caps, eta), fleet, capacity
 
 
 def seeded_observer(seed, prior):

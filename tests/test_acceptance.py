@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinloop import (Belief, ExperimentConfig, PpoHyperparams, QosThresholds,
-                      required_power, run_monte_carlo, schedule, y_q)
+from twinloop import (Belief, ExperimentConfig, PpoHyperparams,
+                      effective_thresholds, required_power, run_monte_carlo,
+                      schedule, y_q)
 from twinloop.agent import PolicyNetwork, ppo_loss_and_grads, train
 from twinloop.channel import ChannelParams, outage_probability_mc
 from twinloop.estimator import posterior_cov, predict, stack, update
@@ -126,17 +127,17 @@ class TestCriterion2SchedulerProperties:
             caps = 10.0 ** rng.uniform(-4, -1.5, size=2)
             eta = np.where(rng.random(2) < 0.5, 0.0,
                            10.0 ** rng.uniform(0, 3, size=2))
-            thresholds = QosThresholds(caps, eta)
+            effective = effective_thresholds(caps, eta)
             m = int(rng.integers(2, 9))
             fleet = [scalar_agent(i + 1, i % 2, float(10 ** rng.uniform(-4, -1)))
                      for i in range(m)]
             capacity = int(rng.integers(0, m + 2))
-            decision = schedule(prior, thresholds, fleet, capacity)
+            decision = schedule(prior, effective, fleet, capacity)
 
             assert decision.iterations <= capacity
             assert len(decision.selected_ids) <= capacity
             assert len(set(decision.selected_ids)) == len(decision.selected_ids)
-            pre_ok = np.all(np.diag(prior.cov) <= thresholds.effective_caps)
+            pre_ok = np.all(np.diag(prior.cov) <= effective)
             if pre_ok:
                 assert decision.selected_ids == ()
             elif capacity > 0:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from twinloop import (Belief, InvalidInputError, QosThresholds, SchedulingMode,
-                      baseline_schedule)
+from twinloop import Belief, InvalidInputError, SchedulingMode, baseline_schedule
 from twinloop.sensing import FleetIndex
 from tests.helpers import (diag_belief, random_case, reference_baseline_schedule,
                            reference_traditional, same_bits, scalar_agent,
@@ -102,29 +101,29 @@ class TestMatchesReference:
         rng = np.random.default_rng(2025)
         seen = {"empty": 0, "zero_capacity": 0, "selected": 0, "no_caps": 0}
         for case in range(600):
-            prior, thresholds, fleet, capacity = random_case(rng)
+            prior, caps, fleet, capacity = random_case(rng)
             if case % 4 == 0:
-                thresholds = None
+                caps = None
             for mode in self.MODES:
                 want = reference_baseline_schedule(
                     mode, prior, fleet, capacity,
-                    observe_fn=seeded_observer(case, prior), thresholds=thresholds)
+                    observe_fn=seeded_observer(case, prior), caps=caps)
                 for given in (fleet, FleetIndex(fleet)):
                     got = baseline_schedule(
                         mode, prior, given, capacity, np.random.default_rng(0),
                         observe_fn=seeded_reader(case, prior),
-                        thresholds=thresholds)
+                        caps=caps)
                     self.assert_same(got, want)
                 self.assert_same(
                     baseline_schedule(mode, prior, fleet, capacity,
                                       np.random.default_rng(0),
-                                      thresholds=thresholds),
+                                      caps=caps),
                     reference_baseline_schedule(mode, prior, fleet, capacity,
-                                                thresholds=thresholds))
+                                                caps=caps))
             seen["empty"] += not fleet
             seen["zero_capacity"] += capacity == 0
             seen["selected"] += len(want.selected_ids) > 1
-            seen["no_caps"] += thresholds is None
+            seen["no_caps"] += caps is None
         assert min(seen.values()) >= 20, seen
 
 
@@ -132,7 +131,7 @@ class TestMatchesReference:
         rng = np.random.default_rng(2027)
         seen = {"read": 0, "round_robin": 0, "uniform": 0}
         for case in range(600):
-            prior, thresholds, fleet, _ = random_case(rng)
+            prior, caps, fleet, _ = random_case(rng)
             count = int(rng.integers(1, 4))
             observed = case % 3 != 0
             want_ids, want = reference_traditional(
@@ -142,7 +141,7 @@ class TestMatchesReference:
                 SchedulingMode.TRADITIONAL, prior, FleetIndex(fleet), 10,
                 np.random.default_rng(case),
                 observe_fn=seeded_reader(case, prior) if observed else None,
-                thresholds=thresholds, traditional_count=count)
+                caps=caps, traditional_count=count)
             assert got.selected_ids == want_ids
             assert got.iterations == len(want_ids)
             assert same_bits(got.posterior.mean, want.mean)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinloop import QosThresholds, SchedulingMode, agent, harness, loop, scheduler
+from twinloop import SchedulingMode, agent, harness, loop, scheduler
 from tests.helpers import diag_belief, scalar_agent
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -46,7 +46,7 @@ def test_every_span_target_is_in_its_owner_dict(workloads):
 def test_schedule_decision_feeds_the_counter(workloads):
     fleet = [scalar_agent(1, 0, 0.004), scalar_agent(2, 1, 0.0001)]
     decision = scheduler.schedule(diag_belief(0.05, 0.005),
-                                  QosThresholds(np.array([0.01, 0.001])), fleet, 2)
+                                  np.array([0.01, 0.001]), fleet, 2)
     counter = workloads.ScheduleCounter()
     counter(decision)
     assert (counter.calls, counter.iterations, counter.selected,

@@ -99,6 +99,18 @@ class TestEvaluate:
         path.write_text(json.dumps({"mode": "bogus"}))
         assert main(["evaluate", "--config", str(path)]) == 1
 
+    def test_nan_variance_cap_exits_one_with_one_line(self, tmp_path, capsys):
+        # json.dumps writes NaN, which json.load reads back
+        path = small_config_file(tmp_path, variance_caps=[float("nan"), 0.001])
+        assert "NaN" in path.read_text()
+        code = main(["evaluate", "--config", str(path), "--out",
+                     str(tmp_path / "results")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and "variance caps" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "results").exists()
+
 
 class TestPinnedFleetRecords:
     @pytest.mark.parametrize("record, prefix", [

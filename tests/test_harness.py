@@ -57,7 +57,9 @@ class TestConfig:
 
     def test_invalid_values_rejected(self):
         for patch in ({"mode": "bogus"}, {"episodes": 0},
-                      {"variance_caps": (0.0, 0.001)}):
+                      {"variance_caps": (0.0, 0.001)},
+                      {"variance_caps": (float("nan"), 0.001)},
+                      {"variance_caps": ("a", 0.001)}):
             config = small_config()
             data = config.to_dict()
             data.update(patch)
@@ -169,10 +171,10 @@ class TestMonteCarlo:
 
         real = harness_mod.run_episode
 
-        def flaky(policy, cfg, index, env=None, rng=None):
+        def flaky(policy, cfg, index, env=None):
             if index == 1:
                 raise NumericalFailureError("boom", qi=4)
-            return real(policy, cfg, index, env=env, rng=rng)
+            return real(policy, cfg, index, env=env)
 
         monkeypatch.setattr(harness_mod, "run_episode", flaky)
         report = harness_mod.run_monte_carlo(config)
@@ -182,7 +184,7 @@ class TestMonteCarlo:
     def test_untyped_exception_propagates(self, monkeypatch):
         from twinloop import harness as harness_mod
 
-        def broken(policy, cfg, index, env=None, rng=None):
+        def broken(policy, cfg, index, env=None):
             raise RuntimeError("bug")
 
         monkeypatch.setattr(harness_mod, "run_episode", broken)

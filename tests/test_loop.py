@@ -49,9 +49,9 @@ class TestFleetIndex:
         seen = []
         real = scheduler.schedule
 
-        def spy(prior, thresholds, fleet, capacity, observe_fn=None):
+        def spy(prior, caps, fleet, capacity, observe_fn=None):
             seen.append(fleet)
-            return real(prior, thresholds, fleet, capacity, observe_fn)
+            return real(prior, caps, fleet, capacity, observe_fn)
 
         monkeypatch.setattr(scheduler, "schedule", spy)
         env.reset(0)
@@ -82,6 +82,14 @@ class TestFleetIndex:
         config.variance_caps = caps
         with pytest.raises(ConfigurationError, match="one variance cap"):
             TwinLoop.from_config(config)
+
+    @pytest.mark.parametrize("caps", [(np.nan, 0.001), (0.01, 0.0), (-0.01, 0.001)])
+    def test_caps_that_are_not_positive_rejected(self, caps):
+        # a NaN cap is never met, yet never makes the scheduler pick an agent
+        config = loop_config()
+        config.variance_caps = caps
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            TwinLoop(config)
 
 
 class TestEtaCoupling:
@@ -217,16 +225,15 @@ class TestFixedThresholds:
         real = loop_mod.baseline_schedule
 
         def spy(*args, **kwargs):
-            seen.append(kwargs["thresholds"])
+            seen.append(kwargs["caps"])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(loop_mod, "baseline_schedule", spy)
         env.reset(0)
         for _ in range(3):
             env.step(np.array([0.0, 1.0, 1.0]))
-        assert len(seen) == 3 and all(t is env.fixed_thresholds for t in seen)
-        np.testing.assert_array_equal(env.fixed_thresholds.effective_caps,
-                                      env.variance_caps)
+        assert len(seen) == 3 and all(t is env.variance_caps for t in seen)
+        np.testing.assert_array_equal(env.variance_caps, [0.01, 0.001])
 
 
 class TestWorkerPool:

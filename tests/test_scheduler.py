@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from twinloop import (Belief, InvalidInputError, QosThresholds,
-                      effective_thresholds, estimator, schedule, sensing,
-                      weighted_objective)
+from twinloop import (Belief, InvalidInputError, effective_thresholds,
+                      estimator, schedule, sensing, weighted_objective)
+from twinloop.scheduler import requested_caps
 from twinloop.estimator import posterior_cov, stack
 from twinloop.sensing import FleetIndex
 from tests.helpers import (diag_belief, random_case, reference_schedule,
@@ -36,17 +36,21 @@ class TestEffectiveThresholds:
             effective_thresholds([-0.01, 0.001], [0.0, 0.0])
         with pytest.raises(InvalidInputError):
             effective_thresholds([0.01, 0.001], [-1.0, 0.0])
+        with pytest.raises(InvalidInputError):
+            effective_thresholds([np.nan, 0.001], [0.0, 0.0])
+        with pytest.raises(InvalidInputError):
+            effective_thresholds([0.01, 0.001], [np.nan, 0.0])
 
 
-def basic_thresholds(eta=(0.0, 0.0)):
-    return QosThresholds(np.array([0.01, 0.001]), np.array(eta))
+def basic_caps(eta=(0.0, 0.0)):
+    return effective_thresholds(np.array([0.01, 0.001]), np.array(eta))
 
 
 class TestScheduleBranches:
     def test_empty_set_when_prior_satisfies(self):
         prior = diag_belief(0.005, 0.0005)
         fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
-        decision = schedule(prior, basic_thresholds(), fleet, capacity=10)
+        decision = schedule(prior, basic_caps(), fleet, capacity=10)
         assert decision.selected_ids == ()
         assert decision.iterations == 0
         np.testing.assert_allclose(decision.posterior.cov, prior.cov)
@@ -55,7 +59,7 @@ class TestScheduleBranches:
     def test_single_position_agent_run(self):
         prior = diag_belief(0.02, 0.0005)
         fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
-        decision = schedule(prior, basic_thresholds(), fleet, capacity=10)
+        decision = schedule(prior, basic_caps(), fleet, capacity=10)
         assert decision.selected_ids == (1,)
         assert decision.iterations == 1
         assert decision.posterior.cov[0, 0] == pytest.approx(
@@ -65,7 +69,7 @@ class TestScheduleBranches:
     def test_zero_capacity_with_violation(self):
         prior = diag_belief(0.02, 0.0005)
         fleet = [scalar_agent(1, 0, 0.01)]
-        decision = schedule(prior, basic_thresholds(), fleet, capacity=0)
+        decision = schedule(prior, basic_caps(), fleet, capacity=0)
         assert decision.selected_ids == ()
         assert not decision.satisfied[0]
         assert decision.satisfied[1]
@@ -74,7 +78,7 @@ class TestScheduleBranches:
         # velocity violated but only position agents available
         prior = diag_belief(0.005, 0.01)
         fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 0, 0.02)]
-        decision = schedule(prior, basic_thresholds(), fleet, capacity=10)
+        decision = schedule(prior, basic_caps(), fleet, capacity=10)
         assert decision.selected_ids == ()
         assert not decision.satisfied[1]
 
@@ -82,13 +86,13 @@ class TestScheduleBranches:
         prior = diag_belief(0.05, 0.0005)
         fleet = [scalar_agent(1, 0, 0.03), scalar_agent(2, 0, 0.004),
                  scalar_agent(3, 0, 0.01)]
-        decision = schedule(prior, basic_thresholds(), fleet, capacity=1)
+        decision = schedule(prior, basic_caps(), fleet, capacity=1)
         assert decision.selected_ids == (2,)
 
     def test_observe_fn_supplies_posterior_mean(self):
         prior = diag_belief(0.02, 0.0005, mean=[0.0, 0.0])
         agent = scalar_agent(1, 0, 0.01)
-        decision = schedule(prior, basic_thresholds(), [agent], capacity=10,
+        decision = schedule(prior, basic_caps(), [agent], capacity=10,
                             observe_fn=lambda a: np.array([0.3]))
         gain = 0.02 / 0.03
         assert decision.posterior.mean[0] == pytest.approx(gain * 0.3, rel=1e-12)
@@ -99,7 +103,7 @@ class TestScheduleBranches:
     def test_readings_that_do_not_fill_the_selection_rejected(self, reading):
         prior = diag_belief(0.05, 0.005)
         fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
-        assert len(schedule(prior, basic_thresholds(), fleet, 2).selected_ids) == 2
+        assert len(schedule(prior, basic_caps(), fleet, 2).selected_ids) == 2
         calls = []
 
         def one_value_for_all(agent):   # a single reading for the two-row selection
@@ -107,17 +111,17 @@ class TestScheduleBranches:
             return reading(agent) if len(calls) == 1 else np.empty(0)
 
         with pytest.raises(InvalidInputError):
-            schedule(prior, basic_thresholds(), fleet, 2, observe_fn=one_value_for_all)
+            schedule(prior, basic_caps(), fleet, 2, observe_fn=one_value_for_all)
 
     def test_scalar_reading_rejected(self):
         with pytest.raises(InvalidInputError, match="1-D readings"):
-            schedule(diag_belief(0.05, 0.005), basic_thresholds(),
+            schedule(diag_belief(0.05, 0.005), basic_caps(),
                      [scalar_agent(1, 0, 0.01)], 1, observe_fn=lambda a: 0.3)
 
     def test_dimension_mismatch_rejected(self):
         prior = diag_belief(0.02, 0.0005)
         with pytest.raises(InvalidInputError):
-            schedule(prior, QosThresholds(np.array([0.01])), [], capacity=1)
+            schedule(prior, np.array([0.01]), [], capacity=1)
 
 
 class TestScheduleProperties:
@@ -132,24 +136,24 @@ class TestScheduleProperties:
                               distance=float(rng.uniform(1, 20)))
                  for i in range(m)]
         capacity = int(rng.integers(0, m + 2))
-        return prior, QosThresholds(caps, eta), fleet, capacity
+        return prior, effective_thresholds(caps, eta), fleet, capacity
 
     def test_randomized_invariants(self):
         rng = np.random.default_rng(123)
         for _ in range(1000):
-            prior, thresholds, fleet, capacity = self._random_instance(rng)
-            decision = schedule(prior, thresholds, fleet, capacity)
+            prior, caps, fleet, capacity = self._random_instance(rng)
+            decision = schedule(prior, caps, fleet, capacity)
             # capacity and termination
             assert len(decision.selected_ids) <= capacity
             assert decision.iterations <= capacity
             # no re-selection
             assert len(set(decision.selected_ids)) == len(decision.selected_ids)
             # empty-set branch is exact
-            pre_ok = np.all(np.diag(prior.cov) <= thresholds.effective_caps)
+            pre_ok = np.all(np.diag(prior.cov) <= caps)
             if pre_ok:
                 assert decision.selected_ids == ()
             elif capacity > 0 and any(
-                    np.diag(prior.cov)[k] > thresholds.effective_caps[k]
+                    np.diag(prior.cov)[k] > caps[k]
                     and any(a.feature == k for a in fleet)
                     for k in range(2)):
                 assert len(decision.selected_ids) >= 1
@@ -160,12 +164,12 @@ class TestScheduleProperties:
     def test_monotone_progress_on_selected_feature(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            prior, thresholds, fleet, capacity = self._random_instance(rng)
+            prior, caps, fleet, capacity = self._random_instance(rng)
             if capacity == 0:
                 continue
             running_cov = prior.cov
             chosen = []
-            decision = schedule(prior, thresholds, fleet, capacity)
+            decision = schedule(prior, caps, fleet, capacity)
             for agent_id in decision.selected_ids:
                 agent = next(a for a in fleet if a.agent_id == agent_id)
                 feature = agent.feature
@@ -180,7 +184,6 @@ class TestScheduleProperties:
             cov = np.diag(10.0 ** rng.uniform(-3.5, -1, size=2))
             prior = Belief(np.zeros(2), cov)
             caps = 10.0 ** rng.uniform(-4, -1.5, size=2)
-            thresholds = QosThresholds(caps)
             m = int(rng.integers(2, 7))
             fleet = [scalar_agent(i + 1, i % 2, float(10 ** rng.uniform(-4, -1)))
                      for i in range(m)]
@@ -196,7 +199,7 @@ class TestScheduleProperties:
                 feasible(combo)
                 for r in range(0, capacity + 1)
                 for combo in itertools.combinations(fleet, r))
-            decision = schedule(prior, thresholds, fleet, capacity)
+            decision = schedule(prior, caps, fleet, capacity)
             if brute_can:
                 assert decision.satisfied.all(), (
                     prior.cov, caps, [(a.agent_id, a.variance) for a in fleet],
@@ -228,15 +231,15 @@ class TestMatchesReference:
         rng = np.random.default_rng(2024)
         seen = {"tie": 0, "empty": 0, "zero_capacity": 0, "selected": 0}
         for case in range(1500):
-            prior, thresholds, fleet, capacity = random_case(rng)
-            want = reference_schedule(prior, thresholds, fleet, capacity,
+            prior, caps, fleet, capacity = random_case(rng)
+            want = reference_schedule(prior, caps, fleet, capacity,
                                       observe_fn=seeded_observer(case, prior))
             for given in (fleet, FleetIndex(fleet)):
-                got = schedule(prior, thresholds, given, capacity,
+                got = schedule(prior, caps, given, capacity,
                                observe_fn=seeded_reader(case, prior))
                 self.assert_close(got, want)
-            self.assert_close(schedule(prior, thresholds, fleet, capacity),
-                              reference_schedule(prior, thresholds, fleet, capacity))
+            self.assert_close(schedule(prior, caps, fleet, capacity),
+                              reference_schedule(prior, caps, fleet, capacity))
             variances = [a.variance for a in fleet]
             seen["tie"] += len(set(variances)) < len(variances)
             seen["empty"] += not fleet
@@ -252,30 +255,25 @@ class TestMatchesReference:
             caps = 10.0 ** rng.uniform(-6, 2, size=dim)
             eta = rng.choice([0.0, 1e-300, 1.0 / caps[0], 1000.0, 1e300], size=dim)
             eta = np.where(rng.random(dim) < 0.5, eta, 10.0 ** rng.uniform(-3, 4, dim))
-            thresholds = QosThresholds(caps).with_request(eta)
-            want = QosThresholds(caps, eta)
-            assert same_bits(thresholds.effective_caps, effective_thresholds(caps, eta))
-            assert same_bits(thresholds.effective_caps, want.effective_caps)
-            assert same_bits(thresholds.variance_caps, want.variance_caps)
-            assert thresholds.accuracy_request is eta and thresholds.dim == dim
+            assert same_bits(requested_caps(caps, eta), effective_thresholds(caps, eta))
 
     def test_tie_on_error_size_breaks_on_lowest_id(self):
         prior = diag_belief(0.05, 0.0005)
         fleet = [scalar_agent(7, 0, 0.004), scalar_agent(3, 0, 0.004),
                  scalar_agent(5, 0, 0.004)]
-        got = schedule(prior, basic_thresholds(), fleet, capacity=1)
+        got = schedule(prior, basic_caps(), fleet, capacity=1)
         assert got.selected_ids == (3,)
-        self.assert_close(got, reference_schedule(prior, basic_thresholds(),
+        self.assert_close(got, reference_schedule(prior, basic_caps(),
                                                   fleet, capacity=1))
 
     def test_zero_capacity_and_empty_fleet(self):
         prior = diag_belief(0.05, 0.005)
         fleet = [scalar_agent(1, 0, 0.004), scalar_agent(2, 1, 0.0001)]
         for given, capacity in ((fleet, 0), ([], 3), (FleetIndex([]), 3)):
-            got = schedule(prior, basic_thresholds(), given, capacity)
+            got = schedule(prior, basic_caps(), given, capacity)
             assert got.selected_ids == () and got.iterations == 0
             self.assert_same(got, reference_schedule(
-                prior, basic_thresholds(), list(getattr(given, "agents", given)),
+                prior, basic_caps(), list(getattr(given, "agents", given)),
                 capacity))
 
     def test_one_posterior_per_selection(self, monkeypatch):
@@ -295,9 +293,9 @@ class TestMatchesReference:
         rng = np.random.default_rng(9)
         picked = 0
         for case in range(200):
-            prior, thresholds, fleet, capacity = random_case(rng)
+            prior, caps, fleet, capacity = random_case(rng)
             calls.update(scalar=0, batch=0)
-            decision = schedule(prior, thresholds, fleet, capacity,
+            decision = schedule(prior, caps, fleet, capacity,
                                 observe_fn=seeded_reader(case, prior))
             assert calls == {"scalar": decision.iterations, "batch": 0}
             picked += decision.iterations
@@ -308,7 +306,7 @@ class TestMatchesReference:
         with pytest.raises(InvalidInputError, match="duplicate agent ids"):
             FleetIndex(fleet)
         with pytest.raises(InvalidInputError, match="duplicate agent ids"):
-            schedule(diag_belief(0.05, 0.005), basic_thresholds(), fleet, 2)
+            schedule(diag_belief(0.05, 0.005), basic_caps(), fleet, 2)
 
 
 class TestFleetIndex:
@@ -398,25 +396,25 @@ class TestFleetIndex:
 class TestWeightedObjective:
     def test_pure_power_when_thresholds_met(self):
         prior = diag_belief(0.005, 0.0005)
-        decision = schedule(prior, basic_thresholds(), [], capacity=0)
-        value = weighted_objective(decision, basic_thresholds(), 1.0,
+        decision = schedule(prior, basic_caps(), [], capacity=0)
+        value = weighted_objective(decision, basic_caps(), 1.0,
                                    [0.001, 0.002])
         assert value == pytest.approx(0.003)
 
     def test_pure_hinge_for_empty_schedule(self):
         prior = diag_belief(0.02, 0.0005)   # ratio 2 on position
-        decision = schedule(prior, basic_thresholds(), [], capacity=0)
-        value = weighted_objective(decision, basic_thresholds(), 0.0, [])
+        decision = schedule(prior, basic_caps(), [], capacity=0)
+        value = weighted_objective(decision, basic_caps(), 0.0, [])
         assert value == pytest.approx(1.0)
 
     def test_mixed_weight(self):
         prior = diag_belief(0.02, 0.0005)
-        decision = schedule(prior, basic_thresholds(), [], capacity=0)
-        value = weighted_objective(decision, basic_thresholds(), 0.5, [0.004])
+        decision = schedule(prior, basic_caps(), [], capacity=0)
+        value = weighted_objective(decision, basic_caps(), 0.5, [0.004])
         assert value == pytest.approx(0.502)
 
     def test_weight_range_enforced(self):
         prior = diag_belief(0.005, 0.0005)
-        decision = schedule(prior, basic_thresholds(), [], capacity=0)
+        decision = schedule(prior, basic_caps(), [], capacity=0)
         with pytest.raises(InvalidInputError):
-            weighted_objective(decision, basic_thresholds(), 1.5, [])
+            weighted_objective(decision, basic_caps(), 1.5, [])

@@ -1,5 +1,7 @@
 """Fleet generation and observation model tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,28 @@ class TestSerialization:
     def test_fleet_of_another_state_dimension_rejected(self):
         with pytest.raises(InvalidInputError):
             fleet_to_json([scalar_agent(1, 2, 0.01, dim=3)])
+
+    AGENT = {"id": 1, "feature": 1, "variance": 0.1, "distance": 3.0}
+
+    @pytest.mark.parametrize("document", [
+        {"state_dim": 2.7, "agents": [AGENT]},      # not truncated to 2
+        {"state_dim": True, "agents": [AGENT]},     # not read as 1
+        {"state_dim": 2.0, "agents": [AGENT]},
+        [AGENT],                                    # not an object
+        "fleet",
+        {"agents": [AGENT]},
+        {"agents": []},                             # no state_dim, no records
+        {"state_dim": 2},
+        {"state_dim": 2, "agents": 5},
+    ], ids=["fractional-state-dim", "bool-state-dim", "float-state-dim", "list",
+            "string", "no-state-dim", "no-state-dim-no-agents", "no-agents",
+            "agents-not-a-list"])
+    def test_malformed_document_is_a_configuration_error(self, document):
+        with pytest.raises(ConfigurationError, match="bad fleet document"):
+            fleet_from_json(json.dumps(document))
+
+    def test_empty_fleet_round_trips(self):
+        assert fleet_from_json(fleet_to_json([])) == []
 
 
 class TestPinnedRecords:
