@@ -206,17 +206,6 @@ def sample_rician_gain(rician_factor: float, rng, size=None):
     return float(gain) if size is None else gain
 
 
-def snr(power_w: float, distance_m: float, gain, params: ChannelParams):
-    """Instantaneous SNR: Gamma p G / (d^alpha W N0)."""
-    return (params.system_gain * power_w * gain
-            / (distance_m ** params.path_loss_exponent * params.noise_power_w))
-
-
-def rate_bps(power_w: float, distance_m: float, gain, params: ChannelParams):
-    """Shannon rate of the link under the drawn fading gain."""
-    return params.bandwidth_hz * np.log2(1.0 + snr(power_w, distance_m, gain, params))
-
-
 def outage_probability_mc(power_w: float, distance_m: float,
                           params: ChannelParams, n_trials: int, rng,
                           chunk: int = 1_000_000) -> float:

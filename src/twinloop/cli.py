@@ -77,14 +77,8 @@ def cmd_evaluate(args) -> int:
         policy = agent_mod.PolicyNetwork.load(args.policy)
     report = run_monte_carlo(config, policy=policy)
     agg = report["aggregate"]
-    line = {
-        "mode": config.mode,
-        "episodes": agg.get("episodes", 0),
-        "goal_rate": agg.get("goal_rate"),
-        "median_qis": agg.get("qis", {}).get("median"),
-        "mean_power_w": agg.get("total_power_w", {}).get("mean"),
-        "mean_mrmse": agg.get("mrmse", {}).get("mean"),
-    }
+    line = {"mode": config.mode, "episodes": agg.get("episodes", 0),
+            **_headline(agg)}
     print(json.dumps(line))
     if report["failures"]:
         print(f"episode failures: {report['failures']}", file=sys.stderr)
@@ -156,8 +150,14 @@ def _sweep_point(config, kappa, capacity, eps, train_steps) -> dict:
     else:
         policy = None
     agg = run_monte_carlo(point, policy=policy)["aggregate"]
+    return {"kappa": kappa, "capacity": capacity, "epsilon": eps,
+            **_headline(agg)}
+
+
+def _headline(agg) -> dict:
+    """Goal rate, median QIs, mean power and mean MRMSE of an aggregate,
+    None where it has no episodes."""
     return {
-        "kappa": kappa, "capacity": capacity, "epsilon": eps,
         "goal_rate": agg.get("goal_rate"),
         "median_qis": agg.get("qis", {}).get("median"),
         "mean_power_w": agg.get("total_power_w", {}).get("mean"),

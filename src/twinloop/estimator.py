@@ -2,21 +2,21 @@
 
 ``predict`` propagates the belief blindly through the plant model (the mean
 through the full nonlinear map, the covariance through its Jacobian plus the
-process noise). ``stack`` combines several agents' observation rows and
-noise variances into one joint model, ``posterior_cov`` gives the
-Joseph-form posterior covariance and the Kalman gain of a stacked model, and
-``fused_mean`` the posterior mean once the readings arrive (the schedulers'
-shared fusion tail calls it). ``scalar_posterior_cov`` is the one-reading
-case written for a one-hot row: a rank-1 Joseph step with a scalar
-innovation and no LAPACK call. The value-of-information scheduler chains
-one per pick; since agent noises are independent, the chain gives the batch
-posterior of the whole selection up to roundoff (sequential processing of
-uncorrelated measurements). ``update`` fuses a stacked observation vector
-in one call. The Joseph form keeps the covariance symmetric positive
-semidefinite under roundoff; it agrees with the plain (I - K H) P form in
-exact arithmetic. Every agent reads one feature with independent noise, so
-a stacked model has one-hot rows and a diagonal noise covariance;
-``posterior_cov``, ``update`` and ``predict`` do not rely on that, take any
+process noise). ``stack`` builds the joint observation model of several
+agents, for a batch posterior: one one-hot row per agent and a diagonal
+noise covariance. ``posterior_cov`` gives the Joseph-form posterior
+covariance and the Kalman gain of such a model, and ``fused_mean`` the
+posterior mean once the readings of the measured features arrive (the
+schedulers' shared fusion tail calls it). ``scalar_posterior_cov`` is the
+one-reading case written for a one-hot row: a rank-1 Joseph step with a
+scalar innovation and no LAPACK call. The value-of-information scheduler
+chains one per pick; since agent noises are independent, the chain gives
+the batch posterior of the whole selection up to roundoff (sequential
+processing of uncorrelated measurements). ``update`` fuses a stacked
+observation vector in one call. The Joseph form keeps the covariance
+symmetric positive semidefinite under roundoff; it agrees with the plain
+(I - K H) P form in exact arithmetic. ``posterior_cov``, ``update`` and
+``predict`` do not rely on one-hot rows or diagonal noise, take any
 observation model, and are the references the rank-1 step is tested
 against.
 
@@ -69,16 +69,11 @@ class Belief:
 
 @dataclass(frozen=True)
 class StackedObservationModel:
-    """Joint observation model of an ordered agent selection.
-
-    ``noise_std`` holds the per-row noise standard deviations, for drawing
-    readings; a model of correlated noise, built directly, has none.
-    """
+    """Joint observation model of an ordered agent selection."""
 
     matrix: np.ndarray        # rows stacked in selection order
     noise_cov: np.ndarray     # diagonal for an agent selection, same order
     agent_ids: tuple
-    noise_std: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
@@ -116,17 +111,21 @@ def predict(belief: Belief, control, model) -> Belief:
 
 
 def stack(selected) -> StackedObservationModel:
-    """Stack the selected agents' observation rows, noise variances (as a
-    diagonal covariance) and noise standard deviations, in order."""
+    """Stack the selected agents' one-hot observation rows (rows of the
+    identity) and noise variances (as a diagonal covariance), in order."""
     selected = list(selected)
     if not selected:
         raise InvalidInputError("cannot stack an empty selection")
     ids = [a.agent_id for a in selected]
     if len(set(ids)) != len(ids):
         raise InvalidInputError(f"duplicate agent ids in selection: {ids}")
+    dims = {a.state_dim for a in selected}
+    if len(dims) > 1:
+        raise InvalidInputError(
+            f"agents disagree on the state dimension: {sorted(dims)}")
     variance = np.array([a.variance for a in selected], dtype=float)
-    return StackedObservationModel(np.vstack([a.observation_matrix for a in selected]),
-                                   np.diag(variance), tuple(ids), np.sqrt(variance))
+    rows = identity(dims.pop()).take([a.feature for a in selected], axis=0)
+    return StackedObservationModel(rows, np.diag(variance), tuple(ids))
 
 
 def posterior_cov(prior_cov, stacked: StackedObservationModel):
@@ -134,20 +133,18 @@ def posterior_cov(prior_cov, stacked: StackedObservationModel):
 
     The covariance is symmetrized before it is returned. Raises
     NumericalFailureError when the innovation covariance
-    S = R + H P H^T is not finite or is ill-conditioned. The gain of a
-    one-row model is P H^T times 1/s, without a LAPACK call. For a state of
-    two or more features that has the bits of OpenBLAS's solve, which scales
-    its right-hand sides by the reciprocal pivot too; for a one-feature
-    state solve divides, and the two can differ in the last bit.
+    S = R + H P H^T is not finite or is ill-conditioned. A one-row model
+    takes the same ``solve`` and ``eigvalsh`` as any other: on a state of
+    two or more features, OpenBLAS's solve scales its right-hand sides by
+    the reciprocal pivot, so the gain has the bits of P H^T * (1/s), and
+    eigvalsh of a 1 x 1 S returns its entry, so the guard decides as
+    |s| < TINY would.
     """
     h = stacked.matrix
     s = stacked.noise_cov + h @ prior_cov @ h.T
     if not np.isfinite(s).all() or _ill_conditioned(s):
         raise NumericalFailureError("ill-conditioned innovation covariance")
-    if s.shape[0] == 1:
-        gain = (prior_cov @ h.T) * (1.0 / s)
-    else:
-        gain = np.linalg.solve(s.T, (prior_cov @ h.T).T).T
+    gain = np.linalg.solve(s.T, (prior_cov @ h.T).T).T
     ikh = identity(prior_cov.shape[0]) - gain @ h
     cov = ikh @ prior_cov @ ikh.T + gain @ stacked.noise_cov @ gain.T
     return symmetrize(cov), gain
@@ -179,12 +176,8 @@ def _ill_conditioned(s) -> bool:
     2-norm condition number above CONDITION_LIMIT.
 
     For a symmetric matrix the singular values are the absolute
-    eigenvalues, so eigvalsh gives the same number as an SVD, cheaper. A
-    1x1 matrix has condition number 1, so it is decided by its one entry
-    without a decomposition.
+    eigenvalues, so eigvalsh gives the same number as an SVD, cheaper.
     """
-    if s.shape[0] == 1:
-        return abs(s[0, 0]) < TINY
     lam = np.abs(np.linalg.eigvalsh(s))
     return lam.min() < TINY or lam.max() > CONDITION_LIMIT * lam.min()
 
@@ -210,15 +203,15 @@ def update(prior: Belief, stacked: StackedObservationModel, values) -> Belief:
     return Belief(mean, cov, prior.qi)
 
 
-def fused_mean(prior: Belief, stacked: StackedObservationModel, gain,
-               values: np.ndarray) -> np.ndarray:
-    """Posterior mean m + K (o - H m), with K from posterior_cov.
+def fused_mean(prior: Belief, features, gain, values: np.ndarray) -> np.ndarray:
+    """Posterior mean m + K (o - m[features]), with K the joint gain.
 
-    ``values`` is the 1-D float vector of the stacked readings, one per row
-    of ``stacked.matrix``; ``scheduler._readings`` checks that before this
-    is called.
+    ``features`` lists the feature each reading measures, and ``values`` is
+    the 1-D float vector of the readings, one per feature listed;
+    ``scheduler._readings`` checks that before this is called. m[features]
+    is H m of the selection's one-hot rows.
     """
-    mean = prior.mean + gain @ (values - stacked.matrix @ prior.mean)
+    mean = prior.mean + gain @ (values - prior.mean.take(features))
     if not np.isfinite(mean).all():
         raise NumericalFailureError("non-finite posterior mean", qi=prior.qi)
     return mean

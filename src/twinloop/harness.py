@@ -83,6 +83,18 @@ class ExperimentConfig:
     # -- validation / builders ----------------------------------------------
 
     def validate(self) -> "ExperimentConfig":
+        # every field declared int, here and in the plant, fleet and rl
+        # sections, must hold an integer: 2.5 is rejected, not truncated
+        for prefix, section in (("", self), ("plant.", self.plant),
+                                ("fleet.", self.fleet), ("rl.", self.rl)):
+            for f in dataclasses.fields(section):
+                if f.type == "int":
+                    value = getattr(section, f.name)
+                    try:
+                        setattr(section, f.name, sensing.integer(value))
+                    except TypeError:
+                        raise ConfigurationError(f"{prefix}{f.name} must be an "
+                                                 f"integer: {value!r}") from None
         try:
             SchedulingMode(self.mode)
         except ValueError:

@@ -190,10 +190,11 @@ class TwinLoop:
 
     # -- helpers -------------------------------------------------------------
 
-    def _observe(self, model) -> np.ndarray:
-        """This QI's readings of a selection's stacked model (the schedulers'
-        ``observe_fn``)."""
-        return sensing.read(model, self._true_state, self._obs_rng, self._qi)
+    def _observe(self, positions) -> np.ndarray:
+        """This QI's readings of the agents at fleet ``positions`` (the
+        schedulers' ``observe_fn``)."""
+        return sensing.read(self.fleet_index, positions, self._true_state,
+                            self._obs_rng, self._qi)
 
     def _policy_input(self, belief: Belief) -> np.ndarray:
         return np.concatenate([belief.mean, belief.std])

@@ -20,15 +20,18 @@ PERFECT short-circuits estimation entirely (the twin is handed the true
 state, zero covariance, zero uplink power). COST_GREEDY and ERROR_GREEDY
 always query exactly min(C, M) agents, sorted by distance or by measurement
 error, with the covariance and gain of one batch ``estimator.posterior_cov``
-call. TRADITIONAL queries a fixed number of randomly drawn agents (one per
-feature by default) and substitutes their raw readings into the belief
-without any filtering: each agent's reading becomes the mean of its feature,
-and its noise variance that feature's variance, uncorrelated with the rest.
+call on the selection's ``estimator.stack``. TRADITIONAL queries a fixed
+number of randomly drawn agents (one per feature by default) and substitutes
+their raw readings into the belief without any filtering: each agent's
+reading becomes the mean of its feature, and its noise variance that
+feature's variance, uncorrelated with the rest.
 
-Reading and fusing a selection whose covariance and gain are known is
-``_fused_decision``, shared by REVERB and the greedy modes. Per-fleet
-lookups (agents per feature in cost order, each agent's feature and noise
-variance, the stacked model of each ordered selection) come from a
+A selection is the tuple of its agents' positions in the fleet, and the
+readings are requested as ``observe_fn(positions)``. Reading and fusing a
+selection whose covariance and gain are known is ``_fused_decision``,
+shared by REVERB and the greedy modes; a reading of feature k is fused
+against the prior mean of feature k. Per-fleet lookups (agents per feature
+in cost order, each agent's id, feature and noise variance) come from a
 ``sensing.FleetIndex`` built once per fleet. The schedulers trust what the
 layers before them checked: the caps are positive (``TwinLoop`` checked
 them), the prior covariance is finite and symmetric (``estimator.predict``
@@ -96,8 +99,8 @@ def schedule(prior: Belief, caps: np.ndarray, fleet, capacity: int,
     the effective caps (a float vector, one per feature).
 
     ``fleet`` is a ``sensing.FleetIndex`` or a plain list of agents (indexed
-    on the fly). ``observe_fn(model)`` supplies the 1-D float readings of
-    the final selection, one per row of its stacked model, as
+    on the fly). ``observe_fn(positions)`` supplies the 1-D float readings
+    of the agents at those fleet positions, one per position, as
     ``sensing.read`` returns them; when omitted the decision carries the
     covariance-only posterior with the prior mean (enough for selection
     analysis and tests).
@@ -136,13 +139,11 @@ def schedule(prior: Belief, caps: np.ndarray, fleet, capacity: int,
         chosen.append(pick)
         cov = estimator.scalar_posterior_cov(cov, features[pick], variance[pick])
 
-    stacked = gain = None
+    gain = None
     if chosen:
         # K = P+ H^T R^-1: H^T picks the measured columns, R is diagonal
-        stacked = index.stacked(chosen)
         gain = cov[:, [features[p] for p in chosen]] * (1.0 / variance[chosen])
-    return _fused_decision(prior, index, chosen, stacked, cov, gain, caps,
-                           observe_fn)
+    return _fused_decision(prior, index, chosen, cov, gain, caps, observe_fn)
 
 
 def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
@@ -151,10 +152,11 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
     """Per-interval decision for the non-adaptive benchmark modes.
 
     ``fleet`` is a ``sensing.FleetIndex`` or a plain list of agents; the
-    greedy modes take their fixed order and stacked model from the index.
-    ``observe_fn(model)`` returns the 1-D float readings of a selection's
-    stacked model, as ``sensing.read`` does. ``caps`` are the fixed variance
-    caps that ``satisfied`` is judged by; None counts every cap as met.
+    greedy modes take their fixed order from the index.
+    ``observe_fn(positions)`` returns the 1-D float readings of the agents
+    at those fleet positions, as ``sensing.read`` does. ``caps`` are the
+    fixed variance caps that ``satisfied`` is judged by; None counts every
+    cap as met.
     """
     mode = SchedulingMode(mode)
     if mode is SchedulingMode.REVERB:
@@ -173,12 +175,11 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
         order = (index.by_distance if mode is SchedulingMode.COST_GREEDY
                  else index.by_error)
         chosen = order[:min(capacity, len(order))]
-        stacked = cov = gain = None
+        cov = gain = None
         if chosen:
-            stacked = index.stacked(chosen)
-            cov, gain = estimator.posterior_cov(prior.cov, stacked)
-        return _fused_decision(prior, index, chosen, stacked, cov, gain, caps,
-                               observe_fn)
+            cov, gain = estimator.posterior_cov(
+                prior.cov, estimator.stack(index.agents[p] for p in chosen))
+        return _fused_decision(prior, index, chosen, cov, gain, caps, observe_fn)
 
     # TRADITIONAL: raw readings substituted into the belief, no filter
     # update. With one pick per interval the agent is uniform over the whole
@@ -199,9 +200,9 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
     mean = prior.mean.copy()
     cov = prior.cov.copy()
     if chosen and observe_fn is not None:
-        values = _readings(observe_fn, index.stacked(chosen))
+        values = _readings(observe_fn, chosen)
         for p, value in zip(chosen, values):
-            k = index.agents[p].feature
+            k = index.features[p]
             mean[k] = value
             cov[k, :] = 0.0
             cov[:, k] = 0.0
@@ -211,36 +212,36 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
                             _caps_met(posterior, caps), len(chosen))
 
 
-def _fused_decision(prior: Belief, index, chosen, stacked, cov, gain, caps,
+def _fused_decision(prior: Belief, index, chosen, cov, gain, caps,
                     observe_fn) -> ScheduleDecision:
     """The decision that fuses the agents at fleet positions ``chosen``.
 
-    ``stacked`` is their joint model, and ``cov`` and ``gain`` are its
-    posterior covariance and Kalman gain; none of the three is read when
-    nothing was chosen. The readings are ``observe_fn(stacked)``;
-    without it the posterior keeps the prior mean. ``caps`` None counts
-    every cap as met.
+    ``cov`` and ``gain`` are their posterior covariance and Kalman gain;
+    neither is read when nothing was chosen. The readings are
+    ``observe_fn(chosen)``; without it the posterior keeps the prior mean.
+    ``caps`` None counts every cap as met.
     """
     if not chosen:
         posterior = prior.copy()
     elif observe_fn is None:
         posterior = Belief(prior.mean.copy(), cov, prior.qi)
     else:
-        values = _readings(observe_fn, stacked)
-        posterior = Belief(estimator.fused_mean(prior, stacked, gain, values),
+        values = _readings(observe_fn, chosen)
+        features = [index.features[p] for p in chosen]
+        posterior = Belief(estimator.fused_mean(prior, features, gain, values),
                            cov, prior.qi)
-    return ScheduleDecision(stacked.agent_ids if chosen else (), posterior,
+    return ScheduleDecision(tuple(index.ids[p] for p in chosen), posterior,
                             _caps_met(posterior, caps), len(chosen))
 
 
-def _readings(observe_fn, model) -> np.ndarray:
-    """``observe_fn(model)``, checked once: the caller's callback must give
-    a 1-D vector with one reading per row of ``model``, which
+def _readings(observe_fn, positions) -> np.ndarray:
+    """``observe_fn(positions)``, checked once: the caller's callback must
+    give a 1-D vector with one reading per position, which
     ``estimator.fused_mean`` then trusts."""
-    values = observe_fn(model)
-    if getattr(values, "shape", None) != model.matrix.shape[:1]:
-        raise InvalidInputError(f"observe_fn must return 1-D readings, one per row "
-                                f"of {model.matrix.shape}: got {np.shape(values)}")
+    values = observe_fn(positions)
+    if getattr(values, "shape", None) != (len(positions),):
+        raise InvalidInputError(f"observe_fn must return 1-D readings, one for each "
+                                f"of {len(positions)} agents: got {np.shape(values)}")
     return values
 
 

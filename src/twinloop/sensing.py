@@ -8,8 +8,8 @@ Fleets serialize to plain JSON records (id, feature, variance, distance), so
 an experiment can be replayed exactly; ``agent_from_record`` parses one.
 ``observe`` returns one agent's reading and ``read`` a whole selection's, in
 one draw, each as a checked value vector. A ``FleetIndex`` holds the tables
-the schedulers look up every query interval, computed once per fleet, and
-memoises the stacked model of each ordered selection it is asked for.
+the schedulers look up every query interval, computed once per fleet; a
+selection is the tuple of its agents' positions in the fleet.
 """
 
 from __future__ import annotations
@@ -21,25 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimator
 from .errors import ConfigurationError, InvalidInputError
 
 DEFAULT_MIN_DISTANCE_M = 1.0
-# Most stacked models one FleetIndex keeps. The acceptance fleet meets 5
-# ordered selections in 2 PPO batches and a 40-agent fleet at capacity 40
-# meets 93; selections met after the memo is full are built on every call.
-STACKED_MEMO_LIMIT = 256
 
 
 @dataclass(frozen=True)
 class SensingAgentSpec:
     """One sensor: the state feature it reads, the variance of its noise and
-    its uplink distance, in a state of ``state_dim`` features.
-
-    ``observation_matrix`` (the 1 x state_dim one-hot row of ``feature``)
-    and ``noise_cov`` (the 1 x 1 matrix of ``variance``) are derived once,
-    read-only.
-    """
+    its uplink distance, in a state of ``state_dim`` features."""
 
     agent_id: int
     feature: int
@@ -55,17 +45,12 @@ class SensingAgentSpec:
             raise InvalidInputError("noise variance must be positive and finite")
         if not 0 < self.distance_m < math.inf:
             raise InvalidInputError("distance must be positive and finite")
-        h = np.zeros((1, self.state_dim))
-        h[0, self.feature] = 1.0
-        noise = np.array([[self.variance]], dtype=float)
-        for name, array in (("observation_matrix", h), ("noise_cov", noise)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
 
 
 def observe(agent: SensingAgentSpec, true_state, rng, qi: int = 0,
             noiseless: bool = False) -> np.ndarray:
-    """Draw o = h s + w with w ~ N(0, variance); ``noiseless`` skips w (test only).
+    """Draw o = s[feature] + w with w ~ N(0, variance); ``noiseless`` skips w
+    (test only).
 
     Returns the reading as a 1-entry float vector, checked finite here so
     the filter can fuse it without a second check. ``qi`` only labels the
@@ -75,7 +60,7 @@ def observe(agent: SensingAgentSpec, true_state, rng, qi: int = 0,
     if state.shape[0] != agent.state_dim:
         raise InvalidInputError(f"state dim {state.shape[0]} incompatible with "
                                 f"an agent of state dim {agent.state_dim}")
-    values = agent.observation_matrix @ state
+    values = state[[agent.feature]]
     if not noiseless:
         values += np.sqrt(agent.variance) * rng.standard_normal(1)
     if not np.isfinite(values).all():
@@ -84,20 +69,21 @@ def observe(agent: SensingAgentSpec, true_state, rng, qi: int = 0,
     return values
 
 
-def read(model, true_state, rng, qi: int = 0) -> np.ndarray:
-    """Draw the readings o = H s + std * z, z ~ N(0, I), of a stacked selection.
+def read(index: "FleetIndex", positions, true_state, rng, qi: int = 0) -> np.ndarray:
+    """Draw the readings o = s[features] + std * z, z ~ N(0, I), of the
+    agents at fleet ``positions`` of ``index``, in that order.
 
-    ``model`` is an ``estimator.StackedObservationModel`` with its per-row
-    noise standard deviations and ``true_state`` a float vector of its
-    width. One draw of ``rows`` normals equals the agents' own draws in
+    ``true_state`` is a float vector of the fleet's state dimension. One
+    draw of ``len(positions)`` normals equals the agents' own draws in
     selection order, so this gives the bits of ``observe`` called agent by
     agent. Checked finite, as ``observe`` does.
     """
-    values = model.matrix @ true_state + model.noise_std * rng.standard_normal(
-        model.noise_std.shape[0])
+    features = [index.features[p] for p in positions]
+    noise = index.std.take(positions) * rng.standard_normal(len(positions))
+    values = true_state.take(features) + noise
     if not np.isfinite(values).all():
-        raise InvalidInputError(
-            f"non-finite observation from agents {model.agent_ids} at QI {qi}")
+        ids = tuple(index.ids[p] for p in positions)
+        raise InvalidInputError(f"non-finite observation from agents {ids} at QI {qi}")
     return values
 
 
@@ -143,12 +129,9 @@ class FleetIndex:
     ``by_distance`` order the whole fleet by (variance, agent_id) and
     (distance_m, agent_id); ``measuring[k]`` lists the agents measuring
     feature k in fleet order, and ``by_feature[k]`` lists them in
-    ``by_error`` order. ``features`` holds the feature each agent reads,
-    ``matrix`` stacks every agent's observation row and ``variance`` holds
-    every agent's noise variance, all in fleet order, so the model of a
-    selection is an indexed copy of them. ``stacked`` keeps the
-    first ``STACKED_MEMO_LIMIT`` models it builds, keyed by the ordered
-    selection.
+    ``by_error`` order. ``ids``, ``features``, ``variance`` and ``std``
+    (the noise standard deviation) hold each agent's value in fleet order,
+    so a selection's are looked up by its positions.
     """
 
     agents: tuple
@@ -160,14 +143,13 @@ class FleetIndex:
             raise InvalidInputError(
                 f"agents disagree on the state dimension: {sorted(dims)}")
         state_dim = dims.pop() if dims else None
-        if agents:
-            whole = estimator.stack(agents)     # also rejects duplicate ids
-            matrix, ids = whole.matrix, whole.agent_ids
-        else:
-            matrix, ids = np.zeros((0, 0)), ()
+        ids = tuple(a.agent_id for a in agents)
+        if len(set(ids)) != len(ids):
+            raise InvalidInputError(f"duplicate agent ids in fleet: {list(ids)}")
         features = tuple(a.feature for a in agents)
         variance = np.array([a.variance for a in agents], dtype=float)
-        for array in (matrix, variance):
+        std = np.sqrt(variance)
+        for array in (variance, std):
             array.setflags(write=False)
         by_error = tuple(sorted(range(len(agents)),
                                 key=lambda p: (agents[p].variance, ids[p])))
@@ -178,10 +160,9 @@ class FleetIndex:
         by_feature = tuple(tuple(p for p in by_error if p in m) for m in measuring)
         for name, value in (("agents", agents), ("ids", ids),
                             ("state_dim", state_dim), ("features", features),
-                            ("matrix", matrix),
-                            ("variance", variance), ("by_error", by_error),
-                            ("by_distance", by_distance), ("measuring", measuring),
-                            ("by_feature", by_feature), ("_stacked", {})):
+                            ("variance", variance), ("std", std),
+                            ("by_error", by_error), ("by_distance", by_distance),
+                            ("measuring", measuring), ("by_feature", by_feature)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -191,35 +172,6 @@ class FleetIndex:
 
     def __len__(self) -> int:
         return len(self.agents)
-
-    def stacked(self, positions) -> estimator.StackedObservationModel:
-        """Joint observation model of the agents at ``positions``, in that order.
-
-        Equal, element for element, to ``estimator.stack`` of those agents.
-        Its arrays are read-only, since the model may be memoised and shared.
-        """
-        key = tuple(positions)
-        model = self._stacked.get(key)
-        if model is None:
-            if not key:
-                raise InvalidInputError("cannot stack an empty selection")
-            if len(set(key)) != len(key):
-                raise InvalidInputError(f"duplicate positions in selection: {key}")
-            variance = self.variance.take(key)
-            matrix, noise, std = (self.matrix.take(key, 0), np.diag(variance),
-                                  np.sqrt(variance))
-            for array in (matrix, noise, std):
-                array.setflags(write=False)
-            model = estimator.StackedObservationModel(
-                matrix, noise, tuple(self.ids[p] for p in key), std)
-            if len(self._stacked) < STACKED_MEMO_LIMIT:
-                self._stacked[key] = model
-        return model
-
-
-def agents_measuring(fleet, feature: int):
-    """Agents that read state feature ``feature``."""
-    return [a for a in fleet if a.feature == feature]
 
 
 def agent_from_record(record, state_dim: int = 2) -> SensingAgentSpec:
@@ -231,7 +183,7 @@ def agent_from_record(record, state_dim: int = 2) -> SensingAgentSpec:
     0..state_dim-1 or the variance or distance is not positive and finite.
     """
     try:
-        fields = (_integer(record["id"]), _integer(record["feature"]),
+        fields = (integer(record["id"]), integer(record["feature"]),
                   float(record["variance"]), float(record["distance"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad fleet record {record!r}: a field is missing or "
@@ -239,9 +191,9 @@ def agent_from_record(record, state_dim: int = 2) -> SensingAgentSpec:
     return SensingAgentSpec(*fields, state_dim)
 
 
-def _integer(value) -> int:
+def integer(value) -> int:
     """``value`` as an int when it is an integer and not a bool; TypeError
-    otherwise, so that no id or feature is truncated."""
+    otherwise, so that no id, feature or count is truncated."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{value!r} is not an integer")
     return int(value)
@@ -267,7 +219,7 @@ def fleet_from_json(text: str):
     """
     data = json.loads(text)
     try:
-        state_dim, records = _integer(data["state_dim"]), list(data["agents"])
+        state_dim, records = integer(data["state_dim"]), list(data["agents"])
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"bad fleet document: {type(exc).__name__}: "
                                  f"{exc}") from None

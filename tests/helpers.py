@@ -220,9 +220,9 @@ def reference_baseline_schedule(mode, prior, fleet, capacity, observe_fn=None,
 
 def reference_traditional(prior, fleet, rng, observe_fn=None, traditional_count=2):
     """TRADITIONAL over a plain agent list: each pick filters the agents left
-    with ``sensing.agents_measuring``, and each picked agent is read on its
-    own: its reading becomes its feature's mean and its variance that
-    feature's variance. Returns the ids and the belief; ``baseline_schedule``
+    by the feature they measure, and each picked agent is read on its own:
+    its reading becomes its feature's mean and its variance that feature's
+    variance. Returns the ids and the belief; ``baseline_schedule``
     must give them bit for bit from the same pick stream."""
     dim = prior.mean.shape[0]
     count = min(traditional_count, len(fleet))
@@ -230,7 +230,7 @@ def reference_traditional(prior, fleet, rng, observe_fn=None, traditional_count=
     pool = list(fleet)
     for i in range(count):
         options = pool if count < dim else (
-            sensing.agents_measuring(pool, i % dim) or pool)
+            [a for a in pool if a.feature == i % dim] or pool)
         pick = options[int(rng.integers(len(options)))]
         chosen.append(pick)
         pool.remove(pick)
@@ -272,13 +272,15 @@ def seeded_observer(seed, prior):
     return lambda agent: sensing.observe(agent, state, rng)
 
 
-def seeded_reader(seed, prior):
-    """The schedulers' ``observe_fn`` over the same state and stream as
-    ``seeded_observer(seed, prior)``, reading a whole selection at once
-    through ``sensing.read``."""
+def seeded_reader(seed, prior, fleet):
+    """The schedulers' ``observe_fn`` for ``fleet`` (a list of agents or its
+    ``sensing.FleetIndex``) over the same state and stream as
+    ``seeded_observer(seed, prior)``, reading a whole selection of fleet
+    positions at once through ``sensing.read``."""
+    index = sensing.FleetIndex.of(fleet)
     rng = np.random.default_rng(seed)
     state = prior.mean + rng.normal(size=prior.mean.shape[0]) * 0.01
-    return lambda model: sensing.read(model, state, rng)
+    return lambda positions: sensing.read(index, positions, state, rng)
 
 
 def reference_clip_global_norm(grads, max_norm):

@@ -90,13 +90,8 @@ class TestCriterion1EstimatorOracle:
             values = stacked.matrix @ state + 0.1 * rng.standard_normal(
                 stacked.matrix.shape[0])
             belief = update(belief, stacked, values)
-            at = 0
-            step_obs = []
-            for agent in chosen:
-                d = agent.observation_matrix.shape[0]
-                step_obs.append((agent.observation_matrix, agent.noise_cov,
-                                 values[at:at + d]))
-                at += d
+            step_obs = [(row, agent.variance, value)
+                        for row, agent, value in zip(stacked.matrix, chosen, values)]
             controls.append(control)
             observations.append(step_obs)
             track.append((belief.mean.copy(), belief.cov.copy()))

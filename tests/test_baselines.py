@@ -61,13 +61,14 @@ class TestGreedy:
         prior = diag_belief(0.02, 0.001)
         decision = baseline_schedule(SchedulingMode.COST_GREEDY, prior, fleet,
                                      1, np.random.default_rng(0),
-                                     observe_fn=lambda a: np.array([0.5]))
+                                     observe_fn=lambda positions: np.array([0.5]))
         assert decision.posterior.cov[0, 0] == pytest.approx(
             0.02 * 0.01 / 0.03, rel=1e-12)
 
     @pytest.mark.parametrize("mode", [SchedulingMode.COST_GREEDY,
                                       SchedulingMode.ERROR_GREEDY])
-    @pytest.mark.parametrize("reading", [lambda a: 0.5, lambda a: np.array([[0.5]])])
+    @pytest.mark.parametrize("reading", [lambda positions: 0.5,
+                                         lambda positions: np.array([[0.5]])])
     def test_readings_that_are_not_vectors_rejected(self, mode, reading):
         fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
         with pytest.raises(InvalidInputError):
@@ -80,7 +81,7 @@ class TestGreedy:
         with pytest.raises(InvalidInputError):
             baseline_schedule(SchedulingMode.COST_GREEDY, diag_belief(0.02, 0.001),
                               fleet, 2, np.random.default_rng(0),
-                              observe_fn=lambda a: next(readings))
+                              observe_fn=lambda positions: next(readings))
 
 
 class TestMatchesReference:
@@ -111,7 +112,7 @@ class TestMatchesReference:
                 for given in (fleet, FleetIndex(fleet)):
                     got = baseline_schedule(
                         mode, prior, given, capacity, np.random.default_rng(0),
-                        observe_fn=seeded_reader(case, prior),
+                        observe_fn=seeded_reader(case, prior, given),
                         caps=caps)
                     self.assert_same(got, want)
                 self.assert_same(
@@ -140,7 +141,7 @@ class TestMatchesReference:
             got = baseline_schedule(
                 SchedulingMode.TRADITIONAL, prior, FleetIndex(fleet), 10,
                 np.random.default_rng(case),
-                observe_fn=seeded_reader(case, prior) if observed else None,
+                observe_fn=seeded_reader(case, prior, fleet) if observed else None,
                 caps=caps, traditional_count=count)
             assert got.selected_ids == want_ids
             assert got.iterations == len(want_ids)
@@ -159,7 +160,8 @@ class TestTraditional:
         decision = baseline_schedule(
             SchedulingMode.TRADITIONAL, prior, fleet, 10,
             np.random.default_rng(0),
-            observe_fn=lambda model: model.matrix @ np.array([-0.42, 0.031]),
+            observe_fn=lambda positions: np.array([-0.42, 0.031]).take(
+                [fleet[p].feature for p in positions]),
             traditional_count=2)
         np.testing.assert_allclose(decision.posterior.mean, [-0.42, 0.031])
         assert decision.posterior.cov[0, 0] == pytest.approx(0.04)
@@ -178,7 +180,9 @@ class TestTraditional:
             decision = baseline_schedule(
                 SchedulingMode.TRADITIONAL, prior, fleet, 10,
                 np.random.default_rng(seed),
-                observe_fn=lambda model: model.matrix @ truth, traditional_count=3)
+                observe_fn=lambda positions: truth.take(
+                    [fleet[p].feature for p in positions]),
+                traditional_count=3)
             want = np.zeros((3, 3))
             for agent in map(by_id.get, decision.selected_ids):
                 want[agent.feature, agent.feature] = agent.variance
@@ -194,12 +198,13 @@ class TestTraditional:
         decision = baseline_schedule(
             SchedulingMode.TRADITIONAL, prior, fleet, 10,
             np.random.default_rng(3),
-            observe_fn=lambda a: np.array([-0.5]), traditional_count=1)
+            observe_fn=lambda positions: np.array([-0.5]), traditional_count=1)
         assert decision.posterior.mean[1] == pytest.approx(0.02)
         assert decision.posterior.cov[1, 1] == pytest.approx(0.0005)
         assert decision.posterior.mean[0] == pytest.approx(-0.5)
 
-    @pytest.mark.parametrize("reading", [lambda a: -0.5, lambda a: np.array([-0.5, 0.1])])
+    @pytest.mark.parametrize("reading", [lambda positions: -0.5,
+                                     lambda positions: np.array([-0.5, 0.1])])
     def test_reading_that_does_not_fit_the_agent_rejected(self, reading):
         with pytest.raises(InvalidInputError):
             baseline_schedule(SchedulingMode.TRADITIONAL, diag_belief(0.02, 0.0005),

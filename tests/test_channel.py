@@ -9,7 +9,6 @@ from scipy import special, stats
 from twinloop import (ChannelParams, InvalidInputError, WeakLineOfSightError,
                       inverse_gaussian_q, outage_probability_mc,
                       required_power, sample_rician_gain, y_q)
-from twinloop.channel import rate_bps, snr
 from tests.helpers import invert_marcum_tail, marcum_q1
 
 G_15DB = 10 ** 1.5
@@ -175,13 +174,18 @@ class TestOutage:
         assert 0.2 * 1e-2 <= outage <= 1.5 * 1e-2
 
     def test_shannon_rate_consistency(self):
-        params = table_params()
-        gain = 0.7
-        power = 2e-3
-        expected_snr = 1.0 * power * gain / (20.0 ** 2 * params.noise_power_w)
-        assert snr(power, 20.0, gain, params) == pytest.approx(expected_snr, rel=1e-12)
-        assert rate_bps(power, 20.0, gain, params) == pytest.approx(
-            5e6 * math.log2(1 + expected_snr), rel=1e-12)
+        # an outage is a draw whose Shannon rate W log2(1 + Gamma p g /
+        # (d^alpha N0)) misses D / tau_max: the same count from the same draws
+        params = table_params(epsilon=1e-2)
+        power = required_power(20.0, params)
+        outage = outage_probability_mc(power, 20.0, params, 100_000,
+                                       np.random.default_rng(6))
+        gain = sample_rician_gain(params.rician_factor, np.random.default_rng(6),
+                                  size=100_000)
+        snr = 1.0 * power * gain / (20.0 ** 2 * params.noise_power_w)
+        rate = 5e6 * np.log2(1.0 + snr)
+        assert outage == np.count_nonzero(rate < 1024.0 / 5e-3) / 100_000
+        assert 0.0 < outage < 0.05
 
     def test_trial_count_validated(self):
         with pytest.raises(InvalidInputError):

@@ -162,6 +162,39 @@ class TestPinnedFleetRecords:
         assert not (tmp_path / "out").exists()
 
 
+class TestIntegerFields:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "master_seed", 3.5),
+        (None, "episodes", 1.5),
+        (None, "episodes", "2"),
+        (None, "capacity", 2.5),
+        (None, "capacity", True),
+        (None, "traditional_count", 1.5),
+        ("plant", "episode_cap", 30.5),
+        ("fleet", "count", 10.5),
+        ("fleet", "seed", 7.5),
+        ("rl", "epochs", 2.5),
+        ("rl", "batch_size", 128.5),
+        ("rl", "minibatch_size", 32.5),
+        ("rl", "total_steps", 100.5),
+    ])
+    def test_value_that_is_not_an_integer_exits_one_with_one_line(
+            self, tmp_path, capsys, monkeypatch, section, key, value, workers):
+        # not truncated by int(), and no traceback from range() or a seed
+        monkeypatch.setenv("TWINLOOP_WORKERS", workers)
+        config = json.loads(small_config_file(tmp_path, mode="traditional").read_text())
+        (config if section is None else config[section])[key] = value
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(config))
+        code = main(["evaluate", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert f"{key} must be an integer" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrain:
     def test_tiny_training_run(self, tmp_path):
         config_path = small_config_file(tmp_path, total_steps=256)

@@ -1,11 +1,14 @@
 """Module boundaries: no module of the package imports another module's
-private (``_``-prefixed) names. A helper that two modules need is public in
-one of them."""
+private (``_``-prefixed) names, and no public function or class is dead. A
+helper that two modules need is public in one of them."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twinloop"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "twinloop"
+# Public names that only the tests and the package's own exports reach.
+TEST_SURFACE = {"effective_thresholds", "fleet_to_json", "fleet_from_json"}
 
 
 def private_imports(path):
@@ -22,3 +25,38 @@ def test_no_private_name_crosses_a_module_boundary():
     assert len(modules) > 5
     found = [line for path in modules for line in private_imports(path)]
     assert not found, "\n".join(found)
+
+
+def names_used(path, strings=False):
+    """Every name a module's code refers to: variables, attributes and
+    imported names, and with ``strings`` its string constants too (the
+    benchmark names its traced functions by string)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_function_and_class_is_used():
+    # used in its own module, named in another module of the package (its
+    # re-exports in __init__ do not count), or named by the benchmark
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    used = {p: names_used(p) for p in modules}
+    bench = set().union(*(names_used(p, strings=True)
+                          for p in (ROOT / "perfbench").glob("*.py")))
+    unused = []
+    for path in modules:
+        elsewhere = set().union(*(used[p] for p in modules if p != path))
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in used[path] | elsewhere | bench | TEST_SURFACE):
+                unused.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not unused, "\n".join(unused)

@@ -155,7 +155,7 @@ def test_selection_never_exceeds_capacity(seed, capacity):
 def test_satisfied_reports_the_caps_met(seed, capacity, mode):
     # with the readings fused, so the posterior is the one the loop keeps
     prior, caps, fleet, _ = random_case(np.random.default_rng(seed))
-    reader = seeded_reader(seed, prior)
+    reader = seeded_reader(seed, prior, fleet)
     if mode is SchedulingMode.REVERB:
         decision = schedule(prior, caps, fleet, capacity, observe_fn=reader)
     else:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twinloop import (Belief, InvalidInputError, effective_thresholds,
-                      estimator, schedule, sensing, weighted_objective)
+                      estimator, schedule, weighted_objective)
 from twinloop.scheduler import requested_caps
 from twinloop.estimator import posterior_cov, stack
 from twinloop.sensing import FleetIndex
@@ -93,22 +93,22 @@ class TestScheduleBranches:
         prior = diag_belief(0.02, 0.0005, mean=[0.0, 0.0])
         agent = scalar_agent(1, 0, 0.01)
         decision = schedule(prior, basic_caps(), [agent], capacity=10,
-                            observe_fn=lambda a: np.array([0.3]))
+                            observe_fn=lambda positions: np.array([0.3]))
         gain = 0.02 / 0.03
         assert decision.posterior.mean[0] == pytest.approx(gain * 0.3, rel=1e-12)
 
-    @pytest.mark.parametrize("reading", [lambda a: np.array([0.3]),
-                                         lambda a: 0.3,
-                                         lambda a: np.array([[0.3]])])
+    @pytest.mark.parametrize("reading", [lambda positions: np.array([0.3]),
+                                         lambda positions: 0.3,
+                                         lambda positions: np.array([[0.3]])])
     def test_readings_that_do_not_fill_the_selection_rejected(self, reading):
         prior = diag_belief(0.05, 0.005)
         fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
         assert len(schedule(prior, basic_caps(), fleet, 2).selected_ids) == 2
         calls = []
 
-        def one_value_for_all(agent):   # a single reading for the two-row selection
-            calls.append(agent)
-            return reading(agent) if len(calls) == 1 else np.empty(0)
+        def one_value_for_all(positions):   # a single reading for two agents
+            calls.append(positions)
+            return reading(positions) if len(calls) == 1 else np.empty(0)
 
         with pytest.raises(InvalidInputError):
             schedule(prior, basic_caps(), fleet, 2, observe_fn=one_value_for_all)
@@ -116,7 +116,7 @@ class TestScheduleBranches:
     def test_scalar_reading_rejected(self):
         with pytest.raises(InvalidInputError, match="1-D readings"):
             schedule(diag_belief(0.05, 0.005), basic_caps(),
-                     [scalar_agent(1, 0, 0.01)], 1, observe_fn=lambda a: 0.3)
+                     [scalar_agent(1, 0, 0.01)], 1, observe_fn=lambda positions: 0.3)
 
     def test_dimension_mismatch_rejected(self):
         prior = diag_belief(0.02, 0.0005)
@@ -236,7 +236,7 @@ class TestMatchesReference:
                                       observe_fn=seeded_observer(case, prior))
             for given in (fleet, FleetIndex(fleet)):
                 got = schedule(prior, caps, given, capacity,
-                               observe_fn=seeded_reader(case, prior))
+                               observe_fn=seeded_reader(case, prior, given))
                 self.assert_close(got, want)
             self.assert_close(schedule(prior, caps, fleet, capacity),
                               reference_schedule(prior, caps, fleet, capacity))
@@ -296,7 +296,7 @@ class TestMatchesReference:
             prior, caps, fleet, capacity = random_case(rng)
             calls.update(scalar=0, batch=0)
             decision = schedule(prior, caps, fleet, capacity,
-                                observe_fn=seeded_reader(case, prior))
+                                observe_fn=seeded_reader(case, prior, fleet))
             assert calls == {"scalar": decision.iterations, "batch": 0}
             picked += decision.iterations
         assert picked >= 200
@@ -310,7 +310,9 @@ class TestMatchesReference:
 
 
 class TestFleetIndex:
-    def test_stacked_equals_stack(self):
+    def test_tables_match_stack(self):
+        # a selection's ids, one-hot rows and noise, looked up by position,
+        # are those estimator.stack builds from its agents
         rng = np.random.default_rng(11)
         for _ in range(200):
             _, _, fleet, _ = random_case(rng)
@@ -318,13 +320,14 @@ class TestFleetIndex:
                 continue
             index = FleetIndex(fleet)
             positions = rng.permutation(len(fleet))[:int(rng.integers(1, len(fleet) + 1))]
-            got = index.stacked(positions.tolist())
             want = stack([fleet[p] for p in positions])
-            assert np.array_equal(got.matrix, want.matrix)
-            assert np.array_equal(got.noise_cov, want.noise_cov)
-            assert same_bits(got.noise_std, want.noise_std)
-            assert got.matrix.flags.c_contiguous and got.noise_cov.flags.c_contiguous
-            assert got.agent_ids == want.agent_ids
+            features = [index.features[p] for p in positions]
+            assert tuple(index.ids[p] for p in positions) == want.agent_ids
+            assert np.array_equal(estimator.identity(index.state_dim)[features],
+                                  want.matrix)
+            assert same_bits(np.diag(index.variance.take(positions)), want.noise_cov)
+            assert same_bits(index.std.take(positions),
+                             np.sqrt(want.noise_cov.diagonal()))
 
     def test_orders(self):
         fleet = [scalar_agent(5, 0, 0.01, distance=3.0),
@@ -335,7 +338,10 @@ class TestFleetIndex:
         assert index.by_distance == (2, 1, 0)
         assert index.measuring == ((0, 2), (1,))
         assert index.by_feature == ((2, 0), (1,))
+        assert index.ids == (5, 2, 9)
+        assert index.features == (0, 1, 0)
         assert index.variance.tolist() == [0.01, 0.001, 0.001]
+        assert same_bits(index.std, np.sqrt([0.01, 0.001, 0.001]))
         assert index.state_dim == 2
         assert FleetIndex.of(index) is index
 
@@ -344,53 +350,14 @@ class TestFleetIndex:
         with pytest.raises(AttributeError):
             index.by_error = ()
         with pytest.raises(ValueError):
-            index.matrix[0, 0] = 2.0
-        with pytest.raises(ValueError):
             index.variance[0] = 2.0
+        with pytest.raises(ValueError):
+            index.std[0] = 2.0
 
     def test_mixed_state_dimensions_rejected(self):
         with pytest.raises(InvalidInputError):
             FleetIndex([scalar_agent(1, 0, 0.01, dim=2),
                         scalar_agent(2, 0, 0.01, dim=3)])
-
-    def test_empty_selection_rejected(self):
-        with pytest.raises(InvalidInputError):
-            FleetIndex([scalar_agent(1, 0, 0.01)]).stacked([])
-
-    def test_stacked_is_memoised_per_ordered_selection(self):
-        index = FleetIndex([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001),
-                            scalar_agent(3, 0, 0.02)])
-        model = index.stacked([0, 2])
-        assert index.stacked((0, 2)) is model
-        assert index.stacked([2, 0]) is not model
-        assert index.stacked([2, 0]).agent_ids == (3, 1)
-        with pytest.raises(InvalidInputError):
-            index.stacked([1, 1])
-
-    def test_memo_stops_growing_at_its_limit(self, monkeypatch):
-        from twinloop import sensing
-
-        monkeypatch.setattr(sensing, "STACKED_MEMO_LIMIT", 2)
-        fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001),
-                 scalar_agent(3, 0, 0.02)]
-        index = FleetIndex(fleet)
-        first, second = index.stacked([0]), index.stacked([1])
-        late = index.stacked([2, 0])
-        assert index.stacked([0]) is first and index.stacked([1]) is second
-        assert index.stacked([2, 0]) is not late
-        assert len(index._stacked) == 2
-        want = stack([fleet[2], fleet[0]])
-        assert np.array_equal(late.matrix, want.matrix)
-        assert np.array_equal(late.noise_cov, want.noise_cov)
-        assert not late.matrix.flags.writeable and not late.noise_cov.flags.writeable
-
-    def test_memoised_models_are_read_only(self):
-        index = FleetIndex([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)])
-        model = index.stacked([1, 0])
-        for array in (model.matrix, model.noise_cov, model.noise_std):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 2.0
 
 
 class TestWeightedObjective:

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from twinloop import (ConfigurationError, InvalidInputError, SensingAgentSpec,
-                      agents_measuring, fleet_from_json, fleet_to_json,
-                      observe, place_agents)
+                      fleet_from_json, fleet_to_json, observe, place_agents)
 from twinloop.sensing import FleetIndex, agent_from_record, read
 from tests.helpers import random_case, same_bits, scalar_agent
 
@@ -52,8 +51,7 @@ class TestObserve:
         s2 = np.array([-0.2, 0.04])
         diffs = [observe(agent, s1 + s2, rng)[0]
                  - observe(agent, s2, rng)[0] for _ in range(50_000)]
-        assert np.mean(diffs) == pytest.approx(
-            (agent.observation_matrix @ s1)[0], abs=0.003)
+        assert np.mean(diffs) == pytest.approx(s1[agent.feature], abs=0.003)
 
     def test_dimension_mismatch(self):
         agent = scalar_agent(1, 0, 0.01)
@@ -85,14 +83,6 @@ class TestAgentSpecValidation:
         with pytest.raises(InvalidInputError, match="feature"):
             SensingAgentSpec(1, feature, 0.1, 5.0, state_dim)
 
-    def test_derived_model_is_one_read_only_unit_row(self):
-        agent = SensingAgentSpec(4, 1, 0.02, 5.0, state_dim=3)
-        np.testing.assert_array_equal(agent.observation_matrix, [[0.0, 1.0, 0.0]])
-        np.testing.assert_array_equal(agent.noise_cov, [[0.02]])
-        for array in (agent.observation_matrix, agent.noise_cov):
-            with pytest.raises(ValueError):
-                array[0, 0] = 2.0
-
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(InvalidInputError):
             scalar_agent(1, 0, 0.01, distance=0.0)
@@ -107,8 +97,7 @@ class TestPlacement:
 
     def test_minimal_fleet_covers_both_features(self):
         fleet = place_agents(2, 20.0, [1e-2], [1e-3], np.random.default_rng(0))
-        assert len(agents_measuring(fleet, 0)) == 1
-        assert len(agents_measuring(fleet, 1)) == 1
+        assert [a.feature for a in fleet] == [0, 1]
 
     def test_same_seed_same_fleet(self):
         kwargs = dict(count=6, max_distance_m=20.0,
@@ -134,16 +123,6 @@ class TestPlacement:
             place_agents(4, 20.0, [1e-2], [], np.random.default_rng(0))
 
 
-class TestMeasuringQuery:
-    def test_single_feature_fleet(self):
-        fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.02)]
-        assert agents_measuring(fleet, 0) == [fleet[0]]
-        assert agents_measuring(fleet, 1) == [fleet[1]]
-
-    def test_empty_fleet(self):
-        assert agents_measuring([], 0) == []
-
-
 class TestSerialization:
     def test_round_trip(self):
         fleet = place_agents(5, 20.0, [1e-3, 1e-1], [1e-4, 1e-2],
@@ -153,8 +132,6 @@ class TestSerialization:
         assert len(back) == len(fleet)
         for x, y in zip(fleet, back):
             assert x == y
-            np.testing.assert_array_equal(x.observation_matrix, y.observation_matrix)
-            np.testing.assert_array_equal(x.noise_cov, y.noise_cov)
 
     def test_fleet_of_another_state_dimension_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -241,7 +218,7 @@ class TestMatchesReference:
             order = rng.permutation(len(fleet))
             state = prior.mean + rng.normal(size=prior.mean.shape[0])
             for selection in (tuple(order[:rng.integers(1, len(fleet) + 1)]), tuple(order)):
-                got = read(index.stacked(selection), state, np.random.default_rng(case))
+                got = read(index, selection, state, np.random.default_rng(case))
                 draws = np.random.default_rng(case)
                 want = np.concatenate([observe(index.agents[p], state, draws)
                                        for p in selection])
@@ -253,8 +230,8 @@ class TestMatchesReference:
     def test_read_rejects_a_non_finite_reading_with_the_qi(self):
         index = FleetIndex([scalar_agent(7, 0, 0.01), scalar_agent(9, 1, 0.01)])
         with pytest.raises(InvalidInputError, match=r"agents \(9, 7\) at QI 12"):
-            read(index.stacked((1, 0)), np.array([np.nan, 0.0]),
-                 np.random.default_rng(0), qi=12)
+            read(index, (1, 0), np.array([np.nan, 0.0]), np.random.default_rng(0),
+                 qi=12)
 
     def test_feature_table_lists_the_fleet_in_fleet_order(self):
         fleet = [scalar_agent(5, 1, 0.01), scalar_agent(2, 0, 0.03),
@@ -262,4 +239,4 @@ class TestMatchesReference:
         index = FleetIndex(fleet)
         for k in (0, 1):
             assert [index.agents[p] for p in index.measuring[k]] == \
-                agents_measuring(fleet, k)
+                [a for a in fleet if a.feature == k]
