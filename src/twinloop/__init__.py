@@ -24,7 +24,6 @@ from .harness import (ChannelConfig, EpisodeMetrics, ExperimentConfig,
 from .loop import StepResult, TwinLoop
 from .scheduler import (ScheduleDecision, SchedulingMode, baseline_schedule,
                         effective_thresholds, schedule, weighted_objective)
-from .sensing import (SensingAgentSpec, fleet_from_json, fleet_to_json,
-                      observe, place_agents)
+from .sensing import FleetIndex, SensingAgentSpec, observe, place_agents
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError, TrainingFailureError
+from .sensing import integer
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -76,7 +77,14 @@ class PpoHyperparams:
             raise InvalidInputError("clip_ratio must be positive")
         if isinstance(self.cost_mode, str):
             self.cost_mode = CostMode(self.cost_mode)
-        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
+        # parsed, not truncated, whether from a config or a checkpoint
+        try:
+            self.hidden_sizes = tuple(integer(h) for h in self.hidden_sizes)
+        except TypeError:
+            raise InvalidInputError(f"hidden_sizes must hold integers: "
+                                    f"{self.hidden_sizes!r}") from None
+        if any(h < 1 for h in self.hidden_sizes):
+            raise InvalidInputError(f"hidden_sizes must be >= 1: {self.hidden_sizes!r}")
 
     def to_dict(self) -> dict:
         """Plain JSON-ready fields: the cost mode by value, the hidden sizes
@@ -283,12 +291,6 @@ class PolicyNetwork:
         self._critic_opt = Adam(self.critic.parameters(), hyper.critic_lr)
 
     # -- forward passes ----------------------------------------------------
-
-    def forward(self, policy_input):
-        """Distribution mean/std and value for one raw (unnormalized) input:
-        the action, std and value of ``act(..., deterministic=True)``."""
-        mean, _, value, _ = self.act(policy_input, None, deterministic=True)
-        return mean, np.exp(self.logstd), value
 
     def act(self, policy_input, rng, deterministic: bool = False,
             update_stats: bool = False):

@@ -4,10 +4,12 @@
 through the full nonlinear map, the covariance through its Jacobian plus the
 process noise). ``stack`` builds the joint observation model of several
 agents, for a batch posterior: one one-hot row per agent and a diagonal
-noise covariance. ``posterior_cov`` gives the Joseph-form posterior
-covariance and the Kalman gain of such a model, and ``fused_mean`` the
-posterior mean once the readings of the measured features arrive (the
-schedulers' shared fusion tail calls it). ``scalar_posterior_cov`` is the
+noise covariance. Agents do not carry the state dimension; the caller
+passes the plant's, as its ``sensing.FleetIndex`` holds it.
+``posterior_cov`` gives the Joseph-form posterior covariance and the Kalman
+gain of such a model, and ``fused_mean`` the posterior mean once the
+readings of the measured features arrive (the schedulers' shared fusion
+tail calls it). ``scalar_posterior_cov`` is the
 one-reading case written for a one-hot row: a rank-1 Joseph step with a
 scalar innovation and no LAPACK call. The value-of-information scheduler
 chains one per pick; since agent noises are independent, the chain gives
@@ -110,21 +112,18 @@ def predict(belief: Belief, control, model) -> Belief:
         return Belief(mean, symmetrize(cov), belief.qi + 1)
 
 
-def stack(selected) -> StackedObservationModel:
+def stack(selected, state_dim: int) -> StackedObservationModel:
     """Stack the selected agents' one-hot observation rows (rows of the
-    identity) and noise variances (as a diagonal covariance), in order."""
+    ``state_dim`` identity) and noise variances (as a diagonal covariance),
+    in order."""
     selected = list(selected)
     if not selected:
         raise InvalidInputError("cannot stack an empty selection")
     ids = [a.agent_id for a in selected]
     if len(set(ids)) != len(ids):
         raise InvalidInputError(f"duplicate agent ids in selection: {ids}")
-    dims = {a.state_dim for a in selected}
-    if len(dims) > 1:
-        raise InvalidInputError(
-            f"agents disagree on the state dimension: {sorted(dims)}")
     variance = np.array([a.variance for a in selected], dtype=float)
-    rows = identity(dims.pop()).take([a.feature for a in selected], axis=0)
+    rows = identity(state_dim).take([a.feature for a in selected], axis=0)
     return StackedObservationModel(rows, np.diag(variance), tuple(ids))
 
 

@@ -99,8 +99,13 @@ class ExperimentConfig:
             SchedulingMode(self.mode)
         except ValueError:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.episodes < 1:
-            raise ConfigurationError("episodes must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be >= 0")
+        for name, value in (("episodes", self.episodes), ("rl.epochs", self.rl.epochs),
+                            ("rl.batch_size", self.rl.batch_size),
+                            ("rl.minibatch_size", self.rl.minibatch_size)):
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         if self.capacity < 0:
             raise ConfigurationError("capacity must be >= 0")
         if not 0.0 <= self.accuracy_weight <= 1.0:
@@ -114,7 +119,8 @@ class ExperimentConfig:
             raise ConfigurationError("variance caps must be positive")
         if self.plant.name not in PLANT_REGISTRY:
             raise ConfigurationError(f"unknown plant {self.plant.name!r}")
-        self.build_fleet()     # a bad fleet fails here, before any episode runs
+        # a bad plant or fleet fails here, before any episode runs
+        self.build_fleet(self.build_plant())
         try:
             self.build_channel()
         except Exception as exc:
@@ -126,15 +132,24 @@ class ExperimentConfig:
             process_noise_std=tuple(self.plant.process_noise_std),
             episode_cap=self.plant.episode_cap)
 
-    def build_fleet(self):
+    def build_fleet(self, plant) -> sensing.FleetIndex:
+        """The pinned or generated fleet, indexed against the state dimension
+        of ``plant`` (as ``build_plant`` returns it); raises
+        ConfigurationError unless it covers every feature."""
         f = self.fleet
+        state_dim = plant.dim
         if f.agents is not None:
-            return [sensing.agent_from_record(rec, 2) for rec in f.agents]
-        rng = np.random.default_rng(np.random.SeedSequence(f.seed))
-        return sensing.place_agents(
-            f.count, f.max_distance_m, f.position_noise_levels,
-            f.velocity_noise_levels, rng, state_dim=2,
-            min_distance_m=f.min_distance_m)
+            agents = [sensing.agent_from_record(rec) for rec in f.agents]
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(f.seed))
+            agents = sensing.place_agents(
+                f.count, f.max_distance_m, f.position_noise_levels,
+                f.velocity_noise_levels, rng, state_dim,
+                min_distance_m=f.min_distance_m)
+        index = sensing.FleetIndex(agents, state_dim)
+        if not all(index.measuring):
+            raise ConfigurationError("fleet does not cover every plant feature")
+        return index
 
     def build_channel(self) -> ChannelParams:
         return ChannelParams.from_config(**dataclasses.asdict(self.channel))
@@ -298,11 +313,8 @@ def fresh_policy(config: ExperimentConfig) -> PolicyNetwork:
     """Untrained policy drawn from the master seed (for baseline/no-training runs)."""
     rng = np.random.default_rng(np.random.SeedSequence(config.master_seed,
                                                        spawn_key=(0,)))
-    plant = config.build_plant()
-    return PolicyNetwork(2 * plant.dim, plant.control_dim + plant.dim,
-                         config.rl, rng)
-
-
+    env = TwinLoop.from_config(config)
+    return PolicyNetwork(env.obs_dim, env.action_dim, config.rl, rng)
 
 
 def aggregate_metrics(metrics) -> dict:

@@ -58,10 +58,7 @@ class TwinLoop:
 
     def __init__(self, config, record_trace=False):
         self.plant = plant = config.build_plant()
-        self.fleet = config.build_fleet()
-        self.fleet_index = sensing.FleetIndex(self.fleet)
-        if self.fleet_index.state_dim != plant.dim or not all(self.fleet_index.measuring):
-            raise ConfigurationError("fleet does not cover exactly the plant's features")
+        self.fleet_index = config.build_fleet(plant)
         self.channel_params = config.build_channel()
         # the caps are checked here, once: the non-adaptive modes are judged
         # by these caps, and each adaptive QI applies its request to them
@@ -87,7 +84,7 @@ class TwinLoop:
         # distances are fixed, so each agent's uplink power is a constant
         self.power_by_id = {
             a.agent_id: channel_mod.required_power(a.distance_m, self.channel_params)
-            for a in self.fleet}
+            for a in self.fleet_index.agents}
 
         self._true_state = None
         self._prior = None
@@ -123,70 +120,77 @@ class TwinLoop:
         Raises InvalidInputError for an output that is not one float vector
         of ``action_dim`` entries and NumericalFailureError, with the QI, for
         a NaN in it, before anything else runs; +-inf entries are clamped by
-        ``decode_action`` like any other out-of-range entry.
+        ``decode_action`` like any other out-of-range entry. A numerical
+        failure raised by a lower layer without a QI is raised again with
+        this one.
         """
         raw = np.asarray(raw_action, dtype=float)
         if raw.shape != (self.action_dim,):
             raise InvalidInputError(f"action shape {raw.shape} != ({self.action_dim},)")
         if np.isnan(raw).any():
             raise NumericalFailureError("non-finite policy action", qi=self._qi)
-        action = decode_action(raw, self.eta_max, self.control_dim)
-        control = float(action.control[0])
+        try:
+            action = decode_action(raw, self.eta_max, self.control_dim)
+            control = float(action.control[0])
 
-        if self.mode is SchedulingMode.REVERB:
-            caps = scheduler.requested_caps(self.variance_caps, action.accuracy)
-            decision = scheduler.schedule(self._prior, caps,
-                                          self.fleet_index, self.capacity,
-                                          observe_fn=self._observe)
-        else:
-            caps = self.variance_caps
-            decision = baseline_schedule(
-                self.mode, self._prior, self.fleet_index, self.capacity,
-                self._pick_rng, observe_fn=self._observe,
-                caps=caps, true_state=self._true_state,
-                traditional_count=self.traditional_count)
+            if self.mode is SchedulingMode.REVERB:
+                caps = scheduler.requested_caps(self.variance_caps, action.accuracy)
+                decision = scheduler.schedule(self._prior, caps,
+                                              self.fleet_index, self.capacity,
+                                              observe_fn=self._observe)
+            else:
+                caps = self.variance_caps
+                decision = baseline_schedule(
+                    self.mode, self._prior, self.fleet_index, self.capacity,
+                    self._pick_rng, observe_fn=self._observe,
+                    caps=caps, true_state=self._true_state,
+                    traditional_count=self.traditional_count)
 
-        power = sum(self.power_by_id[i] for i in decision.selected_ids)
-        posterior = decision.posterior
-        error = self._true_state - posterior.mean
+            power = sum(self.power_by_id[i] for i in decision.selected_ids)
+            posterior = decision.posterior
+            error = self._true_state - posterior.mean
 
-        next_state = self.plant.step(self._true_state, control, self._plant_rng)
-        reached_goal = self.plant.is_goal(next_state)
-        reward = base_reward(control, reached_goal, self.termination_bonus)
-        if self.mode is SchedulingMode.REVERB:
-            shaped = shape_reward(reward, action.accuracy, self.kappa,
-                                  self.cost_mode)
-        else:
-            shaped = reward
+            next_state = self.plant.step(self._true_state, control, self._plant_rng)
+            reached_goal = self.plant.is_goal(next_state)
+            reward = base_reward(control, reached_goal, self.termination_bonus)
+            if self.mode is SchedulingMode.REVERB:
+                shaped = shape_reward(reward, action.accuracy, self.kappa,
+                                      self.cost_mode)
+            else:
+                shaped = reward
 
-        self.episode_power += power
-        self.error_norms.append(math.sqrt(error.dot(error)))  # np.linalg.norm's bits
-        self.selected_counts.append(len(decision.selected_ids))
-        satisfied = bool(decision.satisfied.all())
-        self.satisfied_flags.append(satisfied)
-        if self.record_trace:
-            ids = decision.selected_ids
-            objective = scheduler.weighted_objective(
-                decision, caps, self.accuracy_weight,
-                [self.power_by_id[i] for i in ids])
-            true = self._true_state.tolist()
-            mean = posterior.mean.tolist()
-            std = posterior.std.tolist()
-            ratio = (self._prior.cov.diagonal() / caps).tolist()
-            eta = action.accuracy.tolist()
-            self.trace.append(dict(zip(TRACE_COLUMNS, (
-                self._qi, true[0], true[1], mean[0], mean[1], std[0], std[1],
-                ratio[0], ratio[1], len(ids), ";".join(str(i) for i in ids),
-                decision.iterations, power, eta[0], eta[1], control, reward,
-                int(satisfied), objective))))
+            self.episode_power += power
+            self.error_norms.append(math.sqrt(error.dot(error)))  # np.linalg.norm's bits
+            self.selected_counts.append(len(decision.selected_ids))
+            satisfied = bool(decision.satisfied.all())
+            self.satisfied_flags.append(satisfied)
+            if self.record_trace:
+                ids = decision.selected_ids
+                objective = scheduler.weighted_objective(
+                    decision, caps, self.accuracy_weight,
+                    [self.power_by_id[i] for i in ids])
+                true = self._true_state.tolist()
+                mean = posterior.mean.tolist()
+                std = posterior.std.tolist()
+                ratio = (self._prior.cov.diagonal() / caps).tolist()
+                eta = action.accuracy.tolist()
+                self.trace.append(dict(zip(TRACE_COLUMNS, (
+                    self._qi, true[0], true[1], mean[0], mean[1], std[0], std[1],
+                    ratio[0], ratio[1], len(ids), ";".join(str(i) for i in ids),
+                    decision.iterations, power, eta[0], eta[1], control, reward,
+                    int(satisfied), objective))))
 
-        terminated = reached_goal
-        truncated = (not terminated) and self._qi >= self.plant.episode_cap
-        self._true_state = next_state
-        self._prior = estimator.predict(posterior, action.control, self.plant)
-        self._qi += 1
-        return StepResult(self._policy_input(self._prior), reward, shaped,
-                          terminated, truncated)
+            terminated = reached_goal
+            truncated = (not terminated) and self._qi >= self.plant.episode_cap
+            self._true_state = next_state
+            self._prior = estimator.predict(posterior, action.control, self.plant)
+            self._qi += 1
+            return StepResult(self._policy_input(self._prior), reward, shaped,
+                              terminated, truncated)
+        except NumericalFailureError as exc:
+            if exc.qi is not None:
+                raise
+            raise NumericalFailureError(exc.message, qi=self._qi) from None
 
     # -- helpers -------------------------------------------------------------
 

@@ -31,8 +31,10 @@ readings are requested as ``observe_fn(positions)``. Reading and fusing a
 selection whose covariance and gain are known is ``_fused_decision``,
 shared by REVERB and the greedy modes; a reading of feature k is fused
 against the prior mean of feature k. Per-fleet lookups (agents per feature
-in cost order, each agent's id, feature and noise variance) come from a
-``sensing.FleetIndex`` built once per fleet. The schedulers trust what the
+in cost order, each agent's id, feature and noise variance) come from the
+``sensing.FleetIndex`` the caller built once per fleet, against the
+plant's state dimension; nothing else is taken as a fleet. Each scheduler
+checks that dimension against the prior's. The schedulers trust what the
 layers before them checked: the caps are positive (``TwinLoop`` checked
 them), the prior covariance is finite and symmetric (``estimator.predict``
 made it so), the readings are finite (``sensing.read`` checked them), and
@@ -93,23 +95,21 @@ class ScheduleDecision:
     iterations: int
 
 
-def schedule(prior: Belief, caps: np.ndarray, fleet, capacity: int,
-             observe_fn=None) -> ScheduleDecision:
+def schedule(prior: Belief, caps: np.ndarray, index: sensing.FleetIndex,
+             capacity: int, observe_fn=None) -> ScheduleDecision:
     """Select at most ``capacity`` agents so the posterior meets ``caps``,
     the effective caps (a float vector, one per feature).
 
-    ``fleet`` is a ``sensing.FleetIndex`` or a plain list of agents (indexed
-    on the fly). ``observe_fn(positions)`` supplies the 1-D float readings
-    of the agents at those fleet positions, one per position, as
-    ``sensing.read`` returns them; when omitted the decision carries the
-    covariance-only posterior with the prior mean (enough for selection
-    analysis and tests).
+    ``index`` is the fleet's ``sensing.FleetIndex``. ``observe_fn(positions)``
+    supplies the 1-D float readings of the agents at those fleet positions,
+    one per position, as ``sensing.read`` returns them; when omitted the
+    decision carries the covariance-only posterior with the prior mean
+    (enough for selection analysis and tests).
     """
-    index = sensing.FleetIndex.of(fleet)
     if caps.shape[0] != prior.mean.shape[0]:
         raise InvalidInputError("threshold dimension does not match belief")
-    if index.state_dim not in (None, prior.mean.shape[0]):
-        raise InvalidInputError("fleet observation matrices do not match belief")
+    if index.state_dim != prior.mean.shape[0]:
+        raise InvalidInputError("fleet state dimension does not match belief")
     if capacity < 0:
         raise InvalidInputError("capacity must be nonnegative")
 
@@ -146,13 +146,14 @@ def schedule(prior: Belief, caps: np.ndarray, fleet, capacity: int,
     return _fused_decision(prior, index, chosen, cov, gain, caps, observe_fn)
 
 
-def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
-                      rng, observe_fn=None, caps=None, true_state=None,
+def baseline_schedule(mode: SchedulingMode, prior: Belief,
+                      index: sensing.FleetIndex, capacity: int, rng,
+                      observe_fn=None, caps=None, true_state=None,
                       traditional_count: int = 2) -> ScheduleDecision:
     """Per-interval decision for the non-adaptive benchmark modes.
 
-    ``fleet`` is a ``sensing.FleetIndex`` or a plain list of agents; the
-    greedy modes take their fixed order from the index.
+    ``index`` is the fleet's ``sensing.FleetIndex``; the greedy modes take
+    their fixed order from it.
     ``observe_fn(positions)`` returns the 1-D float readings of the agents
     at those fleet positions, as ``sensing.read`` does. ``caps`` are the
     fixed variance caps that ``satisfied`` is judged by; None counts every
@@ -168,17 +169,16 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief, fleet, capacity: int,
                            np.zeros_like(prior.cov), prior.qi)
         return ScheduleDecision((), posterior, _caps_met(posterior, caps), 0)
 
-    index = sensing.FleetIndex.of(fleet)
     if mode in (SchedulingMode.COST_GREEDY, SchedulingMode.ERROR_GREEDY):
-        if index.state_dim not in (None, prior.mean.shape[0]):
-            raise InvalidInputError("fleet observation matrices do not match belief")
+        if index.state_dim != prior.mean.shape[0]:
+            raise InvalidInputError("fleet state dimension does not match belief")
         order = (index.by_distance if mode is SchedulingMode.COST_GREEDY
                  else index.by_error)
         chosen = order[:min(capacity, len(order))]
         cov = gain = None
         if chosen:
-            cov, gain = estimator.posterior_cov(
-                prior.cov, estimator.stack(index.agents[p] for p in chosen))
+            cov, gain = estimator.posterior_cov(prior.cov, estimator.stack(
+                (index.agents[p] for p in chosen), index.state_dim))
         return _fused_decision(prior, index, chosen, cov, gain, caps, observe_fn)
 
     # TRADITIONAL: raw readings substituted into the belief, no filter

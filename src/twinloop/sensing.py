@@ -1,11 +1,14 @@
 """Sensing agent fleet: placement, noisy scalar readings, coverage queries.
 
 Each agent reads one state feature (the car's position or its velocity)
-with its own noise variance, over an uplink of its own length. Generated
+with its own noise variance, over an uplink of its own length. An agent is
+(id, feature, variance, distance) and knows nothing of the state's size:
+the plant owns the state dimension, and a ``FleetIndex`` is built against
+it, so that is where a feature outside the state is rejected. Generated
 agents draw the variance log-uniformly between the bounds of the supplied
-level list and the distance uniformly on (min_distance, max_distance].
-Fleets serialize to plain JSON records (id, feature, variance, distance), so
-an experiment can be replayed exactly; ``agent_from_record`` parses one.
+level list and the distance uniformly on (min_distance, max_distance]. A
+pinned fleet is a list of config records {id, feature, variance, distance},
+so an experiment can be replayed exactly; ``agent_from_record`` parses one.
 ``observe`` returns one agent's reading and ``read`` a whole selection's, in
 one draw, each as a checked value vector. A ``FleetIndex`` holds the tables
 the schedulers look up every query interval, computed once per fleet; a
@@ -14,7 +17,6 @@ selection is the tuple of its agents' positions in the fleet.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,18 +31,17 @@ DEFAULT_MIN_DISTANCE_M = 1.0
 @dataclass(frozen=True)
 class SensingAgentSpec:
     """One sensor: the state feature it reads, the variance of its noise and
-    its uplink distance, in a state of ``state_dim`` features."""
+    its uplink distance."""
 
     agent_id: int
     feature: int
     variance: float
     distance_m: float
-    state_dim: int = 2
 
     def __post_init__(self):
-        if not 0 <= self.feature < self.state_dim:
+        if self.feature < 0:
             raise InvalidInputError(f"agent {self.agent_id}: feature {self.feature} "
-                                    f"is not in 0..{self.state_dim - 1}")
+                                    f"is negative")
         if not 0 < self.variance < math.inf:
             raise InvalidInputError("noise variance must be positive and finite")
         if not 0 < self.distance_m < math.inf:
@@ -57,9 +58,9 @@ def observe(agent: SensingAgentSpec, true_state, rng, qi: int = 0,
     error raised for a non-finite reading.
     """
     state = np.asarray(true_state, dtype=float)
-    if state.shape[0] != agent.state_dim:
-        raise InvalidInputError(f"state dim {state.shape[0]} incompatible with "
-                                f"an agent of state dim {agent.state_dim}")
+    if agent.feature >= state.shape[0]:
+        raise InvalidInputError(f"agent {agent.agent_id} reads feature {agent.feature} "
+                                f"of a state of dim {state.shape[0]}")
     values = state[[agent.feature]]
     if not noiseless:
         values += np.sqrt(agent.variance) * rng.standard_normal(1)
@@ -88,7 +89,7 @@ def read(index: "FleetIndex", positions, true_state, rng, qi: int = 0) -> np.nda
 
 
 def place_agents(count: int, max_distance_m: float, position_noise_levels,
-                 velocity_noise_levels, rng, state_dim: int = 2,
+                 velocity_noise_levels, rng, state_dim: int,
                  min_distance_m: float = DEFAULT_MIN_DISTANCE_M):
     """Generate a fleet of single-feature agents covering all state features.
 
@@ -116,16 +117,17 @@ def place_agents(count: int, max_distance_m: float, position_noise_levels,
             np.exp(rng.uniform(np.log(lo), np.log(hi))))
         # distance uniform on (min, max]
         distance = max_distance_m - (max_distance_m - min_distance_m) * rng.uniform()
-        fleet.append(SensingAgentSpec(i + 1, feature, variance, float(distance),
-                                      state_dim))
+        fleet.append(SensingAgentSpec(i + 1, feature, variance, float(distance)))
     return fleet
 
 
 @dataclass(frozen=True, eq=False)
 class FleetIndex:
-    """A fleet's scheduling tables, computed once and never changed.
+    """A fleet's scheduling tables for a state of ``state_dim`` features,
+    computed once and never changed.
 
-    Agents are addressed by their position in ``agents``. ``by_error`` and
+    Raises InvalidInputError when an agent reads a feature outside the
+    state or two agents share an id. Agents are addressed by their position in ``agents``. ``by_error`` and
     ``by_distance`` order the whole fleet by (variance, agent_id) and
     (distance_m, agent_id); ``measuring[k]`` lists the agents measuring
     feature k in fleet order, and ``by_feature[k]`` lists them in
@@ -135,14 +137,14 @@ class FleetIndex:
     """
 
     agents: tuple
+    state_dim: int
 
     def __post_init__(self):
-        agents = tuple(self.agents)
-        dims = {a.state_dim for a in agents}
-        if len(dims) > 1:
-            raise InvalidInputError(
-                f"agents disagree on the state dimension: {sorted(dims)}")
-        state_dim = dims.pop() if dims else None
+        agents, state_dim = tuple(self.agents), self.state_dim
+        for a in agents:
+            if a.feature >= state_dim:
+                raise InvalidInputError(f"agent {a.agent_id}: feature {a.feature} "
+                                        f"is not in 0..{state_dim - 1}")
         ids = tuple(a.agent_id for a in agents)
         if len(set(ids)) != len(ids):
             raise InvalidInputError(f"duplicate agent ids in fleet: {list(ids)}")
@@ -156,31 +158,26 @@ class FleetIndex:
         by_distance = tuple(sorted(range(len(agents)),
                                    key=lambda p: (agents[p].distance_m, ids[p])))
         measuring = tuple(tuple(p for p, a in enumerate(agents) if a.feature == k)
-                          for k in range(state_dim or 0))
+                          for k in range(state_dim))
         by_feature = tuple(tuple(p for p in by_error if p in m) for m in measuring)
-        for name, value in (("agents", agents), ("ids", ids),
-                            ("state_dim", state_dim), ("features", features),
+        for name, value in (("agents", agents), ("ids", ids), ("features", features),
                             ("variance", variance), ("std", std),
                             ("by_error", by_error), ("by_distance", by_distance),
                             ("measuring", measuring), ("by_feature", by_feature)):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def of(cls, fleet) -> "FleetIndex":
-        """``fleet`` itself when it is an index, else a new index of it."""
-        return fleet if isinstance(fleet, cls) else cls(fleet)
-
     def __len__(self) -> int:
         return len(self.agents)
 
 
-def agent_from_record(record, state_dim: int = 2) -> SensingAgentSpec:
+def agent_from_record(record) -> SensingAgentSpec:
     """The agent of one pinned-fleet record {id, feature, variance, distance}.
 
     Raises ConfigurationError when a field is missing or is not a number,
     or when the id or feature is not an integer (a bool, 2.9 and 2.0 are
-    not), and InvalidInputError, from the spec, when the feature is not in
-    0..state_dim-1 or the variance or distance is not positive and finite.
+    not), and InvalidInputError, from the spec, when the feature is negative
+    or the variance or distance is not positive and finite. A feature past
+    the plant's state is rejected by the ``FleetIndex`` built against it.
     """
     try:
         fields = (integer(record["id"]), integer(record["feature"]),
@@ -188,7 +185,7 @@ def agent_from_record(record, state_dim: int = 2) -> SensingAgentSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad fleet record {record!r}: a field is missing or "
                                  f"malformed ({type(exc).__name__}: {exc})") from None
-    return SensingAgentSpec(*fields, state_dim)
+    return SensingAgentSpec(*fields)
 
 
 def integer(value) -> int:
@@ -197,30 +194,3 @@ def integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{value!r} is not an integer")
     return int(value)
-
-
-def fleet_to_json(fleet, state_dim: int = 2) -> str:
-    """Serialize a fleet of ``state_dim``-feature agents to JSON records."""
-    if any(a.state_dim != state_dim for a in fleet):
-        raise InvalidInputError(f"fleet does not have state dimension {state_dim}")
-    records = [{"id": a.agent_id, "feature": int(a.feature),
-                "variance": float(a.variance), "distance": a.distance_m}
-               for a in fleet]
-    return json.dumps({"state_dim": state_dim, "agents": records}, indent=2)
-
-
-def fleet_from_json(text: str):
-    """The fleet that ``fleet_to_json`` wrote, each record parsed by
-    ``agent_from_record``.
-
-    Raises ConfigurationError when the document is not an object with an
-    integer ``state_dim`` (a bool, 2.7 and 2.0 are not) and an ``agents``
-    list, whether or not that list is empty.
-    """
-    data = json.loads(text)
-    try:
-        state_dim, records = integer(data["state_dim"]), list(data["agents"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"bad fleet document: {type(exc).__name__}: "
-                                 f"{exc}") from None
-    return [agent_from_record(rec, state_dim) for rec in records]

@@ -114,9 +114,14 @@ def relative_gradient_error(analytic, numeric):
     return float(np.linalg.norm(a - n) / denom)
 
 
-def scalar_agent(agent_id, feature, variance, distance=5.0, dim=2):
+def scalar_agent(agent_id, feature, variance, distance=5.0):
     return SensingAgentSpec(agent_id=agent_id, feature=feature, variance=variance,
-                            distance_m=distance, state_dim=dim)
+                            distance_m=distance)
+
+
+def indexed(fleet, dim=2):
+    """The ``sensing.FleetIndex`` of ``fleet`` in a state of ``dim`` features."""
+    return sensing.FleetIndex(fleet, dim)
 
 
 def diag_belief(*variances, mean=None, qi=0):
@@ -126,17 +131,17 @@ def diag_belief(*variances, mean=None, qi=0):
 
 
 def reference_schedule(prior, caps, fleet, capacity, observe_fn=None):
-    """The greedy value-of-information loop over a plain agent list.
+    """The greedy value-of-information loop over a plain agent list, in the
+    prior's state.
 
     Re-scans the fleet for each candidate feature, re-stacks the selection
     with ``estimator.stack`` every iteration, and fuses the final selection
     through ``estimator.update``. ``scheduler.schedule`` must reproduce its
     decisions bit for bit.
     """
-    if caps.shape[0] != prior.mean.shape[0]:
+    dim = prior.mean.shape[0]
+    if caps.shape[0] != dim:
         raise InvalidInputError("threshold dimension does not match belief")
-    if fleet and fleet[0].state_dim != prior.mean.shape[0]:
-        raise InvalidInputError("fleet observation matrices do not match belief")
     if capacity < 0:
         raise InvalidInputError("capacity must be nonnegative")
 
@@ -161,10 +166,10 @@ def reference_schedule(prior, caps, fleet, capacity, observe_fn=None):
         chosen.append(agent)
         available.remove(agent)
         iterations += 1
-        cov, _ = estimator.posterior_cov(prior.cov, estimator.stack(chosen))
+        cov, _ = estimator.posterior_cov(prior.cov, estimator.stack(chosen, dim))
 
     if chosen:
-        stacked = estimator.stack(chosen)
+        stacked = estimator.stack(chosen, dim)
         if observe_fn is not None:
             values = np.concatenate(
                 [np.atleast_1d(observe_fn(a)) for a in chosen])
@@ -199,7 +204,7 @@ def reference_baseline_schedule(mode, prior, fleet, capacity, observe_fn=None,
     if not chosen:
         posterior = prior.copy()
     else:
-        stacked = estimator.stack(chosen)
+        stacked = estimator.stack(chosen, prior.mean.shape[0])
         if observe_fn is not None:
             values = np.concatenate([observe_fn(a) for a in chosen])
             posterior = estimator.update(prior, stacked, values)
@@ -245,9 +250,9 @@ def reference_traditional(prior, fleet, rng, observe_fn=None, traditional_count=
 
 
 def random_case(rng):
-    """A prior, caps, fleet and capacity covering the scheduler's branches:
-    variance ties (variances from a short list), empty fleets, shuffled ids
-    and capacities from 0 to beyond the fleet size."""
+    """A prior, caps, fleet index and capacity covering the scheduler's
+    branches: variance ties (variances from a short list), empty fleets,
+    shuffled ids and capacities from 0 to beyond the fleet size."""
     dim = int(rng.integers(2, 4))
     a = rng.normal(size=(dim, dim))
     cov = a @ a.T * 10.0 ** rng.uniform(-4, -2) + np.diag(10.0 ** rng.uniform(-4, -1, dim))
@@ -258,10 +263,10 @@ def random_case(rng):
     levels = (1e-4, 1e-3, 1e-2)       # few values, so variances tie often
     ids = rng.permutation(np.arange(1, 3 * m + 2))[:m]
     fleet = [scalar_agent(agent_id, int(rng.integers(dim)), float(rng.choice(levels)),
-                          distance=float(rng.uniform(1, 20)), dim=dim)
+                          distance=float(rng.uniform(1, 20)))
              for agent_id in ids.tolist()]
     capacity = int(rng.integers(0, m + 2))
-    return prior, effective_thresholds(caps, eta), fleet, capacity
+    return prior, effective_thresholds(caps, eta), indexed(fleet, dim), capacity
 
 
 def seeded_observer(seed, prior):
@@ -272,12 +277,11 @@ def seeded_observer(seed, prior):
     return lambda agent: sensing.observe(agent, state, rng)
 
 
-def seeded_reader(seed, prior, fleet):
-    """The schedulers' ``observe_fn`` for ``fleet`` (a list of agents or its
+def seeded_reader(seed, prior, index):
+    """The schedulers' ``observe_fn`` for the fleet of ``index`` (its
     ``sensing.FleetIndex``) over the same state and stream as
     ``seeded_observer(seed, prior)``, reading a whole selection of fleet
     positions at once through ``sensing.read``."""
-    index = sensing.FleetIndex.of(fleet)
     rng = np.random.default_rng(seed)
     state = prior.mean + rng.normal(size=prior.mean.shape[0]) * 0.01
     return lambda positions: sensing.read(index, positions, state, rng)

@@ -25,7 +25,7 @@ from twinloop.estimator import posterior_cov, predict, stack, update
 from twinloop.dynamics import build_linear_2d
 from tests.helpers import (batch_linear_gaussian_posterior,
                            finite_difference_gradient, invert_marcum_tail,
-                           relative_gradient_error, scalar_agent)
+                           indexed, relative_gradient_error, scalar_agent)
 
 
 def report(criterion, passed, detail=""):
@@ -86,7 +86,7 @@ class TestCriterion1EstimatorOracle:
             state = plant.step(state, control, rng)
             belief = predict(belief, control, plant)
             chosen = agents if t % 2 == 0 else [agents[0]]
-            stacked = stack(chosen)
+            stacked = stack(chosen, 2)
             values = stacked.matrix @ state + 0.1 * rng.standard_normal(
                 stacked.matrix.shape[0])
             belief = update(belief, stacked, values)
@@ -127,7 +127,7 @@ class TestCriterion2SchedulerProperties:
             fleet = [scalar_agent(i + 1, i % 2, float(10 ** rng.uniform(-4, -1)))
                      for i in range(m)]
             capacity = int(rng.integers(0, m + 2))
-            decision = schedule(prior, effective, fleet, capacity)
+            decision = schedule(prior, effective, indexed(fleet), capacity)
 
             assert decision.iterations <= capacity
             assert len(decision.selected_ids) <= capacity

@@ -87,28 +87,29 @@ class TestPolicyForward:
         policy, _ = small_policy()
         for w in policy.actor.weights + policy.critic.weights:
             w[:] = 0.0
-        mean, std, value = policy.forward(np.array([0.3, -0.2, 0.05, 0.01]))
+        mean, _, value, _ = policy.act(np.array([0.3, -0.2, 0.05, 0.01]), None,
+                                       deterministic=True)
         np.testing.assert_allclose(mean, 0.0)
         assert value == 0.0
-        np.testing.assert_allclose(std, 1.0)   # exp(0)
+        np.testing.assert_allclose(np.exp(policy.logstd), 1.0)   # exp(0)
 
     def test_deterministic_repeat(self):
         policy, _ = small_policy(3)
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        first = policy.forward(x)
-        second = policy.forward(x)
+        first = policy.act(x, None, deterministic=True)
+        second = policy.act(x, None, deterministic=True)
         np.testing.assert_array_equal(first[0], second[0])
         assert first[2] == second[2]
 
-    def test_mean_and_value_are_those_of_the_deterministic_act(self):
+    def test_deterministic_act_reads_the_networks_on_the_normalized_input(self):
         policy, _ = small_policy(5)
         policy.normalizer._update(np.array([1.0, 2.0, 3.0, 4.0]))
         policy.normalizer._update(np.array([2.0, 1.0, 0.0, -1.0]))
         x = np.array([0.1, -0.2, 0.3, 0.4])
-        mean, std, value = policy.forward(x)
-        action, _, act_value, _ = policy.act(x, None, deterministic=True)
-        assert same_bits(mean, action) and value == act_value
-        assert same_bits(std, np.exp(policy.logstd))
+        action, _, value, normalized = policy.act(x, None, deterministic=True)
+        assert same_bits(normalized, policy.normalizer.normalize(x))
+        assert same_bits(action, np.tanh(policy.actor.forward(normalized[None, :])[0][0]))
+        assert value == policy.critic.forward(normalized[None, :])[0][0, 0]
 
     def test_network_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -293,9 +294,11 @@ class TestCheckpoint:
         policy.save(path)
         loaded = PolicyNetwork.load(path)
         x = np.array([0.2, -0.4, 1.0, 0.5])
-        np.testing.assert_array_equal(policy.forward(x)[0],
-                                      loaded.forward(x)[0])
-        assert policy.forward(x)[2] == loaded.forward(x)[2]
+        want = policy.act(x, None, deterministic=True)
+        got = loaded.act(x, None, deterministic=True)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[2] == want[2]
+        np.testing.assert_array_equal(loaded.logstd, policy.logstd)
         assert loaded.normalizer.count == policy.normalizer.count
 
 

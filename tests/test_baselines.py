@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from twinloop import Belief, InvalidInputError, SchedulingMode, baseline_schedule
-from twinloop.sensing import FleetIndex
-from tests.helpers import (diag_belief, random_case, reference_baseline_schedule,
+from tests.helpers import (diag_belief, indexed, random_case, reference_baseline_schedule,
                            reference_traditional, same_bits, scalar_agent,
                            seeded_observer, seeded_reader)
 
@@ -18,7 +17,7 @@ def fleet_with_distances(distances, feature=0, variance=0.01):
 class TestPerfect:
     def test_truth_with_zero_covariance(self):
         prior = diag_belief(0.02, 0.001, mean=[0.0, 0.0])
-        decision = baseline_schedule(SchedulingMode.PERFECT, prior, [], 10,
+        decision = baseline_schedule(SchedulingMode.PERFECT, prior, indexed([]), 10,
                                      np.random.default_rng(0),
                                      true_state=np.array([-0.3, 0.05]))
         np.testing.assert_allclose(decision.posterior.mean, [-0.3, 0.05])
@@ -28,7 +27,7 @@ class TestPerfect:
     def test_requires_true_state(self):
         with pytest.raises(InvalidInputError):
             baseline_schedule(SchedulingMode.PERFECT, diag_belief(0.1, 0.1),
-                              [], 10, np.random.default_rng(0))
+                              indexed([]), 10, np.random.default_rng(0))
 
 
 class TestGreedy:
@@ -36,7 +35,7 @@ class TestGreedy:
         fleet = fleet_with_distances([5.0, 3.0, 12.0])
         fleet.append(scalar_agent(4, 1, 0.01, distance=19.0))
         decision = baseline_schedule(SchedulingMode.COST_GREEDY,
-                                     diag_belief(0.1, 0.1), fleet, 2,
+                                     diag_belief(0.1, 0.1), indexed(fleet), 2,
                                      np.random.default_rng(0))
         chosen = {fleet[i].agent_id for i in (0, 1)}
         assert set(decision.selected_ids) == chosen  # distances 3 and 5
@@ -45,22 +44,22 @@ class TestGreedy:
         fleet = [scalar_agent(1, 0, 0.1), scalar_agent(2, 0, 0.01),
                  scalar_agent(3, 1, 0.05)]
         decision = baseline_schedule(SchedulingMode.ERROR_GREEDY,
-                                     diag_belief(0.1, 0.1), fleet, 2,
+                                     diag_belief(0.1, 0.1), indexed(fleet), 2,
                                      np.random.default_rng(0))
         assert set(decision.selected_ids) == {2, 3}
 
     def test_capacity_above_fleet_selects_all(self):
         fleet = fleet_with_distances([5.0, 3.0])
         decision = baseline_schedule(SchedulingMode.COST_GREEDY,
-                                     diag_belief(0.1, 0.1), fleet, 10,
+                                     diag_belief(0.1, 0.1), indexed(fleet), 10,
                                      np.random.default_rng(0))
         assert len(decision.selected_ids) == 2
 
     def test_greedy_fuses_through_filter(self):
         fleet = [scalar_agent(1, 0, 0.01)]
         prior = diag_belief(0.02, 0.001)
-        decision = baseline_schedule(SchedulingMode.COST_GREEDY, prior, fleet,
-                                     1, np.random.default_rng(0),
+        decision = baseline_schedule(SchedulingMode.COST_GREEDY, prior,
+                                     indexed(fleet), 1, np.random.default_rng(0),
                                      observe_fn=lambda positions: np.array([0.5]))
         assert decision.posterior.cov[0, 0] == pytest.approx(
             0.02 * 0.01 / 0.03, rel=1e-12)
@@ -72,7 +71,7 @@ class TestGreedy:
     def test_readings_that_are_not_vectors_rejected(self, mode, reading):
         fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
         with pytest.raises(InvalidInputError):
-            baseline_schedule(mode, diag_belief(0.02, 0.001), fleet, 2,
+            baseline_schedule(mode, diag_belief(0.02, 0.001), indexed(fleet), 2,
                               np.random.default_rng(0), observe_fn=reading)
 
     def test_one_reading_for_two_rows_rejected(self):
@@ -80,8 +79,16 @@ class TestGreedy:
         readings = iter([np.array([0.5]), np.empty(0)])
         with pytest.raises(InvalidInputError):
             baseline_schedule(SchedulingMode.COST_GREEDY, diag_belief(0.02, 0.001),
-                              fleet, 2, np.random.default_rng(0),
+                              indexed(fleet), 2, np.random.default_rng(0),
                               observe_fn=lambda positions: next(readings))
+
+    @pytest.mark.parametrize("mode", [SchedulingMode.COST_GREEDY,
+                                      SchedulingMode.ERROR_GREEDY])
+    def test_fleet_of_another_state_dimension_rejected(self, mode):
+        with pytest.raises(InvalidInputError, match="fleet"):
+            baseline_schedule(mode, diag_belief(0.02, 0.001),
+                              indexed([scalar_agent(1, 2, 0.01)], dim=3), 1,
+                              np.random.default_rng(0))
 
 
 class TestMatchesReference:
@@ -102,21 +109,20 @@ class TestMatchesReference:
         rng = np.random.default_rng(2025)
         seen = {"empty": 0, "zero_capacity": 0, "selected": 0, "no_caps": 0}
         for case in range(600):
-            prior, caps, fleet, capacity = random_case(rng)
+            prior, caps, index, capacity = random_case(rng)
+            fleet = list(index.agents)
             if case % 4 == 0:
                 caps = None
             for mode in self.MODES:
                 want = reference_baseline_schedule(
                     mode, prior, fleet, capacity,
                     observe_fn=seeded_observer(case, prior), caps=caps)
-                for given in (fleet, FleetIndex(fleet)):
-                    got = baseline_schedule(
-                        mode, prior, given, capacity, np.random.default_rng(0),
-                        observe_fn=seeded_reader(case, prior, given),
-                        caps=caps)
-                    self.assert_same(got, want)
+                got = baseline_schedule(
+                    mode, prior, index, capacity, np.random.default_rng(0),
+                    observe_fn=seeded_reader(case, prior, index), caps=caps)
+                self.assert_same(got, want)
                 self.assert_same(
-                    baseline_schedule(mode, prior, fleet, capacity,
+                    baseline_schedule(mode, prior, index, capacity,
                                       np.random.default_rng(0),
                                       caps=caps),
                     reference_baseline_schedule(mode, prior, fleet, capacity,
@@ -132,16 +138,16 @@ class TestMatchesReference:
         rng = np.random.default_rng(2027)
         seen = {"read": 0, "round_robin": 0, "uniform": 0}
         for case in range(600):
-            prior, caps, fleet, _ = random_case(rng)
+            prior, caps, index, _ = random_case(rng)
             count = int(rng.integers(1, 4))
             observed = case % 3 != 0
             want_ids, want = reference_traditional(
-                prior, fleet, np.random.default_rng(case),
+                prior, list(index.agents), np.random.default_rng(case),
                 seeded_observer(case, prior) if observed else None, count)
             got = baseline_schedule(
-                SchedulingMode.TRADITIONAL, prior, FleetIndex(fleet), 10,
+                SchedulingMode.TRADITIONAL, prior, index, 10,
                 np.random.default_rng(case),
-                observe_fn=seeded_reader(case, prior, fleet) if observed else None,
+                observe_fn=seeded_reader(case, prior, index) if observed else None,
                 caps=caps, traditional_count=count)
             assert got.selected_ids == want_ids
             assert got.iterations == len(want_ids)
@@ -158,7 +164,7 @@ class TestTraditional:
         fleet = [scalar_agent(1, 0, 0.04), scalar_agent(2, 1, 0.001)]
         prior = diag_belief(0.02, 0.0005, mean=[0.0, 0.0])
         decision = baseline_schedule(
-            SchedulingMode.TRADITIONAL, prior, fleet, 10,
+            SchedulingMode.TRADITIONAL, prior, indexed(fleet), 10,
             np.random.default_rng(0),
             observe_fn=lambda positions: np.array([-0.42, 0.031]).take(
                 [fleet[p].feature for p in positions]),
@@ -171,14 +177,14 @@ class TestTraditional:
     def test_each_feature_gets_its_own_agents_variance(self):
         # three agents per feature, every variance different: the variance
         # substituted for feature k is that of the agent read for k
-        fleet = [scalar_agent(i + 1, i % 3, 10.0 ** -(i + 1), dim=3) for i in range(9)]
+        fleet = [scalar_agent(i + 1, i % 3, 10.0 ** -(i + 1)) for i in range(9)]
         by_id = {a.agent_id: a for a in fleet}
         prior = Belief(np.zeros(3), np.full((3, 3), 0.01) + np.eye(3), qi=4)
         truth = np.array([0.5, -0.25, 2.0])
         read = set()
         for seed in range(20):
             decision = baseline_schedule(
-                SchedulingMode.TRADITIONAL, prior, fleet, 10,
+                SchedulingMode.TRADITIONAL, prior, indexed(fleet, dim=3), 10,
                 np.random.default_rng(seed),
                 observe_fn=lambda positions: truth.take(
                     [fleet[p].feature for p in positions]),
@@ -196,7 +202,7 @@ class TestTraditional:
         fleet = [scalar_agent(1, 0, 0.04)]
         prior = diag_belief(0.02, 0.0005, mean=[0.1, 0.02])
         decision = baseline_schedule(
-            SchedulingMode.TRADITIONAL, prior, fleet, 10,
+            SchedulingMode.TRADITIONAL, prior, indexed(fleet), 10,
             np.random.default_rng(3),
             observe_fn=lambda positions: np.array([-0.5]), traditional_count=1)
         assert decision.posterior.mean[1] == pytest.approx(0.02)
@@ -208,7 +214,8 @@ class TestTraditional:
     def test_reading_that_does_not_fit_the_agent_rejected(self, reading):
         with pytest.raises(InvalidInputError):
             baseline_schedule(SchedulingMode.TRADITIONAL, diag_belief(0.02, 0.0005),
-                              [scalar_agent(1, 0, 0.04)], 10, np.random.default_rng(3),
+                              indexed([scalar_agent(1, 0, 0.04)]), 10,
+                              np.random.default_rng(3),
                               observe_fn=reading, traditional_count=1)
 
     def test_single_pick_is_uniform_over_the_fleet(self):
@@ -218,7 +225,7 @@ class TestTraditional:
         picked = set()
         for _ in range(50):
             decision = baseline_schedule(
-                SchedulingMode.TRADITIONAL, prior, fleet, 10, rng,
+                SchedulingMode.TRADITIONAL, prior, indexed(fleet), 10, rng,
                 traditional_count=1)
             picked.update(decision.selected_ids)
         assert picked == {1, 2}
@@ -226,13 +233,13 @@ class TestTraditional:
     def test_reverb_rejected_here(self):
         with pytest.raises(InvalidInputError):
             baseline_schedule(SchedulingMode.REVERB, diag_belief(0.1, 0.1),
-                              [], 1, np.random.default_rng(0))
+                              indexed([]), 1, np.random.default_rng(0))
 
 
 class TestPowerAccounting:
     def test_perfect_consumes_nothing(self):
         decision = baseline_schedule(SchedulingMode.PERFECT,
-                                     diag_belief(0.1, 0.1), [], 10,
+                                     diag_belief(0.1, 0.1), indexed([]), 10,
                                      np.random.default_rng(0),
                                      true_state=np.zeros(2))
         assert decision.selected_ids == ()
@@ -241,6 +248,6 @@ class TestPowerAccounting:
         fleet = [scalar_agent(i + 1, i % 2, 0.01 + i * 0.01,
                               distance=1.0 + i) for i in range(6)]
         decision = baseline_schedule(SchedulingMode.ERROR_GREEDY,
-                                     diag_belief(0.1, 0.1), fleet, 4,
+                                     diag_belief(0.1, 0.1), indexed(fleet), 4,
                                      np.random.default_rng(0))
         assert len(decision.selected_ids) == 4

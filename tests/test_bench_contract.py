@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from twinloop import SchedulingMode, agent, harness, loop, scheduler
-from tests.helpers import diag_belief, scalar_agent
+from tests.helpers import diag_belief, indexed, scalar_agent
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS_PATH = PERFBENCH / "workloads.py"
@@ -44,7 +44,7 @@ def test_every_span_target_is_in_its_owner_dict(workloads):
 
 
 def test_schedule_decision_feeds_the_counter(workloads):
-    fleet = [scalar_agent(1, 0, 0.004), scalar_agent(2, 1, 0.0001)]
+    fleet = indexed([scalar_agent(1, 0, 0.004), scalar_agent(2, 1, 0.0001)])
     decision = scheduler.schedule(diag_belief(0.05, 0.005),
                                   np.array([0.01, 0.001]), fleet, 2)
     counter = workloads.ScheduleCounter()
@@ -64,5 +64,5 @@ def test_acceptance_config_builds_a_loop_in_every_mode(mode):
     env = loop.TwinLoop.from_config(dataclasses.replace(config, mode=mode.value),
                                     record_trace=True)
     assert env.mode is mode
-    assert [a.agent_id for a in env.fleet] == list(range(1, 11))
+    assert [a.agent_id for a in env.fleet_index.agents] == list(range(1, 11))
     assert [len(m) for m in env.fleet_index.measuring] == [5, 5]

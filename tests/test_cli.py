@@ -4,11 +4,14 @@ import csv
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from twinloop import ChannelParams, required_power
 from twinloop.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def small_config_file(tmp_path, **overrides):
@@ -139,8 +142,11 @@ class TestPinnedFleetRecords:
          "invalid input:"),
         ({"id": 2, "feature": 1, "variance": 1e-4, "distance": float("inf")},
          "invalid input:"),
+        # no agent left for the velocity: rejected before any episode runs
+        ({"id": 2, "feature": 0, "variance": 1e-4, "distance": 4.4},
+         "configuration error:"),
     ], ids=["fractional-feature", "fractional-id", "bool-feature", "bool-id",
-            "infinite-variance", "infinite-distance"])
+            "infinite-variance", "infinite-distance", "uncovered-feature"])
     def test_record_that_would_run_wrongly_exits_one_with_one_line(
             self, tmp_path, capsys, monkeypatch, record, prefix, workers):
         monkeypatch.setenv("TWINLOOP_WORKERS", workers)
@@ -193,6 +199,79 @@ class TestIntegerFields:
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert f"{key} must be an integer" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("section, key, value, message", [
+        (None, "master_seed", -1, "master_seed must be >= 0"),
+        ("rl", "batch_size", 0, "rl.batch_size must be >= 1"),
+        ("rl", "minibatch_size", 0, "rl.minibatch_size must be >= 1"),
+        ("rl", "epochs", 0, "rl.epochs must be >= 1"),
+        ("rl", "epochs", -1, "rl.epochs must be >= 1"),
+        ("rl", "hidden_sizes", [64.5, 64], "invalid input: hidden_sizes must hold integers"),
+        ("rl", "hidden_sizes", [True, 64], "invalid input: hidden_sizes must hold integers"),
+        ("rl", "hidden_sizes", [0, 64], "invalid input: hidden_sizes must be >= 1"),
+    ])
+    def test_value_out_of_range_exits_one_with_one_line(
+            self, tmp_path, capsys, monkeypatch, section, key, value, message,
+            workers):
+        # rejected by validate, which train and evaluate share: no traceback
+        # from SeedSequence, a zero division or range(), no training run
+        # without an update, and no truncated layer size
+        monkeypatch.setenv("TWINLOOP_WORKERS", workers)
+        config = json.loads(small_config_file(tmp_path).read_text())
+        (config if section is None else config[section])[key] = value
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(config))
+        code = main(["evaluate", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(("configuration error:", "invalid input:"))
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sizes, message", [
+        ([64.5, 64], "hidden_sizes must hold integers"),
+        ([64, 0], "hidden_sizes must be >= 1"),
+        ([64, 64], None),           # the committed checkpoint, as it is
+    ])
+    def test_checkpoint_layer_sizes_are_parsed(self, tmp_path, capsys, sizes, message):
+        checkpoint = json.loads((PERFBENCH / "reverb_policy.json").read_text())
+        checkpoint["hyper"]["hidden_sizes"] = sizes
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(checkpoint))
+        with redirect_stdout(io.StringIO()):
+            code = main(["evaluate", "--config", str(small_config_file(tmp_path)),
+                         "--policy", str(path), "--episodes", "1"])
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1 and err.startswith(f"invalid input: {message}")
+            assert err.count("\n") == 1
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failure_in_the_schedulers_carries_its_qi(self, tmp_path, capsys,
+                                                       monkeypatch, workers):
+        # agents 6 and 7 read velocity with noise 1e-14 and agent 2 position
+        # with 50: the greedy innovation covariance is ill-conditioned at QI 1
+        monkeypatch.setenv("TWINLOOP_WORKERS", workers)
+        config = json.loads((PERFBENCH / "acceptance.json").read_text())
+        config["episodes"] = 2
+        for record in config["fleet"]["agents"]:
+            record["variance"] = {6: 1e-14, 7: 1e-14, 2: 50.0}.get(
+                record["id"], record["variance"])
+        path = tmp_path / "ill.json"
+        path.write_text(json.dumps(config))
+        with redirect_stdout(io.StringIO()):
+            code = main(["evaluate", "--config", str(path), "--mode", "cost_greedy"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("NumericalFailureError: ill-conditioned innovation "
+                         "covariance (QI 1)") == 2
 
 
 class TestTrain:

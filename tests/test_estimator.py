@@ -55,62 +55,62 @@ class TestPredict:
 
 class TestStack:
     def test_single_agent(self):
-        stacked = stack([scalar_agent(1, 0, 0.01)])
+        stacked = stack([scalar_agent(1, 0, 0.01)], 2)
         np.testing.assert_allclose(stacked.matrix, [[1.0, 0.0]])
         np.testing.assert_allclose(stacked.noise_cov, [[0.01]])
         assert stacked.agent_ids == (1,)
 
     def test_two_agents_in_order(self):
-        stacked = stack([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.02)])
+        stacked = stack([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.02)], 2)
         np.testing.assert_allclose(stacked.matrix, [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(stacked.noise_cov, np.diag([0.01, 0.02]))
         assert stacked.agent_ids == (1, 2)
 
     def test_permutation_permutes_rows(self):
         a, b = scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.02)
-        fwd, rev = stack([a, b]), stack([b, a])
+        fwd, rev = stack([a, b], 2), stack([b, a], 2)
         np.testing.assert_allclose(fwd.matrix, rev.matrix[::-1])
         assert rev.agent_ids == (2, 1)
 
     def test_duplicate_ids_rejected(self):
         agent = scalar_agent(1, 0, 0.01)
         with pytest.raises(InvalidInputError):
-            stack([agent, agent])
+            stack([agent, agent], 2)
 
     def test_empty_selection_rejected(self):
         with pytest.raises(InvalidInputError):
-            stack([])
+            stack([], 2)
 
-    def test_mixed_state_dimensions_rejected(self):
-        with pytest.raises(InvalidInputError, match="state dimension"):
-            stack([scalar_agent(1, 0, 0.01, dim=2), scalar_agent(2, 0, 0.01, dim=3)])
+    def test_rows_come_from_the_given_state_dimension(self):
+        stacked = stack([scalar_agent(1, 2, 0.01), scalar_agent(2, 0, 0.02)], 3)
+        np.testing.assert_array_equal(stacked.matrix, [[0, 0, 1], [1, 0, 0]])
 
 
 class TestUpdate:
     def test_scalar_symmetric_fusion(self):
         prior = Belief(np.array([2.0]), np.array([[1.0]]))
-        agent = SensorStub = stack([_scalar_1d_agent(variance=1.0)])
+        agent = SensorStub = stack([_scalar_1d_agent(variance=1.0)], 1)
         post = update(prior, SensorStub, np.array([2.0]))
         assert post.cov[0, 0] == pytest.approx(0.5, rel=1e-12)
         assert post.mean[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_uninformative_sensor_keeps_prior(self):
         prior = diag_belief(0.04, 0.003, mean=[0.2, -0.01])
-        stacked = stack([scalar_agent(1, 0, 1e9)])
+        stacked = stack([scalar_agent(1, 0, 1e9)], 2)
         post = update(prior, stacked, np.array([5.0]))
         np.testing.assert_allclose(post.mean, prior.mean, rtol=1e-6)
         np.testing.assert_allclose(post.cov, prior.cov, rtol=1e-6)
 
     def test_position_fusion_matches_scalar_kalman(self):
         prior = Belief(np.zeros(2), np.array([[0.011, 0.001], [0.001, 0.001]]))
-        stacked = stack([scalar_agent(1, 0, 0.01)])
+        stacked = stack([scalar_agent(1, 0, 0.01)], 2)
         post = update(prior, stacked, np.array([0.0]))
         assert post.cov[0, 0] == pytest.approx(0.011 * 0.01 / 0.021, rel=1e-12)
         assert post.cov[0, 0] == pytest.approx(5.238e-3, rel=1e-3)
 
     def test_dimension_mismatch(self):
         prior = diag_belief(0.1, 0.1)
-        stacked = stack([scalar_agent(1, 0, 0.01)])
+        stacked = stack([scalar_agent(1, 0, 0.01)], 2)
         with pytest.raises(InvalidInputError):
             update(prior, stacked, np.array([0.0, 1.0]))
 
@@ -118,7 +118,7 @@ class TestUpdate:
         prior = diag_belief(1.0, 1.0)
         agents = [scalar_agent(1, 0, 1e-15), scalar_agent(2, 0, 1e15)]
         with pytest.raises(NumericalFailureError):
-            update(prior, stack(agents), np.array([0.0, 0.0]))
+            update(prior, stack(agents, 2), np.array([0.0, 0.0]))
 
     def test_condition_guard_agrees_with_svd_condition_number(self):
         # Innovation covariances with 2-norm condition numbers from 1e9 to
@@ -152,7 +152,7 @@ class TestUpdate:
 
 def _scalar_1d_agent(variance):
     from twinloop import SensingAgentSpec
-    return SensingAgentSpec(1, 0, variance, 5.0, state_dim=1)
+    return SensingAgentSpec(1, 0, variance, 5.0)
 
 
 class TestProperties:
@@ -170,7 +170,7 @@ class TestProperties:
                                    float(10 ** rng.uniform(-4, 0)))
                       for i in range(n_agents)]
             values = rng.normal(size=n_agents)
-            post = update(prior, stack(agents), values)
+            post = update(prior, stack(agents, 2), values)
             assert np.all(np.diag(post.cov)
                           <= np.diag(prior.cov) * (1 + 1e-10) + 1e-15)
 
@@ -182,9 +182,9 @@ class TestProperties:
                       for i in range(3)]
             values = {a.agent_id: rng.normal() for a in agents}
             perm = [agents[j] for j in rng.permutation(3)]
-            post1 = update(prior, stack(agents),
+            post1 = update(prior, stack(agents, 2),
                            [values[a.agent_id] for a in agents])
-            post2 = update(prior, stack(perm),
+            post2 = update(prior, stack(perm, 2),
                            [values[a.agent_id] for a in perm])
             np.testing.assert_allclose(post1.mean, post2.mean, atol=1e-12)
             np.testing.assert_allclose(post1.cov, post2.cov, atol=1e-12)
@@ -196,8 +196,8 @@ class TestProperties:
             a = scalar_agent(1, 0, float(10 ** rng.uniform(-4, 0)))
             b = scalar_agent(2, 1, float(10 ** rng.uniform(-4, 0)))
             va, vb = rng.normal(size=2)
-            joint = update(prior, stack([a, b]), [va, vb])
-            seq = update(update(prior, stack([a]), [va]), stack([b]), [vb])
+            joint = update(prior, stack([a, b], 2), [va, vb])
+            seq = update(update(prior, stack([a], 2), [va]), stack([b], 2), [vb])
             np.testing.assert_allclose(joint.mean, seq.mean, atol=1e-10)
             np.testing.assert_allclose(joint.cov, seq.cov, atol=1e-10)
 
@@ -210,7 +210,7 @@ class TestProperties:
         for t in range(200):
             belief = predict(belief, rng.uniform(-1, 1), car)
             if t % 3 == 0:
-                belief = update(belief, stack([pos_agent, vel_agent]),
+                belief = update(belief, stack([pos_agent, vel_agent], 2),
                                 rng.normal(size=2))
             assert np.max(np.abs(belief.cov - belief.cov.T)) <= 1e-12
             assert np.linalg.eigvalsh(belief.cov).min() >= -1e-10
@@ -262,7 +262,8 @@ class TestConditioningGuard:
                                           np.array([[1e-300]]), (1,))
         cov, gain = posterior_cov(np.zeros((2, 2)), stacked)
         assert np.isfinite(cov).all() and np.isfinite(gain).all()
-        cov, gain = posterior_cov(np.diag([0.5, 0.1]), stack([scalar_agent(1, 0, 0.5)]))
+        cov, gain = posterior_cov(np.diag([0.5, 0.1]),
+                                  stack([scalar_agent(1, 0, 0.5)], 2))
         assert cov[0, 0] == pytest.approx(0.25, rel=1e-15)
 
     @pytest.mark.parametrize("prior, variance", [
@@ -320,7 +321,7 @@ class TestSymmetrizeOnce:
         for _ in range(100):
             belief = predict(belief, rng.uniform(-1, 1), car)
             assert same_bits(belief.cov, belief.cov.T)
-            belief = update(belief, stack(agents), rng.normal(size=2) * 0.01)
+            belief = update(belief, stack(agents, 2), rng.normal(size=2) * 0.01)
             assert same_bits(belief.cov, belief.cov.T)
 
 
@@ -342,7 +343,7 @@ class TestBatchOracleEquivalence:
             belief = predict(belief, control, plant)
             step_obs = []
             agents = [pos_agent] if t % 3 else [pos_agent, vel_agent]
-            stacked = stack(agents)
+            stacked = stack(agents, 2)
             values = stacked.matrix @ state + rng.normal(size=stacked.matrix.shape[0]) * 0.1
             belief = update(belief, stacked, values)
             for row, agent, value in zip(stacked.matrix, agents, values):

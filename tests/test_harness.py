@@ -85,7 +85,7 @@ class TestConfig:
             {"id": 1, "feature": 0, "variance": 0.01, "distance": 5.0},
             {"id": 2, "feature": 1, "variance": 0.001, "distance": 8.0},
         ]
-        fleet = config.build_fleet()
+        fleet = config.build_fleet(config.build_plant()).agents
         assert [a.agent_id for a in fleet] == [1, 2]
         assert fleet[0].distance_m == 5.0
 
@@ -120,7 +120,7 @@ class TestRunEpisode:
         trace_total = sum(row["power_w"] for row in metrics.trace)
         assert metrics.total_power_w == pytest.approx(trace_total, rel=1e-12)
         env = TwinLoop.from_config(config)
-        nearest = sorted(env.fleet, key=lambda a: (a.distance_m, a.agent_id))[:3]
+        nearest = sorted(env.fleet_index.agents, key=lambda a: (a.distance_m, a.agent_id))[:3]
         per_qi = sum(env.power_by_id[a.agent_id] for a in nearest)
         assert metrics.trace[0]["power_w"] == pytest.approx(per_qi, rel=1e-12)
 

@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package imports another module's
 private (``_``-prefixed) names, and no public function or class is dead. A
-helper that two modules need is public in one of them."""
+helper that two modules need is public in one of them. The state dimension
+is the plant's: nothing in the package defaults it."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "twinloop"
 # Public names that only the tests and the package's own exports reach.
-TEST_SURFACE = {"effective_thresholds", "fleet_to_json", "fleet_from_json"}
+TEST_SURFACE = {"effective_thresholds"}
 
 
 def private_imports(path):
@@ -60,3 +61,28 @@ def test_every_public_function_and_class_is_used():
                     and node.name not in used[path] | elsewhere | bench | TEST_SURFACE):
                 unused.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not unused, "\n".join(unused)
+
+
+def state_dim_defaults(path):
+    """Every ``state_dim`` parameter of a function, or field of a class,
+    that is given a default value."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            found += [f"{path.name}:{a.lineno}" for a in defaulted if a.arg == "state_dim"]
+        elif isinstance(node, ast.ClassDef):
+            found += [f"{path.name}:{item.lineno}" for item in node.body
+                      if isinstance(item, ast.AnnAssign) and item.value is not None
+                      and getattr(item.target, "id", None) == "state_dim"]
+    return found
+
+
+def test_no_state_dim_has_a_default():
+    found = [line for path in sorted(PACKAGE.glob("*.py"))
+             for line in state_dim_defaults(path)]
+    assert not found, "\n".join(found)

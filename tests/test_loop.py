@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from twinloop import (ConfigurationError, ExperimentConfig, InvalidInputError,
-                      NumericalFailureError, SchedulingMode, TwinLoop)
+from twinloop import (PLANT_REGISTRY, ConfigurationError, ExperimentConfig,
+                      InvalidInputError, LinearPlant, NumericalFailureError,
+                      SchedulingMode, TwinLoop)
 from twinloop.harness import fresh_policy, run_monte_carlo
 
 
@@ -45,7 +46,7 @@ class TestFleetIndex:
         from twinloop import scheduler
 
         env = TwinLoop.from_config(loop_config())
-        assert env.fleet_index.agents == tuple(env.fleet)
+        assert [a.agent_id for a in env.fleet_index.agents] == [1, 2, 3, 4]
         seen = []
         real = scheduler.schedule
 
@@ -66,6 +67,26 @@ class TestFleetIndex:
             {"id": 1, "feature": 1, "variance": 1e-4, "distance": 6.0}]
         with pytest.raises(InvalidInputError, match="duplicate agent ids"):
             TwinLoop.from_config(config)
+
+    def test_generated_fleet_follows_the_plant_dimension(self, monkeypatch):
+        # the fleet's state dimension is the plant's, stated nowhere else
+        def build_linear_3d(process_noise_std, episode_cap):
+            return LinearPlant(transition=np.eye(3), control_matrix=[[0.0], [1.0], [0.0]],
+                               process_cov=np.diag([1e-4, 1e-6, 1e-6]),
+                               episode_cap=episode_cap)
+
+        monkeypatch.setitem(PLANT_REGISTRY, "linear_3d", build_linear_3d)
+        config = loop_config()
+        config.plant.name = "linear_3d"
+        config.fleet.count = 6
+        config.variance_caps = (0.01, 0.001, 0.001)
+        env = TwinLoop.from_config(config.validate(), record_trace=False)
+        assert env.fleet_index.state_dim == 3
+        assert [len(m) for m in env.fleet_index.measuring] == [2, 2, 2]
+        env.reset(0)
+        step = env.step(np.zeros(env.action_dim))
+        assert step.policy_input.shape == (6,)
+        assert len(env.selected_counts) == 1
 
     def test_uncovered_feature_rejected(self):
         config = loop_config()

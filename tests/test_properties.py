@@ -143,8 +143,8 @@ def test_scalar_step_is_symmetric_psd_and_shrinks_variances(case):
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.integers(0, 12))
 def test_selection_never_exceeds_capacity(seed, capacity):
-    prior, caps, fleet, _ = random_case(np.random.default_rng(seed))
-    decision = schedule(prior, caps, fleet, capacity)
+    prior, caps, index, _ = random_case(np.random.default_rng(seed))
+    decision = schedule(prior, caps, index, capacity)
     assert len(decision.selected_ids) <= capacity
     assert len(decision.selected_ids) == decision.iterations
     assert len(set(decision.selected_ids)) == len(decision.selected_ids)
@@ -154,12 +154,12 @@ def test_selection_never_exceeds_capacity(seed, capacity):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.sampled_from(SchedulingMode))
 def test_satisfied_reports_the_caps_met(seed, capacity, mode):
     # with the readings fused, so the posterior is the one the loop keeps
-    prior, caps, fleet, _ = random_case(np.random.default_rng(seed))
-    reader = seeded_reader(seed, prior, fleet)
+    prior, caps, index, _ = random_case(np.random.default_rng(seed))
+    reader = seeded_reader(seed, prior, index)
     if mode is SchedulingMode.REVERB:
-        decision = schedule(prior, caps, fleet, capacity, observe_fn=reader)
+        decision = schedule(prior, caps, index, capacity, observe_fn=reader)
     else:
-        decision = baseline_schedule(mode, prior, fleet, capacity,
+        decision = baseline_schedule(mode, prior, index, capacity,
                                      np.random.default_rng(seed), observe_fn=reader,
                                      caps=caps, true_state=prior.mean)
     met = decision.posterior.cov.diagonal() <= caps
@@ -173,10 +173,10 @@ def test_greedy_stopping_with_room_left_meets_every_cap(seed, capacity):
     # The loop stops early only when every cap holds or when no violated
     # feature has an agent left; so with capacity to spare and an unchosen
     # agent for every violated feature, nothing can be violated.
-    prior, caps, fleet, _ = random_case(np.random.default_rng(seed))
-    decision = schedule(prior, caps, fleet, capacity)
+    prior, caps, index, _ = random_case(np.random.default_rng(seed))
+    decision = schedule(prior, caps, index, capacity)
     violated = np.nonzero(~decision.satisfied)[0].tolist()
-    unchosen = {a.feature for a in fleet if a.agent_id not in decision.selected_ids}
+    unchosen = {a.feature for a in index.agents if a.agent_id not in decision.selected_ids}
     if len(decision.selected_ids) < capacity and set(violated) <= unchosen:
         assert decision.satisfied.all()
 

@@ -10,7 +10,7 @@ from twinloop import (Belief, InvalidInputError, effective_thresholds,
 from twinloop.scheduler import requested_caps
 from twinloop.estimator import posterior_cov, stack
 from twinloop.sensing import FleetIndex
-from tests.helpers import (diag_belief, random_case, reference_schedule,
+from tests.helpers import (diag_belief, indexed, random_case, reference_schedule,
                            relative_error, same_bits, scalar_agent, seeded_observer,
                            seeded_reader)
 
@@ -49,7 +49,7 @@ def basic_caps(eta=(0.0, 0.0)):
 class TestScheduleBranches:
     def test_empty_set_when_prior_satisfies(self):
         prior = diag_belief(0.005, 0.0005)
-        fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
+        fleet = indexed([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)])
         decision = schedule(prior, basic_caps(), fleet, capacity=10)
         assert decision.selected_ids == ()
         assert decision.iterations == 0
@@ -58,7 +58,7 @@ class TestScheduleBranches:
 
     def test_single_position_agent_run(self):
         prior = diag_belief(0.02, 0.0005)
-        fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
+        fleet = indexed([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)])
         decision = schedule(prior, basic_caps(), fleet, capacity=10)
         assert decision.selected_ids == (1,)
         assert decision.iterations == 1
@@ -68,7 +68,7 @@ class TestScheduleBranches:
 
     def test_zero_capacity_with_violation(self):
         prior = diag_belief(0.02, 0.0005)
-        fleet = [scalar_agent(1, 0, 0.01)]
+        fleet = indexed([scalar_agent(1, 0, 0.01)])
         decision = schedule(prior, basic_caps(), fleet, capacity=0)
         assert decision.selected_ids == ()
         assert not decision.satisfied[0]
@@ -77,22 +77,22 @@ class TestScheduleBranches:
     def test_unreachable_feature_stops_cleanly(self):
         # velocity violated but only position agents available
         prior = diag_belief(0.005, 0.01)
-        fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 0, 0.02)]
+        fleet = indexed([scalar_agent(1, 0, 0.01), scalar_agent(2, 0, 0.02)])
         decision = schedule(prior, basic_caps(), fleet, capacity=10)
         assert decision.selected_ids == ()
         assert not decision.satisfied[1]
 
     def test_min_error_agent_selected_for_target_feature(self):
         prior = diag_belief(0.05, 0.0005)
-        fleet = [scalar_agent(1, 0, 0.03), scalar_agent(2, 0, 0.004),
-                 scalar_agent(3, 0, 0.01)]
+        fleet = indexed([scalar_agent(1, 0, 0.03), scalar_agent(2, 0, 0.004),
+                         scalar_agent(3, 0, 0.01)])
         decision = schedule(prior, basic_caps(), fleet, capacity=1)
         assert decision.selected_ids == (2,)
 
     def test_observe_fn_supplies_posterior_mean(self):
         prior = diag_belief(0.02, 0.0005, mean=[0.0, 0.0])
         agent = scalar_agent(1, 0, 0.01)
-        decision = schedule(prior, basic_caps(), [agent], capacity=10,
+        decision = schedule(prior, basic_caps(), indexed([agent]), capacity=10,
                             observe_fn=lambda positions: np.array([0.3]))
         gain = 0.02 / 0.03
         assert decision.posterior.mean[0] == pytest.approx(gain * 0.3, rel=1e-12)
@@ -102,7 +102,7 @@ class TestScheduleBranches:
                                          lambda positions: np.array([[0.3]])])
     def test_readings_that_do_not_fill_the_selection_rejected(self, reading):
         prior = diag_belief(0.05, 0.005)
-        fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
+        fleet = indexed([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)])
         assert len(schedule(prior, basic_caps(), fleet, 2).selected_ids) == 2
         calls = []
 
@@ -116,12 +116,18 @@ class TestScheduleBranches:
     def test_scalar_reading_rejected(self):
         with pytest.raises(InvalidInputError, match="1-D readings"):
             schedule(diag_belief(0.05, 0.005), basic_caps(),
-                     [scalar_agent(1, 0, 0.01)], 1, observe_fn=lambda positions: 0.3)
+                     indexed([scalar_agent(1, 0, 0.01)]), 1,
+                     observe_fn=lambda positions: 0.3)
 
     def test_dimension_mismatch_rejected(self):
         prior = diag_belief(0.02, 0.0005)
         with pytest.raises(InvalidInputError):
-            schedule(prior, np.array([0.01]), [], capacity=1)
+            schedule(prior, np.array([0.01]), indexed([]), capacity=1)
+
+    def test_fleet_of_another_state_dimension_rejected(self):
+        with pytest.raises(InvalidInputError, match="fleet"):
+            schedule(diag_belief(0.02, 0.0005), basic_caps(),
+                     indexed([scalar_agent(1, 2, 0.01)], dim=3), capacity=1)
 
 
 class TestScheduleProperties:
@@ -142,7 +148,7 @@ class TestScheduleProperties:
         rng = np.random.default_rng(123)
         for _ in range(1000):
             prior, caps, fleet, capacity = self._random_instance(rng)
-            decision = schedule(prior, caps, fleet, capacity)
+            decision = schedule(prior, caps, indexed(fleet), capacity)
             # capacity and termination
             assert len(decision.selected_ids) <= capacity
             assert decision.iterations <= capacity
@@ -169,13 +175,13 @@ class TestScheduleProperties:
                 continue
             running_cov = prior.cov
             chosen = []
-            decision = schedule(prior, caps, fleet, capacity)
+            decision = schedule(prior, caps, indexed(fleet), capacity)
             for agent_id in decision.selected_ids:
                 agent = next(a for a in fleet if a.agent_id == agent_id)
                 feature = agent.feature
                 before = running_cov[feature, feature]
                 chosen.append(agent)
-                running_cov, _ = posterior_cov(prior.cov, stack(chosen))
+                running_cov, _ = posterior_cov(prior.cov, stack(chosen, 2))
                 assert running_cov[feature, feature] < before
 
     def test_greedy_meets_thresholds_when_bruteforce_can(self):
@@ -192,14 +198,14 @@ class TestScheduleProperties:
             def feasible(subset):
                 if not subset:
                     return bool(np.all(np.diag(prior.cov) <= caps))
-                post, _ = posterior_cov(prior.cov, stack(list(subset)))
+                post, _ = posterior_cov(prior.cov, stack(subset, 2))
                 return bool(np.all(np.diag(post) <= caps))
 
             brute_can = any(
                 feasible(combo)
                 for r in range(0, capacity + 1)
                 for combo in itertools.combinations(fleet, r))
-            decision = schedule(prior, caps, fleet, capacity)
+            decision = schedule(prior, caps, indexed(fleet), capacity)
             if brute_can:
                 assert decision.satisfied.all(), (
                     prior.cov, caps, [(a.agent_id, a.variance) for a in fleet],
@@ -231,14 +237,14 @@ class TestMatchesReference:
         rng = np.random.default_rng(2024)
         seen = {"tie": 0, "empty": 0, "zero_capacity": 0, "selected": 0}
         for case in range(1500):
-            prior, caps, fleet, capacity = random_case(rng)
+            prior, caps, index, capacity = random_case(rng)
+            fleet = list(index.agents)
             want = reference_schedule(prior, caps, fleet, capacity,
                                       observe_fn=seeded_observer(case, prior))
-            for given in (fleet, FleetIndex(fleet)):
-                got = schedule(prior, caps, given, capacity,
-                               observe_fn=seeded_reader(case, prior, given))
-                self.assert_close(got, want)
-            self.assert_close(schedule(prior, caps, fleet, capacity),
+            got = schedule(prior, caps, index, capacity,
+                           observe_fn=seeded_reader(case, prior, index))
+            self.assert_close(got, want)
+            self.assert_close(schedule(prior, caps, index, capacity),
                               reference_schedule(prior, caps, fleet, capacity))
             variances = [a.variance for a in fleet]
             seen["tie"] += len(set(variances)) < len(variances)
@@ -261,7 +267,7 @@ class TestMatchesReference:
         prior = diag_belief(0.05, 0.0005)
         fleet = [scalar_agent(7, 0, 0.004), scalar_agent(3, 0, 0.004),
                  scalar_agent(5, 0, 0.004)]
-        got = schedule(prior, basic_caps(), fleet, capacity=1)
+        got = schedule(prior, basic_caps(), indexed(fleet), capacity=1)
         assert got.selected_ids == (3,)
         self.assert_close(got, reference_schedule(prior, basic_caps(),
                                                   fleet, capacity=1))
@@ -269,12 +275,11 @@ class TestMatchesReference:
     def test_zero_capacity_and_empty_fleet(self):
         prior = diag_belief(0.05, 0.005)
         fleet = [scalar_agent(1, 0, 0.004), scalar_agent(2, 1, 0.0001)]
-        for given, capacity in ((fleet, 0), ([], 3), (FleetIndex([]), 3)):
-            got = schedule(prior, basic_caps(), given, capacity)
+        for given, capacity in ((fleet, 0), ([], 3)):
+            got = schedule(prior, basic_caps(), indexed(given), capacity)
             assert got.selected_ids == () and got.iterations == 0
-            self.assert_same(got, reference_schedule(
-                prior, basic_caps(), list(getattr(given, "agents", given)),
-                capacity))
+            self.assert_same(got, reference_schedule(prior, basic_caps(), given,
+                                                     capacity))
 
     def test_one_posterior_per_selection(self, monkeypatch):
         # one rank-1 step per pick, and no batch posterior
@@ -293,10 +298,10 @@ class TestMatchesReference:
         rng = np.random.default_rng(9)
         picked = 0
         for case in range(200):
-            prior, caps, fleet, capacity = random_case(rng)
+            prior, caps, index, capacity = random_case(rng)
             calls.update(scalar=0, batch=0)
-            decision = schedule(prior, caps, fleet, capacity,
-                                observe_fn=seeded_reader(case, prior, fleet))
+            decision = schedule(prior, caps, index, capacity,
+                                observe_fn=seeded_reader(case, prior, index))
             assert calls == {"scalar": decision.iterations, "batch": 0}
             picked += decision.iterations
         assert picked >= 200
@@ -304,9 +309,7 @@ class TestMatchesReference:
     def test_duplicate_ids_rejected(self):
         fleet = [scalar_agent(1, 0, 0.01), scalar_agent(1, 1, 0.001)]
         with pytest.raises(InvalidInputError, match="duplicate agent ids"):
-            FleetIndex(fleet)
-        with pytest.raises(InvalidInputError, match="duplicate agent ids"):
-            schedule(diag_belief(0.05, 0.005), basic_caps(), fleet, 2)
+            FleetIndex(fleet, 2)
 
 
 class TestFleetIndex:
@@ -315,12 +318,11 @@ class TestFleetIndex:
         # are those estimator.stack builds from its agents
         rng = np.random.default_rng(11)
         for _ in range(200):
-            _, _, fleet, _ = random_case(rng)
-            if not fleet:
+            _, _, index, _ = random_case(rng)
+            if not index:
                 continue
-            index = FleetIndex(fleet)
-            positions = rng.permutation(len(fleet))[:int(rng.integers(1, len(fleet) + 1))]
-            want = stack([fleet[p] for p in positions])
+            positions = rng.permutation(len(index))[:int(rng.integers(1, len(index) + 1))]
+            want = stack([index.agents[p] for p in positions], index.state_dim)
             features = [index.features[p] for p in positions]
             assert tuple(index.ids[p] for p in positions) == want.agent_ids
             assert np.array_equal(estimator.identity(index.state_dim)[features],
@@ -333,7 +335,7 @@ class TestFleetIndex:
         fleet = [scalar_agent(5, 0, 0.01, distance=3.0),
                  scalar_agent(2, 1, 0.001, distance=3.0),
                  scalar_agent(9, 0, 0.001, distance=1.0)]
-        index = FleetIndex(fleet)
+        index = FleetIndex(fleet, 2)
         assert index.by_error == (1, 2, 0)
         assert index.by_distance == (2, 1, 0)
         assert index.measuring == ((0, 2), (1,))
@@ -343,10 +345,9 @@ class TestFleetIndex:
         assert index.variance.tolist() == [0.01, 0.001, 0.001]
         assert same_bits(index.std, np.sqrt([0.01, 0.001, 0.001]))
         assert index.state_dim == 2
-        assert FleetIndex.of(index) is index
 
     def test_immutable(self):
-        index = FleetIndex([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)])
+        index = indexed([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)])
         with pytest.raises(AttributeError):
             index.by_error = ()
         with pytest.raises(ValueError):
@@ -354,34 +355,35 @@ class TestFleetIndex:
         with pytest.raises(ValueError):
             index.std[0] = 2.0
 
-    def test_mixed_state_dimensions_rejected(self):
-        with pytest.raises(InvalidInputError):
-            FleetIndex([scalar_agent(1, 0, 0.01, dim=2),
-                        scalar_agent(2, 0, 0.01, dim=3)])
+    @pytest.mark.parametrize("feature, state_dim", [(2, 2), (5, 2), (0, 0)])
+    def test_feature_outside_the_state_rejected(self, feature, state_dim):
+        with pytest.raises(InvalidInputError,
+                           match=f"agent 1: feature {feature} is not in 0..{state_dim - 1}"):
+            FleetIndex([scalar_agent(1, feature, 0.1)], state_dim)
 
 
 class TestWeightedObjective:
     def test_pure_power_when_thresholds_met(self):
         prior = diag_belief(0.005, 0.0005)
-        decision = schedule(prior, basic_caps(), [], capacity=0)
+        decision = schedule(prior, basic_caps(), indexed([]), capacity=0)
         value = weighted_objective(decision, basic_caps(), 1.0,
                                    [0.001, 0.002])
         assert value == pytest.approx(0.003)
 
     def test_pure_hinge_for_empty_schedule(self):
         prior = diag_belief(0.02, 0.0005)   # ratio 2 on position
-        decision = schedule(prior, basic_caps(), [], capacity=0)
+        decision = schedule(prior, basic_caps(), indexed([]), capacity=0)
         value = weighted_objective(decision, basic_caps(), 0.0, [])
         assert value == pytest.approx(1.0)
 
     def test_mixed_weight(self):
         prior = diag_belief(0.02, 0.0005)
-        decision = schedule(prior, basic_caps(), [], capacity=0)
+        decision = schedule(prior, basic_caps(), indexed([]), capacity=0)
         value = weighted_objective(decision, basic_caps(), 0.5, [0.004])
         assert value == pytest.approx(0.502)
 
     def test_weight_range_enforced(self):
         prior = diag_belief(0.005, 0.0005)
-        decision = schedule(prior, basic_caps(), [], capacity=0)
+        decision = schedule(prior, basic_caps(), indexed([]), capacity=0)
         with pytest.raises(InvalidInputError):
             weighted_objective(decision, basic_caps(), 1.5, [])

@@ -1,14 +1,12 @@
 """Fleet generation and observation model tests."""
 
-import json
-
 import numpy as np
 import pytest
 
 from twinloop import (ConfigurationError, InvalidInputError, SensingAgentSpec,
-                      fleet_from_json, fleet_to_json, observe, place_agents)
-from twinloop.sensing import FleetIndex, agent_from_record, read
-from tests.helpers import random_case, same_bits, scalar_agent
+                      observe, place_agents)
+from twinloop.sensing import agent_from_record, read
+from tests.helpers import indexed, random_case, same_bits, scalar_agent
 
 
 class TestObserve:
@@ -54,12 +52,12 @@ class TestObserve:
         assert np.mean(diffs) == pytest.approx(s1[agent.feature], abs=0.003)
 
     def test_dimension_mismatch(self):
-        agent = scalar_agent(1, 0, 0.01)
-        with pytest.raises(InvalidInputError):
-            observe(agent, np.array([1.0, 2.0, 3.0]), np.random.default_rng(0))
+        agent = scalar_agent(1, 2, 0.01)
+        with pytest.raises(InvalidInputError, match="feature 2 of a state of dim 2"):
+            observe(agent, np.array([1.0, 2.0]), np.random.default_rng(0))
 
     def test_returns_a_float_vector_per_observation_row(self):
-        agent = SensingAgentSpec(1, 2, 0.01, 5.0, state_dim=3)
+        agent = SensingAgentSpec(1, 2, 0.01, 5.0)
         values = observe(agent, [1, 2, 3], np.random.default_rng(0), noiseless=True)
         assert isinstance(values, np.ndarray)
         assert values.shape == (1,) and values.dtype == np.float64
@@ -78,10 +76,11 @@ class TestAgentSpecValidation:
             with pytest.raises(InvalidInputError):
                 SensingAgentSpec(1, 0, variance, 5.0)
 
-    @pytest.mark.parametrize("feature, state_dim", [(2, 2), (-1, 2), (5, 2), (0, 0)])
-    def test_rejects_feature_outside_the_state(self, feature, state_dim):
-        with pytest.raises(InvalidInputError, match="feature"):
-            SensingAgentSpec(1, feature, 0.1, 5.0, state_dim)
+    @pytest.mark.parametrize("feature", [-1, -5])
+    def test_rejects_feature_outside_the_state(self, feature):
+        # a negative one; one past the state is the FleetIndex's to reject
+        with pytest.raises(InvalidInputError, match=f"feature {feature} is negative"):
+            SensingAgentSpec(1, feature, 0.1, 5.0)
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(InvalidInputError):
@@ -91,18 +90,18 @@ class TestAgentSpecValidation:
 class TestPlacement:
     def test_distances_within_bound(self):
         fleet = place_agents(10, 20.0, [1e-3, 1e-1], [1e-4, 1e-2],
-                             np.random.default_rng(0))
+                             np.random.default_rng(0), 2)
         assert all(1.0 < a.distance_m <= 20.0 for a in fleet)
         assert len(fleet) == 10
 
     def test_minimal_fleet_covers_both_features(self):
-        fleet = place_agents(2, 20.0, [1e-2], [1e-3], np.random.default_rng(0))
+        fleet = place_agents(2, 20.0, [1e-2], [1e-3], np.random.default_rng(0), 2)
         assert [a.feature for a in fleet] == [0, 1]
 
     def test_same_seed_same_fleet(self):
         kwargs = dict(count=6, max_distance_m=20.0,
                       position_noise_levels=[1e-3, 1e-1],
-                      velocity_noise_levels=[1e-4, 1e-2])
+                      velocity_noise_levels=[1e-4, 1e-2], state_dim=2)
         a = place_agents(rng=np.random.default_rng(3), **kwargs)
         b = place_agents(rng=np.random.default_rng(3), **kwargs)
         for x, y in zip(a, b):
@@ -111,53 +110,16 @@ class TestPlacement:
 
     def test_variances_within_levels(self):
         fleet = place_agents(40, 20.0, [1e-3, 1e-1], [1e-4, 1e-2],
-                             np.random.default_rng(1))
+                             np.random.default_rng(1), 2)
         for agent in fleet:
             lo, hi = (1e-3, 1e-1) if agent.feature == 0 else (1e-4, 1e-2)
             assert lo <= agent.variance <= hi
 
     def test_impossible_coverage_is_rejected(self):
         with pytest.raises(ConfigurationError):
-            place_agents(1, 20.0, [1e-2], [1e-3], np.random.default_rng(0))
+            place_agents(1, 20.0, [1e-2], [1e-3], np.random.default_rng(0), 2)
         with pytest.raises(ConfigurationError):
-            place_agents(4, 20.0, [1e-2], [], np.random.default_rng(0))
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        fleet = place_agents(5, 20.0, [1e-3, 1e-1], [1e-4, 1e-2],
-                             np.random.default_rng(8))
-        text = fleet_to_json(fleet)
-        back = fleet_from_json(text)
-        assert len(back) == len(fleet)
-        for x, y in zip(fleet, back):
-            assert x == y
-
-    def test_fleet_of_another_state_dimension_rejected(self):
-        with pytest.raises(InvalidInputError):
-            fleet_to_json([scalar_agent(1, 2, 0.01, dim=3)])
-
-    AGENT = {"id": 1, "feature": 1, "variance": 0.1, "distance": 3.0}
-
-    @pytest.mark.parametrize("document", [
-        {"state_dim": 2.7, "agents": [AGENT]},      # not truncated to 2
-        {"state_dim": True, "agents": [AGENT]},     # not read as 1
-        {"state_dim": 2.0, "agents": [AGENT]},
-        [AGENT],                                    # not an object
-        "fleet",
-        {"agents": [AGENT]},
-        {"agents": []},                             # no state_dim, no records
-        {"state_dim": 2},
-        {"state_dim": 2, "agents": 5},
-    ], ids=["fractional-state-dim", "bool-state-dim", "float-state-dim", "list",
-            "string", "no-state-dim", "no-state-dim-no-agents", "no-agents",
-            "agents-not-a-list"])
-    def test_malformed_document_is_a_configuration_error(self, document):
-        with pytest.raises(ConfigurationError, match="bad fleet document"):
-            fleet_from_json(json.dumps(document))
-
-    def test_empty_fleet_round_trips(self):
-        assert fleet_from_json(fleet_to_json([])) == []
+            place_agents(4, 20.0, [1e-2], [], np.random.default_rng(0), 2)
 
 
 class TestPinnedRecords:
@@ -178,7 +140,7 @@ class TestPinnedRecords:
         with pytest.raises(ConfigurationError):
             agent_from_record(record)
 
-    @pytest.mark.parametrize("feature", [2, 5, -1])
+    @pytest.mark.parametrize("feature", [-1])
     def test_feature_outside_the_state_is_invalid_input(self, feature):
         with pytest.raises(InvalidInputError, match="feature"):
             agent_from_record(dict(self.RECORD, feature=feature))
@@ -211,13 +173,12 @@ class TestMatchesReference:
         rng = np.random.default_rng(31)
         seen = {"several": 0, "reordered": 0}
         for case in range(1500):
-            prior, _, fleet, _ = random_case(rng)
-            if not fleet:
+            prior, _, index, _ = random_case(rng)
+            if not index:
                 continue
-            index = FleetIndex(fleet)
-            order = rng.permutation(len(fleet))
+            order = rng.permutation(len(index))
             state = prior.mean + rng.normal(size=prior.mean.shape[0])
-            for selection in (tuple(order[:rng.integers(1, len(fleet) + 1)]), tuple(order)):
+            for selection in (tuple(order[:rng.integers(1, len(index) + 1)]), tuple(order)):
                 got = read(index, selection, state, np.random.default_rng(case))
                 draws = np.random.default_rng(case)
                 want = np.concatenate([observe(index.agents[p], state, draws)
@@ -228,7 +189,7 @@ class TestMatchesReference:
         assert min(seen.values()) >= 20, seen
 
     def test_read_rejects_a_non_finite_reading_with_the_qi(self):
-        index = FleetIndex([scalar_agent(7, 0, 0.01), scalar_agent(9, 1, 0.01)])
+        index = indexed([scalar_agent(7, 0, 0.01), scalar_agent(9, 1, 0.01)])
         with pytest.raises(InvalidInputError, match=r"agents \(9, 7\) at QI 12"):
             read(index, (1, 0), np.array([np.nan, 0.0]), np.random.default_rng(0),
                  qi=12)
@@ -236,7 +197,7 @@ class TestMatchesReference:
     def test_feature_table_lists_the_fleet_in_fleet_order(self):
         fleet = [scalar_agent(5, 1, 0.01), scalar_agent(2, 0, 0.03),
                  scalar_agent(8, 0, 0.001), scalar_agent(1, 1, 0.02)]
-        index = FleetIndex(fleet)
+        index = indexed(fleet)
         for k in (0, 1):
             assert [index.agents[p] for p in index.measuring[k]] == \
                 [a for a in fleet if a.feature == k]
