@@ -24,9 +24,6 @@ class NumericalFailureError(TwinloopError):
         self.message = message
         self.qi = qi
 
-    def __reduce__(self):   # keep qi across process boundaries
-        return type(self), (self.message, self.qi)
-
 
 class WeakLineOfSightError(TwinloopError):
     """Channel parameters fall outside the strong line-of-sight regime.
@@ -43,6 +40,3 @@ class TrainingFailureError(TwinloopError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-    def __reduce__(self):
-        return type(self), (self.args[0], self.diagnostics)

@@ -2,9 +2,10 @@
 
 A single JSON config describes the whole experiment (plant, fleet, channel,
 caps, mode, RL hyperparameters, seeds); every run echoes it into
-summary.json so results can be replayed exactly. Per-episode seeds derive
-from the master seed by episode index, so repeated runs are byte-identical
-and different modes see common random numbers.
+summary.json so results can be replayed exactly. The episodes of a run
+share one ``TwinLoop`` in one process. Per-episode seeds derive from the
+master seed by episode index, so repeated runs are byte-identical and
+different modes see common random numbers.
 
 The episode error metric (reported as ``mrmse``) is the per-episode mean
 over query intervals of the Euclidean distance between the true state and
@@ -16,7 +17,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from . import sensing
 from .agent import PolicyNetwork, PpoHyperparams
 from .channel import ChannelParams
 from .dynamics import PLANT_REGISTRY
-from .errors import ConfigurationError, TwinloopError
+from .errors import ConfigurationError, InvalidInputError, TwinloopError
 from .loop import TRACE_COLUMNS, TwinLoop, episode_seed
 from .scheduler import SchedulingMode
 
@@ -110,6 +110,14 @@ class ExperimentConfig:
             raise ConfigurationError("capacity must be >= 0")
         if not 0.0 <= self.accuracy_weight <= 1.0:
             raise ConfigurationError("accuracy_weight must lie in [0, 1]")
+        for name, value in (("rl.reward_weight", self.rl.reward_weight),
+                            ("rl.eta_max", self.rl.eta_max)):
+            try:
+                ok = 0.0 <= value < np.inf   # NaN compares false
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ConfigurationError(f"{name} must be finite and >= 0: {value!r}")
         try:
             caps = np.asarray(self.variance_caps, dtype=float)
         except (TypeError, ValueError):
@@ -119,8 +127,11 @@ class ExperimentConfig:
             raise ConfigurationError("variance caps must be positive")
         if self.plant.name not in PLANT_REGISTRY:
             raise ConfigurationError(f"unknown plant {self.plant.name!r}")
-        # a bad plant or fleet fails here, before any episode runs
-        self.build_fleet(self.build_plant())
+        # a bad plant, cap count or fleet fails here, before any episode runs
+        plant = self.build_plant()
+        if caps.shape != (plant.dim,):
+            raise ConfigurationError("need one variance cap per state feature")
+        self.build_fleet(plant)
         try:
             self.build_channel()
         except Exception as exc:
@@ -244,59 +255,30 @@ def run_episode(policy: PolicyNetwork, config: ExperimentConfig,
     )
 
 
-def _episode_worker(args):
-    """One episode in a pool process; a package error is returned, not raised,
-    so the parent records it by index as the serial path does."""
-    config_dict, policy_state, index = args
-    config = ExperimentConfig.from_dict(config_dict)
-    policy = PolicyNetwork.from_state(policy_state)
-    try:
-        return run_episode(policy, config, index)
-    except TwinloopError as exc:
-        return exc
-
-
-def _failure(exc: TwinloopError) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def run_monte_carlo(config: ExperimentConfig, policy: PolicyNetwork = None,
-                    workers: int = None) -> dict:
+                    workers: int = 1) -> dict:
     """Run the configured number of seeded episodes and aggregate metrics.
 
-    Episodes are independent; with TWINLOOP_WORKERS > 1 they run in a process
-    pool, results ordered by episode index either way. Episodes that fail
-    with a package error (``TwinloopError``) are reported by index, the same
-    way serially and in parallel, instead of aborting the whole run; any
-    other exception is a bug and propagates.
+    The episodes run one after another in this process, on one
+    ``TwinLoop``, and their results are ordered by episode index. Episodes
+    that fail with a package error (``TwinloopError``) are reported by
+    index instead of aborting the whole run; any other exception is a bug
+    and propagates. ``workers`` must be 1: evaluation runs in one process.
     """
+    if workers != 1:
+        raise InvalidInputError(f"evaluation runs in one process: workers must "
+                                f"be 1, not {workers!r}")
     config.validate()
     if policy is None:
         policy = fresh_policy(config)
-    if workers is None:
-        workers = int(os.environ.get("TWINLOOP_WORKERS", "1"))
-    indices = list(range(config.episodes))
-    results = {}
+    env = TwinLoop.from_config(config, record_trace=True)
+    metrics = []
     failures = {}
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payload = policy.state_dict()
-        args = [(config.to_dict(), payload, i) for i in indices]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, outcome in zip(indices, pool.map(_episode_worker, args)):
-                if isinstance(outcome, TwinloopError):
-                    failures[i] = _failure(outcome)
-                else:
-                    results[i] = outcome
-    else:
-        env = TwinLoop.from_config(config, record_trace=True)
-        for i in indices:
-            try:
-                results[i] = run_episode(policy, config, i, env=env)
-            except TwinloopError as exc:   # record, keep going
-                failures[i] = _failure(exc)
-    metrics = [results[i] for i in indices if i in results]
+    for i in range(config.episodes):
+        try:
+            metrics.append(run_episode(policy, config, i, env=env))
+        except TwinloopError as exc:   # record, keep going
+            failures[i] = f"{type(exc).__name__}: {exc}"
     report = {
         "aggregate": aggregate_metrics(metrics),
         "failures": failures,

@@ -92,7 +92,11 @@ class ScheduleDecision:
     selected_ids: tuple
     posterior: Belief
     satisfied: np.ndarray
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        """Scheduler iterations: one per selected agent."""
+        return len(self.selected_ids)
 
 
 def schedule(prior: Belief, caps: np.ndarray, index: sensing.FleetIndex,
@@ -167,7 +171,7 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
             raise InvalidInputError("PERFECT mode needs the true state")
         posterior = Belief(np.asarray(true_state, dtype=float),
                            np.zeros_like(prior.cov), prior.qi)
-        return ScheduleDecision((), posterior, _caps_met(posterior, caps), 0)
+        return ScheduleDecision((), posterior, _caps_met(posterior, caps))
 
     if mode in (SchedulingMode.COST_GREEDY, SchedulingMode.ERROR_GREEDY):
         if index.state_dim != prior.mean.shape[0]:
@@ -209,7 +213,7 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
             cov[k, k] = index.variance[p]
     posterior = Belief(mean, cov, prior.qi)
     return ScheduleDecision(tuple(index.ids[p] for p in chosen), posterior,
-                            _caps_met(posterior, caps), len(chosen))
+                            _caps_met(posterior, caps))
 
 
 def _fused_decision(prior: Belief, index, chosen, cov, gain, caps,
@@ -231,7 +235,7 @@ def _fused_decision(prior: Belief, index, chosen, cov, gain, caps,
         posterior = Belief(estimator.fused_mean(prior, features, gain, values),
                            cov, prior.qi)
     return ScheduleDecision(tuple(index.ids[p] for p in chosen), posterior,
-                            _caps_met(posterior, caps), len(chosen))
+                            _caps_met(posterior, caps))
 
 
 def _readings(observe_fn, positions) -> np.ndarray:

@@ -148,7 +148,6 @@ def reference_schedule(prior, caps, fleet, capacity, observe_fn=None):
     cov = prior.cov
     available = list(fleet)
     chosen = []
-    iterations = 0
 
     while len(chosen) < capacity:
         diag = np.diag(cov)
@@ -165,7 +164,6 @@ def reference_schedule(prior, caps, fleet, capacity, observe_fn=None):
         agent = min(pool, key=lambda a: (a.variance, a.agent_id))
         chosen.append(agent)
         available.remove(agent)
-        iterations += 1
         cov, _ = estimator.posterior_cov(prior.cov, estimator.stack(chosen, dim))
 
     if chosen:
@@ -184,7 +182,6 @@ def reference_schedule(prior, caps, fleet, capacity, observe_fn=None):
         selected_ids=tuple(a.agent_id for a in chosen),
         posterior=posterior,
         satisfied=np.diag(posterior.cov) <= caps,
-        iterations=iterations,
     )
 
 
@@ -219,7 +216,6 @@ def reference_baseline_schedule(mode, prior, fleet, capacity, observe_fn=None,
         selected_ids=tuple(a.agent_id for a in chosen),
         posterior=posterior,
         satisfied=satisfied,
-        iterations=len(chosen),
     )
 
 

@@ -5,7 +5,8 @@ in ``owner.__dict__`` and counts what ``scheduler.schedule`` returns, and
 its set-up builds a ``TwinLoop`` in every mode from
 ``perfbench/acceptance.json``, a config with a pinned fleet; a rename or a
 change of the config format would crash the benchmark, so it fails here
-first. The files are loaded, never changed.
+first. That config must stay the experiment the acceptance suite runs, so
+the benchmark measures it. The files are loaded, never changed.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ import pytest
 
 from twinloop import SchedulingMode, agent, harness, loop, scheduler
 from tests.helpers import diag_belief, indexed, scalar_agent
+from tests.test_acceptance import benchmark_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS_PATH = PERFBENCH / "workloads.py"
@@ -56,6 +58,11 @@ def test_schedule_decision_feeds_the_counter(workloads):
 def test_entry_points_take_the_benchmark_arguments():
     inspect.signature(agent.train).bind("config", "hyper", 0)
     inspect.signature(harness.run_monte_carlo).bind("config", policy=None, workers=1)
+
+
+def test_acceptance_config_is_the_acceptance_experiment():
+    config = harness.ExperimentConfig.from_json_file(PERFBENCH / "acceptance.json")
+    assert config.to_dict() == benchmark_config("reverb", 101).to_dict()
 
 
 @pytest.mark.parametrize("mode", list(SchedulingMode))

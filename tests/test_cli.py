@@ -102,6 +102,16 @@ class TestEvaluate:
         path.write_text(json.dumps({"mode": "bogus"}))
         assert main(["evaluate", "--config", str(path)]) == 1
 
+    def test_workers_variable_is_not_read(self, tmp_path, capsys, monkeypatch):
+        # the package reads no environment variable: a worker count that
+        # is not even a number changes nothing
+        args = ["evaluate", "--config", str(small_config_file(tmp_path))]
+        assert main(args) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setenv("TWINLOOP_WORKERS", "abc")
+        assert main(args) == 0
+        assert capsys.readouterr() == expected
+
     def test_nan_variance_cap_exits_one_with_one_line(self, tmp_path, capsys):
         # json.dumps writes NaN, which json.load reads back
         path = small_config_file(tmp_path, variance_caps=[float("nan"), 0.001])
@@ -122,11 +132,9 @@ class TestPinnedFleetRecords:
         ({"id": 2, "feature": 1, "distance": 4.4}, "configuration error:"),
     ])
     def test_bad_record_exits_one_with_one_line(self, tmp_path, capsys,
-                                                monkeypatch, record, prefix):
-        monkeypatch.delenv("TWINLOOP_WORKERS", raising=False)
+                                                record, prefix):
         self.assert_rejected(tmp_path, capsys, record, prefix)
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("record, prefix", [
         # an id or feature that int() would truncate
         ({"id": 2, "feature": 1.7, "variance": 1e-4, "distance": 4.4},
@@ -148,8 +156,7 @@ class TestPinnedFleetRecords:
     ], ids=["fractional-feature", "fractional-id", "bool-feature", "bool-id",
             "infinite-variance", "infinite-distance", "uncovered-feature"])
     def test_record_that_would_run_wrongly_exits_one_with_one_line(
-            self, tmp_path, capsys, monkeypatch, record, prefix, workers):
-        monkeypatch.setenv("TWINLOOP_WORKERS", workers)
+            self, tmp_path, capsys, record, prefix):
         self.assert_rejected(tmp_path, capsys, record, prefix)
 
     @staticmethod
@@ -169,7 +176,6 @@ class TestPinnedFleetRecords:
 
 
 class TestIntegerFields:
-    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("section, key, value", [
         (None, "master_seed", 3.5),
         (None, "episodes", 1.5),
@@ -186,9 +192,8 @@ class TestIntegerFields:
         ("rl", "total_steps", 100.5),
     ])
     def test_value_that_is_not_an_integer_exits_one_with_one_line(
-            self, tmp_path, capsys, monkeypatch, section, key, value, workers):
+            self, tmp_path, capsys, section, key, value):
         # not truncated by int(), and no traceback from range() or a seed
-        monkeypatch.setenv("TWINLOOP_WORKERS", workers)
         config = json.loads(small_config_file(tmp_path, mode="traditional").read_text())
         (config if section is None else config[section])[key] = value
         path = tmp_path / "fractional.json"
@@ -202,7 +207,6 @@ class TestIntegerFields:
 
 
 class TestConfigRanges:
-    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("section, key, value, message", [
         (None, "master_seed", -1, "master_seed must be >= 0"),
         ("rl", "batch_size", 0, "rl.batch_size must be >= 1"),
@@ -212,14 +216,18 @@ class TestConfigRanges:
         ("rl", "hidden_sizes", [64.5, 64], "invalid input: hidden_sizes must hold integers"),
         ("rl", "hidden_sizes", [True, 64], "invalid input: hidden_sizes must hold integers"),
         ("rl", "hidden_sizes", [0, 64], "invalid input: hidden_sizes must be >= 1"),
+        # kappa < 0 would fail every episode in shape_reward, and
+        # eta_max < 0 would clamp every accuracy request below zero
+        ("rl", "reward_weight", -1, "rl.reward_weight must be finite and >= 0"),
+        ("rl", "reward_weight", float("nan"), "rl.reward_weight must be finite and >= 0"),
+        ("rl", "eta_max", -5, "rl.eta_max must be finite and >= 0"),
+        ("rl", "eta_max", float("inf"), "rl.eta_max must be finite and >= 0"),
     ])
     def test_value_out_of_range_exits_one_with_one_line(
-            self, tmp_path, capsys, monkeypatch, section, key, value, message,
-            workers):
+            self, tmp_path, capsys, section, key, value, message):
         # rejected by validate, which train and evaluate share: no traceback
         # from SeedSequence, a zero division or range(), no training run
         # without an update, and no truncated layer size
-        monkeypatch.setenv("TWINLOOP_WORKERS", workers)
         config = json.loads(small_config_file(tmp_path).read_text())
         (config if section is None else config[section])[key] = value
         path = tmp_path / "range.json"
@@ -253,12 +261,9 @@ class TestConfigRanges:
 
 
 class TestNumericalFailure:
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_failure_in_the_schedulers_carries_its_qi(self, tmp_path, capsys,
-                                                       monkeypatch, workers):
+    def test_failure_in_the_schedulers_carries_its_qi(self, tmp_path, capsys):
         # agents 6 and 7 read velocity with noise 1e-14 and agent 2 position
         # with 50: the greedy innovation covariance is ill-conditioned at QI 1
-        monkeypatch.setenv("TWINLOOP_WORKERS", workers)
         config = json.loads((PERFBENCH / "acceptance.json").read_text())
         config["episodes"] = 2
         for record in config["fleet"]["agents"]:
@@ -296,6 +301,16 @@ class TestTrain:
                          "--policy", str(out / "policy.json"),
                          "--out", str(tmp_path / "eval")])
         assert code == 0
+
+    @pytest.mark.parametrize("caps", [[0.01], [0.01, 0.001, 0.01]])
+    def test_wrong_cap_count_exits_one_before_the_output_directory(
+            self, tmp_path, capsys, caps):
+        path = small_config_file(tmp_path, variance_caps=caps)
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "configuration error: need one variance cap per state feature\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_out_exits_one_before_training(self, tmp_path, capsys,
                                                       monkeypatch):

@@ -3,14 +3,12 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from twinloop import (ConfigurationError, EpisodeMetrics, ExperimentConfig,
                       SchedulingMode, TwinLoop, aggregate_metrics,
                       export_traces, run_episode, run_monte_carlo)
-from twinloop.errors import (InvalidInputError, NumericalFailureError,
-                             TrainingFailureError)
+from twinloop.errors import InvalidInputError, NumericalFailureError
 from twinloop.harness import fresh_policy
 from twinloop.agent import train
 
@@ -73,7 +71,7 @@ class TestConfig:
          InvalidInputError),
     ])
     def test_bad_fleet_rejected_before_any_episode(self, fleet, error):
-        # in validate, so a parallel run fails as a whole, not once per episode
+        # in validate, so a run fails as a whole, not once per episode
         data = small_config().to_dict()
         data["fleet"].update(fleet)
         with pytest.raises(error):
@@ -191,30 +189,9 @@ class TestMonteCarlo:
         with pytest.raises(RuntimeError, match="bug"):
             harness_mod.run_monte_carlo(small_config(episodes=2))
 
-    def test_parallel_failures_match_serial(self):
-        config = small_config(episodes=2)
-        policy = fresh_policy(config)
-        for weights in policy.actor.weights:
-            weights[...] = np.nan
-        serial = run_monte_carlo(config, policy=policy, workers=1)
-        parallel = run_monte_carlo(config, policy=policy, workers=2)
-        assert sorted(serial["failures"]) == [0, 1]
-        assert parallel["failures"] == serial["failures"]
-        assert parallel["episodes"] == serial["episodes"] == []
-        for message in serial["failures"].values():
-            assert message == ("NumericalFailureError: "
-                               "non-finite policy action (QI 1)")
-
-    def test_package_errors_survive_pickling(self):
-        import pickle
-
-        exc = pickle.loads(pickle.dumps(NumericalFailureError("bad", qi=7)))
-        assert (type(exc), exc.qi, str(exc)) == (
-            NumericalFailureError, 7, "bad (QI 7)")
-        exc = pickle.loads(pickle.dumps(
-            TrainingFailureError("nan loss", {"policy_loss": float("inf")})))
-        assert (str(exc), exc.diagnostics) == ("nan loss",
-                                               {"policy_loss": float("inf")})
+    def test_one_process_only(self):
+        with pytest.raises(InvalidInputError, match="one process"):
+            run_monte_carlo(small_config(episodes=1), workers=2)
 
     def test_summary_differs_only_in_output_path(self, tmp_path):
         summaries = []

@@ -1,7 +1,8 @@
 """Module boundaries: no module of the package imports another module's
 private (``_``-prefixed) names, and no public function or class is dead. A
 helper that two modules need is public in one of them. The state dimension
-is the plant's: nothing in the package defaults it."""
+is the plant's: nothing in the package defaults it. Every setting comes from
+the config or a command-line flag: no module reads the process environment."""
 
 import ast
 from pathlib import Path
@@ -85,4 +86,11 @@ def state_dim_defaults(path):
 def test_no_state_dim_has_a_default():
     found = [line for path in sorted(PACKAGE.glob("*.py"))
              for line in state_dim_defaults(path)]
+    assert not found, "\n".join(found)
+
+
+def test_no_module_reads_the_process_environment():
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in sorted(names_used(path) & reads)]
     assert not found, "\n".join(found)

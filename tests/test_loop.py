@@ -6,7 +6,6 @@ import pytest
 from twinloop import (PLANT_REGISTRY, ConfigurationError, ExperimentConfig,
                       InvalidInputError, LinearPlant, NumericalFailureError,
                       SchedulingMode, TwinLoop)
-from twinloop.harness import fresh_policy, run_monte_carlo
 
 
 def loop_config(mode="reverb"):
@@ -255,17 +254,3 @@ class TestFixedThresholds:
             env.step(np.array([0.0, 1.0, 1.0]))
         assert len(seen) == 3 and all(t is env.variance_caps for t in seen)
         np.testing.assert_array_equal(env.variance_caps, [0.01, 0.001])
-
-
-class TestWorkerPool:
-    def test_parallel_matches_serial(self):
-        config = loop_config()
-        config.episodes = 4
-        policy = fresh_policy(config)
-        serial = run_monte_carlo(config, policy=policy, workers=1)
-        parallel = run_monte_carlo(config, policy=policy, workers=2)
-        for a, b in zip(serial["episodes"], parallel["episodes"]):
-            assert a.qis == b.qis
-            assert a.total_power_w == b.total_power_w
-            assert a.mrmse == b.mrmse
-        assert serial["aggregate"] == parallel["aggregate"]
