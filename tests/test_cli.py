@@ -13,6 +13,10 @@ from twinloop.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# train and evaluate share validate: a config it rejects must stop either
+# command before the output directory is made
+VALIDATING_COMMANDS = pytest.mark.parametrize("command", ["evaluate", "train"])
+
 
 def small_config_file(tmp_path, **overrides):
     from twinloop import ExperimentConfig
@@ -131,9 +135,10 @@ class TestPinnedFleetRecords:
         ({"id": 2, "feature": -1, "variance": 1e-4, "distance": 4.4}, "invalid input:"),
         ({"id": 2, "feature": 1, "distance": 4.4}, "configuration error:"),
     ])
+    @VALIDATING_COMMANDS
     def test_bad_record_exits_one_with_one_line(self, tmp_path, capsys,
-                                                record, prefix):
-        self.assert_rejected(tmp_path, capsys, record, prefix)
+                                                record, prefix, command):
+        self.assert_rejected(tmp_path, capsys, record, prefix, command)
 
     @pytest.mark.parametrize("record, prefix", [
         # an id or feature that int() would truncate
@@ -155,18 +160,19 @@ class TestPinnedFleetRecords:
          "configuration error:"),
     ], ids=["fractional-feature", "fractional-id", "bool-feature", "bool-id",
             "infinite-variance", "infinite-distance", "uncovered-feature"])
+    @VALIDATING_COMMANDS
     def test_record_that_would_run_wrongly_exits_one_with_one_line(
-            self, tmp_path, capsys, record, prefix):
-        self.assert_rejected(tmp_path, capsys, record, prefix)
+            self, tmp_path, capsys, record, prefix, command):
+        self.assert_rejected(tmp_path, capsys, record, prefix, command)
 
     @staticmethod
-    def assert_rejected(tmp_path, capsys, record, prefix):
+    def assert_rejected(tmp_path, capsys, record, prefix, command):
         config = json.loads(small_config_file(tmp_path).read_text())
         config["fleet"]["agents"] = [
             {"id": 1, "feature": 0, "variance": 6e-3, "distance": 11.5}, record]
         path = tmp_path / "pinned.json"
         path.write_text(json.dumps(config))
-        code = main(["evaluate", "--config", str(path), "--mode", "cost_greedy",
+        code = main([command, "--config", str(path), "--mode", "cost_greedy",
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
@@ -191,14 +197,15 @@ class TestIntegerFields:
         ("rl", "minibatch_size", 32.5),
         ("rl", "total_steps", 100.5),
     ])
+    @VALIDATING_COMMANDS
     def test_value_that_is_not_an_integer_exits_one_with_one_line(
-            self, tmp_path, capsys, section, key, value):
+            self, tmp_path, capsys, section, key, value, command):
         # not truncated by int(), and no traceback from range() or a seed
         config = json.loads(small_config_file(tmp_path, mode="traditional").read_text())
         (config if section is None else config[section])[key] = value
         path = tmp_path / "fractional.json"
         path.write_text(json.dumps(config))
-        code = main(["evaluate", "--config", str(path), "--out", str(tmp_path / "out")])
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("configuration error:") and err.count("\n") == 1
@@ -223,8 +230,9 @@ class TestConfigRanges:
         ("rl", "eta_max", -5, "rl.eta_max must be finite and >= 0"),
         ("rl", "eta_max", float("inf"), "rl.eta_max must be finite and >= 0"),
     ])
+    @VALIDATING_COMMANDS
     def test_value_out_of_range_exits_one_with_one_line(
-            self, tmp_path, capsys, section, key, value, message):
+            self, tmp_path, capsys, section, key, value, message, command):
         # rejected by validate, which train and evaluate share: no traceback
         # from SeedSequence, a zero division or range(), no training run
         # without an update, and no truncated layer size
@@ -232,7 +240,7 @@ class TestConfigRanges:
         (config if section is None else config[section])[key] = value
         path = tmp_path / "range.json"
         path.write_text(json.dumps(config))
-        code = main(["evaluate", "--config", str(path), "--out", str(tmp_path / "out")])
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(("configuration error:", "invalid input:"))
