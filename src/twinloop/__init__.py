@@ -18,9 +18,9 @@ from .errors import (ConfigurationError, InvalidInputError,
                      NumericalFailureError, TrainingFailureError,
                      TwinloopError, WeakLineOfSightError)
 from .estimator import Belief, StackedObservationModel, predict, stack, update
-from .harness import (ChannelConfig, EpisodeMetrics, ExperimentConfig,
-                      FleetConfig, PlantConfig, aggregate_metrics,
-                      export_traces, run_episode, run_monte_carlo)
+from .harness import (EpisodeMetrics, ExperimentConfig, FleetConfig,
+                      PlantConfig, aggregate_metrics, export_traces,
+                      run_episode, run_monte_carlo)
 from .loop import StepResult, TwinLoop
 from .scheduler import (ScheduleDecision, SchedulingMode, baseline_schedule,
                         effective_thresholds, schedule, weighted_objective)

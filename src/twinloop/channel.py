@@ -8,7 +8,8 @@ approximation of that inverse Marcum Q tail is the starting point, and a few
 Newton steps on the exact tail (a numpy series) refine it, so the power meets
 epsilon wherever the closed form is defined. A Monte Carlo validator draws
 fading gains and measures the empirical outage so the power can be checked
-end to end.
+end to end. ``ChannelParams`` holds the link budget and is the ``channel``
+section of an experiment config.
 """
 
 from __future__ import annotations
@@ -24,43 +25,56 @@ from .errors import InvalidInputError, NumericalFailureError, WeakLineOfSightErr
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Uplink constants (linear units; see ``from_config`` for dB helpers)."""
+    """Uplink constants, the ``channel`` section of an experiment config.
 
-    system_gain: float = 1.0            # lumped antenna/frequency constant
-    path_loss_exponent: float = 2.0
+    The Rician factor and the noise power over the band are given in dB and
+    dBm; building the section checks every field and stores their linear
+    values once, as ``rician_factor`` and ``noise_power_w`` (W * N0).
+    """
+
+    rician_factor_db: float = 15.0
+    noise_power_dbm: float = -11.5
     bandwidth_hz: float = 5e6
-    noise_density_w_per_hz: float = 10 ** (-11.5 / 10) * 1e-3 / 5e6
-    rician_factor: float = 10 ** 1.5    # linear (15 dB)
     outage_epsilon: float = 1e-5
     latency_max_s: float = 5e-3
     packet_bits: float = 1024.0
+    system_gain: float = 1.0            # lumped antenna/frequency constant
+    path_loss_exponent: float = 2.0
 
     def __post_init__(self):
-        for name in ("system_gain", "path_loss_exponent", "bandwidth_hz",
-                     "noise_density_w_per_hz", "rician_factor",
-                     "latency_max_s", "packet_bits"):
-            if not getattr(self, name) > 0:
-                raise InvalidInputError(f"{name} must be positive")
-        if not 0.0 < self.outage_epsilon < 0.5:
-            raise InvalidInputError("outage_epsilon must lie in (0, 0.5)")
-        if math.sqrt(2.0 * self.rician_factor) <= inverse_gaussian_q(self.outage_epsilon):
+        inf = math.inf
+        try:
+            ok = (-inf < self.rician_factor_db < inf     # NaN compares false
+                  and -inf < self.noise_power_dbm < inf
+                  and 0.0 < self.bandwidth_hz < inf
+                  and 0.0 < self.outage_epsilon < 0.5
+                  and 0.0 < self.latency_max_s < inf
+                  and 0.0 < self.packet_bits < inf
+                  and 0.0 < self.system_gain < inf
+                  and 0.0 < self.path_loss_exponent < inf)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InvalidInputError(
+                f"channel values must be finite numbers, positive apart from "
+                f"the dB values, with outage_epsilon in (0, 0.5): {self!r}")
+        try:
+            rician_factor = 10 ** (self.rician_factor_db / 10)
+            density = 10 ** (self.noise_power_dbm / 10) * 1e-3 / self.bandwidth_hz
+        except OverflowError:
+            raise InvalidInputError(f"channel values overflow a float: "
+                                    f"{self!r}") from None
+        object.__setattr__(self, "rician_factor", rician_factor)
+        object.__setattr__(self, "noise_power_w", self.bandwidth_hz * density)
+        if math.sqrt(2.0 * rician_factor) <= inverse_gaussian_q(self.outage_epsilon):
             raise WeakLineOfSightError(
                 "sqrt(2G) must exceed Qinv(epsilon) for the strong-LoS power formula")
 
-    @property
-    def noise_power_w(self) -> float:
-        """Total noise power over the allocated band (W * N0)."""
-        return self.bandwidth_hz * self.noise_density_w_per_hz
-
     @classmethod
-    def from_config(cls, rician_factor_db=15.0, noise_power_dbm=-11.5,
-                    bandwidth_hz=5e6, **kwargs) -> "ChannelParams":
-        """Build from dB-style config fields; noise_power_dbm is the total
-        noise power over the band, converted to a density."""
-        n0 = 10 ** (noise_power_dbm / 10) * 1e-3 / bandwidth_hz
-        return cls(rician_factor=10 ** (rician_factor_db / 10),
-                   noise_density_w_per_hz=n0, bandwidth_hz=bandwidth_hz,
-                   **kwargs)
+    def from_config(cls, **fields) -> "ChannelParams":
+        """The same as ``cls(**fields)``: the benchmark's channel workload
+        builds its grid through this name."""
+        return cls(**fields)
 
 
 # Acklam's rational approximation of the standard normal quantile, refined by

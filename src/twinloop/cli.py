@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -87,24 +88,21 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_validate_channel(args) -> int:
-    params = channel_mod.ChannelParams.from_config(
-        rician_factor_db=args.rician_db,
-        noise_power_dbm=args.noise_dbm,
-        bandwidth_hz=args.bandwidth_hz,
-        outage_epsilon=args.epsilon,
-        latency_max_s=args.latency_s,
-        packet_bits=args.packet_bits,
-        system_gain=args.system_gain,
-        path_loss_exponent=args.alpha)
+    # a flag left out keeps the channel section's default
+    given = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(channel_mod.ChannelParams)}
+    params = channel_mod.ChannelParams(
+        **{name: value for name, value in given.items() if value is not None})
     power = channel_mod.required_power(args.distance_m, params)
     rng = np.random.default_rng(args.seed)
     outage = channel_mod.outage_probability_mc(power, args.distance_m, params,
                                                args.trials, rng)
     print("rician_db,epsilon,bandwidth_hz,packet_bits,latency_s,distance_m,"
           "alpha,trials,required_power_w,empirical_outage")
-    print(f"{args.rician_db!r},{args.epsilon!r},{args.bandwidth_hz!r},"
-          f"{args.packet_bits!r},{args.latency_s!r},{args.distance_m!r},"
-          f"{args.alpha!r},{args.trials},{power!r},{outage!r}")
+    print(f"{params.rician_factor_db!r},{params.outage_epsilon!r},"
+          f"{params.bandwidth_hz!r},{params.packet_bits!r},"
+          f"{params.latency_max_s!r},{args.distance_m!r},"
+          f"{params.path_loss_exponent!r},{args.trials},{power!r},{outage!r}")
     return EXIT_OK
 
 
@@ -141,7 +139,7 @@ def _sweep_point(config, kappa, capacity, eps, train_steps) -> dict:
     point = ExperimentConfig.from_dict(config.to_dict())
     point.rl.reward_weight = kappa
     point.capacity = capacity
-    point.channel.outage_epsilon = eps
+    point.channel = dataclasses.replace(point.channel, outage_epsilon=eps)
     point.output_dir = None
     point.validate()
     if train_steps:
@@ -191,15 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     vc = sub.add_parser("validate-channel",
                         help="required power and Monte Carlo outage as CSV")
-    vc.add_argument("--rician-db", type=float, default=15.0)
-    vc.add_argument("--epsilon", type=float, default=1e-2)
-    vc.add_argument("--bandwidth-hz", type=float, default=5e6)
-    vc.add_argument("--packet-bits", type=float, default=1024.0)
-    vc.add_argument("--latency-s", type=float, default=5e-3)
+    vc.add_argument("--rician-db", dest="rician_factor_db", type=float)
+    vc.add_argument("--epsilon", dest="outage_epsilon", type=float, default=1e-2)
+    vc.add_argument("--bandwidth-hz", type=float)
+    vc.add_argument("--packet-bits", type=float)
+    vc.add_argument("--latency-s", dest="latency_max_s", type=float)
     vc.add_argument("--distance-m", type=float, default=20.0)
-    vc.add_argument("--alpha", type=float, default=2.0)
-    vc.add_argument("--noise-dbm", type=float, default=-11.5)
-    vc.add_argument("--system-gain", type=float, default=1.0)
+    vc.add_argument("--alpha", dest="path_loss_exponent", type=float)
+    vc.add_argument("--noise-dbm", dest="noise_power_dbm", type=float)
+    vc.add_argument("--system-gain", type=float)
     vc.add_argument("--trials", type=int, default=1_000_000)
     vc.add_argument("--seed", type=int, default=0)
     vc.set_defaults(func=cmd_validate_channel)

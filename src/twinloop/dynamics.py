@@ -57,11 +57,8 @@ class MountainCar:
     dim = 2
     control_dim = 1
 
-    def __init__(self, params: MountainCarParams = MountainCarParams(),
-                 process_cov=None):
+    def __init__(self, params: MountainCarParams, process_cov):
         self.params = params
-        if process_cov is None:
-            process_cov = np.diag([1e-4 ** 2, 1e-5 ** 2])
         process_cov = np.asarray(process_cov, dtype=float)
         _check_psd(process_cov, "process_cov")
         self.process_cov = process_cov
@@ -175,13 +172,13 @@ class LinearPlant:
         return rng.multivariate_normal(self.initial_mean, self.initial_cov)
 
 
-def build_mountain_car(process_noise_std=(1e-4, 1e-5), **kwargs) -> MountainCar:
+def build_mountain_car(process_noise_std, **kwargs) -> MountainCar:
     sp, sv = process_noise_std
     return MountainCar(MountainCarParams(**kwargs),
                        process_cov=np.diag([sp ** 2, sv ** 2]))
 
 
-def build_linear_2d(process_noise_std=(1e-2, 1e-3), **kwargs) -> LinearPlant:
+def build_linear_2d(process_noise_std, **kwargs) -> LinearPlant:
     sp, sv = process_noise_std
     return LinearPlant(transition=[[1.0, 1.0], [0.0, 1.0]],
                        control_matrix=[[0.0], [1.0]],

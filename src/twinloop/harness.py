@@ -2,10 +2,13 @@
 
 A single JSON config describes the whole experiment (plant, fleet, channel,
 caps, mode, RL hyperparameters, seeds); every run echoes it into
-summary.json so results can be replayed exactly. The episodes of a run
-share one ``TwinLoop`` in one process. Per-episode seeds derive from the
-master seed by episode index, so repeated runs are byte-identical and
-different modes see common random numbers.
+summary.json so results can be replayed exactly. Its channel section is
+``channel.ChannelParams`` and its rl section ``agent.PpoHyperparams``, so
+those two are checked when the config is read; ``validate`` checks the
+rest. The episodes of a run share one ``TwinLoop`` in one process and take
+the policy mean. Per-episode seeds derive from the master seed by episode
+index, so repeated runs are byte-identical and different modes see common
+random numbers.
 
 The episode error metric (reported as ``mrmse``) is the per-episode mean
 over query intervals of the Euclidean distance between the true state and
@@ -17,6 +20,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,18 +57,6 @@ class PlantConfig:
 
 
 @dataclass
-class ChannelConfig:
-    rician_factor_db: float = 15.0
-    noise_power_dbm: float = -11.5
-    bandwidth_hz: float = 5e6
-    outage_epsilon: float = 1e-5
-    latency_max_s: float = 5e-3
-    packet_bits: float = 1024.0
-    system_gain: float = 1.0
-    path_loss_exponent: float = 2.0
-
-
-@dataclass
 class ExperimentConfig:
     mode: str = "reverb"
     master_seed: int = 0
@@ -74,27 +66,32 @@ class ExperimentConfig:
     variance_caps: tuple = (0.01, 0.001)
     traditional_count: int = 2
     accuracy_weight: float = 0.5   # mixing weight of the per-QI diagnostic
-    deterministic_eval: bool = True
     plant: PlantConfig = field(default_factory=PlantConfig)
     fleet: FleetConfig = field(default_factory=FleetConfig)
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
+    channel: ChannelParams = field(default_factory=ChannelParams)
     rl: PpoHyperparams = field(default_factory=PpoHyperparams)
 
     # -- validation / builders ----------------------------------------------
 
     def validate(self) -> "ExperimentConfig":
-        # every field declared int, here and in the plant, fleet and rl
-        # sections, must hold an integer: 2.5 is rejected, not truncated
+        # every field declared int, here and in the sections, must hold an
+        # integer (2.5 is rejected, not truncated), and every field declared
+        # float a number that is not a bool (checked, not converted)
         for prefix, section in (("", self), ("plant.", self.plant),
-                                ("fleet.", self.fleet), ("rl.", self.rl)):
+                                ("fleet.", self.fleet), ("channel.", self.channel),
+                                ("rl.", self.rl)):
             for f in dataclasses.fields(section):
+                value = getattr(section, f.name)
                 if f.type == "int":
-                    value = getattr(section, f.name)
                     try:
                         setattr(section, f.name, sensing.integer(value))
                     except TypeError:
                         raise ConfigurationError(f"{prefix}{f.name} must be an "
                                                  f"integer: {value!r}") from None
+                elif f.type == "float" and (isinstance(value, bool) or
+                                            not isinstance(value, numbers.Real)):
+                    raise ConfigurationError(f"{prefix}{f.name} must be a "
+                                             f"number: {value!r}")
         try:
             SchedulingMode(self.mode)
         except ValueError:
@@ -112,11 +109,7 @@ class ExperimentConfig:
             raise ConfigurationError("accuracy_weight must lie in [0, 1]")
         for name, value in (("rl.reward_weight", self.rl.reward_weight),
                             ("rl.eta_max", self.rl.eta_max)):
-            try:
-                ok = 0.0 <= value < np.inf   # NaN compares false
-            except TypeError:
-                ok = False
-            if not ok:
+            if not 0.0 <= value < np.inf:   # NaN compares false
                 raise ConfigurationError(f"{name} must be finite and >= 0: {value!r}")
         try:
             caps = np.asarray(self.variance_caps, dtype=float)
@@ -132,10 +125,6 @@ class ExperimentConfig:
         if caps.shape != (plant.dim,):
             raise ConfigurationError("need one variance cap per state feature")
         self.build_fleet(plant)
-        try:
-            self.build_channel()
-        except Exception as exc:
-            raise ConfigurationError(f"invalid channel parameters: {exc}")
         return self
 
     def build_plant(self):
@@ -162,9 +151,6 @@ class ExperimentConfig:
             raise ConfigurationError("fleet does not cover every plant feature")
         return index
 
-    def build_channel(self) -> ChannelParams:
-        return ChannelParams.from_config(**dataclasses.asdict(self.channel))
-
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -183,8 +169,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         for key, sub in (("plant", PlantConfig), ("fleet", FleetConfig),
-                         ("channel", ChannelConfig), ("rl", PpoHyperparams)):
-            if key in data and isinstance(data[key], dict):
+                         ("channel", ChannelParams), ("rl", PpoHyperparams)):
+            if key in data and not isinstance(data[key], sub):
                 try:
                     data[key] = sub(**data[key])
                 except TypeError as exc:
@@ -227,13 +213,11 @@ def run_episode(policy: PolicyNetwork, config: ExperimentConfig,
         env = TwinLoop.from_config(config, record_trace=True)
     seed = episode_seed(config.master_seed, 2, episode_index)
     obs = env.reset(seed)
-    action_rng = np.random.default_rng(seed.spawn(1)[0])
     total_base = 0.0
     qis = 0
     reached = False
     while True:
-        action, _, _, _ = policy.act(obs, action_rng,
-                                     deterministic=config.deterministic_eval,
+        action, _, _, _ = policy.act(obs, None, deterministic=True,
                                      update_stats=False)
         step = env.step(action)
         total_base += step.base_reward

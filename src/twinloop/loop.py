@@ -59,7 +59,6 @@ class TwinLoop:
     def __init__(self, config, record_trace=False):
         self.plant = plant = config.build_plant()
         self.fleet_index = config.build_fleet(plant)
-        self.channel_params = config.build_channel()
         # the caps are checked here, once: the non-adaptive modes are judged
         # by these caps, and each adaptive QI applies its request to them
         # without a second check
@@ -83,7 +82,7 @@ class TwinLoop:
         self.action_dim = plant.control_dim + plant.dim
         # distances are fixed, so each agent's uplink power is a constant
         self.power_by_id = {
-            a.agent_id: channel_mod.required_power(a.distance_m, self.channel_params)
+            a.agent_id: channel_mod.required_power(a.distance_m, config.channel)
             for a in self.fleet_index.agents}
 
         self._true_state = None

@@ -150,12 +150,12 @@ class TestCriterion3LinkBudget:
     def test_monte_carlo_outage_at_design_power(self):
         start = time.time()
         eps = 1e-2
-        params = ChannelParams.from_config(rician_factor_db=15.0,
-                                           noise_power_dbm=-11.5,
-                                           bandwidth_hz=5e6,
-                                           outage_epsilon=eps,
-                                           latency_max_s=5e-3,
-                                           packet_bits=1024.0)
+        params = ChannelParams(rician_factor_db=15.0,
+                               noise_power_dbm=-11.5,
+                               bandwidth_hz=5e6,
+                               outage_epsilon=eps,
+                               latency_max_s=5e-3,
+                               packet_bits=1024.0)
         power = required_power(20.0, params)
         outage = outage_probability_mc(power, 20.0, params, 1_000_000,
                                        np.random.default_rng(99))
@@ -169,7 +169,7 @@ class TestCriterion3LinkBudget:
                                "set TWINLOOP_SLOW=1 to run")
     def test_deep_tail_outage_at_published_epsilon(self):
         eps = 1e-5
-        params = ChannelParams.from_config(outage_epsilon=eps)
+        params = ChannelParams(outage_epsilon=eps)
         power = required_power(20.0, params)
         outage = outage_probability_mc(power, 20.0, params, 200_000_000,
                                        np.random.default_rng(7))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinloop import SchedulingMode, agent, harness, loop, scheduler
+from twinloop import SchedulingMode, agent, channel, harness, loop, scheduler
 from tests.helpers import diag_belief, indexed, scalar_agent
 from tests.test_acceptance import benchmark_config
 
@@ -58,6 +58,14 @@ def test_schedule_decision_feeds_the_counter(workloads):
 def test_entry_points_take_the_benchmark_arguments():
     inspect.signature(agent.train).bind("config", "hyper", 0)
     inspect.signature(harness.run_monte_carlo).bind("config", policy=None, workers=1)
+
+
+def test_channel_workload_builds_params_like_the_constructor():
+    # perfbench's channel set-up builds its grid through from_config
+    params = channel.ChannelParams.from_config(rician_factor_db=10.0,
+                                               outage_epsilon=1e-2)
+    assert params == channel.ChannelParams(rician_factor_db=10.0,
+                                           outage_epsilon=1e-2)
 
 
 def test_acceptance_config_is_the_acceptance_experiment():

@@ -1,6 +1,8 @@
 """Link budget tests: tail inversion, power law, fading statistics, outage."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,14 +17,14 @@ G_15DB = 10 ** 1.5
 
 
 def table_params(epsilon=1e-5, alpha=2.0):
-    return ChannelParams.from_config(rician_factor_db=15.0,
-                                     noise_power_dbm=-11.5,
-                                     bandwidth_hz=5e6,
-                                     outage_epsilon=epsilon,
-                                     latency_max_s=5e-3,
-                                     packet_bits=1024.0,
-                                     system_gain=1.0,
-                                     path_loss_exponent=alpha)
+    return ChannelParams(rician_factor_db=15.0,
+                         noise_power_dbm=-11.5,
+                         bandwidth_hz=5e6,
+                         outage_epsilon=epsilon,
+                         latency_max_s=5e-3,
+                         packet_bits=1024.0,
+                         system_gain=1.0,
+                         path_loss_exponent=alpha)
 
 
 class TestInverseGaussianQ:
@@ -90,31 +92,31 @@ class TestRequiredPower:
             required_power(20.0, params), rel=1e-12)
 
     def test_vanishing_packet_size(self):
-        small = ChannelParams.from_config(packet_bits=1e-9)
+        small = ChannelParams(packet_bits=1e-9)
         assert required_power(20.0, small) < 1e-12
 
     def test_monotonicity_grid(self):
         base = dict(rician_factor_db=15.0, noise_power_dbm=-11.5,
                     bandwidth_hz=5e6, outage_epsilon=1e-3,
                     latency_max_s=5e-3, packet_bits=1024.0)
-        p0 = required_power(10.0, ChannelParams.from_config(**base))
+        p0 = required_power(10.0, ChannelParams(**base))
         for d in (11.0, 15.0, 20.0):
-            assert required_power(d, ChannelParams.from_config(**base)) > p0
+            assert required_power(d, ChannelParams(**base)) > p0
         for bits in (2048.0, 4096.0):
             cfg = dict(base, packet_bits=bits)
-            assert required_power(10.0, ChannelParams.from_config(**cfg)) > p0
+            assert required_power(10.0, ChannelParams(**cfg)) > p0
         for tau in (2.5e-3, 1e-3):
             cfg = dict(base, latency_max_s=tau)
-            assert required_power(10.0, ChannelParams.from_config(**cfg)) > p0
+            assert required_power(10.0, ChannelParams(**cfg)) > p0
         for w in (2.5e6, 1e6):
             # halving bandwidth raises the rate demand exponent faster than
-            # the noise power drops over this grid
-            cfg = dict(base, bandwidth_hz=w)
-            n0 = 10 ** (-11.5 / 10) * 1e-3 / 5e6
-            params = ChannelParams(system_gain=1.0, path_loss_exponent=2.0,
-                                   bandwidth_hz=w, noise_density_w_per_hz=n0,
-                                   rician_factor=G_15DB, outage_epsilon=1e-3,
-                                   latency_max_s=5e-3, packet_bits=1024.0)
+            # the noise power drops over this grid; the noise density N0
+            # stays fixed, so the noise power over the band scales with w
+            cfg = dict(base, bandwidth_hz=w,
+                       noise_power_dbm=-11.5 + 10 * math.log10(w / 5e6))
+            params = ChannelParams(**cfg)
+            assert params.noise_power_w / w == pytest.approx(
+                10 ** (-11.5 / 10) * 1e-3 / 5e6, rel=1e-12)
             assert required_power(10.0, params) > p0
 
     def test_invalid_distance(self):
@@ -196,12 +198,42 @@ class TestOutage:
 class TestChannelParamsValidation:
     def test_weak_los_configuration_rejected(self):
         with pytest.raises(WeakLineOfSightError):
-            ChannelParams.from_config(rician_factor_db=0.0, outage_epsilon=1e-5)
+            ChannelParams(rician_factor_db=0.0, outage_epsilon=1e-5)
 
     def test_epsilon_range(self):
         with pytest.raises(InvalidInputError):
-            ChannelParams.from_config(outage_epsilon=0.7)
+            ChannelParams(outage_epsilon=0.7)
 
     def test_noise_power_conversion(self):
         params = table_params()
         assert params.noise_power_w == pytest.approx(10 ** (-1.15) * 1e-3, rel=1e-12)
+
+    @pytest.mark.parametrize("name, value", [
+        ("rician_factor_db", math.inf), ("rician_factor_db", math.nan),
+        ("noise_power_dbm", -math.inf), ("bandwidth_hz", 0.0),
+        ("bandwidth_hz", math.inf), ("outage_epsilon", 0.0),
+        ("latency_max_s", math.inf), ("packet_bits", math.inf),
+        ("packet_bits", "1024"), ("system_gain", -1.0),
+        ("path_loss_exponent", math.nan), ("noise_power_dbm", None),
+    ])
+    def test_value_outside_its_range_rejected(self, name, value):
+        with pytest.raises(InvalidInputError, match=re.escape(f"{name}={value!r}")):
+            ChannelParams(**{name: value})
+
+    def test_db_value_that_overflows_a_float_rejected(self):
+        with pytest.raises(InvalidInputError, match="overflow"):
+            ChannelParams(noise_power_dbm=1e5)
+
+    def test_linear_values_are_computed_once_from_the_db_fields(self):
+        params = ChannelParams(rician_factor_db=12.5, noise_power_dbm=-20.0,
+                               bandwidth_hz=3e6)
+        assert params.rician_factor == 10 ** (12.5 / 10)
+        assert params.noise_power_w == 3e6 * (10 ** (-20.0 / 10) * 1e-3 / 3e6)
+        # stored attributes, not fields: the config section has eight keys
+        assert [f.name for f in dataclasses.fields(params)] == [
+            "rician_factor_db", "noise_power_dbm", "bandwidth_hz",
+            "outage_epsilon", "latency_max_s", "packet_bits", "system_gain",
+            "path_loss_exponent"]
+        changed = dataclasses.replace(params, rician_factor_db=20.0)
+        assert changed.rician_factor == 10 ** 2.0
+        assert changed.noise_power_w == params.noise_power_w

@@ -50,10 +50,30 @@ class TestValidateChannel:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
         assert len(rows) == 1
-        params = ChannelParams.from_config(outage_epsilon=1e-2)
+        params = ChannelParams(outage_epsilon=1e-2)
         assert float(rows[0]["required_power_w"]) == pytest.approx(
             required_power(20.0, params), rel=1e-12)
         assert 0.0 <= float(rows[0]["empirical_outage"]) <= 0.05
+
+    def test_every_flag_reaches_the_params(self):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["validate-channel", "--rician-db", "12", "--epsilon", "1e-3",
+                         "--bandwidth-hz", "4e6", "--packet-bits", "2048",
+                         "--latency-s", "8e-3", "--distance-m", "15",
+                         "--alpha", "2.5", "--noise-dbm", "-14",
+                         "--system-gain", "0.8", "--trials", "1000",
+                         "--seed", "2"])
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(buf.getvalue())))
+        params = ChannelParams(rician_factor_db=12.0, noise_power_dbm=-14.0,
+                               bandwidth_hz=4e6, outage_epsilon=1e-3,
+                               latency_max_s=8e-3, packet_bits=2048.0,
+                               system_gain=0.8, path_loss_exponent=2.5)
+        assert (row["rician_db"], row["epsilon"], row["bandwidth_hz"],
+                row["packet_bits"], row["latency_s"], row["alpha"]) == (
+            "12.0", "0.001", "4000000.0", "2048.0", "0.008", "2.5")
+        assert float(row["required_power_w"]) == required_power(15.0, params)
 
     def test_weak_line_of_sight_exits_one_without_traceback(self, capsys):
         code = main(["validate-channel", "--rician-db", "3",
@@ -229,6 +249,37 @@ class TestConfigRanges:
         ("rl", "reward_weight", float("nan"), "rl.reward_weight must be finite and >= 0"),
         ("rl", "eta_max", -5, "rl.eta_max must be finite and >= 0"),
         ("rl", "eta_max", float("inf"), "rl.eta_max must be finite and >= 0"),
+        # a float field holding a string or a bool: checked before any
+        # arithmetic, so no TypeError or ValueError traceback, and no
+        # training run that fails part way
+        (None, "accuracy_weight", "0.5",
+         "configuration error: accuracy_weight must be a number: '0.5'"),
+        (None, "accuracy_weight", True,
+         "configuration error: accuracy_weight must be a number: True"),
+        ("fleet", "max_distance_m", "20",
+         "configuration error: fleet.max_distance_m must be a number: '20'"),
+        ("rl", "termination_bonus", "x",
+         "configuration error: rl.termination_bonus must be a number: 'x'"),
+        ("rl", "actor_lr", "1e-3",
+         "configuration error: rl.actor_lr must be a number: '1e-3'"),
+        ("rl", "max_grad_norm", "0.5",
+         "configuration error: rl.max_grad_norm must be a number: '0.5'"),
+        ("channel", "packet_bits", True,
+         "configuration error: channel.packet_bits must be a number: True"),
+        # the channel section is checked when the config is read; json.dumps
+        # writes inf as Infinity, which json.loads reads back
+        ("channel", "rician_factor_db", float("inf"),
+         "invalid input: channel values must be finite numbers"),
+        ("channel", "latency_max_s", float("inf"),
+         "invalid input: channel values must be finite numbers"),
+        ("channel", "packet_bits", float("inf"),
+         "invalid input: channel values must be finite numbers"),
+        ("channel", "outage_epsilon", 0.7,
+         "invalid input: channel values must be finite numbers"),
+        ("channel", "bandwidth_hz", "5e6",
+         "invalid input: channel values must be finite numbers"),
+        ("channel", "rician_factor_db", 3.0,
+         "invalid input: sqrt(2G) must exceed Qinv(epsilon)"),
     ])
     @VALIDATING_COMMANDS
     def test_value_out_of_range_exits_one_with_one_line(

@@ -64,6 +64,13 @@ class TestConfig:
             with pytest.raises(ConfigurationError):
                 ExperimentConfig.from_dict(data).validate()
 
+    @pytest.mark.parametrize("section", ["plant", "fleet", "channel", "rl"])
+    def test_section_that_is_not_an_object_rejected(self, section):
+        data = small_config().to_dict()
+        data[section] = 5
+        with pytest.raises(ConfigurationError, match=f"bad {section} section"):
+            ExperimentConfig.from_dict(data)
+
     @pytest.mark.parametrize("fleet, error", [
         ({"count": 1}, ConfigurationError),
         ({"agents": [{"id": 1, "feature": 0, "variance": 0.01}]}, ConfigurationError),
