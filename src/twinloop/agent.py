@@ -296,16 +296,18 @@ class PolicyNetwork:
             update_stats: bool = False):
         """Sample (or take the mean of) the action distribution.
 
-        Returns (raw_action, logprob, value, normalized_obs).
+        Returns (raw_action, logprob, value, normalized_obs). The mean action
+        (``deterministic``) is all an evaluation uses, so it comes with None
+        for the log-prob and the value, and runs no critic; ``value`` gives
+        the critic's estimate.
         """
         x = self.normalizer.normalize(policy_input, update=update_stats)
         head, _ = self.actor.forward(x[None, :])
         mean = np.tanh(head[0])
-        std = np.exp(self.logstd)
         if deterministic:
-            action = mean.copy()
-        else:
-            action = mean + std * rng.standard_normal(self.action_dim)
+            return mean, None, None, x
+        std = np.exp(self.logstd)
+        action = mean + std * rng.standard_normal(self.action_dim)
         # gaussian_logprob of the one row, with the std already in hand
         z = (action - mean) / std
         logp = (-0.5 * float((z * z).sum()) - float(self.logstd.sum())

@@ -29,7 +29,8 @@ class ChannelParams:
 
     The Rician factor and the noise power over the band are given in dB and
     dBm; building the section checks every field and stores their linear
-    values once, as ``rician_factor`` and ``noise_power_w`` (W * N0).
+    values once, as ``rician_factor`` and ``noise_power_w`` (W * N0), and
+    the rate demand 2^(D / (tau_max W)) - 1 as ``rate_demand``.
     """
 
     rician_factor_db: float = 15.0
@@ -61,11 +62,20 @@ class ChannelParams:
         try:
             rician_factor = 10 ** (self.rician_factor_db / 10)
             density = 10 ** (self.noise_power_dbm / 10) * 1e-3 / self.bandwidth_hz
-        except OverflowError:
-            raise InvalidInputError(f"channel values overflow a float: "
-                                    f"{self!r}") from None
+            rate_demand = 2.0 ** (self.packet_bits
+                                  / (self.latency_max_s * self.bandwidth_hz)) - 1.0
+            noise_power_w = self.bandwidth_hz * density
+            # float division and multiplication give inf or 0.0 instead of
+            # raising, and either would make every required power inf or 0.0
+            in_range = 0.0 < rate_demand < inf and 0.0 < noise_power_w < inf
+        except (OverflowError, ZeroDivisionError):
+            in_range = False
+        if not in_range:
+            raise InvalidInputError(f"channel values overflow or underflow a "
+                                    f"float: {self!r}")
         object.__setattr__(self, "rician_factor", rician_factor)
-        object.__setattr__(self, "noise_power_w", self.bandwidth_hz * density)
+        object.__setattr__(self, "noise_power_w", noise_power_w)
+        object.__setattr__(self, "rate_demand", rate_demand)
         if math.sqrt(2.0 * rician_factor) <= inverse_gaussian_q(self.outage_epsilon):
             raise WeakLineOfSightError(
                 "sqrt(2G) must exceed Qinv(epsilon) for the strong-LoS power formula")
@@ -131,14 +141,22 @@ def _log_rician_cdf_and_slope(rician_factor: float, y: float) -> tuple[float, fl
     With m = y^2/2 the Rician amplitude CDF is the series of positive terms
     sum_{j>=1} Pois(j; m) PoisCDF(j-1; G), and its density is
     y sum_n Pois(n; G) Pois(n; m). Both are summed in log space so that
-    neither a large G nor a deep tail underflows.
+    neither a large G nor a deep tail underflows, and only over the terms
+    that hold mass: n from min(G, m) - 20 sqrt(top) - 50 (or 0) to
+    top + 20 sqrt(top) + 50, with top = max(G, m). Near the root m is
+    within a few sqrt(G) of G, so that is O(sqrt(G)) terms; the window
+    starts at 0 for G up to about 27 dB, where every term is summed.
     """
     m = 0.5 * y * y
     top = max(rician_factor, m)
-    # Poisson mass past top + 20 sqrt(top) + 50 is below exp(-100)
-    count = int(top + 20.0 * math.sqrt(top) + 50.0) + 1
-    n = np.arange(count)
-    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(count)])
+    # Poisson mass more than 20 sqrt(top) + 50 away from its mean is below
+    # exp(-100), so the terms outside the window, and PoisCDF(n; G) below
+    # it, add nothing a double can hold
+    spread = 20.0 * math.sqrt(top) + 50.0
+    start = max(0, int(min(rician_factor, m) - spread))
+    count = int(top + spread) + 1
+    n = np.arange(start, count)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(start, count)])
     log_pois_g = -rician_factor + n * math.log(rician_factor) - log_factorial
     log_pois_m = -m + n * math.log(m) - log_factorial
     log_cdf_g = np.logaddexp.accumulate(log_pois_g)
@@ -194,9 +212,8 @@ def required_power(distance_m: float, params: ChannelParams) -> float:
     if not 0 < distance_m < math.inf:
         raise InvalidInputError("distance must be positive and finite")
     y = y_q(params.rician_factor, params.outage_epsilon)
-    rate_demand = 2.0 ** (params.packet_bits
-                          / (params.latency_max_s * params.bandwidth_hz)) - 1.0
-    return (2.0 * params.noise_power_w * (1.0 + params.rician_factor) * rate_demand
+    return (2.0 * params.noise_power_w * (1.0 + params.rician_factor)
+            * params.rate_demand
             * distance_m ** params.path_loss_exponent
             / (y * y * params.system_gain))
 

@@ -5,8 +5,9 @@ benchmark the control loop is evaluated on) and a 2-state linear system used
 by the estimator oracle tests. Both expose the same surface: ``step`` advances
 the true state with process noise, ``f``/``control_matrix``/``jacobian``
 describe the noiseless state-update map the estimator linearizes, ``is_goal``
-tests termination, and ``initial_mean``/``initial_cov`` give the twin's
-initial belief.
+tests termination, ``initial_mean``/``initial_cov`` give the twin's
+initial belief, and ``feature_names`` names each state feature (the trace
+columns carry these names).
 
 The mountain-car update follows the reference environment semantics: the
 velocity is updated (force, gravity, noise) and clamped first, then the
@@ -56,6 +57,7 @@ class MountainCar:
 
     dim = 2
     control_dim = 1
+    feature_names = ("pos", "vel")
 
     def __init__(self, params: MountainCarParams, process_cov):
         self.params = params
@@ -133,8 +135,8 @@ class MountainCar:
 class LinearPlant:
     """Linear test system s' = A s + B a + u. Never reaches a goal."""
 
-    def __init__(self, transition, control_matrix, process_cov, episode_cap=999,
-                 initial_mean=None, initial_cov=None):
+    def __init__(self, transition, control_matrix, process_cov, feature_names,
+                 episode_cap=999, initial_mean=None, initial_cov=None):
         self.transition = np.asarray(transition, dtype=float)
         self.control_matrix = np.asarray(control_matrix, dtype=float)
         process_cov = np.asarray(process_cov, dtype=float)
@@ -143,6 +145,10 @@ class LinearPlant:
         self._noise_scale = _noise_factor(process_cov)
         self.dim = self.transition.shape[0]
         self.control_dim = self.control_matrix.shape[1]
+        self.feature_names = tuple(feature_names)
+        if len(self.feature_names) != self.dim:
+            raise InvalidInputError(f"need {self.dim} feature names: "
+                                    f"{self.feature_names!r}")
         self.episode_cap = episode_cap
         self.initial_mean = (np.zeros(self.dim) if initial_mean is None
                              else np.asarray(initial_mean, dtype=float))
@@ -183,7 +189,7 @@ def build_linear_2d(process_noise_std, **kwargs) -> LinearPlant:
     return LinearPlant(transition=[[1.0, 1.0], [0.0, 1.0]],
                        control_matrix=[[0.0], [1.0]],
                        process_cov=np.diag([sp ** 2, sv ** 2]),
-                       **kwargs)
+                       feature_names=("pos", "vel"), **kwargs)
 
 
 PLANT_REGISTRY = {

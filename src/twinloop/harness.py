@@ -31,7 +31,7 @@ from .agent import PolicyNetwork, PpoHyperparams
 from .channel import ChannelParams
 from .dynamics import PLANT_REGISTRY
 from .errors import ConfigurationError, InvalidInputError, TwinloopError
-from .loop import TRACE_COLUMNS, TwinLoop, episode_seed
+from .loop import TwinLoop, episode_seed
 from .scheduler import SchedulingMode
 
 MRMSE_DEFINITION = ("per-episode mean over query intervals of "
@@ -203,6 +203,7 @@ class EpisodeMetrics:
     mean_selected: float
     satisfaction_rate: float
     total_base_reward: float
+    # one TwinLoop.trace record per QI; TwinLoop.trace_table gives the columns
     trace: list = field(default_factory=list, repr=False)
 
 
@@ -270,7 +271,7 @@ def run_monte_carlo(config: ExperimentConfig, policy: PolicyNetwork = None,
         "mrmse_definition": MRMSE_DEFINITION,
     }
     if config.output_dir:
-        export_traces(metrics, config.output_dir, report)
+        export_traces(metrics, config.output_dir, report, env=env)
     report["episodes"] = metrics
     return report
 
@@ -335,14 +336,23 @@ def write_csv(path, columns, rows):
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
-def export_traces(metrics, out_dir, report=None):
-    """Write episodes.csv, one trace_<i>.csv per episode, and summary.json."""
+def export_traces(metrics, out_dir, report=None, *, env):
+    """Write episodes.csv, one trace_<i>.csv per episode, and summary.json.
+
+    ``env`` is the ``TwinLoop`` that recorded the traces; each trace file is
+    its ``trace_table`` of the episode's records, written in one go (the
+    values are ints, strings and floats, whose ``str`` is their ``repr``).
+    """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         write_csv(out / "episodes.csv", EPISODE_COLUMNS, map(vars, metrics))
         for m in metrics:
-            write_csv(out / f"trace_{m.episode}.csv", TRACE_COLUMNS, m.trace)
+            table = env.trace_table(m.trace)
+            with open(out / f"trace_{m.episode}.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(table)
+                writer.writerows(zip(*table.values()))
         if report is not None:
             summary = {k: v for k, v in report.items() if k != "episodes"}
             with open(out / "summary.json", "w") as fh:

@@ -9,6 +9,11 @@ checks the variance caps once, when it is built. The environment surface
 mirrors the usual gym step/reset contract so the trainer and the evaluation
 harness drive the same code.
 
+With ``record_trace`` a loop keeps one flat tuple of plain values per QI
+(``TwinLoop.trace``); ``TwinLoop.trace_table`` derives the columns of
+trace_<i>.csv from one episode's tuples, once, column by column, with one
+column per plant feature where a column is per feature.
+
 Episode randomness is split into independent substreams (initial state and
 process noise / observation noise / benchmark agent picks), so two modes run
 with the same episode seed share plant noise draws: paired comparisons use
@@ -28,15 +33,6 @@ from .agent import CostMode, base_reward, decode_action, shape_reward
 from .errors import ConfigurationError, InvalidInputError, NumericalFailureError
 from .estimator import Belief
 from .scheduler import SchedulingMode, baseline_schedule
-
-# One row per query interval when a TwinLoop records its trace; the harness
-# writes trace_<i>.csv with these columns, in this order.
-TRACE_COLUMNS = ("qi", "true_pos", "true_vel", "belief_pos", "belief_vel",
-                 "std_pos", "std_vel", "prior_ratio_pos", "prior_ratio_vel",
-                 "n_selected", "selected_ids", "iterations", "power_w",
-                 "eta_pos", "eta_vel", "control", "base_reward", "satisfied",
-                 "weighted_objective")
-
 
 def episode_seed(master_seed: int, namespace: int, index: int) -> np.random.SeedSequence:
     """Seed of episode ``index`` of a run: training episodes use namespace 1
@@ -84,6 +80,10 @@ class TwinLoop:
         self.power_by_id = {
             a.agent_id: channel_mod.required_power(a.distance_m, config.channel)
             for a in self.fleet_index.agents}
+        # mode, fleet and capacity fix a greedy mode's selection, so its
+        # stacked model is built once and only read by each QI
+        self._greedy = scheduler.greedy_selection(self.mode, self.fleet_index,
+                                                  self.capacity)
 
         self._true_state = None
         self._prior = None
@@ -140,10 +140,11 @@ class TwinLoop:
             else:
                 caps = self.variance_caps
                 decision = baseline_schedule(
-                    self.mode, self._prior, self.fleet_index, self.capacity,
-                    self._pick_rng, observe_fn=self._observe,
+                    self.mode, self._prior, self.fleet_index, self._pick_rng,
+                    observe_fn=self._observe,
                     caps=caps, true_state=self._true_state,
-                    traditional_count=self.traditional_count)
+                    traditional_count=self.traditional_count,
+                    greedy=self._greedy)
 
             power = sum(self.power_by_id[i] for i in decision.selected_ids)
             posterior = decision.posterior
@@ -164,20 +165,11 @@ class TwinLoop:
             satisfied = bool(decision.satisfied.all())
             self.satisfied_flags.append(satisfied)
             if self.record_trace:
-                ids = decision.selected_ids
-                objective = scheduler.weighted_objective(
-                    decision, caps, self.accuracy_weight,
-                    [self.power_by_id[i] for i in ids])
-                true = self._true_state.tolist()
-                mean = posterior.mean.tolist()
-                std = posterior.std.tolist()
-                ratio = (self._prior.cov.diagonal() / caps).tolist()
-                eta = action.accuracy.tolist()
-                self.trace.append(dict(zip(TRACE_COLUMNS, (
-                    self._qi, true[0], true[1], mean[0], mean[1], std[0], std[1],
-                    ratio[0], ratio[1], len(ids), ";".join(str(i) for i in ids),
-                    decision.iterations, power, eta[0], eta[1], control, reward,
-                    int(satisfied), objective))))
+                # plain values only; trace_table derives the rest
+                self.trace.append((self._qi, *np.concatenate((
+                    self._true_state, posterior.mean, posterior.cov.diagonal(),
+                    self._prior.cov.diagonal(), caps, action.accuracy)).tolist(),
+                    decision.selected_ids, power, control, reward, satisfied))
 
             terminated = reached_goal
             truncated = (not terminated) and self._qi >= self.plant.episode_cap
@@ -190,6 +182,51 @@ class TwinLoop:
             if exc.qi is not None:
                 raise
             raise NumericalFailureError(exc.message, qi=self._qi) from None
+
+    # -- trace ---------------------------------------------------------------
+
+    def trace_table(self, records) -> dict:
+        """The columns of trace_<i>.csv, by name in file order, from one
+        episode's ``trace`` records of this loop.
+
+        A per-feature column (true_, belief_, std_, prior_ratio_, eta_) comes
+        once per plant feature, named after it. The derived columns take the
+        per-QI operations elementwise, so they keep their bits: std is
+        sqrt(max(var, 0)), prior_ratio is prior var / cap, and
+        weighted_objective, a diagnostic that is logged and never
+        optimized, is (1 - w) sum_k max(var_k / cap_k - 1, 0) + w np.sum(powers)
+        with w the accuracy weight. That np.sum is a pairwise sum, not the
+        sequential one behind power_w, so it is taken per selection.
+        """
+        names = self.plant.feature_names
+        k = len(names)
+        cols = list(zip(*records)) or [()] * (6 * k + 6)
+        raw = cols[1:6 * k + 1]
+        true, mean, post, prior, caps, eta = (raw[i * k:(i + 1) * k] for i in range(6))
+        post, prior, caps = (np.array(c, dtype=float).reshape(k, -1)
+                             for c in (post, prior, caps))
+        ids, power, control, reward, satisfied = cols[6 * k + 1:]
+        # summed per QI over a C-ordered (QI, feature) array, which gives
+        # the bits of np.sum over one QI's features
+        hinge = np.ascontiguousarray(np.maximum(post / caps - 1.0, 0.0).T).sum(axis=1)
+        selections = set(ids)
+        spent = {s: float(np.sum([self.power_by_id[i] for i in s])) for s in selections}
+        label = {s: ";".join(str(i) for i in s) for s in selections}
+        w = self.accuracy_weight
+        objective = (1.0 - w) * hinge + w * np.array([spent[s] for s in ids], dtype=float)
+        counts = [len(s) for s in ids]
+
+        def each(prefix, columns):
+            return dict(zip([prefix + name for name in names], columns))
+
+        return {"qi": cols[0], **each("true_", true), **each("belief_", mean),
+                **each("std_", np.sqrt(np.maximum(post, 0.0)).tolist()),
+                **each("prior_ratio_", (prior / caps).tolist()),
+                "n_selected": counts, "selected_ids": [label[s] for s in ids],
+                "iterations": counts, "power_w": power, **each("eta_", eta),
+                "control": control, "base_reward": reward,
+                "satisfied": [int(s) for s in satisfied],
+                "weighted_objective": objective.tolist()}
 
     # -- helpers -------------------------------------------------------------
 

@@ -20,11 +20,13 @@ PERFECT short-circuits estimation entirely (the twin is handed the true
 state, zero covariance, zero uplink power). COST_GREEDY and ERROR_GREEDY
 always query exactly min(C, M) agents, sorted by distance or by measurement
 error, with the covariance and gain of one batch ``estimator.posterior_cov``
-call on the selection's ``estimator.stack``. TRADITIONAL queries a fixed
-number of randomly drawn agents (one per feature by default) and substitutes
-their raw readings into the belief without any filtering: each agent's
-reading becomes the mean of its feature, and its noise variance that
-feature's variance, uncorrelated with the rest.
+call on the selection's ``estimator.stack``; mode, fleet and capacity fix
+that selection, so a loop builds it once (``greedy_selection``).
+TRADITIONAL queries a fixed number of randomly drawn agents (one per
+feature by default) and substitutes their raw readings into the belief
+without any filtering: each agent's reading becomes the mean of its
+feature, and its noise variance that feature's variance, uncorrelated with
+the rest.
 
 A selection is the tuple of its agents' positions in the fleet, and the
 readings are requested as ``observe_fn(positions)``. Reading and fusing a
@@ -60,6 +62,9 @@ class SchedulingMode(str, Enum):
     TRADITIONAL = "traditional"
     COST_GREEDY = "cost_greedy"
     ERROR_GREEDY = "error_greedy"
+
+
+GREEDY_MODES = (SchedulingMode.COST_GREEDY, SchedulingMode.ERROR_GREEDY)
 
 
 def effective_thresholds(variance_caps, accuracy_request) -> np.ndarray:
@@ -150,14 +155,36 @@ def schedule(prior: Belief, caps: np.ndarray, index: sensing.FleetIndex,
     return _fused_decision(prior, index, chosen, cov, gain, caps, observe_fn)
 
 
+def greedy_selection(mode: SchedulingMode, index: sensing.FleetIndex,
+                     capacity: int):
+    """The fleet positions a greedy mode reads every QI, the first
+    min(C, M) in distance or error order, and their stacked observation
+    model, read-only (None for an empty selection). None for the other
+    modes, which read no fixed selection."""
+    mode = SchedulingMode(mode)
+    if mode not in GREEDY_MODES:
+        return None
+    order = (index.by_distance if mode is SchedulingMode.COST_GREEDY
+             else index.by_error)
+    chosen = order[:min(capacity, len(order))]
+    if not chosen:
+        return chosen, None
+    model = estimator.stack((index.agents[p] for p in chosen), index.state_dim)
+    for array in (model.matrix, model.noise_cov):
+        array.setflags(write=False)
+    return chosen, model
+
+
 def baseline_schedule(mode: SchedulingMode, prior: Belief,
-                      index: sensing.FleetIndex, capacity: int, rng,
+                      index: sensing.FleetIndex, rng,
                       observe_fn=None, caps=None, true_state=None,
-                      traditional_count: int = 2) -> ScheduleDecision:
+                      traditional_count: int = 2, greedy=None) -> ScheduleDecision:
     """Per-interval decision for the non-adaptive benchmark modes.
 
     ``index`` is the fleet's ``sensing.FleetIndex``; the greedy modes take
-    their fixed order from it.
+    their fixed order from it, through ``greedy``: their selection and
+    model as ``greedy_selection`` returns them for this mode, fleet and
+    capacity, which a greedy mode must be given.
     ``observe_fn(positions)`` returns the 1-D float readings of the agents
     at those fleet positions, as ``sensing.read`` does. ``caps`` are the
     fixed variance caps that ``satisfied`` is judged by; None counts every
@@ -173,16 +200,15 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
                            np.zeros_like(prior.cov), prior.qi)
         return ScheduleDecision((), posterior, _caps_met(posterior, caps))
 
-    if mode in (SchedulingMode.COST_GREEDY, SchedulingMode.ERROR_GREEDY):
+    if mode in GREEDY_MODES:
         if index.state_dim != prior.mean.shape[0]:
             raise InvalidInputError("fleet state dimension does not match belief")
-        order = (index.by_distance if mode is SchedulingMode.COST_GREEDY
-                 else index.by_error)
-        chosen = order[:min(capacity, len(order))]
+        if greedy is None:
+            raise InvalidInputError("a greedy mode reads its greedy_selection")
+        chosen, model = greedy
         cov = gain = None
         if chosen:
-            cov, gain = estimator.posterior_cov(prior.cov, estimator.stack(
-                (index.agents[p] for p in chosen), index.state_dim))
+            cov, gain = estimator.posterior_cov(prior.cov, model)
         return _fused_decision(prior, index, chosen, cov, gain, caps, observe_fn)
 
     # TRADITIONAL: raw readings substituted into the belief, no filter
@@ -255,18 +281,3 @@ def _caps_met(posterior: Belief, caps) -> np.ndarray:
     if caps is None:
         return np.ones(posterior.mean.shape[0], dtype=bool)
     return posterior.cov.diagonal() <= caps
-
-
-def weighted_objective(decision: ScheduleDecision, caps: np.ndarray,
-                       accuracy_weight: float, powers) -> float:
-    """Diagnostic mixing residual threshold violations with spent power.
-
-    (1 - w) * sum_k max(post_k/cap_k - 1, 0) + w * sum(powers); logged per
-    query interval, never optimized directly.
-    """
-    if not 0.0 <= accuracy_weight <= 1.0:
-        raise InvalidInputError("accuracy_weight must lie in [0, 1]")
-    ratios = decision.posterior.cov.diagonal() / caps
-    hinge = np.maximum(ratios - 1.0, 0.0).sum()
-    return float((1.0 - accuracy_weight) * hinge
-                 + accuracy_weight * float(np.sum(powers)))

@@ -1,10 +1,11 @@
-"""Shared test oracles: batch Bayesian least squares, Marcum Q, finite
-differences, the list-based greedy scheduler the indexed one replaced, the
-greedy baselines fused through ``estimator.update``, randomized scheduling
-cases, and the straightforward forms of the per-step numerics that the
-package computes with fewer numpy calls or in place (Adam, the global-norm
-clip, the mountain-car step, action decoding, input normalization and the
-innovation conditioning guard)."""
+"""Shared test oracles: batch Bayesian least squares, Marcum Q and the full
+Rician series, finite differences, the list-based greedy scheduler the
+indexed one replaced, the greedy baselines fused through
+``estimator.update``, randomized scheduling cases, the trace rows built one
+QI at a time, and the straightforward forms of the per-step numerics that
+the package computes with fewer numpy calls or in place (Adam, the
+global-norm clip, the mountain-car step, action decoding, input
+normalization and the innovation conditioning guard)."""
 
 import math
 
@@ -84,6 +85,28 @@ def invert_marcum_tail(rician_factor, epsilon, hi=None):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_log_rician_cdf_and_slope(rician_factor, y):
+    """log(1 - Q1(sqrt(2G), y)) and its derivative in y, from every term of
+    the Poisson series up to top + 20 sqrt(top) + 50, top = max(G, m): the
+    series ``channel._log_rician_cdf_and_slope`` sums over a window of."""
+    m = 0.5 * y * y
+    top = max(rician_factor, m)
+    count = int(top + 20.0 * math.sqrt(top) + 50.0) + 1
+    n = np.arange(count)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(count)])
+    log_pois_g = -rician_factor + n * math.log(rician_factor) - log_factorial
+    log_pois_m = -m + n * math.log(m) - log_factorial
+    log_cdf_g = np.logaddexp.accumulate(log_pois_g)
+
+    def logsumexp(x):
+        peak = float(np.max(x))
+        return peak + math.log(float(np.sum(np.exp(x - peak))))
+
+    log_cdf = logsumexp(log_pois_m[1:] + log_cdf_g[:-1])
+    log_pdf = math.log(y) + logsumexp(log_pois_g + log_pois_m)
+    return log_cdf, math.exp(log_pdf - log_cdf)
 
 
 def finite_difference_gradient(fn, arrays, step=1e-5):
@@ -386,3 +409,50 @@ def reference_ill_conditioned(s) -> bool:
     number above CONDITION_LIMIT."""
     lam = np.abs(np.linalg.eigvalsh(s))
     return lam.min() < np.finfo(float).tiny or lam.max() > CONDITION_LIMIT * lam.min()
+
+
+def weighted_objective(decision: ScheduleDecision, caps: np.ndarray,
+                       accuracy_weight: float, powers) -> float:
+    """The trace's per-QI diagnostic for one decision, mixing residual
+    threshold violations with spent power:
+    (1 - w) * sum_k max(post_k/cap_k - 1, 0) + w * sum(powers)."""
+    if not 0.0 <= accuracy_weight <= 1.0:
+        raise InvalidInputError("accuracy_weight must lie in [0, 1]")
+    ratios = decision.posterior.cov.diagonal() / caps
+    hinge = np.maximum(ratios - 1.0, 0.0).sum()
+    return float((1.0 - accuracy_weight) * hinge
+                 + accuracy_weight * float(np.sum(powers)))
+
+
+def reference_trace_columns(feature_names):
+    """The trace_<i>.csv header, spelled out per feature."""
+    def each(prefix):
+        return [prefix + name for name in feature_names]
+    return (["qi"] + each("true_") + each("belief_") + each("std_")
+            + each("prior_ratio_") + ["n_selected", "selected_ids", "iterations",
+                                      "power_w"]
+            + each("eta_") + ["control", "base_reward", "satisfied",
+                              "weighted_objective"])
+
+
+def reference_trace_rows(records, feature_names, power_by_id, accuracy_weight):
+    """The trace_<i>.csv rows of ``TwinLoop.trace`` records, as mappings, one
+    QI at a time: the posterior's ``Belief.std``, the prior ratio and
+    ``weighted_objective`` of a decision rebuilt from the record."""
+    k = len(feature_names)
+    columns = reference_trace_columns(feature_names)
+    rows = []
+    for record in records:
+        values = record[1:6 * k + 1]
+        true, mean, post, prior, caps, eta = (
+            np.array(values[i * k:(i + 1) * k]) for i in range(6))
+        ids, power, control, reward, satisfied = record[6 * k + 1:]
+        decision = ScheduleDecision(ids, Belief(mean, np.diag(post)), None)
+        objective = weighted_objective(decision, caps, accuracy_weight,
+                                       [power_by_id[i] for i in ids])
+        rows.append(dict(zip(columns, [
+            record[0], *true.tolist(), *mean.tolist(),
+            *decision.posterior.std.tolist(), *(prior / caps).tolist(),
+            len(ids), ";".join(str(i) for i in ids), len(ids), power,
+            *eta.tolist(), control, reward, int(satisfied), objective])))
+    return rows

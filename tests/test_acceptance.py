@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinloop import (Belief, ExperimentConfig, PpoHyperparams,
+from twinloop import (Belief, ExperimentConfig, PpoHyperparams, TwinLoop,
                       effective_thresholds, required_power, run_monte_carlo,
                       schedule, y_q)
 from twinloop.agent import PolicyNetwork, ppo_loss_and_grads, train
@@ -334,9 +334,12 @@ class TestCriterion7UncertaintyBehavior:
     def test_scheduling_only_when_caps_violated(self, trained_runs):
         with_selection = 0
         justified = 0
+        env = TwinLoop.from_config(benchmark_config("reverb", SEEDS[0]))
         for rep in trained_runs["reverb"]:
             for metric in rep["episodes"]:
-                for row in metric.trace:
+                table = env.trace_table(metric.trace)
+                for row in (dict(zip(table, values))
+                            for values in zip(*table.values())):
                     if row["n_selected"] > 0:
                         with_selection += 1
                         if max(row["prior_ratio_pos"],

@@ -87,8 +87,9 @@ class TestPolicyForward:
         policy, _ = small_policy()
         for w in policy.actor.weights + policy.critic.weights:
             w[:] = 0.0
-        mean, _, value, _ = policy.act(np.array([0.3, -0.2, 0.05, 0.01]), None,
-                                       deterministic=True)
+        x = np.array([0.3, -0.2, 0.05, 0.01])
+        mean, _, _, _ = policy.act(x, None, deterministic=True)
+        value = policy.value(x)
         np.testing.assert_allclose(mean, 0.0)
         assert value == 0.0
         np.testing.assert_allclose(np.exp(policy.logstd), 1.0)   # exp(0)
@@ -96,20 +97,34 @@ class TestPolicyForward:
     def test_deterministic_repeat(self):
         policy, _ = small_policy(3)
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        first = policy.act(x, None, deterministic=True)
-        second = policy.act(x, None, deterministic=True)
+        first = policy.act(x, None, deterministic=True)[0], policy.value(x)
+        second = policy.act(x, None, deterministic=True)[0], policy.value(x)
         np.testing.assert_array_equal(first[0], second[0])
-        assert first[2] == second[2]
+        assert first[1] == second[1]
 
     def test_deterministic_act_reads_the_networks_on_the_normalized_input(self):
         policy, _ = small_policy(5)
         policy.normalizer._update(np.array([1.0, 2.0, 3.0, 4.0]))
         policy.normalizer._update(np.array([2.0, 1.0, 0.0, -1.0]))
         x = np.array([0.1, -0.2, 0.3, 0.4])
-        action, _, value, normalized = policy.act(x, None, deterministic=True)
+        action, _, _, normalized = policy.act(x, None, deterministic=True)
+        value = policy.value(x)
         assert same_bits(normalized, policy.normalizer.normalize(x))
         assert same_bits(action, np.tanh(policy.actor.forward(normalized[None, :])[0][0]))
         assert value == policy.critic.forward(normalized[None, :])[0][0, 0]
+
+    def test_deterministic_act_runs_no_critic(self, monkeypatch):
+        # evaluation takes the mean action only; the critic is value()'s
+        policy, _ = small_policy(6)
+        x = np.array([0.1, -0.2, 0.3, 0.4])
+        calls = []
+        real = policy.critic.forward
+        monkeypatch.setattr(policy.critic, "forward",
+                            lambda h: calls.append(1) or real(h))
+        _, logp, value, _ = policy.act(x, None, deterministic=True)
+        assert (logp, value, calls) == (None, None, [])
+        policy.value(x)
+        assert calls == [1]
 
     def test_network_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -294,10 +309,10 @@ class TestCheckpoint:
         policy.save(path)
         loaded = PolicyNetwork.load(path)
         x = np.array([0.2, -0.4, 1.0, 0.5])
-        want = policy.act(x, None, deterministic=True)
-        got = loaded.act(x, None, deterministic=True)
+        want = policy.act(x, None, deterministic=True)[0], policy.value(x)
+        got = loaded.act(x, None, deterministic=True)[0], loaded.value(x)
         np.testing.assert_array_equal(got[0], want[0])
-        assert got[2] == want[2]
+        assert got[1] == want[1]
         np.testing.assert_array_equal(loaded.logstd, policy.logstd)
         assert loaded.normalizer.count == policy.normalizer.count
 

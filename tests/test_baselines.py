@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twinloop import Belief, InvalidInputError, SchedulingMode, baseline_schedule
+from twinloop.scheduler import greedy_selection
 from tests.helpers import (diag_belief, indexed, random_case, reference_baseline_schedule,
                            reference_traditional, same_bits, scalar_agent,
                            seeded_observer, seeded_reader)
@@ -14,10 +15,16 @@ def fleet_with_distances(distances, feature=0, variance=0.01):
             for i, d in enumerate(distances)]
 
 
+def greedy(mode, prior, index, capacity, **kwargs):
+    """A greedy mode's decision on the selection its loop would hold."""
+    return baseline_schedule(mode, prior, index, np.random.default_rng(0),
+                             greedy=greedy_selection(mode, index, capacity), **kwargs)
+
+
 class TestPerfect:
     def test_truth_with_zero_covariance(self):
         prior = diag_belief(0.02, 0.001, mean=[0.0, 0.0])
-        decision = baseline_schedule(SchedulingMode.PERFECT, prior, indexed([]), 10,
+        decision = baseline_schedule(SchedulingMode.PERFECT, prior, indexed([]),
                                      np.random.default_rng(0),
                                      true_state=np.array([-0.3, 0.05]))
         np.testing.assert_allclose(decision.posterior.mean, [-0.3, 0.05])
@@ -27,40 +34,36 @@ class TestPerfect:
     def test_requires_true_state(self):
         with pytest.raises(InvalidInputError):
             baseline_schedule(SchedulingMode.PERFECT, diag_belief(0.1, 0.1),
-                              indexed([]), 10, np.random.default_rng(0))
+                              indexed([]), np.random.default_rng(0))
 
 
 class TestGreedy:
     def test_cost_greedy_sorts_by_distance(self):
         fleet = fleet_with_distances([5.0, 3.0, 12.0])
         fleet.append(scalar_agent(4, 1, 0.01, distance=19.0))
-        decision = baseline_schedule(SchedulingMode.COST_GREEDY,
-                                     diag_belief(0.1, 0.1), indexed(fleet), 2,
-                                     np.random.default_rng(0))
+        decision = greedy(SchedulingMode.COST_GREEDY, diag_belief(0.1, 0.1),
+                          indexed(fleet), 2)
         chosen = {fleet[i].agent_id for i in (0, 1)}
         assert set(decision.selected_ids) == chosen  # distances 3 and 5
 
     def test_error_greedy_sorts_by_variance(self):
         fleet = [scalar_agent(1, 0, 0.1), scalar_agent(2, 0, 0.01),
                  scalar_agent(3, 1, 0.05)]
-        decision = baseline_schedule(SchedulingMode.ERROR_GREEDY,
-                                     diag_belief(0.1, 0.1), indexed(fleet), 2,
-                                     np.random.default_rng(0))
+        decision = greedy(SchedulingMode.ERROR_GREEDY, diag_belief(0.1, 0.1),
+                          indexed(fleet), 2)
         assert set(decision.selected_ids) == {2, 3}
 
     def test_capacity_above_fleet_selects_all(self):
         fleet = fleet_with_distances([5.0, 3.0])
-        decision = baseline_schedule(SchedulingMode.COST_GREEDY,
-                                     diag_belief(0.1, 0.1), indexed(fleet), 10,
-                                     np.random.default_rng(0))
+        decision = greedy(SchedulingMode.COST_GREEDY, diag_belief(0.1, 0.1),
+                          indexed(fleet), 10)
         assert len(decision.selected_ids) == 2
 
     def test_greedy_fuses_through_filter(self):
         fleet = [scalar_agent(1, 0, 0.01)]
         prior = diag_belief(0.02, 0.001)
-        decision = baseline_schedule(SchedulingMode.COST_GREEDY, prior,
-                                     indexed(fleet), 1, np.random.default_rng(0),
-                                     observe_fn=lambda positions: np.array([0.5]))
+        decision = greedy(SchedulingMode.COST_GREEDY, prior, indexed(fleet), 1,
+                          observe_fn=lambda positions: np.array([0.5]))
         assert decision.posterior.cov[0, 0] == pytest.approx(
             0.02 * 0.01 / 0.03, rel=1e-12)
 
@@ -71,24 +74,30 @@ class TestGreedy:
     def test_readings_that_are_not_vectors_rejected(self, mode, reading):
         fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
         with pytest.raises(InvalidInputError):
-            baseline_schedule(mode, diag_belief(0.02, 0.001), indexed(fleet), 2,
-                              np.random.default_rng(0), observe_fn=reading)
+            greedy(mode, diag_belief(0.02, 0.001), indexed(fleet), 2,
+                   observe_fn=reading)
 
     def test_one_reading_for_two_rows_rejected(self):
         fleet = [scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)]
         readings = iter([np.array([0.5]), np.empty(0)])
         with pytest.raises(InvalidInputError):
-            baseline_schedule(SchedulingMode.COST_GREEDY, diag_belief(0.02, 0.001),
-                              indexed(fleet), 2, np.random.default_rng(0),
-                              observe_fn=lambda positions: next(readings))
+            greedy(SchedulingMode.COST_GREEDY, diag_belief(0.02, 0.001),
+                   indexed(fleet), 2, observe_fn=lambda positions: next(readings))
+
+    @pytest.mark.parametrize("mode", [SchedulingMode.COST_GREEDY,
+                                      SchedulingMode.ERROR_GREEDY])
+    def test_greedy_mode_without_its_selection_rejected(self, mode):
+        with pytest.raises(InvalidInputError, match="greedy_selection"):
+            baseline_schedule(mode, diag_belief(0.1, 0.1),
+                              indexed([scalar_agent(1, 0, 0.01)]),
+                              np.random.default_rng(0))
 
     @pytest.mark.parametrize("mode", [SchedulingMode.COST_GREEDY,
                                       SchedulingMode.ERROR_GREEDY])
     def test_fleet_of_another_state_dimension_rejected(self, mode):
         with pytest.raises(InvalidInputError, match="fleet"):
-            baseline_schedule(mode, diag_belief(0.02, 0.001),
-                              indexed([scalar_agent(1, 2, 0.01)], dim=3), 1,
-                              np.random.default_rng(0))
+            greedy(mode, diag_belief(0.02, 0.001),
+                   indexed([scalar_agent(1, 2, 0.01)], dim=3), 1)
 
 
 class TestMatchesReference:
@@ -117,14 +126,11 @@ class TestMatchesReference:
                 want = reference_baseline_schedule(
                     mode, prior, fleet, capacity,
                     observe_fn=seeded_observer(case, prior), caps=caps)
-                got = baseline_schedule(
-                    mode, prior, index, capacity, np.random.default_rng(0),
-                    observe_fn=seeded_reader(case, prior, index), caps=caps)
+                got = greedy(mode, prior, index, capacity,
+                             observe_fn=seeded_reader(case, prior, index), caps=caps)
                 self.assert_same(got, want)
                 self.assert_same(
-                    baseline_schedule(mode, prior, index, capacity,
-                                      np.random.default_rng(0),
-                                      caps=caps),
+                    greedy(mode, prior, index, capacity, caps=caps),
                     reference_baseline_schedule(mode, prior, fleet, capacity,
                                                 caps=caps))
             seen["empty"] += not fleet
@@ -145,8 +151,7 @@ class TestMatchesReference:
                 prior, list(index.agents), np.random.default_rng(case),
                 seeded_observer(case, prior) if observed else None, count)
             got = baseline_schedule(
-                SchedulingMode.TRADITIONAL, prior, index, 10,
-                np.random.default_rng(case),
+                SchedulingMode.TRADITIONAL, prior, index, np.random.default_rng(case),
                 observe_fn=seeded_reader(case, prior, index) if observed else None,
                 caps=caps, traditional_count=count)
             assert got.selected_ids == want_ids
@@ -164,8 +169,7 @@ class TestTraditional:
         fleet = [scalar_agent(1, 0, 0.04), scalar_agent(2, 1, 0.001)]
         prior = diag_belief(0.02, 0.0005, mean=[0.0, 0.0])
         decision = baseline_schedule(
-            SchedulingMode.TRADITIONAL, prior, indexed(fleet), 10,
-            np.random.default_rng(0),
+            SchedulingMode.TRADITIONAL, prior, indexed(fleet), np.random.default_rng(0),
             observe_fn=lambda positions: np.array([-0.42, 0.031]).take(
                 [fleet[p].feature for p in positions]),
             traditional_count=2)
@@ -184,7 +188,7 @@ class TestTraditional:
         read = set()
         for seed in range(20):
             decision = baseline_schedule(
-                SchedulingMode.TRADITIONAL, prior, indexed(fleet, dim=3), 10,
+                SchedulingMode.TRADITIONAL, prior, indexed(fleet, dim=3),
                 np.random.default_rng(seed),
                 observe_fn=lambda positions: truth.take(
                     [fleet[p].feature for p in positions]),
@@ -202,8 +206,7 @@ class TestTraditional:
         fleet = [scalar_agent(1, 0, 0.04)]
         prior = diag_belief(0.02, 0.0005, mean=[0.1, 0.02])
         decision = baseline_schedule(
-            SchedulingMode.TRADITIONAL, prior, indexed(fleet), 10,
-            np.random.default_rng(3),
+            SchedulingMode.TRADITIONAL, prior, indexed(fleet), np.random.default_rng(3),
             observe_fn=lambda positions: np.array([-0.5]), traditional_count=1)
         assert decision.posterior.mean[1] == pytest.approx(0.02)
         assert decision.posterior.cov[1, 1] == pytest.approx(0.0005)
@@ -214,7 +217,7 @@ class TestTraditional:
     def test_reading_that_does_not_fit_the_agent_rejected(self, reading):
         with pytest.raises(InvalidInputError):
             baseline_schedule(SchedulingMode.TRADITIONAL, diag_belief(0.02, 0.0005),
-                              indexed([scalar_agent(1, 0, 0.04)]), 10,
+                              indexed([scalar_agent(1, 0, 0.04)]),
                               np.random.default_rng(3),
                               observe_fn=reading, traditional_count=1)
 
@@ -225,7 +228,7 @@ class TestTraditional:
         picked = set()
         for _ in range(50):
             decision = baseline_schedule(
-                SchedulingMode.TRADITIONAL, prior, indexed(fleet), 10, rng,
+                SchedulingMode.TRADITIONAL, prior, indexed(fleet), rng,
                 traditional_count=1)
             picked.update(decision.selected_ids)
         assert picked == {1, 2}
@@ -233,13 +236,13 @@ class TestTraditional:
     def test_reverb_rejected_here(self):
         with pytest.raises(InvalidInputError):
             baseline_schedule(SchedulingMode.REVERB, diag_belief(0.1, 0.1),
-                              indexed([]), 1, np.random.default_rng(0))
+                              indexed([]), np.random.default_rng(0))
 
 
 class TestPowerAccounting:
     def test_perfect_consumes_nothing(self):
         decision = baseline_schedule(SchedulingMode.PERFECT,
-                                     diag_belief(0.1, 0.1), indexed([]), 10,
+                                     diag_belief(0.1, 0.1), indexed([]),
                                      np.random.default_rng(0),
                                      true_state=np.zeros(2))
         assert decision.selected_ids == ()
@@ -247,7 +250,6 @@ class TestPowerAccounting:
     def test_greedy_selects_exactly_capacity(self):
         fleet = [scalar_agent(i + 1, i % 2, 0.01 + i * 0.01,
                               distance=1.0 + i) for i in range(6)]
-        decision = baseline_schedule(SchedulingMode.ERROR_GREEDY,
-                                     diag_belief(0.1, 0.1), indexed(fleet), 4,
-                                     np.random.default_rng(0))
+        decision = greedy(SchedulingMode.ERROR_GREEDY, diag_belief(0.1, 0.1),
+                          indexed(fleet), 4)
         assert len(decision.selected_ids) == 4

@@ -68,6 +68,46 @@ def test_channel_workload_builds_params_like_the_constructor():
                                            outage_epsilon=1e-2)
 
 
+def counted(monkeypatch, owner, name, counts):
+    """Count the calls of ``owner.name``, replaced on its owner as the
+    benchmark's probe replaces it."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("mode", list(SchedulingMode))
+def test_evaluation_acts_and_steps_once_per_qi(mode, monkeypatch):
+    # the probe times a QI from the start of act to the end of step and
+    # counts step calls as the work: a path that skipped either call would
+    # corrupt eval_modes' throughput and latency without failing
+    config = dataclasses.replace(
+        harness.ExperimentConfig.from_json_file(PERFBENCH / "acceptance.json"),
+        mode=mode.value)
+    policy = agent.PolicyNetwork.load(PERFBENCH / "reverb_policy.json")
+    counts = {}
+    counted(monkeypatch, agent.PolicyNetwork, "act", counts)
+    counted(monkeypatch, loop.TwinLoop, "step", counts)
+    metrics = harness.run_episode(policy, config, 0)
+    assert counts == {"act": metrics.qis, "step": metrics.qis}
+
+
+def test_training_acts_and_steps_once_per_step(monkeypatch):
+    config = harness.ExperimentConfig.from_json_file(PERFBENCH / "acceptance.json")
+    config.rl = dataclasses.replace(config.rl, batch_size=64, minibatch_size=32,
+                                    epochs=1, total_steps=128)
+    counts = {}
+    counted(monkeypatch, agent.PolicyNetwork, "act", counts)
+    counted(monkeypatch, loop.TwinLoop, "step", counts)
+    _, curve = agent.train(config, config.rl, 0)
+    assert curve[-1]["steps"] == 128
+    assert counts == {"act": 128, "step": 128}
+
+
 def test_acceptance_config_is_the_acceptance_experiment():
     config = harness.ExperimentConfig.from_json_file(PERFBENCH / "acceptance.json")
     assert config.to_dict() == benchmark_config("reverb", 101).to_dict()

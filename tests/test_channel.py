@@ -9,9 +9,10 @@ import pytest
 from scipy import special, stats
 
 from twinloop import (ChannelParams, InvalidInputError, WeakLineOfSightError,
-                      inverse_gaussian_q, outage_probability_mc,
+                      channel, inverse_gaussian_q, outage_probability_mc,
                       required_power, sample_rician_gain, y_q)
-from tests.helpers import invert_marcum_tail, marcum_q1
+from tests.helpers import (invert_marcum_tail, marcum_q1,
+                           reference_log_rician_cdf_and_slope)
 
 G_15DB = 10 ** 1.5
 
@@ -67,6 +68,57 @@ class TestYq:
     def test_median_epsilon_rejected(self):
         with pytest.raises(WeakLineOfSightError):
             y_q(G_15DB, 0.5)
+
+    @pytest.mark.parametrize("g_db", [10.0, 15.0, 20.0, 25.0])
+    def test_series_window_keeps_the_full_series_bits_up_to_25_db(self, g_db):
+        # the window starts at term 0 here, so every term is summed as before
+        g = 10 ** (g_db / 10)
+        for eps in (1e-2, 1e-3, 1e-5):
+            root = y_q(g, eps)
+            start = math.sqrt(2.0 * g) - inverse_gaussian_q(eps)
+            for y in (root, 0.9 * root, start, 1.1 * start):
+                assert (channel._log_rician_cdf_and_slope(g, y)
+                        == reference_log_rician_cdf_and_slope(g, y))
+
+    @pytest.mark.parametrize("g_db", [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0])
+    def test_threshold_matches_the_full_series(self, g_db, monkeypatch):
+        # bit for bit up to 25 dB; past it the window drops terms below
+        # exp(-100) of the sum
+        g = 10 ** (g_db / 10)
+        for eps in (1e-2, 1e-3, 1e-5):
+            got = y_q.__wrapped__(g, eps)
+            with monkeypatch.context() as patch:
+                patch.setattr(channel, "_log_rician_cdf_and_slope",
+                              reference_log_rician_cdf_and_slope)
+                want = y_q.__wrapped__(g, eps)
+            if g_db <= 25.0:
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-12 * want
+
+    def test_large_rician_factor_costs_sqrt_g_terms(self, monkeypatch):
+        # the full series took G + 20 sqrt(G) + 50 lgamma calls per
+        # evaluation, 6.3 s and 65 MB at 60 dB; the window takes about
+        # 46 sqrt(G), as m sits some 6 sqrt(G) below G near the root
+        terms = []
+        real_lgamma, real_series = math.lgamma, channel._log_rician_cdf_and_slope
+
+        def series(g, y):
+            terms.append(0)
+            return real_series(g, y)
+
+        def lgamma(x):
+            terms[-1] += 1
+            return real_lgamma(x)
+
+        monkeypatch.setattr(channel, "_log_rician_cdf_and_slope", series)
+        monkeypatch.setattr(math, "lgamma", lgamma)
+        y_q.cache_clear()
+        power = required_power(20.0, ChannelParams(rician_factor_db=60.0))
+        monkeypatch.undo()
+        y_q.cache_clear()
+        assert 0.0 < power < math.inf
+        assert terms and max(terms) <= 50 * math.sqrt(1e6) + 101
 
     def test_weak_los_rejected(self):
         # sqrt(2G) <= Qinv(eps): G = 1 (0 dB) against eps = 1e-5
@@ -224,11 +276,26 @@ class TestChannelParamsValidation:
         with pytest.raises(InvalidInputError, match="overflow"):
             ChannelParams(noise_power_dbm=1e5)
 
+    @pytest.mark.parametrize("fields", [
+        {"packet_bits": 1e8},                               # 2 ** x raises
+        {"packet_bits": 1e300, "latency_max_s": 1e-10,      # D / (tau W) is inf
+         "bandwidth_hz": 1e-10},
+        {"latency_max_s": 1e-200, "bandwidth_hz": 1e-200},  # tau W is 0.0
+        {"packet_bits": 1e-300},                            # the demand is 0.0
+        {"noise_power_dbm": -4000.0},                       # W N0 is 0.0
+    ])
+    def test_rate_demand_or_noise_outside_a_float_rejected(self, fields):
+        # finite values whose rate demand or noise power is inf or 0.0,
+        # which would make every required power inf or 0.0
+        with pytest.raises(InvalidInputError, match="overflow or underflow"):
+            ChannelParams(**fields)
+
     def test_linear_values_are_computed_once_from_the_db_fields(self):
         params = ChannelParams(rician_factor_db=12.5, noise_power_dbm=-20.0,
                                bandwidth_hz=3e6)
         assert params.rician_factor == 10 ** (12.5 / 10)
         assert params.noise_power_w == 3e6 * (10 ** (-20.0 / 10) * 1e-3 / 3e6)
+        assert params.rate_demand == 2.0 ** (1024.0 / (5e-3 * 3e6)) - 1.0
         # stored attributes, not fields: the config section has eight keys
         assert [f.name for f in dataclasses.fields(params)] == [
             "rician_factor_db", "noise_power_dbm", "bandwidth_hz",

@@ -280,6 +280,19 @@ class TestConfigRanges:
          "invalid input: channel values must be finite numbers"),
         ("channel", "rician_factor_db", 3.0,
          "invalid input: sqrt(2G) must exceed Qinv(epsilon)"),
+        # finite, yet the rate demand 2 ** (D / (tau W)) or the noise power
+        # over the band leaves a float's range: 2 ** x raises, D / (tau W)
+        # gives inf, tau W gives 0.0, the demand or the noise rounds to 0.0
+        ("channel", "packet_bits", 1e8,
+         "invalid input: channel values overflow or underflow a float"),
+        ("channel", "latency_max_s", 5e-324,
+         "invalid input: channel values overflow or underflow a float"),
+        ("channel", None, {"latency_max_s": 1e-200, "bandwidth_hz": 1e-200},
+         "invalid input: channel values overflow or underflow a float"),
+        ("channel", "packet_bits", 1e-300,
+         "invalid input: channel values overflow or underflow a float"),
+        ("channel", "noise_power_dbm", -4000.0,
+         "invalid input: channel values overflow or underflow a float"),
     ])
     @VALIDATING_COMMANDS
     def test_value_out_of_range_exits_one_with_one_line(
@@ -288,7 +301,8 @@ class TestConfigRanges:
         # from SeedSequence, a zero division or range(), no training run
         # without an update, and no truncated layer size
         config = json.loads(small_config_file(tmp_path).read_text())
-        (config if section is None else config[section])[key] = value
+        target = config if section is None else config[section]
+        target.update({key: value} if key is not None else value)
         path = tmp_path / "range.json"
         path.write_text(json.dumps(config))
         code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])

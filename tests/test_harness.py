@@ -1,5 +1,6 @@
 """Orchestration tests: config handling, episode runs, persistence, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,7 +10,16 @@ from twinloop import (ConfigurationError, EpisodeMetrics, ExperimentConfig,
                       SchedulingMode, TwinLoop, aggregate_metrics,
                       export_traces, run_episode, run_monte_carlo)
 from twinloop.errors import InvalidInputError, NumericalFailureError
-from twinloop.harness import fresh_policy
+from twinloop.agent import PolicyNetwork
+from twinloop.harness import fresh_policy, write_csv
+from tests.helpers import reference_trace_columns, reference_trace_rows
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the trace header of a plant with features pos and vel, as it has always been
+MOUNTAIN_CAR_TRACE_HEADER = (
+    b"qi,true_pos,true_vel,belief_pos,belief_vel,std_pos,std_vel,"
+    b"prior_ratio_pos,prior_ratio_vel,n_selected,selected_ids,iterations,"
+    b"power_w,eta_pos,eta_vel,control,base_reward,satisfied,weighted_objective\r\n")
 from twinloop.agent import train
 
 
@@ -122,12 +132,13 @@ class TestRunEpisode:
     def test_power_accounting_identity(self):
         config = small_config(mode="cost_greedy")
         metrics = run_episode(fresh_policy(config), config, 1)
-        trace_total = sum(row["power_w"] for row in metrics.trace)
-        assert metrics.total_power_w == pytest.approx(trace_total, rel=1e-12)
         env = TwinLoop.from_config(config)
+        power = env.trace_table(metrics.trace)["power_w"]
+        trace_total = sum(power)
+        assert metrics.total_power_w == pytest.approx(trace_total, rel=1e-12)
         nearest = sorted(env.fleet_index.agents, key=lambda a: (a.distance_m, a.agent_id))[:3]
         per_qi = sum(env.power_by_id[a.agent_id] for a in nearest)
-        assert metrics.trace[0]["power_w"] == pytest.approx(per_qi, rel=1e-12)
+        assert power[0] == pytest.approx(per_qi, rel=1e-12)
 
 
 class TestCommonRandomNumbers:
@@ -136,15 +147,18 @@ class TestCommonRandomNumbers:
         for mode in ("perfect", "reverb", "cost_greedy"):
             config = small_config(mode=mode)
             metrics = run_episode(fresh_policy(config), config, 3)
-            states[mode] = (metrics.trace[0]["true_pos"],
-                            metrics.trace[0]["true_vel"])
+            table = TwinLoop.from_config(config).trace_table(metrics.trace)
+            states[mode] = (table["true_pos"][0],
+                            table["true_vel"][0])
         assert len(set(states.values())) == 1
 
     def test_perfect_rerun_is_identical(self):
         config = small_config(mode="perfect")
         a = run_episode(fresh_policy(config), config, 2)
         b = run_episode(fresh_policy(config), config, 2)
-        assert [r["true_pos"] for r in a.trace] == [r["true_pos"] for r in b.trace]
+        env = TwinLoop.from_config(config)
+        assert (env.trace_table(a.trace)["true_pos"]
+                == env.trace_table(b.trace)["true_pos"])
         assert a.total_base_reward == b.total_base_reward
 
 
@@ -214,7 +228,7 @@ class TestMonteCarlo:
 
 class TestExport:
     def test_empty_metrics_writes_header_only(self, tmp_path):
-        export_traces([], tmp_path / "out")
+        export_traces([], tmp_path / "out", env=TwinLoop.from_config(small_config()))
         lines = (tmp_path / "out" / "episodes.csv").read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("episode,")
@@ -223,10 +237,31 @@ class TestExport:
         config = small_config(episodes=1)
         config.plant.episode_cap = 3
         config.validate()
-        metrics = run_episode(fresh_policy(config), config, 0)
-        export_traces([metrics], tmp_path / "out")
+        env = TwinLoop.from_config(config, record_trace=True)
+        metrics = run_episode(fresh_policy(config), config, 0, env=env)
+        export_traces([metrics], tmp_path / "out", env=env)
         lines = (tmp_path / "out" / f"trace_{metrics.episode}.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
+
+    @pytest.mark.parametrize("mode", list(SchedulingMode))
+    def test_trace_files_equal_the_per_row_reference(self, tmp_path, mode):
+        # the acceptance experiment and the committed checkpoint: each
+        # trace_<i>.csv has the bytes of rows built one QI at a time, with
+        # weighted_objective, Belief.std and the prior ratio per row
+        config = dataclasses.replace(
+            ExperimentConfig.from_json_file(PERFBENCH / "acceptance.json"),
+            mode=mode.value, episodes=3, output_dir=str(tmp_path / "out"))
+        policy = PolicyNetwork.load(PERFBENCH / "reverb_policy.json")
+        report = run_monte_carlo(config, policy=policy)
+        env = TwinLoop.from_config(config)
+        assert [m.episode for m in report["episodes"]] == [0, 1, 2]
+        for m in report["episodes"]:
+            want = tmp_path / f"want_{m.episode}.csv"
+            write_csv(want, reference_trace_columns(("pos", "vel")), reference_trace_rows(
+                m.trace, ("pos", "vel"), env.power_by_id, env.accuracy_weight))
+            got = (tmp_path / "out" / f"trace_{m.episode}.csv").read_bytes()
+            assert got.startswith(MOUNTAIN_CAR_TRACE_HEADER)
+            assert got == want.read_bytes()
 
     def test_summary_round_trips(self, tmp_path):
         config = small_config(episodes=2)

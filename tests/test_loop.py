@@ -1,11 +1,16 @@
 """Control-loop environment tests: wiring between filter, scheduler, plant."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from twinloop import (PLANT_REGISTRY, ConfigurationError, ExperimentConfig,
                       InvalidInputError, LinearPlant, NumericalFailureError,
-                      SchedulingMode, TwinLoop)
+                      SchedulingMode, TwinLoop, estimator, export_traces,
+                      run_episode)
+from twinloop.harness import fresh_policy, write_csv
+from tests.helpers import reference_trace_columns, reference_trace_rows
 
 
 def loop_config(mode="reverb"):
@@ -72,7 +77,7 @@ class TestFleetIndex:
         def build_linear_3d(process_noise_std, episode_cap):
             return LinearPlant(transition=np.eye(3), control_matrix=[[0.0], [1.0], [0.0]],
                                process_cov=np.diag([1e-4, 1e-6, 1e-6]),
-                               episode_cap=episode_cap)
+                               feature_names=("x", "y", "z"), episode_cap=episode_cap)
 
         monkeypatch.setitem(PLANT_REGISTRY, "linear_3d", build_linear_3d)
         config = loop_config()
@@ -120,19 +125,20 @@ class TestEtaCoupling:
         env = TwinLoop.from_config(config, record_trace=True)
         env.reset(3)
         lazy = env.step(np.array([0.0, -1.0, -1.0]))   # eta = 0
-        assert env.trace[0]["n_selected"] == 0
+        assert env.trace_table(env.trace)["n_selected"][0] == 0
 
         env.reset(3)
         env.step(np.array([0.0, 1.0, -1.0]))   # eta_pos = 500 -> cap 2e-3
-        assert env.trace[0]["n_selected"] >= 1
-        assert env.trace[0]["prior_ratio_pos"] > 1.0
+        table = env.trace_table(env.trace)
+        assert table["n_selected"][0] >= 1
+        assert table["prior_ratio_pos"][0] > 1.0
 
     def test_eta_ignored_outside_adaptive_mode(self):
         config = loop_config(mode="cost_greedy")
         env = TwinLoop.from_config(config, record_trace=True)
         env.reset(3)
         env.step(np.array([0.0, 1.0, 1.0]))
-        assert env.trace[0]["n_selected"] == 4   # always min(C, M)
+        assert env.trace_table(env.trace)["n_selected"][0] == 4   # always min(C, M)
 
 
 class TestModeBehaviors:
@@ -141,7 +147,7 @@ class TestModeBehaviors:
         env.reset(5)
         truth_before = env._true_state.copy()
         env.step(np.array([0.3, 0.0, 0.0]))
-        row = env.trace[0]
+        row = {name: column[0] for name, column in env.trace_table(env.trace).items()}
         assert row["belief_pos"] == pytest.approx(truth_before[0])
         assert row["belief_vel"] == pytest.approx(truth_before[1])
         assert row["power_w"] == 0.0
@@ -179,6 +185,63 @@ class TestModeBehaviors:
         outcomes = [env.step(np.array([0.0, 0.0, 0.0])) for _ in range(3)]
         assert not outcomes[0].truncated and not outcomes[1].truncated
         assert outcomes[2].truncated and not outcomes[2].terminated
+
+
+class TestGreedyModel:
+    @pytest.mark.parametrize("mode", ["cost_greedy", "error_greedy"])
+    def test_built_once_per_loop_and_read_only(self, mode, monkeypatch):
+        # mode, fleet and capacity fix the selection: no QI stacks it again
+        calls = []
+        real = estimator.stack
+        monkeypatch.setattr(estimator, "stack",
+                            lambda *args: calls.append(1) or real(*args))
+        env = TwinLoop.from_config(loop_config(mode), record_trace=True)
+        env.reset(0)
+        for _ in range(5):
+            env.step(np.zeros(env.action_dim))
+        assert len(calls) == 1
+        _, model = env._greedy
+        assert not model.matrix.flags.writeable
+        assert not model.noise_cov.flags.writeable
+
+
+class TestTrace:
+    def test_columns_follow_the_plant_features(self, tmp_path, monkeypatch):
+        def build_linear_3d(process_noise_std, episode_cap):
+            return LinearPlant(transition=np.eye(3), control_matrix=[[0.0], [1.0], [0.0]],
+                               process_cov=np.diag([1e-4, 1e-6, 1e-6]),
+                               episode_cap=episode_cap, feature_names=("x", "y", "z"))
+
+        monkeypatch.setitem(PLANT_REGISTRY, "linear_3d", build_linear_3d)
+        config = loop_config()
+        config.plant.name = "linear_3d"
+        config.fleet.count = 6
+        config.variance_caps = (0.01, 0.001, 0.001)
+        config.plant.episode_cap = 8
+        env = TwinLoop.from_config(config.validate(), record_trace=True)
+        metrics = run_episode(fresh_policy(config), config, 0, env=env)
+        export_traces([metrics], tmp_path / "out", env=env)
+        path = tmp_path / "out" / "trace_0.csv"
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        for prefix in ("true_", "belief_", "std_", "prior_ratio_", "eta_"):
+            assert [c for c in header if c.startswith(prefix)] == [
+                prefix + name for name in ("x", "y", "z")]
+        assert len(header) == 9 + 5 * 3      # 19 for the two-feature car
+        assert len(rows) == metrics.qis == 8
+        assert all(len(row) == len(header) for row in rows)
+        # the same bytes as the rows built one QI at a time
+        want = tmp_path / "want.csv"
+        write_csv(want, reference_trace_columns(("x", "y", "z")), reference_trace_rows(
+            metrics.trace, ("x", "y", "z"), env.power_by_id, env.accuracy_weight))
+        assert path.read_bytes() == want.read_bytes()
+
+    def test_linear_plant_names_its_features(self):
+        plant = LinearPlant(np.eye(3), np.ones((3, 1)), np.zeros((3, 3)), ["a", "b", "c"])
+        assert plant.feature_names == ("a", "b", "c")
+        with pytest.raises(InvalidInputError, match="3 feature names"):
+            LinearPlant(np.eye(3), np.ones((3, 1)), np.zeros((3, 3)),
+                        feature_names=("a", "b"))
 
 
 class TestNonFinitePolicyAction:

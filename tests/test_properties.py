@@ -16,6 +16,7 @@ from scipy import stats
 from twinloop import SchedulingMode, baseline_schedule, estimator, schedule
 from twinloop.channel import inverse_gaussian_q, y_q
 from twinloop.errors import NumericalFailureError
+from twinloop.scheduler import greedy_selection
 from twinloop.estimator import (StackedObservationModel, posterior_cov,
                                 scalar_posterior_cov)
 from tests.helpers import random_case, relative_error, seeded_reader
@@ -159,9 +160,9 @@ def test_satisfied_reports_the_caps_met(seed, capacity, mode):
     if mode is SchedulingMode.REVERB:
         decision = schedule(prior, caps, index, capacity, observe_fn=reader)
     else:
-        decision = baseline_schedule(mode, prior, index, capacity,
-                                     np.random.default_rng(seed), observe_fn=reader,
-                                     caps=caps, true_state=prior.mean)
+        decision = baseline_schedule(mode, prior, index, np.random.default_rng(seed),
+                                     observe_fn=reader, caps=caps, true_state=prior.mean,
+                                     greedy=greedy_selection(mode, index, capacity))
     met = decision.posterior.cov.diagonal() <= caps
     assert np.array_equal(decision.satisfied, met)
     assert bool(decision.satisfied.all()) == bool(met.all())

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from twinloop import (Belief, InvalidInputError, effective_thresholds,
-                      estimator, schedule, weighted_objective)
+                      estimator, schedule)
 from twinloop.scheduler import requested_caps
 from twinloop.estimator import posterior_cov, stack
 from twinloop.sensing import FleetIndex
 from tests.helpers import (diag_belief, indexed, random_case, reference_schedule,
                            relative_error, same_bits, scalar_agent, seeded_observer,
-                           seeded_reader)
+                           seeded_reader, weighted_objective)
 
 
 class TestEffectiveThresholds:
@@ -363,6 +363,7 @@ class TestFleetIndex:
 
 
 class TestWeightedObjective:
+    # the per-QI reference the trace's weighted_objective column is held to
     def test_pure_power_when_thresholds_met(self):
         prior = diag_belief(0.005, 0.0005)
         decision = schedule(prior, basic_caps(), indexed([]), capacity=0)
