@@ -22,6 +22,8 @@ from .errors import InvalidInputError, TrainingFailureError
 from .sensing import integer
 
 LOG_2PI = math.log(2.0 * math.pi)
+# rows per stacked product in Mlp.forward_rows: bounds its temporaries
+ROW_BLOCK = 64
 
 
 class CostMode(str, Enum):
@@ -75,8 +77,12 @@ class PpoHyperparams:
             raise InvalidInputError("discount must lie in (0, 1)")
         if self.clip_ratio <= 0:
             raise InvalidInputError("clip_ratio must be positive")
-        if isinstance(self.cost_mode, str):
+        try:
             self.cost_mode = CostMode(self.cost_mode)
+        except ValueError:
+            raise InvalidInputError(
+                f"cost_mode must be one of {[m.value for m in CostMode]}: "
+                f"{self.cost_mode!r}") from None
         # parsed, not truncated, whether from a config or a checkpoint
         try:
             self.hidden_sizes = tuple(integer(h) for h in self.hidden_sizes)
@@ -206,18 +212,33 @@ class Mlp:
             cache.append(h)
         return h, cache
 
+    def forward_rows(self, x) -> np.ndarray:
+        """The output (N, out) of each row of ``x`` (N, in) with the bits of
+        its own one-row ``forward``. A 2-D product over many rows may sum in
+        another order; a stack of (1, in) products does not. Works ROW_BLOCK
+        rows at a time, so its temporaries do not grow with N."""
+        out = np.empty((x.shape[0], self.sizes[-1]))
+        last = len(self.weights) - 1
+        for start in range(0, x.shape[0], ROW_BLOCK):
+            h = x[start:start + ROW_BLOCK, None, :]
+            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+                z = h @ w + b
+                h = z if i == last else np.tanh(z)
+            out[start:start + ROW_BLOCK] = h[:, 0, :]
+        return out
+
     def backward(self, cache, grad_out):
-        """Gradients of sum(grad_out * output) w.r.t. parameters and input."""
+        """Gradients (grad_w, grad_b) of sum(grad_out * output) w.r.t. the
+        parameters; no caller needs the input's, so none is computed."""
         grad_w = [None] * len(self.weights)
         grad_b = [None] * len(self.biases)
         g = np.atleast_2d(grad_out)
         for i in reversed(range(len(self.weights))):
             if i != len(self.weights) - 1:
-                g = g * (1.0 - cache[i + 1] ** 2)   # tanh'
+                g = (g @ self.weights[i + 1].T) * (1.0 - cache[i + 1] ** 2)  # tanh'
             grad_w[i] = cache[i].T @ g
             grad_b[i] = g.sum(axis=0)
-            g = g @ self.weights[i].T
-        return grad_w, grad_b, g
+        return grad_w, grad_b
 
     def parameters(self):
         return self.weights + self.biases
@@ -292,28 +313,14 @@ class PolicyNetwork:
 
     # -- forward passes ----------------------------------------------------
 
-    def act(self, policy_input, rng, deterministic: bool = False,
-            update_stats: bool = False):
-        """Sample (or take the mean of) the action distribution.
-
-        Returns (raw_action, logprob, value, normalized_obs). The mean action
-        (``deterministic``) is all an evaluation uses, so it comes with None
-        for the log-prob and the value, and runs no critic; ``value`` gives
-        the critic's estimate.
-        """
+    def act(self, policy_input, update_stats: bool = False):
+        """The mean of the action distribution: returns (mean,
+        normalized_obs). Evaluation takes the mean; training adds its own
+        exploration noise, and computes log-probs and the critic's values
+        once per batch."""
         x = self.normalizer.normalize(policy_input, update=update_stats)
         head, _ = self.actor.forward(x[None, :])
-        mean = np.tanh(head[0])
-        if deterministic:
-            return mean, None, None, x
-        std = np.exp(self.logstd)
-        action = mean + std * rng.standard_normal(self.action_dim)
-        # gaussian_logprob of the one row, with the std already in hand
-        z = (action - mean) / std
-        logp = (-0.5 * float((z * z).sum()) - float(self.logstd.sum())
-                - 0.5 * self.action_dim * LOG_2PI)
-        value, _ = self.critic.forward(x[None, :])
-        return action, logp, float(value[0, 0]), x
+        return np.tanh(head[0]), x
 
     def value(self, policy_input) -> float:
         x = self.normalizer.normalize(policy_input, update=False)
@@ -426,7 +433,7 @@ def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
         z = (actions - mean) / std
         dmean = dlogp[:, None] * z / std              # d logp / d mean = z / std
         dhead = dmean * (1.0 - mean ** 2)
-        grad_w, grad_b, _ = policy.actor.backward(actor_cache, dhead)
+        grad_w, grad_b = policy.actor.backward(actor_cache, dhead)
         dlogstd = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0) \
             - hyper.entropy_coef
         actor_grads = grad_w + grad_b + [dlogstd]
@@ -436,7 +443,7 @@ def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
         verr = values - targets
         value_loss = 0.5 * float((verr ** 2).mean())
         dv = (hyper.value_coef * verr / n)[:, None]
-        cw, cb, _ = policy.critic.backward(critic_cache, dv)
+        cw, cb = policy.critic.backward(critic_cache, dv)
         critic_grads = cw + cb
 
         diags = {
@@ -469,9 +476,10 @@ def ppo_update(batch: dict, policy: PolicyNetwork, hyper: PpoHyperparams,
     count = 0
     for _ in range(hyper.epochs):
         rng.shuffle(order)
+        shuffled = {k: v[order] for k, v in data.items()}
         for start in range(0, n, hyper.minibatch_size):
-            idx = order[start:start + hyper.minibatch_size]
-            mb = {k: v[idx] for k, v in data.items()}
+            mb = {k: v[start:start + hyper.minibatch_size]
+                  for k, v in shuffled.items()}
             diags, actor_grads, critic_grads = ppo_loss_and_grads(policy, mb, hyper)
             if not all(map(math.isfinite, diags.values())):
                 raise TrainingFailureError("non-finite PPO loss", diagnostics=diags)
@@ -493,6 +501,13 @@ def train(config, hyper: PpoHyperparams, seed: int, progress=None):
     Returns (policy, training curve), one curve row per PPO batch; writing
     them to files is the caller's job. Deterministic for a fixed seed. With
     ``total_steps`` = 0 the initial policy is returned untouched.
+
+    A collection step runs the actor only. The batch's exploration noise is
+    drawn in one call before its steps (the same numbers as one draw per
+    step), and the log-probs and critic values of its fixed networks are
+    computed after them. The bootstrap values at truncations and at the
+    batch cut are taken when they happen, since the input normalizer moves
+    during collection.
     """
     from .loop import TwinLoop, episode_seed  # deferred: loop depends on this module
 
@@ -514,21 +529,21 @@ def train(config, hyper: PpoHyperparams, seed: int, progress=None):
         n = hyper.batch_size
         obs_buf = np.zeros((n, env.obs_dim))
         act_buf = np.zeros((n, env.action_dim))
-        logp_buf = np.zeros(n)
+        mean_buf = np.zeros((n, env.action_dim))
         rew_buf = np.zeros(n)
-        val_buf = np.zeros(n)
         boundary = np.zeros(n, dtype=bool)
         bootstrap = np.zeros(n)
+        noise = action_rng.standard_normal((n, env.action_dim))
+        std = np.exp(policy.logstd)
 
         for t in range(n):
-            action, logp, value, norm_obs = policy.act(
-                obs, action_rng, deterministic=False,
-                update_stats=hyper.normalize_observations)
+            mean, norm_obs = policy.act(
+                obs, update_stats=hyper.normalize_observations)
+            action = mean + std * noise[t]
             step = env.step(action)
             obs_buf[t] = norm_obs
             act_buf[t] = action
-            logp_buf[t] = logp
-            val_buf[t] = value
+            mean_buf[t] = mean
             rew_buf[t] = step.shaped_reward
             ep_return += step.base_reward
             ep_len += 1
@@ -547,9 +562,12 @@ def train(config, hyper: PpoHyperparams, seed: int, progress=None):
                     boundary[t] = True
                     bootstrap[t] = policy.value(obs)
 
-        adv, targets = compute_gae(rew_buf, val_buf, boundary, bootstrap,
+        # obs_buf holds each step's input as normalized then: not again
+        values = policy.critic.forward_rows(obs_buf)[:, 0]
+        adv, targets = compute_gae(rew_buf, values, boundary, bootstrap,
                                    hyper.discount, hyper.gae_lambda)
-        batch = {"obs": obs_buf, "actions": act_buf, "logp": logp_buf,
+        logp = gaussian_logprob(act_buf, mean_buf, policy.logstd)
+        batch = {"obs": obs_buf, "actions": act_buf, "logp": logp,
                  "advantages": adv, "value_targets": targets}
         diags = ppo_update(batch, policy, hyper, shuffle_rng)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,8 +76,9 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         # every field declared int, here and in the sections, must hold an
-        # integer (2.5 is rejected, not truncated), and every field declared
-        # float a number that is not a bool (checked, not converted)
+        # integer (2.5 is rejected, not truncated), every field declared
+        # float a number that is not a bool (checked, not converted), and
+        # every field declared bool a bool ("no" is not false)
         for prefix, section in (("", self), ("plant.", self.plant),
                                 ("fleet.", self.fleet), ("channel.", self.channel),
                                 ("rl.", self.rl)):
@@ -92,6 +94,9 @@ class ExperimentConfig:
                                             not isinstance(value, numbers.Real)):
                     raise ConfigurationError(f"{prefix}{f.name} must be a "
                                              f"number: {value!r}")
+                elif f.type == "bool" and not isinstance(value, bool):
+                    raise ConfigurationError(f"{prefix}{f.name} must be true "
+                                             f"or false: {value!r}")
         try:
             SchedulingMode(self.mode)
         except ValueError:
@@ -100,17 +105,24 @@ class ExperimentConfig:
             raise ConfigurationError("master_seed must be >= 0")
         for name, value in (("episodes", self.episodes), ("rl.epochs", self.rl.epochs),
                             ("rl.batch_size", self.rl.batch_size),
-                            ("rl.minibatch_size", self.rl.minibatch_size)):
+                            ("rl.minibatch_size", self.rl.minibatch_size),
+                            ("plant.episode_cap", self.plant.episode_cap)):
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.capacity < 0:
             raise ConfigurationError("capacity must be >= 0")
         if not 0.0 <= self.accuracy_weight <= 1.0:
             raise ConfigurationError("accuracy_weight must lie in [0, 1]")
+        # max_grad_norm 0 turns clipping off; below 0 it would do so unasked
         for name, value in (("rl.reward_weight", self.rl.reward_weight),
-                            ("rl.eta_max", self.rl.eta_max)):
+                            ("rl.eta_max", self.rl.eta_max),
+                            ("rl.max_grad_norm", self.rl.max_grad_norm)):
             if not 0.0 <= value < np.inf:   # NaN compares false
                 raise ConfigurationError(f"{name} must be finite and >= 0: {value!r}")
+        for f in dataclasses.fields(self.rl):
+            value = getattr(self.rl, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigurationError(f"rl.{f.name} must be finite: {value!r}")
         try:
             caps = np.asarray(self.variance_caps, dtype=float)
         except (TypeError, ValueError):
@@ -218,8 +230,7 @@ def run_episode(policy: PolicyNetwork, config: ExperimentConfig,
     qis = 0
     reached = False
     while True:
-        action, _, _, _ = policy.act(obs, None, deterministic=True,
-                                     update_stats=False)
+        action, _ = policy.act(obs)
         step = env.step(action)
         total_base += step.base_reward
         qis += 1

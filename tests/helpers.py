@@ -2,7 +2,8 @@
 Rician series, finite differences, the list-based greedy scheduler the
 indexed one replaced, the greedy baselines fused through
 ``estimator.update``, randomized scheduling cases, the trace rows built one
-QI at a time, and the straightforward forms of the per-step numerics that
+QI at a time, PPO training collected one whole step at a time, and the
+straightforward forms of the per-step numerics that
 the package computes with fewer numpy calls or in place (Adam, the
 global-norm clip, the mountain-car step, action decoding, input
 normalization and the innovation conditioning guard)."""
@@ -456,3 +457,73 @@ def reference_trace_rows(records, feature_names, power_by_id, accuracy_weight):
             len(ids), ";".join(str(i) for i in ids), len(ids), power,
             *eta.tolist(), control, reward, int(satisfied), objective])))
     return rows
+
+
+def reference_train(config, hyper, seed):
+    """``agent.train`` with every collection step doing all of its own work:
+    the normalized input, the actor, one noise draw, the log-prob and a
+    one-row critic value, then the same ``compute_gae`` and ``ppo_update``.
+    Returns (policy, curve, kinds), where ``kinds`` holds the batch
+    boundaries met: "terminated", "truncated" and "cut"."""
+    from twinloop.agent import PolicyNetwork, compute_gae, ppo_update
+    from twinloop.loop import TwinLoop, episode_seed
+
+    env = TwinLoop(config)
+    init_rng, action_rng, shuffle_rng = [
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+    policy = PolicyNetwork(env.obs_dim, env.action_dim, hyper, init_rng)
+    log_2pi = math.log(2.0 * math.pi)
+    curve, kinds = [], set()
+    episodes = 0
+    obs = env.reset(seed=episode_seed(seed, 1, episodes))
+    ep_return, ep_len = 0.0, 0
+    returns, lengths, goals = [], [], []
+    n = hyper.batch_size
+    for it in range(hyper.total_steps // n):
+        obs_buf = np.zeros((n, env.obs_dim))
+        act_buf = np.zeros((n, env.action_dim))
+        logp_buf, rew_buf, val_buf, bootstrap = (np.zeros(n) for _ in range(4))
+        boundary = np.zeros(n, dtype=bool)
+        for t in range(n):
+            x = policy.normalizer.normalize(obs, update=hyper.normalize_observations)
+            mean = np.tanh(policy.actor.forward(x[None, :])[0][0])
+            std = np.exp(policy.logstd)
+            action = mean + std * action_rng.standard_normal(env.action_dim)
+            z = (action - mean) / std
+            logp_buf[t] = (-0.5 * float((z * z).sum()) - float(policy.logstd.sum())
+                           - 0.5 * env.action_dim * log_2pi)
+            val_buf[t] = float(policy.critic.forward(x[None, :])[0][0, 0])
+            step = env.step(action)
+            obs_buf[t], act_buf[t], rew_buf[t] = x, action, step.shaped_reward
+            ep_return += step.base_reward
+            ep_len += 1
+            if step.terminated or step.truncated:
+                kinds.add("terminated" if step.terminated else "truncated")
+                boundary[t] = True
+                bootstrap[t] = 0.0 if step.terminated else policy.value(step.policy_input)
+                returns.append(ep_return)
+                lengths.append(ep_len)
+                goals.append(step.terminated)
+                ep_return, ep_len = 0.0, 0
+                episodes += 1
+                obs = env.reset(seed=episode_seed(seed, 1, episodes))
+            else:
+                obs = step.policy_input
+                if t == n - 1:
+                    kinds.add("cut")
+                    boundary[t] = True
+                    bootstrap[t] = policy.value(obs)
+        adv, targets = compute_gae(rew_buf, val_buf, boundary, bootstrap,
+                                   hyper.discount, hyper.gae_lambda)
+        diags = ppo_update({"obs": obs_buf, "actions": act_buf, "logp": logp_buf,
+                            "advantages": adv, "value_targets": targets},
+                           policy, hyper, shuffle_rng)
+
+        def recent(values):
+            return float(np.mean(values[-20:])) if values else float("nan")
+
+        curve.append({"iteration": it + 1, "steps": (it + 1) * n,
+                      "episodes": episodes, "mean_return": recent(returns),
+                      "mean_length": recent(lengths), "goal_rate": recent(goals),
+                      "logstd_mean": float(np.mean(policy.logstd)), **diags})
+    return policy, curve, kinds

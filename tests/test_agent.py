@@ -1,5 +1,7 @@
 """Policy, reward shaping, gradients, and PPO machinery tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from twinloop.agent import (Adam, Mlp, _clip_global_norm, compute_gae,
 from twinloop.agent import RunningNormalizer
 from tests.helpers import (ReferenceAdam, edgy_floats, finite_difference_gradient,
                            reference_clip_global_norm, reference_decode_action,
-                           reference_normalize, relative_gradient_error, same_bits)
+                           reference_normalize, reference_train,
+                           relative_gradient_error, same_bits)
 
 
 class TestRewards:
@@ -88,7 +91,7 @@ class TestPolicyForward:
         for w in policy.actor.weights + policy.critic.weights:
             w[:] = 0.0
         x = np.array([0.3, -0.2, 0.05, 0.01])
-        mean, _, _, _ = policy.act(x, None, deterministic=True)
+        mean, _ = policy.act(x)
         value = policy.value(x)
         np.testing.assert_allclose(mean, 0.0)
         assert value == 0.0
@@ -97,8 +100,8 @@ class TestPolicyForward:
     def test_deterministic_repeat(self):
         policy, _ = small_policy(3)
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        first = policy.act(x, None, deterministic=True)[0], policy.value(x)
-        second = policy.act(x, None, deterministic=True)[0], policy.value(x)
+        first = policy.act(x)[0], policy.value(x)
+        second = policy.act(x)[0], policy.value(x)
         np.testing.assert_array_equal(first[0], second[0])
         assert first[1] == second[1]
 
@@ -107,22 +110,22 @@ class TestPolicyForward:
         policy.normalizer._update(np.array([1.0, 2.0, 3.0, 4.0]))
         policy.normalizer._update(np.array([2.0, 1.0, 0.0, -1.0]))
         x = np.array([0.1, -0.2, 0.3, 0.4])
-        action, _, _, normalized = policy.act(x, None, deterministic=True)
+        action, normalized = policy.act(x)
         value = policy.value(x)
         assert same_bits(normalized, policy.normalizer.normalize(x))
         assert same_bits(action, np.tanh(policy.actor.forward(normalized[None, :])[0][0]))
         assert value == policy.critic.forward(normalized[None, :])[0][0, 0]
 
     def test_deterministic_act_runs_no_critic(self, monkeypatch):
-        # evaluation takes the mean action only; the critic is value()'s
+        # act gives the mean action and its input only; the critic is
+        # value()'s, and training's batch pass
         policy, _ = small_policy(6)
         x = np.array([0.1, -0.2, 0.3, 0.4])
         calls = []
         real = policy.critic.forward
         monkeypatch.setattr(policy.critic, "forward",
                             lambda h: calls.append(1) or real(h))
-        _, logp, value, _ = policy.act(x, None, deterministic=True)
-        assert (logp, value, calls) == (None, None, [])
+        assert len(policy.act(x)) == 2 and calls == []
         policy.value(x)
         assert calls == [1]
 
@@ -137,7 +140,7 @@ class TestPolicyForward:
             return float(np.sum(out * dout))
 
         out, cache = net.forward(x)
-        gw, gb, _ = net.backward(cache, dout)
+        gw, gb = net.backward(cache, dout)
         numeric = finite_difference_gradient(scalar, net.weights + net.biases,
                                              step=1e-6)
         assert relative_gradient_error(gw + gb, numeric) <= 1e-7
@@ -230,7 +233,7 @@ class TestPpoLoss:
         z = (actions - mean) / std
         coef = -(adv / obs.shape[0])
         dhead = coef[:, None] * (z / std) * (1 - mean ** 2)
-        gw, gb, _ = policy.actor.backward(cache, dhead)
+        gw, gb = policy.actor.backward(cache, dhead)
         dlogstd = np.sum(coef[:, None] * (z * z - 1.0), axis=0)
         for got, want in zip(actor_grads, gw + gb + [dlogstd]):
             np.testing.assert_allclose(got, want, atol=1e-12)
@@ -274,7 +277,7 @@ class TestPpoLoss:
             values, cache = policy.critic.forward(obs)
             err = values[:, 0] - targets
             losses.append(0.5 * float(np.mean(err ** 2)))
-            gw, gb, _ = policy.critic.backward(cache, (err / 32)[:, None])
+            gw, gb = policy.critic.backward(cache, (err / 32)[:, None])
             opt.step(policy.critic.parameters(), gw + gb)
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-9)
@@ -309,8 +312,8 @@ class TestCheckpoint:
         policy.save(path)
         loaded = PolicyNetwork.load(path)
         x = np.array([0.2, -0.4, 1.0, 0.5])
-        want = policy.act(x, None, deterministic=True)[0], policy.value(x)
-        got = loaded.act(x, None, deterministic=True)[0], loaded.value(x)
+        want = policy.act(x)[0], policy.value(x)
+        got = loaded.act(x)[0], loaded.value(x)
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
         np.testing.assert_array_equal(loaded.logstd, policy.logstd)
@@ -442,3 +445,36 @@ class TestMatchesReference:
         (curve, weights), (ref_curve, ref_weights) = runs
         assert len(curve) == 2 and curve == ref_curve
         assert all(same_bits(a, b) for a, b in zip(weights, ref_weights))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_training_matches_the_per_step_collector(self, normalize):
+        # noise drawn once per batch, log-probs and critic values computed
+        # after collection: the curve and the weights keep every bit. The
+        # episodes end by reaching the goal and at the cap, and a batch of
+        # 100 steps cuts one, and leaves a part block of ROW_BLOCK rows.
+        from twinloop import ExperimentConfig, train
+        from twinloop.agent import ROW_BLOCK
+
+        config = ExperimentConfig()
+        config.fleet.count = 4
+        config.capacity = 3
+        config.plant.episode_cap = 60
+        config.plant.process_noise_std = (0.02, 0.01)
+        config.rl.batch_size = 100
+        config.rl.minibatch_size = 32
+        config.rl.epochs = 2
+        config.rl.total_steps = 3 * config.rl.batch_size
+        config.rl.normalize_observations = normalize
+        config.validate()
+        assert config.rl.batch_size % ROW_BLOCK != 0
+        policy, curve = train(config, config.rl, seed=6)
+        ref, ref_curve, kinds = reference_train(config, config.rl, seed=6)
+        assert kinds == {"terminated", "truncated", "cut"}
+        assert len(curve) == 3 and json.dumps(curve) == json.dumps(ref_curve)
+        for net in ("actor", "critic"):
+            mine, want = getattr(policy, net), getattr(ref, net)
+            assert all(same_bits(a, b) for a, b in
+                       zip(mine.parameters(), want.parameters()))
+        assert same_bits(policy.logstd, ref.logstd)
+        assert same_bits(policy.normalizer.mean, ref.normalizer.mean)
+        assert same_bits(policy.normalizer.var, ref.normalizer.var)

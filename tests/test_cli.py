@@ -1,6 +1,7 @@
 """Command-line surface tests: subcommands, outputs, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from twinloop import ChannelParams, required_power
+from twinloop import ChannelParams, PpoHyperparams, required_power
 from twinloop.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -249,6 +250,17 @@ class TestConfigRanges:
         ("rl", "reward_weight", float("nan"), "rl.reward_weight must be finite and >= 0"),
         ("rl", "eta_max", -5, "rl.eta_max must be finite and >= 0"),
         ("rl", "eta_max", float("inf"), "rl.eta_max must be finite and >= 0"),
+        # below 0 would turn gradient clipping off unasked
+        ("rl", "max_grad_norm", -1, "rl.max_grad_norm must be finite and >= 0"),
+        ("rl", "cost_mode", "foo",
+         "invalid input: cost_mode must be one of ['penalty', 'paper_eq24']: 'foo'"),
+        # "no" is truthy: it would train with normalization on
+        ("rl", "normalize_observations", "no",
+         "configuration error: rl.normalize_observations must be true or false: 'no'"),
+        ("rl", "normalize_advantages", 0,
+         "configuration error: rl.normalize_advantages must be true or false: 0"),
+        # a cap of 0 would still run one-QI episodes
+        ("plant", "episode_cap", 0, "plant.episode_cap must be >= 1"),
         # a float field holding a string or a bool: checked before any
         # arithmetic, so no TypeError or ValueError traceback, and no
         # training run that fails part way
@@ -310,6 +322,25 @@ class TestConfigRanges:
         assert code == 1
         assert err.startswith(("configuration error:", "invalid input:"))
         assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", [
+        f.name for f in dataclasses.fields(PpoHyperparams) if f.type == "float"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @VALIDATING_COMMANDS
+    def test_non_finite_rl_value_exits_one_with_one_line(
+            self, tmp_path, capsys, key, value, command):
+        # a NaN learning rate would fail the first PPO update with exit 2,
+        # after the output directory was made
+        config = json.loads(small_config_file(tmp_path).read_text())
+        config["rl"][key] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(("configuration error:", "invalid input:"))
+        assert err.count("\n") == 1 and key in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sizes, message", [
