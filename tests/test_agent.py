@@ -446,6 +446,15 @@ class TestMatchesReference:
         assert len(curve) == 2 and curve == ref_curve
         assert all(same_bits(a, b) for a, b in zip(weights, ref_weights))
 
+    def test_forward_rows_keeps_the_one_row_bits(self):
+        from twinloop.agent import ROW_BLOCK
+
+        policy, _ = small_policy(26, hidden=(64, 64))
+        x = np.random.default_rng(26).normal(size=(2 * ROW_BLOCK + 5, policy.obs_dim))
+        for net in (policy.actor, policy.critic):
+            one_row = [net.forward(row[None, :])[0][0] for row in x]
+            assert same_bits(net.forward_rows(x), one_row)
+
     @pytest.mark.parametrize("normalize", [True, False])
     def test_training_matches_the_per_step_collector(self, normalize):
         # noise drawn once per batch, log-probs and critic values computed
