@@ -73,10 +73,8 @@ class PpoHyperparams:
     termination_bonus: float = 100.0
 
     def __post_init__(self):
-        if not 0.0 < self.discount < 1.0:
-            raise InvalidInputError("discount must lie in (0, 1)")
-        if self.clip_ratio <= 0:
-            raise InvalidInputError("clip_ratio must be positive")
+        # values are range-checked by ExperimentConfig.validate, after their
+        # types, so that a string is reported by its field's name
         try:
             self.cost_mode = CostMode(self.cost_mode)
         except ValueError:

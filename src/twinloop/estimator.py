@@ -2,25 +2,25 @@
 
 ``predict`` propagates the belief blindly through the plant model (the mean
 through the full nonlinear map, the covariance through its Jacobian plus the
-process noise). ``stack`` builds the joint observation model of several
-agents, for a batch posterior: one one-hot row per agent and a diagonal
-noise covariance. Agents do not carry the state dimension; the caller
-passes the plant's, as its ``sensing.FleetIndex`` holds it.
-``posterior_cov`` gives the Joseph-form posterior covariance and the Kalman
-gain of such a model, and ``fused_mean`` the posterior mean once the
-readings of the measured features arrive (the schedulers' shared fusion
-tail calls it). ``scalar_posterior_cov`` is the
-one-reading case written for a one-hot row: a rank-1 Joseph step with a
-scalar innovation and no LAPACK call. The value-of-information scheduler
-chains one per pick; since agent noises are independent, the chain gives
-the batch posterior of the whole selection up to roundoff (sequential
-processing of uncorrelated measurements). ``update`` fuses a stacked
-observation vector in one call. The Joseph form keeps the covariance
-symmetric positive semidefinite under roundoff; it agrees with the plain
-(I - K H) P form in exact arithmetic. ``posterior_cov``, ``update`` and
-``predict`` do not rely on one-hot rows or diagonal noise, take any
-observation model, and are the references the rank-1 step is tested
-against.
+process noise). Every scheduler fuses through ``scalar_posterior_cov``, the
+Joseph-form posterior covariance after one reading of one feature: a rank-1
+step with a scalar innovation and no LAPACK call. Since agent noises are
+independent, a chain of such steps gives the batch posterior of a whole
+selection up to roundoff (sequential processing of uncorrelated
+measurements): the value-of-information scheduler takes one step per pick,
+and the greedy baselines one per measured feature, with the precisions of
+that feature's readings summed. ``fused_mean`` gives the posterior mean
+once the readings arrive (the schedulers' shared fusion tail calls it). The
+Joseph form keeps the covariance symmetric positive semidefinite under
+roundoff; it agrees with the plain (I - K H) P form in exact arithmetic.
+
+The batch functions are the test oracle, and no query interval calls them:
+``stack`` builds the joint observation model of several agents (one one-hot
+row per agent and a diagonal noise covariance, for the state dimension the
+caller passes), ``posterior_cov`` gives the Joseph-form posterior covariance
+and Kalman gain of any observation model, with a conditioning guard, and
+``update`` fuses a stacked observation vector in one call. Tests hold the
+rank-1 path to them, and the benchmark's traced run names them.
 
 Each covariance is symmetrized once, by the function that computes it:
 ``predict`` and ``posterior_cov`` return symmetric matrices, as
@@ -115,7 +115,7 @@ def predict(belief: Belief, control, model) -> Belief:
 def stack(selected, state_dim: int) -> StackedObservationModel:
     """Stack the selected agents' one-hot observation rows (rows of the
     ``state_dim`` identity) and noise variances (as a diagonal covariance),
-    in order."""
+    in order. Part of the batch oracle: no query interval calls it."""
     selected = list(selected)
     if not selected:
         raise InvalidInputError("cannot stack an empty selection")
@@ -128,7 +128,9 @@ def stack(selected, state_dim: int) -> StackedObservationModel:
 
 
 def posterior_cov(prior_cov, stacked: StackedObservationModel):
-    """Joseph-form posterior covariance and the Kalman gain (no observation values).
+    """Joseph-form posterior covariance and the Kalman gain (no observation
+    values), of any observation model: the batch oracle that the rank-1
+    path is tested against; no query interval calls it.
 
     The covariance is symmetrized before it is returned. Raises
     NumericalFailureError when the innovation covariance
@@ -157,9 +159,12 @@ def scalar_posterior_cov(cov, feature: int, variance: float) -> np.ndarray:
     (I - g h) P (I - g h)^T + r g g^T is P - (g c^T + c g^T) + s g g^T.
     Each term is symmetric bit for bit (a product and a sum of two floats
     do not depend on their order), so the result needs no ``symmetrize``.
-    ``cov`` must be finite and symmetric, as ``predict`` and this function
-    return it. Raises NumericalFailureError unless TINY <= s < inf, the
-    one-row case of the conditioning guard.
+    Row and column k are then written from c (r / s), which they equal in
+    exact arithmetic: the difference above cancels there when P_kk >> r,
+    and the read feature's variance would lose digits. ``cov`` must be
+    finite and symmetric, as ``predict`` and this function return it.
+    Raises NumericalFailureError unless TINY <= s < inf, the one-row case
+    of the conditioning guard.
     """
     c = cov[:, feature]
     s = float(c[feature]) + variance
@@ -167,7 +172,13 @@ def scalar_posterior_cov(cov, feature: int, variance: float) -> np.ndarray:
         raise NumericalFailureError("ill-conditioned innovation covariance")
     g = c * (1.0 / s)
     gc = g[:, None] * c
-    return cov - (gc + gc.T) + s * (g[:, None] * g)
+    out = cov - (gc + gc.T) + s * (g[:, None] * g)
+    # P+ e_k = c r / s exactly; the subtraction above cancels in column k
+    # when P_kk >> r, so row and column k are written from it
+    column = c * (variance / s)
+    out[feature] = column
+    out[:, feature] = column
+    return out
 
 
 def _ill_conditioned(s) -> bool:
@@ -185,8 +196,9 @@ def update(prior: Belief, stacked: StackedObservationModel, values) -> Belief:
     """Fuse the stacked observation vector into the prior belief.
 
     Checks its inputs and writes the mean out itself rather than through
-    ``fused_mean``: it is the independent reference that the schedulers'
-    fusion tail is tested against, bit for bit.
+    ``fused_mean``: it is the independent reference, with ``posterior_cov``,
+    that the schedulers' fusion tail is tested against. No query interval
+    calls it.
     """
     h = stacked.matrix
     if h.shape[1] != prior.mean.shape[0]:

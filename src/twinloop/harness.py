@@ -3,12 +3,13 @@
 A single JSON config describes the whole experiment (plant, fleet, channel,
 caps, mode, RL hyperparameters, seeds); every run echoes it into
 summary.json so results can be replayed exactly. Its channel section is
-``channel.ChannelParams`` and its rl section ``agent.PpoHyperparams``, so
-those two are checked when the config is read; ``validate`` checks the
-rest. The episodes of a run share one ``TwinLoop`` in one process and take
-the policy mean. Per-episode seeds derive from the master seed by episode
-index, so repeated runs are byte-identical and different modes see common
-random numbers.
+``channel.ChannelParams``, checked when the config is read, and its rl
+section ``agent.PpoHyperparams``, whose values ``validate`` checks with the
+rest: types first, then ranges, so a bad value is named by its field. The
+episodes of a run share one ``TwinLoop`` in one process and take the policy
+mean. Per-episode seeds derive from the master seed by episode index, so
+repeated runs are byte-identical and different modes see common random
+numbers.
 
 The episode error metric (reported as ``mrmse``) is the per-episode mean
 over query intervals of the Euclidean distance between the true state and
@@ -123,6 +124,20 @@ class ExperimentConfig:
             value = getattr(self.rl, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigurationError(f"rl.{f.name} must be finite: {value!r}")
+        # a logstd within +-20 keeps std = exp(logstd) in [2e-9, 5e8], so the
+        # standardized actions and their squares stay far inside a float, and
+        # an entropy_coef within +-1e6 keeps the entropy bonus and its
+        # gradient, which the global-norm clip squares, as far inside
+        rl = self.rl
+        for name, ok, bounds in (
+                ("discount", 0.0 < rl.discount < 1.0, "(0, 1)"),
+                ("clip_ratio", rl.clip_ratio > 0.0, "(0, inf)"),
+                ("entropy_coef", -1e6 <= rl.entropy_coef <= 1e6, "[-1e6, 1e6]"),
+                ("initial_logstd", -20.0 <= rl.initial_logstd <= 20.0, "[-20, 20]"),
+                ("min_logstd", -20.0 <= rl.min_logstd <= 20.0, "[-20, 20]")):
+            if not ok:
+                raise ConfigurationError(f"rl.{name} must lie in {bounds}: "
+                                         f"{getattr(rl, name)!r}")
         try:
             caps = np.asarray(self.variance_caps, dtype=float)
         except (TypeError, ValueError):

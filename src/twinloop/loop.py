@@ -81,7 +81,7 @@ class TwinLoop:
             a.agent_id: channel_mod.required_power(a.distance_m, config.channel)
             for a in self.fleet_index.agents}
         # mode, fleet and capacity fix a greedy mode's selection, so its
-        # stacked model is built once and only read by each QI
+        # positions and per-feature fusion steps are built once, as tuples
         self._greedy = scheduler.greedy_selection(self.mode, self.fleet_index,
                                                   self.capacity)
 

@@ -19,29 +19,34 @@ feature has an agent left.
 PERFECT short-circuits estimation entirely (the twin is handed the true
 state, zero covariance, zero uplink power). COST_GREEDY and ERROR_GREEDY
 always query exactly min(C, M) agents, sorted by distance or by measurement
-error, with the covariance and gain of one batch ``estimator.posterior_cov``
-call on the selection's ``estimator.stack``; mode, fleet and capacity fix
-that selection, so a loop builds it once (``greedy_selection``).
-TRADITIONAL queries a fixed number of randomly drawn agents (one per
-feature by default) and substitutes their raw readings into the belief
+error. Mode, fleet and capacity fix that selection, so a loop builds it
+once (``greedy_selection``), with its fusion steps: the readings of one
+feature are independent, so together they act as one reading whose
+precision is the sum of theirs, and the posterior takes one rank-1 step
+per measured feature, at most one per state feature. No scheduler calls
+the batch ``estimator.posterior_cov``; it is the oracle they are tested
+against. TRADITIONAL queries a fixed number of randomly drawn agents (one
+per feature by default) and substitutes their raw readings into the belief
 without any filtering: each agent's reading becomes the mean of its
 feature, and its noise variance that feature's variance, uncorrelated with
 the rest.
 
 A selection is the tuple of its agents' positions in the fleet, and the
 readings are requested as ``observe_fn(positions)``. Reading and fusing a
-selection whose covariance and gain are known is ``_fused_decision``,
+selection whose posterior covariance is known is ``_fused_decision``,
 shared by REVERB and the greedy modes; a reading of feature k is fused
 against the prior mean of feature k. Per-fleet lookups (agents per feature
-in cost order, each agent's id, feature and noise variance) come from the
-``sensing.FleetIndex`` the caller built once per fleet, against the
-plant's state dimension; nothing else is taken as a fleet. Each scheduler
-checks that dimension against the prior's. The schedulers trust what the
-layers before them checked: the caps are positive (``TwinLoop`` checked
-them), the prior covariance is finite and symmetric (``estimator.predict``
-made it so), the readings are finite (``sensing.read`` checked them), and
-each rank-1 step returns a symmetric covariance. The shape of what
-``observe_fn`` returns is checked once, by ``_readings``.
+in cost order, each agent's id, feature, noise variance and precision)
+come from the ``sensing.FleetIndex`` the caller built once per fleet,
+against the plant's state dimension; nothing else is taken as a fleet.
+Each scheduler checks that dimension against the prior's. The schedulers
+trust what the layers before them checked: the caps are positive
+(``TwinLoop`` checked them), the prior covariance is finite and symmetric
+(``estimator.predict`` made it so), the readings are finite
+(``sensing.read`` checked them), a feature's summed precision is finite
+(the ``FleetIndex`` checked it), and each rank-1 step returns a symmetric
+covariance. The shape of what ``observe_fn`` returns is checked once, by
+``_readings``.
 """
 
 from __future__ import annotations
@@ -147,32 +152,27 @@ def schedule(prior: Belief, caps: np.ndarray, index: sensing.FleetIndex,
         pick = picks[candidates[int(ratios.argmax())]]
         chosen.append(pick)
         cov = estimator.scalar_posterior_cov(cov, features[pick], variance[pick])
-
-    gain = None
-    if chosen:
-        # K = P+ H^T R^-1: H^T picks the measured columns, R is diagonal
-        gain = cov[:, [features[p] for p in chosen]] * (1.0 / variance[chosen])
-    return _fused_decision(prior, index, chosen, cov, gain, caps, observe_fn)
+    return _fused_decision(prior, index, chosen, cov, caps, observe_fn)
 
 
 def greedy_selection(mode: SchedulingMode, index: sensing.FleetIndex,
                      capacity: int):
-    """The fleet positions a greedy mode reads every QI, the first
-    min(C, M) in distance or error order, and their stacked observation
-    model, read-only (None for an empty selection). None for the other
-    modes, which read no fixed selection."""
+    """What a greedy mode reads every QI, as a pair of tuples: the fleet
+    positions of the first min(C, M) agents in distance or error order, and
+    one (feature, r_k) step per feature they measure, in feature order,
+    where r_k = 1 / sum(1 / r_i) over the selected agents reading feature k.
+    None for the other modes, which read no fixed selection."""
     mode = SchedulingMode(mode)
     if mode not in GREEDY_MODES:
         return None
     order = (index.by_distance if mode is SchedulingMode.COST_GREEDY
              else index.by_error)
     chosen = order[:min(capacity, len(order))]
-    if not chosen:
-        return chosen, None
-    model = estimator.stack((index.agents[p] for p in chosen), index.state_dim)
-    for array in (model.matrix, model.noise_cov):
-        array.setflags(write=False)
-    return chosen, model
+    precision = {}
+    for p in chosen:
+        k = index.features[p]
+        precision[k] = precision.get(k, 0.0) + float(index.precision[p])
+    return chosen, tuple((k, 1.0 / precision[k]) for k in sorted(precision))
 
 
 def baseline_schedule(mode: SchedulingMode, prior: Belief,
@@ -183,8 +183,8 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
 
     ``index`` is the fleet's ``sensing.FleetIndex``; the greedy modes take
     their fixed order from it, through ``greedy``: their selection and
-    model as ``greedy_selection`` returns them for this mode, fleet and
-    capacity, which a greedy mode must be given.
+    fusion steps as ``greedy_selection`` returns them for this mode, fleet
+    and capacity, which a greedy mode must be given.
     ``observe_fn(positions)`` returns the 1-D float readings of the agents
     at those fleet positions, as ``sensing.read`` does. ``caps`` are the
     fixed variance caps that ``satisfied`` is judged by; None counts every
@@ -205,11 +205,13 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
             raise InvalidInputError("fleet state dimension does not match belief")
         if greedy is None:
             raise InvalidInputError("a greedy mode reads its greedy_selection")
-        chosen, model = greedy
-        cov = gain = None
-        if chosen:
-            cov, gain = estimator.posterior_cov(prior.cov, model)
-        return _fused_decision(prior, index, chosen, cov, gain, caps, observe_fn)
+        chosen, steps = greedy
+        # independent readings of one feature fuse as one reading with
+        # their summed precision: one rank-1 step per measured feature
+        cov = prior.cov
+        for k, r in steps:
+            cov = estimator.scalar_posterior_cov(cov, k, r)
+        return _fused_decision(prior, index, chosen, cov, caps, observe_fn)
 
     # TRADITIONAL: raw readings substituted into the belief, no filter
     # update. With one pick per interval the agent is uniform over the whole
@@ -242,14 +244,15 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
                             _caps_met(posterior, caps))
 
 
-def _fused_decision(prior: Belief, index, chosen, cov, gain, caps,
+def _fused_decision(prior: Belief, index, chosen, cov, caps,
                     observe_fn) -> ScheduleDecision:
     """The decision that fuses the agents at fleet positions ``chosen``.
 
-    ``cov`` and ``gain`` are their posterior covariance and Kalman gain;
-    neither is read when nothing was chosen. The readings are
-    ``observe_fn(chosen)``; without it the posterior keeps the prior mean.
-    ``caps`` None counts every cap as met.
+    ``cov`` is their posterior covariance, not read when nothing was
+    chosen. The readings are ``observe_fn(chosen)``, fused with the joint
+    gain K = P+ H^T R^-1, which needs no solve: H^T picks the measured
+    columns and R is diagonal. Without ``observe_fn`` the posterior keeps
+    the prior mean. ``caps`` None counts every cap as met.
     """
     if not chosen:
         posterior = prior.copy()
@@ -258,6 +261,7 @@ def _fused_decision(prior: Belief, index, chosen, cov, gain, caps,
     else:
         values = _readings(observe_fn, chosen)
         features = [index.features[p] for p in chosen]
+        gain = cov[:, features] * index.precision.take(chosen)
         posterior = Belief(estimator.fused_mean(prior, features, gain, values),
                            cov, prior.qi)
     return ScheduleDecision(tuple(index.ids[p] for p in chosen), posterior,

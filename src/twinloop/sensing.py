@@ -9,10 +9,12 @@ agents draw the variance log-uniformly between the bounds of the supplied
 level list and the distance uniformly on (min_distance, max_distance]. A
 pinned fleet is a list of config records {id, feature, variance, distance},
 so an experiment can be replayed exactly; ``agent_from_record`` parses one.
-``observe`` returns one agent's reading and ``read`` a whole selection's, in
-one draw, each as a checked value vector. A ``FleetIndex`` holds the tables
-the schedulers look up every query interval, computed once per fleet; a
-selection is the tuple of its agents' positions in the fleet.
+``read`` returns a whole selection's readings, in one draw, as a checked
+value vector; ``observe``, one agent's reading, is kept as the oracle that
+tests hold ``read`` to and that the benchmark's traced run names. A
+``FleetIndex`` holds the tables the schedulers look up every query
+interval, computed once per fleet; a selection is the tuple of its agents'
+positions in the fleet.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class SensingAgentSpec:
 def observe(agent: SensingAgentSpec, true_state, rng, qi: int = 0,
             noiseless: bool = False) -> np.ndarray:
     """Draw o = s[feature] + w with w ~ N(0, variance); ``noiseless`` skips w
-    (test only).
+    (test only). The one-agent oracle that ``read`` is tested against; no
+    query interval calls it.
 
     Returns the reading as a 1-entry float vector, checked finite here so
     the filter can fuse it without a second check. ``qi`` only labels the
@@ -127,13 +130,16 @@ class FleetIndex:
     computed once and never changed.
 
     Raises InvalidInputError when an agent reads a feature outside the
-    state or two agents share an id. Agents are addressed by their position in ``agents``. ``by_error`` and
+    state, two agents share an id, or the fleet's noise precisions
+    1/variance of one feature sum past the largest float. Agents are
+    addressed by their position in ``agents``. ``by_error`` and
     ``by_distance`` order the whole fleet by (variance, agent_id) and
     (distance_m, agent_id); ``measuring[k]`` lists the agents measuring
     feature k in fleet order, and ``by_feature[k]`` lists them in
-    ``by_error`` order. ``ids``, ``features``, ``variance`` and ``std``
-    (the noise standard deviation) hold each agent's value in fleet order,
-    so a selection's are looked up by its positions.
+    ``by_error`` order. ``ids``, ``features``, ``variance``, ``std`` (the
+    noise standard deviation) and ``precision`` (1/variance) hold each
+    agent's value in fleet order, so a selection's are looked up by its
+    positions.
     """
 
     agents: tuple
@@ -151,7 +157,15 @@ class FleetIndex:
         features = tuple(a.feature for a in agents)
         variance = np.array([a.variance for a in agents], dtype=float)
         std = np.sqrt(variance)
-        for array in (variance, std):
+        # a float division: 1/r past the largest float is inf, not a warning
+        precision = np.array([1.0 / a.variance for a in agents], dtype=float)
+        # every selection's summed precision per feature is at most the
+        # whole fleet's, so a finite fleet sum keeps each fusion finite
+        summed = np.bincount(features, precision, minlength=state_dim)
+        if not np.isfinite(summed).all():
+            raise InvalidInputError("the fleet's summed noise precision 1/variance "
+                                    "of a feature overflows a float")
+        for array in (variance, std, precision):
             array.setflags(write=False)
         by_error = tuple(sorted(range(len(agents)),
                                 key=lambda p: (agents[p].variance, ids[p])))
@@ -162,6 +176,7 @@ class FleetIndex:
         by_feature = tuple(tuple(p for p in by_error if p in m) for m in measuring)
         for name, value in (("agents", agents), ("ids", ids), ("features", features),
                             ("variance", variance), ("std", std),
+                            ("precision", precision),
                             ("by_error", by_error), ("by_distance", by_distance),
                             ("measuring", measuring), ("by_feature", by_feature)):
             object.__setattr__(self, name, value)

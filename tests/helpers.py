@@ -1,7 +1,8 @@
 """Shared test oracles: batch Bayesian least squares, Marcum Q and the full
 Rician series, finite differences, the list-based greedy scheduler the
 indexed one replaced, the greedy baselines fused through
-``estimator.update``, randomized scheduling cases, the trace rows built one
+``estimator.update``, readings fused in exact rational arithmetic,
+randomized scheduling cases, the trace rows built one
 QI at a time, PPO training collected one whole step at a time, and the
 straightforward forms of the per-step numerics that
 the package computes with fewer numpy calls or in place (Adam, the
@@ -9,6 +10,7 @@ global-norm clip, the mountain-car step, action decoding, input
 normalization and the innovation conditioning guard)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -217,7 +219,8 @@ def reference_baseline_schedule(mode, prior, fleet, capacity, observe_fn=None,
     ``capacity`` agents with ``estimator.stack``, and fuses their readings
     through ``estimator.update``, or computes the covariance alone without
     ``observe_fn``: the greedy tail as written before it shared the
-    scheduler's. ``baseline_schedule`` must reproduce it bit for bit.
+    scheduler's. ``baseline_schedule`` must make its selections and met
+    caps, and its posterior within 1e-9 relative.
     """
     key = ((lambda a: (a.distance_m, a.agent_id)) if mode == "cost_greedy"
            else (lambda a: (a.variance, a.agent_id)))
@@ -267,6 +270,26 @@ def reference_traditional(prior, fleet, rng, observe_fn=None, traditional_count=
         cov[:, k] = 0.0
         cov[k, k] = agent.variance
     return tuple(a.agent_id for a in chosen), Belief(mean, cov, prior.qi)
+
+
+def exact_posterior(mean, cov, readings):
+    """The posterior after ``readings``, (feature, variance, value) triples,
+    fused one at a time in exact rational arithmetic on the float inputs:
+    P - c c^T / s and m + c (o - m_k) / s per reading, c = P[:, k],
+    s = P_kk + r. Without roundoff this is the batch posterior. Returns the
+    mean and covariance as lists of ``Fraction``; a value of None leaves
+    the mean alone."""
+    mean = [Fraction(float(x)) for x in mean]
+    cov = [[Fraction(float(x)) for x in row] for row in cov]
+    for k, variance, value in readings:
+        c = [row[k] for row in cov]
+        s = c[k] + Fraction(float(variance))
+        if value is not None:
+            innovation = Fraction(float(value)) - mean[k]
+            mean = [m + ci * innovation / s for m, ci in zip(mean, c)]
+        cov = [[cov[i][j] - c[i] * c[j] / s for j in range(len(c))]
+               for i in range(len(c))]
+    return mean, cov
 
 
 def random_case(rng):

@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinloop import (Belief, ExperimentConfig, PpoHyperparams, TwinLoop,
-                      effective_thresholds, required_power, run_monte_carlo,
-                      schedule, y_q)
+from twinloop import (Belief, ExperimentConfig, PpoHyperparams, SchedulingMode,
+                      TwinLoop, baseline_schedule, effective_thresholds,
+                      required_power, run_monte_carlo, schedule, y_q)
 from twinloop.agent import PolicyNetwork, ppo_loss_and_grads, train
 from twinloop.channel import ChannelParams, outage_probability_mc
-from twinloop.estimator import posterior_cov, predict, stack, update
+from twinloop.estimator import predict
+from twinloop.scheduler import greedy_selection
 from twinloop.dynamics import build_linear_2d
 from tests.helpers import (batch_linear_gaussian_posterior,
                            finite_difference_gradient, invert_marcum_tail,
@@ -72,10 +73,16 @@ def benchmark_config(mode: str, seed: int) -> ExperimentConfig:
 
 class TestCriterion1EstimatorOracle:
     def test_filter_matches_batch_least_squares(self):
+        # fused as the schedulers fuse: the rank-1 steps of a greedy
+        # selection and their shared tail, through baseline_schedule
         start = time.time()
         rng = np.random.default_rng(2024)
         plant = build_linear_2d(process_noise_std=(0.05, 0.02))
         agents = [scalar_agent(1, 0, 0.04), scalar_agent(2, 1, 0.09)]
+        index = indexed(agents)
+        # equal distances: cost order is id order, so capacity 1 reads agent 1
+        greedy = {c: greedy_selection(SchedulingMode.COST_GREEDY, index, c)
+                  for c in (1, 2)}
         init = Belief(np.array([0.4, -0.2]), np.diag([0.25, 0.09]))
 
         belief = init.copy()
@@ -85,13 +92,19 @@ class TestCriterion1EstimatorOracle:
             control = float(np.cos(t / 6.0))
             state = plant.step(state, control, rng)
             belief = predict(belief, control, plant)
-            chosen = agents if t % 2 == 0 else [agents[0]]
-            stacked = stack(chosen, 2)
-            values = stacked.matrix @ state + 0.1 * rng.standard_normal(
-                stacked.matrix.shape[0])
-            belief = update(belief, stacked, values)
-            step_obs = [(row, agent.variance, value)
-                        for row, agent, value in zip(stacked.matrix, chosen, values)]
+            read = []
+
+            def observe(positions):
+                values = state.take([index.features[p] for p in positions]) \
+                    + 0.1 * rng.standard_normal(len(positions))
+                read.extend(zip(positions, values.tolist()))
+                return values
+
+            belief = baseline_schedule(
+                SchedulingMode.COST_GREEDY, belief, index, rng, observe_fn=observe,
+                greedy=greedy[2 if t % 2 == 0 else 1]).posterior
+            step_obs = [(np.eye(2)[index.features[p]], index.variance[p], value)
+                        for p, value in read]
             controls.append(control)
             observations.append(step_obs)
             track.append((belief.mean.copy(), belief.cov.copy()))

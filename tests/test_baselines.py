@@ -1,13 +1,21 @@
 """Benchmark scheduling mode tests."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from twinloop import Belief, InvalidInputError, SchedulingMode, baseline_schedule
+from twinloop import (Belief, ExperimentConfig, InvalidInputError, SchedulingMode,
+                      TwinLoop, baseline_schedule)
 from twinloop.scheduler import greedy_selection
-from tests.helpers import (diag_belief, indexed, random_case, reference_baseline_schedule,
-                           reference_traditional, same_bits, scalar_agent,
-                           seeded_observer, seeded_reader)
+from tests.helpers import (diag_belief, exact_posterior, indexed, random_case,
+                           reference_baseline_schedule, reference_traditional,
+                           relative_error, same_bits, scalar_agent, seeded_observer,
+                           seeded_reader)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def fleet_with_distances(distances, feature=0, variance=0.01):
@@ -101,8 +109,10 @@ class TestGreedy:
 
 
 class TestMatchesReference:
-    """The greedy baselines, fused in the scheduler's tail, reproduce the
-    list-based greedy fused through estimator.update bit for bit."""
+    """The greedy baselines, one rank-1 step per measured feature and the
+    scheduler's fusion tail, make the selections of the list-based greedy
+    fused through estimator.update, with its posterior up to roundoff
+    (within the criterion-1 tolerance) and the same met caps."""
 
     MODES = (SchedulingMode.COST_GREEDY, SchedulingMode.ERROR_GREEDY)
 
@@ -110,8 +120,8 @@ class TestMatchesReference:
         assert got.selected_ids == want.selected_ids
         assert got.iterations == want.iterations
         assert got.posterior.qi == want.posterior.qi
-        assert same_bits(got.posterior.mean, want.posterior.mean)
-        assert same_bits(got.posterior.cov, want.posterior.cov)
+        assert relative_error(got.posterior.mean, want.posterior.mean) <= 1e-9
+        assert relative_error(got.posterior.cov, want.posterior.cov) <= 1e-9
         assert np.array_equal(got.satisfied, want.satisfied)
 
     def test_randomized_fleets(self):
@@ -162,6 +172,45 @@ class TestMatchesReference:
             seen["round_robin"] += len(want_ids) >= prior.mean.shape[0]
             seen["uniform"] += 0 < len(want_ids) < prior.mean.shape[0]
         assert min(seen.values()) >= 20, seen
+
+
+class TestIllConditionedFleet:
+    """Agents 6 and 7 of the acceptance fleet read velocity with noise 1e-14
+    and agent 2 reads position with 50. The batch guard refuses the stacked
+    innovation (its condition number passes 1e12), so the oracle here is
+    exact rational arithmetic: the readings fused one at a time without
+    roundoff, which equals the batch posterior."""
+
+    def test_greedy_posteriors_match_exact_arithmetic(self):
+        config = json.loads((PERFBENCH / "acceptance.json").read_text())
+        for record in config["fleet"]["agents"]:
+            record["variance"] = {6: 1e-14, 7: 1e-14, 2: 50.0}.get(
+                record["id"], record["variance"])
+        config = ExperimentConfig.from_dict(config).validate()
+        env = TwinLoop(dataclasses.replace(config, mode="cost_greedy"))
+        env.reset(0)
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            prior = env._prior
+            for mode in TestMatchesReference.MODES:
+                greedy = greedy_selection(mode, env.fleet_index, config.capacity)
+                chosen = greedy[0]
+                values = env._true_state.take(
+                    [env.fleet_index.features[p] for p in chosen]) \
+                    + env.fleet_index.std.take(chosen) * rng.standard_normal(len(chosen))
+                got = baseline_schedule(mode, prior, env.fleet_index, rng,
+                                        observe_fn=lambda positions: values,
+                                        greedy=greedy).posterior
+                index = env.fleet_index
+                mean, cov = exact_posterior(prior.mean, prior.cov, [
+                    (index.features[p], index.variance[p], value)
+                    for p, value in zip(chosen, values)])
+                mean, cov = np.array(mean, dtype=float), np.array(cov, dtype=float)
+                assert relative_error(got.mean, mean) <= 1e-9
+                assert relative_error(got.cov, cov) <= 1e-9
+                # each variance to its own size, the velocity's near 5e-15 too
+                assert np.all(np.abs(got.cov.diagonal() / cov.diagonal() - 1.0) <= 1e-9)
+            env.step(np.zeros(env.action_dim))
 
 
 class TestTraditional:

@@ -203,6 +203,29 @@ class TestPinnedFleetRecords:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("variances", [[1e-320], [1e-308, 1e-308]],
+                             ids=["one-agent", "summed"])
+    @VALIDATING_COMMANDS
+    def test_fleet_whose_precision_overflows_exits_one_with_one_line(
+            self, tmp_path, capsys, variances, command):
+        # 1/r overflows for one agent, or the 1/r of two agents of one
+        # feature sum past the largest float: no fusion could stay finite
+        config = json.loads(small_config_file(tmp_path).read_text())
+        config["fleet"]["agents"] = [
+            {"id": 1, "feature": 0, "variance": 6e-3, "distance": 11.5},
+            *({"id": 2 + i, "feature": 1, "variance": v, "distance": 4.4}
+              for i, v in enumerate(variances))]
+        path = tmp_path / "pinned.json"
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path), "--mode", "cost_greedy",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("invalid input: the fleet's summed noise precision "
+                       "1/variance of a feature overflows a float\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestIntegerFields:
     @pytest.mark.parametrize("section, key, value", [
         (None, "master_seed", 3.5),
@@ -277,6 +300,23 @@ class TestConfigRanges:
          "configuration error: rl.actor_lr must be a number: '1e-3'"),
         ("rl", "max_grad_norm", "0.5",
          "configuration error: rl.max_grad_norm must be a number: '0.5'"),
+        # named by the field, not by the comparison that a string fails
+        ("rl", "discount", "0.9",
+         "configuration error: rl.discount must be a number: '0.9'"),
+        ("rl", "clip_ratio", None,
+         "configuration error: rl.clip_ratio must be a number: None"),
+        ("rl", "discount", 1.0, "configuration error: rl.discount must lie in (0, 1): 1.0"),
+        ("rl", "clip_ratio", 0.0,
+         "configuration error: rl.clip_ratio must lie in (0, inf): 0.0"),
+        # finite, yet exp(logstd) or the entropy bonus would overflow and end
+        # training with exit 2 after the output directory was made
+        ("rl", "entropy_coef", 1e308,
+         "configuration error: rl.entropy_coef must lie in [-1e6, 1e6]: 1e+308"),
+        ("rl", "entropy_coef", -1e308, "rl.entropy_coef must lie in"),
+        ("rl", "initial_logstd", 800.0,
+         "configuration error: rl.initial_logstd must lie in [-20, 20]: 800.0"),
+        ("rl", "initial_logstd", -800.0, "rl.initial_logstd must lie in"),
+        ("rl", "min_logstd", 800.0, "rl.min_logstd must lie in [-20, 20]"),
         ("channel", "packet_bits", True,
          "configuration error: channel.packet_bits must be a number: True"),
         # the channel section is checked when the config is read; json.dumps
@@ -352,8 +392,32 @@ class TestConfigRanges:
 
 class TestNumericalFailure:
     def test_failure_in_the_schedulers_carries_its_qi(self, tmp_path, capsys):
+        # the linear plant does not mix its velocity into anything and has
+        # no velocity noise here, so after agent 2's reading of variance
+        # 1e-308 (finite precision 1e308) the prior velocity variance is
+        # 1e-308 too, and the next rank-1 step's innovation 2e-308 is below
+        # the smallest normal float: the guard TINY <= s fails at QI 2
+        config = {"episodes": 2, "capacity": 4, "variance_caps": [0.01, 0.001],
+                  "plant": {"name": "linear_2d", "process_noise_std": [0.02, 0.0],
+                            "episode_cap": 30},
+                  "fleet": {"agents": [
+                      {"id": 1, "feature": 0, "variance": 6e-3, "distance": 11.5},
+                      {"id": 2, "feature": 1, "variance": 1e-308, "distance": 4.4}]}}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(config))
+        for mode in ("cost_greedy", "error_greedy"):
+            with redirect_stdout(io.StringIO()):
+                code = main(["evaluate", "--config", str(path), "--mode", mode])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.count("NumericalFailureError: ill-conditioned innovation "
+                             "covariance (QI 2)") == 2
+
+    def test_a_greedy_fleet_the_batch_guard_refused_now_runs(self, tmp_path, capsys):
         # agents 6 and 7 read velocity with noise 1e-14 and agent 2 position
-        # with 50: the greedy innovation covariance is ill-conditioned at QI 1
+        # with 50: the stacked innovation covariance exceeds the batch
+        # guard's condition limit, but the rank-1 steps need no solve
+        # (tests/test_baselines.py holds their posteriors to exact arithmetic)
         config = json.loads((PERFBENCH / "acceptance.json").read_text())
         config["episodes"] = 2
         for record in config["fleet"]["agents"]:
@@ -362,11 +426,10 @@ class TestNumericalFailure:
         path = tmp_path / "ill.json"
         path.write_text(json.dumps(config))
         with redirect_stdout(io.StringIO()):
-            code = main(["evaluate", "--config", str(path), "--mode", "cost_greedy"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("NumericalFailureError: ill-conditioned innovation "
-                         "covariance (QI 1)") == 2
+            code = main(["evaluate", "--config", str(path), "--mode", "cost_greedy",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "episodes.csv").exists()
 
 
 class TestTrain:

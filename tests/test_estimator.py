@@ -1,5 +1,7 @@
 """Filter tests: prediction, stacking, fusion, and the batch-oracle check."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from twinloop import (Belief, InvalidInputError, NumericalFailureError,
 from twinloop import estimator
 from twinloop.estimator import StackedObservationModel, posterior_cov
 from tests.helpers import (batch_linear_gaussian_posterior, diag_belief,
-                           reference_ill_conditioned, same_bits, scalar_agent)
+                           exact_posterior, reference_ill_conditioned, same_bits,
+                           scalar_agent)
 
 
 class IdentityPlant:
@@ -291,6 +294,50 @@ class TestConditioningGuard:
         assert np.isfinite(cov).all()
         cov = estimator.scalar_posterior_cov(np.diag([0.5, 0.1]), 0, 0.5)
         assert cov[0, 0] == pytest.approx(0.25, rel=1e-15) and cov[1, 1] == 0.1
+
+
+class TestScalarStepExactness:
+    """The rank-1 step against exact arithmetic, entry by entry, for prior
+    variance to noise ratios P_kk / r from 1 to 1e12. The read feature's row
+    and column are held to their own size: P_kk - P_kk^2 / s cancels there
+    when P_kk >> r, which error measured against the largest entry hides."""
+
+    RATIOS = 10.0 ** np.arange(13)
+
+    def assert_exact(self, cov, feature, variance, tol=1e-15):
+        got = estimator.scalar_posterior_cov(cov, feature, variance)
+        _, want = exact_posterior(cov.diagonal(), cov, [(feature, variance, None)])
+        for i, row in enumerate(want):
+            for j, w in enumerate(row):
+                # an entry of neither the diagonal nor the read column can
+                # cancel in exact arithmetic too (a conditional correlation
+                # near 0), so it is held to its row and column's scale
+                scale = (abs(w) if i == j or feature in (i, j)
+                         else float(want[i][i] * want[j][j]) ** 0.5)
+                err = abs(Fraction(float(got[i, j])) - w)
+                assert err <= Fraction(tol) * Fraction(scale), (i, j, float(err))
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_uncorrelated_prior(self, ratio):
+        # the velocity of the mountain car's start belief, read ever better
+        cov = np.diag([1.0 / 300.0, 1e-4])
+        self.assert_exact(cov, 1, 1e-4 / ratio)
+        self.assert_exact(cov, 0, cov[0, 0] / ratio)
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_correlated_priors(self, ratio):
+        # correlations of at most 1/2, so only the read column can cancel
+        rng = np.random.default_rng(int(np.log10(ratio)))
+        for _ in range(20):
+            dim = int(rng.integers(2, 5))
+            a = rng.normal(size=(dim, dim + 2))
+            c = a @ a.T
+            d = np.sqrt(c.diagonal())
+            corr = 0.5 * c / np.outer(d, d) + 0.5 * np.eye(dim)
+            std = 10.0 ** rng.uniform(-4, 0, dim)
+            cov = estimator.symmetrize(corr * np.outer(std, std))
+            k = int(rng.integers(dim))
+            self.assert_exact(cov, k, cov[k, k] / ratio)
 
 
 class TestSymmetrizeOnce:

@@ -8,7 +8,7 @@ import pytest
 from twinloop import (PLANT_REGISTRY, ConfigurationError, ExperimentConfig,
                       InvalidInputError, LinearPlant, NumericalFailureError,
                       SchedulingMode, TwinLoop, estimator, export_traces,
-                      run_episode)
+                      run_episode, scheduler)
 from twinloop.harness import fresh_policy, write_csv
 from tests.helpers import reference_trace_columns, reference_trace_rows
 
@@ -190,19 +190,49 @@ class TestModeBehaviors:
 class TestGreedyModel:
     @pytest.mark.parametrize("mode", ["cost_greedy", "error_greedy"])
     def test_built_once_per_loop_and_read_only(self, mode, monkeypatch):
-        # mode, fleet and capacity fix the selection: no QI stacks it again
+        # mode, fleet and capacity fix the selection and its fusion steps:
+        # the loop builds them once, as tuples, and no QI builds them again
         calls = []
-        real = estimator.stack
-        monkeypatch.setattr(estimator, "stack",
+        real = scheduler.greedy_selection
+        monkeypatch.setattr(scheduler, "greedy_selection",
                             lambda *args: calls.append(1) or real(*args))
         env = TwinLoop.from_config(loop_config(mode), record_trace=True)
         env.reset(0)
         for _ in range(5):
             env.step(np.zeros(env.action_dim))
         assert len(calls) == 1
-        _, model = env._greedy
-        assert not model.matrix.flags.writeable
-        assert not model.noise_cov.flags.writeable
+        chosen, steps = env._greedy
+        assert isinstance(chosen, tuple) and isinstance(steps, tuple)
+        assert all(isinstance(step, tuple) for step in steps)
+        # one step per measured feature, in feature order, whose noise is
+        # that of the feature's readings taken together: 1 / sum(1 / r)
+        index = env.fleet_index
+        features = [index.features[p] for p in chosen]
+        assert [k for k, _ in steps] == sorted(set(features))
+        for k, r in steps:
+            precision = sum(1.0 / index.variance[p] for p in chosen
+                            if index.features[p] == k)
+            assert r == pytest.approx(1.0 / precision, rel=1e-15)
+
+    @pytest.mark.parametrize("mode", [m.value for m in SchedulingMode])
+    def test_no_qi_calls_the_batch_oracle(self, mode, monkeypatch):
+        # every mode fuses with rank-1 steps: no stacked model, batch
+        # posterior, solve or eigenvalue guard, in the loop or in a QI
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return call
+
+        for name in ("posterior_cov", "stack", "update"):
+            monkeypatch.setattr(estimator, name, forbidden(name))
+        env = TwinLoop.from_config(loop_config(mode), record_trace=True)
+        # the plant checks its process covariance with eigvalsh when built
+        for name in ("eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, name, forbidden(name))
+        env.reset(0)
+        for _ in range(10):
+            env.step(np.zeros(env.action_dim))
+        assert (sum(env.selected_counts) > 0) is (mode != "perfect")
 
 
 class TestTrace:

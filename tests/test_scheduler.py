@@ -344,6 +344,7 @@ class TestFleetIndex:
         assert index.features == (0, 1, 0)
         assert index.variance.tolist() == [0.01, 0.001, 0.001]
         assert same_bits(index.std, np.sqrt([0.01, 0.001, 0.001]))
+        assert same_bits(index.precision, 1.0 / np.array([0.01, 0.001, 0.001]))
         assert index.state_dim == 2
 
     def test_immutable(self):
@@ -354,6 +355,22 @@ class TestFleetIndex:
             index.variance[0] = 2.0
         with pytest.raises(ValueError):
             index.std[0] = 2.0
+        with pytest.raises(ValueError):
+            index.precision[0] = 2.0
+
+    @pytest.mark.parametrize("variances, overflows", [
+        ([1e-320], True), ([1e-308, 1e-308], True), ([1e-308], False),
+        ([1e-308, 1e-2], False)])
+    def test_fleet_whose_summed_precision_overflows_rejected(self, variances,
+                                                             overflows):
+        # no selection sums more of a feature's precisions than the fleet
+        fleet = [scalar_agent(1, 0, 0.01)] + [scalar_agent(2 + i, 1, v)
+                                              for i, v in enumerate(variances)]
+        if overflows:
+            with pytest.raises(InvalidInputError, match="precision"):
+                FleetIndex(fleet, 2)
+        else:
+            assert np.isfinite(FleetIndex(fleet, 2).precision).all()
 
     @pytest.mark.parametrize("feature, state_dim", [(2, 2), (5, 2), (0, 0)])
     def test_feature_outside_the_state_rejected(self, feature, state_dim):
