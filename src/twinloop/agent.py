@@ -110,25 +110,35 @@ def base_reward(control: float, reached_goal: bool,
 
 def shape_reward(reward: float, accuracy, kappa: float,
                  cost_mode: CostMode = CostMode.PENALTY) -> float:
-    """Fold the accuracy request into the reward according to ``cost_mode``."""
+    """Fold the accuracy request into the reward according to ``cost_mode``.
+
+    The request's sum is numpy's; its mean is that sum over its length, as
+    np.mean takes it."""
     if kappa < 0:
         raise InvalidInputError("kappa must be nonnegative")
     eta = np.asarray(accuracy, dtype=float)
-    mode = CostMode(cost_mode)
-    if mode is CostMode.PENALTY:
-        return float(reward - kappa * eta.mean())
-    return float(reward + kappa * 0.5 * eta.sum())
+    if type(cost_mode) is not CostMode:
+        cost_mode = CostMode(cost_mode)
+    total = float(eta.sum())
+    if cost_mode is CostMode.PENALTY:
+        return float(reward - kappa * (total / eta.size))
+    return float(reward + kappa * 0.5 * total)
 
 
 def decode_action(raw, eta_max: float, control_dim: int = 1) -> AugmentedAction:
     """Map a raw policy output in [-1, 1]^(Z+K) onto controls and accuracies.
 
     Out-of-range raw entries (including +-inf) are clamped before mapping.
+    The clamps are taken on floats: min(max(x, lo), hi) keeps x on a tie
+    and a NaN x, as np.minimum(hi, np.maximum(lo, x)) does.
     """
-    raw = np.atleast_1d(np.asarray(raw, dtype=float))
-    control = np.minimum(1.0, np.maximum(-1.0, raw[:control_dim]))
-    eta = np.minimum(eta_max, np.maximum(0.0, eta_max * (raw[control_dim:] + 1.0) / 2.0))
-    return AugmentedAction(control, eta)
+    raw = np.asarray(raw, dtype=float).tolist()
+    if not isinstance(raw, list):   # a 0-d input, as np.atleast_1d takes it
+        raw = [raw]
+    control = [min(max(x, -1.0), 1.0) for x in raw[:control_dim]]
+    eta = [min(max(eta_max * (x + 1.0) / 2.0, 0.0), eta_max)
+           for x in raw[control_dim:]]
+    return AugmentedAction(np.array(control), np.array(eta))
 
 
 class RunningNormalizer:
@@ -139,25 +149,41 @@ class RunningNormalizer:
         self.var = np.ones(dim)
         self.count = 0.0
         self.clip = clip
+        self._scaled = (None, None)
 
     def normalize(self, x, update: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.count > 1:
-            out = (x - self.mean) / np.sqrt(self.var + 1e-8)
+            out = (x - self.mean) / self._scale()
         else:
             out = x
         if update:
             self._update(x)
         return np.minimum(self.clip, np.maximum(-self.clip, out))
 
+    def _scale(self) -> np.ndarray:
+        """sqrt(var + 1e-8), computed once per ``var`` array: ``_update``
+        and ``from_state`` replace the array rather than write into it."""
+        var, scale = self._scaled
+        if var is not self.var:
+            scale = np.sqrt(self.var + 1e-8)
+            self._scaled = (self.var, scale)
+        return scale
+
     def _update(self, x):
-        # Welford update, one sample at a time
+        # Welford update, one sample at a time, elementwise on floats
+        if x.shape != self.mean.shape:
+            raise InvalidInputError(f"input shape {x.shape} != {self.mean.shape}")
         self.count += 1.0
-        delta = x - self.mean
-        self.mean = self.mean + delta / self.count
-        if self.count > 1:
-            self.var = self.var * (self.count - 2) / (self.count - 1) \
-                + delta * (x - self.mean) / (self.count - 1)
+        count = self.count
+        x, mean = x.tolist(), self.mean.tolist()
+        delta = [v - m for v, m in zip(x, mean)]
+        mean = [m + d / count for m, d in zip(mean, delta)]
+        self.mean = np.array(mean)
+        if count > 1:
+            self.var = np.array([
+                s * (count - 2) / (count - 1) + d * (v - m) / (count - 1)
+                for s, d, v, m in zip(self.var.tolist(), delta, x, mean)])
 
     def state(self) -> dict:
         return {"mean": self.mean.tolist(), "var": self.var.tolist(),
@@ -202,11 +228,16 @@ class Mlp:
         if x.shape[1] != self.sizes[0]:
             raise InvalidInputError(
                 f"input width {x.shape[1]} != expected {self.sizes[0]}")
+        # ndarray.dot calls the BLAS product that @ calls, with less
+        # dispatch; the bias and tanh go into the product's own array
         cache = [x]
         h = x
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            h = z if i == len(self.weights) - 1 else np.tanh(z)
+            h = h.dot(w)
+            h += b
+            if i != last:
+                np.tanh(h, out=h)
             cache.append(h)
         return h, cache
 

@@ -207,15 +207,22 @@ def required_power(distance_m: float, params: ChannelParams) -> float:
     paper's closed form refined on the Marcum Q tail), so the outage at this
     power equals epsilon up to floating-point error. Grows with the
     path-loss distance term d^alpha and with the rate demand
-    2^(D / (tau_max W)) - 1.
+    2^(D / (tau_max W)) - 1. Raises InvalidInputError unless the distance
+    and the power are positive and finite.
     """
     if not 0 < distance_m < math.inf:
         raise InvalidInputError("distance must be positive and finite")
     y = y_q(params.rician_factor, params.outage_epsilon)
-    return (2.0 * params.noise_power_w * (1.0 + params.rician_factor)
-            * params.rate_demand
-            * distance_m ** params.path_loss_exponent
-            / (y * y * params.system_gain))
+    try:
+        path_loss = distance_m ** params.path_loss_exponent
+    except OverflowError:
+        path_loss = math.inf
+    power = (2.0 * params.noise_power_w * (1.0 + params.rician_factor)
+             * params.rate_demand * path_loss / (y * y * params.system_gain))
+    if not 0.0 < power < math.inf:
+        raise InvalidInputError(f"the link power at {distance_m!r} m is not a positive "
+                                f"finite float: {power!r}")
+    return power
 
 
 def sample_rician_gain(rician_factor: float, rng, size=None):

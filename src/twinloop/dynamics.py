@@ -77,16 +77,16 @@ class MountainCar:
 
     def f(self, state) -> np.ndarray:
         """Noiseless zero-control next-state map, without clamping."""
-        pos, vel = state
-        new_vel = vel - self.params.gravity * np.cos(3.0 * pos)
+        pos, vel = np.asarray(state, dtype=float).tolist()
+        new_vel = vel - self.params.gravity * _cos(3.0 * pos)
         return np.array([pos + new_vel, new_vel])
 
     def jacobian(self, state) -> np.ndarray:
         """d f / d state. Matches central finite differences of ``f``."""
-        state = np.asarray(state, dtype=float)
-        if not np.isfinite(state).all():
+        pos, vel = np.asarray(state, dtype=float).tolist()
+        if not (math.isfinite(pos) and math.isfinite(vel)):
             raise InvalidInputError("non-finite state")
-        slope = 3.0 * self.params.gravity * np.sin(3.0 * state[0])
+        slope = 3.0 * self.params.gravity * _sin(3.0 * pos)
         return np.array([[1.0 + slope, 1.0],
                          [slope, 1.0]])
 
@@ -99,7 +99,10 @@ class MountainCar:
         unconditionally.
         """
         state = np.asarray(state, dtype=float)
-        if state.shape != (2,) or not np.isfinite(state).all():
+        if state.shape != (2,):
+            raise InvalidInputError(f"invalid state {state!r}")
+        pos, vel = state.tolist()
+        if not (math.isfinite(pos) and math.isfinite(vel)):
             raise InvalidInputError(f"invalid state {state!r}")
         control = float(control)
         if not math.isfinite(control):
@@ -107,16 +110,16 @@ class MountainCar:
         control = min(max(control, -1.0), 1.0)
         p = self.params
         if self._noise_scale is None:
-            u = np.zeros(2)
+            du = dv = 0.0
         else:
-            u = self._noise_scale @ rng.standard_normal(2)
+            du, dv = self._noise_scale.dot(rng.standard_normal(2)).tolist()
         # state, control and noise are finite here, so min(max(x, lo), hi)
         # gives the bits np.clip gives for a scalar, signed zeros included
         lo, hi = p.velocity_bounds
-        vel = state[1] + p.force_gain * control - p.gravity * np.cos(3.0 * state[0]) + u[1]
+        vel = vel + p.force_gain * control - p.gravity * _cos(3.0 * pos) + dv
         vel = float(min(max(vel, lo), hi))
         lo, hi = p.position_bounds
-        pos = state[0] + vel + u[0]
+        pos = pos + vel + du
         pos = float(min(max(pos, lo), hi))
         return np.array([pos, vel])
 
@@ -179,16 +182,14 @@ class LinearPlant:
 
 
 def build_mountain_car(process_noise_std, **kwargs) -> MountainCar:
-    sp, sv = process_noise_std
     return MountainCar(MountainCarParams(**kwargs),
-                       process_cov=np.diag([sp ** 2, sv ** 2]))
+                       process_cov=_diagonal_cov(process_noise_std))
 
 
 def build_linear_2d(process_noise_std, **kwargs) -> LinearPlant:
-    sp, sv = process_noise_std
     return LinearPlant(transition=[[1.0, 1.0], [0.0, 1.0]],
                        control_matrix=[[0.0], [1.0]],
-                       process_cov=np.diag([sp ** 2, sv ** 2]),
+                       process_cov=_diagonal_cov(process_noise_std),
                        feature_names=("pos", "vel"), **kwargs)
 
 
@@ -196,6 +197,35 @@ PLANT_REGISTRY = {
     "mountain_car": build_mountain_car,
     "linear_2d": build_linear_2d,
 }
+
+
+def _cos(x: float) -> float:
+    """np.cos(x) for a float: math.cos has its bits, and NaN stands for
+    math.cos's ValueError at +-inf."""
+    try:
+        return math.cos(x)
+    except ValueError:
+        return math.nan
+
+
+def _sin(x: float) -> float:
+    """np.sin(x) for a float, as ``_cos`` is np.cos."""
+    try:
+        return math.sin(x)
+    except ValueError:
+        return math.nan
+
+
+def _diagonal_cov(process_noise_std) -> np.ndarray:
+    """diag(sp^2, sv^2) of the (position, velocity) noise standard
+    deviations. Raises InvalidInputError when a square overflows a float,
+    where ``**`` raises OverflowError."""
+    sp, sv = process_noise_std
+    try:
+        return np.diag([sp ** 2, sv ** 2])
+    except OverflowError:
+        raise InvalidInputError(f"process_noise_std squared overflows a float: "
+                                f"{process_noise_std!r}") from None
 
 
 def _check_psd(matrix, name):

@@ -63,7 +63,10 @@ class Belief:
 
     @property
     def std(self) -> np.ndarray:
-        return np.sqrt(np.maximum(self.cov.diagonal(), 0.0))
+        """sqrt(max(var, 0)) per feature, NaN kept, as np.sqrt(np.maximum(
+        var, 0.0)) gives it: taken on floats, a tie with 0.0 gives +0.0."""
+        return np.array([math.sqrt(max(0.0, v)) if v == v else v
+                         for v in self.cov.diagonal().tolist()])
 
     def copy(self) -> "Belief":
         return Belief(self.mean.copy(), self.cov.copy(), self.qi)
@@ -100,16 +103,23 @@ def predict(belief: Belief, control, model) -> Belief:
     """Blind prediction: mean through f + B a, covariance through P Psi P^T + C_u.
 
     The mean update is deterministic; process noise enters only through the
-    covariance inflation.
+    covariance inflation. The products use ``ndarray.dot``, which calls the
+    BLAS routine that ``@`` calls with less dispatch, and the finiteness
+    check reads the entries as floats.
     """
+    qi = belief.qi + 1
     with np.errstate(over="ignore", invalid="ignore"):
         jac = model.jacobian(belief.mean)
-        mean = model.f(belief.mean) + model.control_matrix @ np.atleast_1d(control)
-        cov = jac @ belief.cov @ jac.T + model.process_cov
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise NumericalFailureError("non-finite belief prediction",
-                                        qi=belief.qi + 1)
-        return Belief(mean, symmetrize(cov), belief.qi + 1)
+        mean = model.f(belief.mean) + model.control_matrix.dot(np.atleast_1d(control))
+        cov = jac.dot(belief.cov).dot(jac.T) + model.process_cov
+        if not _finite(mean.tolist() + cov.ravel().tolist()):
+            raise NumericalFailureError("non-finite belief prediction", qi=qi)
+        return Belief(mean, symmetrize(cov), qi)
+
+
+def _finite(values) -> bool:
+    """Every float in ``values`` is finite."""
+    return all(map(math.isfinite, values))
 
 
 def stack(selected, state_dim: int) -> StackedObservationModel:
@@ -161,24 +171,31 @@ def scalar_posterior_cov(cov, feature: int, variance: float) -> np.ndarray:
     do not depend on their order), so the result needs no ``symmetrize``.
     Row and column k are then written from c (r / s), which they equal in
     exact arithmetic: the difference above cancels there when P_kk >> r,
-    and the read feature's variance would lose digits. ``cov`` must be
-    finite and symmetric, as ``predict`` and this function return it.
-    Raises NumericalFailureError unless TINY <= s < inf, the one-row case
-    of the conditioning guard.
+    and the read feature's variance would lose digits. Each entry takes one
+    float operation per step, on floats, which gives the bits of the same
+    steps on arrays. ``cov`` must be finite and symmetric, as ``predict``
+    and this function return it. Raises NumericalFailureError unless
+    TINY <= s < inf, the one-row case of the conditioning guard.
     """
-    c = cov[:, feature]
-    s = float(c[feature]) + variance
+    rows = cov.tolist()
+    variance = float(variance)
+    c = [row[feature] for row in rows]
+    s = c[feature] + variance
     if not TINY <= s < math.inf:
         raise NumericalFailureError("ill-conditioned innovation covariance")
-    g = c * (1.0 / s)
-    gc = g[:, None] * c
-    out = cov - (gc + gc.T) + s * (g[:, None] * g)
+    inverse = 1.0 / s
+    g = [x * inverse for x in c]
+    out = [[p - (gi * cj + gj * ci) + s * (gi * gj)
+            for p, gj, cj in zip(row, g, c)]
+           for row, gi, ci in zip(rows, g, c)]
     # P+ e_k = c r / s exactly; the subtraction above cancels in column k
     # when P_kk >> r, so row and column k are written from it
-    column = c * (variance / s)
+    ratio = variance / s
+    column = [x * ratio for x in c]
+    for row, x in zip(out, column):
+        row[feature] = x
     out[feature] = column
-    out[:, feature] = column
-    return out
+    return np.array(out)
 
 
 def _ill_conditioned(s) -> bool:
@@ -222,7 +239,7 @@ def fused_mean(prior: Belief, features, gain, values: np.ndarray) -> np.ndarray:
     ``scheduler._readings`` checks that before this is called. m[features]
     is H m of the selection's one-hot rows.
     """
-    mean = prior.mean + gain @ (values - prior.mean.take(features))
-    if not np.isfinite(mean).all():
+    mean = prior.mean + gain.dot(values - prior.mean.take(features))
+    if not _finite(mean.tolist()):
         raise NumericalFailureError("non-finite posterior mean", qi=prior.qi)
     return mean

@@ -30,9 +30,10 @@ import numpy as np
 
 from . import sensing
 from .agent import PolicyNetwork, PpoHyperparams
-from .channel import ChannelParams
+from .channel import ChannelParams, required_power
 from .dynamics import PLANT_REGISTRY
 from .errors import ConfigurationError, InvalidInputError, TwinloopError
+from .estimator import TINY
 from .loop import TwinLoop, episode_seed
 from .scheduler import SchedulingMode
 
@@ -125,14 +126,23 @@ class ExperimentConfig:
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigurationError(f"rl.{f.name} must be finite: {value!r}")
         # a logstd within +-20 keeps std = exp(logstd) in [2e-9, 5e8], so the
-        # standardized actions and their squares stay far inside a float, and
-        # an entropy_coef within +-1e6 keeps the entropy bonus and its
-        # gradient, which the global-norm clip squares, as far inside
+        # standardized actions and their squares stay far inside a float;
+        # an entropy_coef, reward weight or eta_max within 1e6 of zero keeps
+        # the losses and their gradients, which the global-norm clip
+        # squares, as far inside; an Adam step moves each parameter by
+        # about the learning rate, and one above 1 (100 in a 2,048-step
+        # run) drove logstd past exp's range. At 1e308 each of them, and a
+        # gae_lambda, ended training with a non-finite loss
         rl = self.rl
         for name, ok, bounds in (
                 ("discount", 0.0 < rl.discount < 1.0, "(0, 1)"),
+                ("gae_lambda", 0.0 <= rl.gae_lambda <= 1.0, "[0, 1]"),
                 ("clip_ratio", rl.clip_ratio > 0.0, "(0, inf)"),
                 ("entropy_coef", -1e6 <= rl.entropy_coef <= 1e6, "[-1e6, 1e6]"),
+                ("actor_lr", 0.0 <= rl.actor_lr <= 1.0, "[0, 1]"),
+                ("critic_lr", 0.0 <= rl.critic_lr <= 1.0, "[0, 1]"),
+                ("reward_weight", rl.reward_weight <= 1e6, "[0, 1e6]"),
+                ("eta_max", rl.eta_max <= 1e6, "[0, 1e6]"),
                 ("initial_logstd", -20.0 <= rl.initial_logstd <= 20.0, "[-20, 20]"),
                 ("min_logstd", -20.0 <= rl.min_logstd <= 20.0, "[-20, 20]")):
             if not ok:
@@ -145,13 +155,19 @@ class ExperimentConfig:
                                      f"{self.variance_caps!r}") from None
         if not (caps > 0).all():
             raise ConfigurationError("variance caps must be positive")
+        # a subnormal cap turns variance / cap into inf
+        if not (caps >= TINY).all():
+            raise ConfigurationError(f"variance caps must be at least the smallest "
+                                     f"normal float {TINY!r}: {self.variance_caps!r}")
         if self.plant.name not in PLANT_REGISTRY:
             raise ConfigurationError(f"unknown plant {self.plant.name!r}")
-        # a bad plant, cap count or fleet fails here, before any episode runs
+        # a bad plant, cap count, fleet or link power fails here, before any
+        # episode runs
         plant = self.build_plant()
         if caps.shape != (plant.dim,):
             raise ConfigurationError("need one variance cap per state feature")
-        self.build_fleet(plant)
+        for a in self.build_fleet(plant).agents:
+            required_power(a.distance_m, self.channel)
         return self
 
     def build_plant(self):

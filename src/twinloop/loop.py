@@ -126,11 +126,11 @@ class TwinLoop:
         raw = np.asarray(raw_action, dtype=float)
         if raw.shape != (self.action_dim,):
             raise InvalidInputError(f"action shape {raw.shape} != ({self.action_dim},)")
-        if np.isnan(raw).any():
+        if any(map(math.isnan, raw.tolist())):
             raise NumericalFailureError("non-finite policy action", qi=self._qi)
         try:
             action = decode_action(raw, self.eta_max, self.control_dim)
-            control = float(action.control[0])
+            control = action.control.item(0)
 
             if self.mode is SchedulingMode.REVERB:
                 caps = scheduler.requested_caps(self.variance_caps, action.accuracy)
@@ -162,13 +162,15 @@ class TwinLoop:
             self.episode_power += power
             self.error_norms.append(math.sqrt(error.dot(error)))  # np.linalg.norm's bits
             self.selected_counts.append(len(decision.selected_ids))
-            satisfied = bool(decision.satisfied.all())
+            satisfied = all(decision.satisfied.tolist())
             self.satisfied_flags.append(satisfied)
             if self.record_trace:
                 # plain values only; trace_table derives the rest
-                self.trace.append((self._qi, *np.concatenate((
-                    self._true_state, posterior.mean, posterior.cov.diagonal(),
-                    self._prior.cov.diagonal(), caps, action.accuracy)).tolist(),
+                self.trace.append((
+                    self._qi, *self._true_state.tolist(), *posterior.mean.tolist(),
+                    *posterior.cov.diagonal().tolist(),
+                    *self._prior.cov.diagonal().tolist(), *caps.tolist(),
+                    *action.accuracy.tolist(),
                     decision.selected_ids, power, control, reward, satisfied))
 
             terminated = reached_goal

@@ -32,7 +32,8 @@ feature, and its noise variance that feature's variance, uncorrelated with
 the rest.
 
 A selection is the tuple of its agents' positions in the fleet, and the
-readings are requested as ``observe_fn(positions)``. Reading and fusing a
+readings are requested as ``observe_fn(positions)``; a ``Selection`` is
+such a tuple with the lookups its fusion reads, built once with it. Reading and fusing a
 selection whose posterior covariance is known is ``_fused_decision``,
 shared by REVERB and the greedy modes; a reading of feature k is fused
 against the prior mean of feature k. Per-fleet lookups (agents per feature
@@ -89,10 +90,10 @@ def effective_thresholds(variance_caps, accuracy_request) -> np.ndarray:
 def requested_caps(caps, eta) -> np.ndarray:
     """min(cap_k, 1/eta_k), with 1/0 treated as +inf, for inputs known good:
     positive caps and a float request of their length in [0, inf), as
-    ``agent.decode_action`` returns it from an action without NaN."""
-    requested = np.full(eta.shape, np.inf)
-    np.divide(1.0, eta, out=requested, where=eta > 0)
-    return np.minimum(caps, requested)
+    ``agent.decode_action`` returns it from an action without NaN. Taken on
+    floats: a division and a minimum per feature give numpy's bits."""
+    return np.array([min(cap, 1.0 / e) if e > 0 else cap
+                     for cap, e in zip(caps.tolist(), eta.tolist())])
 
 
 @dataclass
@@ -128,38 +129,54 @@ def schedule(prior: Belief, caps: np.ndarray, index: sensing.FleetIndex,
         raise InvalidInputError("capacity must be nonnegative")
 
     cov = prior.cov
-    features, variance = index.features, index.variance
+    bounds = caps.tolist()
+    features, variance = index.features, index.variance.tolist()
     chosen = []           # fleet positions, in selection order
     limit = min(capacity, len(index))
 
     while len(chosen) < limit:
-        diag = cov.diagonal()
-        violated = (diag > caps).nonzero()[0]
-        if violated.size == 0:
-            break
+        diag = cov.diagonal().tolist()
         # candidate features: violated AND measurable by an available agent;
         # each one's cheapest available agent (noise variance, then agent id)
         picks = {}
-        for k in violated.tolist():
-            pick = next((p for p in index.by_feature[k] if p not in chosen), None)
-            if pick is not None:
-                picks[k] = pick
+        for k, (v, cap) in enumerate(zip(diag, bounds)):
+            if v > cap:
+                pick = next((p for p in index.by_feature[k] if p not in chosen), None)
+                if pick is not None:
+                    picks[k] = pick
         if not picks:
             break
         # largest ratio wins; ties break on the lowest feature index
-        candidates = list(picks)
-        ratios = diag[candidates] / caps[candidates]
-        pick = picks[candidates[int(ratios.argmax())]]
+        pick = picks[max(picks, key=lambda k: diag[k] / bounds[k])]
         chosen.append(pick)
         cov = estimator.scalar_posterior_cov(cov, features[pick], variance[pick])
-    return _fused_decision(prior, index, chosen, cov, caps, observe_fn)
+    return _fused_decision(prior, Selection(index, chosen) if chosen else (),
+                           cov, caps, observe_fn)
+
+
+class Selection(tuple):
+    """The fleet positions of a selection, in order, with the lookups its
+    fusion reads, built with it: each agent's feature (``features``, an
+    index array), noise precision 1/variance as a column (``precision``)
+    and id (``ids``). A greedy mode's is built once per loop, by
+    ``greedy_selection``; REVERB's once per QI."""
+
+    def __new__(cls, index: sensing.FleetIndex, positions):
+        selection = super().__new__(cls, positions)
+        selection.features = np.array([index.features[p] for p in selection],
+                                      dtype=np.intp)
+        selection.precision = index.precision.take(selection)[:, None]
+        selection.ids = tuple(index.ids[p] for p in selection)
+        selection.features.setflags(write=False)
+        selection.precision.setflags(write=False)
+        return selection
 
 
 def greedy_selection(mode: SchedulingMode, index: sensing.FleetIndex,
                      capacity: int):
-    """What a greedy mode reads every QI, as a pair of tuples: the fleet
-    positions of the first min(C, M) agents in distance or error order, and
-    one (feature, r_k) step per feature they measure, in feature order,
+    """What a greedy mode reads every QI, as a pair of tuples: the
+    ``Selection`` of the first min(C, M) agents in distance or error order,
+    and one (feature, r_k) step per feature they measure, in feature order,
     where r_k = 1 / sum(1 / r_i) over the selected agents reading feature k.
     None for the other modes, which read no fixed selection."""
     mode = SchedulingMode(mode)
@@ -172,7 +189,8 @@ def greedy_selection(mode: SchedulingMode, index: sensing.FleetIndex,
     for p in chosen:
         k = index.features[p]
         precision[k] = precision.get(k, 0.0) + float(index.precision[p])
-    return chosen, tuple((k, 1.0 / precision[k]) for k in sorted(precision))
+    return (Selection(index, chosen),
+            tuple((k, 1.0 / precision[k]) for k in sorted(precision)))
 
 
 def baseline_schedule(mode: SchedulingMode, prior: Belief,
@@ -190,14 +208,15 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
     fixed variance caps that ``satisfied`` is judged by; None counts every
     cap as met.
     """
-    mode = SchedulingMode(mode)
+    if type(mode) is not SchedulingMode:
+        mode = SchedulingMode(mode)
     if mode is SchedulingMode.REVERB:
         raise InvalidInputError("the adaptive mode is served by schedule")
     if mode is SchedulingMode.PERFECT:
         if true_state is None:
             raise InvalidInputError("PERFECT mode needs the true state")
         posterior = Belief(np.asarray(true_state, dtype=float),
-                           np.zeros_like(prior.cov), prior.qi)
+                           np.zeros(prior.cov.shape), prior.qi)
         return ScheduleDecision((), posterior, _caps_met(posterior, caps))
 
     if mode in GREEDY_MODES:
@@ -211,7 +230,7 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
         cov = prior.cov
         for k, r in steps:
             cov = estimator.scalar_posterior_cov(cov, k, r)
-        return _fused_decision(prior, index, chosen, cov, caps, observe_fn)
+        return _fused_decision(prior, chosen, cov, caps, observe_fn)
 
     # TRADITIONAL: raw readings substituted into the belief, no filter
     # update. With one pick per interval the agent is uniform over the whole
@@ -229,43 +248,48 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
         pick = options[int(rng.integers(len(options)))]
         chosen.append(pick)
         pool.remove(pick)
-    mean = prior.mean.copy()
-    cov = prior.cov.copy()
+    # written on floats, then copied into new arrays once
+    mean = prior.mean.tolist()
+    rows = prior.cov.tolist()
     if chosen and observe_fn is not None:
-        values = _readings(observe_fn, chosen)
+        values = _readings(observe_fn, chosen).tolist()
         for p, value in zip(chosen, values):
             k = index.features[p]
             mean[k] = value
-            cov[k, :] = 0.0
-            cov[:, k] = 0.0
-            cov[k, k] = index.variance[p]
-    posterior = Belief(mean, cov, prior.qi)
+            for row in rows:
+                row[k] = 0.0
+            rows[k] = [0.0] * dim
+            rows[k][k] = float(index.variance[p])
+    posterior = Belief(np.array(mean), np.array(rows), prior.qi)
     return ScheduleDecision(tuple(index.ids[p] for p in chosen), posterior,
                             _caps_met(posterior, caps))
 
 
-def _fused_decision(prior: Belief, index, chosen, cov, caps,
+def _fused_decision(prior: Belief, selection: Selection, cov, caps,
                     observe_fn) -> ScheduleDecision:
-    """The decision that fuses the agents at fleet positions ``chosen``.
+    """The decision that fuses the agents of ``selection``, a ``Selection``
+    or, when nothing was chosen, an empty tuple.
 
     ``cov`` is their posterior covariance, not read when nothing was
-    chosen. The readings are ``observe_fn(chosen)``, fused with the joint
-    gain K = P+ H^T R^-1, which needs no solve: H^T picks the measured
-    columns and R is diagonal. Without ``observe_fn`` the posterior keeps
-    the prior mean. ``caps`` None counts every cap as met.
+    chosen. The readings are ``observe_fn(selection)``, fused with the
+    joint gain K = P+ H^T R^-1, which needs no solve: H^T picks the
+    measured columns and R is diagonal. Without ``observe_fn`` the
+    posterior keeps the prior mean. ``caps`` None counts every cap as met.
     """
-    if not chosen:
+    if not selection:
         posterior = prior.copy()
-    elif observe_fn is None:
+        return ScheduleDecision((), posterior, _caps_met(posterior, caps))
+    if observe_fn is None:
         posterior = Belief(prior.mean.copy(), cov, prior.qi)
     else:
-        values = _readings(observe_fn, chosen)
-        features = [index.features[p] for p in chosen]
-        gain = cov[:, features] * index.precision.take(chosen)
-        posterior = Belief(estimator.fused_mean(prior, features, gain, values),
+        values = _readings(observe_fn, selection)
+        # P+[:, features] taken as the transpose of rows of P+^T: the
+        # column-major layout that P+[:, features] has, whose product
+        # with the innovation sums in the same order
+        gain = (cov.T.take(selection.features, axis=0) * selection.precision).T
+        posterior = Belief(estimator.fused_mean(prior, selection.features, gain, values),
                            cov, prior.qi)
-    return ScheduleDecision(tuple(index.ids[p] for p in chosen), posterior,
-                            _caps_met(posterior, caps))
+    return ScheduleDecision(selection.ids, posterior, _caps_met(posterior, caps))
 
 
 def _readings(observe_fn, positions) -> np.ndarray:

@@ -80,15 +80,17 @@ def read(index: "FleetIndex", positions, true_state, rng, qi: int = 0) -> np.nda
     ``true_state`` is a float vector of the fleet's state dimension. One
     draw of ``len(positions)`` normals equals the agents' own draws in
     selection order, so this gives the bits of ``observe`` called agent by
-    agent. Checked finite, as ``observe`` does.
+    agent. Checked finite, as ``observe`` does. The sums are taken on
+    floats, which gives their elementwise bits.
     """
-    features = [index.features[p] for p in positions]
-    noise = index.std.take(positions) * rng.standard_normal(len(positions))
-    values = true_state.take(features) + noise
-    if not np.isfinite(values).all():
+    noise = (index.std.take(positions) * rng.standard_normal(len(positions))).tolist()
+    state = true_state.tolist()
+    features = index.features
+    values = [state[features[p]] + w for p, w in zip(positions, noise)]
+    if not all(map(math.isfinite, values)):
         ids = tuple(index.ids[p] for p in positions)
         raise InvalidInputError(f"non-finite observation from agents {ids} at QI {qi}")
-    return values
+    return np.array(values)
 
 
 def place_agents(count: int, max_distance_m: float, position_noise_levels,

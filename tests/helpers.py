@@ -7,8 +7,12 @@ QI at a time, PPO training collected one whole step at a time, and the
 straightforward forms of the per-step numerics that
 the package computes with fewer numpy calls or in place (Adam, the
 global-norm clip, the mountain-car step, action decoding, input
-normalization and the innovation conditioning guard)."""
+normalization and the innovation conditioning guard), and the array
+forms of the per-QI layers that the package now takes on floats
+(prediction, the mountain-car map and Jacobian, the requested caps, the
+rank-1 step, the fused mean and the policy input)."""
 
+import copy
 import math
 from fractions import Fraction
 
@@ -17,7 +21,7 @@ from scipy import stats
 
 from twinloop import (Belief, SensingAgentSpec, effective_thresholds, estimator,
                       sensing)
-from twinloop.errors import InvalidInputError
+from twinloop.errors import InvalidInputError, NumericalFailureError
 from twinloop.estimator import CONDITION_LIMIT
 from twinloop.scheduler import ScheduleDecision
 
@@ -550,3 +554,92 @@ def reference_train(config, hyper, seed):
                       "mean_length": recent(lengths), "goal_rate": recent(goals),
                       "logstd_mean": float(np.mean(policy.logstd)), **diags})
     return policy, curve, kinds
+
+
+def reference_predict(belief, control, model):
+    """``estimator.predict`` on arrays: f(m) + B a and J P J^T + C_u, then
+    one finiteness check and ``symmetrize``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = model.jacobian(belief.mean)
+        mean = model.f(belief.mean) + model.control_matrix @ np.atleast_1d(control)
+        cov = jac @ belief.cov @ jac.T + model.process_cov
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise NumericalFailureError("non-finite belief prediction",
+                                        qi=belief.qi + 1)
+        return Belief(mean, estimator.symmetrize(cov), belief.qi + 1)
+
+
+def reference_mountain_car_f(car, state):
+    """MountainCar.f on numpy scalars, np.cos included."""
+    pos, vel = np.asarray(state, dtype=float)
+    new_vel = vel - car.params.gravity * np.cos(3.0 * pos)
+    return np.array([pos + new_vel, new_vel])
+
+
+def reference_mountain_car_jacobian(car, state):
+    """MountainCar.jacobian with np.isfinite and np.sin."""
+    state = np.asarray(state, dtype=float)
+    if not np.isfinite(state).all():
+        raise InvalidInputError("non-finite state")
+    slope = 3.0 * car.params.gravity * np.sin(3.0 * state[0])
+    return np.array([[1.0 + slope, 1.0], [slope, 1.0]])
+
+
+def reference_requested_caps(caps, eta):
+    """min(cap, 1/eta) with np.divide where eta > 0 and np.minimum."""
+    requested = np.full(eta.shape, np.inf)
+    np.divide(1.0, eta, out=requested, where=eta > 0)
+    return np.minimum(caps, requested)
+
+
+def reference_scalar_posterior_cov(cov, feature, variance):
+    """The rank-1 Joseph step on arrays: P - (g c^T + c g^T) + s g g^T, then
+    row and column k written from c r / s."""
+    c = cov[:, feature]
+    s = float(c[feature]) + variance
+    if not np.finfo(float).tiny <= s < math.inf:
+        raise NumericalFailureError("ill-conditioned innovation covariance")
+    g = c * (1.0 / s)
+    gc = g[:, None] * c
+    out = cov - (gc + gc.T) + s * (g[:, None] * g)
+    column = c * (variance / s)
+    out[feature] = column
+    out[:, feature] = column
+    return out
+
+
+def reference_fused_mean(prior, features, gain, values):
+    """m + K (o - m[features]) on arrays, checked with np.isfinite."""
+    mean = prior.mean + gain @ (values - prior.mean.take(features))
+    if not np.isfinite(mean).all():
+        raise NumericalFailureError("non-finite posterior mean", qi=prior.qi)
+    return mean
+
+
+def reference_gain(cov, features, precision):
+    """The joint gain P+[:, features] / r, by fancy indexing."""
+    return cov[:, list(features)] * np.asarray(precision, dtype=float)
+
+
+def reference_forward(mlp, x):
+    """Mlp.forward's output as h @ W + b per layer, with a new array for
+    each product, sum and tanh."""
+    h = np.atleast_2d(np.asarray(x, dtype=float))
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = h @ w + b
+        h = z if i == len(mlp.weights) - 1 else np.tanh(z)
+    return h
+
+
+def reference_act(policy, policy_input):
+    """PolicyNetwork.act through ``reference_forward`` of one row, with the
+    input whitened by ``reference_normalize`` on a copy of the policy's
+    normalizer (its statistics are left alone)."""
+    x = reference_normalize(copy.deepcopy(policy.normalizer), policy_input)
+    return np.tanh(reference_forward(policy.actor, x[None, :])[0]), x
+
+
+def reference_policy_input(belief):
+    """The belief's mean and standard deviation sqrt(max(var, 0)),
+    concatenated."""
+    return np.concatenate([belief.mean, np.sqrt(np.maximum(belief.cov.diagonal(), 0.0))])

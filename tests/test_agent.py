@@ -1,6 +1,7 @@
 """Policy, reward shaping, gradients, and PPO machinery tests."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from twinloop.agent import (Adam, Mlp, _clip_global_norm, compute_gae,
                             gaussian_logprob, ppo_loss_and_grads, ppo_update)
 from twinloop.agent import RunningNormalizer
 from tests.helpers import (ReferenceAdam, edgy_floats, finite_difference_gradient,
-                           reference_clip_global_norm, reference_decode_action,
-                           reference_normalize, reference_train,
+                           reference_act, reference_clip_global_norm,
+                           reference_decode_action, reference_forward, reference_normalize,
+                           reference_train,
                            relative_gradient_error, same_bits)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class TestRewards:
@@ -487,3 +491,102 @@ class TestMatchesReference:
         assert same_bits(policy.logstd, ref.logstd)
         assert same_bits(policy.normalizer.mean, ref.normalizer.mean)
         assert same_bits(policy.normalizer.var, ref.normalizer.var)
+
+
+class TestFloatFormMatchesArrayForm:
+    """The per-QI policy layers keep the bits of their array forms: the
+    actor's one row through ``Mlp.forward``, the normalizer with its scale
+    cached, decoding with signed zeros at a zero bound, and the shaped
+    reward through np.mean and np.sum."""
+
+    SPECIALS = (0.0, -0.0, 10.0, -10.0, 1e6, -1e6, 1e-300)
+
+    def test_act(self):
+        rng = np.random.default_rng(71)
+        for seed in range(30):
+            policy, _ = small_policy(seed, hidden=((8, 8), (64, 64), (5,))[seed % 3])
+            for _ in range(int(rng.integers(0, 6))):
+                policy.normalizer.normalize(rng.normal(size=4), update=True)
+            for _ in range(40):
+                x = edgy_floats(rng, 4, 10.0 ** rng.uniform(-2, 2), self.SPECIALS)
+                mean, normalized = policy.act(x)
+                want_mean, want_normalized = reference_act(policy, x)
+                assert same_bits(mean, want_mean)
+                assert same_bits(normalized, want_normalized)
+
+    def test_act_on_the_committed_checkpoint(self):
+        policy = PolicyNetwork.load(PERFBENCH / "reverb_policy.json")
+        rng = np.random.default_rng(72)
+        for _ in range(500):
+            x = edgy_floats(rng, 4, 10.0 ** rng.uniform(-3, 0), self.SPECIALS)
+            mean, normalized = policy.act(x)
+            want_mean, want_normalized = reference_act(policy, x)
+            assert same_bits(mean, want_mean) and same_bits(normalized, want_normalized)
+
+    def test_forward_of_batches(self):
+        # PPO's minibatches and the one-row act share Mlp.forward
+        rng = np.random.default_rng(76)
+        for seed, rows in enumerate((1, 2, 63, 64, 65, 2048)):
+            policy, _ = small_policy(seed, hidden=(64, 64))
+            x = edgy_floats(rng, (rows, 4), 2.0, self.SPECIALS)
+            for net in (policy.actor, policy.critic):
+                got, cache = net.forward(x)
+                assert same_bits(got, reference_forward(net, x))
+                assert cache[0] is x and same_bits(cache[-1], got)
+
+    def test_cached_scale_follows_every_new_variance(self):
+        # the cache is keyed on the var array: an update, a reload or an
+        # assignment each gives the scale of the new variance
+        rng = np.random.default_rng(73)
+        norm = RunningNormalizer(3)
+        for _ in range(5):
+            norm.normalize(rng.normal(size=3), update=True)
+        x = edgy_floats(rng, 3, 2.0, self.SPECIALS)
+        for change in ("update", "reload", "assign"):
+            before = norm.normalize(x)
+            if change == "update":
+                norm.normalize(rng.normal(size=3) * 5.0, update=True)
+            elif change == "reload":
+                state = norm.state()
+                state["var"] = [v * 4.0 for v in state["var"]]
+                norm = RunningNormalizer.from_state(state)
+            else:
+                norm.var = norm.var * 9.0
+            got = norm.normalize(x)
+            assert same_bits(got, reference_normalize(norm, x))
+            assert not same_bits(got, before)
+
+    def test_zero_scale_gives_numpys_inf_and_nan(self):
+        # var = -1e-8 makes sqrt(var + 1e-8) zero: numpy's x / 0
+        norm = RunningNormalizer.from_state(
+            {"mean": [0.0, 0.0, 0.0], "var": [-1e-8, -1e-8, 1.0], "count": 5.0})
+        x = np.array([1.0, 0.0, 2.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert same_bits(norm.normalize(x), reference_normalize(norm, x))
+
+    def test_decode_action_at_a_zero_eta_max(self):
+        # eta_max 0 makes the accuracy bounds 0 and 0: signed-zero ties
+        rng = np.random.default_rng(74)
+        specials = (0.0, -0.0, 1.0, -1.0, -1.5, np.inf, -np.inf, np.nan)
+        for _ in range(500):
+            raw = edgy_floats(rng, 3, 2.0, specials)
+            for eta_max in (0.0, 1.0):
+                act = decode_action(raw, eta_max)
+                with np.errstate(invalid="ignore"):     # 0 * inf in the reference
+                    control, eta = reference_decode_action(raw, eta_max)
+                assert same_bits(act.control, control) and same_bits(act.accuracy, eta)
+        act = decode_action(np.float64(0.5), 1.0)     # a 0-d input, as atleast_1d reads it
+        assert same_bits(act.control, [0.5]) and act.accuracy.shape == (0,)
+
+    @pytest.mark.parametrize("cost_mode", ["penalty", "paper_eq24"])
+    def test_shape_reward(self, cost_mode):
+        rng = np.random.default_rng(75)
+        for _ in range(500):
+            eta = edgy_floats(rng, int(rng.integers(1, 5)), 300.0, (0.0, -0.0, 380.0))
+            reward, kappa = float(rng.normal()), float(10.0 ** rng.uniform(-7, 0))
+            want = (reward - kappa * eta.mean() if cost_mode == "penalty"
+                    else reward + kappa * 0.5 * eta.sum())
+            for mode in (cost_mode, CostMode(cost_mode)):
+                assert same_bits(shape_reward(reward, eta, kappa, mode), float(want))
+        with pytest.raises(ValueError):
+            shape_reward(0.0, [1.0], 1.0, "nope")

@@ -93,6 +93,14 @@ class TestValidateChannel:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_overflowing_link_power_exits_one_before_any_output(self, capsys):
+        # 1e200 m is finite, but d ** alpha overflows: ** raised OverflowError
+        code = main(["validate-channel", "--distance-m", "1e200", "--trials", "10"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == ("invalid input: the link power at 1e+200 m is not a "
+                       "positive finite float: inf\n")
+
 
 class TestEvaluate:
     def test_writes_outputs_and_returns_zero(self, tmp_path):
@@ -180,8 +188,13 @@ class TestPinnedFleetRecords:
         # no agent left for the velocity: rejected before any episode runs
         ({"id": 2, "feature": 0, "variance": 1e-4, "distance": 4.4},
          "configuration error:"),
+        # finite, yet d ** alpha overflows: the link power is checked by
+        # validate, not first by TwinLoop after train has made --out
+        ({"id": 2, "feature": 1, "variance": 1e-4, "distance": 1e200},
+         "invalid input: the link power at 1e+200 m"),
     ], ids=["fractional-feature", "fractional-id", "bool-feature", "bool-id",
-            "infinite-variance", "infinite-distance", "uncovered-feature"])
+            "infinite-variance", "infinite-distance", "uncovered-feature",
+            "overflowing-link-power"])
     @VALIDATING_COMMANDS
     def test_record_that_would_run_wrongly_exits_one_with_one_line(
             self, tmp_path, capsys, record, prefix, command):
@@ -350,6 +363,28 @@ class TestConfigRanges:
         # first PPO update with exit 2, after the output directory was made
         *[("rl", key, value, key) for key in RL_FLOATS
           for value in (float("nan"), float("inf"), -float("inf"))],
+        # finite, yet the PPO loss turned non-finite in the first batches
+        ("rl", "actor_lr", 1e308,
+         "configuration error: rl.actor_lr must lie in [0, 1]: 1e+308"),
+        ("rl", "actor_lr", -1e308, "rl.actor_lr must lie in [0, 1]"),
+        ("rl", "actor_lr", 100.0, "rl.actor_lr must lie in [0, 1]"),
+        ("rl", "critic_lr", 1e308, "rl.critic_lr must lie in [0, 1]"),
+        ("rl", "critic_lr", -1e308, "rl.critic_lr must lie in [0, 1]"),
+        ("rl", "reward_weight", 1e308,
+         "configuration error: rl.reward_weight must lie in [0, 1e6]: 1e+308"),
+        ("rl", "eta_max", 1e308, "rl.eta_max must lie in [0, 1e6]"),
+        ("rl", "gae_lambda", 1e308,
+         "configuration error: rl.gae_lambda must lie in [0, 1]: 1e+308"),
+        ("rl", "gae_lambda", -1e308, "rl.gae_lambda must lie in [0, 1]"),
+        # a subnormal cap: variance / cap overflowed with a numpy warning
+        (None, "variance_caps", [1e-320, 1e-3],
+         "configuration error: variance caps must be at least the smallest normal float"),
+        # the plant's process covariance squares it: ** raised OverflowError
+        ("plant", "process_noise_std", [1e200, 1],
+         "invalid input: process_noise_std squared overflows a float"),
+        # a generated agent's d ** alpha overflows: ** raised OverflowError
+        # in TwinLoop, after train had made --out
+        ("fleet", "max_distance_m", 1e300, "invalid input: the link power at"),
     ])
     @VALIDATING_COMMANDS
     def test_value_out_of_range_exits_one_with_one_line(

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from twinloop import InvalidInputError, build_linear_2d, build_mountain_car
-from tests.helpers import edgy_floats, reference_mountain_car_step, same_bits
+from tests.helpers import (edgy_floats, reference_mountain_car_f,
+                           reference_mountain_car_jacobian, reference_mountain_car_step,
+                           same_bits)
 
 
 def noiseless_car():
@@ -169,3 +171,68 @@ class TestLinearPlant:
         plant = build_linear_2d(process_noise_std=(0.0, 0.0))
         out = plant.step(np.array([1.0, 2.0]), 0.5, np.random.default_rng(0))
         np.testing.assert_allclose(out, [3.0, 2.5])
+
+
+class TestFloatFormMatchesArrayForm:
+    """f and the Jacobian take math.cos and math.sin on floats: the bits of
+    np.cos and np.sin on numpy scalars, signed zeros and overflow included."""
+
+    EDGES = (-1.2, 0.6, 0.45, -0.5, 0.0, -0.0, -0.07, 0.07, 1e300, -1e300,
+             5e-324, -5e-324, 1e6)
+
+    def states(self, seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            yield np.array([
+                rng.choice(self.EDGES) if rng.random() < 0.3 else rng.uniform(-4.0, 4.0),
+                rng.choice(self.EDGES) if rng.random() < 0.3 else rng.uniform(-0.1, 0.1)])
+
+    def test_f(self):
+        car = build_mountain_car(process_noise_std=(1e-4, 1e-5))
+        for state in self.states(51, 4000):
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = reference_mountain_car_f(car, state)
+            assert same_bits(car.f(state), want)
+            assert same_bits(car.f(state.tolist()), want)
+
+    def test_jacobian(self):
+        car = build_mountain_car(process_noise_std=(1e-4, 1e-5))
+        for state in self.states(52, 4000):
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = reference_mountain_car_jacobian(car, state)
+            assert same_bits(car.jacobian(state), want)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_state_still_raises(self, bad):
+        car = noiseless_car()
+        for state in (np.array([bad, 0.0]), np.array([0.0, bad])):
+            with pytest.raises(InvalidInputError, match="non-finite state"):
+                car.jacobian(state)
+            with pytest.raises(InvalidInputError, match="invalid state"):
+                car.step(state, 0.0, None)
+        with pytest.raises(InvalidInputError, match="invalid control"):
+            car.step(np.array([-0.5, 0.0]), bad, None)
+
+    def test_overflowing_argument_gives_nan_without_raising(self):
+        # 3 * 1e308 is inf: np.cos gave NaN there, math.cos raises
+        car = noiseless_car()
+        assert np.isnan(car.f(np.array([1e308, 0.0]))).all()
+        assert np.isnan(car.jacobian(np.array([1e308, 0.0]))[:, 0]).all()
+
+    def test_step_at_clamp_bounds_and_signed_zeros(self):
+        car = build_mountain_car(process_noise_std=(1e-4, 1e-5))
+        for state in self.states(53, 1500):
+            for control in (0.0, -0.0, 1.0, -1.0, 1.5, -1.5):
+                got = car.step(state, control, np.random.default_rng(7))
+                want = reference_mountain_car_step(car, state, control,
+                                                   np.random.default_rng(7))
+                assert same_bits(got, want)
+
+
+class TestGoalIsAPythonBool:
+    # a numpy bool is written as True, not 1, by the episode CSV writer
+    @pytest.mark.parametrize("state", [(0.5, 0.0), (0.45, 0.0), (-0.5, 0.01)])
+    def test_both_plants(self, state):
+        state = np.array(state)
+        assert type(noiseless_car().is_goal(state)) is bool
+        assert type(build_linear_2d(process_noise_std=(0.0, 0.0)).is_goal(state)) is bool

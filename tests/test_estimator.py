@@ -10,9 +10,10 @@ from twinloop import (Belief, InvalidInputError, NumericalFailureError,
                       update)
 from twinloop import estimator
 from twinloop.estimator import StackedObservationModel, posterior_cov
-from tests.helpers import (batch_linear_gaussian_posterior, diag_belief,
-                           exact_posterior, reference_ill_conditioned, same_bits,
-                           scalar_agent)
+from tests.helpers import (batch_linear_gaussian_posterior, diag_belief, edgy_floats,
+                           exact_posterior, reference_fused_mean, reference_gain,
+                           reference_ill_conditioned, reference_predict,
+                           reference_scalar_posterior_cov, same_bits, scalar_agent)
 
 
 class IdentityPlant:
@@ -407,3 +408,105 @@ class TestBatchOracleEquivalence:
                 1e-9 * max(1.0, np.linalg.norm(bls_mean))
             assert np.linalg.norm(ekf_cov - bls_cov) <= \
                 1e-9 * np.linalg.norm(bls_cov)
+
+
+def random_belief(rng, dim=2, qi=None):
+    """A belief with an exactly symmetric PSD covariance at a random scale,
+    some entries swapped for signed zeros."""
+    a = rng.normal(size=(dim, dim)) * 10.0 ** rng.uniform(-6, 1)
+    cov = estimator.symmetrize(a @ a.T)
+    if dim > 1 and rng.random() < 0.2:
+        cov[0, 1] = cov[1, 0] = rng.choice([0.0, -0.0])
+    mean = edgy_floats(rng, dim, 10.0 ** rng.uniform(-3, 1),
+                       (0.0, -0.0, -1.2, 0.6, 0.45))
+    return Belief(mean, cov, int(rng.integers(0, 1000)) if qi is None else qi)
+
+
+class TestFloatFormMatchesArrayForm:
+    """predict, the rank-1 step and the fused mean take their elementwise
+    work on floats: the bits of the array forms in tests/helpers.py."""
+
+    PLANTS = (build_mountain_car(process_noise_std=(0.045, 0.001)),
+              build_mountain_car(process_noise_std=(0.0, 0.0)),
+              build_linear_2d(process_noise_std=(0.05, 0.02)),
+              IdentityPlant(np.diag([0.01, 0.02])))
+
+    def test_predict(self):
+        rng = np.random.default_rng(61)
+        for _ in range(3000):
+            belief = random_belief(rng)
+            control = rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-1.5, 1.5)])
+            control = (control, np.float64(control), np.array([control]))[int(rng.integers(3))]
+            model = self.PLANTS[int(rng.integers(len(self.PLANTS)))]
+            got, want = predict(belief, control, model), reference_predict(belief, control, model)
+            assert same_bits(got.mean, want.mean) and same_bits(got.cov, want.cov)
+            assert got.qi == want.qi == belief.qi + 1
+
+    @pytest.mark.parametrize("mean, cov, model, error", [
+        # the covariance, or the mean through f, overflows
+        ([1e308, 1e308], np.eye(2) * 1e308, IdentityPlant(np.eye(2) * 1e308),
+         NumericalFailureError),
+        ([0.5, 0.0], np.eye(2) * 1e308, build_mountain_car(process_noise_std=(0, 0)),
+         NumericalFailureError),
+        ([1e308, 0.0], np.eye(2), build_mountain_car(process_noise_std=(0, 0)),
+         NumericalFailureError),
+        # the Jacobian refuses a non-finite mean
+        ([np.inf, 0.0], np.eye(2), build_mountain_car(process_noise_std=(0, 0)),
+         InvalidInputError),
+        ([0.0, np.nan], np.eye(2), build_mountain_car(process_noise_std=(0, 0)),
+         InvalidInputError)])
+    def test_predict_still_raises_where_it_raised(self, mean, cov, model, error):
+        belief = Belief(np.array(mean), cov, qi=41)
+        with pytest.raises(error) as got:
+            predict(belief, 0.0, model)
+        with pytest.raises(error) as want:
+            reference_predict(belief, 0.0, model)
+        assert str(got.value) == str(want.value)
+        assert getattr(got.value, "qi", None) == getattr(want.value, "qi", None)
+
+    def test_predict_writes_into_nothing_it_was_given(self):
+        # IdentityPlant.f returns its own argument: an in-place mean += B a
+        # would change the prior's mean
+        belief = diag_belief(0.3, 0.2, mean=[0.25, -0.0])
+        model = IdentityPlant(np.diag([0.01, 0.02]))
+        model.control_matrix = np.array([[1.0], [2.0]])
+        mean, cov = belief.mean.copy(), belief.cov.copy()
+        out = predict(belief, np.array([0.5]), model)
+        assert same_bits(belief.mean, mean) and same_bits(belief.cov, cov)
+        assert out.mean is not belief.mean and out.cov is not belief.cov
+        assert same_bits(out.mean, [0.75, 1.0])
+
+    def test_scalar_posterior_cov(self):
+        rng = np.random.default_rng(62)
+        for _ in range(3000):
+            dim = int(rng.integers(1, 4))
+            cov = random_belief(rng, dim).cov
+            k = int(rng.integers(dim))
+            variance = float(10.0 ** rng.uniform(-12, 2))
+            variance = (variance, np.float64(variance))[int(rng.integers(2))]
+            assert same_bits(estimator.scalar_posterior_cov(cov, k, variance),
+                             reference_scalar_posterior_cov(cov, k, variance))
+        for cov, k, variance in ((np.zeros((2, 2)), 0, 1e-300),
+                                 (np.array([[-0.0, -0.0], [-0.0, 0.5]]), 1, 0.25)):
+            assert same_bits(estimator.scalar_posterior_cov(cov, k, variance),
+                             reference_scalar_posterior_cov(cov, k, variance))
+
+    def test_fused_mean(self):
+        rng = np.random.default_rng(63)
+        for _ in range(3000):
+            prior = random_belief(rng)
+            n = int(rng.integers(1, 11))
+            features = rng.integers(0, 2, n)
+            precision = 10.0 ** rng.uniform(-1, 5, n)
+            gain = (prior.cov.T.take(features, axis=0) * precision[:, None]).T
+            want_gain = reference_gain(prior.cov, features, precision)
+            assert same_bits(gain, want_gain)
+            values = prior.mean.take(features) + rng.normal(size=n) * 0.1
+            assert same_bits(estimator.fused_mean(prior, features, gain, values),
+                             reference_fused_mean(prior, features, want_gain, values))
+        prior = Belief(np.array([1e308, 0.0]), np.eye(2), qi=7)
+        gain = np.array([[1.0], [0.0]])
+        with pytest.raises(NumericalFailureError) as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            estimator.fused_mean(prior, [0], gain, np.array([-1e308]))
+        assert err.value.qi == 7

@@ -8,9 +8,10 @@ import pytest
 from twinloop import (PLANT_REGISTRY, ConfigurationError, ExperimentConfig,
                       InvalidInputError, LinearPlant, NumericalFailureError,
                       SchedulingMode, TwinLoop, estimator, export_traces,
-                      run_episode, scheduler)
+                      run_episode, run_monte_carlo, scheduler)
 from twinloop.harness import fresh_policy, write_csv
-from tests.helpers import reference_trace_columns, reference_trace_rows
+from tests.helpers import (reference_policy_input, reference_trace_columns,
+                           reference_trace_rows, same_bits)
 
 
 def loop_config(mode="reverb"):
@@ -31,6 +32,22 @@ class TestPolicyInput:
         assert obs.shape == (4,)
         np.testing.assert_allclose(obs[:2], env._prior.mean)
         np.testing.assert_allclose(obs[2:], env._prior.std)
+
+    def test_float_form_matches_concatenated_mean_and_std(self):
+        # Belief.std takes sqrt(max(var, 0)) on floats: a negative or
+        # signed-zero variance gives +0.0, NaN stays NaN, as np.maximum and
+        # np.sqrt give them
+        env = TwinLoop.from_config(loop_config())
+        rng = np.random.default_rng(81)
+        specials = (0.0, -0.0, -1e-3, np.inf, np.nan, 1e-320)
+        for _ in range(500):
+            diag = rng.uniform(0, 1, 2)
+            swap = rng.random(2) < 0.4
+            diag[swap] = rng.choice(specials, size=int(swap.sum()))
+            belief = estimator.Belief(rng.normal(size=2), np.diag(diag))
+            with np.errstate(invalid="ignore"):
+                want = reference_policy_input(belief)
+            assert same_bits(env._policy_input(belief), want)
 
     def test_initial_belief_matches_start_distribution(self):
         env = TwinLoop.from_config(loop_config())
@@ -347,3 +364,44 @@ class TestFixedThresholds:
             env.step(np.array([0.0, 1.0, 1.0]))
         assert len(seen) == 3 and all(t is env.variance_caps for t in seen)
         np.testing.assert_array_equal(env.variance_caps, [0.01, 0.001])
+
+
+class TestStepWritesIntoNothingItHolds:
+    @pytest.mark.parametrize("mode", [m.value for m in SchedulingMode])
+    def test_previous_prior_and_posterior_unchanged(self, mode, monkeypatch):
+        # each QI's prior and posterior are new arrays: the trace, the
+        # caller and the next QI may hold the ones before
+        posteriors = []
+        real = estimator.predict
+        monkeypatch.setattr(estimator, "predict", lambda posterior, *args: (
+            posteriors.append(posterior) or real(posterior, *args)))
+        env = TwinLoop.from_config(loop_config(mode), record_trace=True)
+        env.reset(3)
+        rng = np.random.default_rng(4)
+        held = []
+        for _ in range(12):
+            prior = env._prior
+            held.append((prior, prior.mean.copy(), prior.cov.copy()))
+            env.step(rng.uniform(-1.0, 1.0, env.action_dim))
+            posterior = posteriors[-1]
+            held.append((posterior, posterior.mean.copy(), posterior.cov.copy()))
+            assert env._prior is not prior and env._prior.mean is not posterior.mean
+        for belief, mean, cov in held:
+            assert same_bits(belief.mean, mean) and same_bits(belief.cov, cov)
+
+    def test_episode_csv_writes_a_goal_as_one(self, tmp_path):
+        # is_goal gives a Python bool, which the CSV writer writes as 0 or 1
+        class Swing:
+            """Full force along the believed velocity: climbs in time."""
+
+            def act(self, obs):
+                return np.array([1.0 if obs[1] >= 0 else -1.0, 0.0, 0.0]), obs
+
+        config = loop_config("perfect")
+        config.plant.episode_cap = 400
+        config.episodes = 2
+        config.output_dir = str(tmp_path)
+        report = run_monte_carlo(config, policy=Swing())
+        assert all(type(m.reached_goal) is bool for m in report["episodes"])
+        rows = list(csv.DictReader(open(tmp_path / "episodes.csv")))
+        assert [row["reached_goal"] for row in rows] == ["1", "1"]

@@ -10,7 +10,8 @@ from twinloop import (Belief, InvalidInputError, effective_thresholds,
 from twinloop.scheduler import requested_caps
 from twinloop.estimator import posterior_cov, stack
 from twinloop.sensing import FleetIndex
-from tests.helpers import (diag_belief, indexed, random_case, reference_schedule,
+from tests.helpers import (diag_belief, indexed, random_case, reference_requested_caps,
+                           reference_schedule,
                            relative_error, same_bits, scalar_agent, seeded_observer,
                            seeded_reader, weighted_objective)
 
@@ -262,6 +263,20 @@ class TestMatchesReference:
             eta = rng.choice([0.0, 1e-300, 1.0 / caps[0], 1000.0, 1e300], size=dim)
             eta = np.where(rng.random(dim) < 0.5, eta, 10.0 ** rng.uniform(-3, 4, dim))
             assert same_bits(requested_caps(caps, eta), effective_thresholds(caps, eta))
+
+    def test_requested_caps_match_the_array_form(self):
+        # the per-feature division and minimum on floats, against np.divide
+        # where eta > 0 and np.minimum; 1e-320 overflows 1 / eta to inf
+        rng = np.random.default_rng(2027)
+        for _ in range(2000):
+            dim = int(rng.integers(1, 5))
+            caps = 10.0 ** rng.uniform(-6, 2, size=dim)
+            eta = rng.choice([0.0, -0.0, 1e-320, 1e-300, 1.0 / caps[0], 1000.0, 1e300],
+                             size=dim)
+            eta = np.where(rng.random(dim) < 0.5, eta, 10.0 ** rng.uniform(-3, 4, dim))
+            with np.errstate(over="ignore"):
+                want = reference_requested_caps(caps, eta)
+            assert same_bits(requested_caps(caps, eta), want)
 
     def test_tie_on_error_size_breaks_on_lowest_id(self):
         prior = diag_belief(0.05, 0.0005)
