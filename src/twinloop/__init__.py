@@ -23,7 +23,7 @@ from .harness import (EpisodeMetrics, ExperimentConfig, FleetConfig,
                       run_episode, run_monte_carlo)
 from .loop import StepResult, TwinLoop
 from .scheduler import (ScheduleDecision, SchedulingMode, baseline_schedule,
-                        effective_thresholds, schedule)
+                        schedule)
 from .sensing import FleetIndex, SensingAgentSpec, observe, place_agents
 
 __version__ = "0.1.0"

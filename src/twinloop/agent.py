@@ -372,15 +372,28 @@ class PolicyNetwork:
 
     @classmethod
     def from_state(cls, payload: dict) -> "PolicyNetwork":
+        """The policy of a ``state_dict``. Raises InvalidInputError naming
+        the field, before the policy is used, for layer sizes other than
+        [obs_dim, *hidden_sizes, action_dim] (the critic's end in 1), an
+        array of the wrong shape, a non-finite entry, or a negative
+        normalizer variance or count."""
         if payload.get("format") != "twinloop-policy-v1":
             raise InvalidInputError("unrecognized checkpoint format")
         hyper = PpoHyperparams(**payload["hyper"])
         policy = cls(payload["obs_dim"], payload["action_dim"], hyper,
                      np.random.default_rng(0))
-        _mlp_load(policy.actor, payload["actor"])
-        _mlp_load(policy.critic, payload["critic"])
-        policy.logstd = np.asarray(payload["logstd"], dtype=float)
-        policy.normalizer = RunningNormalizer.from_state(payload["normalizer"])
+        _mlp_load(policy.actor, payload["actor"], "actor")
+        _mlp_load(policy.critic, payload["critic"], "critic")
+        policy.logstd = _checkpoint_array(payload["logstd"], (policy.action_dim,),
+                                          "logstd")
+        state, dim = payload["normalizer"], (policy.obs_dim,)
+        policy.normalizer = RunningNormalizer.from_state({
+            "mean": _checkpoint_array(state["mean"], dim, "normalizer.mean"),
+            # a negative variance makes the scale sqrt(var + 1e-8) zero or NaN
+            "var": _checkpoint_array(state["var"], dim, "normalizer.var",
+                                     nonnegative=True),
+            "count": _checkpoint_array(state["count"], (), "normalizer.count",
+                                       nonnegative=True)})
         policy._actor_opt = Adam(policy.actor.parameters() + [policy.logstd],
                                  hyper.actor_lr)
         policy._critic_opt = Adam(policy.critic.parameters(), hyper.critic_lr)
@@ -624,8 +637,31 @@ def _mlp_state(mlp: Mlp) -> dict:
             "biases": [b.tolist() for b in mlp.biases]}
 
 
-def _mlp_load(mlp: Mlp, state: dict):
-    mlp.weights = [np.asarray(w, dtype=float) for w in state["weights"]]
-    mlp.biases = [np.asarray(b, dtype=float) for b in state["biases"]]
-    mlp.sizes = tuple(state["sizes"])
+def _checkpoint_array(value, shape, name, nonnegative=False) -> np.ndarray:
+    """A checkpoint field as a float array of ``shape`` whose entries are
+    finite (and >= 0 if ``nonnegative``); raises InvalidInputError naming
+    the field otherwise."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):   # a ragged list or a string
+        array = None
+    if array is None or array.shape != shape:
+        raise InvalidInputError(f"checkpoint {name} must have shape {shape}")
+    if not np.isfinite(array).all():
+        raise InvalidInputError(f"checkpoint {name} must be finite")
+    if nonnegative and not (array >= 0).all():
+        raise InvalidInputError(f"checkpoint {name} must be >= 0")
+    return array
 
+
+def _mlp_load(mlp: Mlp, state: dict, name: str):
+    """Load a checkpoint's layers into ``mlp``, whose sizes they must have."""
+    sizes = list(mlp.sizes)
+    if not (list(state["sizes"]) == sizes
+            and len(state["weights"]) == len(state["biases"]) == len(sizes) - 1):
+        raise InvalidInputError(f"checkpoint {name} must have sizes {sizes}, "
+                                f"with a weight and a bias per layer")
+    mlp.weights = [_checkpoint_array(w, shape, f"{name}.weights[{i}]") for i, (w, shape)
+                   in enumerate(zip(state["weights"], zip(sizes, sizes[1:])))]
+    mlp.biases = [_checkpoint_array(b, (n,), f"{name}.biases[{i}]")
+                  for i, (b, n) in enumerate(zip(state["biases"], sizes[1:]))]

@@ -30,10 +30,9 @@ import numpy as np
 
 from . import sensing
 from .agent import PolicyNetwork, PpoHyperparams
-from .channel import ChannelParams, required_power
+from .channel import ChannelParams
 from .dynamics import PLANT_REGISTRY
 from .errors import ConfigurationError, InvalidInputError, TwinloopError
-from .estimator import TINY
 from .loop import TwinLoop, episode_seed
 from .scheduler import SchedulingMode
 
@@ -127,18 +126,20 @@ class ExperimentConfig:
                 raise ConfigurationError(f"rl.{f.name} must be finite: {value!r}")
         # a logstd within +-20 keeps std = exp(logstd) in [2e-9, 5e8], so the
         # standardized actions and their squares stay far inside a float;
-        # an entropy_coef, reward weight or eta_max within 1e6 of zero keeps
-        # the losses and their gradients, which the global-norm clip
-        # squares, as far inside; an Adam step moves each parameter by
-        # about the learning rate, and one above 1 (100 in a 2,048-step
-        # run) drove logstd past exp's range. At 1e308 each of them, and a
-        # gae_lambda, ended training with a non-finite loss
+        # an entropy_coef, value_coef, reward weight or eta_max within 1e6
+        # of zero keeps the losses and their gradients, which the
+        # global-norm clip squares, as far inside; an Adam step moves each
+        # parameter by about the learning rate, and one above 1 (100 in a
+        # 2,048-step run) drove logstd past exp's range. At 1e308 each of
+        # them, and a gae_lambda, ended training with a non-finite loss, as
+        # a value_coef of 1e300 did with the reward weight and eta_max at 1e6
         rl = self.rl
         for name, ok, bounds in (
                 ("discount", 0.0 < rl.discount < 1.0, "(0, 1)"),
                 ("gae_lambda", 0.0 <= rl.gae_lambda <= 1.0, "[0, 1]"),
                 ("clip_ratio", rl.clip_ratio > 0.0, "(0, inf)"),
                 ("entropy_coef", -1e6 <= rl.entropy_coef <= 1e6, "[-1e6, 1e6]"),
+                ("value_coef", 0.0 <= rl.value_coef <= 1e6, "[0, 1e6]"),
                 ("actor_lr", 0.0 <= rl.actor_lr <= 1.0, "[0, 1]"),
                 ("critic_lr", 0.0 <= rl.critic_lr <= 1.0, "[0, 1]"),
                 ("reward_weight", rl.reward_weight <= 1e6, "[0, 1e6]"),
@@ -148,29 +149,14 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigurationError(f"rl.{name} must lie in {bounds}: "
                                          f"{getattr(rl, name)!r}")
-        try:
-            caps = np.asarray(self.variance_caps, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"variance caps must be numbers: "
-                                     f"{self.variance_caps!r}") from None
-        if not (caps > 0).all():
-            raise ConfigurationError("variance caps must be positive")
-        # a subnormal cap turns variance / cap into inf
-        if not (caps >= TINY).all():
-            raise ConfigurationError(f"variance caps must be at least the smallest "
-                                     f"normal float {TINY!r}: {self.variance_caps!r}")
-        if self.plant.name not in PLANT_REGISTRY:
-            raise ConfigurationError(f"unknown plant {self.plant.name!r}")
-        # a bad plant, cap count, fleet or link power fails here, before any
+        # a bad cap, plant, fleet or link power fails here, before any
         # episode runs
-        plant = self.build_plant()
-        if caps.shape != (plant.dim,):
-            raise ConfigurationError("need one variance cap per state feature")
-        for a in self.build_fleet(plant).agents:
-            required_power(a.distance_m, self.channel)
+        TwinLoop(self)
         return self
 
     def build_plant(self):
+        if self.plant.name not in PLANT_REGISTRY:
+            raise ConfigurationError(f"unknown plant {self.plant.name!r}")
         return PLANT_REGISTRY[self.plant.name](
             process_noise_std=tuple(self.plant.process_noise_std),
             episode_cap=self.plant.episode_cap)
@@ -252,34 +238,21 @@ class EpisodeMetrics:
 
 def run_episode(policy: PolicyNetwork, config: ExperimentConfig,
                 episode_index: int, env: TwinLoop = None) -> EpisodeMetrics:
-    """Roll one evaluation episode; numerical failures propagate."""
+    """Roll one evaluation episode; numerical failures propagate. ``env``
+    must record its trace, from which the metrics are read."""
     if env is None:
         env = TwinLoop.from_config(config, record_trace=True)
-    seed = episode_seed(config.master_seed, 2, episode_index)
-    obs = env.reset(seed)
-    total_base = 0.0
-    qis = 0
-    reached = False
+    if not env.record_trace:
+        raise InvalidInputError("run_episode needs a loop that records its trace")
+    obs = env.reset(episode_seed(config.master_seed, 2, episode_index))
     while True:
         action, _ = policy.act(obs)
         step = env.step(action)
-        total_base += step.base_reward
-        qis += 1
         if step.terminated or step.truncated:
-            reached = step.terminated
             break
         obs = step.policy_input
-    return EpisodeMetrics(
-        episode=episode_index,
-        qis=qis,
-        reached_goal=reached,
-        total_power_w=env.episode_power,
-        mrmse=float(np.mean(env.error_norms)),
-        mean_selected=float(np.mean(env.selected_counts)),
-        satisfaction_rate=float(np.mean(env.satisfied_flags)),
-        total_base_reward=total_base,
-        trace=list(env.trace),
-    )
+    return EpisodeMetrics(episode=episode_index, reached_goal=step.terminated,
+                          **env.episode_totals(env.trace), trace=list(env.trace))
 
 
 def run_monte_carlo(config: ExperimentConfig, policy: PolicyNetwork = None,

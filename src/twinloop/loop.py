@@ -4,15 +4,18 @@ One query interval runs: blind prediction -> policy action on the prior
 belief -> agent scheduling (``scheduler.schedule`` under the requested caps
 in REVERB mode, ``baseline_schedule`` under the fixed caps otherwise) ->
 uplink power for the selected agents -> observation fusion -> plant step ->
-reward. A ``TwinLoop`` takes every setting from one ``ExperimentConfig`` and
-checks the variance caps once, when it is built. The environment surface
-mirrors the usual gym step/reset contract so the trainer and the evaluation
-harness drive the same code.
+reward. A ``TwinLoop`` takes every setting from one ``ExperimentConfig``, and
+builds and checks the run's caps, plant, fleet and link powers once, when it
+is built. The environment surface mirrors the usual gym step/reset contract
+so the trainer and the evaluation harness drive the same code.
 
 With ``record_trace`` a loop keeps one flat tuple of plain values per QI
-(``TwinLoop.trace``); ``TwinLoop.trace_table`` derives the columns of
+(``TwinLoop.trace``), its only record of what a QI did; without it a loop
+keeps no per-QI state. ``TwinLoop.trace_table`` derives the columns of
 trace_<i>.csv from one episode's tuples, once, column by column, with one
-column per plant feature where a column is per feature.
+column per plant feature where a column is per feature, and
+``TwinLoop.episode_totals`` the episode's row of episodes.csv. Only this
+module knows the layout of a record.
 
 Episode randomness is split into independent substreams (initial state and
 process noise / observation noise / benchmark agent picks), so two modes run
@@ -53,16 +56,27 @@ class TwinLoop:
     """Episode driver binding plant, fleet, filter, scheduler and channel."""
 
     def __init__(self, config, record_trace=False):
-        self.plant = plant = config.build_plant()
-        self.fleet_index = config.build_fleet(plant)
-        # the caps are checked here, once: the non-adaptive modes are judged
-        # by these caps, and each adaptive QI applies its request to them
-        # without a second check
-        self.variance_caps = np.asarray(config.variance_caps, dtype=float)
-        if self.variance_caps.shape != (plant.dim,):
-            raise ConfigurationError("need one variance cap per state feature")
-        if not (self.variance_caps > 0).all():
+        # the one place a run's caps, plant, fleet and link powers are built
+        # and checked, so a bad one fails before any episode or output (the
+        # config's validate builds a loop). The non-adaptive modes are
+        # judged by these caps, and each adaptive QI applies its request to
+        # them without a second check
+        try:
+            self.variance_caps = caps = np.asarray(config.variance_caps, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"variance caps must be numbers: "
+                                     f"{config.variance_caps!r}") from None
+        if not (caps > 0).all():
             raise ConfigurationError("variance caps must be positive")
+        # a subnormal cap turns variance / cap into inf
+        if not (caps >= estimator.TINY).all():
+            raise ConfigurationError(f"variance caps must be at least the smallest "
+                                     f"normal float {estimator.TINY!r}: "
+                                     f"{config.variance_caps!r}")
+        self.plant = plant = config.build_plant()
+        if caps.shape != (plant.dim,):
+            raise ConfigurationError("need one variance cap per state feature")
+        self.fleet_index = config.build_fleet(plant)
         self.mode = SchedulingMode(config.mode)
         self.capacity = int(config.capacity)
         self.kappa = float(config.rl.reward_weight)
@@ -107,10 +121,6 @@ class TwinLoop:
         self._prior = self._initial_belief()
         self._qi = 1
         self.trace = []
-        self.episode_power = 0.0
-        self.error_norms = []
-        self.selected_counts = []
-        self.satisfied_flags = []
         return self._policy_input(self._prior)
 
     def step(self, raw_action) -> StepResult:
@@ -146,10 +156,7 @@ class TwinLoop:
                     traditional_count=self.traditional_count,
                     greedy=self._greedy)
 
-            power = sum(self.power_by_id[i] for i in decision.selected_ids)
             posterior = decision.posterior
-            error = self._true_state - posterior.mean
-
             next_state = self.plant.step(self._true_state, control, self._plant_rng)
             reached_goal = self.plant.is_goal(next_state)
             reward = base_reward(control, reached_goal, self.termination_bonus)
@@ -159,19 +166,17 @@ class TwinLoop:
             else:
                 shaped = reward
 
-            self.episode_power += power
-            self.error_norms.append(math.sqrt(error.dot(error)))  # np.linalg.norm's bits
-            self.selected_counts.append(len(decision.selected_ids))
-            satisfied = all(decision.satisfied.tolist())
-            self.satisfied_flags.append(satisfied)
             if self.record_trace:
-                # plain values only; trace_table derives the rest
+                # plain values only; trace_table and episode_totals derive
+                # the rest
+                power = sum(self.power_by_id[i] for i in decision.selected_ids)
                 self.trace.append((
                     self._qi, *self._true_state.tolist(), *posterior.mean.tolist(),
                     *posterior.cov.diagonal().tolist(),
                     *self._prior.cov.diagonal().tolist(), *caps.tolist(),
                     *action.accuracy.tolist(),
-                    decision.selected_ids, power, control, reward, satisfied))
+                    decision.selected_ids, power, control, reward,
+                    all(decision.satisfied.tolist())))
 
             terminated = reached_goal
             truncated = (not terminated) and self._qi >= self.plant.episode_cap
@@ -229,6 +234,26 @@ class TwinLoop:
                 "control": control, "base_reward": reward,
                 "satisfied": [int(s) for s in satisfied],
                 "weighted_objective": objective.tolist()}
+
+    def episode_totals(self, records) -> dict:
+        """An episode's numbers in episodes.csv, from its ``trace`` records
+        of this loop: qis, total_power_w and total_base_reward (summed with
+        += in QI order, from 0.0), mrmse (the mean over QIs of
+        ||true_state - belief_mean||_2, each taken as sqrt(e.dot(e)) on the
+        QI's error vector, np.linalg.norm's bits), and mean_selected and
+        satisfaction_rate (means over QIs)."""
+        k = self.plant.dim
+        error = (np.array([r[1:k + 1] for r in records], dtype=float)
+                 - np.array([r[k + 1:2 * k + 1] for r in records], dtype=float))
+        total_power = total_reward = 0.0
+        for r in records:
+            total_power += r[-4]
+            total_reward += r[-2]
+        return {"qis": len(records), "total_power_w": total_power,
+                "mrmse": float(np.mean([math.sqrt(e.dot(e)) for e in error])),
+                "mean_selected": float(np.mean([len(r[-5]) for r in records])),
+                "satisfaction_rate": float(np.mean([r[-1] for r in records])),
+                "total_base_reward": total_reward}
 
     # -- helpers -------------------------------------------------------------
 

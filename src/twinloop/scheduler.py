@@ -73,20 +73,6 @@ class SchedulingMode(str, Enum):
 GREEDY_MODES = (SchedulingMode.COST_GREEDY, SchedulingMode.ERROR_GREEDY)
 
 
-def effective_thresholds(variance_caps, accuracy_request) -> np.ndarray:
-    """Elementwise min(cap_k, 1/eta_k), with 1/0 treated as +inf; NaN caps
-    and requests are rejected."""
-    caps = np.asarray(variance_caps, dtype=float)
-    eta = np.asarray(accuracy_request, dtype=float)
-    if caps.shape != eta.shape:
-        raise InvalidInputError("caps and accuracy request differ in length")
-    if not (caps > 0).all():
-        raise InvalidInputError("variance caps must be positive")
-    if not (eta >= 0).all():
-        raise InvalidInputError("accuracy requests must be nonnegative")
-    return requested_caps(caps, eta)
-
-
 def requested_caps(caps, eta) -> np.ndarray:
     """min(cap_k, 1/eta_k), with 1/0 treated as +inf, for inputs known good:
     positive caps and a float request of their length in [0, inf), as

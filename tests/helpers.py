@@ -3,7 +3,9 @@ Rician series, finite differences, the list-based greedy scheduler the
 indexed one replaced, the greedy baselines fused through
 ``estimator.update``, readings fused in exact rational arithmetic,
 randomized scheduling cases, the trace rows built one
-QI at a time, PPO training collected one whole step at a time, and the
+QI at a time, an episode's metrics accumulated one QI at a time, the
+effective thresholds checked for any input, PPO training collected one
+whole step at a time, and the
 straightforward forms of the per-step numerics that
 the package computes with fewer numpy calls or in place (Adam, the
 global-norm clip, the mountain-car step, action decoding, input
@@ -19,11 +21,26 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from twinloop import (Belief, SensingAgentSpec, effective_thresholds, estimator,
-                      sensing)
+from twinloop import Belief, SensingAgentSpec, estimator, sensing
 from twinloop.errors import InvalidInputError, NumericalFailureError
 from twinloop.estimator import CONDITION_LIMIT
-from twinloop.scheduler import ScheduleDecision
+from twinloop.scheduler import ScheduleDecision, requested_caps
+
+
+def effective_thresholds(variance_caps, accuracy_request) -> np.ndarray:
+    """Elementwise min(cap_k, 1/eta_k), with 1/0 treated as +inf, from any
+    input: NaN caps and requests are rejected, and the rest is
+    ``scheduler.requested_caps``, which the loop calls on inputs it has
+    already checked."""
+    caps = np.asarray(variance_caps, dtype=float)
+    eta = np.asarray(accuracy_request, dtype=float)
+    if caps.shape != eta.shape:
+        raise InvalidInputError("caps and accuracy request differ in length")
+    if not (caps > 0).all():
+        raise InvalidInputError("variance caps must be positive")
+    if not (eta >= 0).all():
+        raise InvalidInputError("accuracy requests must be nonnegative")
+    return requested_caps(caps, eta)
 
 
 def batch_linear_gaussian_posterior(transition, control_matrix, process_cov,
@@ -484,6 +501,51 @@ def reference_trace_rows(records, feature_names, power_by_id, accuracy_weight):
             len(ids), ";".join(str(i) for i in ids), len(ids), power,
             *eta.tolist(), control, reward, int(satisfied), objective])))
     return rows
+
+
+def reference_episode_metrics(policy, config, episode_index):
+    """An evaluation episode's numbers as the loop once accumulated them,
+    QI by QI, beside its trace, from values taken as each QI ran (its
+    decision, the posterior it fused and the true state before the step):
+    the power of each QI summed with += from 0.0, the error norm
+    sqrt(e.dot(e)) of true state less posterior mean, the selection size
+    and whether every cap held appended to lists that np.mean averages,
+    and the base reward summed with += from 0.0. Returns the fields of
+    ``EpisodeMetrics`` but the trace, and the per-QI error norms."""
+    from twinloop import TwinLoop, loop, scheduler
+    from twinloop.loop import episode_seed
+
+    env = TwinLoop(config)
+    decisions = []
+    real = scheduler.schedule, loop.baseline_schedule
+
+    def kept(fn):
+        return lambda *args, **kwargs: decisions.append(fn(*args, **kwargs)) or decisions[-1]
+
+    scheduler.schedule, loop.baseline_schedule = map(kept, real)
+    try:
+        obs = env.reset(episode_seed(config.master_seed, 2, episode_index))
+        power, norms, counts, flags, total_base = 0.0, [], [], [], 0.0
+        while True:
+            true_state = env._true_state
+            step = env.step(policy.act(obs)[0])
+            decision = decisions[-1]
+            power += sum(env.power_by_id[i] for i in decision.selected_ids)
+            error = true_state - decision.posterior.mean
+            norms.append(math.sqrt(error.dot(error)))
+            counts.append(len(decision.selected_ids))
+            flags.append(all(decision.satisfied.tolist()))
+            total_base += step.base_reward
+            if step.terminated or step.truncated:
+                break
+            obs = step.policy_input
+    finally:
+        scheduler.schedule, loop.baseline_schedule = real
+    return {"episode": episode_index, "qis": len(norms), "reached_goal": step.terminated,
+            "total_power_w": power, "mrmse": float(np.mean(norms)),
+            "mean_selected": float(np.mean(counts)),
+            "satisfaction_rate": float(np.mean(flags)),
+            "total_base_reward": total_base}, norms
 
 
 def reference_train(config, hyper, seed):

@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 from twinloop import (Belief, ExperimentConfig, PpoHyperparams, SchedulingMode,
-                      TwinLoop, baseline_schedule, effective_thresholds,
-                      required_power, run_monte_carlo, schedule, y_q)
+                      TwinLoop, baseline_schedule, required_power,
+                      run_monte_carlo, schedule, y_q)
 from twinloop.agent import PolicyNetwork, ppo_loss_and_grads, train
 from twinloop.channel import ChannelParams, outage_probability_mc
 from twinloop.estimator import predict
 from twinloop.scheduler import greedy_selection
 from twinloop.dynamics import build_linear_2d
-from tests.helpers import (batch_linear_gaussian_posterior,
+from tests.helpers import (batch_linear_gaussian_posterior, effective_thresholds,
                            finite_difference_gradient, invert_marcum_tail,
                            indexed, relative_gradient_error, scalar_agent)
 

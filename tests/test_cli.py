@@ -376,6 +376,12 @@ class TestConfigRanges:
         ("rl", "gae_lambda", 1e308,
          "configuration error: rl.gae_lambda must lie in [0, 1]: 1e+308"),
         ("rl", "gae_lambda", -1e308, "rl.gae_lambda must lie in [0, 1]"),
+        # with the reward weight and eta_max at 1e6 the value loss grew past
+        # a float, and train ended with exit 2 after --out was made
+        ("rl", None, {"value_coef": 1e300, "reward_weight": 1e6, "eta_max": 1e6,
+                      "critic_lr": 1.0, "cost_mode": "paper_eq24"},
+         "configuration error: rl.value_coef must lie in [0, 1e6]: 1e+300"),
+        ("rl", "value_coef", -1.0, "rl.value_coef must lie in [0, 1e6]"),
         # a subnormal cap: variance / cap overflowed with a numpy warning
         (None, "variance_caps", [1e-320, 1e-3],
          "configuration error: variance caps must be at least the smallest normal float"),
@@ -423,6 +429,67 @@ class TestConfigRanges:
         else:
             assert code == 1 and err.startswith(f"invalid input: {message}")
             assert err.count("\n") == 1
+
+
+def _set(path, value):
+    """A checkpoint edit: set the field at ``path`` (keys and indices)."""
+    def edit(checkpoint):
+        *head, last = path
+        for key in head:
+            checkpoint = checkpoint[key]
+        checkpoint[last] = value(checkpoint[last]) if callable(value) else value
+    return edit
+
+
+class TestCheckpointChecks:
+    # each was a traceback, warnings before a clipped run, a silent
+    # acceptance or a failure of every episode with exit 2
+    @pytest.mark.parametrize("edit, message", [
+        (_set(["actor", "weights", 0], lambda w: w[:-1]),
+         "checkpoint actor.weights[0] must have shape (4, 64)"),
+        (_set(["actor", "weights", 1, 5], lambda row: row[:-1]),   # ragged
+         "checkpoint actor.weights[1] must have shape (64, 64)"),
+        (_set(["critic", "biases", 2], [0.0, 0.0]),
+         "checkpoint critic.biases[2] must have shape (1,)"),
+        (_set(["actor", "sizes"], [4, 64, 3]),
+         "checkpoint actor must have sizes [4, 64, 64, 3], with a weight and a bias"),
+        (_set(["critic", "sizes"], [4, 64, 64, 3]),
+         "checkpoint critic must have sizes [4, 64, 64, 1], with a weight and a bias"),
+        (_set(["actor", "biases"], lambda b: b[:2]),
+         "checkpoint actor must have sizes [4, 64, 64, 3], with a weight and a bias"),
+        (_set(["actor", "weights", 2, 0, 1], float("nan")),
+         "checkpoint actor.weights[2] must be finite"),
+        (_set(["critic", "biases", 0, 3], float("inf")),
+         "checkpoint critic.biases[0] must be finite"),
+        (_set(["logstd"], [0.0]), "checkpoint logstd must have shape (3,)"),
+        (_set(["logstd", 1], float("-inf")), "checkpoint logstd must be finite"),
+        (_set(["normalizer", "var", 0], -1e-8), "checkpoint normalizer.var must be >= 0"),
+        (_set(["normalizer", "var", 2], float("nan")),
+         "checkpoint normalizer.var must be finite"),
+        (_set(["normalizer", "var"], lambda v: v[:3]),
+         "checkpoint normalizer.var must have shape (4,)"),
+        (_set(["normalizer", "mean"], lambda m: m + [0.0]),
+         "checkpoint normalizer.mean must have shape (4,)"),
+        (_set(["normalizer", "mean", 0], float("inf")),
+         "checkpoint normalizer.mean must be finite"),
+        (_set(["normalizer", "count"], -1.0), "checkpoint normalizer.count must be >= 0"),
+        (_set(["normalizer", "count"], float("inf")),
+         "checkpoint normalizer.count must be finite"),
+    ])
+    def test_bad_checkpoint_exits_one_before_any_episode(self, tmp_path, capsys,
+                                                         edit, message):
+        checkpoint = json.loads((PERFBENCH / "reverb_policy.json").read_text())
+        edit(checkpoint)
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(checkpoint))
+        out = tmp_path / "out"
+        code = main(["evaluate", "--config", str(small_config_file(tmp_path)),
+                     "--policy", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"invalid input: {message}")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestNumericalFailure:

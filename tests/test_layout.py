@@ -9,8 +9,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "twinloop"
-# Public names that only the tests and the package's own exports reach.
-TEST_SURFACE = {"effective_thresholds"}
 
 
 def private_imports(path):
@@ -59,7 +57,7 @@ def test_every_public_function_and_class_is_used():
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
-                    and node.name not in used[path] | elsewhere | bench | TEST_SURFACE):
+                    and node.name not in used[path] | elsewhere | bench):
                 unused.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not unused, "\n".join(unused)
 

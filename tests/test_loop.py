@@ -1,17 +1,21 @@
 """Control-loop environment tests: wiring between filter, scheduler, plant."""
 
 import csv
+import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twinloop import (PLANT_REGISTRY, ConfigurationError, ExperimentConfig,
                       InvalidInputError, LinearPlant, NumericalFailureError,
-                      SchedulingMode, TwinLoop, estimator, export_traces,
-                      run_episode, run_monte_carlo, scheduler)
+                      PolicyNetwork, SchedulingMode, TwinLoop, estimator,
+                      export_traces, run_episode, run_monte_carlo, scheduler)
 from twinloop.harness import fresh_policy, write_csv
-from tests.helpers import (reference_policy_input, reference_trace_columns,
-                           reference_trace_rows, same_bits)
+from tests.helpers import (reference_episode_metrics, reference_policy_input,
+                           reference_trace_columns, reference_trace_rows, same_bits)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def loop_config(mode="reverb"):
@@ -101,13 +105,13 @@ class TestFleetIndex:
         config.plant.name = "linear_3d"
         config.fleet.count = 6
         config.variance_caps = (0.01, 0.001, 0.001)
-        env = TwinLoop.from_config(config.validate(), record_trace=False)
+        env = TwinLoop.from_config(config.validate(), record_trace=True)
         assert env.fleet_index.state_dim == 3
         assert [len(m) for m in env.fleet_index.measuring] == [2, 2, 2]
         env.reset(0)
         step = env.step(np.zeros(env.action_dim))
         assert step.policy_input.shape == (6,)
-        assert len(env.selected_counts) == 1
+        assert env.episode_totals(env.trace)["qis"] == 1
 
     def test_uncovered_feature_rejected(self):
         config = loop_config()
@@ -132,6 +136,60 @@ class TestFleetIndex:
         config.variance_caps = caps
         with pytest.raises(ConfigurationError, match="must be positive"):
             TwinLoop(config)
+
+    @pytest.mark.parametrize("caps", ["x", ("0.01", "x"), [[0.01], [1e-3, 1]]])
+    def test_caps_that_are_not_numbers_rejected_unvalidated(self, caps):
+        # the loop parses the caps itself: no ValueError or TypeError
+        config = ExperimentConfig()
+        config.variance_caps = caps
+        with pytest.raises(ConfigurationError, match="variance caps must be numbers"):
+            TwinLoop(config)
+
+    def test_unknown_plant_rejected_unvalidated(self):
+        config = ExperimentConfig()
+        config.plant.name = "pendulum"
+        with pytest.raises(ConfigurationError, match="unknown plant 'pendulum'"):
+            TwinLoop(config)
+
+
+class TestOneRecordPerQi:
+    @pytest.mark.parametrize("mode", [m.value for m in SchedulingMode])
+    def test_metrics_equal_the_per_qi_accumulators(self, mode):
+        # read from the trace at the end of the episode, with the bits of
+        # the per-QI sums and lists the loop once kept beside it
+        config = ExperimentConfig.from_json_file(PERFBENCH / "acceptance.json")
+        config = dataclasses.replace(config, mode=mode, master_seed=7).validate()
+        policy = PolicyNetwork.load(PERFBENCH / "reverb_policy.json")
+        env = TwinLoop(config, record_trace=True)
+        for episode in range(3):
+            metrics = vars(run_episode(policy, config, episode, env=env))
+            trace = metrics.pop("trace")
+            want, norms = reference_episode_metrics(policy, config, episode)
+            assert metrics.keys() == want.keys() and len(trace) == want["qis"]
+            for key, value in want.items():
+                assert type(metrics[key]) is type(value), key
+                assert same_bits(np.array(metrics[key]), np.array(value)), key
+            # one QI at a time too: the mean can hide a last-bit difference
+            # in a norm (sqrt of np.einsum differs from sqrt(e.dot(e)) on
+            # a few QIs of each mode here)
+            got = [env.episode_totals([record])["mrmse"] for record in trace]
+            assert same_bits(np.array(got), np.array(norms))
+
+    @pytest.mark.parametrize("mode", [m.value for m in SchedulingMode])
+    def test_a_loop_without_a_trace_keeps_no_per_qi_state(self, mode):
+        env = TwinLoop(loop_config(mode))
+        env.reset(0)
+        sizes = {k: len(v) for k, v in vars(env).items() if isinstance(v, (list, dict))}
+        for _ in range(10):
+            env.step(np.zeros(env.action_dim))
+        assert env.trace == []
+        assert sizes == {k: len(v) for k, v in vars(env).items()
+                         if isinstance(v, (list, dict))}
+
+    def test_run_episode_needs_a_recording_loop(self):
+        config = loop_config()
+        with pytest.raises(InvalidInputError, match="records its trace"):
+            run_episode(fresh_policy(config), config, 0, env=TwinLoop(config))
 
 
 class TestEtaCoupling:
@@ -209,11 +267,12 @@ class TestGreedyModel:
     def test_built_once_per_loop_and_read_only(self, mode, monkeypatch):
         # mode, fleet and capacity fix the selection and its fusion steps:
         # the loop builds them once, as tuples, and no QI builds them again
+        config = loop_config(mode)   # validate builds a loop of its own
         calls = []
         real = scheduler.greedy_selection
         monkeypatch.setattr(scheduler, "greedy_selection",
                             lambda *args: calls.append(1) or real(*args))
-        env = TwinLoop.from_config(loop_config(mode), record_trace=True)
+        env = TwinLoop.from_config(config, record_trace=True)
         env.reset(0)
         for _ in range(5):
             env.step(np.zeros(env.action_dim))
@@ -249,7 +308,8 @@ class TestGreedyModel:
         env.reset(0)
         for _ in range(10):
             env.step(np.zeros(env.action_dim))
-        assert (sum(env.selected_counts) > 0) is (mode != "perfect")
+        selected = env.episode_totals(env.trace)["mean_selected"]
+        assert (selected > 0) is (mode != "perfect")
 
 
 class TestTrace:
@@ -308,14 +368,14 @@ class TestNonFinitePolicyAction:
     def test_nothing_runs_before_the_check(self, monkeypatch):
         from twinloop import scheduler
 
-        env = TwinLoop.from_config(loop_config())
+        env = TwinLoop.from_config(loop_config(), record_trace=True)
         env.reset(0)
         state, prior = env._true_state.copy(), env._prior
         monkeypatch.setattr(scheduler, "schedule", None)   # must not be reached
         with pytest.raises(NumericalFailureError):
             env.step(np.array([0.2, np.nan, 0.1]))
         assert np.array_equal(env._true_state, state) and env._prior is prior
-        assert env._qi == 1 and env.error_norms == []
+        assert env._qi == 1 and env.trace == []
 
     @pytest.mark.parametrize("mode", ["reverb", "error_greedy"])
     def test_infinite_entries_are_clamped_as_before(self, mode):

@@ -5,12 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from twinloop import (Belief, InvalidInputError, effective_thresholds,
-                      estimator, schedule)
+from twinloop import Belief, InvalidInputError, estimator, schedule
 from twinloop.scheduler import requested_caps
 from twinloop.estimator import posterior_cov, stack
 from twinloop.sensing import FleetIndex
-from tests.helpers import (diag_belief, indexed, random_case, reference_requested_caps,
+from tests.helpers import (diag_belief, effective_thresholds, indexed, random_case,
+                           reference_requested_caps,
                            reference_schedule,
                            relative_error, same_bits, scalar_agent, seeded_observer,
                            seeded_reader, weighted_objective)
