@@ -13,7 +13,7 @@ from .agent import (AugmentedAction, CostMode, PolicyNetwork, PpoHyperparams,
 from .channel import (ChannelParams, inverse_gaussian_q, outage_probability_mc,
                       required_power, sample_rician_gain, y_q)
 from .dynamics import (PLANT_REGISTRY, LinearPlant, MountainCar,
-                       MountainCarParams, build_linear_2d, build_mountain_car)
+                       build_linear_2d, build_mountain_car)
 from .errors import (ConfigurationError, InvalidInputError,
                      NumericalFailureError, TrainingFailureError,
                      TwinloopError, WeakLineOfSightError)

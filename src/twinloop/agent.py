@@ -100,7 +100,7 @@ class PpoHyperparams:
 
 
 def base_reward(control: float, reached_goal: bool,
-                termination_bonus: float = 100.0) -> float:
+                termination_bonus: float) -> float:
     """Quadratic effort cost plus the goal bonus: -0.1 a^2 (+ bonus)."""
     r = -0.1 * float(control) ** 2
     if reached_goal:
@@ -109,7 +109,7 @@ def base_reward(control: float, reached_goal: bool,
 
 
 def shape_reward(reward: float, accuracy, kappa: float,
-                 cost_mode: CostMode = CostMode.PENALTY) -> float:
+                 cost_mode: CostMode) -> float:
     """Fold the accuracy request into the reward according to ``cost_mode``.
 
     The request's sum is numpy's; its mean is that sum over its length, as
@@ -373,27 +373,37 @@ class PolicyNetwork:
     @classmethod
     def from_state(cls, payload: dict) -> "PolicyNetwork":
         """The policy of a ``state_dict``. Raises InvalidInputError naming
-        the field, before the policy is used, for layer sizes other than
-        [obs_dim, *hidden_sizes, action_dim] (the critic's end in 1), an
-        array of the wrong shape, a non-finite entry, or a negative
-        normalizer variance or count."""
-        if payload.get("format") != "twinloop-policy-v1":
+        the field, before any network is built, for a missing field, an
+        unknown ``hyper`` key, a dimension that is not an integer >= 1,
+        layer sizes other than [obs_dim, *hidden_sizes, action_dim] (the
+        critic's end in 1), an array of the wrong shape, a non-finite
+        entry, or a negative normalizer variance or count."""
+        if not isinstance(payload, dict) or payload.get("format") != "twinloop-policy-v1":
             raise InvalidInputError("unrecognized checkpoint format")
-        hyper = PpoHyperparams(**payload["hyper"])
-        policy = cls(payload["obs_dim"], payload["action_dim"], hyper,
-                     np.random.default_rng(0))
-        _mlp_load(policy.actor, payload["actor"], "actor")
-        _mlp_load(policy.critic, payload["critic"], "critic")
-        policy.logstd = _checkpoint_array(payload["logstd"], (policy.action_dim,),
-                                          "logstd")
-        state, dim = payload["normalizer"], (policy.obs_dim,)
-        policy.normalizer = RunningNormalizer.from_state({
-            "mean": _checkpoint_array(state["mean"], dim, "normalizer.mean"),
-            # a negative variance makes the scale sqrt(var + 1e-8) zero or NaN
-            "var": _checkpoint_array(state["var"], dim, "normalizer.var",
-                                     nonnegative=True),
-            "count": _checkpoint_array(state["count"], (), "normalizer.count",
-                                       nonnegative=True)})
+        try:
+            hyper = PpoHyperparams(**_field(payload, "hyper"))
+        except TypeError as exc:
+            raise InvalidInputError(f"checkpoint hyper is malformed: {exc}") from None
+        for name in ("obs_dim", "action_dim"):
+            value = _field(payload, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InvalidInputError(f"checkpoint {name} must be an integer >= 1: "
+                                        f"{value!r}")
+        obs_dim, action_dim = payload["obs_dim"], payload["action_dim"]
+        hidden = list(hyper.hidden_sizes)
+        actor = _mlp_arrays(payload, "actor", [obs_dim, *hidden, action_dim])
+        critic = _mlp_arrays(payload, "critic", [obs_dim, *hidden, 1])
+        logstd = _checkpoint_array(_field(payload, "logstd"), (action_dim,), "logstd")
+        # a negative variance makes the scale sqrt(var + 1e-8) zero or NaN
+        normalizer = RunningNormalizer.from_state({
+            key: _checkpoint_array(_field(payload, f"normalizer.{key}"), shape,
+                                   f"normalizer.{key}", nonnegative=key != "mean")
+            for key, shape in (("mean", (obs_dim,)), ("var", (obs_dim,)), ("count", ()))})
+        policy = cls(obs_dim, action_dim, hyper, np.random.default_rng(0))
+        policy.actor.weights, policy.actor.biases = actor
+        policy.critic.weights, policy.critic.biases = critic
+        policy.logstd = logstd
+        policy.normalizer = normalizer
         policy._actor_opt = Adam(policy.actor.parameters() + [policy.logstd],
                                  hyper.actor_lr)
         policy._critic_opt = Adam(policy.critic.parameters(), hyper.critic_lr)
@@ -654,14 +664,27 @@ def _checkpoint_array(value, shape, name, nonnegative=False) -> np.ndarray:
     return array
 
 
-def _mlp_load(mlp: Mlp, state: dict, name: str):
-    """Load a checkpoint's layers into ``mlp``, whose sizes they must have."""
-    sizes = list(mlp.sizes)
-    if not (list(state["sizes"]) == sizes
-            and len(state["weights"]) == len(state["biases"]) == len(sizes) - 1):
+def _field(payload, path):
+    """The checkpoint field at the dotted ``path`` of ``payload``; raises
+    InvalidInputError naming it when it is missing."""
+    value = payload
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise InvalidInputError(f"checkpoint {path} is missing")
+        value = value[key]
+    return value
+
+
+def _mlp_arrays(payload, name, sizes):
+    """The (weights, biases) of a checkpoint's network ``name``, whose
+    layers must have ``sizes``; checked before any array of them is built."""
+    weights, biases = (_field(payload, f"{name}.{key}") for key in ("weights", "biases"))
+    if not (_field(payload, f"{name}.sizes") == sizes
+            and isinstance(weights, list) and isinstance(biases, list)
+            and len(weights) == len(biases) == len(sizes) - 1):
         raise InvalidInputError(f"checkpoint {name} must have sizes {sizes}, "
                                 f"with a weight and a bias per layer")
-    mlp.weights = [_checkpoint_array(w, shape, f"{name}.weights[{i}]") for i, (w, shape)
-                   in enumerate(zip(state["weights"], zip(sizes, sizes[1:])))]
-    mlp.biases = [_checkpoint_array(b, (n,), f"{name}.biases[{i}]")
-                  for i, (b, n) in enumerate(zip(state["biases"], sizes[1:]))]
+    return ([_checkpoint_array(w, shape, f"{name}.weights[{i}]")
+             for i, (w, shape) in enumerate(zip(weights, zip(sizes, sizes[1:])))],
+            [_checkpoint_array(b, (n,), f"{name}.biases[{i}]")
+             for i, (b, n) in enumerate(zip(biases, sizes[1:]))])

@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 for configuration errors and rejected inputs
 (including channel parameters outside the strong line-of-sight regime and
 files or directories that cannot be read or written), 2 for numerical or
 training failures. Errors print one line to stderr, never a traceback. Flags
-override the corresponding config keys.
+replace the corresponding config keys before the config is checked.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import channel as channel_mod
 from .errors import (ConfigurationError, InvalidInputError,
                      NumericalFailureError, TrainingFailureError,
                      WeakLineOfSightError)
-from .harness import ExperimentConfig, run_monte_carlo, write_csv
+from .harness import ExperimentConfig, read_json, run_monte_carlo, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -31,21 +31,18 @@ EXIT_NUMERICAL = 2
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        config = ExperimentConfig.from_json_file(args.config)
-    else:
-        config = ExperimentConfig()
-    if getattr(args, "mode", None):
-        config.mode = args.mode
-    if getattr(args, "seed", None) is not None:
-        config.master_seed = args.seed
-    if getattr(args, "episodes", None) is not None:
-        config.episodes = args.episodes
-    if getattr(args, "out", None):
-        config.output_dir = args.out
-    if getattr(args, "steps", None) is not None:
-        config.rl.total_steps = args.steps
-    return config.validate()
+    """The config file's (or the default) config with the flags applied,
+    checked once: a flag replaces a key before the check sees it."""
+    config = (ExperimentConfig.from_dict(read_json(args.config)) if args.config
+              else ExperimentConfig())
+    flags = {"mode": args.mode or None, "master_seed": args.seed,
+             "episodes": getattr(args, "episodes", None),
+             "output_dir": args.out or None}
+    steps = getattr(args, "steps", None)
+    if steps is not None:
+        flags["rl"] = dataclasses.replace(config.rl, total_steps=steps)
+    return dataclasses.replace(
+        config, **{k: v for k, v in flags.items() if v is not None}).validate()
 
 
 def cmd_train(args) -> int:
@@ -136,17 +133,15 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_point(config, kappa, capacity, eps, train_steps) -> dict:
-    point = ExperimentConfig.from_dict(config.to_dict())
-    point.rl.reward_weight = kappa
-    point.capacity = capacity
-    point.channel = dataclasses.replace(point.channel, outage_epsilon=eps)
-    point.output_dir = None
-    point.validate()
+    rl = dataclasses.replace(config.rl, reward_weight=kappa)
     if train_steps:
-        point.rl.total_steps = train_steps
+        rl = dataclasses.replace(rl, total_steps=train_steps)
+    point = dataclasses.replace(
+        config, capacity=capacity, output_dir=None, rl=rl,
+        channel=dataclasses.replace(config.channel, outage_epsilon=eps)).validate()
+    policy = None
+    if train_steps:
         policy, _ = agent_mod.train(point, point.rl, point.master_seed)
-    else:
-        policy = None
     agg = run_monte_carlo(point, policy=policy)["aggregate"]
     return {"kappa": kappa, "capacity": capacity, "epsilon": eps,
             **_headline(agg)}
@@ -168,23 +163,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="twinloop",
         description="Digital-twin control loop simulator and benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags of a run, which _load_config applies to its config
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="experiment config JSON")
+    run.add_argument("--mode", help="scheduling mode")
+    run.add_argument("--seed", type=int)
+    run.add_argument("--out", help="output directory")
 
-    train = sub.add_parser("train", help="train a policy for one mode")
-    train.add_argument("--config", help="experiment config JSON")
-    train.add_argument("--mode", help="scheduling mode")
-    train.add_argument("--seed", type=int)
+    train = sub.add_parser("train", parents=[run], help="train a policy for one mode")
     train.add_argument("--steps", type=int, help="total training steps")
-    train.add_argument("--out", help="output directory")
     train.add_argument("--verbose", action="store_true")
     train.set_defaults(func=cmd_train)
 
-    ev = sub.add_parser("evaluate", help="run seeded evaluation episodes")
-    ev.add_argument("--config", help="experiment config JSON")
-    ev.add_argument("--mode", help="scheduling mode")
+    ev = sub.add_parser("evaluate", parents=[run], help="run seeded evaluation episodes")
     ev.add_argument("--policy", help="policy checkpoint (JSON); fresh policy if omitted")
-    ev.add_argument("--seed", type=int)
     ev.add_argument("--episodes", type=int)
-    ev.add_argument("--out", help="output directory")
     ev.set_defaults(func=cmd_evaluate)
 
     vc = sub.add_parser("validate-channel",
@@ -202,12 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--seed", type=int, default=0)
     vc.set_defaults(func=cmd_validate_channel)
 
-    sw = sub.add_parser("sweep", help="grid over kappa, capacity, epsilon")
-    sw.add_argument("--config", help="experiment config JSON")
-    sw.add_argument("--mode", help="scheduling mode")
-    sw.add_argument("--seed", type=int)
+    sw = sub.add_parser("sweep", parents=[run], help="grid over kappa, capacity, epsilon")
     sw.add_argument("--episodes", type=int)
-    sw.add_argument("--out", help="output directory")
     sw.add_argument("--kappa", type=float, nargs="*")
     sw.add_argument("--capacity", type=int, nargs="*")
     sw.add_argument("--epsilon", type=float, nargs="*")

@@ -24,32 +24,15 @@ slope in both rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
+from .sensing import nonnegative_numbers
 
 # The mountain car starts at rest; the twin's initial belief gives that
 # velocity this small variance.
 INITIAL_VELOCITY_VARIANCE = 1e-4
-
-
-@dataclass(frozen=True)
-class MountainCarParams:
-    """Constants of the hill-climb plant (reference-environment values)."""
-
-    gravity: float = 0.0025
-    force_gain: float = 0.0015
-    goal_position: float = 0.45
-    position_bounds: tuple = (-1.2, 0.6)
-    velocity_bounds: tuple = (-0.07, 0.07)
-    initial_position_range: tuple = (-0.6, -0.4)
-    episode_cap: int = 999
-
-    def __post_init__(self):
-        if self.gravity <= 0 or self.force_gain <= 0:
-            raise InvalidInputError("gravity and force_gain must be positive")
 
 
 class MountainCar:
@@ -58,19 +41,26 @@ class MountainCar:
     dim = 2
     control_dim = 1
     feature_names = ("pos", "vel")
+    # reference-environment constants
+    gravity = 0.0025
+    force_gain = 0.0015
+    goal_position = 0.45
+    position_bounds = (-1.2, 0.6)
+    velocity_bounds = (-0.07, 0.07)
+    initial_position_range = (-0.6, -0.4)
 
-    def __init__(self, params: MountainCarParams, process_cov):
-        self.params = params
+    def __init__(self, process_cov, episode_cap: int):
         process_cov = np.asarray(process_cov, dtype=float)
         _check_psd(process_cov, "process_cov")
         self.process_cov = process_cov
         self._noise_scale = _noise_factor(process_cov)
+        self.episode_cap = episode_cap
         # Control matrix of the composed next-state map: the force moves the
         # velocity, and the new velocity immediately moves the position.
-        g = params.force_gain
+        g = self.force_gain
         self.control_matrix = np.array([[g], [g]])
         # moments of the start distribution: uniform position, zero velocity
-        lo, hi = params.initial_position_range
+        lo, hi = self.initial_position_range
         self.initial_mean = np.array([0.5 * (lo + hi), 0.0])
         self.initial_cov = np.diag([(hi - lo) ** 2 / 12.0,
                                     INITIAL_VELOCITY_VARIANCE])
@@ -78,7 +68,7 @@ class MountainCar:
     def f(self, state) -> np.ndarray:
         """Noiseless zero-control next-state map, without clamping."""
         pos, vel = np.asarray(state, dtype=float).tolist()
-        new_vel = vel - self.params.gravity * _cos(3.0 * pos)
+        new_vel = vel - self.gravity * _cos(3.0 * pos)
         return np.array([pos + new_vel, new_vel])
 
     def jacobian(self, state) -> np.ndarray:
@@ -86,7 +76,7 @@ class MountainCar:
         pos, vel = np.asarray(state, dtype=float).tolist()
         if not (math.isfinite(pos) and math.isfinite(vel)):
             raise InvalidInputError("non-finite state")
-        slope = 3.0 * self.params.gravity * _sin(3.0 * pos)
+        slope = 3.0 * self.gravity * _sin(3.0 * pos)
         return np.array([[1.0 + slope, 1.0],
                          [slope, 1.0]])
 
@@ -108,38 +98,33 @@ class MountainCar:
         if not math.isfinite(control):
             raise InvalidInputError(f"invalid control {control!r}")
         control = min(max(control, -1.0), 1.0)
-        p = self.params
         if self._noise_scale is None:
             du = dv = 0.0
         else:
             du, dv = self._noise_scale.dot(rng.standard_normal(2)).tolist()
         # state, control and noise are finite here, so min(max(x, lo), hi)
         # gives the bits np.clip gives for a scalar, signed zeros included
-        lo, hi = p.velocity_bounds
-        vel = vel + p.force_gain * control - p.gravity * _cos(3.0 * pos) + dv
+        lo, hi = self.velocity_bounds
+        vel = vel + self.force_gain * control - self.gravity * _cos(3.0 * pos) + dv
         vel = float(min(max(vel, lo), hi))
-        lo, hi = p.position_bounds
+        lo, hi = self.position_bounds
         pos = pos + vel + du
         pos = float(min(max(pos, lo), hi))
         return np.array([pos, vel])
 
     def is_goal(self, state) -> bool:
-        return bool(state[0] >= self.params.goal_position)
+        return bool(state[0] >= self.goal_position)
 
     def initial_state(self, rng) -> np.ndarray:
-        lo, hi = self.params.initial_position_range
+        lo, hi = self.initial_position_range
         return np.array([rng.uniform(lo, hi), 0.0])
-
-    @property
-    def episode_cap(self) -> int:
-        return self.params.episode_cap
 
 
 class LinearPlant:
     """Linear test system s' = A s + B a + u. Never reaches a goal."""
 
     def __init__(self, transition, control_matrix, process_cov, feature_names,
-                 episode_cap=999, initial_mean=None, initial_cov=None):
+                 episode_cap: int):
         self.transition = np.asarray(transition, dtype=float)
         self.control_matrix = np.asarray(control_matrix, dtype=float)
         process_cov = np.asarray(process_cov, dtype=float)
@@ -153,10 +138,8 @@ class LinearPlant:
             raise InvalidInputError(f"need {self.dim} feature names: "
                                     f"{self.feature_names!r}")
         self.episode_cap = episode_cap
-        self.initial_mean = (np.zeros(self.dim) if initial_mean is None
-                             else np.asarray(initial_mean, dtype=float))
-        self.initial_cov = (np.eye(self.dim) if initial_cov is None
-                            else np.asarray(initial_cov, dtype=float))
+        self.initial_mean = np.zeros(self.dim)
+        self.initial_cov = np.eye(self.dim)
 
     def f(self, state) -> np.ndarray:
         return self.transition @ np.asarray(state, dtype=float)
@@ -176,21 +159,18 @@ class LinearPlant:
         return False
 
     def initial_state(self, rng) -> np.ndarray:
-        if (self.initial_cov == 0).all():
-            return self.initial_mean.copy()
         return rng.multivariate_normal(self.initial_mean, self.initial_cov)
 
 
-def build_mountain_car(process_noise_std, **kwargs) -> MountainCar:
-    return MountainCar(MountainCarParams(**kwargs),
-                       process_cov=_diagonal_cov(process_noise_std))
+def build_mountain_car(process_noise_std, episode_cap: int) -> MountainCar:
+    return MountainCar(_diagonal_cov(process_noise_std), episode_cap)
 
 
-def build_linear_2d(process_noise_std, **kwargs) -> LinearPlant:
+def build_linear_2d(process_noise_std, episode_cap: int) -> LinearPlant:
     return LinearPlant(transition=[[1.0, 1.0], [0.0, 1.0]],
                        control_matrix=[[0.0], [1.0]],
                        process_cov=_diagonal_cov(process_noise_std),
-                       feature_names=("pos", "vel"), **kwargs)
+                       feature_names=("pos", "vel"), episode_cap=episode_cap)
 
 
 PLANT_REGISTRY = {
@@ -218,9 +198,14 @@ def _sin(x: float) -> float:
 
 def _diagonal_cov(process_noise_std) -> np.ndarray:
     """diag(sp^2, sv^2) of the (position, velocity) noise standard
-    deviations. Raises InvalidInputError when a square overflows a float,
-    where ``**`` raises OverflowError."""
-    sp, sv = process_noise_std
+    deviations. Raises InvalidInputError naming the field unless they are
+    two finite numbers >= 0, or when a square overflows a float (where
+    ``**`` raises OverflowError)."""
+    stds = nonnegative_numbers(process_noise_std)
+    if len(stds) != 2:
+        raise InvalidInputError(f"plant.process_noise_std must be 2 finite numbers "
+                                f">= 0: {process_noise_std!r}")
+    sp, sv = stds
     try:
         return np.diag([sp ** 2, sv ** 2])
     except OverflowError:

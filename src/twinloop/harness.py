@@ -22,7 +22,6 @@ import csv
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,8 +90,7 @@ class ExperimentConfig:
                     except TypeError:
                         raise ConfigurationError(f"{prefix}{f.name} must be an "
                                                  f"integer: {value!r}") from None
-                elif f.type == "float" and (isinstance(value, bool) or
-                                            not isinstance(value, numbers.Real)):
+                elif f.type == "float" and not sensing.is_number(value):
                     raise ConfigurationError(f"{prefix}{f.name} must be a "
                                              f"number: {value!r}")
                 elif f.type == "bool" and not isinstance(value, bool):
@@ -114,17 +112,8 @@ class ExperimentConfig:
             raise ConfigurationError("capacity must be >= 0")
         if not 0.0 <= self.accuracy_weight <= 1.0:
             raise ConfigurationError("accuracy_weight must lie in [0, 1]")
-        # max_grad_norm 0 turns clipping off; below 0 it would do so unasked
-        for name, value in (("rl.reward_weight", self.rl.reward_weight),
-                            ("rl.eta_max", self.rl.eta_max),
-                            ("rl.max_grad_norm", self.rl.max_grad_norm)):
-            if not 0.0 <= value < np.inf:   # NaN compares false
-                raise ConfigurationError(f"{name} must be finite and >= 0: {value!r}")
-        for f in dataclasses.fields(self.rl):
-            value = getattr(self.rl, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigurationError(f"rl.{f.name} must be finite: {value!r}")
-        # a logstd within +-20 keeps std = exp(logstd) in [2e-9, 5e8], so the
+        # one row per rl float, and a NaN fails every comparison. A logstd
+        # within +-20 keeps std = exp(logstd) in [2e-9, 5e8], so the
         # standardized actions and their squares stay far inside a float;
         # an entropy_coef, value_coef, reward weight or eta_max within 1e6
         # of zero keeps the losses and their gradients, which the
@@ -132,20 +121,24 @@ class ExperimentConfig:
         # parameter by about the learning rate, and one above 1 (100 in a
         # 2,048-step run) drove logstd past exp's range. At 1e308 each of
         # them, and a gae_lambda, ended training with a non-finite loss, as
-        # a value_coef of 1e300 did with the reward weight and eta_max at 1e6
+        # a value_coef of 1e300 did with the reward weight and eta_max at 1e6.
+        # max_grad_norm 0 turns clipping off; below 0 it would do so unasked
         rl = self.rl
         for name, ok, bounds in (
                 ("discount", 0.0 < rl.discount < 1.0, "(0, 1)"),
                 ("gae_lambda", 0.0 <= rl.gae_lambda <= 1.0, "[0, 1]"),
-                ("clip_ratio", rl.clip_ratio > 0.0, "(0, inf)"),
+                ("clip_ratio", 0.0 < rl.clip_ratio < math.inf, "(0, inf)"),
                 ("entropy_coef", -1e6 <= rl.entropy_coef <= 1e6, "[-1e6, 1e6]"),
                 ("value_coef", 0.0 <= rl.value_coef <= 1e6, "[0, 1e6]"),
                 ("actor_lr", 0.0 <= rl.actor_lr <= 1.0, "[0, 1]"),
                 ("critic_lr", 0.0 <= rl.critic_lr <= 1.0, "[0, 1]"),
-                ("reward_weight", rl.reward_weight <= 1e6, "[0, 1e6]"),
-                ("eta_max", rl.eta_max <= 1e6, "[0, 1e6]"),
+                ("max_grad_norm", 0.0 <= rl.max_grad_norm < math.inf, "[0, inf)"),
+                ("reward_weight", 0.0 <= rl.reward_weight <= 1e6, "[0, 1e6]"),
+                ("eta_max", 0.0 <= rl.eta_max <= 1e6, "[0, 1e6]"),
                 ("initial_logstd", -20.0 <= rl.initial_logstd <= 20.0, "[-20, 20]"),
-                ("min_logstd", -20.0 <= rl.min_logstd <= 20.0, "[-20, 20]")):
+                ("min_logstd", -20.0 <= rl.min_logstd <= 20.0, "[-20, 20]"),
+                ("termination_bonus",
+                 -math.inf < rl.termination_bonus < math.inf, "(-inf, inf)")):
             if not ok:
                 raise ConfigurationError(f"rl.{name} must lie in {bounds}: "
                                          f"{getattr(rl, name)!r}")
@@ -158,7 +151,7 @@ class ExperimentConfig:
         if self.plant.name not in PLANT_REGISTRY:
             raise ConfigurationError(f"unknown plant {self.plant.name!r}")
         return PLANT_REGISTRY[self.plant.name](
-            process_noise_std=tuple(self.plant.process_noise_std),
+            process_noise_std=self.plant.process_noise_std,
             episode_cap=self.plant.episode_cap)
 
     def build_fleet(self, plant) -> sensing.FleetIndex:
@@ -211,15 +204,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(f"config file not found: {path}")
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"config is not valid JSON: {exc}")
-        return cls.from_dict(data).validate()
+        return cls.from_dict(read_json(path)).validate()
+
+
+def read_json(path) -> dict:
+    """The content of the config file at ``path``, unchecked; raises
+    ConfigurationError when the file is missing or is not JSON."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigurationError(f"config file not found: {path}")
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config is not valid JSON: {exc}")
 
 
 @dataclass
@@ -269,9 +267,9 @@ def run_monte_carlo(config: ExperimentConfig, policy: PolicyNetwork = None,
         raise InvalidInputError(f"evaluation runs in one process: workers must "
                                 f"be 1, not {workers!r}")
     config.validate()
+    env = TwinLoop(config, record_trace=True)
     if policy is None:
-        policy = fresh_policy(config)
-    env = TwinLoop.from_config(config, record_trace=True)
+        policy = fresh_policy(config, env)
     metrics = []
     failures = {}
     for i in range(config.episodes):
@@ -291,11 +289,11 @@ def run_monte_carlo(config: ExperimentConfig, policy: PolicyNetwork = None,
     return report
 
 
-def fresh_policy(config: ExperimentConfig) -> PolicyNetwork:
-    """Untrained policy drawn from the master seed (for baseline/no-training runs)."""
+def fresh_policy(config: ExperimentConfig, env: TwinLoop) -> PolicyNetwork:
+    """Untrained policy drawn from the master seed (for baseline/no-training
+    runs), sized for ``env``, a loop of ``config``."""
     rng = np.random.default_rng(np.random.SeedSequence(config.master_seed,
                                                        spawn_key=(0,)))
-    env = TwinLoop.from_config(config)
     return PolicyNetwork(env.obs_dim, env.action_dim, config.rl, rng)
 
 

@@ -181,8 +181,8 @@ def greedy_selection(mode: SchedulingMode, index: sensing.FleetIndex,
 
 def baseline_schedule(mode: SchedulingMode, prior: Belief,
                       index: sensing.FleetIndex, rng,
-                      observe_fn=None, caps=None, true_state=None,
-                      traditional_count: int = 2, greedy=None) -> ScheduleDecision:
+                      observe_fn=None, caps=None, true_state=None, *,
+                      traditional_count: int, greedy=None) -> ScheduleDecision:
     """Per-interval decision for the non-adaptive benchmark modes.
 
     ``index`` is the fleet's ``sensing.FleetIndex``; the greedy modes take

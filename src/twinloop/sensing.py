@@ -27,8 +27,6 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 
-DEFAULT_MIN_DISTANCE_M = 1.0
-
 
 @dataclass(frozen=True)
 class SensingAgentSpec:
@@ -95,28 +93,32 @@ def read(index: "FleetIndex", positions, true_state, rng, qi: int = 0) -> np.nda
 
 def place_agents(count: int, max_distance_m: float, position_noise_levels,
                  velocity_noise_levels, rng, state_dim: int,
-                 min_distance_m: float = DEFAULT_MIN_DISTANCE_M):
+                 min_distance_m: float):
     """Generate a fleet of single-feature agents covering all state features.
 
     Features are assigned round-robin (agent i measures feature i mod K), so
     any fleet with count >= state_dim covers every feature. Noise variances
     are drawn log-uniformly between min and max of the level list for the
-    assigned feature.
+    assigned feature (the position list for feature 0, the velocity list for
+    every other), which must hold positive finite numbers; ConfigurationError
+    names the list otherwise.
     """
     if count < state_dim:
         raise ConfigurationError(
             f"{count} agents cannot cover {state_dim} features")
     if max_distance_m <= min_distance_m:
         raise ConfigurationError("max_distance_m must exceed min_distance_m")
-    level_lists = [position_noise_levels, velocity_noise_levels]
-    level_lists += [velocity_noise_levels] * (state_dim - 2)
-    for k, levels in enumerate(level_lists[:state_dim]):
-        if levels is None or len(levels) == 0 or min(levels) <= 0:
-            raise ConfigurationError(f"no valid noise levels for feature {k}")
+    level_lists = [("position_noise_levels", position_noise_levels)]
+    level_lists += [("velocity_noise_levels", velocity_noise_levels)] * (state_dim - 1)
+    for name, levels in level_lists:
+        values = nonnegative_numbers(levels)
+        if not (values and min(values) > 0):
+            raise ConfigurationError(f"fleet.{name} must hold positive finite "
+                                     f"numbers: {levels!r}")
     fleet = []
     for i in range(count):
         feature = i % state_dim
-        levels = level_lists[feature]
+        levels = level_lists[feature][1]
         lo, hi = min(levels), max(levels)
         variance = lo if lo == hi else float(
             np.exp(rng.uniform(np.log(lo), np.log(hi))))
@@ -203,6 +205,21 @@ def agent_from_record(record) -> SensingAgentSpec:
         raise ConfigurationError(f"bad fleet record {record!r}: a field is missing or "
                                  f"malformed ({type(exc).__name__}: {exc})") from None
     return SensingAgentSpec(*fields)
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def nonnegative_numbers(values) -> tuple:
+    """The entries of ``values`` as a tuple when it is a sequence of finite
+    numbers >= 0 (``is_number``), else an empty tuple."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        return ()
+    return values if all(is_number(v) and 0 <= v < math.inf for v in values) else ()
 
 
 def integer(value) -> int:

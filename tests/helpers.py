@@ -416,7 +416,7 @@ def reference_mountain_car_step(car, state, control, rng):
     if not np.isfinite(control):
         raise InvalidInputError(f"invalid control {control!r}")
     control = float(np.clip(control, -1.0, 1.0))
-    p = car.params
+    p = car
     if car._noise_scale is None:
         u = np.zeros(2)
     else:
@@ -634,7 +634,7 @@ def reference_predict(belief, control, model):
 def reference_mountain_car_f(car, state):
     """MountainCar.f on numpy scalars, np.cos included."""
     pos, vel = np.asarray(state, dtype=float)
-    new_vel = vel - car.params.gravity * np.cos(3.0 * pos)
+    new_vel = vel - car.gravity * np.cos(3.0 * pos)
     return np.array([pos + new_vel, new_vel])
 
 
@@ -643,7 +643,7 @@ def reference_mountain_car_jacobian(car, state):
     state = np.asarray(state, dtype=float)
     if not np.isfinite(state).all():
         raise InvalidInputError("non-finite state")
-    slope = 3.0 * car.params.gravity * np.sin(3.0 * state[0])
+    slope = 3.0 * car.gravity * np.sin(3.0 * state[0])
     return np.array([[1.0 + slope, 1.0], [slope, 1.0]])
 
 

@@ -77,7 +77,7 @@ class TestCriterion1EstimatorOracle:
         # selection and their shared tail, through baseline_schedule
         start = time.time()
         rng = np.random.default_rng(2024)
-        plant = build_linear_2d(process_noise_std=(0.05, 0.02))
+        plant = build_linear_2d(process_noise_std=(0.05, 0.02), episode_cap=999)
         agents = [scalar_agent(1, 0, 0.04), scalar_agent(2, 1, 0.09)]
         index = indexed(agents)
         # equal distances: cost order is id order, so capacity 1 reads agent 1
@@ -102,7 +102,7 @@ class TestCriterion1EstimatorOracle:
 
             belief = baseline_schedule(
                 SchedulingMode.COST_GREEDY, belief, index, rng, observe_fn=observe,
-                greedy=greedy[2 if t % 2 == 0 else 1]).posterior
+                greedy=greedy[2 if t % 2 == 0 else 1], traditional_count=2).posterior
             step_obs = [(np.eye(2)[index.features[p]], index.variance[p], value)
                         for p, value in read]
             controls.append(control)

@@ -22,16 +22,17 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 class TestRewards:
     def test_base_reward_full_force(self):
-        assert base_reward(1.0, False) == pytest.approx(-0.1)
+        assert base_reward(1.0, False, 100.0) == pytest.approx(-0.1)
 
     def test_base_reward_idle(self):
-        assert base_reward(0.0, False) == 0.0
+        assert base_reward(0.0, False, 100.0) == 0.0
 
     def test_base_reward_goal_bonus(self):
-        assert base_reward(0.5, True) == pytest.approx(-0.025 + 100.0)
+        assert base_reward(0.5, True, 100.0) == pytest.approx(-0.025 + 100.0)
 
     def test_shaping_disabled(self):
-        assert shape_reward(-0.3, [500.0, 100.0], 0.0) == pytest.approx(-0.3)
+        assert shape_reward(-0.3, [500.0, 100.0], 0.0,
+                            CostMode.PENALTY) == pytest.approx(-0.3)
 
     def test_penalty_mode(self):
         assert shape_reward(-0.1, [100.0, 100.0], 5e-6,
@@ -50,7 +51,8 @@ class TestRewards:
             bumped = eta.copy()
             k = rng.integers(2)
             bumped[k] += rng.uniform(0, 500)
-            assert shape_reward(r, bumped, kappa) <= shape_reward(r, eta, kappa)
+            assert (shape_reward(r, bumped, kappa, CostMode.PENALTY)
+                    <= shape_reward(r, eta, kappa, CostMode.PENALTY))
 
 
 class TestDecodeAction:

@@ -26,7 +26,8 @@ def fleet_with_distances(distances, feature=0, variance=0.01):
 def greedy(mode, prior, index, capacity, **kwargs):
     """A greedy mode's decision on the selection its loop would hold."""
     return baseline_schedule(mode, prior, index, np.random.default_rng(0),
-                             greedy=greedy_selection(mode, index, capacity), **kwargs)
+                             greedy=greedy_selection(mode, index, capacity),
+                             traditional_count=2, **kwargs)
 
 
 class TestPerfect:
@@ -34,7 +35,8 @@ class TestPerfect:
         prior = diag_belief(0.02, 0.001, mean=[0.0, 0.0])
         decision = baseline_schedule(SchedulingMode.PERFECT, prior, indexed([]),
                                      np.random.default_rng(0),
-                                     true_state=np.array([-0.3, 0.05]))
+                                     true_state=np.array([-0.3, 0.05]),
+                                     traditional_count=2)
         np.testing.assert_allclose(decision.posterior.mean, [-0.3, 0.05])
         np.testing.assert_allclose(decision.posterior.cov, 0.0)
         assert decision.selected_ids == ()
@@ -42,7 +44,7 @@ class TestPerfect:
     def test_requires_true_state(self):
         with pytest.raises(InvalidInputError):
             baseline_schedule(SchedulingMode.PERFECT, diag_belief(0.1, 0.1),
-                              indexed([]), np.random.default_rng(0))
+                              indexed([]), np.random.default_rng(0), traditional_count=2)
 
 
 class TestGreedy:
@@ -98,7 +100,7 @@ class TestGreedy:
         with pytest.raises(InvalidInputError, match="greedy_selection"):
             baseline_schedule(mode, diag_belief(0.1, 0.1),
                               indexed([scalar_agent(1, 0, 0.01)]),
-                              np.random.default_rng(0))
+                              np.random.default_rng(0), traditional_count=2)
 
     @pytest.mark.parametrize("mode", [SchedulingMode.COST_GREEDY,
                                       SchedulingMode.ERROR_GREEDY])
@@ -200,7 +202,7 @@ class TestIllConditionedFleet:
                     + env.fleet_index.std.take(chosen) * rng.standard_normal(len(chosen))
                 got = baseline_schedule(mode, prior, env.fleet_index, rng,
                                         observe_fn=lambda positions: values,
-                                        greedy=greedy).posterior
+                                        greedy=greedy, traditional_count=2).posterior
                 index = env.fleet_index
                 mean, cov = exact_posterior(prior.mean, prior.cov, [
                     (index.features[p], index.variance[p], value)
@@ -285,7 +287,7 @@ class TestTraditional:
     def test_reverb_rejected_here(self):
         with pytest.raises(InvalidInputError):
             baseline_schedule(SchedulingMode.REVERB, diag_belief(0.1, 0.1),
-                              indexed([]), np.random.default_rng(0))
+                              indexed([]), np.random.default_rng(0), traditional_count=2)
 
 
 class TestPowerAccounting:
@@ -293,7 +295,7 @@ class TestPowerAccounting:
         decision = baseline_schedule(SchedulingMode.PERFECT,
                                      diag_belief(0.1, 0.1), indexed([]),
                                      np.random.default_rng(0),
-                                     true_state=np.zeros(2))
+                                     true_state=np.zeros(2), traditional_count=2)
         assert decision.selected_ids == ()
 
     def test_greedy_selects_exactly_capacity(self):

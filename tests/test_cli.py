@@ -283,12 +283,12 @@ class TestConfigRanges:
         ("rl", "hidden_sizes", [0, 64], "invalid input: hidden_sizes must be >= 1"),
         # kappa < 0 would fail every episode in shape_reward, and
         # eta_max < 0 would clamp every accuracy request below zero
-        ("rl", "reward_weight", -1, "rl.reward_weight must be finite and >= 0"),
-        ("rl", "reward_weight", float("nan"), "rl.reward_weight must be finite and >= 0"),
-        ("rl", "eta_max", -5, "rl.eta_max must be finite and >= 0"),
-        ("rl", "eta_max", float("inf"), "rl.eta_max must be finite and >= 0"),
+        ("rl", "reward_weight", -1, "rl.reward_weight must lie in [0, 1e6]"),
+        ("rl", "reward_weight", float("nan"), "rl.reward_weight must lie in [0, 1e6]"),
+        ("rl", "eta_max", -5, "rl.eta_max must lie in [0, 1e6]"),
+        ("rl", "eta_max", float("inf"), "rl.eta_max must lie in [0, 1e6]"),
         # below 0 would turn gradient clipping off unasked
-        ("rl", "max_grad_norm", -1, "rl.max_grad_norm must be finite and >= 0"),
+        ("rl", "max_grad_norm", -1, "rl.max_grad_norm must lie in [0, inf)"),
         ("rl", "cost_mode", "foo",
          "invalid input: cost_mode must be one of ['penalty', 'paper_eq24']: 'foo'"),
         # "no" is truthy: it would train with normalization on
@@ -391,6 +391,24 @@ class TestConfigRanges:
         # a generated agent's d ** alpha overflows: ** raised OverflowError
         # in TwinLoop, after train had made --out
         ("fleet", "max_distance_m", 1e300, "invalid input: the link power at"),
+        # the plant's noise: a ValueError or TypeError traceback for a wrong
+        # count or a string, and an infinite std (1e400 in the file) ran
+        # until every episode failed at QI 2, after the outputs were written
+        *[("plant", "process_noise_std", value,
+           "invalid input: plant.process_noise_std must be 2 finite numbers >= 0")
+          for value in ([0.001], [0.001, 0.001, 0.001], ["a", 1],
+                        [float("inf"), 0.001], [0.001, float("nan")], [-0.1, 0.001],
+                        5)],
+        # a generated fleet's noise levels: a TypeError or OverflowError
+        # traceback
+        *[("fleet", key, value,
+           f"configuration error: fleet.{key} must hold positive finite numbers")
+          for key, value in (("position_noise_levels", ["a"]),
+                             ("position_noise_levels", 5),
+                             ("position_noise_levels", [float("nan"), 1e-3]),
+                             ("position_noise_levels", [1e-3, float("inf")]),
+                             ("velocity_noise_levels", [0.0, 1e-3]),
+                             ("velocity_noise_levels", []))],
     ])
     @VALIDATING_COMMANDS
     def test_value_out_of_range_exits_one_with_one_line(
@@ -441,6 +459,16 @@ def _set(path, value):
     return edit
 
 
+def _delete(path):
+    """A checkpoint edit: delete the field at ``path``."""
+    def edit(checkpoint):
+        *head, last = path
+        for key in head:
+            checkpoint = checkpoint[key]
+        del checkpoint[last]
+    return edit
+
+
 class TestCheckpointChecks:
     # each was a traceback, warnings before a clipped run, a silent
     # acceptance or a failure of every episode with exit 2
@@ -475,6 +503,14 @@ class TestCheckpointChecks:
         (_set(["normalizer", "count"], -1.0), "checkpoint normalizer.count must be >= 0"),
         (_set(["normalizer", "count"], float("inf")),
          "checkpoint normalizer.count must be finite"),
+        # a KeyError or TypeError traceback, checked before anything is built
+        (_delete(["logstd"]), "checkpoint logstd is missing"),
+        (_delete(["normalizer", "var"]), "checkpoint normalizer.var is missing"),
+        (_delete(["actor", "weights"]), "checkpoint actor.weights is missing"),
+        (_set(["normalizer"], 5), "checkpoint normalizer.mean is missing"),
+        (_set(["obs_dim"], "4"), "checkpoint obs_dim must be an integer >= 1: '4'"),
+        (_set(["action_dim"], 0), "checkpoint action_dim must be an integer >= 1: 0"),
+        (_set(["hyper", "bogus"], 1), "checkpoint hyper is malformed"),
     ])
     def test_bad_checkpoint_exits_one_before_any_episode(self, tmp_path, capsys,
                                                          edit, message):
@@ -490,6 +526,93 @@ class TestCheckpointChecks:
         assert captured.err.startswith(f"invalid input: {message}")
         assert captured.err.count("\n") == 1
         assert not out.exists()
+
+
+    def test_huge_dimension_is_rejected_before_any_network_is_built(
+            self, tmp_path, capsys, monkeypatch):
+        # a fresh network of this size was built first: a 477 GiB allocation
+        from twinloop import agent
+
+        def must_not_build(*args):
+            raise AssertionError("a network was built before the checks")
+
+        monkeypatch.setattr(agent, "_orthogonal", must_not_build)
+        checkpoint = json.loads((PERFBENCH / "reverb_policy.json").read_text())
+        checkpoint["obs_dim"] = 1_000_000_000
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(checkpoint))
+        code = main(["evaluate", "--config", str(small_config_file(tmp_path)),
+                     "--policy", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("invalid input: checkpoint actor must have sizes "
+                                "[1000000000, 64, 64, 3], with a weight and a bias "
+                                "per layer\n")
+
+
+class TestOneCheckPerRun:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from twinloop import ExperimentConfig, TwinLoop
+
+        counts = {"loops": 0, "validates": 0}
+        init, validate = TwinLoop.__init__, ExperimentConfig.validate
+
+        def counting_init(self, *args, **kwargs):
+            counts["loops"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_validate(self):
+            counts["validates"] += 1
+            return validate(self)
+
+        monkeypatch.setattr(TwinLoop, "__init__", counting_init)
+        monkeypatch.setattr(ExperimentConfig, "validate", counting_validate)
+        return counts
+
+    @pytest.mark.parametrize("with_policy", [False, True])
+    def test_evaluate_builds_three_loops_and_validates_twice(
+            self, tmp_path, counts, with_policy):
+        # one check after the flags, one in run_monte_carlo (each builds a
+        # loop), and the loop that runs the episodes and sizes a fresh policy
+        args = ["evaluate", "--config", str(small_config_file(tmp_path))]
+        if with_policy:
+            args += ["--policy", str(PERFBENCH / "reverb_policy.json")]
+        with redirect_stdout(io.StringIO()):
+            assert main(args) == 0
+        assert counts == {"loops": 3, "validates": 2}
+
+    def test_train_builds_two_loops_and_validates_once(self, tmp_path, counts):
+        with redirect_stdout(io.StringIO()):
+            assert main(["train", "--config", str(small_config_file(tmp_path)),
+                         "--steps", "0", "--out", str(tmp_path / "out")]) == 0
+        assert counts == {"loops": 2, "validates": 1}
+
+    def test_flags_apply_before_the_check(self, tmp_path):
+        # the file's mode alone is rejected; the flag replaces it first
+        config = json.loads(small_config_file(tmp_path).read_text())
+        config["mode"] = "bogus"
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps(config))
+        assert main(["evaluate", "--config", str(path)]) == 1
+        with redirect_stdout(io.StringIO()):
+            assert main(["evaluate", "--config", str(path), "--mode", "reverb"]) == 0
+
+    def test_sweep_rejects_a_point_before_training_it(self, tmp_path, capsys,
+                                                     monkeypatch):
+        from twinloop import agent
+
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("trained a point that fails the check")
+
+        monkeypatch.setattr(agent, "train", must_not_train)
+        code = main(["sweep", "--config", str(small_config_file(tmp_path, episodes=1)),
+                     "--out", str(tmp_path / "sweep"), "--train-steps", "256",
+                     "--kappa", "-1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("configuration error: rl.reward_weight must lie in "
+                       "[0, 1e6]: -1.0\n")
 
 
 class TestNumericalFailure:

@@ -12,7 +12,7 @@ from tests.helpers import (edgy_floats, reference_mountain_car_f,
 
 
 def noiseless_car():
-    return build_mountain_car(process_noise_std=(0.0, 0.0))
+    return build_mountain_car(process_noise_std=(0.0, 0.0), episode_cap=999)
 
 
 def reference_update(pos, vel, force):
@@ -69,7 +69,7 @@ class TestStep:
             assert state[1] == pytest.approx(vel, abs=1e-15)
 
     def test_clamp_safety_under_noise(self):
-        car = build_mountain_car(process_noise_std=(0.3, 0.05))
+        car = build_mountain_car(process_noise_std=(0.3, 0.05), episode_cap=999)
         rng = np.random.default_rng(7)
         state = car.initial_state(rng)
         for _ in range(500):
@@ -78,7 +78,7 @@ class TestStep:
             assert -0.07 <= state[1] <= 0.07
 
     def test_identical_seeds_reproduce_trajectories(self):
-        car = build_mountain_car(process_noise_std=(1e-2, 1e-3))
+        car = build_mountain_car(process_noise_std=(1e-2, 1e-3), episode_cap=999)
         trajs = []
         for _ in range(2):
             rng = np.random.default_rng(42)
@@ -96,7 +96,7 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("noise", [(0.0, 0.0), (1e-4, 1e-5), (0.045, 0.001)])
     def test_random_states_and_controls(self, noise):
-        car = build_mountain_car(process_noise_std=noise)
+        car = build_mountain_car(process_noise_std=noise, episode_cap=999)
         pick = np.random.default_rng(31)
         positions = (-1.2, 0.6, 0.45, -0.5, 0.0, -0.0)
         velocities = (-0.07, 0.07, 0.0, -0.0)
@@ -162,13 +162,13 @@ class TestGoal:
 
 class TestLinearPlant:
     def test_f_and_jacobian_consistent(self):
-        plant = build_linear_2d(process_noise_std=(0.0, 0.0))
+        plant = build_linear_2d(process_noise_std=(0.0, 0.0), episode_cap=999)
         state = np.array([0.3, -0.2])
         np.testing.assert_allclose(plant.f(state), plant.transition @ state)
         np.testing.assert_allclose(plant.jacobian(state), plant.transition)
 
     def test_step_applies_control(self):
-        plant = build_linear_2d(process_noise_std=(0.0, 0.0))
+        plant = build_linear_2d(process_noise_std=(0.0, 0.0), episode_cap=999)
         out = plant.step(np.array([1.0, 2.0]), 0.5, np.random.default_rng(0))
         np.testing.assert_allclose(out, [3.0, 2.5])
 
@@ -188,7 +188,7 @@ class TestFloatFormMatchesArrayForm:
                 rng.choice(self.EDGES) if rng.random() < 0.3 else rng.uniform(-0.1, 0.1)])
 
     def test_f(self):
-        car = build_mountain_car(process_noise_std=(1e-4, 1e-5))
+        car = build_mountain_car(process_noise_std=(1e-4, 1e-5), episode_cap=999)
         for state in self.states(51, 4000):
             with np.errstate(invalid="ignore", over="ignore"):
                 want = reference_mountain_car_f(car, state)
@@ -196,7 +196,7 @@ class TestFloatFormMatchesArrayForm:
             assert same_bits(car.f(state.tolist()), want)
 
     def test_jacobian(self):
-        car = build_mountain_car(process_noise_std=(1e-4, 1e-5))
+        car = build_mountain_car(process_noise_std=(1e-4, 1e-5), episode_cap=999)
         for state in self.states(52, 4000):
             with np.errstate(invalid="ignore", over="ignore"):
                 want = reference_mountain_car_jacobian(car, state)
@@ -220,7 +220,7 @@ class TestFloatFormMatchesArrayForm:
         assert np.isnan(car.jacobian(np.array([1e308, 0.0]))[:, 0]).all()
 
     def test_step_at_clamp_bounds_and_signed_zeros(self):
-        car = build_mountain_car(process_noise_std=(1e-4, 1e-5))
+        car = build_mountain_car(process_noise_std=(1e-4, 1e-5), episode_cap=999)
         for state in self.states(53, 1500):
             for control in (0.0, -0.0, 1.0, -1.0, 1.5, -1.5):
                 got = car.step(state, control, np.random.default_rng(7))
@@ -235,4 +235,5 @@ class TestGoalIsAPythonBool:
     def test_both_plants(self, state):
         state = np.array(state)
         assert type(noiseless_car().is_goal(state)) is bool
-        assert type(build_linear_2d(process_noise_std=(0.0, 0.0)).is_goal(state)) is bool
+        plant = build_linear_2d(process_noise_std=(0.0, 0.0), episode_cap=999)
+        assert type(plant.is_goal(state)) is bool

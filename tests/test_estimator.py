@@ -44,7 +44,7 @@ class TestPredict:
         np.testing.assert_allclose(out.cov, belief.cov + q)
 
     def test_mountain_car_prior_covariance(self):
-        car = build_mountain_car(process_noise_std=(0.0, 0.0))
+        car = build_mountain_car(process_noise_std=(0.0, 0.0), episode_cap=999)
         belief = Belief(np.zeros(2), np.diag([0.01, 0.001]))
         out = predict(belief, 0.0, car)
         np.testing.assert_allclose(out.cov, [[0.011, 0.001], [0.001, 0.001]],
@@ -207,7 +207,7 @@ class TestProperties:
 
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(3)
-        car = build_mountain_car(process_noise_std=(1e-3, 1e-4))
+        car = build_mountain_car(process_noise_std=(1e-3, 1e-4), episode_cap=999)
         belief = diag_belief(0.01, 0.001, mean=[-0.5, 0.0])
         pos_agent = scalar_agent(1, 0, 5e-3)
         vel_agent = scalar_agent(2, 1, 5e-4)
@@ -363,7 +363,7 @@ class TestSymmetrizeOnce:
 
     def test_producers_return_exactly_symmetric_covariances(self):
         rng = np.random.default_rng(44)
-        car = build_mountain_car(process_noise_std=(1e-3, 1e-4))
+        car = build_mountain_car(process_noise_std=(1e-3, 1e-4), episode_cap=999)
         agents = [scalar_agent(1, 0, 5e-3), scalar_agent(2, 1, 5e-4)]
         belief = diag_belief(0.01, 0.001, mean=[-0.5, 0.0])
         for _ in range(100):
@@ -376,7 +376,7 @@ class TestSymmetrizeOnce:
 class TestBatchOracleEquivalence:
     def test_filtered_moments_match_batch_least_squares(self):
         rng = np.random.default_rng(17)
-        plant = build_linear_2d(process_noise_std=(0.05, 0.02))
+        plant = build_linear_2d(process_noise_std=(0.05, 0.02), episode_cap=999)
         pos_agent = scalar_agent(1, 0, 0.04)
         vel_agent = scalar_agent(2, 1, 0.09)
         init = Belief(np.array([0.5, -0.3]), np.diag([0.2, 0.1]))
@@ -426,9 +426,9 @@ class TestFloatFormMatchesArrayForm:
     """predict, the rank-1 step and the fused mean take their elementwise
     work on floats: the bits of the array forms in tests/helpers.py."""
 
-    PLANTS = (build_mountain_car(process_noise_std=(0.045, 0.001)),
-              build_mountain_car(process_noise_std=(0.0, 0.0)),
-              build_linear_2d(process_noise_std=(0.05, 0.02)),
+    PLANTS = (build_mountain_car(process_noise_std=(0.045, 0.001), episode_cap=999),
+              build_mountain_car(process_noise_std=(0.0, 0.0), episode_cap=999),
+              build_linear_2d(process_noise_std=(0.05, 0.02), episode_cap=999),
               IdentityPlant(np.diag([0.01, 0.02])))
 
     def test_predict(self):
@@ -446,15 +446,15 @@ class TestFloatFormMatchesArrayForm:
         # the covariance, or the mean through f, overflows
         ([1e308, 1e308], np.eye(2) * 1e308, IdentityPlant(np.eye(2) * 1e308),
          NumericalFailureError),
-        ([0.5, 0.0], np.eye(2) * 1e308, build_mountain_car(process_noise_std=(0, 0)),
-         NumericalFailureError),
-        ([1e308, 0.0], np.eye(2), build_mountain_car(process_noise_std=(0, 0)),
-         NumericalFailureError),
+        ([0.5, 0.0], np.eye(2) * 1e308,
+         build_mountain_car(process_noise_std=(0, 0), episode_cap=999), NumericalFailureError),
+        ([1e308, 0.0], np.eye(2),
+         build_mountain_car(process_noise_std=(0, 0), episode_cap=999), NumericalFailureError),
         # the Jacobian refuses a non-finite mean
-        ([np.inf, 0.0], np.eye(2), build_mountain_car(process_noise_std=(0, 0)),
-         InvalidInputError),
-        ([0.0, np.nan], np.eye(2), build_mountain_car(process_noise_std=(0, 0)),
-         InvalidInputError)])
+        ([np.inf, 0.0], np.eye(2),
+         build_mountain_car(process_noise_std=(0, 0), episode_cap=999), InvalidInputError),
+        ([0.0, np.nan], np.eye(2),
+         build_mountain_car(process_noise_std=(0, 0), episode_cap=999), InvalidInputError)])
     def test_predict_still_raises_where_it_raised(self, mean, cov, model, error):
         belief = Belief(np.array(mean), cov, qi=41)
         with pytest.raises(error) as got:

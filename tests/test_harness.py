@@ -108,7 +108,7 @@ class TestConfig:
 class TestRunEpisode:
     def test_perfect_mode_has_zero_error(self):
         config = small_config(mode="perfect")
-        metrics = run_episode(fresh_policy(config), config, 0)
+        metrics = run_episode(fresh_policy(config, TwinLoop(config)), config, 0)
         assert metrics.mrmse == 0.0
         assert metrics.total_power_w == 0.0
 
@@ -116,7 +116,7 @@ class TestRunEpisode:
         config = small_config(mode="reverb")
         config.plant.process_noise_std = (1e-4, 1e-5)  # no free rides to the goal
         config.validate()
-        metrics = run_episode(fresh_policy(config), config, 0)
+        metrics = run_episode(fresh_policy(config, TwinLoop(config)), config, 0)
         assert metrics.qis == 40
         assert not metrics.reached_goal
 
@@ -125,13 +125,13 @@ class TestRunEpisode:
         config.variance_caps = (1e6, 1e6)
         config.rl.eta_max = 1e-9   # requested accuracy cannot tighten caps
         config.validate()
-        metrics = run_episode(fresh_policy(config), config, 0)
+        metrics = run_episode(fresh_policy(config, TwinLoop(config)), config, 0)
         assert metrics.total_power_w == 0.0
         assert metrics.mean_selected == 0.0
 
     def test_power_accounting_identity(self):
         config = small_config(mode="cost_greedy")
-        metrics = run_episode(fresh_policy(config), config, 1)
+        metrics = run_episode(fresh_policy(config, TwinLoop(config)), config, 1)
         env = TwinLoop.from_config(config)
         power = env.trace_table(metrics.trace)["power_w"]
         trace_total = sum(power)
@@ -146,7 +146,7 @@ class TestCommonRandomNumbers:
         states = {}
         for mode in ("perfect", "reverb", "cost_greedy"):
             config = small_config(mode=mode)
-            metrics = run_episode(fresh_policy(config), config, 3)
+            metrics = run_episode(fresh_policy(config, TwinLoop(config)), config, 3)
             table = TwinLoop.from_config(config).trace_table(metrics.trace)
             states[mode] = (table["true_pos"][0],
                             table["true_vel"][0])
@@ -154,8 +154,8 @@ class TestCommonRandomNumbers:
 
     def test_perfect_rerun_is_identical(self):
         config = small_config(mode="perfect")
-        a = run_episode(fresh_policy(config), config, 2)
-        b = run_episode(fresh_policy(config), config, 2)
+        a = run_episode(fresh_policy(config, TwinLoop(config)), config, 2)
+        b = run_episode(fresh_policy(config, TwinLoop(config)), config, 2)
         env = TwinLoop.from_config(config)
         assert (env.trace_table(a.trace)["true_pos"]
                 == env.trace_table(b.trace)["true_pos"])
@@ -238,7 +238,7 @@ class TestExport:
         config.plant.episode_cap = 3
         config.validate()
         env = TwinLoop.from_config(config, record_trace=True)
-        metrics = run_episode(fresh_policy(config), config, 0, env=env)
+        metrics = run_episode(fresh_policy(config, env), config, 0, env=env)
         export_traces([metrics], tmp_path / "out", env=env)
         lines = (tmp_path / "out" / f"trace_{metrics.episode}.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
@@ -278,7 +278,8 @@ class TestTrainingDeterminism:
         config = small_config()
         config.rl.total_steps = 0
         policy, curve = train(config, config.rl, seed=9)
-        reference = fresh_policy(config)  # different seed path, same shape
+        # a different seed path, the same shape
+        reference = fresh_policy(config, TwinLoop(config))
         assert curve == []
         assert policy.actor.sizes == reference.actor.sizes
 

@@ -1,11 +1,17 @@
 """Module boundaries: no module of the package imports another module's
 private (``_``-prefixed) names, and no public function or class is dead. A
 helper that two modules need is public in one of them. The state dimension
-is the plant's: nothing in the package defaults it. Every setting comes from
-the config or a command-line flag: no module reads the process environment."""
+is the plant's, and every other setting the config's: nothing in the package
+restates a default of either. Every setting comes from the config or a
+command-line flag: no module reads the process environment."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from twinloop.agent import PpoHyperparams
+from twinloop.channel import ChannelParams
+from twinloop.harness import ExperimentConfig, FleetConfig, PlantConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "twinloop"
@@ -62,10 +68,19 @@ def test_every_public_function_and_class_is_used():
     assert not unused, "\n".join(unused)
 
 
-def state_dim_defaults(path):
-    """Every ``state_dim`` parameter of a function, or field of a class,
-    that is given a default value."""
+CONFIG_CLASSES = (ExperimentConfig, PlantConfig, FleetConfig, ChannelParams,
+                  PpoHyperparams)
+# the names whose one default lives in a config dataclass, or nowhere
+CONFIG_OWNED = {"state_dim"} | {f.name for cls in CONFIG_CLASSES
+                                for f in dataclasses.fields(cls)}
+
+
+def config_owned_defaults(path):
+    """Every parameter of a function, or field of a class other than the
+    config dataclasses, that is named after a config-owned setting and is
+    given a default value."""
     found = []
+    exempt = {cls.__name__ for cls in CONFIG_CLASSES}
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
@@ -73,17 +88,20 @@ def state_dim_defaults(path):
             defaulted = positional[len(positional) - len(args.defaults):]
             defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
                           if d is not None]
-            found += [f"{path.name}:{a.lineno}" for a in defaulted if a.arg == "state_dim"]
-        elif isinstance(node, ast.ClassDef):
-            found += [f"{path.name}:{item.lineno}" for item in node.body
+            found += [f"{path.name}:{a.lineno}: {a.arg}" for a in defaulted
+                      if a.arg in CONFIG_OWNED]
+        elif isinstance(node, ast.ClassDef) and node.name not in exempt:
+            found += [f"{path.name}:{item.lineno}: {item.target.id}"
+                      for item in node.body
                       if isinstance(item, ast.AnnAssign) and item.value is not None
-                      and getattr(item.target, "id", None) == "state_dim"]
+                      and getattr(item.target, "id", None) in CONFIG_OWNED]
     return found
 
 
 def test_no_state_dim_has_a_default():
+    # nor any other config-owned setting
     found = [line for path in sorted(PACKAGE.glob("*.py"))
-             for line in state_dim_defaults(path)]
+             for line in config_owned_defaults(path)]
     assert not found, "\n".join(found)
 
 

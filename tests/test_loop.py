@@ -188,8 +188,9 @@ class TestOneRecordPerQi:
 
     def test_run_episode_needs_a_recording_loop(self):
         config = loop_config()
+        env = TwinLoop(config)
         with pytest.raises(InvalidInputError, match="records its trace"):
-            run_episode(fresh_policy(config), config, 0, env=TwinLoop(config))
+            run_episode(fresh_policy(config, env), config, 0, env=env)
 
 
 class TestEtaCoupling:
@@ -326,7 +327,7 @@ class TestTrace:
         config.variance_caps = (0.01, 0.001, 0.001)
         config.plant.episode_cap = 8
         env = TwinLoop.from_config(config.validate(), record_trace=True)
-        metrics = run_episode(fresh_policy(config), config, 0, env=env)
+        metrics = run_episode(fresh_policy(config, env), config, 0, env=env)
         export_traces([metrics], tmp_path / "out", env=env)
         path = tmp_path / "out" / "trace_0.csv"
         with open(path, newline="") as fh:
@@ -344,11 +345,12 @@ class TestTrace:
         assert path.read_bytes() == want.read_bytes()
 
     def test_linear_plant_names_its_features(self):
-        plant = LinearPlant(np.eye(3), np.ones((3, 1)), np.zeros((3, 3)), ["a", "b", "c"])
+        plant = LinearPlant(np.eye(3), np.ones((3, 1)), np.zeros((3, 3)), ["a", "b", "c"],
+                            episode_cap=999)
         assert plant.feature_names == ("a", "b", "c")
         with pytest.raises(InvalidInputError, match="3 feature names"):
             LinearPlant(np.eye(3), np.ones((3, 1)), np.zeros((3, 3)),
-                        feature_names=("a", "b"))
+                        feature_names=("a", "b"), episode_cap=999)
 
 
 class TestNonFinitePolicyAction:

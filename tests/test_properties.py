@@ -162,7 +162,8 @@ def test_satisfied_reports_the_caps_met(seed, capacity, mode):
     else:
         decision = baseline_schedule(mode, prior, index, np.random.default_rng(seed),
                                      observe_fn=reader, caps=caps, true_state=prior.mean,
-                                     greedy=greedy_selection(mode, index, capacity))
+                                     greedy=greedy_selection(mode, index, capacity),
+                                     traditional_count=2)
     met = decision.posterior.cov.diagonal() <= caps
     assert np.array_equal(decision.satisfied, met)
     assert bool(decision.satisfied.all()) == bool(met.all())

@@ -90,18 +90,19 @@ class TestAgentSpecValidation:
 class TestPlacement:
     def test_distances_within_bound(self):
         fleet = place_agents(10, 20.0, [1e-3, 1e-1], [1e-4, 1e-2],
-                             np.random.default_rng(0), 2)
+                             np.random.default_rng(0), 2, 1.0)
         assert all(1.0 < a.distance_m <= 20.0 for a in fleet)
         assert len(fleet) == 10
 
     def test_minimal_fleet_covers_both_features(self):
-        fleet = place_agents(2, 20.0, [1e-2], [1e-3], np.random.default_rng(0), 2)
+        fleet = place_agents(2, 20.0, [1e-2], [1e-3], np.random.default_rng(0), 2, 1.0)
         assert [a.feature for a in fleet] == [0, 1]
 
     def test_same_seed_same_fleet(self):
         kwargs = dict(count=6, max_distance_m=20.0,
                       position_noise_levels=[1e-3, 1e-1],
-                      velocity_noise_levels=[1e-4, 1e-2], state_dim=2)
+                      velocity_noise_levels=[1e-4, 1e-2], state_dim=2,
+                      min_distance_m=1.0)
         a = place_agents(rng=np.random.default_rng(3), **kwargs)
         b = place_agents(rng=np.random.default_rng(3), **kwargs)
         for x, y in zip(a, b):
@@ -110,16 +111,16 @@ class TestPlacement:
 
     def test_variances_within_levels(self):
         fleet = place_agents(40, 20.0, [1e-3, 1e-1], [1e-4, 1e-2],
-                             np.random.default_rng(1), 2)
+                             np.random.default_rng(1), 2, 1.0)
         for agent in fleet:
             lo, hi = (1e-3, 1e-1) if agent.feature == 0 else (1e-4, 1e-2)
             assert lo <= agent.variance <= hi
 
     def test_impossible_coverage_is_rejected(self):
         with pytest.raises(ConfigurationError):
-            place_agents(1, 20.0, [1e-2], [1e-3], np.random.default_rng(0), 2)
+            place_agents(1, 20.0, [1e-2], [1e-3], np.random.default_rng(0), 2, 1.0)
         with pytest.raises(ConfigurationError):
-            place_agents(4, 20.0, [1e-2], [], np.random.default_rng(0), 2)
+            place_agents(4, 20.0, [1e-2], [], np.random.default_rng(0), 2, 1.0)
 
 
 class TestPinnedRecords:
