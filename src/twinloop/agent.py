@@ -7,6 +7,14 @@ plant controls, the remaining K are requested accuracies squashed onto
 numpy with hand-derived gradients, so every gradient can be checked against
 finite differences; optimization is the clipped-surrogate objective with
 generalized advantage estimation and Adam.
+
+All of a policy's parameters live in one flat buffer, in which both
+networks' hidden layers (they share ``hidden_sizes``) form (2, in, out)
+stacks. A PPO minibatch takes both networks through each hidden layer in
+one call, writes the gradient into a flat buffer of the same layout,
+clips each network's part on its own and steps the whole buffer with one
+``Adam`` whose learning rate is set per element. Every float is the one
+that the per-network form gives (``tests/helpers.py:reference_ppo_update``).
 """
 
 from __future__ import annotations
@@ -222,7 +230,7 @@ class Mlp:
             self.biases.append(np.zeros(sizes[i + 1]))
 
     def forward(self, x):
-        """Returns the output (N, out) and the activation cache for backward."""
+        """Returns the output (N, out) and the activation cache."""
         if not (type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64):
             x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.sizes[0]:
@@ -256,77 +264,180 @@ class Mlp:
             out[start:start + ROW_BLOCK] = h[:, 0, :]
         return out
 
-    def backward(self, cache, grad_out):
-        """Gradients (grad_w, grad_b) of sum(grad_out * output) w.r.t. the
-        parameters; no caller needs the input's, so none is computed."""
-        grad_w = [None] * len(self.weights)
-        grad_b = [None] * len(self.biases)
-        g = np.atleast_2d(grad_out)
-        for i in reversed(range(len(self.weights))):
-            if i != len(self.weights) - 1:
-                g = (g @ self.weights[i + 1].T) * (1.0 - cache[i + 1] ** 2)  # tanh'
-            grad_w[i] = cache[i].T @ g
-            grad_b[i] = g.sum(axis=0)
-        return grad_w, grad_b
-
-    def parameters(self):
-        return self.weights + self.biases
-
 
 class Adam:
-    """Adam over a fixed list of parameter arrays.
+    """Adam over one flat parameter buffer, with a learning rate per element.
 
-    The moment estimates live in two flat buffers that follow the
-    parameters' C order, and a step works in place in three more (the
-    gradient, a scratch term and the step), so it allocates no array of the
-    parameters' total size: one elementwise update of all of them, in the
-    operation order of the textbook form, then one in-place subtraction per
-    parameter.
+    The moment estimates follow the buffer, and a step works in place in
+    two scratch buffers, allocated at the first step: one elementwise
+    update in the operation order of the textbook form, with the rate
+    entering by one multiply, then one in-place subtraction. An element
+    moves as it would under an Adam of its own rate, so one optimizer over
+    two networks' arrays keeps the bits of one per network.
     """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = lr
+        self.lr = lr                       # a float, or an array like params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        size = sum(p.size for p in params)
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self._grad, self._work, self._delta = (np.empty(size) for _ in range(3))
+        self.m = np.zeros(params.size)
+        self.v = np.zeros(params.size)
+        self._scratch = None
         self.t = 0
 
-    def step(self, params, grads):
+    def step(self, params, grad):
+        """One step of the flat ``params`` along the flat ``grad``."""
+        if self._scratch is None:
+            self._scratch = np.empty(self.m.size), np.empty(self.m.size)
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        g, w, delta, m, v = self._grad, self._work, self._delta, self.m, self.v
-        np.concatenate([q.ravel() for q in grads], out=g)
+        (w, delta), m, v = self._scratch, self.m, self.v
         m *= self.beta1
-        m += np.multiply(g, 1 - self.beta1, out=w)          # (1 - b1) g
+        m += np.multiply(grad, 1 - self.beta1, out=w)       # (1 - b1) g
         v *= self.beta2
-        v += np.multiply(np.multiply(g, 1 - self.beta2, out=w), g, out=w)
+        v += np.multiply(np.multiply(grad, 1 - self.beta2, out=w), grad, out=w)
         np.divide(m, b1c, out=delta)
         delta *= self.lr                                    # lr (m / b1c)
         np.sqrt(np.divide(v, b2c, out=w), out=w)
         w += self.eps
         delta /= w
-        at = 0
-        for p in params:
-            p -= delta[at:at + p.size].reshape(p.shape)
-            at += p.size
+        params -= delta
 
 
-def _clip_global_norm(grads, max_norm) -> float:
-    """Scale ``grads`` in place so that their global norm is at most
-    ``max_norm``; returns the norm before scaling."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
+def _clip_global_norm(grad, sums, max_norm) -> float:
+    """Scale ``grad``, one network's flat gradient, in place so that its
+    global norm is at most ``max_norm``; returns the norm before scaling.
+    ``sums`` are the sums of squares of its arrays, one per array, each
+    numpy's sum of that array's squares; they are added in order, which
+    fixes the norm's bits."""
+    total = math.sqrt(sum(sums))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for g in grads:
-            g *= scale
+        grad *= max_norm / (total + 1e-12)
     return total
 
 
+@dataclass(frozen=True)
+class _Arrays:
+    """Views of one flat buffer in the layout of ``_Layout``."""
+
+    actor_w: list
+    actor_b: list
+    logstd: np.ndarray
+    critic_w: list
+    critic_b: list
+    w_stacks: list       # (2, in, out) per hidden layer: actor, critic
+    b_stacks: list       # (2, 1, out) per hidden layer
+    actor: np.ndarray    # the actor's whole flat region, logstd included
+    critic: np.ndarray   # the critic's
+
+    def of_actor(self) -> list:
+        """The actor's arrays in checkpoint order: weights, biases, logstd."""
+        return self.actor_w + self.actor_b + [self.logstd]
+
+    def of_critic(self) -> list:
+        return self.critic_w + self.critic_b
+
+
+class _Layout:
+    """Where each array of an actor-critic pair lives in one flat buffer.
+
+    The actor's arrays come first, then the critic's. Each network begins
+    with its hidden layers, a layer's weights then its bias, and both
+    networks' hidden layers have the shapes of ``hidden_sizes``: so hidden
+    layer i of the two is one (2, in, out) stack whose critic slice lies
+    the actor's size further on. The actor's output layer and logstd
+    follow its hidden layers, the critic's output layer follows its own.
+    Every array is C-contiguous.
+    """
+
+    def __init__(self, obs_dim: int, hidden, action_dim: int):
+        sizes = [obs_dim, *hidden]
+        self.layers = list(zip(sizes, sizes[1:]))
+        self.width = sizes[-1]
+        self.action_dim = action_dim
+        shared = sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.layers)
+        self.actor_size = shared + self.width * action_dim + 2 * action_dim
+        self.size = self.actor_size + shared + self.width + 1
+
+    def carve(self, buf: np.ndarray) -> _Arrays:
+        """Views of the flat float buffer ``buf`` of ``size`` entries."""
+        at = 0
+
+        def take(shape, stacked=False):
+            nonlocal at
+            count = math.prod(shape)
+            if stacked:
+                view = np.ndarray((2, *shape), buffer=buf, offset=8 * at,
+                                  strides=(8 * self.actor_size, 8 * shape[1], 8))
+            else:
+                view = buf[at:at + count].reshape(shape)
+            at += count
+            return view
+
+        w_stacks, b_stacks = [], []
+        for fan_in, fan_out in self.layers:
+            w_stacks.append(take((fan_in, fan_out), stacked=True))
+            b_stacks.append(take((1, fan_out), stacked=True))
+        hidden_end = at
+        actor_w = [w[0] for w in w_stacks] + [take((self.width, self.action_dim))]
+        actor_b = [b[0, 0] for b in b_stacks] + [take((self.action_dim,))]
+        logstd = take((self.action_dim,))
+        at = self.actor_size + hidden_end
+        critic_w = [w[1] for w in w_stacks] + [take((self.width, 1))]
+        critic_b = [b[1, 0] for b in b_stacks] + [take((1,))]
+        return _Arrays(actor_w, actor_b, logstd, critic_w, critic_b, w_stacks,
+                       b_stacks, buf[:self.actor_size], buf[self.actor_size:])
+
+
+class _Workspace:
+    """What one ``ppo_update`` writes into, allocated when it starts: a
+    gradient buffer in the parameters' layout with views of its arrays,
+    the squares of its entries with a flat view of each array's, and the
+    work arrays of each minibatch length that it meets."""
+
+    def __init__(self, layout: _Layout):
+        self.layout = layout
+        self.grad = np.empty(layout.size)
+        self.grads = layout.carve(self.grad)
+        self.actor_grads = self.grads.of_actor()
+        self.critic_grads = self.grads.of_critic()
+        self.squares = np.empty(layout.size)
+        squares = layout.carve(self.squares)
+        self._squares = [(self.grads.actor, [a.reshape(-1) for a in squares.of_actor()]),
+                         (self.grads.critic, [a.reshape(-1) for a in squares.of_critic()])]
+        self._rows = {}
+
+    def rows(self, n: int) -> tuple:
+        """The work arrays of an n-row minibatch: the (2, n, width) stacks
+        of each hidden layer's activations and backward terms, three
+        (n, action_dim) arrays and the (n, 1) values."""
+        work = self._rows.get(n)
+        if work is None:
+            widths = [fan_out for _, fan_out in self.layout.layers]
+            work = self._rows[n] = (
+                [np.empty((2, n, w)) for w in widths],
+                [np.empty((2, n, w)) for w in widths],
+                *(np.empty((n, self.layout.action_dim)) for _ in range(3)),
+                np.empty((n, 1)))
+        return work
+
+    def clip(self, max_norm) -> tuple:
+        """Clip each network's part of ``grad`` to ``max_norm`` on its own;
+        returns the (actor, critic) norms before clipping."""
+        np.multiply(self.grad, self.grad, out=self.squares)
+        return tuple(_clip_global_norm(grad, [float(np.add.reduce(s)) for s in squares],
+                                       max_norm)
+                     for grad, squares in self._squares)
+
+
 class PolicyNetwork:
-    """Actor-critic pair with a state-independent learnable log-std."""
+    """Actor-critic pair with a state-independent learnable log-std.
+
+    Every parameter lives in the flat buffer ``params``, laid out by
+    ``_Layout``: the networks' weights and biases and ``logstd`` are views
+    of it, and one ``Adam`` steps it with the actor's learning rate on the
+    actor's region and the critic's on the critic's.
+    """
 
     def __init__(self, obs_dim: int, action_dim: int, hyper: PpoHyperparams, rng):
         self.obs_dim = obs_dim
@@ -335,10 +446,37 @@ class PolicyNetwork:
         hidden = list(hyper.hidden_sizes)
         self.actor = Mlp([obs_dim] + hidden + [action_dim], rng, final_gain=0.01)
         self.critic = Mlp([obs_dim] + hidden + [1], rng, final_gain=1.0)
-        self.logstd = np.full(action_dim, float(hyper.initial_logstd))
+        self._layout = layout = _Layout(obs_dim, hidden, action_dim)
+        self.params = np.empty(layout.size)
+        self._load(self.actor.weights + self.actor.biases
+                   + [np.full(action_dim, float(hyper.initial_logstd))],
+                   self.critic.weights + self.critic.biases)
         self.normalizer = RunningNormalizer(obs_dim)
-        self._actor_opt = Adam(self.actor.parameters() + [self.logstd], hyper.actor_lr)
-        self._critic_opt = Adam(self.critic.parameters(), hyper.critic_lr)
+        lr = np.empty(layout.size)
+        lr[:layout.actor_size] = hyper.actor_lr
+        lr[layout.actor_size:] = hyper.critic_lr
+        self._opt = Adam(self.params, lr)
+
+    def _load(self, actor, critic):
+        """Copy the actor's arrays (weights, biases, logstd) and the
+        critic's (weights, biases) into ``params``, and make the networks'
+        arrays its views."""
+        self._bind()
+        views = self._arrays
+        for view, array in zip(views.of_actor() + views.of_critic(), actor + critic):
+            view[...] = array
+
+    def _bind(self):
+        self._arrays = views = self._layout.carve(self.params)
+        self.actor.weights, self.actor.biases = views.actor_w, views.actor_b
+        self.critic.weights, self.critic.biases = views.critic_w, views.critic_b
+        self.logstd = views.logstd
+
+    def __setstate__(self, state):
+        # a copy or an unpickled policy gets its own params with views of
+        # them, not separate copies of the old views
+        self.__dict__.update(state)
+        self._bind()
 
     # -- forward passes ----------------------------------------------------
 
@@ -400,13 +538,8 @@ class PolicyNetwork:
                                    f"normalizer.{key}", nonnegative=key != "mean")
             for key, shape in (("mean", (obs_dim,)), ("var", (obs_dim,)), ("count", ()))})
         policy = cls(obs_dim, action_dim, hyper, np.random.default_rng(0))
-        policy.actor.weights, policy.actor.biases = actor
-        policy.critic.weights, policy.critic.biases = critic
-        policy.logstd = logstd
+        policy._load(actor[0] + actor[1] + [logstd], critic[0] + critic[1])
         policy.normalizer = normalizer
-        policy._actor_opt = Adam(policy.actor.parameters() + [policy.logstd],
-                                 hyper.actor_lr)
-        policy._critic_opt = Adam(policy.critic.parameters(), hyper.critic_lr)
         return policy
 
     def save(self, path):
@@ -433,30 +566,46 @@ def compute_gae(rewards, values, boundary, bootstrap, discount, lam):
     ``boundary[t]`` marks the last step of an episode segment; ``bootstrap[t]``
     is the value used beyond a boundary step (0 for terminal states, the
     critic's estimate of the next input for truncations and batch cuts).
-    Returns (advantages, value_targets).
+    Returns (advantages, value_targets). The backward loop runs on floats,
+    each input read with one ``tolist()``: the bits of numpy's float64
+    scalars.
     """
+    values = np.asarray(values, dtype=float)
     n = len(rewards)
-    adv = np.zeros(n)
+    reward, value = np.asarray(rewards, dtype=float).tolist(), values.tolist()
+    ends = np.asarray(boundary).tolist()
+    beyond = np.asarray(bootstrap, dtype=float).tolist()
+    adv = [0.0] * n
     gae = 0.0
     for t in range(n - 1, -1, -1):
-        if boundary[t]:
-            next_value = bootstrap[t]
+        if ends[t]:
+            next_value = beyond[t]
             gae = 0.0
         else:
-            next_value = values[t + 1]
-        delta = rewards[t] + discount * next_value - values[t]
+            next_value = value[t + 1]
+        delta = reward[t] + discount * next_value - value[t]
         gae = delta + discount * lam * gae
         adv[t] = gae
+    adv = np.array(adv)
     return adv, adv + values[:n]
 
 
 def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
-                       hyper: PpoHyperparams):
+                       hyper: PpoHyperparams, work=None):
     """Clipped-surrogate + value + entropy losses with analytic gradients.
 
     ``minibatch`` holds normalized observations, raw actions, collection-time
-    log-probs, advantages, and value targets. Returns (diagnostics, actor
-    grads aligned with actor.parameters() + [logstd], critic grads).
+    log-probs, advantages, and value targets. The gradient is written into
+    the flat buffer of ``work``, a ``_Workspace`` (a new one if None).
+    Returns (diagnostics, actor grads aligned with actor.weights +
+    actor.biases + [logstd], critic grads aligned with critic.weights +
+    critic.biases), the grads as views of that buffer.
+
+    Both networks take each hidden layer as one (2, rows, width) stack,
+    forward and backward; np.matmul gives each slice of a stack the BLAS
+    product, and so the bits, of that network's own 2-D product. The
+    output layers run on their own. Each array gets the operations of the
+    per-network form in their order, many of them written in place.
     """
     obs = minibatch["obs"]
     actions = minibatch["actions"]
@@ -464,59 +613,99 @@ def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
     adv = minibatch["advantages"]
     targets = minibatch["value_targets"]
     n = obs.shape[0]
+    if work is None:
+        work = _Workspace(policy._layout)
+    acts, deltas, mean, z, zz, values = work.rows(n)
+    params, grads = policy._arrays, work.grads
 
     # overflow from poisoned batches surfaces as TrainingFailureError instead
     with np.errstate(over="ignore", invalid="ignore"):
-        head, actor_cache = policy.actor.forward(obs)
-        mean = np.tanh(head)
-        std = np.exp(policy.logstd)
-        logp = gaussian_logprob(actions, mean, policy.logstd)
+        h = obs
+        for w, b, out in zip(params.w_stacks, params.b_stacks, acts):
+            np.matmul(h, w, out=out)
+            out += b
+            np.tanh(out, out=out)
+            h = out
+        actor_in, critic_in = (h[0], h[1]) if acts else (obs, obs)
+        actor_w, critic_w = params.actor_w[-1], params.critic_w[-1]
+
+        actor_in.dot(actor_w, out=mean)
+        mean += params.actor_b[-1]
+        np.tanh(mean, out=mean)
+        logstd = policy.logstd
+        std = np.exp(logstd)
+        z = np.subtract(actions, mean, out=z)
+        z /= std
+        zz = np.multiply(z, z, out=zz)
+        logp = (-0.5 * np.add.reduce(zz, axis=1) - np.add.reduce(logstd)
+                - 0.5 * actions.shape[1] * LOG_2PI)
         ratio = np.exp(logp - logp_old)
-        clipped = np.minimum(1.0 + hyper.clip_ratio,
-                             np.maximum(1.0 - hyper.clip_ratio, ratio))
         surr1 = ratio * adv
-        surr2 = clipped * adv
-        policy_loss = -np.minimum(surr1, surr2).mean()
-        entropy = (policy.logstd + 0.5 * (1.0 + LOG_2PI)).sum()
+        surr2 = np.minimum(1.0 + hyper.clip_ratio,
+                           np.maximum(1.0 - hyper.clip_ratio, ratio)) * adv
+        low = np.minimum(surr1, surr2)
+        # np.mean is the sum over the count, as are the means below
+        policy_loss = -(np.add.reduce(low) / n)
+        entropy = np.add.reduce(logstd + 0.5 * (1.0 + LOG_2PI))
 
         # surrogate gradient flows only where the unclipped branch is active
-        active = (surr1 <= surr2).astype(float)
-        dlogp = -(active * ratio * adv) / n           # d policy_loss / d logp
-        z = (actions - mean) / std
-        dmean = dlogp[:, None] * z / std              # d logp / d mean = z / std
-        dhead = dmean * (1.0 - mean ** 2)
-        grad_w, grad_b = policy.actor.backward(actor_cache, dhead)
-        dlogstd = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0) \
-            - hyper.entropy_coef
-        actor_grads = grad_w + grad_b + [dlogstd]
+        active = np.less_equal(surr1, surr2, out=low)       # 1.0 where active
+        dlogp = (-(active * ratio * adv) / n)[:, None]      # d policy_loss / d logp
+        zz -= 1.0
+        zz *= dlogp
+        np.subtract(np.add.reduce(zz, axis=0), hyper.entropy_coef, out=grads.logstd)
+        dhead = np.multiply(dlogp, z, out=z)
+        dhead /= std                                        # d logp / d mean = z / std
+        np.square(mean, out=mean)
+        np.subtract(1.0, mean, out=mean)
+        dhead *= mean                                       # tanh' = 1 - mean^2
+        np.matmul(actor_in.T, dhead, out=grads.actor_w[-1])
+        np.add.reduce(dhead, axis=0, out=grads.actor_b[-1])
 
-        values, critic_cache = policy.critic.forward(obs)
-        values = values[:, 0]
-        verr = values - targets
-        value_loss = 0.5 * float((verr ** 2).mean())
+        critic_in.dot(critic_w, out=values)
+        values += params.critic_b[-1]
+        verr = values[:, 0] - targets
+        value_loss = 0.5 * float(np.add.reduce(verr ** 2) / n)
         dv = (hyper.value_coef * verr / n)[:, None]
-        cw, cb = policy.critic.backward(critic_cache, dv)
-        critic_grads = cw + cb
+        np.matmul(critic_in.T, dv, out=grads.critic_w[-1])
+        np.add.reduce(dv, axis=0, out=grads.critic_b[-1])
 
+        if acts:
+            np.matmul(dhead, actor_w.T, out=deltas[-1][0])
+            np.matmul(dv, critic_w.T, out=deltas[-1][1])
+        for i in reversed(range(len(acts))):
+            g, h = deltas[i], acts[i]
+            np.square(h, out=h)
+            np.subtract(1.0, h, out=h)
+            g *= h                                          # tanh' = 1 - h^2
+            np.matmul(acts[i - 1].transpose(0, 2, 1) if i else obs.T, g,
+                      out=grads.w_stacks[i])
+            np.add.reduce(g, axis=1, keepdims=True, out=grads.b_stacks[i])
+            if i:
+                np.matmul(g, params.w_stacks[i].transpose(0, 2, 1), out=deltas[i - 1])
         diags = {
             "policy_loss": float(policy_loss),
             "value_loss": value_loss,
             "entropy": float(entropy),
-            "approx_kl": float((logp_old - logp).mean()),
-            "clip_fraction": float((np.abs(ratio - 1.0)
-                                    > hyper.clip_ratio).mean()),
+            "approx_kl": float(np.add.reduce(logp_old - logp) / n),
+            "clip_fraction":
+                float(np.count_nonzero(np.abs(ratio - 1.0) > hyper.clip_ratio)) / n,
             "total_loss": float(policy_loss + hyper.value_coef * value_loss
                                 - hyper.entropy_coef * entropy),
         }
-    return diags, actor_grads, critic_grads
+    return diags, work.actor_grads, work.critic_grads
 
 
 def ppo_update(batch: dict, policy: PolicyNetwork, hyper: PpoHyperparams,
                rng) -> dict:
     """Run the clipped-surrogate epochs over ``batch``; mutates the policy.
 
-    Returns averaged loss diagnostics. Raises TrainingFailureError with a
-    diagnostic dump if any loss turns non-finite.
+    Each minibatch's gradient is written into one flat buffer, allocated
+    with the other work arrays when the update starts, and each network's
+    part of it is clipped on its own before one ``Adam`` step of
+    ``policy.params``. Returns averaged loss diagnostics. Raises
+    TrainingFailureError with a diagnostic dump if any loss turns
+    non-finite.
     """
     n = batch["obs"].shape[0]
     adv = batch["advantages"]
@@ -524,6 +713,7 @@ def ppo_update(batch: dict, policy: PolicyNetwork, hyper: PpoHyperparams,
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     data = dict(batch, advantages=adv)
     order = np.arange(n)
+    work = _Workspace(policy._layout)
     totals = {}
     count = 0
     for _ in range(hyper.epochs):
@@ -532,14 +722,11 @@ def ppo_update(batch: dict, policy: PolicyNetwork, hyper: PpoHyperparams,
         for start in range(0, n, hyper.minibatch_size):
             mb = {k: v[start:start + hyper.minibatch_size]
                   for k, v in shuffled.items()}
-            diags, actor_grads, critic_grads = ppo_loss_and_grads(policy, mb, hyper)
+            diags, _, _ = ppo_loss_and_grads(policy, mb, hyper, work)
             if not all(map(math.isfinite, diags.values())):
                 raise TrainingFailureError("non-finite PPO loss", diagnostics=diags)
-            _clip_global_norm(actor_grads, hyper.max_grad_norm)
-            _clip_global_norm(critic_grads, hyper.max_grad_norm)
-            policy._actor_opt.step(policy.actor.parameters() + [policy.logstd],
-                                   actor_grads)
-            policy._critic_opt.step(policy.critic.parameters(), critic_grads)
+            work.clip(hyper.max_grad_norm)
+            policy._opt.step(policy.params, work.grad)
             np.maximum(policy.logstd, hyper.min_logstd, out=policy.logstd)
             for k, v in diags.items():
                 totals[k] = totals.get(k, 0.0) + v

@@ -5,7 +5,9 @@ indexed one replaced, the greedy baselines fused through
 randomized scheduling cases, the trace rows built one
 QI at a time, an episode's metrics accumulated one QI at a time, the
 effective thresholds checked for any input, PPO training collected one
-whole step at a time, and the
+whole step at a time, the PPO update one network at a time (its loss,
+backward pass, clip and an Adam per network) and GAE on numpy scalars,
+and the
 straightforward forms of the per-step numerics that
 the package computes with fewer numpy calls or in place (Adam, the
 global-norm clip, the mountain-car step, action decoding, input
@@ -705,3 +707,126 @@ def reference_policy_input(belief):
     """The belief's mean and standard deviation sqrt(max(var, 0)),
     concatenated."""
     return np.concatenate([belief.mean, np.sqrt(np.maximum(belief.cov.diagonal(), 0.0))])
+
+
+def reference_backward(mlp, cache, grad_out):
+    """Mlp's backward pass, one network at a time: gradients (grad_w,
+    grad_b) of sum(grad_out * output) w.r.t. its parameters, from the
+    cache of ``Mlp.forward``."""
+    grad_w = [None] * len(mlp.weights)
+    grad_b = [None] * len(mlp.biases)
+    g = np.atleast_2d(grad_out)
+    for i in reversed(range(len(mlp.weights))):
+        if i != len(mlp.weights) - 1:
+            g = (g @ mlp.weights[i + 1].T) * (1.0 - cache[i + 1] ** 2)  # tanh'
+        grad_w[i] = cache[i].T @ g
+        grad_b[i] = g.sum(axis=0)
+    return grad_w, grad_b
+
+
+def reference_ppo_loss_and_grads(policy, minibatch, hyper):
+    """``agent.ppo_loss_and_grads`` one network at a time, through
+    ``Mlp.forward`` and ``reference_backward``, each term a new array.
+    Returns (diagnostics, actor grads aligned with actor.weights +
+    actor.biases + [logstd], critic grads)."""
+    from twinloop.agent import LOG_2PI, gaussian_logprob
+
+    obs = minibatch["obs"]
+    actions = minibatch["actions"]
+    logp_old = minibatch["logp"]
+    adv = minibatch["advantages"]
+    targets = minibatch["value_targets"]
+    n = obs.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        head, actor_cache = policy.actor.forward(obs)
+        mean = np.tanh(head)
+        std = np.exp(policy.logstd)
+        logp = gaussian_logprob(actions, mean, policy.logstd)
+        ratio = np.exp(logp - logp_old)
+        clipped = np.minimum(1.0 + hyper.clip_ratio,
+                             np.maximum(1.0 - hyper.clip_ratio, ratio))
+        surr1 = ratio * adv
+        surr2 = clipped * adv
+        policy_loss = -np.minimum(surr1, surr2).mean()
+        entropy = (policy.logstd + 0.5 * (1.0 + LOG_2PI)).sum()
+        active = (surr1 <= surr2).astype(float)
+        dlogp = -(active * ratio * adv) / n
+        z = (actions - mean) / std
+        dmean = dlogp[:, None] * z / std
+        dhead = dmean * (1.0 - mean ** 2)
+        grad_w, grad_b = reference_backward(policy.actor, actor_cache, dhead)
+        dlogstd = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0) - hyper.entropy_coef
+        actor_grads = grad_w + grad_b + [dlogstd]
+        values, critic_cache = policy.critic.forward(obs)
+        values = values[:, 0]
+        verr = values - targets
+        value_loss = 0.5 * float((verr ** 2).mean())
+        dv = (hyper.value_coef * verr / n)[:, None]
+        cw, cb = reference_backward(policy.critic, critic_cache, dv)
+        diags = {
+            "policy_loss": float(policy_loss),
+            "value_loss": value_loss,
+            "entropy": float(entropy),
+            "approx_kl": float((logp_old - logp).mean()),
+            "clip_fraction": float((np.abs(ratio - 1.0) > hyper.clip_ratio).mean()),
+            "total_loss": float(policy_loss + hyper.value_coef * value_loss
+                                - hyper.entropy_coef * entropy),
+        }
+    return diags, actor_grads, cw + cb
+
+
+def reference_ppo_update(batch, policy, hyper, rng, optimizers):
+    """``agent.ppo_update`` one network at a time: per minibatch,
+    ``reference_ppo_loss_and_grads``, the clip of each network's gradient
+    by ``reference_clip_global_norm`` and a step of each network's
+    ``ReferenceAdam`` (``optimizers``: the actor's, over its weights,
+    biases and logstd, and the critic's).
+    Returns (averaged diagnostics, the (actor, critic) gradient norms of
+    each minibatch)."""
+    n = batch["obs"].shape[0]
+    adv = batch["advantages"]
+    if hyper.normalize_advantages and n > 1:
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    data = dict(batch, advantages=adv)
+    order = np.arange(n)
+    actor_opt, critic_opt = optimizers
+    totals, norms = {}, []
+    count = 0
+    for _ in range(hyper.epochs):
+        rng.shuffle(order)
+        shuffled = {k: v[order] for k, v in data.items()}
+        for start in range(0, n, hyper.minibatch_size):
+            mb = {k: v[start:start + hyper.minibatch_size] for k, v in shuffled.items()}
+            diags, actor_grads, critic_grads = reference_ppo_loss_and_grads(policy, mb,
+                                                                            hyper)
+            assert all(map(math.isfinite, diags.values())), diags
+            actor_grads, actor_norm = reference_clip_global_norm(actor_grads,
+                                                                 hyper.max_grad_norm)
+            critic_grads, critic_norm = reference_clip_global_norm(critic_grads,
+                                                                   hyper.max_grad_norm)
+            norms.append((actor_norm, critic_norm))
+            actor_opt.step(policy.actor.weights + policy.actor.biases + [policy.logstd],
+                           actor_grads)
+            critic_opt.step(policy.critic.weights + policy.critic.biases, critic_grads)
+            np.maximum(policy.logstd, hyper.min_logstd, out=policy.logstd)
+            for k, v in diags.items():
+                totals[k] = totals.get(k, 0.0) + v
+            count += 1
+    return {k: v / count for k, v in totals.items()}, norms
+
+
+def reference_compute_gae(rewards, values, boundary, bootstrap, discount, lam):
+    """``agent.compute_gae`` on numpy scalars, written into a zeroed array."""
+    n = len(rewards)
+    adv = np.zeros(n)
+    gae = 0.0
+    for t in range(n - 1, -1, -1):
+        if boundary[t]:
+            next_value = bootstrap[t]
+            gae = 0.0
+        else:
+            next_value = values[t + 1]
+        delta = rewards[t] + discount * next_value - values[t]
+        gae = delta + discount * lam * gae
+        adv[t] = gae
+    return adv, adv + values[:n]

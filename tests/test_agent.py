@@ -1,6 +1,8 @@
 """Policy, reward shaping, gradients, and PPO machinery tests."""
 
+import copy
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -8,14 +10,15 @@ import pytest
 
 from twinloop import (CostMode, PolicyNetwork, PpoHyperparams, TrainingFailureError,
                       base_reward, decode_action, shape_reward)
-from twinloop.agent import (Adam, Mlp, _clip_global_norm, compute_gae,
+from twinloop.agent import (Adam, Mlp, _Layout, _Workspace, compute_gae,
                             gaussian_logprob, ppo_loss_and_grads, ppo_update)
 from twinloop.agent import RunningNormalizer
 from tests.helpers import (ReferenceAdam, edgy_floats, finite_difference_gradient,
-                           reference_act, reference_clip_global_norm,
-                           reference_decode_action, reference_forward, reference_normalize,
-                           reference_train,
-                           relative_gradient_error, same_bits)
+                           reference_act, reference_backward, reference_clip_global_norm,
+                           reference_compute_gae, reference_decode_action,
+                           reference_forward, reference_normalize,
+                           reference_ppo_loss_and_grads, reference_ppo_update,
+                           reference_train, relative_gradient_error, same_bits)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -146,7 +149,7 @@ class TestPolicyForward:
             return float(np.sum(out * dout))
 
         out, cache = net.forward(x)
-        gw, gb = net.backward(cache, dout)
+        gw, gb = reference_backward(net, cache, dout)
         numeric = finite_difference_gradient(scalar, net.weights + net.biases,
                                              step=1e-6)
         assert relative_gradient_error(gw + gb, numeric) <= 1e-7
@@ -204,6 +207,26 @@ class TestGae:
         assert adv[0] == pytest.approx(0.0)
         assert adv[1] == pytest.approx(10.0)
 
+    def test_float_loop_keeps_the_array_forms_bits(self):
+        # random boundaries and bootstraps, signed zeros, and a values
+        # array that may hold the value after the last step
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(0, 60))
+            rewards = edgy_floats(rng, n, 10.0 ** rng.uniform(-3, 3), (0.0, -0.0, 100.0))
+            values = edgy_floats(rng, n + int(rng.integers(0, 2)),
+                                 10.0 ** rng.uniform(-3, 3))
+            boundary = rng.random(n) < rng.uniform(0.0, 0.5)
+            if n and len(values) == n:
+                boundary[-1] = True
+            bootstrap = np.where(boundary, edgy_floats(rng, n, 5.0), 0.0)
+            discount = float(rng.uniform(0.5, 1.0))
+            lam = float(rng.choice([0.0, 1.0, rng.uniform()]))
+            got = compute_gae(rewards, values, boundary, bootstrap, discount, lam)
+            want = reference_compute_gae(rewards, values, boundary, bootstrap, discount,
+                                         lam)
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+
 
 def synthetic_batch(policy, hyper, n=48, seed=11):
     rng = np.random.default_rng(seed)
@@ -239,7 +262,7 @@ class TestPpoLoss:
         z = (actions - mean) / std
         coef = -(adv / obs.shape[0])
         dhead = coef[:, None] * (z / std) * (1 - mean ** 2)
-        gw, gb = policy.actor.backward(cache, dhead)
+        gw, gb = reference_backward(policy.actor, cache, dhead)
         dlogstd = np.sum(coef[:, None] * (z * z - 1.0), axis=0)
         for got, want in zip(actor_grads, gw + gb + [dlogstd]):
             np.testing.assert_allclose(got, want, atol=1e-12)
@@ -277,14 +300,19 @@ class TestPpoLoss:
         rng = np.random.default_rng(0)
         obs = rng.normal(size=(32, policy.obs_dim))
         targets = rng.normal(size=32)
-        opt = Adam(policy.critic.parameters(), lr=1e-3)
+        # one Adam over the whole buffer; the actor's gradient stays zero
+        opt = Adam(policy.params, lr=1e-3)
+        grad = np.zeros_like(policy.params)
+        grads = policy._layout.carve(grad)
         losses = []
         for _ in range(100):
             values, cache = policy.critic.forward(obs)
             err = values[:, 0] - targets
             losses.append(0.5 * float(np.mean(err ** 2)))
-            gw, gb = policy.critic.backward(cache, (err / 32)[:, None])
-            opt.step(policy.critic.parameters(), gw + gb)
+            gw, gb = reference_backward(policy.critic, cache, (err / 32)[:, None])
+            for view, g in zip(grads.of_critic(), gw + gb):
+                view[...] = g
+            opt.step(policy.params, grad)
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-9)
         assert losses[-1] < 0.75 * losses[0]
@@ -325,62 +353,98 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.logstd, policy.logstd)
         assert loaded.normalizer.count == policy.normalizer.count
 
+    def test_copies_hold_their_own_parameters(self):
+        # the networks' arrays view the policy's flat buffer; a deep copy and
+        # an unpickled policy view their own, so training one leaves the
+        # other as it was
+        policy, hyper = small_policy(13)
+        x = np.array([0.2, -0.4, 1.0, 0.5])
+        before = policy.act(x)[0]
+        for clone in (copy.deepcopy(policy), pickle.loads(pickle.dumps(policy))):
+            assert same_bits(clone.act(x)[0], before)
+            ppo_update(synthetic_batch(clone, hyper), clone, hyper,
+                       np.random.default_rng(0))
+            assert not same_bits(clone.act(x)[0], before)
+            assert same_bits(policy.act(x)[0], before)
+
 
 class TestMatchesReference:
-    """Flat Adam, min/max clamps and skipped coercion change no bit."""
+    """Flat Adam, the per-network clip, min/max clamps and skipped coercion
+    change no bit."""
 
     def test_adam_step(self):
+        # one Adam over a flat buffer, with a rate per element, against a
+        # ReferenceAdam per rate over arrays holding the same numbers
         rng = np.random.default_rng(21)
         for _ in range(50):
-            shapes = [tuple(rng.integers(1, 9, size=rng.integers(1, 3)))
-                      for _ in range(rng.integers(1, 14))]
+            groups = [[tuple(rng.integers(1, 9, size=rng.integers(1, 3)))
+                       for _ in range(rng.integers(1, 8))] for _ in range(2)]
+            shapes = groups[0] + groups[1]
+            split = len(groups[0])
             params = [rng.normal(size=shape) for shape in shapes]
-            mine = [p.copy() for p in params]
-            lr = 10.0 ** rng.uniform(-5, -1)
-            opt, ref = Adam(mine, lr), ReferenceAdam(params, lr)
+            flat = np.concatenate([p.ravel() for p in params])
+            rates = 10.0 ** rng.uniform(-5, -1, size=2)
+            lr = np.repeat(rates, [sum(p.size for p in params[:split]),
+                                   sum(p.size for p in params[split:])])
+            opt = Adam(flat, lr)
+            refs = (ReferenceAdam(params[:split], rates[0]),
+                    ReferenceAdam(params[split:], rates[1]))
             for _ in range(int(rng.integers(1, 6))):
                 grads = [edgy_floats(rng, shape, 10.0 ** rng.uniform(-6, 2))
                          for shape in shapes]
-                opt.step(mine, grads)
-                ref.step(params, grads)
-            for a, b in zip(mine, params):
-                assert same_bits(a, b)
+                opt.step(flat, np.concatenate([g.ravel() for g in grads]))
+                refs[0].step(params[:split], grads[:split])
+                refs[1].step(params[split:], grads[split:])
+            assert same_bits(flat, np.concatenate([p.ravel() for p in params]))
 
-    def test_adam_step_with_transposed_gradients(self):
-        # gradients need not share their parameter's memory layout
+    def test_adam_step_with_a_float_rate(self):
+        # a float rate moves every element as an array of that rate does
         rng = np.random.default_rng(22)
-        params = [rng.normal(size=(3, 5)), rng.normal(size=4)]
-        mine = [p.copy() for p in params]
-        opt, ref = Adam(mine, 1e-2), ReferenceAdam(params, 1e-2)
+        params = rng.normal(size=40)
+        mine = params.copy()
+        opt, ref = Adam(mine, 1e-2), Adam(params, np.full(40, 1e-2))
         for _ in range(3):
-            grads = [np.asfortranarray(rng.normal(size=(3, 5))), rng.normal(size=4)]
-            opt.step(mine, grads)
-            ref.step(params, grads)
-        assert all(same_bits(a, b) for a, b in zip(mine, params))
+            grad = edgy_floats(rng, 40, 1.0)
+            opt.step(mine, grad)
+            ref.step(params, grad)
+        assert same_bits(mine, params)
 
     def test_clip_in_place_then_adam(self):
-        # what ppo_update does to each network's gradients, against scaled
-        # copies fed to ReferenceAdam
+        # what ppo_update does to its gradient buffer, each network's part
+        # clipped on its own and then one Adam step, against the clipped
+        # copies of each network's arrays fed to a ReferenceAdam per network
         rng = np.random.default_rng(27)
         clipped = 0
-        for _ in range(100):
-            shapes = [tuple(rng.integers(1, 9, size=rng.integers(1, 3)))
-                      for _ in range(rng.integers(1, 8))]
-            params = [rng.normal(size=shape) for shape in shapes]
-            mine = [p.copy() for p in params]
-            lr = 10.0 ** rng.uniform(-5, -1)
-            opt, ref = Adam(mine, lr), ReferenceAdam(params, lr)
+        for _ in range(60):
+            hidden = tuple(int(h) for h in rng.integers(1, 9, size=rng.integers(0, 4)))
+            layout = _Layout(int(rng.integers(1, 6)), hidden, int(rng.integers(1, 4)))
+            flat = rng.normal(size=layout.size)
+            views = layout.carve(flat)
+            networks = views.of_actor(), views.of_critic()
+            copies = [[a.copy() for a in arrays] for arrays in networks]
+            rates = 10.0 ** rng.uniform(-5, -1, size=2)
+            opt = Adam(flat, np.repeat(rates, [layout.actor_size,
+                                               layout.size - layout.actor_size]))
+            refs = [ReferenceAdam(arrays, rate) for arrays, rate in zip(copies, rates)]
+            work = _Workspace(layout)
+            written = work.grads.of_actor(), work.grads.of_critic()
             for _ in range(int(rng.integers(1, 5))):
-                grads = [edgy_floats(rng, shape, 10.0 ** rng.uniform(-3, 1))
-                         for shape in shapes]
+                grads = [[edgy_floats(rng, a.shape, 10.0 ** rng.uniform(-3, 1))
+                          for a in arrays] for arrays in networks]
+                for views_of, arrays in zip(written, grads):
+                    for view, g in zip(views_of, arrays):
+                        view[...] = g
                 max_norm = float(rng.choice([0.0, 0.5, 10.0 ** rng.uniform(-2, 2)]))
-                want, want_total = reference_clip_global_norm(grads, max_norm)
-                clipped += want_total > max_norm > 0
-                assert _clip_global_norm(grads, max_norm) == want_total
-                assert all(same_bits(a, b) for a, b in zip(grads, want))
-                opt.step(mine, grads)
-                ref.step(params, want)
-            assert all(same_bits(a, b) for a, b in zip(mine, params))
+                norms = work.clip(max_norm)
+                for got, g, norm, ref, arrays in zip(written, grads, norms, refs, copies):
+                    want, want_norm = reference_clip_global_norm(g, max_norm)
+                    clipped += want_norm > max_norm > 0
+                    assert norm == want_norm
+                    assert all(same_bits(a, b) for a, b in zip(got, want))
+                    ref.step(arrays, want)
+                opt.step(flat, work.grad)
+            assert all(same_bits(a, b) for a, b in
+                       zip(networks[0] + networks[1], copies[0] + copies[1]))
         assert clipped >= 50
 
     def test_decode_action(self):
@@ -427,30 +491,69 @@ class TestMatchesReference:
         got, cache = policy.actor.forward(x[0])
         assert cache[0].shape == (1, policy.obs_dim) and same_bits(got, row)
 
-    def test_training_with_reference_adam_is_identical(self, monkeypatch):
-        from twinloop import ExperimentConfig, agent, train
+    def test_loss_and_grads_keep_the_bits_at_the_edges(self):
+        # ratios that overflow to inf or underflow to 0, and advantages that
+        # are signed zeros, infinite or NaN: the fused loss gives the
+        # per-network form's diagnostics and gradients in every bit
+        rng = np.random.default_rng(28)
+        for seed in range(40):
+            policy, hyper = small_policy(seed, hidden=((8, 8), (5,), ())[seed % 3])
+            batch = synthetic_batch(policy, hyper, n=int(rng.integers(1, 20)), seed=seed)
+            n = batch["obs"].shape[0]
+            batch["logp"] = batch["logp"] + rng.choice(
+                [0.0, 800.0, -800.0, np.nan], size=n, p=[0.7, 0.1, 0.1, 0.1])
+            batch["advantages"] = edgy_floats(rng, n, 2.0,
+                                              (0.0, -0.0, np.inf, -np.inf, np.nan))
+            diags, actor_grads, critic_grads = ppo_loss_and_grads(policy, batch, hyper)
+            want, want_actor, want_critic = reference_ppo_loss_and_grads(policy, batch,
+                                                                         hyper)
+            assert list(diags) == list(want)
+            assert same_bits(list(diags.values()), list(want.values()))
+            assert all(same_bits(a, b) for a, b in
+                       zip(actor_grads + critic_grads, want_actor + want_critic))
 
-        config = ExperimentConfig()
-        config.fleet.count = 4
-        config.capacity = 3
-        config.plant.episode_cap = 40
-        config.plant.process_noise_std = (0.02, 1e-3)
-        config.rl.batch_size = 128
-        config.rl.minibatch_size = 32
-        config.rl.epochs = 2
-        config.rl.total_steps = 2 * config.rl.batch_size
-        config.validate()
-        runs = []
-        for optimizer in (Adam, ReferenceAdam):
-            monkeypatch.setattr(agent, "Adam", optimizer)
-            policy, curve = train(config, config.rl, seed=6)
-            assert type(policy._actor_opt) is optimizer
-            weights = (policy.actor.parameters() + policy.critic.parameters()
-                       + [policy.logstd])
-            runs.append((curve, weights))
-        (curve, weights), (ref_curve, ref_weights) = runs
-        assert len(curve) == 2 and curve == ref_curve
-        assert all(same_bits(a, b) for a, b in zip(weights, ref_weights))
+    @pytest.mark.parametrize("hidden, changes, covers", [
+        ((8, 8), {"max_grad_norm": 1.0}, "clipped and unclipped"),
+        ((5,), {"normalize_advantages": False}, ""),
+        ((6, 7, 5), {}, ""),
+        ((8, 8), {"max_grad_norm": 0.0}, ""),
+        ((8, 8), {"min_logstd": -0.002}, "logstd floor"),
+        ((64, 64), {"batch_size": 200, "minibatch_size": 64}, ""),
+        ((), {}, "")])
+    def test_ppo_update_keeps_the_bits_of_one_network_at_a_time(self, hidden, changes,
+                                                                 covers):
+        # three consecutive batches through the fused update and through
+        # reference_ppo_update, whose networks, clips and ReferenceAdams are
+        # separate; the last minibatch of each epoch is short
+        hyper = PpoHyperparams(**{"hidden_sizes": hidden, "batch_size": 50,
+                                  "minibatch_size": 16, "epochs": 3, **changes})
+        assert hyper.batch_size % hyper.minibatch_size != 0
+        policy, ref = (PolicyNetwork(4, 3, hyper, np.random.default_rng(41))
+                       for _ in range(2))
+        optimizers = (
+            ReferenceAdam(ref.actor.weights + ref.actor.biases + [ref.logstd],
+                          hyper.actor_lr),
+            ReferenceAdam(ref.critic.weights + ref.critic.biases, hyper.critic_lr))
+        norms, floored = [], False
+        for seed in range(3):
+            batch = synthetic_batch(policy, hyper, n=hyper.batch_size, seed=seed)
+            batch["advantages"] *= 3.0
+            diags = ppo_update(batch, policy, hyper, np.random.default_rng(seed))
+            want, batch_norms = reference_ppo_update(
+                batch, ref, hyper, np.random.default_rng(seed), optimizers)
+            norms += batch_norms
+            assert json.dumps(diags) == json.dumps(want)
+            assert all(type(v) is float for v in diags.values())   # as CSVs write them
+            for net in ("actor", "critic"):
+                mine, theirs = getattr(policy, net), getattr(ref, net)
+                assert all(same_bits(a, b) for a, b in zip(
+                    mine.weights + mine.biases, theirs.weights + theirs.biases))
+            assert same_bits(policy.logstd, ref.logstd)
+            floored |= bool((policy.logstd == hyper.min_logstd).any())
+        actor_norms = [a for a, _ in norms]
+        if covers == "clipped and unclipped":
+            assert min(actor_norms) <= hyper.max_grad_norm < max(actor_norms)
+        assert floored == (covers == "logstd floor")
 
     def test_forward_rows_keeps_the_one_row_bits(self):
         from twinloop.agent import ROW_BLOCK
@@ -489,7 +592,7 @@ class TestMatchesReference:
         for net in ("actor", "critic"):
             mine, want = getattr(policy, net), getattr(ref, net)
             assert all(same_bits(a, b) for a, b in
-                       zip(mine.parameters(), want.parameters()))
+                       zip(mine.weights + mine.biases, want.weights + want.biases))
         assert same_bits(policy.logstd, ref.logstd)
         assert same_bits(policy.normalizer.mean, ref.normalizer.mean)
         assert same_bits(policy.normalizer.var, ref.normalizer.var)
@@ -592,3 +695,58 @@ class TestFloatFormMatchesArrayForm:
                 assert same_bits(shape_reward(reward, eta, kappa, mode), float(want))
         with pytest.raises(ValueError):
             shape_reward(0.0, [1.0], 1.0, "nope")
+
+
+class TestBlasAssumptions:
+    """The fused PPO step keeps the bits of one network at a time only if
+    the BLAS does. Each test names the assumption it pins; on a BLAS where
+    one fails, training bits would differ from the per-network form."""
+
+    @staticmethod
+    def cases(seed, count=300):
+        """Policies of random sizes, as laid out in their flat buffer, and
+        minibatches of 1 to 65 rows, some as wide as training's."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            width = int(rng.choice([1, 3, 8, 17, 64]))
+            hidden = (width,) * int(rng.integers(1, 4))
+            hyper = PpoHyperparams(hidden_sizes=hidden)
+            dims = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            policy = PolicyNetwork(*dims, hyper,
+                                   np.random.default_rng(int(rng.integers(1 << 31))))
+            for view in policy.actor.weights + policy.critic.weights:
+                view[...] = rng.normal(size=view.shape)
+            rows = int(rng.choice([1, 2, 7, 16, 33, 63, 64, 65]))
+            yield rng, policy, rng.normal(size=(rows, policy.obs_dim))
+
+    def test_matmul_on_network_stacks_equals_each_networks_dot(self):
+        for rng, policy, x in self.cases(81):
+            stacks = policy._arrays.w_stacks
+            h = x
+            for i, w in enumerate(stacks):
+                out = np.matmul(h, w)              # x broadcast on the first layer
+                g = rng.normal(size=out.shape)
+                below = h.transpose(0, 2, 1) if i else h.T
+                products = [(out, lambda k: (h[k] if i else h).dot(w[k]), "forward"),
+                            (np.matmul(below, g),
+                             lambda k: (h[k] if i else h).T @ g[k], "weight gradient"),
+                            (np.matmul(g, w.transpose(0, 2, 1)),
+                             lambda k: g[k] @ w[k].T, "backward delta")]
+                for stacked, single, name in products:
+                    for k in range(2):
+                        assert same_bits(stacked[k], single(k)), (
+                            f"np.matmul on a (2, {x.shape[0]}, {w.shape[1]}) stack "
+                            f"differs from one network's 2-D product ({name}, "
+                            f"layer {i}) on this BLAS")
+                h = np.tanh(out)
+
+    def test_one_row_dot_on_buffer_views_equals_contiguous_copies(self):
+        for rng, policy, x in self.cases(82):
+            for net in (policy.actor, policy.critic):
+                h = x[:1]
+                for w in net.weights:
+                    assert same_bits(h.dot(w), h.dot(w.copy())), (
+                        f"a one-row dot on weights viewed at an offset of the flat "
+                        f"buffer differs from one on a contiguous copy ({w.shape}) "
+                        f"on this BLAS")
+                    h = np.tanh(h.dot(w))

@@ -1,5 +1,6 @@
 """Filter tests: prediction, stacking, fusion, and the batch-oracle check."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -463,6 +464,24 @@ class TestFloatFormMatchesArrayForm:
             reference_predict(belief, 0.0, model)
         assert str(got.value) == str(want.value)
         assert getattr(got.value, "qi", None) == getattr(want.value, "qi", None)
+
+    @pytest.mark.parametrize("mean, cov, model, control", [
+        # J P J^T overflows in its products, then in the added C_u
+        ([0.5, 0.0], np.eye(2) * 1e308,
+         build_mountain_car(process_noise_std=(0, 0), episode_cap=999), 0.0),
+        ([0.0, 0.0], np.eye(2) * 1e308, IdentityPlant(np.eye(2) * 1e308), 0.0),
+        # f(m) + B a overflows: in the linear map, then in the sum
+        ([1e308, 1e308], np.eye(2),
+         build_linear_2d(process_noise_std=(0, 0), episode_cap=999), 0.0),
+        ([0.0, 1e308], np.eye(2),
+         build_linear_2d(process_noise_std=(0, 0), episode_cap=999), 1e308)])
+    def test_overflowing_belief_raises_without_a_warning(self, mean, cov, model, control):
+        belief = Belief(np.array(mean), cov, qi=41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError) as err:
+                predict(belief, control, model)
+        assert err.value.qi == 42
 
     def test_predict_writes_into_nothing_it_was_given(self):
         # IdentityPlant.f returns its own argument: an in-place mean += B a
