@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass, asdict
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,13 +48,12 @@ class CostMode(str, Enum):
     PAPER_EQ24 = "paper_eq24"
 
 
-@dataclass(frozen=True)
-class AugmentedAction:
-    """Physical control plus requested per-feature accuracies, both float
-    vectors, as ``decode_action`` builds them."""
+class AugmentedAction(NamedTuple):
+    """Physical control plus requested per-feature accuracies, both lists
+    of floats, as ``decode_action`` builds them."""
 
-    control: np.ndarray   # (Z,) in [-1, 1]
-    accuracy: np.ndarray  # (K,) in [0, eta_max]
+    control: list   # Z floats in [-1, 1]
+    accuracy: list  # K floats in [0, eta_max]
 
 
 @dataclass
@@ -118,83 +118,116 @@ def base_reward(control: float, reached_goal: bool,
 
 def shape_reward(reward: float, accuracy, kappa: float,
                  cost_mode: CostMode) -> float:
-    """Fold the accuracy request into the reward according to ``cost_mode``.
+    """Fold the accuracy request, floats, into the reward according to
+    ``cost_mode``.
 
-    The request's sum is numpy's; its mean is that sum over its length, as
-    np.mean takes it."""
+    The request's sum is taken in order from 0.0, which is numpy's sum for
+    fewer than eight entries (one per plant feature: the plants have two);
+    its mean is that sum over its length, as np.mean takes it."""
     if kappa < 0:
         raise InvalidInputError("kappa must be nonnegative")
-    eta = np.asarray(accuracy, dtype=float)
     if type(cost_mode) is not CostMode:
         cost_mode = CostMode(cost_mode)
-    total = float(eta.sum())
+    total = 0.0
+    for eta in accuracy:
+        total += eta
     if cost_mode is CostMode.PENALTY:
-        return float(reward - kappa * (total / eta.size))
+        return float(reward - kappa * (total / len(accuracy)))
     return float(reward + kappa * 0.5 * total)
 
 
 def decode_action(raw, eta_max: float, control_dim: int = 1) -> AugmentedAction:
-    """Map a raw policy output in [-1, 1]^(Z+K) onto controls and accuracies.
+    """Map a raw policy output in [-1, 1]^(Z+K), a list of floats or an
+    array, onto controls and accuracies.
 
     Out-of-range raw entries (including +-inf) are clamped before mapping.
     The clamps are taken on floats: min(max(x, lo), hi) keeps x on a tie
     and a NaN x, as np.minimum(hi, np.maximum(lo, x)) does.
     """
-    raw = np.asarray(raw, dtype=float).tolist()
-    if not isinstance(raw, list):   # a 0-d input, as np.atleast_1d takes it
-        raw = [raw]
+    if type(raw) is not list:
+        raw = np.asarray(raw, dtype=float).tolist()
+        if not isinstance(raw, list):   # a 0-d input, as np.atleast_1d takes it
+            raw = [raw]
     control = [min(max(x, -1.0), 1.0) for x in raw[:control_dim]]
     eta = [min(max(eta_max * (x + 1.0) / 2.0, 0.0), eta_max)
            for x in raw[control_dim:]]
-    return AugmentedAction(np.array(control), np.array(eta))
+    return AugmentedAction(control, eta)
 
 
 class RunningNormalizer:
-    """Streaming mean/variance used to whiten policy inputs."""
+    """Streaming mean/variance used to whiten policy inputs.
+
+    The statistics are held as lists of floats, with the scale
+    sqrt(var + 1e-8) computed whenever the variance changes; ``mean`` and
+    ``var`` read and set them as arrays. Every operation is elementwise,
+    taken on floats with numpy's bits: x / 0 gives numpy's signed inf or
+    NaN, and sqrt of a negative numpy's NaN.
+    """
 
     def __init__(self, dim: int, clip: float = 10.0):
         self.mean = np.zeros(dim)
         self.var = np.ones(dim)
         self.count = 0.0
         self.clip = clip
-        self._scaled = (None, None)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return np.array(self._mean)
+
+    @mean.setter
+    def mean(self, value):
+        self._mean = np.asarray(value, dtype=float).tolist()
+
+    @property
+    def var(self) -> np.ndarray:
+        return np.array(self._var)
+
+    @var.setter
+    def var(self, value):
+        self._set_var(np.asarray(value, dtype=float).tolist())
+
+    def _set_var(self, var: list):
+        self._var = var
+        self._scale = scale = []
+        for v in var:
+            s = v + 1e-8
+            scale.append(math.sqrt(s) if not s < 0.0 else _NAN)
 
     def normalize(self, x, update: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        """(x - mean) / sqrt(var + 1e-8) once two samples are in, clipped
+        to +-clip, as a new array; with ``update`` the statistics then take
+        ``x`` in."""
+        values = np.asarray(x, dtype=float).tolist()
+        if not (isinstance(values, list) and len(values) == len(self._mean)):
+            raise InvalidInputError(f"input shape {np.shape(x)} != ({len(self._mean)},)")
+        out = values
         if self.count > 1:
-            out = (x - self.mean) / self._scale()
-        else:
-            out = x
+            out = [(v - m) / s if s else _divide_by_zero(v - m, s)
+                   for v, m, s in zip(values, self._mean, self._scale)]
         if update:
-            self._update(x)
-        return np.minimum(self.clip, np.maximum(-self.clip, out))
+            self._update(values)
+        # np.minimum(clip, np.maximum(-clip, out)), a NaN kept
+        clip = self.clip
+        return np.array([-clip if o < -clip else clip if o > clip else o for o in out])
 
-    def _scale(self) -> np.ndarray:
-        """sqrt(var + 1e-8), computed once per ``var`` array: ``_update``
-        and ``from_state`` replace the array rather than write into it."""
-        var, scale = self._scaled
-        if var is not self.var:
-            scale = np.sqrt(self.var + 1e-8)
-            self._scaled = (self.var, scale)
-        return scale
-
-    def _update(self, x):
-        # Welford update, one sample at a time, elementwise on floats
-        if x.shape != self.mean.shape:
-            raise InvalidInputError(f"input shape {x.shape} != {self.mean.shape}")
+    def _update(self, values: list):
+        """Welford update by one sample, a list of floats of the input
+        dimension."""
         self.count += 1.0
         count = self.count
-        x, mean = x.tolist(), self.mean.tolist()
-        delta = [v - m for v, m in zip(x, mean)]
-        mean = [m + d / count for m, d in zip(mean, delta)]
-        self.mean = np.array(mean)
+        mean, var = [], []
+        for v, m, s in zip(values, self._mean, self._var):
+            d = v - m
+            m += d / count
+            mean.append(m)
+            if count > 1:
+                var.append(s * (count - 2) / (count - 1) + d * (v - m) / (count - 1))
+        self._mean = mean
         if count > 1:
-            self.var = np.array([
-                s * (count - 2) / (count - 1) + d * (v - m) / (count - 1)
-                for s, d, v, m in zip(self.var.tolist(), delta, x, mean)])
+            self._set_var(var)
 
     def state(self) -> dict:
-        return {"mean": self.mean.tolist(), "var": self.var.tolist(),
+        return {"mean": list(self._mean), "var": list(self._var),
                 "count": self.count}
 
     @classmethod
@@ -204,6 +237,20 @@ class RunningNormalizer:
         norm.var = np.asarray(state["var"], dtype=float)
         norm.count = float(state["count"])
         return norm
+
+
+# the NaN that the processor gives for 0/0 or sqrt(-1), as numpy's does
+_NAN = math.inf - math.inf
+
+
+def _divide_by_zero(a: float, b: float) -> float:
+    """a / b for b = +-0.0, as numpy divides: NaN for a NaN or zero a, else
+    an infinity of the sign of a times that of b."""
+    if a != a:
+        return a
+    if a == 0.0:
+        return _NAN
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def _orthogonal(rows, cols, gain, rng):
@@ -228,6 +275,15 @@ class Mlp:
             gain = final_gain if last else math.sqrt(2.0)
             self.weights.append(_orthogonal(sizes[i], sizes[i + 1], gain, rng))
             self.biases.append(np.zeros(sizes[i + 1]))
+
+    @classmethod
+    def of_arrays(cls, weights, biases) -> "Mlp":
+        """The net whose layers are ``weights`` (in, out) and ``biases``
+        (out,), taken as they are, with no initialisation drawn."""
+        net = cls.__new__(cls)
+        net.sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
+        net.weights, net.biases = list(weights), list(biases)
+        return net
 
     def forward(self, x):
         """Returns the output (N, out) and the activation cache."""
@@ -440,31 +496,35 @@ class PolicyNetwork:
     """
 
     def __init__(self, obs_dim: int, action_dim: int, hyper: PpoHyperparams, rng):
+        """A fresh policy: orthogonal weights drawn from ``rng``, zero
+        biases, logstd at ``initial_logstd`` and an empty normalizer."""
+        hidden = list(hyper.hidden_sizes)
+        self._setup(obs_dim, action_dim, hyper,
+                    Mlp([obs_dim] + hidden + [action_dim], rng, final_gain=0.01),
+                    Mlp([obs_dim] + hidden + [1], rng, final_gain=1.0),
+                    np.full(action_dim, float(hyper.initial_logstd)),
+                    RunningNormalizer(obs_dim))
+
+    def _setup(self, obs_dim, action_dim, hyper, actor, critic, logstd, normalizer):
+        """Take the networks, logstd and normalizer in, with every array
+        copied into the flat buffer ``params`` and the networks' arrays
+        made its views, and make the optimizer."""
         self.obs_dim = obs_dim
         self.action_dim = action_dim
         self.hyper = hyper
-        hidden = list(hyper.hidden_sizes)
-        self.actor = Mlp([obs_dim] + hidden + [action_dim], rng, final_gain=0.01)
-        self.critic = Mlp([obs_dim] + hidden + [1], rng, final_gain=1.0)
-        self._layout = layout = _Layout(obs_dim, hidden, action_dim)
+        self.actor, self.critic = actor, critic
+        self._layout = layout = _Layout(obs_dim, list(hyper.hidden_sizes), action_dim)
         self.params = np.empty(layout.size)
-        self._load(self.actor.weights + self.actor.biases
-                   + [np.full(action_dim, float(hyper.initial_logstd))],
-                   self.critic.weights + self.critic.biases)
-        self.normalizer = RunningNormalizer(obs_dim)
+        arrays = actor.weights + actor.biases + [logstd] + critic.weights + critic.biases
+        self._bind()
+        views = self._arrays
+        for view, array in zip(views.of_actor() + views.of_critic(), arrays):
+            view[...] = array
+        self.normalizer = normalizer
         lr = np.empty(layout.size)
         lr[:layout.actor_size] = hyper.actor_lr
         lr[layout.actor_size:] = hyper.critic_lr
         self._opt = Adam(self.params, lr)
-
-    def _load(self, actor, critic):
-        """Copy the actor's arrays (weights, biases, logstd) and the
-        critic's (weights, biases) into ``params``, and make the networks'
-        arrays its views."""
-        self._bind()
-        views = self._arrays
-        for view, array in zip(views.of_actor() + views.of_critic(), actor + critic):
-            view[...] = array
 
     def _bind(self):
         self._arrays = views = self._layout.carve(self.params)
@@ -510,7 +570,8 @@ class PolicyNetwork:
 
     @classmethod
     def from_state(cls, payload: dict) -> "PolicyNetwork":
-        """The policy of a ``state_dict``. Raises InvalidInputError naming
+        """The policy of a ``state_dict``, built from its arrays with no
+        initialisation drawn. Raises InvalidInputError naming
         the field, before any network is built, for a missing field, an
         unknown ``hyper`` key, a dimension that is not an integer >= 1,
         layer sizes other than [obs_dim, *hidden_sizes, action_dim] (the
@@ -537,9 +598,9 @@ class PolicyNetwork:
             key: _checkpoint_array(_field(payload, f"normalizer.{key}"), shape,
                                    f"normalizer.{key}", nonnegative=key != "mean")
             for key, shape in (("mean", (obs_dim,)), ("var", (obs_dim,)), ("count", ()))})
-        policy = cls(obs_dim, action_dim, hyper, np.random.default_rng(0))
-        policy._load(actor[0] + actor[1] + [logstd], critic[0] + critic[1])
-        policy.normalizer = normalizer
+        policy = cls.__new__(cls)
+        policy._setup(obs_dim, action_dim, hyper, Mlp.of_arrays(*actor),
+                      Mlp.of_arrays(*critic), logstd, normalizer)
         return policy
 
     def save(self, path):

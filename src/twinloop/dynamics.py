@@ -7,7 +7,9 @@ the true state with process noise, ``f``/``control_matrix``/``jacobian``
 describe the noiseless state-update map the estimator linearizes, ``is_goal``
 tests termination, ``initial_mean``/``initial_cov`` give the twin's
 initial belief, and ``feature_names`` names each state feature (the trace
-columns carry these names).
+columns carry these names). A state is handed in and out as a list of
+floats (``step``, ``f``, ``initial_state``); ``jacobian`` returns the array
+that the estimator's BLAS product needs.
 
 The mountain-car update follows the reference environment semantics: the
 velocity is updated (force, gravity, noise) and clamped first, then the
@@ -65,33 +67,35 @@ class MountainCar:
         self.initial_cov = np.diag([(hi - lo) ** 2 / 12.0,
                                     INITIAL_VELOCITY_VARIANCE])
 
-    def f(self, state) -> np.ndarray:
-        """Noiseless zero-control next-state map, without clamping."""
-        pos, vel = np.asarray(state, dtype=float).tolist()
+    def f(self, state) -> list:
+        """Noiseless zero-control next-state map, without clamping, on the
+        state's two floats."""
+        pos, vel = state
         new_vel = vel - self.gravity * _cos(3.0 * pos)
-        return np.array([pos + new_vel, new_vel])
+        return [pos + new_vel, new_vel]
 
     def jacobian(self, state) -> np.ndarray:
         """d f / d state. Matches central finite differences of ``f``."""
-        pos, vel = np.asarray(state, dtype=float).tolist()
+        pos, vel = state
         if not (math.isfinite(pos) and math.isfinite(vel)):
             raise InvalidInputError("non-finite state")
         slope = 3.0 * self.gravity * _sin(3.0 * pos)
         return np.array([[1.0 + slope, 1.0],
                          [slope, 1.0]])
 
-    def step(self, state, control: float, rng) -> np.ndarray:
-        """Advance the true plant one query interval.
+    def step(self, state, control: float, rng) -> list:
+        """Advance the true plant one query interval; returns the new
+        state's two floats.
 
         Process noise is drawn from ``process_cov`` and added inside the
         update (velocity component before the velocity clamp, position
         component before the position clamp), so the clamp invariants hold
-        unconditionally.
+        unconditionally. The noise is drawn and mixed on arrays, the rest
+        is taken on floats.
         """
-        state = np.asarray(state, dtype=float)
-        if state.shape != (2,):
+        if len(state) != 2:
             raise InvalidInputError(f"invalid state {state!r}")
-        pos, vel = state.tolist()
+        pos, vel = state
         if not (math.isfinite(pos) and math.isfinite(vel)):
             raise InvalidInputError(f"invalid state {state!r}")
         control = float(control)
@@ -110,14 +114,14 @@ class MountainCar:
         lo, hi = self.position_bounds
         pos = pos + vel + du
         pos = float(min(max(pos, lo), hi))
-        return np.array([pos, vel])
+        return [pos, vel]
 
     def is_goal(self, state) -> bool:
         return bool(state[0] >= self.goal_position)
 
-    def initial_state(self, rng) -> np.ndarray:
+    def initial_state(self, rng) -> list:
         lo, hi = self.initial_position_range
-        return np.array([rng.uniform(lo, hi), 0.0])
+        return [float(rng.uniform(lo, hi)), 0.0]
 
 
 class LinearPlant:
@@ -141,25 +145,29 @@ class LinearPlant:
         self.initial_mean = np.zeros(self.dim)
         self.initial_cov = np.eye(self.dim)
 
-    def f(self, state) -> np.ndarray:
-        return self.transition @ np.asarray(state, dtype=float)
+    def f(self, state) -> list:
+        """A s as floats; a product past the largest float is inf, not a
+        warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.transition @ np.asarray(state, dtype=float)).tolist()
 
     def jacobian(self, state) -> np.ndarray:
         return self.transition.copy()
 
-    def step(self, state, control, rng) -> np.ndarray:
+    def step(self, state, control, rng) -> list:
         state = np.asarray(state, dtype=float)
         if not np.isfinite(state).all():
             raise InvalidInputError(f"invalid state {state!r}")
         u = (self._noise_scale @ rng.standard_normal(self.dim)
              if self._noise_scale is not None else np.zeros(self.dim))
-        return self.f(state) + self.control_matrix @ np.atleast_1d(control) + u
+        return (self.transition @ state + self.control_matrix @ np.atleast_1d(control)
+                + u).tolist()
 
     def is_goal(self, state) -> bool:
         return False
 
-    def initial_state(self, rng) -> np.ndarray:
-        return rng.multivariate_normal(self.initial_mean, self.initial_cov)
+    def initial_state(self, rng) -> list:
+        return rng.multivariate_normal(self.initial_mean, self.initial_cov).tolist()
 
 
 def build_mountain_car(process_noise_std, episode_cap: int) -> MountainCar:

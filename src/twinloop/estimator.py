@@ -27,6 +27,13 @@ Each covariance is symmetrized once, by the function that computes it:
 ``scalar_posterior_cov`` does by construction, and a ``Belief`` stores the
 covariance it is given as it is. Code that builds a belief from its own
 matrix passes a symmetric one (``symmetrize`` makes it so).
+
+A query interval holds a belief as Python floats (``Belief.values`` and
+``Belief.rows``), and its layers hand those floats on. An array is built
+only for a BLAS product: ``predict``'s J P J^T, whose covariance stays an
+array until it is symmetrized, and the gain's product in ``fused_mean``.
+The products stay in numpy because OpenBLAS's kernels fuse multiplies and
+adds, so the same sums written on floats would round differently.
 """
 
 from __future__ import annotations
@@ -46,30 +53,53 @@ CONDITION_LIMIT = 1e12
 TINY = float(np.finfo(float).tiny)
 
 
-@dataclass
 class Belief:
     """Gaussian belief N(mean, cov) about the plant state at query interval qi.
 
-    ``cov`` must be symmetric; it is stored as given, not symmetrized again.
+    Held as floats: ``values``, the mean as a list of K floats, and
+    ``rows``, the covariance as K lists of K floats. The covariance must be
+    symmetric; it is stored as given, not symmetrized again. ``mean`` and
+    ``cov`` give them as new arrays, for the batch oracle and for code that
+    works on arrays; a query interval reads the floats.
     """
 
-    mean: np.ndarray
-    cov: np.ndarray
-    qi: int = 0
+    __slots__ = ("values", "rows", "qi")
 
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
+    def __init__(self, mean, cov, qi: int = 0):
+        self.values = np.asarray(mean, dtype=float).tolist()
+        self.rows = np.asarray(cov, dtype=float).tolist()
+        self.qi = qi
+
+    @classmethod
+    def of_floats(cls, values: list, rows: list, qi: int) -> "Belief":
+        """The belief of a mean and a covariance already held as lists of
+        floats, taken as they are, not copied."""
+        belief = cls.__new__(cls)
+        belief.values, belief.rows, belief.qi = values, rows, qi
+        return belief
 
     @property
-    def std(self) -> np.ndarray:
-        """sqrt(max(var, 0)) per feature, NaN kept, as np.sqrt(np.maximum(
-        var, 0.0)) gives it: taken on floats, a tie with 0.0 gives +0.0."""
-        return np.array([math.sqrt(max(0.0, v)) if v == v else v
-                         for v in self.cov.diagonal().tolist()])
+    def mean(self) -> np.ndarray:
+        return np.array(self.values)
+
+    @property
+    def cov(self) -> np.ndarray:
+        return np.array(self.rows)
+
+    @property
+    def variances(self) -> list:
+        """The diagonal of the covariance, as floats."""
+        return [row[k] for k, row in enumerate(self.rows)]
+
+    @property
+    def deviations(self) -> list:
+        """sqrt(max(var, 0)) per feature as floats, NaN kept, as
+        np.sqrt(np.maximum(var, 0.0)) gives it: a tie with 0.0 gives +0.0."""
+        return [math.sqrt(max(0.0, v)) if v == v else v for v in self.variances]
 
     def copy(self) -> "Belief":
-        return Belief(self.mean.copy(), self.cov.copy(), self.qi)
+        return Belief.of_floats(list(self.values), [list(row) for row in self.rows],
+                                self.qi)
 
 
 @dataclass(frozen=True)
@@ -99,22 +129,34 @@ def identity(dim: int) -> np.ndarray:
     return eye
 
 
-def predict(belief: Belief, control, model) -> Belief:
+def predict(belief: Belief, control: float, model) -> Belief:
     """Blind prediction: mean through f + B a, covariance through P Psi P^T + C_u.
 
     The mean update is deterministic; process noise enters only through the
-    covariance inflation. The products use ``ndarray.dot``, which calls the
-    BLAS routine that ``@`` calls with less dispatch, and the finiteness
-    check reads the entries as floats.
+    covariance inflation. ``control`` is the plant's one control, a float,
+    and ``model`` a plant: ``f`` and ``jacobian``
+    take the mean's floats, ``f`` returns floats, ``control_matrix`` is
+    (K, 1) and ``process_cov`` is K x K. The mean is taken on floats, where
+    an overflow gives inf without a warning, with B a as 0.0 + B_k a: the
+    bits of B @ a, and of ``ndarray.dot`` for K >= 2, whose sum from zero
+    turns a -0.0 product into +0.0. The covariance is taken on arrays, its
+    products by ``ndarray.dot`` (the BLAS routine that ``@`` calls, with
+    less dispatch), under ``np.errstate``, since numpy warns of an overflow
+    in them. The finiteness check reads the mean and the covariance before
+    ``symmetrize`` as floats.
     """
     qi = belief.qi + 1
+    values = belief.values
+    jac = model.jacobian(values)
+    mean = [m + (0.0 + b * control)
+            for m, (b,) in zip(model.f(values), model.control_matrix.tolist())]
     with np.errstate(over="ignore", invalid="ignore"):
-        jac = model.jacobian(belief.mean)
-        mean = model.f(belief.mean) + model.control_matrix.dot(np.atleast_1d(control))
-        cov = jac.dot(belief.cov).dot(jac.T) + model.process_cov
-        if not _finite(mean.tolist() + cov.ravel().tolist()):
-            raise NumericalFailureError("non-finite belief prediction", qi=qi)
-        return Belief(mean, symmetrize(cov), qi)
+        cov = jac.dot(np.array(belief.rows)).dot(jac.T)
+        cov += model.process_cov
+        rows = symmetrize(cov).tolist()
+    if not _finite(mean + cov.ravel().tolist()):
+        raise NumericalFailureError("non-finite belief prediction", qi=qi)
+    return Belief.of_floats(mean, rows, qi)
 
 
 def _finite(values) -> bool:
@@ -161,41 +203,43 @@ def posterior_cov(prior_cov, stacked: StackedObservationModel):
     return symmetrize(cov), gain
 
 
-def scalar_posterior_cov(cov, feature: int, variance: float) -> np.ndarray:
+def scalar_posterior_cov(cov: list, feature: int, variance: float) -> list:
     """Joseph-form posterior covariance after one reading of ``feature``
-    with noise ``variance``: the rank-1 update of ``cov`` by a one-hot row.
+    with noise ``variance``: the rank-1 update of ``cov``, K lists of K
+    floats (``Belief.rows``), by a one-hot row, returned in that form.
 
     With c = P[:, k], s = c[k] + r and g = c / s, the Joseph form
     (I - g h) P (I - g h)^T + r g g^T is P - (g c^T + c g^T) + s g g^T.
     Each term is symmetric bit for bit (a product and a sum of two floats
     do not depend on their order), so the result needs no ``symmetrize``.
-    Row and column k are then written from c (r / s), which they equal in
-    exact arithmetic: the difference above cancels there when P_kk >> r,
+    Row and column k are instead written from c (r / s), which they equal
+    in exact arithmetic: the difference above cancels there when P_kk >> r,
     and the read feature's variance would lose digits. Each entry takes one
     float operation per step, on floats, which gives the bits of the same
     steps on arrays. ``cov`` must be finite and symmetric, as ``predict``
     and this function return it. Raises NumericalFailureError unless
     TINY <= s < inf, the one-row case of the conditioning guard.
     """
-    rows = cov.tolist()
     variance = float(variance)
-    c = [row[feature] for row in rows]
+    c = [row[feature] for row in cov]
     s = c[feature] + variance
     if not TINY <= s < math.inf:
         raise NumericalFailureError("ill-conditioned innovation covariance")
     inverse = 1.0 / s
     g = [x * inverse for x in c]
-    out = [[p - (gi * cj + gj * ci) + s * (gi * gj)
-            for p, gj, cj in zip(row, g, c)]
-           for row, gi, ci in zip(rows, g, c)]
-    # P+ e_k = c r / s exactly; the subtraction above cancels in column k
-    # when P_kk >> r, so row and column k are written from it
+    # P+ e_k = c r / s exactly; the subtraction cancels in column k when
+    # P_kk >> r, so row and column k are written from it
     ratio = variance / s
     column = [x * ratio for x in c]
-    for row, x in zip(out, column):
-        row[feature] = x
-    out[feature] = column
-    return np.array(out)
+    out = []
+    for i, (row, gi, ci) in enumerate(zip(cov, g, c)):
+        if i == feature:
+            out.append(column)
+            continue
+        new = [p - (gi * cj + gj * ci) + s * (gi * gj) for p, gj, cj in zip(row, g, c)]
+        new[feature] = column[i]
+        out.append(new)
+    return out
 
 
 def _ill_conditioned(s) -> bool:
@@ -231,15 +275,30 @@ def update(prior: Belief, stacked: StackedObservationModel, values) -> Belief:
     return Belief(mean, cov, prior.qi)
 
 
-def fused_mean(prior: Belief, features, gain, values: np.ndarray) -> np.ndarray:
-    """Posterior mean m + K (o - m[features]), with K the joint gain.
+def joint_gain(cov: list, features, precision) -> np.ndarray:
+    """The joint Kalman gain K = P+ H^T R^-1 of readings of ``features``
+    with noise precisions ``precision`` (1/r, one per reading), from the
+    posterior covariance ``cov`` (``Belief.rows``): column j is
+    P+[:, features[j]] * precision[j], a product per entry on floats. The
+    K x n array is column-major, the layout that P+[:, features] has, so
+    its product in ``fused_mean`` sums in the same order."""
+    return np.array([[row[k] * p for row in cov]
+                     for k, p in zip(features, precision)]).T
 
-    ``features`` lists the feature each reading measures, and ``values`` is
-    the 1-D float vector of the readings, one per feature listed;
+
+def fused_mean(prior: Belief, features, gain: np.ndarray, values) -> list:
+    """Posterior mean m + K (o - m[features]) as floats, with K the joint
+    gain (``joint_gain``).
+
+    ``features`` lists the feature each reading measures, and ``values``
+    holds the readings as floats, one per feature listed;
     ``scheduler._readings`` checks that before this is called. m[features]
-    is H m of the selection's one-hot rows.
+    is H m of the selection's one-hot rows. The innovation and the sum are
+    taken on floats, the product K (o - H m) by ``ndarray.dot``.
     """
-    mean = prior.mean + gain.dot(values - prior.mean.take(features))
-    if not _finite(mean.tolist()):
+    mean = prior.values
+    innovation = np.array([o - mean[k] for o, k in zip(values, features)])
+    mean = [m + d for m, d in zip(mean, gain.dot(innovation).tolist())]
+    if not _finite(mean):
         raise NumericalFailureError("non-finite posterior mean", qi=prior.qi)
     return mean

@@ -75,6 +75,17 @@ class ExperimentConfig:
     # -- validation / builders ----------------------------------------------
 
     def validate(self) -> "ExperimentConfig":
+        """Check the config (``build_loop``) and return it: a bad field,
+        cap, plant, fleet or link power fails here, before any episode
+        runs."""
+        self.build_loop()
+        return self
+
+    def build_loop(self, record_trace: bool = False) -> TwinLoop:
+        """Check every field, types first, then ranges, so that a bad value
+        is named by its field, then build the run's ``TwinLoop``, which
+        builds and checks its caps, plant, fleet and link powers: the one
+        complete check of a config, which returns the loop it built."""
         # every field declared int, here and in the sections, must hold an
         # integer (2.5 is rejected, not truncated), every field declared
         # float a number that is not a bool (checked, not converted), and
@@ -142,10 +153,7 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigurationError(f"rl.{name} must lie in {bounds}: "
                                          f"{getattr(rl, name)!r}")
-        # a bad cap, plant, fleet or link power fails here, before any
-        # episode runs
-        TwinLoop(self)
-        return self
+        return TwinLoop(self, record_trace)
 
     def build_plant(self):
         if self.plant.name not in PLANT_REGISTRY:
@@ -257,17 +265,18 @@ def run_monte_carlo(config: ExperimentConfig, policy: PolicyNetwork = None,
                     workers: int = 1) -> dict:
     """Run the configured number of seeded episodes and aggregate metrics.
 
-    The episodes run one after another in this process, on one
-    ``TwinLoop``, and their results are ordered by episode index. Episodes
-    that fail with a package error (``TwinloopError``) are reported by
-    index instead of aborting the whole run; any other exception is a bug
-    and propagates. ``workers`` must be 1: evaluation runs in one process.
+    The config is checked by building the run's one ``TwinLoop``
+    (``ExperimentConfig.build_loop``). The episodes run one after another
+    in this process, on that loop, and their results are ordered by
+    episode index. Episodes that fail with a package error
+    (``TwinloopError``) are reported by index instead of aborting the whole
+    run; any other exception is a bug and propagates. ``workers`` must be
+    1: evaluation runs in one process.
     """
     if workers != 1:
         raise InvalidInputError(f"evaluation runs in one process: workers must "
                                 f"be 1, not {workers!r}")
-    config.validate()
-    env = TwinLoop(config, record_trace=True)
+    env = config.build_loop(record_trace=True)
     if policy is None:
         policy = fresh_policy(config, env)
     metrics = []

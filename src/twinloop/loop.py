@@ -17,6 +17,12 @@ column per plant feature where a column is per feature, and
 ``TwinLoop.episode_totals`` the episode's row of episodes.csv. Only this
 module knows the layout of a record.
 
+Within a query interval values pass between the layers as Python floats:
+the decoded action, the caps, the belief (``Belief.values`` and
+``Belief.rows``), the readings and the true state. An array is built only
+where a layer needs one: a BLAS product, a ``Generator`` draw, the policy
+input and ``ScheduleDecision.satisfied``.
+
 Episode randomness is split into independent substreams (initial state and
 process noise / observation noise / benchmark agent picks), so two modes run
 with the same episode seed share plant noise draws: paired comparisons use
@@ -62,7 +68,7 @@ class TwinLoop:
         # judged by these caps, and each adaptive QI applies its request to
         # them without a second check
         try:
-            self.variance_caps = caps = np.asarray(config.variance_caps, dtype=float)
+            caps = np.asarray(config.variance_caps, dtype=float)
         except (TypeError, ValueError):
             raise ConfigurationError(f"variance caps must be numbers: "
                                      f"{config.variance_caps!r}") from None
@@ -76,6 +82,7 @@ class TwinLoop:
         self.plant = plant = config.build_plant()
         if caps.shape != (plant.dim,):
             raise ConfigurationError("need one variance cap per state feature")
+        self.variance_caps = caps.tolist()
         self.fleet_index = config.build_fleet(plant)
         self.mode = SchedulingMode(config.mode)
         self.capacity = int(config.capacity)
@@ -136,11 +143,12 @@ class TwinLoop:
         raw = np.asarray(raw_action, dtype=float)
         if raw.shape != (self.action_dim,):
             raise InvalidInputError(f"action shape {raw.shape} != ({self.action_dim},)")
-        if any(map(math.isnan, raw.tolist())):
+        raw = raw.tolist()
+        if any(map(math.isnan, raw)):
             raise NumericalFailureError("non-finite policy action", qi=self._qi)
         try:
             action = decode_action(raw, self.eta_max, self.control_dim)
-            control = action.control.item(0)
+            control = action.control[0]
 
             if self.mode is SchedulingMode.REVERB:
                 caps = scheduler.requested_caps(self.variance_caps, action.accuracy)
@@ -171,17 +179,15 @@ class TwinLoop:
                 # the rest
                 power = sum(self.power_by_id[i] for i in decision.selected_ids)
                 self.trace.append((
-                    self._qi, *self._true_state.tolist(), *posterior.mean.tolist(),
-                    *posterior.cov.diagonal().tolist(),
-                    *self._prior.cov.diagonal().tolist(), *caps.tolist(),
-                    *action.accuracy.tolist(),
-                    decision.selected_ids, power, control, reward,
+                    self._qi, *self._true_state, *posterior.values,
+                    *posterior.variances, *self._prior.variances, *caps,
+                    *action.accuracy, decision.selected_ids, power, control, reward,
                     all(decision.satisfied.tolist())))
 
             terminated = reached_goal
             truncated = (not terminated) and self._qi >= self.plant.episode_cap
             self._true_state = next_state
-            self._prior = estimator.predict(posterior, action.control, self.plant)
+            self._prior = estimator.predict(posterior, control, self.plant)
             self._qi += 1
             return StepResult(self._policy_input(self._prior), reward, shaped,
                               terminated, truncated)
@@ -257,15 +263,16 @@ class TwinLoop:
 
     # -- helpers -------------------------------------------------------------
 
-    def _observe(self, positions) -> np.ndarray:
+    def _observe(self, positions) -> list:
         """This QI's readings of the agents at fleet ``positions`` (the
         schedulers' ``observe_fn``)."""
         return sensing.read(self.fleet_index, positions, self._true_state,
                             self._obs_rng, self._qi)
 
     def _policy_input(self, belief: Belief) -> np.ndarray:
-        return np.concatenate([belief.mean, belief.std])
+        """The belief's mean and standard deviations, as one new array."""
+        return np.array(belief.values + belief.deviations)
 
     def _initial_belief(self) -> Belief:
-        return Belief(self.plant.initial_mean.copy(),
+        return Belief(self.plant.initial_mean,
                       estimator.symmetrize(self.plant.initial_cov), qi=1)

@@ -48,6 +48,11 @@ trust what the layers before them checked: the caps are positive
 (the ``FleetIndex`` checked it), and each rank-1 step returns a symmetric
 covariance. The shape of what ``observe_fn`` returns is checked once, by
 ``_readings``.
+
+A query interval hands its values on as Python floats: the caps, the
+prior's ``Belief.values`` and ``Belief.rows``, the covariance rows between
+rank-1 steps, the readings and the posterior. Arrays are built only for
+the fused mean's BLAS product and for ``ScheduleDecision.satisfied``.
 """
 
 from __future__ import annotations
@@ -73,13 +78,12 @@ class SchedulingMode(str, Enum):
 GREEDY_MODES = (SchedulingMode.COST_GREEDY, SchedulingMode.ERROR_GREEDY)
 
 
-def requested_caps(caps, eta) -> np.ndarray:
-    """min(cap_k, 1/eta_k), with 1/0 treated as +inf, for inputs known good:
-    positive caps and a float request of their length in [0, inf), as
-    ``agent.decode_action`` returns it from an action without NaN. Taken on
-    floats: a division and a minimum per feature give numpy's bits."""
-    return np.array([min(cap, 1.0 / e) if e > 0 else cap
-                     for cap, e in zip(caps.tolist(), eta.tolist())])
+def requested_caps(caps, eta) -> list:
+    """min(cap_k, 1/eta_k) as floats, with 1/0 treated as +inf, for inputs
+    known good: positive float caps and a float request of their length in
+    [0, inf), as ``agent.decode_action`` returns it from an action without
+    NaN. A division and a minimum per feature give numpy's bits."""
+    return [min(cap, 1.0 / e) if e > 0 else cap for cap, e in zip(caps, eta)]
 
 
 @dataclass
@@ -88,7 +92,7 @@ class ScheduleDecision:
 
     selected_ids: tuple
     posterior: Belief
-    satisfied: np.ndarray
+    satisfied: np.ndarray     # bool per feature
 
     @property
     def iterations(self) -> int:
@@ -96,44 +100,45 @@ class ScheduleDecision:
         return len(self.selected_ids)
 
 
-def schedule(prior: Belief, caps: np.ndarray, index: sensing.FleetIndex,
+def schedule(prior: Belief, caps, index: sensing.FleetIndex,
              capacity: int, observe_fn=None) -> ScheduleDecision:
     """Select at most ``capacity`` agents so the posterior meets ``caps``,
-    the effective caps (a float vector, one per feature).
+    the effective caps (floats, one per feature).
 
     ``index`` is the fleet's ``sensing.FleetIndex``. ``observe_fn(positions)``
-    supplies the 1-D float readings of the agents at those fleet positions,
+    supplies the float readings of the agents at those fleet positions,
     one per position, as ``sensing.read`` returns them; when omitted the
     decision carries the covariance-only posterior with the prior mean
     (enough for selection analysis and tests).
     """
-    if caps.shape[0] != prior.mean.shape[0]:
+    dim = len(prior.values)
+    if len(caps) != dim:
         raise InvalidInputError("threshold dimension does not match belief")
-    if index.state_dim != prior.mean.shape[0]:
+    if index.state_dim != dim:
         raise InvalidInputError("fleet state dimension does not match belief")
     if capacity < 0:
         raise InvalidInputError("capacity must be nonnegative")
 
-    cov = prior.cov
-    bounds = caps.tolist()
+    cov = prior.rows
     features, variance = index.features, index.variance.tolist()
     chosen = []           # fleet positions, in selection order
     limit = min(capacity, len(index))
 
     while len(chosen) < limit:
-        diag = cov.diagonal().tolist()
-        # candidate features: violated AND measurable by an available agent;
-        # each one's cheapest available agent (noise variance, then agent id)
-        picks = {}
-        for k, (v, cap) in enumerate(zip(diag, bounds)):
+        # candidate features: violated AND measurable by an available agent,
+        # each by its cheapest available agent (noise variance, then agent
+        # id); the largest ratio wins, ties breaking on the lowest feature
+        pick = None
+        for k, (row, cap) in enumerate(zip(cov, caps)):
+            v = row[k]
             if v > cap:
-                pick = next((p for p in index.by_feature[k] if p not in chosen), None)
-                if pick is not None:
-                    picks[k] = pick
-        if not picks:
+                for p in index.by_feature[k]:
+                    if p not in chosen:
+                        if pick is None or v / cap > ratio:
+                            pick, ratio = p, v / cap
+                        break
+        if pick is None:
             break
-        # largest ratio wins; ties break on the lowest feature index
-        pick = picks[max(picks, key=lambda k: diag[k] / bounds[k])]
         chosen.append(pick)
         cov = estimator.scalar_posterior_cov(cov, features[pick], variance[pick])
     return _fused_decision(prior, Selection(index, chosen) if chosen else (),
@@ -142,19 +147,17 @@ def schedule(prior: Belief, caps: np.ndarray, index: sensing.FleetIndex,
 
 class Selection(tuple):
     """The fleet positions of a selection, in order, with the lookups its
-    fusion reads, built with it: each agent's feature (``features``, an
-    index array), noise precision 1/variance as a column (``precision``)
+    fusion reads, built with it, as tuples: each agent's feature
+    (``features``), noise precision 1/variance as a float (``precision``)
     and id (``ids``). A greedy mode's is built once per loop, by
     ``greedy_selection``; REVERB's once per QI."""
 
     def __new__(cls, index: sensing.FleetIndex, positions):
         selection = super().__new__(cls, positions)
-        selection.features = np.array([index.features[p] for p in selection],
-                                      dtype=np.intp)
-        selection.precision = index.precision.take(selection)[:, None]
+        precision = index.precision.tolist()
+        selection.features = tuple(index.features[p] for p in selection)
+        selection.precision = tuple(precision[p] for p in selection)
         selection.ids = tuple(index.ids[p] for p in selection)
-        selection.features.setflags(write=False)
-        selection.precision.setflags(write=False)
         return selection
 
 
@@ -189,10 +192,10 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
     their fixed order from it, through ``greedy``: their selection and
     fusion steps as ``greedy_selection`` returns them for this mode, fleet
     and capacity, which a greedy mode must be given.
-    ``observe_fn(positions)`` returns the 1-D float readings of the agents
+    ``observe_fn(positions)`` returns the float readings of the agents
     at those fleet positions, as ``sensing.read`` does. ``caps`` are the
-    fixed variance caps that ``satisfied`` is judged by; None counts every
-    cap as met.
+    fixed variance caps (floats) that ``satisfied`` is judged by; None
+    counts every cap as met.
     """
     if type(mode) is not SchedulingMode:
         mode = SchedulingMode(mode)
@@ -201,19 +204,20 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
     if mode is SchedulingMode.PERFECT:
         if true_state is None:
             raise InvalidInputError("PERFECT mode needs the true state")
-        posterior = Belief(np.asarray(true_state, dtype=float),
-                           np.zeros(prior.cov.shape), prior.qi)
+        dim = len(prior.values)
+        posterior = Belief.of_floats(np.asarray(true_state, dtype=float).tolist(),
+                                     [[0.0] * dim for _ in range(dim)], prior.qi)
         return ScheduleDecision((), posterior, _caps_met(posterior, caps))
 
     if mode in GREEDY_MODES:
-        if index.state_dim != prior.mean.shape[0]:
+        if index.state_dim != len(prior.values):
             raise InvalidInputError("fleet state dimension does not match belief")
         if greedy is None:
             raise InvalidInputError("a greedy mode reads its greedy_selection")
         chosen, steps = greedy
         # independent readings of one feature fuse as one reading with
         # their summed precision: one rank-1 step per measured feature
-        cov = prior.cov
+        cov = prior.rows
         for k, r in steps:
             cov = estimator.scalar_posterior_cov(cov, k, r)
         return _fused_decision(prior, chosen, cov, caps, observe_fn)
@@ -223,7 +227,7 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
     # fleet; with more picks they cover the features round-robin so the
     # policy sees a full noisy state. Picks are drawn from fleet positions
     # in fleet order.
-    dim = prior.mean.shape[0]
+    dim = len(prior.values)
     count = min(traditional_count, len(index))
     chosen = []
     pool = list(range(len(index)))
@@ -234,19 +238,19 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
         pick = options[int(rng.integers(len(options)))]
         chosen.append(pick)
         pool.remove(pick)
-    # written on floats, then copied into new arrays once
-    mean = prior.mean.tolist()
-    rows = prior.cov.tolist()
+    # written into copies of the prior's floats
+    mean = list(prior.values)
+    rows = [list(row) for row in prior.rows]
     if chosen and observe_fn is not None:
-        values = _readings(observe_fn, chosen).tolist()
-        for p, value in zip(chosen, values):
+        variance = index.variance.tolist()
+        for p, value in zip(chosen, _readings(observe_fn, chosen)):
             k = index.features[p]
             mean[k] = value
             for row in rows:
                 row[k] = 0.0
             rows[k] = [0.0] * dim
-            rows[k][k] = float(index.variance[p])
-    posterior = Belief(np.array(mean), np.array(rows), prior.qi)
+            rows[k][k] = variance[p]
+    posterior = Belief.of_floats(mean, rows, prior.qi)
     return ScheduleDecision(tuple(index.ids[p] for p in chosen), posterior,
                             _caps_met(posterior, caps))
 
@@ -256,34 +260,35 @@ def _fused_decision(prior: Belief, selection: Selection, cov, caps,
     """The decision that fuses the agents of ``selection``, a ``Selection``
     or, when nothing was chosen, an empty tuple.
 
-    ``cov`` is their posterior covariance, not read when nothing was
-    chosen. The readings are ``observe_fn(selection)``, fused with the
-    joint gain K = P+ H^T R^-1, which needs no solve: H^T picks the
-    measured columns and R is diagonal. Without ``observe_fn`` the
-    posterior keeps the prior mean. ``caps`` None counts every cap as met.
+    ``cov`` is their posterior covariance (``Belief.rows``), not read when
+    nothing was chosen. The readings are ``observe_fn(selection)``, fused
+    with the joint gain K = P+ H^T R^-1 (``estimator.joint_gain``), which
+    needs no solve: H^T picks the measured columns and R is diagonal.
+    Without ``observe_fn`` the posterior keeps the prior mean. ``caps``
+    None counts every cap as met.
     """
     if not selection:
         posterior = prior.copy()
         return ScheduleDecision((), posterior, _caps_met(posterior, caps))
     if observe_fn is None:
-        posterior = Belief(prior.mean.copy(), cov, prior.qi)
+        posterior = Belief.of_floats(list(prior.values), cov, prior.qi)
     else:
         values = _readings(observe_fn, selection)
-        # P+[:, features] taken as the transpose of rows of P+^T: the
-        # column-major layout that P+[:, features] has, whose product
-        # with the innovation sums in the same order
-        gain = (cov.T.take(selection.features, axis=0) * selection.precision).T
-        posterior = Belief(estimator.fused_mean(prior, selection.features, gain, values),
-                           cov, prior.qi)
+        gain = estimator.joint_gain(cov, selection.features, selection.precision)
+        posterior = Belief.of_floats(
+            estimator.fused_mean(prior, selection.features, gain, values), cov, prior.qi)
     return ScheduleDecision(selection.ids, posterior, _caps_met(posterior, caps))
 
 
-def _readings(observe_fn, positions) -> np.ndarray:
-    """``observe_fn(positions)``, checked once: the caller's callback must
-    give a 1-D vector with one reading per position, which
-    ``estimator.fused_mean`` then trusts."""
+def _readings(observe_fn, positions) -> list:
+    """``observe_fn(positions)`` as floats, checked once: the caller's
+    callback must give one reading per position, as a list of floats
+    (``sensing.read``) or a 1-D array, which ``estimator.fused_mean`` then
+    trusts."""
     values = observe_fn(positions)
-    if getattr(values, "shape", None) != (len(positions),):
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        values = values.tolist()
+    if not (isinstance(values, list) and len(values) == len(positions)):
         raise InvalidInputError(f"observe_fn must return 1-D readings, one for each "
                                 f"of {len(positions)} agents: got {np.shape(values)}")
     return values
@@ -292,6 +297,7 @@ def _readings(observe_fn, positions) -> np.ndarray:
 def _caps_met(posterior: Belief, caps) -> np.ndarray:
     """Per feature, whether the posterior variance is within its effective
     cap; every feature when ``caps`` is None."""
+    variances = posterior.variances
     if caps is None:
-        return np.ones(posterior.mean.shape[0], dtype=bool)
-    return posterior.cov.diagonal() <= caps
+        return np.ones(len(variances), dtype=bool)
+    return np.array([v <= cap for v, cap in zip(variances, caps)], dtype=bool)

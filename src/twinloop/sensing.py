@@ -9,8 +9,8 @@ agents draw the variance log-uniformly between the bounds of the supplied
 level list and the distance uniformly on (min_distance, max_distance]. A
 pinned fleet is a list of config records {id, feature, variance, distance},
 so an experiment can be replayed exactly; ``agent_from_record`` parses one.
-``read`` returns a whole selection's readings, in one draw, as a checked
-value vector; ``observe``, one agent's reading, is kept as the oracle that
+``read`` returns a whole selection's readings, in one draw, as checked
+floats; ``observe``, one agent's reading, is kept as the oracle that
 tests hold ``read`` to and that the benchmark's traced run names. A
 ``FleetIndex`` holds the tables the schedulers look up every query
 interval, computed once per fleet; a selection is the tuple of its agents'
@@ -71,24 +71,23 @@ def observe(agent: SensingAgentSpec, true_state, rng, qi: int = 0,
     return values
 
 
-def read(index: "FleetIndex", positions, true_state, rng, qi: int = 0) -> np.ndarray:
+def read(index: "FleetIndex", positions, true_state, rng, qi: int = 0) -> list:
     """Draw the readings o = s[features] + std * z, z ~ N(0, I), of the
-    agents at fleet ``positions`` of ``index``, in that order.
+    agents at fleet ``positions`` of ``index``, in that order, as floats.
 
-    ``true_state`` is a float vector of the fleet's state dimension. One
-    draw of ``len(positions)`` normals equals the agents' own draws in
-    selection order, so this gives the bits of ``observe`` called agent by
-    agent. Checked finite, as ``observe`` does. The sums are taken on
+    ``true_state`` is the state, one float per feature. One draw of
+    ``len(positions)`` normals equals the agents' own draws in selection
+    order, so this gives the bits of ``observe`` called agent by agent.
+    Checked finite, as ``observe`` does. The products and sums are taken on
     floats, which gives their elementwise bits.
     """
-    noise = (index.std.take(positions) * rng.standard_normal(len(positions))).tolist()
-    state = true_state.tolist()
-    features = index.features
-    values = [state[features[p]] + w for p, w in zip(positions, noise)]
+    noise = rng.standard_normal(len(positions)).tolist()
+    std, features = index.std.tolist(), index.features
+    values = [true_state[features[p]] + std[p] * z for p, z in zip(positions, noise)]
     if not all(map(math.isfinite, values)):
         ids = tuple(index.ids[p] for p in positions)
         raise InvalidInputError(f"non-finite observation from agents {ids} at QI {qi}")
-    return np.array(values)
+    return values
 
 
 def place_agents(count: int, max_distance_m: float, position_noise_levels,

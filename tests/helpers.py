@@ -42,7 +42,7 @@ def effective_thresholds(variance_caps, accuracy_request) -> np.ndarray:
         raise InvalidInputError("variance caps must be positive")
     if not (eta >= 0).all():
         raise InvalidInputError("accuracy requests must be nonnegative")
-    return requested_caps(caps, eta)
+    return np.array(requested_caps(caps.tolist(), eta.tolist()))
 
 
 def batch_linear_gaussian_posterior(transition, control_matrix, process_cov,
@@ -446,7 +446,7 @@ def reference_normalize(normalizer, x, update=False):
     else:
         out = x.copy()
     if update:
-        normalizer._update(x)
+        normalizer._update(x.tolist())
     return np.clip(out, -normalizer.clip, normalizer.clip)
 
 
@@ -484,7 +484,7 @@ def reference_trace_columns(feature_names):
 
 def reference_trace_rows(records, feature_names, power_by_id, accuracy_weight):
     """The trace_<i>.csv rows of ``TwinLoop.trace`` records, as mappings, one
-    QI at a time: the posterior's ``Belief.std``, the prior ratio and
+    QI at a time: the posterior's ``Belief.deviations``, the prior ratio and
     ``weighted_objective`` of a decision rebuilt from the record."""
     k = len(feature_names)
     columns = reference_trace_columns(feature_names)
@@ -499,7 +499,7 @@ def reference_trace_rows(records, feature_names, power_by_id, accuracy_weight):
                                        [power_by_id[i] for i in ids])
         rows.append(dict(zip(columns, [
             record[0], *true.tolist(), *mean.tolist(),
-            *decision.posterior.std.tolist(), *(prior / caps).tolist(),
+            *decision.posterior.deviations, *(prior / caps).tolist(),
             len(ids), ";".join(str(i) for i in ids), len(ids), power,
             *eta.tolist(), control, reward, int(satisfied), objective])))
     return rows

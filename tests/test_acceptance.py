@@ -95,7 +95,7 @@ class TestCriterion1EstimatorOracle:
             read = []
 
             def observe(positions):
-                values = state.take([index.features[p] for p in positions]) \
+                values = np.take(state, [index.features[p] for p in positions]) \
                     + 0.1 * rng.standard_normal(len(positions))
                 read.extend(zip(positions, values.tolist()))
                 return values

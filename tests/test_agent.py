@@ -85,7 +85,7 @@ class TestDecodeAction:
             raw = rng.normal(scale=10.0, size=3)
             act = decode_action(raw, 1000.0)
             assert -1.0 <= act.control[0] <= 1.0
-            assert np.all((act.accuracy >= 0.0) & (act.accuracy <= 1000.0))
+            assert all(0.0 <= eta <= 1000.0 for eta in act.accuracy)
 
 
 def small_policy(seed=0, obs_dim=4, action_dim=3, hidden=(8, 8)):
@@ -116,8 +116,8 @@ class TestPolicyForward:
 
     def test_deterministic_act_reads_the_networks_on_the_normalized_input(self):
         policy, _ = small_policy(5)
-        policy.normalizer._update(np.array([1.0, 2.0, 3.0, 4.0]))
-        policy.normalizer._update(np.array([2.0, 1.0, 0.0, -1.0]))
+        policy.normalizer._update([1.0, 2.0, 3.0, 4.0])
+        policy.normalizer._update([2.0, 1.0, 0.0, -1.0])
         x = np.array([0.1, -0.2, 0.3, 0.4])
         action, normalized = policy.act(x)
         value = policy.value(x)
@@ -340,8 +340,8 @@ class TestPpoUpdate:
 class TestCheckpoint:
     def test_round_trip_preserves_outputs(self, tmp_path):
         policy, _ = small_policy(12)
-        policy.normalizer._update(np.array([1.0, 2.0, 3.0, 4.0]))
-        policy.normalizer._update(np.array([2.0, 1.0, 0.0, -1.0]))
+        policy.normalizer._update([1.0, 2.0, 3.0, 4.0])
+        policy.normalizer._update([2.0, 1.0, 0.0, -1.0])
         path = tmp_path / "ckpt.json"
         policy.save(path)
         loaded = PolicyNetwork.load(path)
@@ -352,6 +352,31 @@ class TestCheckpoint:
         assert got[1] == want[1]
         np.testing.assert_array_equal(loaded.logstd, policy.logstd)
         assert loaded.normalizer.count == policy.normalizer.count
+
+    def test_load_draws_no_initialisation(self, tmp_path, monkeypatch):
+        # the checkpoint's arrays go straight into the flat buffer: no
+        # orthogonal initialisation is drawn only to be overwritten
+        policy, _ = small_policy(14)
+        policy.normalizer._update([1.0, 2.0, 3.0, 4.0])
+        policy.normalizer._update([2.0, 1.0, 0.0, -1.0])
+        path = tmp_path / "ckpt.json"
+        policy.save(path)
+        calls = []
+        qr = np.linalg.qr
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        loaded = PolicyNetwork.load(path)
+        assert calls == []
+        assert loaded.state_dict() == policy.state_dict()
+        committed = json.loads((PERFBENCH / "reverb_policy.json").read_text())
+        assert PolicyNetwork.load(PERFBENCH / "reverb_policy.json").state_dict() == committed
+        assert calls == []
+        small_policy(14)      # the spy sees a fresh policy's draws: one per layer
+        assert len(calls) == 2 * 3
 
     def test_copies_hold_their_own_parameters(self):
         # the networks' arrays view the policy's flat buffer; a deep copy and
@@ -455,10 +480,12 @@ class TestMatchesReference:
             raw = edgy_floats(rng, control_dim + int(rng.integers(1, 4)),
                               10.0 ** rng.uniform(-3, 1), specials)
             eta_max = float(rng.choice([1.0, 380.0, 1000.0, 10.0 ** rng.uniform(-3, 6)]))
-            act = decode_action(raw, eta_max, control_dim)
+            act = decode_action(raw.tolist(), eta_max, control_dim)
             control, eta = reference_decode_action(raw, eta_max, control_dim)
+            assert type(act.control) is list and type(act.accuracy) is list
             assert same_bits(act.control, control)
             assert same_bits(act.accuracy, eta)
+            assert same_bits(decode_action(raw, eta_max, control_dim).accuracy, eta)
 
     def test_normalize(self):
         rng = np.random.default_rng(24)
@@ -681,18 +708,22 @@ class TestFloatFormMatchesArrayForm:
                     control, eta = reference_decode_action(raw, eta_max)
                 assert same_bits(act.control, control) and same_bits(act.accuracy, eta)
         act = decode_action(np.float64(0.5), 1.0)     # a 0-d input, as atleast_1d reads it
-        assert same_bits(act.control, [0.5]) and act.accuracy.shape == (0,)
+        assert same_bits(act.control, [0.5]) and act.accuracy == []
 
     @pytest.mark.parametrize("cost_mode", ["penalty", "paper_eq24"])
     def test_shape_reward(self, cost_mode):
         rng = np.random.default_rng(75)
         for _ in range(500):
             eta = edgy_floats(rng, int(rng.integers(1, 5)), 300.0, (0.0, -0.0, 380.0))
-            reward, kappa = float(rng.normal()), float(10.0 ** rng.uniform(-7, 0))
+            if rng.random() < 0.2:
+                eta[:] = rng.choice([0.0, -0.0])        # no accuracy requested
+            reward = float(rng.choice([0.0, -0.0, rng.normal()]))
+            kappa = float(rng.choice([0.0, 10.0 ** rng.uniform(-7, 0)]))
             want = (reward - kappa * eta.mean() if cost_mode == "penalty"
                     else reward + kappa * 0.5 * eta.sum())
             for mode in (cost_mode, CostMode(cost_mode)):
-                assert same_bits(shape_reward(reward, eta, kappa, mode), float(want))
+                assert same_bits(shape_reward(reward, eta.tolist(), kappa, mode),
+                                 float(want))
         with pytest.raises(ValueError):
             shape_reward(0.0, [1.0], 1.0, "nope")
 

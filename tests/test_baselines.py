@@ -197,7 +197,7 @@ class TestIllConditionedFleet:
             for mode in TestMatchesReference.MODES:
                 greedy = greedy_selection(mode, env.fleet_index, config.capacity)
                 chosen = greedy[0]
-                values = env._true_state.take(
+                values = np.take(env._true_state,
                     [env.fleet_index.features[p] for p in chosen]) \
                     + env.fleet_index.std.take(chosen) * rng.standard_normal(len(chosen))
                 got = baseline_schedule(mode, prior, env.fleet_index, rng,

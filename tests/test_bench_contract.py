@@ -121,3 +121,43 @@ def test_acceptance_config_builds_a_loop_in_every_mode(mode):
     assert env.mode is mode
     assert [a.agent_id for a in env.fleet_index.agents] == list(range(1, 11))
     assert [len(m) for m in env.fleet_index.measuring] == [5, 5]
+
+
+# the layers the traced run times per QI, by span name, and the modes whose
+# QIs enter each (every mode when None)
+QI_LAYERS = {"agent.act": None, "loop.step": None, "estimator.predict": None,
+             "dynamics.step": None, "scheduler.schedule": {SchedulingMode.REVERB},
+             "baselines.baseline_schedule": set(SchedulingMode) - {SchedulingMode.REVERB}}
+
+
+@pytest.mark.parametrize("mode", list(SchedulingMode))
+def test_traced_layers_are_entered_once_per_qi(mode, workloads, monkeypatch):
+    # each layer is wrapped on the owner the traced run wraps it on; a QI
+    # that skipped an owner's lookup, or entered a layer twice, would move
+    # its per-layer numbers without failing the run
+    owners = {name: (owner, attr) for name, owner, attr in workloads.SPAN_TARGETS}
+    counts = dict.fromkeys(QI_LAYERS, 0)
+    for name in QI_LAYERS:
+        owner, attr = owners[name]
+        real = owner.__dict__[attr]
+
+        def wrapper(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+    config = dataclasses.replace(
+        harness.ExperimentConfig.from_json_file(PERFBENCH / "acceptance.json"),
+        mode=mode.value)
+    env = loop.TwinLoop(config)
+    policy = agent.PolicyNetwork.load(PERFBENCH / "reverb_policy.json")
+    episode = 0
+    obs = env.reset(episode)
+    for _ in range(50):
+        step = env.step(policy.act(obs)[0])
+        obs = step.policy_input
+        if step.terminated or step.truncated:
+            episode += 1
+            obs = env.reset(episode)
+    assert counts == {name: 50 if modes is None or mode in modes else 0
+                      for name, modes in QI_LAYERS.items()}

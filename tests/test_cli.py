@@ -571,16 +571,25 @@ class TestOneCheckPerRun:
         return counts
 
     @pytest.mark.parametrize("with_policy", [False, True])
-    def test_evaluate_builds_three_loops_and_validates_twice(
+    def test_evaluate_builds_two_loops_and_validates_once(
             self, tmp_path, counts, with_policy):
-        # one check after the flags, one in run_monte_carlo (each builds a
-        # loop), and the loop that runs the episodes and sizes a fresh policy
+        # one check after the flags, which builds a loop, and the one loop of
+        # run_monte_carlo, whose build checks the config again and which
+        # runs the episodes and sizes a fresh policy
         args = ["evaluate", "--config", str(small_config_file(tmp_path))]
         if with_policy:
             args += ["--policy", str(PERFBENCH / "reverb_policy.json")]
         with redirect_stdout(io.StringIO()):
             assert main(args) == 0
-        assert counts == {"loops": 3, "validates": 2}
+        assert counts == {"loops": 2, "validates": 1}
+
+    def test_sweep_validates_each_point_once(self, tmp_path, counts):
+        # the checked flags, then per point one check and run_monte_carlo's
+        # one loop
+        with redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--config", str(small_config_file(tmp_path, episodes=1)),
+                         "--out", str(tmp_path / "sweep"), "--capacity", "1", "3"]) == 0
+        assert counts == {"loops": 5, "validates": 3}
 
     def test_train_builds_two_loops_and_validates_once(self, tmp_path, counts):
         with redirect_stdout(io.StringIO()):

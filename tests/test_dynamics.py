@@ -142,7 +142,7 @@ class TestJacobian:
             for j in range(2):
                 dx = np.zeros(2)
                 dx[j] = h
-                fd[:, j] = (car.f(state + dx) - car.f(state - dx)) / (2 * h)
+                fd[:, j] = (np.array(car.f(state + dx)) - car.f(state - dx)) / (2 * h)
             np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-9)
 
     def test_rejects_non_finite_state(self):
@@ -216,17 +216,17 @@ class TestFloatFormMatchesArrayForm:
     def test_overflowing_argument_gives_nan_without_raising(self):
         # 3 * 1e308 is inf: np.cos gave NaN there, math.cos raises
         car = noiseless_car()
-        assert np.isnan(car.f(np.array([1e308, 0.0]))).all()
-        assert np.isnan(car.jacobian(np.array([1e308, 0.0]))[:, 0]).all()
+        assert np.isnan(car.f([1e308, 0.0])).all()
+        assert np.isnan(car.jacobian([1e308, 0.0])[:, 0]).all()
 
     def test_step_at_clamp_bounds_and_signed_zeros(self):
         car = build_mountain_car(process_noise_std=(1e-4, 1e-5), episode_cap=999)
         for state in self.states(53, 1500):
             for control in (0.0, -0.0, 1.0, -1.0, 1.5, -1.5):
-                got = car.step(state, control, np.random.default_rng(7))
+                got = car.step(state.tolist(), control, np.random.default_rng(7))
                 want = reference_mountain_car_step(car, state, control,
                                                    np.random.default_rng(7))
-                assert same_bits(got, want)
+                assert all(type(x) is float for x in got) and same_bits(got, want)
 
 
 class TestGoalIsAPythonBool:

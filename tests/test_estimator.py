@@ -279,22 +279,22 @@ class TestConditioningGuard:
     def test_scalar_step_with_a_zero_or_subnormal_innovation_raises(self, prior,
                                                                     variance):
         with pytest.raises(NumericalFailureError, match="ill-conditioned"):
-            estimator.scalar_posterior_cov(prior, 0, variance)
+            estimator.scalar_posterior_cov(prior.tolist(), 0, variance)
 
     @pytest.mark.parametrize("entry", [np.inf, np.nan])
     def test_scalar_step_on_a_non_finite_prior_variance_raises(self, entry):
         prior = np.diag([0.5, entry])
         with pytest.raises(NumericalFailureError, match="ill-conditioned"):
-            estimator.scalar_posterior_cov(prior, 1, 0.01)
+            estimator.scalar_posterior_cov(prior.tolist(), 1, 0.01)
 
     def test_scalar_step_with_an_infinite_noise_variance_raises(self):
         with pytest.raises(NumericalFailureError, match="ill-conditioned"):
-            estimator.scalar_posterior_cov(np.diag([0.5, 0.1]), 0, np.inf)
+            estimator.scalar_posterior_cov(np.diag([0.5, 0.1]).tolist(), 0, np.inf)
 
     def test_scalar_step_with_a_tiny_normal_innovation_passes(self):
-        cov = estimator.scalar_posterior_cov(np.zeros((2, 2)), 0, 1e-300)
+        cov = estimator.scalar_posterior_cov(np.zeros((2, 2)).tolist(), 0, 1e-300)
         assert np.isfinite(cov).all()
-        cov = estimator.scalar_posterior_cov(np.diag([0.5, 0.1]), 0, 0.5)
+        cov = np.array(estimator.scalar_posterior_cov(np.diag([0.5, 0.1]).tolist(), 0, 0.5))
         assert cov[0, 0] == pytest.approx(0.25, rel=1e-15) and cov[1, 1] == 0.1
 
 
@@ -307,7 +307,7 @@ class TestScalarStepExactness:
     RATIOS = 10.0 ** np.arange(13)
 
     def assert_exact(self, cov, feature, variance, tol=1e-15):
-        got = estimator.scalar_posterior_cov(cov, feature, variance)
+        got = np.array(estimator.scalar_posterior_cov(cov.tolist(), feature, variance))
         _, want = exact_posterior(cov.diagonal(), cov, [(feature, variance, None)])
         for i, row in enumerate(want):
             for j, w in enumerate(row):
@@ -353,7 +353,7 @@ class TestSymmetrizeOnce:
 
     def test_belief_stores_its_covariance_unchanged(self):
         cov = np.array([[1.0, 0.3], [0.30000000000000004, 2.0]])
-        assert Belief(np.zeros(2), cov).cov is cov
+        assert same_bits(Belief(np.zeros(2), cov).cov, cov)
 
     def test_symmetrize_keeps_symmetric_bits(self):
         rng = np.random.default_rng(43)
@@ -413,19 +413,27 @@ class TestBatchOracleEquivalence:
 
 def random_belief(rng, dim=2, qi=None):
     """A belief with an exactly symmetric PSD covariance at a random scale,
-    some entries swapped for signed zeros."""
+    some entries swapped for signed zeros or a subnormal, and sometimes a
+    feature whose variance is zero or subnormal and whose row and column
+    are then zero."""
     a = rng.normal(size=(dim, dim)) * 10.0 ** rng.uniform(-6, 1)
     cov = estimator.symmetrize(a @ a.T)
     if dim > 1 and rng.random() < 0.2:
-        cov[0, 1] = cov[1, 0] = rng.choice([0.0, -0.0])
+        cov[0, 1] = cov[1, 0] = rng.choice([0.0, -0.0, 1e-320])
+    if rng.random() < 0.15:
+        k = int(rng.integers(dim))
+        cov[k, :] = cov[:, k] = 0.0
+        cov[k, k] = rng.choice([0.0, 1e-320, 5e-324])
     mean = edgy_floats(rng, dim, 10.0 ** rng.uniform(-3, 1),
                        (0.0, -0.0, -1.2, 0.6, 0.45))
     return Belief(mean, cov, int(rng.integers(0, 1000)) if qi is None else qi)
 
 
 class TestFloatFormMatchesArrayForm:
-    """predict, the rank-1 step and the fused mean take their elementwise
-    work on floats: the bits of the array forms in tests/helpers.py."""
+    """predict, the rank-1 step, the joint gain and the fused mean take the
+    floats a query interval hands them (``Belief.values`` and ``.rows``)
+    and return floats, with the bits of the array forms in
+    tests/helpers.py."""
 
     PLANTS = (build_mountain_car(process_noise_std=(0.045, 0.001), episode_cap=999),
               build_mountain_car(process_noise_std=(0.0, 0.0), episode_cap=999),
@@ -437,10 +445,11 @@ class TestFloatFormMatchesArrayForm:
         for _ in range(3000):
             belief = random_belief(rng)
             control = rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-1.5, 1.5)])
-            control = (control, np.float64(control), np.array([control]))[int(rng.integers(3))]
+            control = (control, np.float64(control))[int(rng.integers(2))]
             model = self.PLANTS[int(rng.integers(len(self.PLANTS)))]
             got, want = predict(belief, control, model), reference_predict(belief, control, model)
-            assert same_bits(got.mean, want.mean) and same_bits(got.cov, want.cov)
+            assert type(got.values) is list and type(got.rows) is list
+            assert same_bits(got.values, want.values) and same_bits(got.rows, want.rows)
             assert got.qi == want.qi == belief.qi + 1
 
     @pytest.mark.parametrize("mean, cov, model, error", [
@@ -490,7 +499,7 @@ class TestFloatFormMatchesArrayForm:
         model = IdentityPlant(np.diag([0.01, 0.02]))
         model.control_matrix = np.array([[1.0], [2.0]])
         mean, cov = belief.mean.copy(), belief.cov.copy()
-        out = predict(belief, np.array([0.5]), model)
+        out = predict(belief, 0.5, model)
         assert same_bits(belief.mean, mean) and same_bits(belief.cov, cov)
         assert out.mean is not belief.mean and out.cov is not belief.cov
         assert same_bits(out.mean, [0.75, 1.0])
@@ -501,13 +510,16 @@ class TestFloatFormMatchesArrayForm:
             dim = int(rng.integers(1, 4))
             cov = random_belief(rng, dim).cov
             k = int(rng.integers(dim))
-            variance = float(10.0 ** rng.uniform(-12, 2))
+            variance = float(rng.choice([10.0 ** rng.uniform(-12, 2), 1e-300]))
             variance = (variance, np.float64(variance))[int(rng.integers(2))]
-            assert same_bits(estimator.scalar_posterior_cov(cov, k, variance),
-                             reference_scalar_posterior_cov(cov, k, variance))
+            if not cov[k, k] + variance >= estimator.TINY:
+                continue
+            got = estimator.scalar_posterior_cov(cov.tolist(), k, variance)
+            assert type(got) is list
+            assert same_bits(got, reference_scalar_posterior_cov(cov, k, variance))
         for cov, k, variance in ((np.zeros((2, 2)), 0, 1e-300),
                                  (np.array([[-0.0, -0.0], [-0.0, 0.5]]), 1, 0.25)):
-            assert same_bits(estimator.scalar_posterior_cov(cov, k, variance),
+            assert same_bits(estimator.scalar_posterior_cov(cov.tolist(), k, variance),
                              reference_scalar_posterior_cov(cov, k, variance))
 
     def test_fused_mean(self):
@@ -517,15 +529,39 @@ class TestFloatFormMatchesArrayForm:
             n = int(rng.integers(1, 11))
             features = rng.integers(0, 2, n)
             precision = 10.0 ** rng.uniform(-1, 5, n)
-            gain = (prior.cov.T.take(features, axis=0) * precision[:, None]).T
+            gain = estimator.joint_gain(prior.rows, features.tolist(), precision.tolist())
             want_gain = reference_gain(prior.cov, features, precision)
             assert same_bits(gain, want_gain)
-            values = prior.mean.take(features) + rng.normal(size=n) * 0.1
-            assert same_bits(estimator.fused_mean(prior, features, gain, values),
-                             reference_fused_mean(prior, features, want_gain, values))
+            # the layout fixes the order the product sums in
+            assert gain.flags.f_contiguous and not gain.flags.c_contiguous or n == 1
+            values = prior.mean.take(features) + edgy_floats(rng, n, 0.1)
+            got = estimator.fused_mean(prior, features.tolist(), gain, values.tolist())
+            assert type(got) is list
+            assert same_bits(got, reference_fused_mean(prior, features, want_gain, values))
         prior = Belief(np.array([1e308, 0.0]), np.eye(2), qi=7)
         gain = np.array([[1.0], [0.0]])
         with pytest.raises(NumericalFailureError) as err, \
                 np.errstate(over="ignore", invalid="ignore"):
-            estimator.fused_mean(prior, [0], gain, np.array([-1e308]))
+            estimator.fused_mean(prior, [0], gain, [-1e308])
         assert err.value.qi == 7
+
+
+class TestBlasAssumptions:
+    def test_control_column_product_is_a_float_multiply_from_zero(self):
+        # predict takes B a of a (K, 1) control matrix as 0.0 + B_k a: the
+        # bits of B @ a at every K, and of ndarray.dot, which predict took
+        # before, at K >= 2 (every plant has two features), where it sums
+        # from a zero, so a -0.0 product comes out +0.0 where the plain
+        # multiply B_k a keeps it; at K = 1 ndarray.dot keeps the -0.0
+        rng = np.random.default_rng(64)
+        specials = (0.0, -0.0, 1.0, -1.0, 0.0015, 1e-320, 1e300)
+        for _ in range(20000):
+            dim = int(rng.integers(1, 5))
+            column = edgy_floats(rng, dim, 10.0 ** rng.uniform(-4, 1), specials)
+            u = float(rng.choice([0.0, -0.0, 1.0, -1.0, rng.normal()]))
+            got = [0.0 + b * u for b in column.tolist()]
+            assert same_bits(got, column[:, None] @ np.atleast_1d(u))
+            if dim >= 2:
+                assert same_bits(got, column[:, None].dot(np.atleast_1d(u)))
+        assert same_bits(np.array([[0.0015], [0.0015]]).dot(np.array([-0.0])), [0.0, 0.0])
+        assert same_bits(np.array([[0.0015]]).dot(np.array([-0.0])), [-0.0])

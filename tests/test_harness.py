@@ -247,7 +247,7 @@ class TestExport:
     def test_trace_files_equal_the_per_row_reference(self, tmp_path, mode):
         # the acceptance experiment and the committed checkpoint: each
         # trace_<i>.csv has the bytes of rows built one QI at a time, with
-        # weighted_objective, Belief.std and the prior ratio per row
+        # weighted_objective, Belief.deviations and the prior ratio per row
         config = dataclasses.replace(
             ExperimentConfig.from_json_file(PERFBENCH / "acceptance.json"),
             mode=mode.value, episodes=3, output_dir=str(tmp_path / "out"))

@@ -35,10 +35,10 @@ class TestPolicyInput:
         obs = env.reset(0)
         assert obs.shape == (4,)
         np.testing.assert_allclose(obs[:2], env._prior.mean)
-        np.testing.assert_allclose(obs[2:], env._prior.std)
+        np.testing.assert_allclose(obs[2:], env._prior.deviations)
 
     def test_float_form_matches_concatenated_mean_and_std(self):
-        # Belief.std takes sqrt(max(var, 0)) on floats: a negative or
+        # Belief.deviations takes sqrt(max(var, 0)) on floats: a negative or
         # signed-zero variance gives +0.0, NaN stays NaN, as np.maximum and
         # np.sqrt give them
         env = TwinLoop.from_config(loop_config())

@@ -121,7 +121,7 @@ def test_scalar_steps_match_the_batch_posterior(case):
     assume(batch is not None)
     cov = prior_cov
     for k, r in readings:
-        cov = scalar_posterior_cov(cov, k, r)
+        cov = np.array(scalar_posterior_cov(cov.tolist(), k, r))
     assert relative_error(cov, batch[0]) <= 1e-9
     # the joint gain from the posterior: K = P+ H^T R^-1
     gain = cov[:, [k for k, _ in readings]] * (1.0 / np.array([r for _, r in readings]))
@@ -135,7 +135,7 @@ def test_scalar_step_is_symmetric_psd_and_shrinks_variances(case):
     slack = 1e-12 * np.abs(prior_cov).max()
     cov = prior_cov
     for k, r in readings:
-        before, cov = cov, scalar_posterior_cov(cov, k, r)
+        before, cov = cov, np.array(scalar_posterior_cov(cov.tolist(), k, r))
         assert np.array_equal(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() >= -slack
         assert np.all(cov.diagonal() <= before.diagonal() + slack)
