@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, TrainingFailureError
-from .sensing import integer
+from .settings import FLAG, at_least, check, integers, one_of, setting, within
 
 LOG_2PI = math.log(2.0 * math.pi)
 # rows per stacked product in Mlp.forward_rows: bounds its temporaries
@@ -58,45 +58,45 @@ class AugmentedAction(NamedTuple):
 
 @dataclass
 class PpoHyperparams:
-    actor_lr: float = 1e-3
-    critic_lr: float = 1e-3
-    discount: float = 0.99
-    gae_lambda: float = 0.95
-    clip_ratio: float = 0.2
-    epochs: int = 10
-    batch_size: int = 2048
-    minibatch_size: int = 64
-    entropy_coef: float = 0.005
-    value_coef: float = 0.5
-    max_grad_norm: float = 0.5
-    hidden_sizes: tuple = (64, 64)
-    total_steps: int = 150_000
-    reward_weight: float = 5e-6       # kappa
-    eta_max: float = 1000.0
-    cost_mode: CostMode = CostMode.PENALTY
-    initial_logstd: float = 0.0
-    min_logstd: float = -4.0
-    normalize_observations: bool = True
-    normalize_advantages: bool = True
-    termination_bonus: float = 100.0
+    """The ``rl`` section of an experiment config, saved in a checkpoint as
+    its ``hyper``. Its values are checked (``settings.check``) by
+    ``ExperimentConfig.build_loop`` and by ``PolicyNetwork.from_state``,
+    which name a bad one ``rl.<field>`` and ``checkpoint hyper.<field>``.
 
-    def __post_init__(self):
-        # values are range-checked by ExperimentConfig.validate, after their
-        # types, so that a string is reported by its field's name
-        try:
-            self.cost_mode = CostMode(self.cost_mode)
-        except ValueError:
-            raise InvalidInputError(
-                f"cost_mode must be one of {[m.value for m in CostMode]}: "
-                f"{self.cost_mode!r}") from None
-        # parsed, not truncated, whether from a config or a checkpoint
-        try:
-            self.hidden_sizes = tuple(integer(h) for h in self.hidden_sizes)
-        except TypeError:
-            raise InvalidInputError(f"hidden_sizes must hold integers: "
-                                    f"{self.hidden_sizes!r}") from None
-        if any(h < 1 for h in self.hidden_sizes):
-            raise InvalidInputError(f"hidden_sizes must be >= 1: {self.hidden_sizes!r}")
+    The bounds keep the run inside a float: a logstd within +-20 keeps
+    std = exp(logstd) in [2e-9, 5e8], so the standardized actions and their
+    squares stay far inside a float; an entropy_coef, value_coef, reward
+    weight or eta_max within 1e6 of zero keeps the losses and their
+    gradients, which the global-norm clip squares, as far inside; an Adam
+    step moves each parameter by about the learning rate, and one above 1
+    (100 in a 2,048-step run) drove logstd past exp's range. At 1e308 each
+    of them, and a gae_lambda, ended training with a non-finite loss, as a
+    value_coef of 1e300 did with the reward weight and eta_max at 1e6. A
+    max_grad_norm of 0 turns clipping off; below 0 it would do so unasked.
+    A total_steps of 0 returns the initial policy.
+    """
+
+    actor_lr: float = setting(1e-3, within("[0, 1]"))
+    critic_lr: float = setting(1e-3, within("[0, 1]"))
+    discount: float = setting(0.99, within("(0, 1)"))
+    gae_lambda: float = setting(0.95, within("[0, 1]"))
+    clip_ratio: float = setting(0.2, within("(0, inf)"))
+    epochs: int = setting(10, at_least(1))
+    batch_size: int = setting(2048, at_least(1))
+    minibatch_size: int = setting(64, at_least(1))
+    entropy_coef: float = setting(0.005, within("[-1e6, 1e6]"))
+    value_coef: float = setting(0.5, within("[0, 1e6]"))
+    max_grad_norm: float = setting(0.5, within("[0, inf)"))
+    hidden_sizes: tuple = setting((64, 64), integers(1))
+    total_steps: int = setting(150_000, at_least(0))
+    reward_weight: float = setting(5e-6, within("[0, 1e6]"))   # kappa
+    eta_max: float = setting(1000.0, within("[0, 1e6]"))
+    cost_mode: CostMode = setting(CostMode.PENALTY, one_of(CostMode))
+    initial_logstd: float = setting(0.0, within("[-20, 20]"))
+    min_logstd: float = setting(-4.0, within("[-20, 20]"))
+    normalize_observations: bool = setting(True, FLAG)
+    normalize_advantages: bool = setting(True, FLAG)
+    termination_bonus: float = setting(100.0, within("(-inf, inf)"))
 
     def to_dict(self) -> dict:
         """Plain JSON-ready fields: the cost mode by value, the hidden sizes
@@ -123,9 +123,8 @@ def shape_reward(reward: float, accuracy, kappa: float,
 
     The request's sum is taken in order from 0.0, which is numpy's sum for
     fewer than eight entries (one per plant feature: the plants have two);
-    its mean is that sum over its length, as np.mean takes it."""
-    if kappa < 0:
-        raise InvalidInputError("kappa must be nonnegative")
+    its mean is that sum over its length, as np.mean takes it. ``kappa``
+    is the config's ``rl.reward_weight``, checked >= 0 with it."""
     if type(cost_mode) is not CostMode:
         cost_mode = CostMode(cost_mode)
     total = 0.0
@@ -571,9 +570,10 @@ class PolicyNetwork:
     @classmethod
     def from_state(cls, payload: dict) -> "PolicyNetwork":
         """The policy of a ``state_dict``, built from its arrays with no
-        initialisation drawn. Raises InvalidInputError naming
-        the field, before any network is built, for a missing field, an
-        unknown ``hyper`` key, a dimension that is not an integer >= 1,
+        initialisation drawn. Raises ConfigurationError for a ``hyper``
+        value its rule rejects (``settings.check``), and InvalidInputError
+        naming the field, before any network is built, for a missing field,
+        an unknown ``hyper`` key, a dimension that is not an integer >= 1,
         layer sizes other than [obs_dim, *hidden_sizes, action_dim] (the
         critic's end in 1), an array of the wrong shape, a non-finite
         entry, or a negative normalizer variance or count."""
@@ -583,6 +583,7 @@ class PolicyNetwork:
             hyper = PpoHyperparams(**_field(payload, "hyper"))
         except TypeError as exc:
             raise InvalidInputError(f"checkpoint hyper is malformed: {exc}") from None
+        check(hyper, "checkpoint hyper.")
         for name in ("obs_dim", "action_dim"):
             value = _field(payload, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, WeakLineOfSightError
+from .settings import check, setting, within
 
 
 @dataclass(frozen=True)
@@ -28,37 +29,24 @@ class ChannelParams:
     """Uplink constants, the ``channel`` section of an experiment config.
 
     The Rician factor and the noise power over the band are given in dB and
-    dBm; building the section checks every field and stores their linear
-    values once, as ``rician_factor`` and ``noise_power_w`` (W * N0), and
-    the rate demand 2^(D / (tau_max W)) - 1 as ``rate_demand``.
+    dBm. Building the section checks every field (``settings.check``, here,
+    since ``validate-channel`` and the benchmark build it directly) and then
+    the values derived from them, and stores the linear values once, as
+    ``rician_factor`` and ``noise_power_w`` (W * N0), and the rate demand
+    2^(D / (tau_max W)) - 1 as ``rate_demand``.
     """
 
-    rician_factor_db: float = 15.0
-    noise_power_dbm: float = -11.5
-    bandwidth_hz: float = 5e6
-    outage_epsilon: float = 1e-5
-    latency_max_s: float = 5e-3
-    packet_bits: float = 1024.0
-    system_gain: float = 1.0            # lumped antenna/frequency constant
-    path_loss_exponent: float = 2.0
+    rician_factor_db: float = setting(15.0, within("(-inf, inf)"))
+    noise_power_dbm: float = setting(-11.5, within("(-inf, inf)"))
+    bandwidth_hz: float = setting(5e6, within("(0, inf)"))
+    outage_epsilon: float = setting(1e-5, within("(0, 0.5)"))
+    latency_max_s: float = setting(5e-3, within("(0, inf)"))
+    packet_bits: float = setting(1024.0, within("(0, inf)"))
+    system_gain: float = setting(1.0, within("(0, inf)"))  # lumped antenna/frequency constant
+    path_loss_exponent: float = setting(2.0, within("(0, inf)"))
 
     def __post_init__(self):
-        inf = math.inf
-        try:
-            ok = (-inf < self.rician_factor_db < inf     # NaN compares false
-                  and -inf < self.noise_power_dbm < inf
-                  and 0.0 < self.bandwidth_hz < inf
-                  and 0.0 < self.outage_epsilon < 0.5
-                  and 0.0 < self.latency_max_s < inf
-                  and 0.0 < self.packet_bits < inf
-                  and 0.0 < self.system_gain < inf
-                  and 0.0 < self.path_loss_exponent < inf)
-        except TypeError:
-            ok = False
-        if not ok:
-            raise InvalidInputError(
-                f"channel values must be finite numbers, positive apart from "
-                f"the dB values, with outage_epsilon in (0, 0.5): {self!r}")
+        check(self, "channel.")
         try:
             rician_factor = 10 ** (self.rician_factor_db / 10)
             density = 10 ** (self.noise_power_dbm / 10) * 1e-3 / self.bandwidth_hz
@@ -67,7 +55,7 @@ class ChannelParams:
             noise_power_w = self.bandwidth_hz * density
             # float division and multiplication give inf or 0.0 instead of
             # raising, and either would make every required power inf or 0.0
-            in_range = 0.0 < rate_demand < inf and 0.0 < noise_power_w < inf
+            in_range = 0.0 < rate_demand < math.inf and 0.0 < noise_power_w < math.inf
         except (OverflowError, ZeroDivisionError):
             in_range = False
         if not in_range:
@@ -118,8 +106,10 @@ def gaussian_q(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+@functools.lru_cache(maxsize=256)
 def inverse_gaussian_q(epsilon: float) -> float:
-    """z such that the standard normal tail at z equals ``epsilon``."""
+    """z such that the standard normal tail at z equals ``epsilon``.
+    Memoised, as ``y_q`` is: building a ``ChannelParams`` asks for it."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError("epsilon must lie in (0, 1)")
     z = -_acklam_ppf(epsilon)

@@ -30,7 +30,6 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .sensing import nonnegative_numbers
 
 # The mountain car starts at rest; the twin's initial belief gives that
 # velocity this small variance.
@@ -206,14 +205,10 @@ def _sin(x: float) -> float:
 
 def _diagonal_cov(process_noise_std) -> np.ndarray:
     """diag(sp^2, sv^2) of the (position, velocity) noise standard
-    deviations. Raises InvalidInputError naming the field unless they are
-    two finite numbers >= 0, or when a square overflows a float (where
-    ``**`` raises OverflowError)."""
-    stds = nonnegative_numbers(process_noise_std)
-    if len(stds) != 2:
-        raise InvalidInputError(f"plant.process_noise_std must be 2 finite numbers "
-                                f">= 0: {process_noise_std!r}")
-    sp, sv = stds
+    deviations, two numbers >= 0 (the config's rule). Raises
+    InvalidInputError when a square overflows a float (where ``**`` raises
+    OverflowError)."""
+    sp, sv = process_noise_std
     try:
         return np.diag([sp ** 2, sv ** 2])
     except OverflowError:

@@ -4,8 +4,9 @@ A single JSON config describes the whole experiment (plant, fleet, channel,
 caps, mode, RL hyperparameters, seeds); every run echoes it into
 summary.json so results can be replayed exactly. Its channel section is
 ``channel.ChannelParams``, checked when the config is read, and its rl
-section ``agent.PpoHyperparams``, whose values ``validate`` checks with the
-rest: types first, then ranges, so a bad value is named by its field. The
+section ``agent.PpoHyperparams``. Every field declares its type and range
+next to its default (``settings.setting``), and ``validate`` checks them
+all: types first, then ranges, so a bad value is named by its field. The
 episodes of a run share one ``TwinLoop`` in one process and take the policy
 mean. Per-episode seeds derive from the master seed by episode index, so
 repeated runs are byte-identical and different modes see common random
@@ -21,7 +22,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +34,8 @@ from .dynamics import PLANT_REGISTRY
 from .errors import ConfigurationError, InvalidInputError, TwinloopError
 from .loop import TwinLoop, episode_seed
 from .scheduler import SchedulingMode
+from .settings import (PER_FEATURE, RECORDS, SECTION, TEXT, at_least, check,
+                       numbers, one_of, setting, within)
 
 MRMSE_DEFINITION = ("per-episode mean over query intervals of "
                     "||true_state - belief_mean||_2, averaged over episodes")
@@ -41,36 +43,38 @@ MRMSE_DEFINITION = ("per-episode mean over query intervals of "
 
 @dataclass
 class FleetConfig:
-    count: int = 10
-    max_distance_m: float = 20.0
-    min_distance_m: float = 1.0
-    position_noise_levels: tuple = (1e-3, 1e-1)
-    velocity_noise_levels: tuple = (1e-4, 1e-2)
-    seed: int = 7
-    agents: list = None   # explicit [{id, feature, variance, distance}] wins
+    count: int = setting(10, at_least(0))
+    max_distance_m: float = setting(20.0, within("(0, inf)"))
+    min_distance_m: float = setting(1.0, within("[0, inf)"))
+    position_noise_levels: tuple = setting((1e-3, 1e-1), numbers("(0, inf)"))
+    velocity_noise_levels: tuple = setting((1e-4, 1e-2), numbers("(0, inf)"))
+    seed: int = setting(7, at_least(0))
+    # explicit [{id, feature, variance, distance}] wins
+    agents: list = setting(None, RECORDS)
 
 
 @dataclass
 class PlantConfig:
-    name: str = "mountain_car"
-    process_noise_std: tuple = (1e-4, 1e-5)
-    episode_cap: int = 999
+    name: str = setting("mountain_car", one_of(PLANT_REGISTRY))
+    process_noise_std: tuple = setting((1e-4, 1e-5), numbers("[0, inf)", 2))
+    episode_cap: int = setting(999, at_least(1))
 
 
 @dataclass
 class ExperimentConfig:
-    mode: str = "reverb"
-    master_seed: int = 0
-    episodes: int = 100
-    output_dir: str = None
-    capacity: int = 10
-    variance_caps: tuple = (0.01, 0.001)
-    traditional_count: int = 2
-    accuracy_weight: float = 0.5   # mixing weight of the per-QI diagnostic
-    plant: PlantConfig = field(default_factory=PlantConfig)
-    fleet: FleetConfig = field(default_factory=FleetConfig)
-    channel: ChannelParams = field(default_factory=ChannelParams)
-    rl: PpoHyperparams = field(default_factory=PpoHyperparams)
+    mode: str = setting("reverb", one_of(SchedulingMode))
+    master_seed: int = setting(0, at_least(0))
+    episodes: int = setting(100, at_least(1))
+    output_dir: str = setting(None, TEXT)
+    capacity: int = setting(10, at_least(0))
+    variance_caps: tuple = setting((0.01, 0.001), PER_FEATURE)
+    traditional_count: int = setting(2, at_least(0))
+    # mixing weight of the per-QI diagnostic
+    accuracy_weight: float = setting(0.5, within("[0, 1]"))
+    plant: PlantConfig = setting(PlantConfig, SECTION)
+    fleet: FleetConfig = setting(FleetConfig, SECTION)
+    channel: ChannelParams = setting(ChannelParams, SECTION)
+    rl: PpoHyperparams = setting(PpoHyperparams, SECTION)
 
     # -- validation / builders ----------------------------------------------
 
@@ -82,82 +86,18 @@ class ExperimentConfig:
         return self
 
     def build_loop(self, record_trace: bool = False) -> TwinLoop:
-        """Check every field, types first, then ranges, so that a bad value
-        is named by its field, then build the run's ``TwinLoop``, which
-        builds and checks its caps, plant, fleet and link powers: the one
-        complete check of a config, which returns the loop it built."""
-        # every field declared int, here and in the sections, must hold an
-        # integer (2.5 is rejected, not truncated), every field declared
-        # float a number that is not a bool (checked, not converted), and
-        # every field declared bool a bool ("no" is not false)
+        """Check every field against its rule (``settings.check``: types
+        first, then ranges, so that a bad value is named by its field; the
+        channel section checked itself when it was built), then build the
+        run's ``TwinLoop``, which builds and checks its caps, plant, fleet
+        and link powers: the one complete check of a config, which returns
+        the loop it built."""
         for prefix, section in (("", self), ("plant.", self.plant),
-                                ("fleet.", self.fleet), ("channel.", self.channel),
-                                ("rl.", self.rl)):
-            for f in dataclasses.fields(section):
-                value = getattr(section, f.name)
-                if f.type == "int":
-                    try:
-                        setattr(section, f.name, sensing.integer(value))
-                    except TypeError:
-                        raise ConfigurationError(f"{prefix}{f.name} must be an "
-                                                 f"integer: {value!r}") from None
-                elif f.type == "float" and not sensing.is_number(value):
-                    raise ConfigurationError(f"{prefix}{f.name} must be a "
-                                             f"number: {value!r}")
-                elif f.type == "bool" and not isinstance(value, bool):
-                    raise ConfigurationError(f"{prefix}{f.name} must be true "
-                                             f"or false: {value!r}")
-        try:
-            SchedulingMode(self.mode)
-        except ValueError:
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.master_seed < 0:
-            raise ConfigurationError("master_seed must be >= 0")
-        for name, value in (("episodes", self.episodes), ("rl.epochs", self.rl.epochs),
-                            ("rl.batch_size", self.rl.batch_size),
-                            ("rl.minibatch_size", self.rl.minibatch_size),
-                            ("plant.episode_cap", self.plant.episode_cap)):
-            if value < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-        if self.capacity < 0:
-            raise ConfigurationError("capacity must be >= 0")
-        if not 0.0 <= self.accuracy_weight <= 1.0:
-            raise ConfigurationError("accuracy_weight must lie in [0, 1]")
-        # one row per rl float, and a NaN fails every comparison. A logstd
-        # within +-20 keeps std = exp(logstd) in [2e-9, 5e8], so the
-        # standardized actions and their squares stay far inside a float;
-        # an entropy_coef, value_coef, reward weight or eta_max within 1e6
-        # of zero keeps the losses and their gradients, which the
-        # global-norm clip squares, as far inside; an Adam step moves each
-        # parameter by about the learning rate, and one above 1 (100 in a
-        # 2,048-step run) drove logstd past exp's range. At 1e308 each of
-        # them, and a gae_lambda, ended training with a non-finite loss, as
-        # a value_coef of 1e300 did with the reward weight and eta_max at 1e6.
-        # max_grad_norm 0 turns clipping off; below 0 it would do so unasked
-        rl = self.rl
-        for name, ok, bounds in (
-                ("discount", 0.0 < rl.discount < 1.0, "(0, 1)"),
-                ("gae_lambda", 0.0 <= rl.gae_lambda <= 1.0, "[0, 1]"),
-                ("clip_ratio", 0.0 < rl.clip_ratio < math.inf, "(0, inf)"),
-                ("entropy_coef", -1e6 <= rl.entropy_coef <= 1e6, "[-1e6, 1e6]"),
-                ("value_coef", 0.0 <= rl.value_coef <= 1e6, "[0, 1e6]"),
-                ("actor_lr", 0.0 <= rl.actor_lr <= 1.0, "[0, 1]"),
-                ("critic_lr", 0.0 <= rl.critic_lr <= 1.0, "[0, 1]"),
-                ("max_grad_norm", 0.0 <= rl.max_grad_norm < math.inf, "[0, inf)"),
-                ("reward_weight", 0.0 <= rl.reward_weight <= 1e6, "[0, 1e6]"),
-                ("eta_max", 0.0 <= rl.eta_max <= 1e6, "[0, 1e6]"),
-                ("initial_logstd", -20.0 <= rl.initial_logstd <= 20.0, "[-20, 20]"),
-                ("min_logstd", -20.0 <= rl.min_logstd <= 20.0, "[-20, 20]"),
-                ("termination_bonus",
-                 -math.inf < rl.termination_bonus < math.inf, "(-inf, inf)")):
-            if not ok:
-                raise ConfigurationError(f"rl.{name} must lie in {bounds}: "
-                                         f"{getattr(rl, name)!r}")
+                                ("fleet.", self.fleet), ("rl.", self.rl)):
+            check(section, prefix)
         return TwinLoop(self, record_trace)
 
     def build_plant(self):
-        if self.plant.name not in PLANT_REGISTRY:
-            raise ConfigurationError(f"unknown plant {self.plant.name!r}")
         return PLANT_REGISTRY[self.plant.name](
             process_noise_std=self.plant.process_noise_std,
             episode_cap=self.plant.episode_cap)

@@ -20,12 +20,12 @@ positions in the fleet.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
+from .settings import integer
 
 
 @dataclass(frozen=True)
@@ -99,25 +99,18 @@ def place_agents(count: int, max_distance_m: float, position_noise_levels,
     any fleet with count >= state_dim covers every feature. Noise variances
     are drawn log-uniformly between min and max of the level list for the
     assigned feature (the position list for feature 0, the velocity list for
-    every other), which must hold positive finite numbers; ConfigurationError
-    names the list otherwise.
+    every other); the config's rules make each list non-empty and positive
+    and finite.
     """
     if count < state_dim:
         raise ConfigurationError(
             f"{count} agents cannot cover {state_dim} features")
     if max_distance_m <= min_distance_m:
         raise ConfigurationError("max_distance_m must exceed min_distance_m")
-    level_lists = [("position_noise_levels", position_noise_levels)]
-    level_lists += [("velocity_noise_levels", velocity_noise_levels)] * (state_dim - 1)
-    for name, levels in level_lists:
-        values = nonnegative_numbers(levels)
-        if not (values and min(values) > 0):
-            raise ConfigurationError(f"fleet.{name} must hold positive finite "
-                                     f"numbers: {levels!r}")
     fleet = []
     for i in range(count):
         feature = i % state_dim
-        levels = level_lists[feature][1]
+        levels = velocity_noise_levels if feature else position_noise_levels
         lo, hi = min(levels), max(levels)
         variance = lo if lo == hi else float(
             np.exp(rng.uniform(np.log(lo), np.log(hi))))
@@ -204,26 +197,3 @@ def agent_from_record(record) -> SensingAgentSpec:
         raise ConfigurationError(f"bad fleet record {record!r}: a field is missing or "
                                  f"malformed ({type(exc).__name__}: {exc})") from None
     return SensingAgentSpec(*fields)
-
-
-def is_number(value) -> bool:
-    """Whether ``value`` is a real number and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def nonnegative_numbers(values) -> tuple:
-    """The entries of ``values`` as a tuple when it is a sequence of finite
-    numbers >= 0 (``is_number``), else an empty tuple."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        return ()
-    return values if all(is_number(v) and 0 <= v < math.inf for v in values) else ()
-
-
-def integer(value) -> int:
-    """``value`` as an int when it is an integer and not a bool; TypeError
-    otherwise, so that no id, feature or count is truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{value!r} is not an integer")
-    return int(value)

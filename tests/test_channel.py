@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from twinloop import (ChannelParams, InvalidInputError, WeakLineOfSightError,
-                      channel, inverse_gaussian_q, outage_probability_mc,
-                      required_power, sample_rician_gain, y_q)
+from twinloop import (ChannelParams, ConfigurationError, InvalidInputError,
+                      WeakLineOfSightError, channel, inverse_gaussian_q,
+                      outage_probability_mc, required_power, sample_rician_gain, y_q)
 from tests.helpers import (invert_marcum_tail, marcum_q1,
                            reference_log_rician_cdf_and_slope)
 
@@ -253,7 +253,8 @@ class TestChannelParamsValidation:
             ChannelParams(rician_factor_db=0.0, outage_epsilon=1e-5)
 
     def test_epsilon_range(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("channel.outage_epsilon must lie in (0, 0.5): 0.7")):
             ChannelParams(outage_epsilon=0.7)
 
     def test_noise_power_conversion(self):
@@ -267,10 +268,18 @@ class TestChannelParamsValidation:
         ("latency_max_s", math.inf), ("packet_bits", math.inf),
         ("packet_bits", "1024"), ("system_gain", -1.0),
         ("path_loss_exponent", math.nan), ("noise_power_dbm", None),
+        # a bool is not a number: its type is checked before any arithmetic
+        ("bandwidth_hz", True), ("packet_bits", True),
     ])
     def test_value_outside_its_range_rejected(self, name, value):
-        with pytest.raises(InvalidInputError, match=re.escape(f"{name}={value!r}")):
+        # the field's type first, then its range, named by the field
+        with pytest.raises(ConfigurationError) as caught:
             ChannelParams(**{name: value})
+        message = str(caught.value)
+        assert message.startswith(f"channel.{name} must ")
+        assert message.endswith(f": {value!r}")
+        kind = "be a number" if type(value) is not float else "lie in"
+        assert message.startswith(f"channel.{name} must {kind}")
 
     def test_db_value_that_overflows_a_float_rejected(self):
         with pytest.raises(InvalidInputError, match="overflow"):

@@ -4,12 +4,14 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from twinloop import ChannelParams, PpoHyperparams, required_power
+from twinloop import (ChannelParams, ExperimentConfig, FleetConfig, PlantConfig,
+                      PpoHyperparams, required_power)
 from twinloop.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -18,11 +20,54 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # command before the output directory is made
 VALIDATING_COMMANDS = pytest.mark.parametrize("command", ["evaluate", "train"])
 RL_FLOATS = [f.name for f in dataclasses.fields(PpoHyperparams) if f.type == "float"]
+SECTIONS = ((None, ExperimentConfig), ("plant", PlantConfig), ("fleet", FleetConfig),
+            ("channel", ChannelParams), ("rl", PpoHyperparams))
+# every field that settings.check checks, with its rule
+DECLARED = [(section, f.name, f.metadata["rule"]) for section, cls in SECTIONS
+            for f in dataclasses.fields(cls) if f.metadata["rule"].test is not None]
+
+
+def dotted(section, key):
+    """A field's name in messages: ``<section>.<key>``, or the key alone at
+    the top level."""
+    return key if section is None else f"{section}.{key}"
+
+
+DECLARED_IDS = [dotted(s, k) for s, k, _ in DECLARED]
+
+
+def wrong_type(rule):
+    """A value of a type the rule rejects: 2.5, or "x" for a number."""
+    return next(v for v in (2.5, "x") if not rule.test(v))
+
+
+def out_of_range(rule):
+    """A value of the rule's type just outside its range: below the lower
+    bound, or -inf when that is the lowest float (an interval open at
+    -inf); a list holds it in every entry."""
+    bad = rule.lo - 1 if isinstance(rule.lo, int) else math.nextafter(rule.lo, -math.inf)
+    return next(v for v in ([bad], [bad, bad]) if rule.test(v)) if rule.many else bad
+
+
+def rejects(section, key, value, tmp_path, capsys, command):
+    """Run ``command`` on the small config with ``key`` of ``section`` (the
+    top level for None) set to ``value``; return the exit code and stderr,
+    having checked that nothing was written."""
+    config = json.loads(small_config_file(tmp_path).read_text())
+    (config if section is None else config[section])[key] = value
+    path = tmp_path / "declared.json"
+    path.write_text(json.dumps(config))
+    args = [command, "--config", str(path)]
+    if key != "output_dir":            # --out would replace the value
+        args += ["--out", str(tmp_path / "out")]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists() and not Path("train_out").exists()
+    return code, captured.err
 
 
 def small_config_file(tmp_path, **overrides):
-    from twinloop import ExperimentConfig
-
     config = ExperimentConfig()
     config.mode = overrides.pop("mode", "reverb")
     config.episodes = overrides.pop("episodes", 2)
@@ -239,7 +284,20 @@ class TestPinnedFleetRecords:
         assert not (tmp_path / "out").exists()
 
 
-class TestIntegerFields:
+class TestFieldTypes:
+    @pytest.mark.parametrize("section, key, rule", DECLARED, ids=DECLARED_IDS)
+    @VALIDATING_COMMANDS
+    def test_every_declared_field_rejects_a_wrong_type(
+            self, tmp_path, capsys, monkeypatch, section, key, rule, command):
+        # generated from the rules, so a new field cannot go unchecked
+        monkeypatch.chdir(tmp_path)
+        value = wrong_type(rule)
+        code, err = rejects(section, key, value, tmp_path, capsys, command)
+        name = dotted(section, key)
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(f"configuration error: {name} must be ")
+        assert err.endswith(f": {value!r}\n")
+
     @pytest.mark.parametrize("section, key, value", [
         (None, "master_seed", 3.5),
         (None, "episodes", 1.5),
@@ -270,6 +328,21 @@ class TestIntegerFields:
         assert f"{key} must be an integer" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        # SeedSequence raised a ValueError traceback for a generated fleet
+        ("fleet", "seed", -1),
+        # export_traces raised a TypeError traceback after every episode ran
+        (None, "output_dir", 5),
+    ])
+    @VALIDATING_COMMANDS
+    def test_setting_that_was_a_traceback_exits_one_with_one_line(
+            self, tmp_path, capsys, monkeypatch, section, key, value, command):
+        monkeypatch.chdir(tmp_path)
+        code, err = rejects(section, key, value, tmp_path, capsys, command)
+        name = dotted(section, key)
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(f"configuration error: {name} must ")
+
 
 class TestConfigRanges:
     @pytest.mark.parametrize("section, key, value, message", [
@@ -278,9 +351,12 @@ class TestConfigRanges:
         ("rl", "minibatch_size", 0, "rl.minibatch_size must be >= 1"),
         ("rl", "epochs", 0, "rl.epochs must be >= 1"),
         ("rl", "epochs", -1, "rl.epochs must be >= 1"),
-        ("rl", "hidden_sizes", [64.5, 64], "invalid input: hidden_sizes must hold integers"),
-        ("rl", "hidden_sizes", [True, 64], "invalid input: hidden_sizes must hold integers"),
-        ("rl", "hidden_sizes", [0, 64], "invalid input: hidden_sizes must be >= 1"),
+        ("rl", "hidden_sizes", [64.5, 64],
+         "configuration error: rl.hidden_sizes must be a list of integers: [64.5, 64]"),
+        ("rl", "hidden_sizes", [True, 64],
+         "configuration error: rl.hidden_sizes must be a list of integers: [True, 64]"),
+        ("rl", "hidden_sizes", [0, 64],
+         "configuration error: rl.hidden_sizes must hold values >= 1: [0, 64]"),
         # kappa < 0 would fail every episode in shape_reward, and
         # eta_max < 0 would clamp every accuracy request below zero
         ("rl", "reward_weight", -1, "rl.reward_weight must lie in [0, 1e6]"),
@@ -290,7 +366,7 @@ class TestConfigRanges:
         # below 0 would turn gradient clipping off unasked
         ("rl", "max_grad_norm", -1, "rl.max_grad_norm must lie in [0, inf)"),
         ("rl", "cost_mode", "foo",
-         "invalid input: cost_mode must be one of ['penalty', 'paper_eq24']: 'foo'"),
+         "configuration error: rl.cost_mode must be one of ['penalty', 'paper_eq24']: 'foo'"),
         # "no" is truthy: it would train with normalization on
         ("rl", "normalize_observations", "no",
          "configuration error: rl.normalize_observations must be true or false: 'no'"),
@@ -335,15 +411,17 @@ class TestConfigRanges:
         # the channel section is checked when the config is read; json.dumps
         # writes inf as Infinity, which json.loads reads back
         ("channel", "rician_factor_db", float("inf"),
-         "invalid input: channel values must be finite numbers"),
+         "configuration error: channel.rician_factor_db must lie in (-inf, inf): inf"),
         ("channel", "latency_max_s", float("inf"),
-         "invalid input: channel values must be finite numbers"),
+         "configuration error: channel.latency_max_s must lie in (0, inf): inf"),
         ("channel", "packet_bits", float("inf"),
-         "invalid input: channel values must be finite numbers"),
+         "configuration error: channel.packet_bits must lie in (0, inf): inf"),
         ("channel", "outage_epsilon", 0.7,
-         "invalid input: channel values must be finite numbers"),
+         "configuration error: channel.outage_epsilon must lie in (0, 0.5): 0.7"),
         ("channel", "bandwidth_hz", "5e6",
-         "invalid input: channel values must be finite numbers"),
+         "configuration error: channel.bandwidth_hz must be a number: '5e6'"),
+        ("channel", "bandwidth_hz", True,
+         "configuration error: channel.bandwidth_hz must be a number: True"),
         ("channel", "rician_factor_db", 3.0,
          "invalid input: sqrt(2G) must exceed Qinv(epsilon)"),
         # finite, yet the rate demand 2 ** (D / (tau W)) or the noise power
@@ -395,20 +473,34 @@ class TestConfigRanges:
         # count or a string, and an infinite std (1e400 in the file) ran
         # until every episode failed at QI 2, after the outputs were written
         *[("plant", "process_noise_std", value,
-           "invalid input: plant.process_noise_std must be 2 finite numbers >= 0")
-          for value in ([0.001], [0.001, 0.001, 0.001], ["a", 1],
-                        [float("inf"), 0.001], [0.001, float("nan")], [-0.1, 0.001],
-                        5)],
+           "configuration error: plant.process_noise_std must be a list of 2 numbers")
+          for value in ([0.001], [0.001, 0.001, 0.001], ["a", 1], 5)],
+        *[("plant", "process_noise_std", value,
+           "configuration error: plant.process_noise_std must hold values in [0, inf)")
+          for value in ([float("inf"), 0.001], [0.001, float("nan")], [-0.1, 0.001])],
         # a generated fleet's noise levels: a TypeError or OverflowError
         # traceback
         *[("fleet", key, value,
-           f"configuration error: fleet.{key} must hold positive finite numbers")
+           f"configuration error: fleet.{key} must be a non-empty list of numbers")
           for key, value in (("position_noise_levels", ["a"]),
                              ("position_noise_levels", 5),
-                             ("position_noise_levels", [float("nan"), 1e-3]),
-                             ("position_noise_levels", [1e-3, float("inf")]),
-                             ("velocity_noise_levels", [0.0, 1e-3]),
                              ("velocity_noise_levels", []))],
+        *[("fleet", key, value,
+           f"configuration error: fleet.{key} must hold values in (0, inf)")
+          for key, value in (("position_noise_levels", [float("nan"), 1e-3]),
+                             ("position_noise_levels", [1e-3, float("inf")]),
+                             ("velocity_noise_levels", [0.0, 1e-3]))],
+        # accepted before: no training at all with exit 0, a negative count,
+        # and a distance rejected only when some agent's draw landed <= 0,
+        # by a message that named no field
+        ("rl", "total_steps", -5, "configuration error: rl.total_steps must be >= 0: -5"),
+        (None, "traditional_count", -3,
+         "configuration error: traditional_count must be >= 0: -3"),
+        ("fleet", "min_distance_m", -5.0,
+         "configuration error: fleet.min_distance_m must lie in [0, inf): -5.0"),
+        ("plant", "name", "pendulum",
+         "configuration error: plant.name must be one of ['mountain_car', 'linear_2d']"),
+        (None, "mode", "bogus", "configuration error: mode must be one of ['reverb', "),
     ])
     @VALIDATING_COMMANDS
     def test_value_out_of_range_exits_one_with_one_line(
@@ -428,9 +520,22 @@ class TestConfigRanges:
         assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, rule", [d for d in DECLARED if d[2].bounds],
+                             ids=[i for i, d in zip(DECLARED_IDS, DECLARED) if d[2].bounds])
+    @VALIDATING_COMMANDS
+    def test_every_declared_range_rejects_a_value_outside_it(
+            self, tmp_path, capsys, monkeypatch, section, key, rule, command):
+        # generated from the rules: the value just past the lower bound
+        monkeypatch.chdir(tmp_path)
+        value = out_of_range(rule)
+        code, err = rejects(section, key, value, tmp_path, capsys, command)
+        name = dotted(section, key)
+        assert code == 1
+        assert err == f"configuration error: {name} must {rule.bounds}: {value!r}\n"
+
     @pytest.mark.parametrize("sizes, message", [
-        ([64.5, 64], "hidden_sizes must hold integers"),
-        ([64, 0], "hidden_sizes must be >= 1"),
+        ([64.5, 64], "checkpoint hyper.hidden_sizes must be a list of integers"),
+        ([64, 0], "checkpoint hyper.hidden_sizes must hold values >= 1"),
         ([64, 64], None),           # the committed checkpoint, as it is
     ])
     def test_checkpoint_layer_sizes_are_parsed(self, tmp_path, capsys, sizes, message):
@@ -445,7 +550,7 @@ class TestConfigRanges:
         if message is None:
             assert code == 0 and err == ""
         else:
-            assert code == 1 and err.startswith(f"invalid input: {message}")
+            assert code == 1 and err.startswith(f"configuration error: {message}")
             assert err.count("\n") == 1
 
 
@@ -527,6 +632,29 @@ class TestCheckpointChecks:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("discount", 7.0, "must lie in (0, 1): 7.0"),
+        ("eta_max", float("nan"), "must lie in [0, 1e6]: nan"),
+        ("epochs", "ten", "must be an integer: 'ten'"),
+        ("normalize_observations", "no", "must be true or false: 'no'"),
+        ("cost_mode", "foo", "must be one of ['penalty', 'paper_eq24']: 'foo'"),
+    ])
+    def test_bad_hyper_value_exits_one_before_any_episode(self, tmp_path, capsys,
+                                                          key, value, message):
+        # each loaded silently before: the hyperparameters a checkpoint
+        # carries are checked by the rules of the config's rl section
+        checkpoint = json.loads((PERFBENCH / "reverb_policy.json").read_text())
+        checkpoint["hyper"][key] = value
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(checkpoint))
+        out = tmp_path / "out"
+        code = main(["evaluate", "--config", str(small_config_file(tmp_path)),
+                     "--policy", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"configuration error: checkpoint hyper.{key} {message}\n"
+        assert not out.exists()
 
     def test_huge_dimension_is_rejected_before_any_network_is_built(
             self, tmp_path, capsys, monkeypatch):

@@ -7,8 +7,10 @@ command-line flag: no module reads the process environment."""
 
 import ast
 import dataclasses
+import json
 from pathlib import Path
 
+from twinloop import settings
 from twinloop.agent import PpoHyperparams
 from twinloop.channel import ChannelParams
 from twinloop.harness import ExperimentConfig, FleetConfig, PlantConfig
@@ -110,3 +112,42 @@ def test_no_module_reads_the_process_environment():
     found = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
              for name in sorted(names_used(path) & reads)]
     assert not found, "\n".join(found)
+
+
+SECTIONS = (("", ExperimentConfig), ("plant.", PlantConfig), ("fleet.", FleetConfig),
+            ("channel.", ChannelParams), ("rl.", PpoHyperparams))
+
+
+def test_every_config_field_declares_its_rule():
+    # settings.check reads the rules, so a field without one would go
+    # unchecked; a section's fields are checked as a section of their own
+    missing = [f"{cls.__name__}.{f.name}" for _, cls in SECTIONS
+               for f in dataclasses.fields(cls)
+               if not isinstance(f.metadata.get("rule"), settings.Rule)]
+    assert not missing, "\n".join(missing)
+    sections = [f.name for f in dataclasses.fields(ExperimentConfig)
+                if f.metadata["rule"] is settings.SECTION]
+    assert sections == ["plant", "fleet", "channel", "rl"]
+
+
+def rules_table() -> str:
+    """README's table of every setting, its default and its rule, built
+    from the rules themselves."""
+    rows = ["| setting | default | must be |", "| --- | --- | --- |"]
+    for prefix, cls in SECTIONS:
+        for f in dataclasses.fields(cls):
+            rule = f.metadata["rule"]
+            if rule is settings.SECTION:
+                continue
+            what = rule.what if rule.choices is None else f"one of {list(rule.choices)}"
+            if rule.bounds:
+                what += f" that must {rule.bounds}"
+            rows.append(f"| `{prefix}{f.name}` | `{json.dumps(f.default)}` | {what} |")
+    return "\n".join(rows)
+
+
+def test_readme_lists_every_rule():
+    text = (ROOT / "README.md").read_text()
+    begin, end = "<!-- rules:begin -->\n", "\n<!-- rules:end -->"
+    listed = text[text.index(begin) + len(begin):text.index(end)]
+    assert listed == rules_table()

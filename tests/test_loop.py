@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -145,11 +146,12 @@ class TestFleetIndex:
         with pytest.raises(ConfigurationError, match="variance caps must be numbers"):
             TwinLoop(config)
 
-    def test_unknown_plant_rejected_unvalidated(self):
+    def test_unknown_plant_rejected(self):
         config = ExperimentConfig()
         config.plant.name = "pendulum"
-        with pytest.raises(ConfigurationError, match="unknown plant 'pendulum'"):
-            TwinLoop(config)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "plant.name must be one of ['mountain_car', 'linear_2d']: 'pendulum'")):
+            config.validate()
 
 
 class TestOneRecordPerQi:

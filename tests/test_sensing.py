@@ -119,8 +119,6 @@ class TestPlacement:
     def test_impossible_coverage_is_rejected(self):
         with pytest.raises(ConfigurationError):
             place_agents(1, 20.0, [1e-2], [1e-3], np.random.default_rng(0), 2, 1.0)
-        with pytest.raises(ConfigurationError):
-            place_agents(4, 20.0, [1e-2], [], np.random.default_rng(0), 2, 1.0)
 
 
 class TestPinnedRecords:
