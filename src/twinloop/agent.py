@@ -60,7 +60,7 @@ class AugmentedAction(NamedTuple):
 class PpoHyperparams:
     """The ``rl`` section of an experiment config, saved in a checkpoint as
     its ``hyper``. Its values are checked (``settings.check``) by
-    ``ExperimentConfig.build_loop`` and by ``PolicyNetwork.from_state``,
+    ``loop.TwinLoop`` and by ``PolicyNetwork.from_state``,
     which name a bad one ``rl.<field>`` and ``checkpoint hyper.<field>``.
 
     The bounds keep the run inside a float: a logstd within +-20 keeps

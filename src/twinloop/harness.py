@@ -5,12 +5,12 @@ caps, mode, RL hyperparameters, seeds); every run echoes it into
 summary.json so results can be replayed exactly. Its channel section is
 ``channel.ChannelParams``, checked when the config is read, and its rl
 section ``agent.PpoHyperparams``. Every field declares its type and range
-next to its default (``settings.setting``), and ``validate`` checks them
-all: types first, then ranges, so a bad value is named by its field. The
-episodes of a run share one ``TwinLoop`` in one process and take the policy
-mean. Per-episode seeds derive from the master seed by episode index, so
-repeated runs are byte-identical and different modes see common random
-numbers.
+next to its default (``settings.setting``), and building a ``TwinLoop``
+checks them all: types first, then ranges, so a bad value is named by its
+field. The episodes of a run share one ``TwinLoop`` in one process and take
+the policy mean. Per-episode seeds derive from the master seed by episode
+index, so repeated runs are byte-identical and different modes see common
+random numbers.
 
 The episode error metric (reported as ``mrmse``) is the per-episode mean
 over query intervals of the Euclidean distance between the true state and
@@ -34,8 +34,8 @@ from .dynamics import PLANT_REGISTRY
 from .errors import ConfigurationError, InvalidInputError, TwinloopError
 from .loop import TwinLoop, episode_seed
 from .scheduler import SchedulingMode
-from .settings import (PER_FEATURE, RECORDS, SECTION, TEXT, at_least, check,
-                       numbers, one_of, setting, within)
+from .settings import (PER_FEATURE, RECORDS, SECTION, TEXT, at_least, numbers,
+                       one_of, setting, within)
 
 MRMSE_DEFINITION = ("per-episode mean over query intervals of "
                     "||true_state - belief_mean||_2, averaged over episodes")
@@ -79,23 +79,12 @@ class ExperimentConfig:
     # -- validation / builders ----------------------------------------------
 
     def validate(self) -> "ExperimentConfig":
-        """Check the config (``build_loop``) and return it: a bad field,
-        cap, plant, fleet or link power fails here, before any episode
+        """Check the config by building its ``TwinLoop``, which checks every
+        field against its rule and then the caps, plant, fleet and link
+        powers, and return it: a bad setting fails here, before any episode
         runs."""
-        self.build_loop()
+        TwinLoop(self)
         return self
-
-    def build_loop(self, record_trace: bool = False) -> TwinLoop:
-        """Check every field against its rule (``settings.check``: types
-        first, then ranges, so that a bad value is named by its field; the
-        channel section checked itself when it was built), then build the
-        run's ``TwinLoop``, which builds and checks its caps, plant, fleet
-        and link powers: the one complete check of a config, which returns
-        the loop it built."""
-        for prefix, section in (("", self), ("plant.", self.plant),
-                                ("fleet.", self.fleet), ("rl.", self.rl)):
-            check(section, prefix)
-        return TwinLoop(self, record_trace)
 
     def build_plant(self):
         return PLANT_REGISTRY[self.plant.name](
@@ -205,10 +194,9 @@ def run_monte_carlo(config: ExperimentConfig, policy: PolicyNetwork = None,
                     workers: int = 1) -> dict:
     """Run the configured number of seeded episodes and aggregate metrics.
 
-    The config is checked by building the run's one ``TwinLoop``
-    (``ExperimentConfig.build_loop``). The episodes run one after another
-    in this process, on that loop, and their results are ordered by
-    episode index. Episodes that fail with a package error
+    The config is checked by building the run's one ``TwinLoop``. The
+    episodes run one after another in this process, on that loop, and their
+    results are ordered by episode index. Episodes that fail with a package error
     (``TwinloopError``) are reported by index instead of aborting the whole
     run; any other exception is a bug and propagates. ``workers`` must be
     1: evaluation runs in one process.
@@ -216,7 +204,7 @@ def run_monte_carlo(config: ExperimentConfig, policy: PolicyNetwork = None,
     if workers != 1:
         raise InvalidInputError(f"evaluation runs in one process: workers must "
                                 f"be 1, not {workers!r}")
-    env = config.build_loop(record_trace=True)
+    env = TwinLoop(config, record_trace=True)
     if policy is None:
         policy = fresh_policy(config, env)
     metrics = []

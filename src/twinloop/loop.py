@@ -4,9 +4,9 @@ One query interval runs: blind prediction -> policy action on the prior
 belief -> agent scheduling (``scheduler.schedule`` under the requested caps
 in REVERB mode, ``baseline_schedule`` under the fixed caps otherwise) ->
 uplink power for the selected agents -> observation fusion -> plant step ->
-reward. A ``TwinLoop`` takes every setting from one ``ExperimentConfig``, and
-builds and checks the run's caps, plant, fleet and link powers once, when it
-is built. The environment surface mirrors the usual gym step/reset contract
+reward. A ``TwinLoop`` takes every setting from one ``ExperimentConfig``,
+checks each field against its rule (``settings.check``), and builds and
+checks the run's caps, plant, fleet and link powers once, when it is built. The environment surface mirrors the usual gym step/reset contract
 so the trainer and the evaluation harness drive the same code.
 
 With ``record_trace`` a loop keeps one flat tuple of plain values per QI
@@ -42,6 +42,7 @@ from .agent import CostMode, base_reward, decode_action, shape_reward
 from .errors import ConfigurationError, InvalidInputError, NumericalFailureError
 from .estimator import Belief
 from .scheduler import SchedulingMode, baseline_schedule
+from .settings import check
 
 def episode_seed(master_seed: int, namespace: int, index: int) -> np.random.SeedSequence:
     """Seed of episode ``index`` of a run: training episodes use namespace 1
@@ -62,11 +63,16 @@ class TwinLoop:
     """Episode driver binding plant, fleet, filter, scheduler and channel."""
 
     def __init__(self, config, record_trace=False):
-        # the one place a run's caps, plant, fleet and link powers are built
-        # and checked, so a bad one fails before any episode or output (the
-        # config's validate builds a loop). The non-adaptive modes are
-        # judged by these caps, and each adaptive QI applies its request to
-        # them without a second check
+        # the one place a run's settings are checked (each field against its
+        # rule, the channel section having checked itself when built) and
+        # its caps, plant, fleet and link powers built and checked, so a bad
+        # one fails before any episode or output (the config's validate
+        # builds a loop). The non-adaptive modes are judged by these caps,
+        # and each adaptive QI applies its request to them without a second
+        # check
+        for prefix, section in (("", config), ("plant.", config.plant),
+                                ("fleet.", config.fleet), ("rl.", config.rl)):
+            check(section, prefix)
         try:
             caps = np.asarray(config.variance_caps, dtype=float)
         except (TypeError, ValueError):

@@ -146,12 +146,28 @@ class TestFleetIndex:
         with pytest.raises(ConfigurationError, match="variance caps must be numbers"):
             TwinLoop(config)
 
-    def test_unknown_plant_rejected(self):
+    def test_unknown_plant_rejected_unvalidated(self):
         config = ExperimentConfig()
         config.plant.name = "pendulum"
         with pytest.raises(ConfigurationError, match=re.escape(
                 "plant.name must be one of ['mountain_car', 'linear_2d']: 'pendulum'")):
-            config.validate()
+            TwinLoop(config)
+
+    @pytest.mark.parametrize("section, name, value, message", [
+        ("", "mode", "bogus", "mode must be one of"),
+        ("plant", "process_noise_std", (1e-4,), "plant.process_noise_std must be a list of 2"),
+        ("plant", "process_noise_std", (1e-4, -1.0), "plant.process_noise_std must hold values"),
+        ("fleet", "velocity_noise_levels", (), "fleet.velocity_noise_levels must be a non-empty"),
+        ("fleet", "seed", -1, "fleet.seed must be >= 0"),
+        ("rl", "discount", 7.0, "rl.discount must lie in")])
+    def test_every_rule_runs_when_the_loop_is_built(self, section, name, value, message):
+        # TwinLoop(config) and from_config, unvalidated, check every field
+        # first: no KeyError, unpacking or min() error from below
+        config = ExperimentConfig()
+        setattr(getattr(config, section) if section else config, name, value)
+        for build in (TwinLoop, TwinLoop.from_config):
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                build(config)
 
 
 class TestOneRecordPerQi:
