@@ -36,7 +36,9 @@ class ChannelParams:
     2^(D / (tau_max W)) - 1 as ``rate_demand``.
     """
 
-    rician_factor_db: float = setting(15.0, within("(-inf, inf)"))
+    # y_q's series window grows with sqrt(G): past about 120 dB one config
+    # value would need arrays of hundreds of megabytes before any episode
+    rician_factor_db: float = setting(15.0, within("(-inf, 60]"))
     noise_power_dbm: float = setting(-11.5, within("(-inf, inf)"))
     bandwidth_hz: float = setting(5e6, within("(0, inf)"))
     outage_epsilon: float = setting(1e-5, within("(0, 0.5)"))

@@ -171,7 +171,7 @@ def stack(selected, state_dim: int) -> StackedObservationModel:
     selected = list(selected)
     if not selected:
         raise InvalidInputError("cannot stack an empty selection")
-    ids = [a.agent_id for a in selected]
+    ids = [a.id for a in selected]
     if len(set(ids)) != len(ids):
         raise InvalidInputError(f"duplicate agent ids in selection: {ids}")
     variance = np.array([a.variance for a in selected], dtype=float)

@@ -32,10 +32,10 @@ from .agent import PolicyNetwork, PpoHyperparams
 from .channel import ChannelParams
 from .dynamics import PLANT_REGISTRY
 from .errors import ConfigurationError, InvalidInputError, TwinloopError
+from .estimator import TINY
 from .loop import TwinLoop, episode_seed
 from .scheduler import SchedulingMode
-from .settings import (PER_FEATURE, RECORDS, SECTION, TEXT, at_least, numbers,
-                       one_of, setting, within)
+from .settings import RECORDS, SECTION, TEXT, at_least, numbers, one_of, setting, within
 
 MRMSE_DEFINITION = ("per-episode mean over query intervals of "
                     "||true_state - belief_mean||_2, averaged over episodes")
@@ -56,7 +56,8 @@ class FleetConfig:
 @dataclass
 class PlantConfig:
     name: str = setting("mountain_car", one_of(PLANT_REGISTRY))
-    process_noise_std: tuple = setting((1e-4, 1e-5), numbers("[0, inf)", 2))
+    # 1e154 keeps each square a float
+    process_noise_std: tuple = setting((1e-4, 1e-5), numbers("[0, 1e154]", 2))
     episode_cap: int = setting(999, at_least(1))
 
 
@@ -67,7 +68,9 @@ class ExperimentConfig:
     episodes: int = setting(100, at_least(1))
     output_dir: str = setting(None, TEXT)
     capacity: int = setting(10, at_least(0))
-    variance_caps: tuple = setting((0.01, 0.001), PER_FEATURE)
+    # a subnormal cap turns variance / cap into inf; one cap per plant
+    # feature is TwinLoop's check
+    variance_caps: tuple = setting((0.01, 0.001), numbers(f"[{TINY!r}, inf)"))
     traditional_count: int = setting(2, at_least(0))
     # mixing weight of the per-QI diagnostic
     accuracy_weight: float = setting(0.5, within("[0, 1]"))
@@ -93,12 +96,20 @@ class ExperimentConfig:
 
     def build_fleet(self, plant) -> sensing.FleetIndex:
         """The pinned or generated fleet, indexed against the state dimension
-        of ``plant`` (as ``build_plant`` returns it); raises
-        ConfigurationError unless it covers every feature."""
+        of ``plant`` (as ``build_plant`` returns it), whose ``FleetIndex``
+        checks each agent. A pinned record is the keyword arguments of a
+        ``sensing.SensingAgentSpec``; raises ConfigurationError for a record
+        that is not one (not an object, or a key missing or unknown) and for
+        a fleet that leaves a feature unread."""
         f = self.fleet
         state_dim = plant.dim
         if f.agents is not None:
-            agents = [sensing.agent_from_record(rec) for rec in f.agents]
+            agents = []
+            for p, record in enumerate(f.agents):
+                try:
+                    agents.append(sensing.SensingAgentSpec(**record))
+                except TypeError as exc:
+                    raise ConfigurationError(f"bad fleet.agents[{p}]: {exc}") from None
         else:
             rng = np.random.default_rng(np.random.SeedSequence(f.seed))
             agents = sensing.place_agents(

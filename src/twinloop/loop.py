@@ -5,9 +5,12 @@ belief -> agent scheduling (``scheduler.schedule`` under the requested caps
 in REVERB mode, ``baseline_schedule`` under the fixed caps otherwise) ->
 uplink power for the selected agents -> observation fusion -> plant step ->
 reward. A ``TwinLoop`` takes every setting from one ``ExperimentConfig``,
-checks each field against its rule (``settings.check``), and builds and
-checks the run's caps, plant, fleet and link powers once, when it is built. The environment surface mirrors the usual gym step/reset contract
-so the trainer and the evaluation harness drive the same code.
+checks each field against its rule (``settings.check``), and builds the
+run's plant, fleet and link powers once, when it is built, checking what
+spans them: one cap per plant feature, the fleet (its ``FleetIndex``
+checks each agent's fields) and finite link powers. The environment
+surface mirrors the usual gym step/reset contract so the trainer and the
+evaluation harness drive the same code.
 
 With ``record_trace`` a loop keeps one flat tuple of plain values per QI
 (``TwinLoop.trace``), its only record of what a QI did; without it a loop
@@ -65,30 +68,17 @@ class TwinLoop:
     def __init__(self, config, record_trace=False):
         # the one place a run's settings are checked (each field against its
         # rule, the channel section having checked itself when built) and
-        # its caps, plant, fleet and link powers built and checked, so a bad
-        # one fails before any episode or output (the config's validate
-        # builds a loop). The non-adaptive modes are judged by these caps,
-        # and each adaptive QI applies its request to them without a second
-        # check
+        # its plant, fleet and link powers built and checked, so a bad one
+        # fails before any episode or output (the config's validate builds
+        # a loop). The non-adaptive modes are judged by the caps, and each
+        # adaptive QI applies its request to them without a second check
         for prefix, section in (("", config), ("plant.", config.plant),
                                 ("fleet.", config.fleet), ("rl.", config.rl)):
             check(section, prefix)
-        try:
-            caps = np.asarray(config.variance_caps, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"variance caps must be numbers: "
-                                     f"{config.variance_caps!r}") from None
-        if not (caps > 0).all():
-            raise ConfigurationError("variance caps must be positive")
-        # a subnormal cap turns variance / cap into inf
-        if not (caps >= estimator.TINY).all():
-            raise ConfigurationError(f"variance caps must be at least the smallest "
-                                     f"normal float {estimator.TINY!r}: "
-                                     f"{config.variance_caps!r}")
         self.plant = plant = config.build_plant()
-        if caps.shape != (plant.dim,):
+        if len(config.variance_caps) != plant.dim:
             raise ConfigurationError("need one variance cap per state feature")
-        self.variance_caps = caps.tolist()
+        self.variance_caps = [float(cap) for cap in config.variance_caps]
         self.fleet_index = config.build_fleet(plant)
         self.mode = SchedulingMode(config.mode)
         self.capacity = int(config.capacity)
@@ -105,7 +95,7 @@ class TwinLoop:
         self.action_dim = plant.control_dim + plant.dim
         # distances are fixed, so each agent's uplink power is a constant
         self.power_by_id = {
-            a.agent_id: channel_mod.required_power(a.distance_m, config.channel)
+            a.id: channel_mod.required_power(a.distance, config.channel)
             for a in self.fleet_index.agents}
         # mode, fleet and capacity fix a greedy mode's selection, so its
         # positions and per-feature fusion steps are built once, as tuples

@@ -120,7 +120,7 @@ def schedule(prior: Belief, caps, index: sensing.FleetIndex,
         raise InvalidInputError("capacity must be nonnegative")
 
     cov = prior.rows
-    features, variance = index.features, index.variance.tolist()
+    features, variance = index.features, index.variance
     chosen = []           # fleet positions, in selection order
     limit = min(capacity, len(index))
 
@@ -154,9 +154,8 @@ class Selection(tuple):
 
     def __new__(cls, index: sensing.FleetIndex, positions):
         selection = super().__new__(cls, positions)
-        precision = index.precision.tolist()
         selection.features = tuple(index.features[p] for p in selection)
-        selection.precision = tuple(precision[p] for p in selection)
+        selection.precision = tuple(index.precision[p] for p in selection)
         selection.ids = tuple(index.ids[p] for p in selection)
         return selection
 
@@ -177,7 +176,7 @@ def greedy_selection(mode: SchedulingMode, index: sensing.FleetIndex,
     precision = {}
     for p in chosen:
         k = index.features[p]
-        precision[k] = precision.get(k, 0.0) + float(index.precision[p])
+        precision[k] = precision.get(k, 0.0) + index.precision[p]
     return (Selection(index, chosen),
             tuple((k, 1.0 / precision[k]) for k in sorted(precision)))
 
@@ -242,14 +241,13 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
     mean = list(prior.values)
     rows = [list(row) for row in prior.rows]
     if chosen and observe_fn is not None:
-        variance = index.variance.tolist()
         for p, value in zip(chosen, _readings(observe_fn, chosen)):
             k = index.features[p]
             mean[k] = value
             for row in rows:
                 row[k] = 0.0
             rows[k] = [0.0] * dim
-            rows[k][k] = variance[p]
+            rows[k][k] = index.variance[p]
     posterior = Belief.of_floats(mean, rows, prior.qi)
     return ScheduleDecision(tuple(index.ids[p] for p in chosen), posterior,
                             _caps_met(posterior, caps))

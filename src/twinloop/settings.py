@@ -1,22 +1,24 @@
 """Declared settings: what each config field may hold, and the one check.
 
 Every field of a config section (``ExperimentConfig``, ``PlantConfig``,
-``FleetConfig``, ``channel.ChannelParams`` and ``agent.PpoHyperparams``) is
-declared with ``setting(default, rule)``, next to its default. A rule names
-the field's type and range: ``within("[0, 1]")`` a number in an interval,
+``FleetConfig``, ``channel.ChannelParams`` and ``agent.PpoHyperparams``)
+and of a pinned fleet record (``sensing.SensingAgentSpec``) is declared
+with ``setting(default, rule)``, next to its default; a record's fields
+have none (``dataclasses.MISSING``), so each is required. A rule names the
+field's type and range: ``within("[0, 1]")`` a number in an interval,
 ``at_least(1)`` an integer, ``FLAG`` true or false, ``one_of(names)`` a
 name, ``numbers(...)`` and ``integers(...)`` lists of them, ``TEXT`` a
 string or null and ``RECORDS`` a list or null. ``SECTION`` marks a nested
-section, which is checked on its own, and ``PER_FEATURE`` the variance
-caps, which ``TwinLoop`` checks against the plant.
+section, which is checked on its own.
 
 ``check`` is the package's only per-field check of a setting: it checks
-every declared field of a section, all types first and then all ranges, so
-a value of the wrong type is named by its field before any comparison. A
-bad value raises ``ConfigurationError`` as ``<section>.<field> must ...:
-<value>``. Checks that span several fields or settings (a cap per plant
-feature, a generated fleet's coverage and distances, the channel's derived
-values, the link powers) stay with the code that builds from them.
+every declared field of a section or record, all types first and then all
+ranges, so a value of the wrong type is named by its field before any
+comparison. A bad value raises ``ConfigurationError`` as
+``<section>.<field> must ...: <value>``. Checks that span several fields
+or settings (a cap per plant feature, a generated fleet's coverage and
+distances, a fleet's features, ids and summed precision, the channel's
+derived values, the link powers) stay with the code that builds from them.
 """
 
 from __future__ import annotations
@@ -58,14 +60,6 @@ def is_integer(value) -> bool:
     """Whether ``value`` is an integer and not a bool (2.0 is not one)."""
     return (type(value) is int
             or isinstance(value, _numbers.Integral) and not isinstance(value, bool))
-
-
-def integer(value) -> int:
-    """``value`` as an int when it is an integer and not a bool; TypeError
-    otherwise, so that no id, feature or count is truncated."""
-    if not is_integer(value):
-        raise TypeError(f"{value!r} is not an integer")
-    return int(value)
 
 
 def _interval(text: str) -> tuple:
@@ -118,17 +112,16 @@ def integers(n: int) -> Rule:
 
 FLAG = Rule("true or false", lambda v: isinstance(v, bool))
 TEXT = Rule("a string or null", lambda v: v is None or isinstance(v, str))
-# each record is checked when the fleet is built (sensing.agent_from_record)
+# each record is checked when the fleet is indexed (sensing.FleetIndex)
 RECORDS = Rule("a list of agent records or null",
                lambda v: v is None or isinstance(v, (list, tuple)))
 SECTION = Rule("a section, checked on its own")
-PER_FEATURE = Rule("one number per plant feature, each at least the smallest "
-                   "normal float, checked by TwinLoop against the plant")
 
 
 def setting(default, rule: Rule):
     """A config field with ``default`` and its ``rule``; a class default is
-    a section, built afresh for each config."""
+    a section, built afresh for each config, and ``dataclasses.MISSING``
+    makes the field required."""
     if isinstance(default, type):
         return field(default_factory=default, metadata={"rule": rule})
     return field(default=default, metadata={"rule": rule})
@@ -146,9 +139,9 @@ def _tables(cls) -> tuple:
 
 
 def check(section, prefix: str = "") -> None:
-    """Check every declared field of the config section ``section`` against
-    its rule, types first and then ranges; raises ConfigurationError naming
-    the first bad field as ``prefix`` + its name. A float is taken as a
+    """Check every declared field of the config section or record
+    ``section`` against its rule, types first and then ranges; raises
+    ConfigurationError naming the first bad field as ``prefix`` + its name. A float is taken as a
     number without asking ``numbers.Real``, whose check costs more than
     the rest."""
     types, ranges = _tables(type(section))

@@ -164,8 +164,8 @@ def relative_gradient_error(analytic, numeric):
 
 
 def scalar_agent(agent_id, feature, variance, distance=5.0):
-    return SensingAgentSpec(agent_id=agent_id, feature=feature, variance=variance,
-                            distance_m=distance)
+    return SensingAgentSpec(id=agent_id, feature=feature, variance=variance,
+                            distance=distance)
 
 
 def indexed(fleet, dim=2):
@@ -210,7 +210,7 @@ def reference_schedule(prior, caps, fleet, capacity, observe_fn=None):
         best = int(np.argmax(ratios))
         k_star = candidates[best]
         pool = [a for a in available if a.feature == k_star]
-        agent = min(pool, key=lambda a: (a.variance, a.agent_id))
+        agent = min(pool, key=lambda a: (a.variance, a.id))
         chosen.append(agent)
         available.remove(agent)
         cov, _ = estimator.posterior_cov(prior.cov, estimator.stack(chosen, dim))
@@ -228,7 +228,7 @@ def reference_schedule(prior, caps, fleet, capacity, observe_fn=None):
         posterior = prior.copy()
 
     return ScheduleDecision(
-        selected_ids=tuple(a.agent_id for a in chosen),
+        selected_ids=tuple(a.id for a in chosen),
         posterior=posterior,
         satisfied=np.diag(posterior.cov) <= caps,
     )
@@ -245,8 +245,8 @@ def reference_baseline_schedule(mode, prior, fleet, capacity, observe_fn=None,
     scheduler's. ``baseline_schedule`` must make its selections and met
     caps, and its posterior within 1e-9 relative.
     """
-    key = ((lambda a: (a.distance_m, a.agent_id)) if mode == "cost_greedy"
-           else (lambda a: (a.variance, a.agent_id)))
+    key = ((lambda a: (a.distance, a.id)) if mode == "cost_greedy"
+           else (lambda a: (a.variance, a.id)))
     chosen = sorted(fleet, key=key)[:capacity]
     if not chosen:
         posterior = prior.copy()
@@ -263,7 +263,7 @@ def reference_baseline_schedule(mode, prior, fleet, capacity, observe_fn=None,
     else:
         satisfied = np.diag(posterior.cov) <= caps
     return ScheduleDecision(
-        selected_ids=tuple(a.agent_id for a in chosen),
+        selected_ids=tuple(a.id for a in chosen),
         posterior=posterior,
         satisfied=satisfied,
     )
@@ -292,7 +292,7 @@ def reference_traditional(prior, fleet, rng, observe_fn=None, traditional_count=
         cov[k, :] = 0.0
         cov[:, k] = 0.0
         cov[k, k] = agent.variance
-    return tuple(a.agent_id for a in chosen), Belief(mean, cov, prior.qi)
+    return tuple(a.id for a in chosen), Belief(mean, cov, prior.qi)
 
 
 def exact_posterior(mean, cov, readings):

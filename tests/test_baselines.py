@@ -53,7 +53,7 @@ class TestGreedy:
         fleet.append(scalar_agent(4, 1, 0.01, distance=19.0))
         decision = greedy(SchedulingMode.COST_GREEDY, diag_belief(0.1, 0.1),
                           indexed(fleet), 2)
-        chosen = {fleet[i].agent_id for i in (0, 1)}
+        chosen = {fleet[i].id for i in (0, 1)}
         assert set(decision.selected_ids) == chosen  # distances 3 and 5
 
     def test_error_greedy_sorts_by_variance(self):
@@ -199,7 +199,7 @@ class TestIllConditionedFleet:
                 chosen = greedy[0]
                 values = np.take(env._true_state,
                     [env.fleet_index.features[p] for p in chosen]) \
-                    + env.fleet_index.std.take(chosen) * rng.standard_normal(len(chosen))
+                    + np.take(env.fleet_index.std, chosen) * rng.standard_normal(len(chosen))
                 got = baseline_schedule(mode, prior, env.fleet_index, rng,
                                         observe_fn=lambda positions: values,
                                         greedy=greedy, traditional_count=2).posterior
@@ -233,7 +233,7 @@ class TestTraditional:
         # three agents per feature, every variance different: the variance
         # substituted for feature k is that of the agent read for k
         fleet = [scalar_agent(i + 1, i % 3, 10.0 ** -(i + 1)) for i in range(9)]
-        by_id = {a.agent_id: a for a in fleet}
+        by_id = {a.id: a for a in fleet}
         prior = Belief(np.zeros(3), np.full((3, 3), 0.01) + np.eye(3), qi=4)
         truth = np.array([0.5, -0.25, 2.0])
         read = set()

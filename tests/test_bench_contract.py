@@ -119,7 +119,7 @@ def test_acceptance_config_builds_a_loop_in_every_mode(mode):
     env = loop.TwinLoop.from_config(dataclasses.replace(config, mode=mode.value),
                                     record_trace=True)
     assert env.mode is mode
-    assert [a.agent_id for a in env.fleet_index.agents] == list(range(1, 11))
+    assert [a.id for a in env.fleet_index.agents] == list(range(1, 11))
     assert [len(m) for m in env.fleet_index.measuring] == [5, 5]
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from twinloop import (ChannelParams, ExperimentConfig, FleetConfig, PlantConfig,
-                      PpoHyperparams, required_power)
+                      PpoHyperparams, SensingAgentSpec, required_power)
 from twinloop.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -20,11 +20,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # command before the output directory is made
 VALIDATING_COMMANDS = pytest.mark.parametrize("command", ["evaluate", "train"])
 RL_FLOATS = [f.name for f in dataclasses.fields(PpoHyperparams) if f.type == "float"]
+# a pinned fleet's second record, named by its position in fleet.agents
+RECORD = "fleet.agents[1]"
 SECTIONS = ((None, ExperimentConfig), ("plant", PlantConfig), ("fleet", FleetConfig),
-            ("channel", ChannelParams), ("rl", PpoHyperparams))
+            (RECORD, SensingAgentSpec), ("channel", ChannelParams), ("rl", PpoHyperparams))
 # every field that settings.check checks, with its rule
 DECLARED = [(section, f.name, f.metadata["rule"]) for section, cls in SECTIONS
             for f in dataclasses.fields(cls) if f.metadata["rule"].test is not None]
+PINNED = [{"id": 1, "feature": 0, "variance": 6e-3, "distance": 11.5},
+          {"id": 2, "feature": 1, "variance": 1e-4, "distance": 4.4}]
 
 
 def dotted(section, key):
@@ -41,20 +45,35 @@ def wrong_type(rule):
     return next(v for v in (2.5, "x") if not rule.test(v))
 
 
-def out_of_range(rule):
+def out_of_range(rule, above=False):
     """A value of the rule's type just outside its range: below the lower
     bound, or -inf when that is the lowest float (an interval open at
-    -inf); a list holds it in every entry."""
-    bad = rule.lo - 1 if isinstance(rule.lo, int) else math.nextafter(rule.lo, -math.inf)
+    -inf), or with ``above`` just above a number's upper bound, inf when
+    that is the largest float; a list holds it in every entry."""
+    if above:
+        bad = math.nextafter(rule.hi, math.inf)
+    else:
+        bad = rule.lo - 1 if isinstance(rule.lo, int) else math.nextafter(rule.lo, -math.inf)
     return next(v for v in ([bad], [bad, bad]) if rule.test(v)) if rule.many else bad
 
 
+def target(config, section):
+    """Where ``section``'s keys live in ``config``: the top level for None,
+    and for ``RECORD`` the second record of a pinned fleet, written in."""
+    if section is None:
+        return config
+    if section == RECORD:
+        config["fleet"]["agents"] = [dict(record) for record in PINNED]
+        return config["fleet"]["agents"][1]
+    return config[section]
+
+
 def rejects(section, key, value, tmp_path, capsys, command):
-    """Run ``command`` on the small config with ``key`` of ``section`` (the
-    top level for None) set to ``value``; return the exit code and stderr,
-    having checked that nothing was written."""
+    """Run ``command`` on the small config with ``key`` of ``section`` (see
+    ``target``) set to ``value``; return the exit code and stderr, having
+    checked that nothing was written."""
     config = json.loads(small_config_file(tmp_path).read_text())
-    (config if section is None else config[section])[key] = value
+    target(config, section)[key] = value
     path = tmp_path / "declared.json"
     path.write_text(json.dumps(config))
     args = [command, "--config", str(path)]
@@ -199,7 +218,7 @@ class TestEvaluate:
                      str(tmp_path / "results")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("configuration error:") and "variance caps" in err
+        assert err.startswith("configuration error: variance_caps must hold values in")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "results").exists()
 
@@ -207,9 +226,17 @@ class TestEvaluate:
 class TestPinnedFleetRecords:
     @pytest.mark.parametrize("record, prefix", [
         ({"id": 2, "feature": 5, "variance": 1e-4, "distance": 4.4}, "invalid input:"),
-        ({"id": 2, "feature": -1, "variance": 1e-4, "distance": 4.4}, "invalid input:"),
-        ({"id": 2, "feature": 1, "distance": 4.4}, "configuration error:"),
-    ])
+        ({"id": 2, "feature": -1, "variance": 1e-4, "distance": 4.4},
+         "configuration error: fleet.agents[1].feature must be >= 0: -1\n"),
+        # a missing key, an unknown key, and a record that is not an object
+        ({"id": 2, "feature": 1, "distance": 4.4},
+         "configuration error: bad fleet.agents[1]: "),
+        ({"id": 2, "feature": 1, "variance": 1e-4, "distance": 4.4, "colour": "red"},
+         "configuration error: bad fleet.agents[1]: "),
+        ([2, 1, 1e-4, 4.4], "configuration error: bad fleet.agents[1]: "),
+        (5, "configuration error: bad fleet.agents[1]: "),
+    ], ids=["feature-past-the-state", "negative-feature", "missing-key", "unknown-key",
+            "list-record", "number-record"])
     @VALIDATING_COMMANDS
     def test_bad_record_exits_one_with_one_line(self, tmp_path, capsys,
                                                 record, prefix, command):
@@ -227,9 +254,9 @@ class TestPinnedFleetRecords:
          "configuration error:"),
         # written by json.dumps as Infinity, which json.loads reads back
         ({"id": 2, "feature": 1, "variance": float("inf"), "distance": 4.4},
-         "invalid input:"),
+         "configuration error: fleet.agents[1].variance must lie in (0, inf): inf\n"),
         ({"id": 2, "feature": 1, "variance": 1e-4, "distance": float("inf")},
-         "invalid input:"),
+         "configuration error: fleet.agents[1].distance must lie in (0, inf): inf\n"),
         # no agent left for the velocity: rejected before any episode runs
         ({"id": 2, "feature": 0, "variance": 1e-4, "distance": 4.4},
          "configuration error:"),
@@ -244,6 +271,31 @@ class TestPinnedFleetRecords:
     def test_record_that_would_run_wrongly_exits_one_with_one_line(
             self, tmp_path, capsys, record, prefix, command):
         self.assert_rejected(tmp_path, capsys, record, prefix, command)
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c["fleet"]["agents"][2].update(variance=True),
+        lambda c: c["fleet"]["agents"][2].update(distance="16.2"),
+        lambda c: c["fleet"]["agents"][2].update(colour="red"),
+        lambda c: c.update(variance_caps=[True, 0.001]),
+        lambda c: c.update(variance_caps=["0.01", 0.001]),
+    ], ids=["bool-variance", "string-distance", "unknown-key", "bool-cap", "string-cap"])
+    @VALIDATING_COMMANDS
+    def test_value_that_ran_exits_one_with_one_line(self, tmp_path, capsys, edit,
+                                                     command):
+        # each ran with exit 0 on the acceptance config: the bool as 1.0,
+        # the string through float(), the unknown key unread
+        config = json.loads((PERFBENCH / "acceptance.json").read_text())
+        config["episodes"], config["rl"]["total_steps"] = 1, 0
+        edit(config)
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(("configuration error: fleet.agents[2]",
+                               "configuration error: bad fleet.agents[2]: ",
+                               "configuration error: variance_caps must be a "))
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def assert_rejected(tmp_path, capsys, record, prefix, command):
@@ -411,7 +463,11 @@ class TestConfigRanges:
         # the channel section is checked when the config is read; json.dumps
         # writes inf as Infinity, which json.loads reads back
         ("channel", "rician_factor_db", float("inf"),
-         "configuration error: channel.rician_factor_db must lie in (-inf, inf): inf"),
+         "configuration error: channel.rician_factor_db must lie in (-inf, 60]: inf"),
+        # y_q's cost grows with sqrt(G): 6 s at 90 dB, and past 120 dB
+        # arrays of hundreds of megabytes before any episode ran
+        ("channel", "rician_factor_db", 90.0,
+         "configuration error: channel.rician_factor_db must lie in (-inf, 60]: 90.0"),
         ("channel", "latency_max_s", float("inf"),
          "configuration error: channel.latency_max_s must lie in (0, inf): inf"),
         ("channel", "packet_bits", float("inf"),
@@ -462,10 +518,16 @@ class TestConfigRanges:
         ("rl", "value_coef", -1.0, "rl.value_coef must lie in [0, 1e6]"),
         # a subnormal cap: variance / cap overflowed with a numpy warning
         (None, "variance_caps", [1e-320, 1e-3],
-         "configuration error: variance caps must be at least the smallest normal float"),
+         "configuration error: variance_caps must hold values in "
+         "[2.2250738585072014e-308, inf): [1e-320, 0.001]"),
         # the plant's process covariance squares it: ** raised OverflowError
         ("plant", "process_noise_std", [1e200, 1],
-         "invalid input: process_noise_std squared overflows a float"),
+         "configuration error: plant.process_noise_std must hold values in [0, 1e154]: "
+         "[1e+200, 1]"),
+        # a square that is a float, yet past the rule's bound
+        ("plant", "process_noise_std", [1.2e154, 1e-3],
+         "configuration error: plant.process_noise_std must hold values in [0, 1e154]: "
+         "[1.2e+154, 0.001]"),
         # a generated agent's d ** alpha overflows: ** raised OverflowError
         # in TwinLoop, after train had made --out
         ("fleet", "max_distance_m", 1e300, "invalid input: the link power at"),
@@ -476,7 +538,7 @@ class TestConfigRanges:
            "configuration error: plant.process_noise_std must be a list of 2 numbers")
           for value in ([0.001], [0.001, 0.001, 0.001], ["a", 1], 5)],
         *[("plant", "process_noise_std", value,
-           "configuration error: plant.process_noise_std must hold values in [0, inf)")
+           "configuration error: plant.process_noise_std must hold values in [0, 1e154]")
           for value in ([float("inf"), 0.001], [0.001, float("nan")], [-0.1, 0.001])],
         # a generated fleet's noise levels: a TypeError or OverflowError
         # traceback
@@ -528,6 +590,22 @@ class TestConfigRanges:
         # generated from the rules: the value just past the lower bound
         monkeypatch.chdir(tmp_path)
         value = out_of_range(rule)
+        code, err = rejects(section, key, value, tmp_path, capsys, command)
+        name = dotted(section, key)
+        assert code == 1
+        assert err == f"configuration error: {name} must {rule.bounds}: {value!r}\n"
+
+    @pytest.mark.parametrize("section, key, rule",
+                             [d for d in DECLARED if d[2].hi < math.inf],
+                             ids=[i for i, d in zip(DECLARED_IDS, DECLARED)
+                                  if d[2].hi < math.inf])
+    @VALIDATING_COMMANDS
+    def test_every_declared_number_range_rejects_a_value_above_it(
+            self, tmp_path, capsys, monkeypatch, section, key, rule, command):
+        # generated from the rules: the value just past the upper bound, inf
+        # where that bound is the largest float
+        monkeypatch.chdir(tmp_path)
+        value = out_of_range(rule, above=True)
         code, err = rejects(section, key, value, tmp_path, capsys, command)
         name = dotted(section, key)
         assert code == 1

@@ -185,12 +185,12 @@ class TestProperties:
             prior = self._random_prior(rng)
             agents = [scalar_agent(i + 1, i % 2, float(10 ** rng.uniform(-4, 0)))
                       for i in range(3)]
-            values = {a.agent_id: rng.normal() for a in agents}
+            values = {a.id: rng.normal() for a in agents}
             perm = [agents[j] for j in rng.permutation(3)]
             post1 = update(prior, stack(agents, 2),
-                           [values[a.agent_id] for a in agents])
+                           [values[a.id] for a in agents])
             post2 = update(prior, stack(perm, 2),
-                           [values[a.agent_id] for a in perm])
+                           [values[a.id] for a in perm])
             np.testing.assert_allclose(post1.mean, post2.mean, atol=1e-12)
             np.testing.assert_allclose(post1.cov, post2.cov, atol=1e-12)
 

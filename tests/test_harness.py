@@ -101,8 +101,8 @@ class TestConfig:
             {"id": 2, "feature": 1, "variance": 0.001, "distance": 8.0},
         ]
         fleet = config.build_fleet(config.build_plant()).agents
-        assert [a.agent_id for a in fleet] == [1, 2]
-        assert fleet[0].distance_m == 5.0
+        assert [a.id for a in fleet] == [1, 2]
+        assert fleet[0].distance == 5.0
 
 
 class TestRunEpisode:
@@ -136,8 +136,8 @@ class TestRunEpisode:
         power = env.trace_table(metrics.trace)["power_w"]
         trace_total = sum(power)
         assert metrics.total_power_w == pytest.approx(trace_total, rel=1e-12)
-        nearest = sorted(env.fleet_index.agents, key=lambda a: (a.distance_m, a.agent_id))[:3]
-        per_qi = sum(env.power_by_id[a.agent_id] for a in nearest)
+        nearest = sorted(env.fleet_index.agents, key=lambda a: (a.distance, a.id))[:3]
+        per_qi = sum(env.power_by_id[a.id] for a in nearest)
         assert power[0] == pytest.approx(per_qi, rel=1e-12)
 
 

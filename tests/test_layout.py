@@ -14,6 +14,7 @@ from twinloop import settings
 from twinloop.agent import PpoHyperparams
 from twinloop.channel import ChannelParams
 from twinloop.harness import ExperimentConfig, FleetConfig, PlantConfig
+from twinloop.sensing import SensingAgentSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "twinloop"
@@ -114,13 +115,17 @@ def test_no_module_reads_the_process_environment():
     assert not found, "\n".join(found)
 
 
+# the config sections, and a pinned fleet record, named in messages by its
+# position i in fleet.agents
 SECTIONS = (("", ExperimentConfig), ("plant.", PlantConfig), ("fleet.", FleetConfig),
-            ("channel.", ChannelParams), ("rl.", PpoHyperparams))
+            ("fleet.agents[i].", SensingAgentSpec), ("channel.", ChannelParams),
+            ("rl.", PpoHyperparams))
 
 
 def test_every_config_field_declares_its_rule():
     # settings.check reads the rules, so a field without one would go
-    # unchecked; a section's fields are checked as a section of their own
+    # unchecked; a section's fields are checked as a section of their own,
+    # and a record's, all required, by the FleetIndex
     missing = [f"{cls.__name__}.{f.name}" for _, cls in SECTIONS
                for f in dataclasses.fields(cls)
                if not isinstance(f.metadata.get("rule"), settings.Rule)]
@@ -128,11 +133,13 @@ def test_every_config_field_declares_its_rule():
     sections = [f.name for f in dataclasses.fields(ExperimentConfig)
                 if f.metadata["rule"] is settings.SECTION]
     assert sections == ["plant", "fleet", "channel", "rl"]
+    assert all(f.default is dataclasses.MISSING and f.metadata["rule"].test
+               for f in dataclasses.fields(SensingAgentSpec))
 
 
 def rules_table() -> str:
     """README's table of every setting, its default and its rule, built
-    from the rules themselves."""
+    from the rules themselves; a record's fields have no default."""
     rows = ["| setting | default | must be |", "| --- | --- | --- |"]
     for prefix, cls in SECTIONS:
         for f in dataclasses.fields(cls):
@@ -142,7 +149,9 @@ def rules_table() -> str:
             what = rule.what if rule.choices is None else f"one of {list(rule.choices)}"
             if rule.bounds:
                 what += f" that must {rule.bounds}"
-            rows.append(f"| `{prefix}{f.name}` | `{json.dumps(f.default)}` | {what} |")
+            default = ("required" if f.default is dataclasses.MISSING
+                       else f"`{json.dumps(f.default)}`")
+            rows.append(f"| `{prefix}{f.name}` | {default} | {what} |")
     return "\n".join(rows)
 
 

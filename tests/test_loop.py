@@ -72,7 +72,7 @@ class TestFleetIndex:
         from twinloop import scheduler
 
         env = TwinLoop.from_config(loop_config())
-        assert [a.agent_id for a in env.fleet_index.agents] == [1, 2, 3, 4]
+        assert [a.id for a in env.fleet_index.agents] == [1, 2, 3, 4]
         seen = []
         real = scheduler.schedule
 
@@ -135,15 +135,18 @@ class TestFleetIndex:
         # a NaN cap is never met, yet never makes the scheduler pick an agent
         config = loop_config()
         config.variance_caps = caps
-        with pytest.raises(ConfigurationError, match="must be positive"):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "variance_caps must hold values in [2.2250738585072014e-308, inf)")):
             TwinLoop(config)
 
-    @pytest.mark.parametrize("caps", ["x", ("0.01", "x"), [[0.01], [1e-3, 1]]])
+    @pytest.mark.parametrize("caps", ["x", ("0.01", "x"), [[0.01], [1e-3, 1]],
+                                      (True, 0.001)])
     def test_caps_that_are_not_numbers_rejected_unvalidated(self, caps):
-        # the loop parses the caps itself: no ValueError or TypeError
+        # by the caps' rule: no ValueError or TypeError, and no bool read as 1.0
         config = ExperimentConfig()
         config.variance_caps = caps
-        with pytest.raises(ConfigurationError, match="variance caps must be numbers"):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "variance_caps must be a non-empty list of numbers")):
             TwinLoop(config)
 
     def test_unknown_plant_rejected_unvalidated(self):
@@ -157,6 +160,9 @@ class TestFleetIndex:
         ("", "mode", "bogus", "mode must be one of"),
         ("plant", "process_noise_std", (1e-4,), "plant.process_noise_std must be a list of 2"),
         ("plant", "process_noise_std", (1e-4, -1.0), "plant.process_noise_std must hold values"),
+        ("plant", "process_noise_std", (1e200, 1.0), "plant.process_noise_std must hold"),
+        ("fleet", "agents", [{"id": 1, "feature": 0, "variance": "1e-3", "distance": 5.0}],
+         "fleet.agents[0].variance must be a number"),
         ("fleet", "velocity_noise_levels", (), "fleet.velocity_noise_levels must be a non-empty"),
         ("fleet", "seed", -1, "fleet.seed must be >= 0"),
         ("rl", "discount", 7.0, "rl.discount must lie in")])

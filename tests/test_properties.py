@@ -178,7 +178,7 @@ def test_greedy_stopping_with_room_left_meets_every_cap(seed, capacity):
     prior, caps, index, _ = random_case(np.random.default_rng(seed))
     decision = schedule(prior, caps, index, capacity)
     violated = np.nonzero(~decision.satisfied)[0].tolist()
-    unchosen = {a.feature for a in index.agents if a.agent_id not in decision.selected_ids}
+    unchosen = {a.feature for a in index.agents if a.id not in decision.selected_ids}
     if len(decision.selected_ids) < capacity and set(violated) <= unchosen:
         assert decision.satisfied.all()
 

@@ -178,7 +178,7 @@ class TestScheduleProperties:
             chosen = []
             decision = schedule(prior, caps, indexed(fleet), capacity)
             for agent_id in decision.selected_ids:
-                agent = next(a for a in fleet if a.agent_id == agent_id)
+                agent = next(a for a in fleet if a.id == agent_id)
                 feature = agent.feature
                 before = running_cov[feature, feature]
                 chosen.append(agent)
@@ -209,7 +209,7 @@ class TestScheduleProperties:
             decision = schedule(prior, caps, indexed(fleet), capacity)
             if brute_can:
                 assert decision.satisfied.all(), (
-                    prior.cov, caps, [(a.agent_id, a.variance) for a in fleet],
+                    prior.cov, caps, [(a.id, a.variance) for a in fleet],
                     capacity, decision)
 
 
@@ -343,8 +343,8 @@ class TestFleetIndex:
             assert tuple(index.ids[p] for p in positions) == want.agent_ids
             assert np.array_equal(estimator.identity(index.state_dim)[features],
                                   want.matrix)
-            assert same_bits(np.diag(index.variance.take(positions)), want.noise_cov)
-            assert same_bits(index.std.take(positions),
+            assert same_bits(np.diag(np.take(index.variance, positions)), want.noise_cov)
+            assert same_bits(np.take(index.std, positions),
                              np.sqrt(want.noise_cov.diagonal()))
 
     def test_orders(self):
@@ -358,20 +358,22 @@ class TestFleetIndex:
         assert index.by_feature == ((2, 0), (1,))
         assert index.ids == (5, 2, 9)
         assert index.features == (0, 1, 0)
-        assert index.variance.tolist() == [0.01, 0.001, 0.001]
+        assert index.variance == (0.01, 0.001, 0.001)
         assert same_bits(index.std, np.sqrt([0.01, 0.001, 0.001]))
         assert same_bits(index.precision, 1.0 / np.array([0.01, 0.001, 0.001]))
+        assert all(type(v) is float for v in index.variance + index.std + index.precision)
         assert index.state_dim == 2
 
     def test_immutable(self):
         index = indexed([scalar_agent(1, 0, 0.01), scalar_agent(2, 1, 0.001)])
-        with pytest.raises(AttributeError):
-            index.by_error = ()
-        with pytest.raises(ValueError):
+        for name in ("by_error", "variance", "std", "precision"):
+            with pytest.raises(AttributeError):
+                setattr(index, name, ())
+        with pytest.raises(TypeError):
             index.variance[0] = 2.0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             index.std[0] = 2.0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             index.precision[0] = 2.0
 
     @pytest.mark.parametrize("variances, overflows", [

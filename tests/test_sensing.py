@@ -1,11 +1,14 @@
 """Fleet generation and observation model tests."""
 
+import re
+
 import numpy as np
 import pytest
 
 from twinloop import (ConfigurationError, InvalidInputError, SensingAgentSpec,
                       observe, place_agents)
-from twinloop.sensing import agent_from_record, read
+from twinloop.harness import ExperimentConfig
+from twinloop.sensing import FleetIndex, read
 from tests.helpers import indexed, random_case, same_bits, scalar_agent
 
 
@@ -71,27 +74,32 @@ class TestObserve:
 
 
 class TestAgentSpecValidation:
+    # the spec is a plain record; its FleetIndex checks each field's rule
     def test_rejects_singular_noise(self):
         for variance in (0.0, -0.1, np.nan):
-            with pytest.raises(InvalidInputError):
-                SensingAgentSpec(1, 0, variance, 5.0)
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    "fleet.agents[0].variance must lie in (0, inf)")):
+                FleetIndex([SensingAgentSpec(1, 0, variance, 5.0)], 2)
 
     @pytest.mark.parametrize("feature", [-1, -5])
     def test_rejects_feature_outside_the_state(self, feature):
         # a negative one; one past the state is the FleetIndex's to reject
-        with pytest.raises(InvalidInputError, match=f"feature {feature} is negative"):
-            SensingAgentSpec(1, feature, 0.1, 5.0)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"fleet.agents[0].feature must be >= 0: {feature}")):
+            FleetIndex([SensingAgentSpec(1, feature, 0.1, 5.0)], 2)
 
     def test_rejects_nonpositive_distance(self):
-        with pytest.raises(InvalidInputError):
-            scalar_agent(1, 0, 0.01, distance=0.0)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "fleet.agents[1].distance must lie in (0, inf): 0.0")):
+            FleetIndex([scalar_agent(1, 0, 0.01),
+                        scalar_agent(2, 1, 0.01, distance=0.0)], 2)
 
 
 class TestPlacement:
     def test_distances_within_bound(self):
         fleet = place_agents(10, 20.0, [1e-3, 1e-1], [1e-4, 1e-2],
                              np.random.default_rng(0), 2, 1.0)
-        assert all(1.0 < a.distance_m <= 20.0 for a in fleet)
+        assert all(1.0 < a.distance <= 20.0 for a in fleet)
         assert len(fleet) == 10
 
     def test_minimal_fleet_covers_both_features(self):
@@ -106,7 +114,7 @@ class TestPlacement:
         a = place_agents(rng=np.random.default_rng(3), **kwargs)
         b = place_agents(rng=np.random.default_rng(3), **kwargs)
         for x, y in zip(a, b):
-            assert x.distance_m == y.distance_m
+            assert x.distance == y.distance
             assert x.variance == y.variance
 
     def test_variances_within_levels(self):
@@ -117,51 +125,81 @@ class TestPlacement:
             assert lo <= agent.variance <= hi
 
     def test_impossible_coverage_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            place_agents(1, 20.0, [1e-2], [1e-3], np.random.default_rng(0), 2, 1.0)
+        # place_agents returns the one agent; the fleet's builder rejects it
+        config = ExperimentConfig()
+        config.fleet.count = 1
+        assert len(place_agents(1, 20.0, [1e-2], [1e-3], np.random.default_rng(0),
+                                2, 1.0)) == 1
+        with pytest.raises(ConfigurationError, match="cover every plant feature"):
+            config.build_fleet(config.build_plant())
 
 
 class TestPinnedRecords:
+    # a record is the keyword arguments of its SensingAgentSpec, built by
+    # build_fleet and checked by the FleetIndex it builds; RECORD is the
+    # fleet's second, after OTHER
     RECORD = {"id": 3, "feature": 1, "variance": 2e-3, "distance": 7.5}
+    OTHER = {"id": 4, "feature": 0, "variance": 1e-3, "distance": 5.0}
+
+    def build(self, record):
+        config = ExperimentConfig()
+        config.fleet.agents = [self.OTHER, record]
+        return config.build_fleet(config.build_plant())
 
     def test_builds_the_agent(self):
-        assert agent_from_record(self.RECORD) == SensingAgentSpec(3, 1, 2e-3, 7.5)
+        assert self.build(self.RECORD).agents[1] == SensingAgentSpec(3, 1, 2e-3, 7.5)
 
     @pytest.mark.parametrize("field", ["id", "feature", "variance", "distance"])
     def test_missing_field_is_a_configuration_error(self, field):
         record = {k: v for k, v in self.RECORD.items() if k != field}
-        with pytest.raises(ConfigurationError, match=field):
-            agent_from_record(record)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"bad fleet.agents[1]: ") + f".*missing .*'{field}'"):
+            self.build(record)
 
-    @pytest.mark.parametrize("record", [dict(RECORD, variance="small"),
-                                        dict(RECORD, feature=None), [1, 0, 0.1, 2.0]])
-    def test_value_that_is_not_a_number_is_a_configuration_error(self, record):
-        with pytest.raises(ConfigurationError):
-            agent_from_record(record)
+    def test_unknown_field_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "bad fleet.agents[1]: ") + ".*unexpected keyword argument 'colour'"):
+            self.build(dict(self.RECORD, colour="red"))
 
-    @pytest.mark.parametrize("feature", [-1])
-    def test_feature_outside_the_state_is_invalid_input(self, feature):
-        with pytest.raises(InvalidInputError, match="feature"):
-            agent_from_record(dict(self.RECORD, feature=feature))
+    @pytest.mark.parametrize("record", [[3, 1, 2e-3, 7.5], 5, None, "record"])
+    def test_record_that_is_not_an_object_is_a_configuration_error(self, record):
+        with pytest.raises(ConfigurationError, match=re.escape("bad fleet.agents[1]: ")):
+            self.build(record)
+
+    @pytest.mark.parametrize("field, value", [("variance", "small"), ("feature", None),
+                                              ("distance", "7.5"), ("variance", True)])
+    def test_value_that_is_not_a_number_is_a_configuration_error(self, field, value):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"fleet.agents[1].{field} must be a")):
+            self.build(dict(self.RECORD, **{field: value}))
+
+    @pytest.mark.parametrize("feature, error, message", [
+        (-1, ConfigurationError, "fleet.agents[1].feature must be >= 0: -1"),
+        (2, InvalidInputError, "agent 3: feature 2 is not in 0..1")])
+    def test_feature_outside_the_state_is_rejected(self, feature, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            self.build(dict(self.RECORD, feature=feature))
 
     @pytest.mark.parametrize("field, value", [
         ("feature", 0.7), ("feature", 1.0), ("feature", True), ("feature", "1"),
         ("id", 2.9), ("id", 3.0), ("id", True), ("id", False)])
     def test_id_or_feature_that_is_not_an_integer_is_a_configuration_error(
             self, field, value):
-        with pytest.raises(ConfigurationError, match="not an integer"):
-            agent_from_record(dict(self.RECORD, **{field: value}))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"fleet.agents[1].{field} must be an integer: {value!r}")):
+            self.build(dict(self.RECORD, **{field: value}))
 
     def test_numpy_integers_are_integers(self):
         record = dict(self.RECORD, id=np.int64(3), feature=np.int32(1))
-        assert agent_from_record(record) == SensingAgentSpec(3, 1, 2e-3, 7.5)
+        assert self.build(record).agents[1] == SensingAgentSpec(3, 1, 2e-3, 7.5)
 
     @pytest.mark.parametrize("field", ["variance", "distance"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0])
-    def test_variance_or_distance_that_is_not_positive_and_finite_is_invalid(
+    def test_variance_or_distance_that_is_not_positive_and_finite_is_rejected(
             self, field, value):
-        with pytest.raises(InvalidInputError, match="positive and finite"):
-            agent_from_record(dict(self.RECORD, **{field: value}))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"fleet.agents[1].{field} must lie in (0, inf): {value!r}")):
+            self.build(dict(self.RECORD, **{field: value}))
 
 
 class TestMatchesReference:
