@@ -10,8 +10,8 @@ replace the corresponding config keys before the config is checked.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -113,21 +113,17 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     out = Path(config.output_dir or "sweep_out")
     out.mkdir(parents=True, exist_ok=True)
-    kappas = args.kappa or [config.rl.reward_weight]
-    capacities = args.capacity or [config.capacity]
-    epsilons = args.epsilon or [config.channel.outage_epsilon]
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        fh.flush()
-        for kappa in kappas:
-            for capacity in capacities:
-                for eps in epsilons:
-                    row = _sweep_point(config, kappa, capacity, eps,
-                                       args.train_steps)
-                    writer.writerow(row)
-                    fh.flush()
-                    print(json.dumps(row))
+    grid = itertools.product(args.kappa or [config.rl.reward_weight],
+                             args.capacity or [config.capacity],
+                             args.epsilon or [config.channel.outage_epsilon])
+
+    def points():
+        for kappa, capacity, eps in grid:
+            row = _sweep_point(config, kappa, capacity, eps, args.train_steps)
+            yield row               # printed once write_csv has written it
+            print(json.dumps(row))
+
+    write_csv(out / "sweep.csv", SWEEP_COLUMNS, points())
     print(f"wrote {out / 'sweep.csv'}")
     return EXIT_OK
 

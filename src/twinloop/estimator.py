@@ -281,9 +281,10 @@ def joint_gain(cov: list, features, precision) -> np.ndarray:
     posterior covariance ``cov`` (``Belief.rows``): column j is
     P+[:, features[j]] * precision[j], a product per entry on floats. The
     K x n array is column-major, the layout that P+[:, features] has, so
-    its product in ``fused_mean`` sums in the same order."""
-    return np.array([[row[k] * p for row in cov]
-                     for k, p in zip(features, precision)]).T
+    its product in ``fused_mean`` sums in the same order; it is built from
+    one flat list of the products, column by column."""
+    return np.array([row[k] * p for k, p in zip(features, precision)
+                     for row in cov]).reshape(len(features), len(cov)).T
 
 
 def fused_mean(prior: Belief, features, gain: np.ndarray, values) -> list:

@@ -15,11 +15,16 @@ random numbers.
 The episode error metric (reported as ``mrmse``) is the per-episode mean
 over query intervals of the Euclidean distance between the true state and
 the fused belief mean, averaged over episodes.
+
+A run's outputs cost little more than the text of their floats: every CSV
+file (episodes.csv, the traces, training_curve.csv, sweep.csv) is written
+one row at a time by ``csv_line``, which gives ``csv.writer``'s bytes
+without its per-field work, and summary.json's aggregates take each
+statistic in one numpy call over all the fields.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -246,28 +251,32 @@ def fresh_policy(config: ExperimentConfig, env: TwinLoop) -> PolicyNetwork:
 
 
 def aggregate_metrics(metrics) -> dict:
-    fieldnames = ("qis", "total_power_w", "power_per_qi_w", "mrmse",
-                  "mean_selected", "satisfaction_rate", "total_base_reward")
+    """The episode count, the goal rate and, for each episode field and
+    power_per_qi_w (total_power_w / qis), its mean, std, median, p10, p90,
+    min and max over the episodes; only the count when there are none.
+
+    Each statistic is one numpy call along the rows of a C-ordered table
+    with one row per field, which gives the bits of the same call on each
+    field's 1-D array alone (``tests/helpers.py:reference_aggregate_metrics``).
+    """
     out = {"episodes": len(metrics)}
-    if metrics:
-        out["goal_rate"] = float(np.mean([m.reached_goal for m in metrics]))
-    for name in fieldnames:
-        if name == "power_per_qi_w":
-            values = np.array([m.total_power_w / m.qis for m in metrics],
-                              dtype=float)
-        else:
-            values = np.array([getattr(m, name) for m in metrics], dtype=float)
-        if values.size == 0:
-            continue
-        out[name] = {
-            "mean": float(values.mean()),
-            "std": float(values.std()),
-            "median": float(np.median(values)),
-            "p10": float(np.percentile(values, 10)),
-            "p90": float(np.percentile(values, 90)),
-            "min": float(values.min()),
-            "max": float(values.max()),
-        }
+    if not metrics:
+        return out
+    out["goal_rate"] = float(np.mean([m.reached_goal for m in metrics]))
+    fields = {"qis": [m.qis for m in metrics],
+              "total_power_w": [m.total_power_w for m in metrics],
+              "power_per_qi_w": [m.total_power_w / m.qis for m in metrics],
+              "mrmse": [m.mrmse for m in metrics],
+              "mean_selected": [m.mean_selected for m in metrics],
+              "satisfaction_rate": [m.satisfaction_rate for m in metrics],
+              "total_base_reward": [m.total_base_reward for m in metrics]}
+    table = np.array(list(fields.values()), dtype=float)
+    p10, p90 = np.percentile(table, [10, 90], axis=1)
+    stats = {"mean": table.mean(axis=1), "std": table.std(axis=1),
+             "median": np.median(table, axis=1), "p10": p10, "p90": p90,
+             "min": table.min(axis=1), "max": table.max(axis=1)}
+    for i, name in enumerate(fields):
+        out[name] = {stat: float(values[i]) for stat, values in stats.items()}
     return out
 
 
@@ -275,34 +284,61 @@ EPISODE_COLUMNS = ("episode", "qis", "reached_goal", "total_power_w", "mrmse",
                    "mean_selected", "satisfaction_rate", "total_base_reward")
 
 
-def _fmt(value):
+def _quote(text: str) -> str:
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_line(values) -> str:
+    """``values`` (a sequence) as one line of ``csv.writer``'s excel
+    dialect: each value's ``str`` (a float's is its ``repr``, so it reads
+    back bit for bit), joined by commas and ended by CRLF. A field holding a
+    comma, a quote, CR or LF is quoted with its quotes doubled, and a lone
+    empty field is written as two quotes. A line whose comma count and
+    characters show no such field is written without looking at each field.
+    """
+    line = ",".join(map(str, values))
+    if (line.count(",") != len(values) - 1 or '"' in line or "\r" in line
+            or "\n" in line or not line):
+        line = ",".join([_quote(str(v)) for v in values]) or ('""' if values else "")
+    return line + "\r\n"
+
+
+def _cell(value):
+    """A mapping's value as ``write_csv`` writes it: a bool as 0 or 1 and
+    None as an empty field."""
     if isinstance(value, bool):
         return int(value)
-    if isinstance(value, float):
-        return repr(value)
-    return value
+    return "" if value is None else value
 
 
 def write_csv(path, columns, rows):
-    """Write ``rows`` (mappings) as CSV under a header of ``columns``.
+    """Write ``rows`` (mappings) as CSV under a header of ``columns``, one
+    ``csv_line`` at a time.
 
-    Floats are written with ``repr``, so they read back bit for bit, and
-    bools as 0/1. With no columns the file is empty.
+    Floats are written with ``repr``, so they read back bit for bit, bools
+    as 0/1 and None as an empty field. With no columns the file is empty.
+    The header and each row reach the file before the next row is taken,
+    so when ``rows`` is a generator that fails (a sweep point), the rows
+    before it stay on disk.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if columns:
-            writer.writerow(columns)
+            fh.write(csv_line(columns))
+            fh.flush()
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+            fh.write(csv_line([_cell(row[c]) for c in columns]))
+            fh.flush()
 
 
 def export_traces(metrics, out_dir, report=None, *, env):
     """Write episodes.csv, one trace_<i>.csv per episode, and summary.json.
 
     ``env`` is the ``TwinLoop`` that recorded the traces; each trace file is
-    its ``trace_table`` of the episode's records, written in one go (the
-    values are ints, strings and floats, whose ``str`` is their ``repr``).
+    its ``trace_table`` of the episode's records, written row by row with
+    ``csv_line`` (the values are ints, strings and floats, whose ``str`` is
+    their ``repr``), so no more than one row is held as text at a time.
     """
     out = Path(out_dir)
     try:
@@ -311,9 +347,8 @@ def export_traces(metrics, out_dir, report=None, *, env):
         for m in metrics:
             table = env.trace_table(m.trace)
             with open(out / f"trace_{m.episode}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(table)
-                writer.writerows(zip(*table.values()))
+                fh.write(csv_line(list(table)))
+                fh.writelines(map(csv_line, zip(*table.values())))
         if report is not None:
             summary = {k: v for k, v in report.items() if k != "episodes"}
             with open(out / "summary.json", "w") as fh:

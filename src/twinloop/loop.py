@@ -241,18 +241,20 @@ class TwinLoop:
         """An episode's numbers in episodes.csv, from its ``trace`` records
         of this loop: qis, total_power_w and total_base_reward (summed with
         += in QI order, from 0.0), mrmse (the mean over QIs of
-        ||true_state - belief_mean||_2, each taken as sqrt(e.dot(e)) on the
-        QI's error vector, np.linalg.norm's bits), and mean_selected and
-        satisfaction_rate (means over QIs)."""
+        ||true_state - belief_mean||_2, taken for all QIs at once as the
+        sqrt of a stack of (1, K) @ (K, 1) products of the error vectors,
+        whose bits are each QI's sqrt(e.dot(e)), np.linalg.norm's), and
+        mean_selected and satisfaction_rate (means over QIs)."""
         k = self.plant.dim
         error = (np.array([r[1:k + 1] for r in records], dtype=float)
                  - np.array([r[k + 1:2 * k + 1] for r in records], dtype=float))
+        norms = np.sqrt((error[:, None, :] @ error[:, :, None])[:, 0, 0])
         total_power = total_reward = 0.0
         for r in records:
             total_power += r[-4]
             total_reward += r[-2]
         return {"qis": len(records), "total_power_w": total_power,
-                "mrmse": float(np.mean([math.sqrt(e.dot(e)) for e in error])),
+                "mrmse": float(np.mean(norms)),
                 "mean_selected": float(np.mean([len(r[-5]) for r in records])),
                 "satisfaction_rate": float(np.mean([r[-1] for r in records])),
                 "total_base_reward": total_reward}

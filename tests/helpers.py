@@ -3,7 +3,9 @@ Rician series, finite differences, the list-based greedy scheduler the
 indexed one replaced, the greedy baselines fused through
 ``estimator.update``, readings fused in exact rational arithmetic,
 randomized scheduling cases, the trace rows built one
-QI at a time, an episode's metrics accumulated one QI at a time, the
+QI at a time, the CSV files as ``csv.writer`` writes them, the summary
+statistics taken one field at a time, an episode's metrics accumulated
+one QI at a time, the
 effective thresholds checked for any input, PPO training collected one
 whole step at a time, the PPO update one network at a time (its loss,
 backward pass, clip and an Adam per network) and GAE on numpy scalars,
@@ -17,6 +19,7 @@ forms of the per-QI layers that the package now takes on floats
 rank-1 step, the fused mean and the policy input)."""
 
 import copy
+import csv
 import math
 from fractions import Fraction
 
@@ -503,6 +506,53 @@ def reference_trace_rows(records, feature_names, power_by_id, accuracy_weight):
             len(ids), ";".join(str(i) for i in ids), len(ids), power,
             *eta.tolist(), control, reward, int(satisfied), objective])))
     return rows
+
+
+def reference_write_csv(path, columns, rows):
+    """``harness.write_csv`` through ``csv.writer``, the bytes oracle of
+    ``harness.csv_line``: ``rows`` (mappings) under a header of
+    ``columns``, floats as ``repr`` and bools as 0/1."""
+    def fmt(value):
+        if isinstance(value, bool):
+            return int(value)
+        if isinstance(value, float):
+            return repr(value)
+        return value
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if columns:
+            writer.writerow(columns)
+        for row in rows:
+            writer.writerow([fmt(row[c]) for c in columns])
+
+
+def reference_aggregate_metrics(metrics) -> dict:
+    """``harness.aggregate_metrics`` one field at a time: each statistic is
+    its own numpy call on that field's 1-D array."""
+    fieldnames = ("qis", "total_power_w", "power_per_qi_w", "mrmse",
+                  "mean_selected", "satisfaction_rate", "total_base_reward")
+    out = {"episodes": len(metrics)}
+    if metrics:
+        out["goal_rate"] = float(np.mean([m.reached_goal for m in metrics]))
+    for name in fieldnames:
+        if name == "power_per_qi_w":
+            values = np.array([m.total_power_w / m.qis for m in metrics],
+                              dtype=float)
+        else:
+            values = np.array([getattr(m, name) for m in metrics], dtype=float)
+        if values.size == 0:
+            continue
+        out[name] = {
+            "mean": float(values.mean()),
+            "std": float(values.std()),
+            "median": float(np.median(values)),
+            "p10": float(np.percentile(values, 10)),
+            "p90": float(np.percentile(values, 90)),
+            "min": float(values.min()),
+            "max": float(values.max()),
+        }
+    return out
 
 
 def reference_episode_metrics(policy, config, episode_index):

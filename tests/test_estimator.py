@@ -534,6 +534,8 @@ class TestFloatFormMatchesArrayForm:
             assert same_bits(gain, want_gain)
             # the layout fixes the order the product sums in
             assert gain.flags.f_contiguous and not gain.flags.c_contiguous or n == 1
+            dim = len(prior.rows)
+            assert gain.shape == (dim, n) and gain.strides == (8, 8 * dim)
             values = prior.mean.take(features) + edgy_floats(rng, n, 0.1)
             got = estimator.fused_mean(prior, features.tolist(), gain, values.tolist())
             assert type(got) is list
@@ -565,3 +567,15 @@ class TestBlasAssumptions:
                 assert same_bits(got, column[:, None].dot(np.atleast_1d(u)))
         assert same_bits(np.array([[0.0015], [0.0015]]).dot(np.array([-0.0])), [0.0, 0.0])
         assert same_bits(np.array([[0.0015]]).dot(np.array([-0.0])), [-0.0])
+
+    def test_stacked_norm_products_equal_each_rows_dot(self):
+        # episode_totals squares every QI's error vector e in one stacked
+        # (1, K) @ (K, 1) product; on this BLAS each equals e.dot(e), where
+        # a*a + b*b on floats and np.einsum differ on some rows (FMA)
+        rng = np.random.default_rng(65)
+        specials = (0.0, -0.0, 1e-160, 5e-324)
+        for dim, rows in ((1, 20000), (2, 200000), (3, 20000), (4, 20000)):
+            scales = 10.0 ** rng.uniform(-8, 1, (rows, 1))
+            error = edgy_floats(rng, (rows, dim), 1.0, specials) * scales
+            stacked = (error[:, None, :] @ error[:, :, None])[:, 0, 0]
+            assert same_bits(stacked, [e.dot(e) for e in error]), dim

@@ -1,18 +1,25 @@
 """Orchestration tests: config handling, episode runs, persistence, determinism."""
 
+import csv
 import dataclasses
+import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from twinloop import (ConfigurationError, EpisodeMetrics, ExperimentConfig,
                       SchedulingMode, TwinLoop, aggregate_metrics,
                       export_traces, run_episode, run_monte_carlo)
 from twinloop.errors import InvalidInputError, NumericalFailureError
 from twinloop.agent import PolicyNetwork
-from twinloop.harness import fresh_policy, write_csv
-from tests.helpers import reference_trace_columns, reference_trace_rows
+from twinloop.harness import csv_line, fresh_policy, write_csv
+from tests.helpers import (reference_aggregate_metrics, reference_trace_columns,
+                           reference_trace_rows, reference_write_csv)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the trace header of a plant with features pos and vel, as it has always been
@@ -225,6 +232,31 @@ class TestMonteCarlo:
             summaries.append(data)
         assert summaries[0] == summaries[1]
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 100, 1000])
+    def test_aggregate_equals_the_per_field_reference(self, count):
+        # each field of about half the episodes is drawn from a few values,
+        # so the order statistics meet ties
+        rng = np.random.default_rng(count)
+
+        def draw(values, scale):
+            return np.where(rng.random(count) < 0.5, rng.choice(values, count),
+                            rng.lognormal(scale, 1.0, count)).tolist()
+
+        qis = rng.integers(1, 8, count).tolist()
+        columns = zip(qis, (rng.random(count) < 0.5).tolist(), draw([0.1, 0.3], -2),
+                      draw([0.05, 0.2], -3), draw([2.0, 10.0], 1),
+                      draw([0.0, 1.0], -1), draw([-300.0, 90.0], 3))
+        metrics = [EpisodeMetrics(i, *values) for i, values in enumerate(columns)]
+        got, want = aggregate_metrics(metrics), reference_aggregate_metrics(metrics)
+        assert list(got) == list(want)
+        for key, value in want.items():
+            if isinstance(value, dict):
+                assert list(got[key]) == list(value), key
+                assert all(type(v) is float and v == value[stat]
+                           for stat, v in got[key].items()), key
+            else:
+                assert got[key] == value and type(got[key]) is type(value), key
+
 
 class TestExport:
     def test_empty_metrics_writes_header_only(self, tmp_path):
@@ -257,8 +289,9 @@ class TestExport:
         assert [m.episode for m in report["episodes"]] == [0, 1, 2]
         for m in report["episodes"]:
             want = tmp_path / f"want_{m.episode}.csv"
-            write_csv(want, reference_trace_columns(("pos", "vel")), reference_trace_rows(
-                m.trace, ("pos", "vel"), env.power_by_id, env.accuracy_weight))
+            want_rows = reference_trace_rows(m.trace, ("pos", "vel"), env.power_by_id,
+                                             env.accuracy_weight)
+            reference_write_csv(want, reference_trace_columns(("pos", "vel")), want_rows)
             got = (tmp_path / "out" / f"trace_{m.episode}.csv").read_bytes()
             assert got.startswith(MOUNTAIN_CAR_TRACE_HEADER)
             assert got == want.read_bytes()
@@ -271,6 +304,39 @@ class TestExport:
         assert parsed["aggregate"] == json.loads(
             json.dumps(report["aggregate"]))
         assert parsed["config"] == json.loads(json.dumps(report["config"]))
+
+
+# the values the files hold, with the floats whose text is easy to get
+# wrong and strings that csv must quote
+CSV_VALUES = st.one_of(
+    st.integers(-10**20, 10**20), st.booleans(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-05]),
+    st.floats(), st.text(alphabet='ab ,;"\n\r', max_size=5))
+CSV_PROPERTY = settings(max_examples=300, derandomize=True, deadline=None,
+                        database=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCsvWriter:
+    @CSV_PROPERTY
+    @given(st.lists(st.lists(CSV_VALUES, max_size=6), max_size=4))
+    @example([[""], [], ["", ""]])
+    def test_line_has_csv_writer_bytes(self, rows):
+        for row in rows:
+            buf = io.StringIO(newline="")
+            csv.writer(buf).writerow(row)
+            assert csv_line(row) == buf.getvalue(), row
+
+    @CSV_PROPERTY
+    @given(st.data())
+    def test_file_has_the_references_bytes(self, tmp_path, data):
+        columns = data.draw(st.lists(st.text(alphabet='ab,"\n', max_size=3),
+                                     max_size=5, unique=True))
+        rows = data.draw(st.lists(st.fixed_dictionaries(
+            {c: st.one_of(CSV_VALUES, st.none()) for c in columns}), max_size=4))
+        write_csv(tmp_path / "got.csv", columns, rows)
+        reference_write_csv(tmp_path / "want.csv", columns, rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestTrainingDeterminism:

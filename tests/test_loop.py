@@ -12,9 +12,10 @@ from twinloop import (PLANT_REGISTRY, ConfigurationError, ExperimentConfig,
                       InvalidInputError, LinearPlant, NumericalFailureError,
                       PolicyNetwork, SchedulingMode, TwinLoop, estimator,
                       export_traces, run_episode, run_monte_carlo, scheduler)
-from twinloop.harness import fresh_policy, write_csv
+from twinloop.harness import fresh_policy
 from tests.helpers import (reference_episode_metrics, reference_policy_input,
-                           reference_trace_columns, reference_trace_rows, same_bits)
+                           reference_trace_columns, reference_trace_rows,
+                           reference_write_csv, same_bits)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -364,8 +365,9 @@ class TestTrace:
         assert all(len(row) == len(header) for row in rows)
         # the same bytes as the rows built one QI at a time
         want = tmp_path / "want.csv"
-        write_csv(want, reference_trace_columns(("x", "y", "z")), reference_trace_rows(
-            metrics.trace, ("x", "y", "z"), env.power_by_id, env.accuracy_weight))
+        want_rows = reference_trace_rows(metrics.trace, ("x", "y", "z"), env.power_by_id,
+                                         env.accuracy_weight)
+        reference_write_csv(want, reference_trace_columns(("x", "y", "z")), want_rows)
         assert path.read_bytes() == want.read_bytes()
 
     def test_linear_plant_names_its_features(self):
