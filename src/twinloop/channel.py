@@ -8,8 +8,9 @@ approximation of that inverse Marcum Q tail is the starting point, and a few
 Newton steps on the exact tail (a numpy series) refine it, so the power meets
 epsilon wherever the closed form is defined. A Monte Carlo validator draws
 fading gains and measures the empirical outage so the power can be checked
-end to end. ``ChannelParams`` holds the link budget and is the ``channel``
-section of an experiment config.
+end to end; it costs about its Gaussian draws, since each chunk of gains is
+one draw of normals transformed in place. ``ChannelParams`` holds the link
+budget and is the ``channel`` section of an experiment config.
 """
 
 from __future__ import annotations
@@ -222,37 +223,65 @@ def sample_rician_gain(rician_factor: float, rng, size=None):
 
     h has a deterministic line-of-sight part sqrt(G/(G+1)) plus a circular
     complex Gaussian with total variance 1/(G+1); at G=0 this is a Rayleigh
-    (exponential power) channel.
+    (exponential power) channel. One draw of 2n normals (n = 1 for a
+    scalar) holds the real parts' noise z and then the imaginary parts' z',
+    the numbers two draws of n would give, and every pass after it works in
+    that buffer: re = s z + sqrt(G/(G+1)) and im = s z' are squared and
+    summed into the real half, with the bits of re * re + im * im. The
+    returned array is that half, a view of the buffer. Raises
+    InvalidInputError unless G is nonnegative and finite.
     """
-    if rician_factor < 0:
-        raise InvalidInputError("rician factor must be nonnegative")
+    if not 0.0 <= rician_factor < math.inf:
+        raise InvalidInputError(f"rician factor must be nonnegative and finite: "
+                                f"{rician_factor!r}")
     g = rician_factor
     los = math.sqrt(g / (g + 1.0))
     scatter_std = math.sqrt(1.0 / (2.0 * (g + 1.0)))
-    shape = () if size is None else (size,)
-    re = los + scatter_std * rng.standard_normal(shape)
-    im = scatter_std * rng.standard_normal(shape)
-    gain = re * re + im * im
-    return float(gain) if size is None else gain
+    n = 1 if size is None else size
+    buf = rng.standard_normal(2 * n)
+    buf *= scatter_std
+    buf[:n] += los
+    buf *= buf
+    gain = np.add(buf[:n], buf[n:], out=buf[:n])
+    return float(gain[0]) if size is None else gain
+
+
+# fading draws per sample_rician_gain call in outage_probability_mc: 16 MB
+# of normals at a time, whatever the trial count
+MC_CHUNK = 1_000_000
 
 
 def outage_probability_mc(power_w: float, distance_m: float,
-                          params: ChannelParams, n_trials: int, rng,
-                          chunk: int = 1_000_000) -> float:
-    """Fraction of fading draws whose rate misses D / tau_max."""
+                          params: ChannelParams, n_trials: int, rng) -> float:
+    """Fraction of fading draws whose rate misses D / tau_max.
+
+    The draws are taken MC_CHUNK at a time, so the count costs about its
+    normal draws and holds one chunk's buffer. A zero power always fails
+    (1.0). Raises InvalidInputError for fewer than one trial, a power that
+    is negative or NaN, and a distance that is not positive and finite.
+    """
     if n_trials < 1:
         raise InvalidInputError("n_trials must be at least 1")
-    if power_w <= 0:
+    if not 0 < distance_m < math.inf:
+        raise InvalidInputError("distance must be positive and finite")
+    if not power_w >= 0:
+        raise InvalidInputError(f"power must be nonnegative: {power_w!r}")
+    if power_w == 0:
         return 1.0
     demand = params.packet_bits / params.latency_max_s
     # rate < demand  <=>  gain < gain_threshold
     threshold_snr = 2.0 ** (demand / params.bandwidth_hz) - 1.0
-    gain_threshold = (threshold_snr * distance_m ** params.path_loss_exponent
-                      * params.noise_power_w / (params.system_gain * power_w))
+    try:
+        gain_threshold = (threshold_snr * distance_m ** params.path_loss_exponent
+                          * params.noise_power_w / (params.system_gain * power_w))
+    except (OverflowError, ZeroDivisionError):
+        # d^alpha past a float, or a power so small that Gamma p is 0.0:
+        # every draw fails
+        gain_threshold = math.inf
     failures = 0
     remaining = n_trials
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(MC_CHUNK, remaining)
         gains = sample_rician_gain(params.rician_factor, rng, size=n)
         failures += int(np.count_nonzero(gains < gain_threshold))
         remaining -= n

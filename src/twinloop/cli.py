@@ -85,6 +85,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_validate_channel(args) -> int:
+    if args.seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative: {args.seed}")
     # a flag left out keeps the channel section's default
     given = {f.name: getattr(args, f.name)
              for f in dataclasses.fields(channel_mod.ChannelParams)}

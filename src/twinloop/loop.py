@@ -244,17 +244,24 @@ class TwinLoop:
         ||true_state - belief_mean||_2, taken for all QIs at once as the
         sqrt of a stack of (1, K) @ (K, 1) products of the error vectors,
         whose bits are each QI's sqrt(e.dot(e)), np.linalg.norm's), and
-        mean_selected and satisfaction_rate (means over QIs)."""
+        mean_selected and satisfaction_rate (means over QIs). Raises
+        NumericalFailureError, with the first QI whose error norm is not
+        finite, when the mrmse is not."""
         k = self.plant.dim
-        error = (np.array([r[1:k + 1] for r in records], dtype=float)
-                 - np.array([r[k + 1:2 * k + 1] for r in records], dtype=float))
-        norms = np.sqrt((error[:, None, :] @ error[:, :, None])[:, 0, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            error = (np.array([r[1:k + 1] for r in records], dtype=float)
+                     - np.array([r[k + 1:2 * k + 1] for r in records], dtype=float))
+            norms = np.sqrt((error[:, None, :] @ error[:, :, None])[:, 0, 0])
+            mrmse = float(np.mean(norms))
+        if not math.isfinite(mrmse):
+            first = records[np.flatnonzero(~np.isfinite(norms))[0]][0]
+            raise NumericalFailureError("non-finite estimation error norm", qi=first)
         total_power = total_reward = 0.0
         for r in records:
             total_power += r[-4]
             total_reward += r[-2]
         return {"qis": len(records), "total_power_w": total_power,
-                "mrmse": float(np.mean(norms)),
+                "mrmse": mrmse,
                 "mean_selected": float(np.mean([len(r[-5]) for r in records])),
                 "satisfaction_rate": float(np.mean([r[-1] for r in records])),
                 "total_base_reward": total_reward}

@@ -1,5 +1,6 @@
 """Shared test oracles: batch Bayesian least squares, Marcum Q and the full
-Rician series, finite differences, the list-based greedy scheduler the
+Rician series, Rician gains and outage fractions from two allocating
+draws per chunk, finite differences, the list-based greedy scheduler the
 indexed one replaced, the greedy baselines fused through
 ``estimator.update``, readings fused in exact rational arithmetic,
 randomized scheduling cases, the trace rows built one
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from twinloop import Belief, SensingAgentSpec, estimator, sensing
+from twinloop import Belief, SensingAgentSpec, TwinLoop, estimator, sensing
 from twinloop.errors import InvalidInputError, NumericalFailureError
 from twinloop.estimator import CONDITION_LIMIT
 from twinloop.scheduler import ScheduleDecision, requested_caps
@@ -114,6 +115,54 @@ def invert_marcum_tail(rician_factor, epsilon, hi=None):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_sample_rician_gain(rician_factor, rng, size=None):
+    """Rician power gains as two draws of n normals (real parts, then
+    imaginary parts) and allocating array expressions: the bits
+    ``channel.sample_rician_gain`` must give from its one in-place buffer."""
+    g = rician_factor
+    los = math.sqrt(g / (g + 1.0))
+    scatter_std = math.sqrt(1.0 / (2.0 * (g + 1.0)))
+    shape = () if size is None else (size,)
+    re = los + scatter_std * rng.standard_normal(shape)
+    im = scatter_std * rng.standard_normal(shape)
+    gain = re * re + im * im
+    return float(gain) if size is None else gain
+
+
+def reference_outage_probability_mc(power_w, distance_m, params, n_trials, rng,
+                                    chunk=1_000_000):
+    """The outage fraction ``channel.outage_probability_mc`` gives at a
+    positive power, from reference gains taken ``chunk`` at a time."""
+    demand = params.packet_bits / params.latency_max_s
+    threshold_snr = 2.0 ** (demand / params.bandwidth_hz) - 1.0
+    gain_threshold = (threshold_snr * distance_m ** params.path_loss_exponent
+                      * params.noise_power_w / (params.system_gain * power_w))
+    failures = 0
+    remaining = n_trials
+    while remaining > 0:
+        n = min(chunk, remaining)
+        gains = reference_sample_rician_gain(params.rician_factor, rng, size=n)
+        failures += int(np.count_nonzero(gains < gain_threshold))
+        remaining -= n
+    return failures / n_trials
+
+
+def overflow_error_norm(monkeypatch, episode, qi):
+    """Make ``TwinLoop.episode_totals`` see a position error of 1e200, whose
+    square is past a float, at ``qi`` of the ``episode``-th (from 0)
+    episode it totals."""
+    real = TwinLoop.episode_totals
+    calls = []
+
+    def totals(self, records):
+        if len(calls) == episode:
+            records = [(r[0], 1e200, *r[2:]) if r[0] == qi else r for r in records]
+        calls.append(None)
+        return real(self, records)
+
+    monkeypatch.setattr(TwinLoop, "episode_totals", totals)
 
 
 def reference_log_rician_cdf_and_slope(rician_factor, y):

@@ -12,9 +12,14 @@ from twinloop import (ChannelParams, ConfigurationError, InvalidInputError,
                       WeakLineOfSightError, channel, inverse_gaussian_q,
                       outage_probability_mc, required_power, sample_rician_gain, y_q)
 from tests.helpers import (invert_marcum_tail, marcum_q1,
-                           reference_log_rician_cdf_and_slope)
+                           reference_log_rician_cdf_and_slope,
+                           reference_outage_probability_mc,
+                           reference_sample_rician_gain)
 
 G_15DB = 10 ** 1.5
+# criterion 3's grid of Rician factors (dB) and outage targets
+CRITERION_3_GRID = [(g_db, eps) for g_db in (10.0, 15.0, 20.0)
+                    for eps in (1e-2, 1e-3, 1e-5)]
 
 
 def table_params(epsilon=1e-5, alpha=2.0):
@@ -206,6 +211,28 @@ class TestRicianGain:
         with pytest.raises(InvalidInputError):
             sample_rician_gain(-1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("factor", [np.nan, np.inf])
+    def test_factor_that_is_not_finite_rejected(self, factor):
+        # NaN once gave NaN gains and inf a NaN line-of-sight part
+        with pytest.raises(InvalidInputError, match="nonnegative and finite"):
+            sample_rician_gain(factor, np.random.default_rng(0), size=3)
+
+    @pytest.mark.parametrize("factor", [0.0, 10.0, 1e12])
+    @pytest.mark.parametrize("size", [None, 1, 7, 100_000])
+    def test_one_draw_matches_the_two_draw_reference(self, factor, size):
+        # byte for byte, and the generator is left where two draws of n
+        # leave it
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = sample_rician_gain(factor, rng, size=size)
+        want = reference_sample_rician_gain(factor, ref_rng, size=size)
+        if size is None:
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape == (size,)
+            assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestOutage:
     def test_zero_power_always_fails(self):
@@ -245,6 +272,45 @@ class TestOutage:
         with pytest.raises(InvalidInputError):
             outage_probability_mc(1e-3, 20.0, table_params(), 0,
                                   np.random.default_rng(0))
+
+    @pytest.mark.parametrize("g_db,eps", CRITERION_3_GRID)
+    def test_fraction_equals_the_reference_on_the_criterion_3_grid(self, g_db, eps):
+        params = ChannelParams(rician_factor_db=g_db, outage_epsilon=eps)
+        power = required_power(20.0, params)
+        got = outage_probability_mc(power, 20.0, params, 100_000,
+                                    np.random.default_rng(21))
+        assert got == reference_outage_probability_mc(
+            power, 20.0, params, 100_000, np.random.default_rng(21))
+
+    def test_fraction_equals_the_reference_across_a_chunk_boundary(self):
+        params = table_params(epsilon=1e-2)
+        power = 0.5 * required_power(20.0, params)
+        n = channel.MC_CHUNK + 3
+        got = outage_probability_mc(power, 20.0, params, n, np.random.default_rng(22))
+        assert got == reference_outage_probability_mc(
+            power, 20.0, params, n, np.random.default_rng(22))
+        assert got > 0.0
+
+    @pytest.mark.parametrize("power,distance,message", [
+        (np.nan, 20.0, "power must be nonnegative"),
+        (-1e-3, 20.0, "power must be nonnegative"),
+        (1e-3, np.nan, "distance must be positive and finite"),
+        (1e-3, -20.0, "distance must be positive and finite"),
+        (1e-3, 0.0, "distance must be positive and finite"),
+        (1e-3, np.inf, "distance must be positive and finite")])
+    def test_bad_power_or_distance_rejected(self, power, distance, message):
+        # each once returned outage 0.0
+        with pytest.raises(InvalidInputError, match=message):
+            outage_probability_mc(power, distance, table_params(), 10,
+                                  np.random.default_rng(0))
+
+    @pytest.mark.parametrize("power,distance,system_gain", [
+        (1e-3, 1e200, 1.0),            # d ** alpha overflows a float
+        (5e-324, 20.0, 1e-300)])       # Gamma * p underflows to 0.0
+    def test_threshold_past_a_float_always_fails(self, power, distance, system_gain):
+        params = dataclasses.replace(table_params(), system_gain=system_gain)
+        assert outage_probability_mc(power, distance, params, 10,
+                                     np.random.default_rng(0)) == 1.0
 
 
 class TestChannelParamsValidation:

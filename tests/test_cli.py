@@ -13,6 +13,7 @@ import pytest
 from twinloop import (ChannelParams, ExperimentConfig, FleetConfig, PlantConfig,
                       PpoHyperparams, SensingAgentSpec, required_power)
 from twinloop.cli import main
+from tests.helpers import overflow_error_norm
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -157,6 +158,13 @@ class TestValidateChannel:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_negative_seed_exits_one_before_any_output(self, capsys):
+        # numpy's default_rng raised ValueError with a traceback
+        code = main(["validate-channel", "--seed", "-1", "--trials", "10"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "invalid input: seed must be nonnegative: -1\n"
+
     def test_overflowing_link_power_exits_one_before_any_output(self, capsys):
         # 1e200 m is finite, but d ** alpha overflows: ** raised OverflowError
         code = main(["validate-channel", "--distance-m", "1e200", "--trials", "10"])
@@ -199,6 +207,18 @@ class TestEvaluate:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"mode": "bogus"}))
         assert main(["evaluate", "--config", str(path)]) == 1
+
+    def test_non_finite_error_norm_exits_two_with_valid_json(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the overflowing episode once reached the aggregate, and the
+        # headline read "mean_mrmse": Infinity
+        overflow_error_norm(monkeypatch, episode=0, qi=2)
+        assert main(["evaluate", "--config", str(small_config_file(tmp_path))]) == 2
+        out, err = capsys.readouterr()
+        line = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {out}"))
+        assert line["episodes"] == 1 and math.isfinite(line["mean_mrmse"])
+        assert err == ("episode failures: {0: 'NumericalFailureError: non-finite "
+                       "estimation error norm (QI 2)'}\n")
 
     def test_workers_variable_is_not_read(self, tmp_path, capsys, monkeypatch):
         # the package reads no environment variable: a worker count that

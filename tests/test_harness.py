@@ -18,8 +18,9 @@ from twinloop import (ConfigurationError, EpisodeMetrics, ExperimentConfig,
 from twinloop.errors import InvalidInputError, NumericalFailureError
 from twinloop.agent import PolicyNetwork
 from twinloop.harness import csv_line, fresh_policy, write_csv
-from tests.helpers import (reference_aggregate_metrics, reference_trace_columns,
-                           reference_trace_rows, reference_write_csv)
+from tests.helpers import (overflow_error_norm, reference_aggregate_metrics,
+                           reference_trace_columns, reference_trace_rows,
+                           reference_write_csv)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the trace header of a plant with features pos and vel, as it has always been
@@ -206,6 +207,14 @@ class TestMonteCarlo:
         report = harness_mod.run_monte_carlo(config)
         assert report["failures"] == {1: "NumericalFailureError: boom (QI 4)"}
         assert len(report["episodes"]) == 1
+
+    def test_non_finite_error_norm_reported_by_episode(self, monkeypatch):
+        overflow_error_norm(monkeypatch, episode=1, qi=3)
+        report = run_monte_carlo(small_config(episodes=3))
+        assert report["failures"] == {
+            1: "NumericalFailureError: non-finite estimation error norm (QI 3)"}
+        assert [m.episode for m in report["episodes"]] == [0, 2]
+        assert math.isfinite(report["aggregate"]["mrmse"]["max"])
 
     def test_untyped_exception_propagates(self, monkeypatch):
         from twinloop import harness as harness_mod

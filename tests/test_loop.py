@@ -200,6 +200,18 @@ class TestOneRecordPerQi:
             got = [env.episode_totals([record])["mrmse"] for record in trace]
             assert same_bits(np.array(got), np.array(norms))
 
+    @pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
+    def test_a_non_finite_error_norm_raises_with_its_first_qi(self, value):
+        # 1e200 squared overflowed in the stacked norm, and numpy warned
+        env = TwinLoop(loop_config(), record_trace=True)
+        env.reset(0)
+        for _ in range(5):
+            env.step(np.zeros(env.action_dim))
+        records = [(r[0], value, *r[2:]) if r[0] in (3, 5) else r for r in env.trace]
+        with pytest.raises(NumericalFailureError,
+                           match=re.escape("non-finite estimation error norm (QI 3)")):
+            env.episode_totals(records)
+
     @pytest.mark.parametrize("mode", [m.value for m in SchedulingMode])
     def test_a_loop_without_a_trace_keeps_no_per_qi_state(self, mode):
         env = TwinLoop(loop_config(mode))
