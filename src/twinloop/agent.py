@@ -8,13 +8,16 @@ numpy with hand-derived gradients, so every gradient can be checked against
 finite differences; optimization is the clipped-surrogate objective with
 generalized advantage estimation and Adam.
 
-All of a policy's parameters live in one flat buffer, in which both
-networks' hidden layers (they share ``hidden_sizes``) form (2, in, out)
-stacks. A PPO minibatch takes both networks through each hidden layer in
-one call, writes the gradient into a flat buffer of the same layout,
-clips each network's part on its own and steps the whole buffer with one
-``Adam`` whose learning rate is set per element. Every float is the one
-that the per-network form gives (``tests/helpers.py:reference_ppo_update``).
+A policy's parameters live only in its flat buffer ``params``: the actor
+and the critic are ``Net``s whose weights and biases are views of it, and
+both networks' hidden layers (they share ``hidden_sizes``) form (2, in,
+out) stacks in it. A fresh policy draws each weight straight into its
+view; a loaded one writes the checkpoint's arrays there. A PPO minibatch
+takes both networks through each hidden layer in one call, writes the
+gradient into a flat buffer of the same layout, clips each network's part
+on its own and steps the whole buffer with one ``Adam`` whose learning
+rate is set per element. Every float is the one that the per-network form
+gives (``tests/helpers.py:reference_ppo_update``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import InvalidInputError, TrainingFailureError
 from .settings import FLAG, at_least, check, integers, one_of, setting, within
 
 LOG_2PI = math.log(2.0 * math.pi)
-# rows per stacked product in Mlp.forward_rows: bounds its temporaries
+# rows per stacked product in Net.forward_rows: bounds its temporaries
 ROW_BLOCK = 64
 
 
@@ -252,48 +255,34 @@ def _divide_by_zero(a: float, b: float) -> float:
     return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _orthogonal(rows, cols, gain, rng):
+def _orthogonal(out, gain, rng):
+    """Draw an orthogonal (rows, cols) matrix scaled by ``gain`` into
+    ``out``."""
+    rows, cols = out.shape
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
     q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))
     if rows < cols:
         q = q.T
-    # contiguous layout so reloaded checkpoints take identical BLAS paths
-    return np.ascontiguousarray(gain * q[:rows, :cols])
+    out[...] = gain * q[:rows, :cols]
 
 
-class Mlp:
-    """Feed-forward net with tanh hidden layers and a linear output."""
+class Net(NamedTuple):
+    """Feed-forward net with tanh hidden layers and a linear output, its
+    ``weights`` (in, out) and ``biases`` (out,) views of a policy's flat
+    buffer."""
 
-    def __init__(self, sizes, rng, final_gain: float = 0.01):
-        self.sizes = tuple(sizes)
-        self.weights = []
-        self.biases = []
-        for i in range(len(sizes) - 1):
-            last = i == len(sizes) - 2
-            gain = final_gain if last else math.sqrt(2.0)
-            self.weights.append(_orthogonal(sizes[i], sizes[i + 1], gain, rng))
-            self.biases.append(np.zeros(sizes[i + 1]))
+    weights: list
+    biases: list
 
-    @classmethod
-    def of_arrays(cls, weights, biases) -> "Mlp":
-        """The net whose layers are ``weights`` (in, out) and ``biases``
-        (out,), taken as they are, with no initialisation drawn."""
-        net = cls.__new__(cls)
-        net.sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
-        net.weights, net.biases = list(weights), list(biases)
-        return net
+    @property
+    def sizes(self) -> tuple:
+        return (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
 
-    def forward(self, x):
-        """Returns the output (N, out) and the activation cache."""
-        if not (type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.sizes[0]:
-            raise InvalidInputError(
-                f"input width {x.shape[1]} != expected {self.sizes[0]}")
+    def forward(self, x) -> np.ndarray:
+        """The output (N, out) of ``x``, a 2-D float64 array (N, in)."""
         # ndarray.dot calls the BLAS product that @ calls, with less
         # dispatch; the bias and tanh go into the product's own array
-        cache = [x]
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -301,8 +290,7 @@ class Mlp:
             h += b
             if i != last:
                 np.tanh(h, out=h)
-            cache.append(h)
-        return h, cache
+        return h
 
     def forward_rows(self, x) -> np.ndarray:
         """The output (N, out) of each row of ``x`` (N, in) with the bits of
@@ -375,22 +363,19 @@ def _clip_global_norm(grad, sums, max_norm) -> float:
 class _Arrays:
     """Views of one flat buffer in the layout of ``_Layout``."""
 
-    actor_w: list
-    actor_b: list
+    actor: Net
     logstd: np.ndarray
-    critic_w: list
-    critic_b: list
+    critic: Net
     w_stacks: list       # (2, in, out) per hidden layer: actor, critic
     b_stacks: list       # (2, 1, out) per hidden layer
-    actor: np.ndarray    # the actor's whole flat region, logstd included
-    critic: np.ndarray   # the critic's
+    regions: tuple       # the actor's flat region, logstd included, and the critic's
 
     def of_actor(self) -> list:
         """The actor's arrays in checkpoint order: weights, biases, logstd."""
-        return self.actor_w + self.actor_b + [self.logstd]
+        return self.actor.weights + self.actor.biases + [self.logstd]
 
     def of_critic(self) -> list:
-        return self.critic_w + self.critic_b
+        return self.critic.weights + self.critic.biases
 
 
 class _Layout:
@@ -434,14 +419,14 @@ class _Layout:
             w_stacks.append(take((fan_in, fan_out), stacked=True))
             b_stacks.append(take((1, fan_out), stacked=True))
         hidden_end = at
-        actor_w = [w[0] for w in w_stacks] + [take((self.width, self.action_dim))]
-        actor_b = [b[0, 0] for b in b_stacks] + [take((self.action_dim,))]
+        actor = Net([w[0] for w in w_stacks] + [take((self.width, self.action_dim))],
+                    [b[0, 0] for b in b_stacks] + [take((self.action_dim,))])
         logstd = take((self.action_dim,))
         at = self.actor_size + hidden_end
-        critic_w = [w[1] for w in w_stacks] + [take((self.width, 1))]
-        critic_b = [b[1, 0] for b in b_stacks] + [take((1,))]
-        return _Arrays(actor_w, actor_b, logstd, critic_w, critic_b, w_stacks,
-                       b_stacks, buf[:self.actor_size], buf[self.actor_size:])
+        critic = Net([w[1] for w in w_stacks] + [take((self.width, 1))],
+                     [b[1, 0] for b in b_stacks] + [take((1,))])
+        return _Arrays(actor, logstd, critic, w_stacks, b_stacks,
+                       (buf[:self.actor_size], buf[self.actor_size:]))
 
 
 class _Workspace:
@@ -458,8 +443,9 @@ class _Workspace:
         self.critic_grads = self.grads.of_critic()
         self.squares = np.empty(layout.size)
         squares = layout.carve(self.squares)
-        self._squares = [(self.grads.actor, [a.reshape(-1) for a in squares.of_actor()]),
-                         (self.grads.critic, [a.reshape(-1) for a in squares.of_critic()])]
+        self._squares = list(zip(self.grads.regions,
+                                 ([a.reshape(-1) for a in squares.of_actor()],
+                                  [a.reshape(-1) for a in squares.of_critic()])))
         self._rows = {}
 
     def rows(self, n: int) -> tuple:
@@ -495,47 +481,41 @@ class PolicyNetwork:
     """
 
     def __init__(self, obs_dim: int, action_dim: int, hyper: PpoHyperparams, rng):
-        """A fresh policy: orthogonal weights drawn from ``rng``, zero
-        biases, logstd at ``initial_logstd`` and an empty normalizer."""
-        hidden = list(hyper.hidden_sizes)
-        self._setup(obs_dim, action_dim, hyper,
-                    Mlp([obs_dim] + hidden + [action_dim], rng, final_gain=0.01),
-                    Mlp([obs_dim] + hidden + [1], rng, final_gain=1.0),
-                    np.full(action_dim, float(hyper.initial_logstd)),
-                    RunningNormalizer(obs_dim))
+        """A fresh policy: orthogonal weights drawn from ``rng`` into their
+        views, the actor's layers and then the critic's, zero biases,
+        logstd at ``initial_logstd`` and an empty normalizer."""
+        self._allocate(obs_dim, action_dim, hyper, RunningNormalizer(obs_dim))
+        for net, final_gain in ((self.actor, 0.01), (self.critic, 1.0)):
+            for w in net.weights[:-1]:
+                _orthogonal(w, math.sqrt(2.0), rng)
+            _orthogonal(net.weights[-1], final_gain, rng)
+        self.logstd[...] = hyper.initial_logstd
 
-    def _setup(self, obs_dim, action_dim, hyper, actor, critic, logstd, normalizer):
-        """Take the networks, logstd and normalizer in, with every array
-        copied into the flat buffer ``params`` and the networks' arrays
-        made its views, and make the optimizer."""
+    def _allocate(self, obs_dim, action_dim, hyper, normalizer):
+        """Take the sizes, hyperparameters and normalizer in, allocate the
+        zeroed flat buffer ``params`` with its views, and make the
+        optimizer."""
         self.obs_dim = obs_dim
         self.action_dim = action_dim
         self.hyper = hyper
-        self.actor, self.critic = actor, critic
         self._layout = layout = _Layout(obs_dim, list(hyper.hidden_sizes), action_dim)
-        self.params = np.empty(layout.size)
-        arrays = actor.weights + actor.biases + [logstd] + critic.weights + critic.biases
-        self._bind()
-        views = self._arrays
-        for view, array in zip(views.of_actor() + views.of_critic(), arrays):
-            view[...] = array
+        self.params = np.zeros(layout.size)
+        self._carve()
         self.normalizer = normalizer
         lr = np.empty(layout.size)
         lr[:layout.actor_size] = hyper.actor_lr
         lr[layout.actor_size:] = hyper.critic_lr
         self._opt = Adam(self.params, lr)
 
-    def _bind(self):
+    def _carve(self):
         self._arrays = views = self._layout.carve(self.params)
-        self.actor.weights, self.actor.biases = views.actor_w, views.actor_b
-        self.critic.weights, self.critic.biases = views.critic_w, views.critic_b
-        self.logstd = views.logstd
+        self.actor, self.critic, self.logstd = views.actor, views.critic, views.logstd
 
     def __setstate__(self, state):
         # a copy or an unpickled policy gets its own params with views of
         # them, not separate copies of the old views
         self.__dict__.update(state)
-        self._bind()
+        self._carve()
 
     # -- forward passes ----------------------------------------------------
 
@@ -545,13 +525,11 @@ class PolicyNetwork:
         exploration noise, and computes log-probs and the critic's values
         once per batch."""
         x = self.normalizer.normalize(policy_input, update=update_stats)
-        head, _ = self.actor.forward(x[None, :])
-        return np.tanh(head[0]), x
+        return np.tanh(self.actor.forward(x[None, :])[0]), x
 
     def value(self, policy_input) -> float:
         x = self.normalizer.normalize(policy_input, update=False)
-        v, _ = self.critic.forward(x[None, :])
-        return float(v[0, 0])
+        return float(self.critic.forward(x[None, :])[0, 0])
 
     # -- persistence ---------------------------------------------------------
 
@@ -561,8 +539,8 @@ class PolicyNetwork:
             "obs_dim": self.obs_dim,
             "action_dim": self.action_dim,
             "hyper": self.hyper.to_dict(),
-            "actor": _mlp_state(self.actor),
-            "critic": _mlp_state(self.critic),
+            "actor": _net_state(self.actor),
+            "critic": _net_state(self.critic),
             "logstd": self.logstd.tolist(),
             "normalizer": self.normalizer.state(),
         }
@@ -591,8 +569,8 @@ class PolicyNetwork:
                                         f"{value!r}")
         obs_dim, action_dim = payload["obs_dim"], payload["action_dim"]
         hidden = list(hyper.hidden_sizes)
-        actor = _mlp_arrays(payload, "actor", [obs_dim, *hidden, action_dim])
-        critic = _mlp_arrays(payload, "critic", [obs_dim, *hidden, 1])
+        actor = _net_arrays(payload, "actor", [obs_dim, *hidden, action_dim])
+        critic = _net_arrays(payload, "critic", [obs_dim, *hidden, 1])
         logstd = _checkpoint_array(_field(payload, "logstd"), (action_dim,), "logstd")
         # a negative variance makes the scale sqrt(var + 1e-8) zero or NaN
         normalizer = RunningNormalizer.from_state({
@@ -600,8 +578,11 @@ class PolicyNetwork:
                                    f"normalizer.{key}", nonnegative=key != "mean")
             for key, shape in (("mean", (obs_dim,)), ("var", (obs_dim,)), ("count", ()))})
         policy = cls.__new__(cls)
-        policy._setup(obs_dim, action_dim, hyper, Mlp.of_arrays(*actor),
-                      Mlp.of_arrays(*critic), logstd, normalizer)
+        policy._allocate(obs_dim, action_dim, hyper, normalizer)
+        views = policy._arrays
+        for view, array in zip(views.of_actor() + views.of_critic(),
+                               actor + [logstd] + critic):
+            view[...] = array
         return policy
 
     def save(self, path):
@@ -689,10 +670,10 @@ def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
             np.tanh(out, out=out)
             h = out
         actor_in, critic_in = (h[0], h[1]) if acts else (obs, obs)
-        actor_w, critic_w = params.actor_w[-1], params.critic_w[-1]
+        actor_w, critic_w = params.actor.weights[-1], params.critic.weights[-1]
 
         actor_in.dot(actor_w, out=mean)
-        mean += params.actor_b[-1]
+        mean += params.actor.biases[-1]
         np.tanh(mean, out=mean)
         logstd = policy.logstd
         std = np.exp(logstd)
@@ -721,16 +702,16 @@ def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
         np.square(mean, out=mean)
         np.subtract(1.0, mean, out=mean)
         dhead *= mean                                       # tanh' = 1 - mean^2
-        np.matmul(actor_in.T, dhead, out=grads.actor_w[-1])
-        np.add.reduce(dhead, axis=0, out=grads.actor_b[-1])
+        np.matmul(actor_in.T, dhead, out=grads.actor.weights[-1])
+        np.add.reduce(dhead, axis=0, out=grads.actor.biases[-1])
 
         critic_in.dot(critic_w, out=values)
-        values += params.critic_b[-1]
+        values += params.critic.biases[-1]
         verr = values[:, 0] - targets
         value_loss = 0.5 * float(np.add.reduce(verr ** 2) / n)
         dv = (hyper.value_coef * verr / n)[:, None]
-        np.matmul(critic_in.T, dv, out=grads.critic_w[-1])
-        np.add.reduce(dv, axis=0, out=grads.critic_b[-1])
+        np.matmul(critic_in.T, dv, out=grads.critic.weights[-1])
+        np.add.reduce(dv, axis=0, out=grads.critic.biases[-1])
 
         if acts:
             np.matmul(dhead, actor_w.T, out=deltas[-1][0])
@@ -890,10 +871,10 @@ def train(config, hyper: PpoHyperparams, seed: int, progress=None):
     return policy, curve
 
 
-def _mlp_state(mlp: Mlp) -> dict:
-    return {"sizes": list(mlp.sizes),
-            "weights": [w.tolist() for w in mlp.weights],
-            "biases": [b.tolist() for b in mlp.biases]}
+def _net_state(net: Net) -> dict:
+    return {"sizes": list(net.sizes),
+            "weights": [w.tolist() for w in net.weights],
+            "biases": [b.tolist() for b in net.biases]}
 
 
 def _checkpoint_array(value, shape, name, nonnegative=False) -> np.ndarray:
@@ -924,9 +905,10 @@ def _field(payload, path):
     return value
 
 
-def _mlp_arrays(payload, name, sizes):
-    """The (weights, biases) of a checkpoint's network ``name``, whose
-    layers must have ``sizes``; checked before any array of them is built."""
+def _net_arrays(payload, name, sizes):
+    """The weights and then the biases of a checkpoint's network ``name``,
+    one list, whose layers must have ``sizes``; checked before any array of
+    them is built."""
     weights, biases = (_field(payload, f"{name}.{key}") for key in ("weights", "biases"))
     if not (_field(payload, f"{name}.sizes") == sizes
             and isinstance(weights, list) and isinstance(biases, list)
@@ -934,6 +916,6 @@ def _mlp_arrays(payload, name, sizes):
         raise InvalidInputError(f"checkpoint {name} must have sizes {sizes}, "
                                 f"with a weight and a bias per layer")
     return ([_checkpoint_array(w, shape, f"{name}.weights[{i}]")
-             for i, (w, shape) in enumerate(zip(weights, zip(sizes, sizes[1:])))],
-            [_checkpoint_array(b, (n,), f"{name}.biases[{i}]")
-             for i, (b, n) in enumerate(zip(biases, sizes[1:]))])
+             for i, (w, shape) in enumerate(zip(weights, zip(sizes, sizes[1:])))]
+            + [_checkpoint_array(b, (n,), f"{name}.biases[{i}]")
+               for i, (b, n) in enumerate(zip(biases, sizes[1:]))])

@@ -268,11 +268,10 @@ def outage_probability_mc(power_w: float, distance_m: float,
         raise InvalidInputError(f"power must be nonnegative: {power_w!r}")
     if power_w == 0:
         return 1.0
-    demand = params.packet_bits / params.latency_max_s
-    # rate < demand  <=>  gain < gain_threshold
-    threshold_snr = 2.0 ** (demand / params.bandwidth_hz) - 1.0
+    # rate < D / tau_max  <=>  gain < gain_threshold, at the rate demand
+    # that required_power sizes the link for
     try:
-        gain_threshold = (threshold_snr * distance_m ** params.path_loss_exponent
+        gain_threshold = (params.rate_demand * distance_m ** params.path_loss_exponent
                           * params.noise_power_w / (params.system_gain * power_w))
     except (OverflowError, ZeroDivisionError):
         # d^alpha past a float, or a power so small that Gamma p is 0.0:

@@ -143,9 +143,10 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        for key, sub in (("plant", PlantConfig), ("fleet", FleetConfig),
-                         ("channel", ChannelParams), ("rl", PpoHyperparams)):
-            if key in data and not isinstance(data[key], sub):
+        for f in dataclasses.fields(cls):
+            key, sub = f.name, f.default_factory
+            if (f.metadata["rule"] is SECTION and key in data
+                    and not isinstance(data[key], sub)):
                 try:
                     data[key] = sub(**data[key])
                 except TypeError as exc:
@@ -188,11 +189,10 @@ class EpisodeMetrics:
 
 
 def run_episode(policy: PolicyNetwork, config: ExperimentConfig,
-                episode_index: int, env: TwinLoop = None) -> EpisodeMetrics:
-    """Roll one evaluation episode; numerical failures propagate. ``env``
-    must record its trace, from which the metrics are read."""
-    if env is None:
-        env = TwinLoop.from_config(config, record_trace=True)
+                episode_index: int, env: TwinLoop) -> EpisodeMetrics:
+    """Roll one evaluation episode on ``env``, a loop of ``config``;
+    numerical failures propagate. ``env`` must record its trace, from
+    which the metrics are read."""
     if not env.record_trace:
         raise InvalidInputError("run_episode needs a loop that records its trace")
     obs = env.reset(episode_seed(config.master_seed, 2, episode_index))

@@ -66,15 +66,13 @@ class TwinLoop:
     """Episode driver binding plant, fleet, filter, scheduler and channel."""
 
     def __init__(self, config, record_trace=False):
-        # the one place a run's settings are checked (each field against its
-        # rule, the channel section having checked itself when built) and
-        # its plant, fleet and link powers built and checked, so a bad one
-        # fails before any episode or output (the config's validate builds
-        # a loop). The non-adaptive modes are judged by the caps, and each
-        # adaptive QI applies its request to them without a second check
-        for prefix, section in (("", config), ("plant.", config.plant),
-                                ("fleet.", config.fleet), ("rl.", config.rl)):
-            check(section, prefix)
+        # the one place a run's settings are checked (each field of each
+        # section against its rule) and its plant, fleet and link powers
+        # built and checked, so a bad one fails before any episode or
+        # output (the config's validate builds a loop). The non-adaptive
+        # modes are judged by the caps, and each adaptive QI applies its
+        # request to them without a second check
+        check(config)
         self.plant = plant = config.build_plant()
         if len(config.variance_caps) != plant.dim:
             raise ConfigurationError("need one variance cap per state feature")

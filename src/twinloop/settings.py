@@ -9,16 +9,17 @@ field's type and range: ``within("[0, 1]")`` a number in an interval,
 ``at_least(1)`` an integer, ``FLAG`` true or false, ``one_of(names)`` a
 name, ``numbers(...)`` and ``integers(...)`` lists of them, ``TEXT`` a
 string or null and ``RECORDS`` a list or null. ``SECTION`` marks a nested
-section, which is checked on its own.
+section, whose fields ``check`` checks after its parent's.
 
 ``check`` is the package's only per-field check of a setting: it checks
 every declared field of a section or record, all types first and then all
 ranges, so a value of the wrong type is named by its field before any
-comparison. A bad value raises ``ConfigurationError`` as
-``<section>.<field> must ...: <value>``. Checks that span several fields
-or settings (a cap per plant feature, a generated fleet's coverage and
-distances, a fleet's features, ids and summed precision, the channel's
-derived values, the link powers) stay with the code that builds from them.
+comparison, and then each nested section in field order. A bad value
+raises ``ConfigurationError`` as ``<section>.<field> must ...: <value>``.
+Checks that span several fields or settings (a cap per plant feature, a
+generated fleet's coverage and distances, a fleet's features, ids and
+summed precision, the channel's derived values, the link powers) stay with
+the code that builds from them.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ TEXT = Rule("a string or null", lambda v: v is None or isinstance(v, str))
 # each record is checked when the fleet is indexed (sensing.FleetIndex)
 RECORDS = Rule("a list of agent records or null",
                lambda v: v is None or isinstance(v, (list, tuple)))
-SECTION = Rule("a section, checked on its own")
+SECTION = Rule("a section, whose fields are checked after its parent's")
 
 
 def setting(default, rule: Rule):
@@ -129,22 +130,25 @@ def setting(default, rule: Rule):
 
 @functools.cache
 def _tables(cls) -> tuple:
-    """The type and the range rows of ``cls``'s rules, read once per class."""
+    """The type and the range rows of ``cls``'s rules and the names of its
+    nested sections, read once per class."""
     rules = [(f.name, f.metadata["rule"]) for f in fields(cls)
              if f.metadata["rule"].test is not None]
     types = tuple((name, r.test, r.what if r.choices is None else r.choices)
                   for name, r in rules)
     ranges = tuple((name, r.lo, r.hi, r.bounds, r.many) for name, r in rules if r.bounds)
-    return types, ranges
+    sections = tuple(f.name for f in fields(cls) if f.metadata["rule"] is SECTION)
+    return types, ranges, sections
 
 
 def check(section, prefix: str = "") -> None:
     """Check every declared field of the config section or record
-    ``section`` against its rule, types first and then ranges; raises
-    ConfigurationError naming the first bad field as ``prefix`` + its name. A float is taken as a
-    number without asking ``numbers.Real``, whose check costs more than
-    the rest."""
-    types, ranges = _tables(type(section))
+    ``section`` against its rule, types first and then ranges, and then
+    each nested section with the prefix ``prefix`` + its name + ".";
+    raises ConfigurationError naming the first bad field as ``prefix`` +
+    its name. A float is taken as a number without asking ``numbers.Real``,
+    whose check costs more than the rest."""
+    types, ranges, sections = _tables(type(section))
     for name, test, what in types:
         value = getattr(section, name)
         if not (type(value) is float and test is is_number or test(value)):
@@ -155,3 +159,5 @@ def check(section, prefix: str = "") -> None:
         value = getattr(section, name)
         if not (all(lo <= v <= hi for v in value) if many else lo <= value <= hi):
             raise ConfigurationError(f"{prefix}{name} must {bounds}: {value!r}")
+    for name in sections:
+        check(getattr(section, name), f"{prefix}{name}.")

@@ -135,9 +135,7 @@ def reference_outage_probability_mc(power_w, distance_m, params, n_trials, rng,
                                     chunk=1_000_000):
     """The outage fraction ``channel.outage_probability_mc`` gives at a
     positive power, from reference gains taken ``chunk`` at a time."""
-    demand = params.packet_bits / params.latency_max_s
-    threshold_snr = 2.0 ** (demand / params.bandwidth_hz) - 1.0
-    gain_threshold = (threshold_snr * distance_m ** params.path_loss_exponent
+    gain_threshold = (params.rate_demand * distance_m ** params.path_loss_exponent
                       * params.noise_power_w / (params.system_gain * power_w))
     failures = 0
     remaining = n_trials
@@ -676,13 +674,13 @@ def reference_train(config, hyper, seed):
         boundary = np.zeros(n, dtype=bool)
         for t in range(n):
             x = policy.normalizer.normalize(obs, update=hyper.normalize_observations)
-            mean = np.tanh(policy.actor.forward(x[None, :])[0][0])
+            mean = np.tanh(policy.actor.forward(x[None, :])[0])
             std = np.exp(policy.logstd)
             action = mean + std * action_rng.standard_normal(env.action_dim)
             z = (action - mean) / std
             logp_buf[t] = (-0.5 * float((z * z).sum()) - float(policy.logstd.sum())
                            - 0.5 * env.action_dim * log_2pi)
-            val_buf[t] = float(policy.critic.forward(x[None, :])[0][0, 0])
+            val_buf[t] = float(policy.critic.forward(x[None, :])[0, 0])
             step = env.step(action)
             obs_buf[t], act_buf[t], rew_buf[t] = x, action, step.shaped_reward
             ep_return += step.base_reward
@@ -784,14 +782,18 @@ def reference_gain(cov, features, precision):
     return cov[:, list(features)] * np.asarray(precision, dtype=float)
 
 
-def reference_forward(mlp, x):
-    """Mlp.forward's output as h @ W + b per layer, with a new array for
-    each product, sum and tanh."""
-    h = np.atleast_2d(np.asarray(x, dtype=float))
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+def reference_forward(net, x):
+    """``agent.Net.forward`` of the 2-D ``x`` as h @ W + b per layer, with
+    a new array for each product, sum and tanh. Returns (output,
+    activations): the activations are the input and each layer's output,
+    as ``reference_backward`` takes them."""
+    h = x
+    cache = [h]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = h @ w + b
-        h = z if i == len(mlp.weights) - 1 else np.tanh(z)
-    return h
+        h = z if i == len(net.weights) - 1 else np.tanh(z)
+        cache.append(h)
+    return h, cache
 
 
 def reference_act(policy, policy_input):
@@ -799,7 +801,29 @@ def reference_act(policy, policy_input):
     input whitened by ``reference_normalize`` on a copy of the policy's
     normalizer (its statistics are left alone)."""
     x = reference_normalize(copy.deepcopy(policy.normalizer), policy_input)
-    return np.tanh(reference_forward(policy.actor, x[None, :])[0]), x
+    return np.tanh(reference_forward(policy.actor, x[None, :])[0][0]), x
+
+
+def reference_initial_arrays(obs_dim, action_dim, hyper, rng):
+    """A fresh policy's arrays in checkpoint order (actor weights, biases
+    and logstd, then critic weights and biases), each drawn as its own
+    array: per layer, the signed Q of a QR of standard normals, transposed
+    for a wide layer and scaled by sqrt(2), or by 0.01 (the actor's output)
+    or 1 (the critic's); every bias zero."""
+    def net(sizes, final_gain):
+        weights = []
+        for i, (rows, cols) in enumerate(zip(sizes, sizes[1:])):
+            q, r = np.linalg.qr(rng.standard_normal((max(rows, cols), min(rows, cols))))
+            q = q * np.sign(np.diag(r))
+            gain = final_gain if i == len(sizes) - 2 else math.sqrt(2.0)
+            weights.append(gain * (q.T if rows < cols else q)[:rows, :cols])
+        return weights, [np.zeros(cols) for cols in sizes[1:]]
+
+    hidden = list(hyper.hidden_sizes)
+    actor_w, actor_b = net([obs_dim, *hidden, action_dim], 0.01)
+    critic_w, critic_b = net([obs_dim, *hidden, 1], 1.0)
+    return (actor_w + actor_b + [np.full(action_dim, float(hyper.initial_logstd))]
+            + critic_w + critic_b)
 
 
 def reference_policy_input(belief):
@@ -808,16 +832,16 @@ def reference_policy_input(belief):
     return np.concatenate([belief.mean, np.sqrt(np.maximum(belief.cov.diagonal(), 0.0))])
 
 
-def reference_backward(mlp, cache, grad_out):
-    """Mlp's backward pass, one network at a time: gradients (grad_w,
+def reference_backward(net, cache, grad_out):
+    """A network's backward pass, one network at a time: gradients (grad_w,
     grad_b) of sum(grad_out * output) w.r.t. its parameters, from the
-    cache of ``Mlp.forward``."""
-    grad_w = [None] * len(mlp.weights)
-    grad_b = [None] * len(mlp.biases)
+    activations of ``reference_forward``."""
+    grad_w = [None] * len(net.weights)
+    grad_b = [None] * len(net.biases)
     g = np.atleast_2d(grad_out)
-    for i in reversed(range(len(mlp.weights))):
-        if i != len(mlp.weights) - 1:
-            g = (g @ mlp.weights[i + 1].T) * (1.0 - cache[i + 1] ** 2)  # tanh'
+    for i in reversed(range(len(net.weights))):
+        if i != len(net.weights) - 1:
+            g = (g @ net.weights[i + 1].T) * (1.0 - cache[i + 1] ** 2)  # tanh'
         grad_w[i] = cache[i].T @ g
         grad_b[i] = g.sum(axis=0)
     return grad_w, grad_b
@@ -825,7 +849,7 @@ def reference_backward(mlp, cache, grad_out):
 
 def reference_ppo_loss_and_grads(policy, minibatch, hyper):
     """``agent.ppo_loss_and_grads`` one network at a time, through
-    ``Mlp.forward`` and ``reference_backward``, each term a new array.
+    ``reference_forward`` and ``reference_backward``, each term a new array.
     Returns (diagnostics, actor grads aligned with actor.weights +
     actor.biases + [logstd], critic grads)."""
     from twinloop.agent import LOG_2PI, gaussian_logprob
@@ -837,7 +861,7 @@ def reference_ppo_loss_and_grads(policy, minibatch, hyper):
     targets = minibatch["value_targets"]
     n = obs.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        head, actor_cache = policy.actor.forward(obs)
+        head, actor_cache = reference_forward(policy.actor, obs)
         mean = np.tanh(head)
         std = np.exp(policy.logstd)
         logp = gaussian_logprob(actions, mean, policy.logstd)
@@ -856,7 +880,7 @@ def reference_ppo_loss_and_grads(policy, minibatch, hyper):
         grad_w, grad_b = reference_backward(policy.actor, actor_cache, dhead)
         dlogstd = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0) - hyper.entropy_coef
         actor_grads = grad_w + grad_b + [dlogstd]
-        values, critic_cache = policy.critic.forward(obs)
+        values, critic_cache = reference_forward(policy.critic, obs)
         values = values[:, 0]
         verr = values - targets
         value_loss = 0.5 * float((verr ** 2).mean())

@@ -217,7 +217,7 @@ class TestCriterion4GradientChecks:
             policy.logstd[:] = rng.uniform(-0.5, 0.3, size=action_dim)
             n = 12
             obs = rng.normal(size=(n, obs_dim))
-            mean0 = np.tanh(policy.actor.forward(obs)[0])
+            mean0 = np.tanh(policy.actor.forward(obs))
             actions = mean0 + np.exp(policy.logstd) * rng.standard_normal(
                 (n, action_dim))
             from twinloop.agent import gaussian_logprob

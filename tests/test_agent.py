@@ -10,13 +10,14 @@ import pytest
 
 from twinloop import (CostMode, PolicyNetwork, PpoHyperparams, TrainingFailureError,
                       base_reward, decode_action, shape_reward)
-from twinloop.agent import (Adam, Mlp, _Layout, _Workspace, compute_gae,
+from twinloop.agent import (Adam, Net, _Layout, _Workspace, compute_gae,
                             gaussian_logprob, ppo_loss_and_grads, ppo_update)
 from twinloop.agent import RunningNormalizer
 from tests.helpers import (ReferenceAdam, edgy_floats, finite_difference_gradient,
                            reference_act, reference_backward, reference_clip_global_norm,
                            reference_compute_gae, reference_decode_action,
-                           reference_forward, reference_normalize,
+                           reference_forward, reference_initial_arrays,
+                           reference_normalize,
                            reference_ppo_loss_and_grads, reference_ppo_update,
                            reference_train, relative_gradient_error, same_bits)
 
@@ -122,8 +123,8 @@ class TestPolicyForward:
         action, normalized = policy.act(x)
         value = policy.value(x)
         assert same_bits(normalized, policy.normalizer.normalize(x))
-        assert same_bits(action, np.tanh(policy.actor.forward(normalized[None, :])[0][0]))
-        assert value == policy.critic.forward(normalized[None, :])[0][0, 0]
+        assert same_bits(action, np.tanh(policy.actor.forward(normalized[None, :])[0]))
+        assert value == policy.critic.forward(normalized[None, :])[0, 0]
 
     def test_deterministic_act_runs_no_critic(self, monkeypatch):
         # act gives the mean action and its input only; the critic is
@@ -131,24 +132,24 @@ class TestPolicyForward:
         policy, _ = small_policy(6)
         x = np.array([0.1, -0.2, 0.3, 0.4])
         calls = []
-        real = policy.critic.forward
-        monkeypatch.setattr(policy.critic, "forward",
-                            lambda h: calls.append(1) or real(h))
-        assert len(policy.act(x)) == 2 and calls == []
+        real = Net.forward
+        monkeypatch.setattr(Net, "forward",
+                            lambda net, h: calls.append(net is policy.critic) or real(net, h))
+        assert len(policy.act(x)) == 2 and calls == [False]
         policy.value(x)
-        assert calls == [1]
+        assert calls == [False, True]
 
     def test_network_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
-        net = Mlp([3, 8, 2], rng, final_gain=1.0)
+        net = small_policy(7, obs_dim=3, action_dim=2, hidden=(8,))[0].actor
+        net.weights[-1][...] = rng.normal(size=net.weights[-1].shape)
         x = rng.normal(size=(5, 3))
         dout = rng.normal(size=(5, 2))
 
         def scalar():
-            out, _ = net.forward(x)
-            return float(np.sum(out * dout))
+            return float(np.sum(net.forward(x) * dout))
 
-        out, cache = net.forward(x)
+        _, cache = reference_forward(net, x)
         gw, gb = reference_backward(net, cache, dout)
         numeric = finite_difference_gradient(scalar, net.weights + net.biases,
                                              step=1e-6)
@@ -233,8 +234,7 @@ def synthetic_batch(policy, hyper, n=48, seed=11):
     obs = rng.normal(size=(n, policy.obs_dim))
     actions, logps = [], []
     for x in obs:
-        head, _ = policy.actor.forward(x[None])
-        mean = np.tanh(head[0])
+        mean = np.tanh(policy.actor.forward(x[None])[0])
         a = mean + np.exp(policy.logstd) * rng.standard_normal(policy.action_dim)
         actions.append(a)
         logps.append(gaussian_logprob(a[None], mean[None], policy.logstd)[0])
@@ -256,7 +256,7 @@ class TestPpoLoss:
 
         # vanilla: -(1/N) sum_i A_i * grad logp_i
         obs, actions, adv = batch["obs"], batch["actions"], batch["advantages"]
-        head, cache = policy.actor.forward(obs)
+        head, cache = reference_forward(policy.actor, obs)
         mean = np.tanh(head)
         std = np.exp(policy.logstd)
         z = (actions - mean) / std
@@ -306,7 +306,7 @@ class TestPpoLoss:
         grads = policy._layout.carve(grad)
         losses = []
         for _ in range(100):
-            values, cache = policy.critic.forward(obs)
+            values, cache = reference_forward(policy.critic, obs)
             err = values[:, 0] - targets
             losses.append(0.5 * float(np.mean(err ** 2)))
             gw, gb = reference_backward(policy.critic, cache, (err / 32)[:, None])
@@ -391,6 +391,51 @@ class TestCheckpoint:
                        np.random.default_rng(0))
             assert not same_bits(clone.act(x)[0], before)
             assert same_bits(policy.act(x)[0], before)
+
+
+def policy_arrays(policy) -> list:
+    """Every parameter array of ``policy``, read through its public names."""
+    return (policy.actor.weights + policy.actor.biases + [policy.logstd]
+            + policy.critic.weights + policy.critic.biases)
+
+
+class TestFlatBuffer:
+    """A policy's parameters live only in ``params``: its networks and
+    logstd are views of it."""
+
+    def test_fresh_arrays_equal_a_per_layer_draw(self):
+        for hidden in ((8, 8), (5,), (), (6, 7, 5), (64, 64)):
+            for dims in ((4, 3), (2, 1), (7, 2)):
+                hyper = PpoHyperparams(hidden_sizes=hidden, initial_logstd=-0.5)
+                rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+                policy = PolicyNetwork(*dims, hyper, rng)
+                want = reference_initial_arrays(*dims, hyper, ref_rng)
+                got = policy_arrays(policy)
+                assert len(got) == len(want)
+                assert all(same_bits(a, b) for a, b in zip(got, want))
+                assert rng.random() == ref_rng.random()     # as many draws
+                assert sum(a.size for a in got) == policy.params.size
+                assert all(np.shares_memory(a, policy.params) for a in got)
+
+    def test_nan_written_through_the_actor_weights_reaches_act(self):
+        # the benchmark's self-test poisons a policy this way
+        policy, _ = small_policy(4)
+        x = np.array([0.2, -0.4, 1.0, 0.5])
+        assert np.isfinite(policy.act(x)[0]).all()
+        for weights in policy.actor.weights:
+            weights[...] = np.nan
+        assert np.isnan(policy.params[:policy._layout.actor_size]).any()
+        assert np.isnan(policy.act(x)[0]).all()
+        assert np.isfinite(policy.value(x))
+
+    def test_copies_view_their_own_params(self):
+        policy, _ = small_policy(13)
+        for clone in (copy.deepcopy(policy), pickle.loads(pickle.dumps(policy))):
+            arrays = policy_arrays(clone)
+            assert same_bits(clone.params, policy.params)
+            assert all(np.shares_memory(a, clone.params) for a in arrays)
+            assert not any(np.shares_memory(a, policy.params) for a in arrays)
+            assert all(np.shares_memory(w, clone.params) for w in clone._arrays.w_stacks)
 
 
 class TestMatchesReference:
@@ -507,17 +552,6 @@ class TestMatchesReference:
         out[1] = 7.0
         assert same_bits(x, [-0.0, 3.0])
 
-    def test_mlp_forward_skips_coercion_only_for_2d_float64(self):
-        policy, _ = small_policy(25)
-        x = np.random.default_rng(25).normal(size=(5, policy.obs_dim))
-        head, cache = policy.actor.forward(x)
-        assert cache[0] is x
-        got, cache = policy.actor.forward(x.tolist())
-        assert isinstance(cache[0], np.ndarray) and same_bits(got, head)
-        row, _ = policy.actor.forward(x[:1])
-        got, cache = policy.actor.forward(x[0])
-        assert cache[0].shape == (1, policy.obs_dim) and same_bits(got, row)
-
     def test_loss_and_grads_keep_the_bits_at_the_edges(self):
         # ratios that overflow to inf or underflow to 0, and advantages that
         # are signed zeros, infinite or NaN: the fused loss gives the
@@ -588,7 +622,7 @@ class TestMatchesReference:
         policy, _ = small_policy(26, hidden=(64, 64))
         x = np.random.default_rng(26).normal(size=(2 * ROW_BLOCK + 5, policy.obs_dim))
         for net in (policy.actor, policy.critic):
-            one_row = [net.forward(row[None, :])[0][0] for row in x]
+            one_row = [net.forward(row[None, :])[0] for row in x]
             assert same_bits(net.forward_rows(x), one_row)
 
     @pytest.mark.parametrize("normalize", [True, False])
@@ -627,7 +661,7 @@ class TestMatchesReference:
 
 class TestFloatFormMatchesArrayForm:
     """The per-QI policy layers keep the bits of their array forms: the
-    actor's one row through ``Mlp.forward``, the normalizer with its scale
+    actor's one row through ``Net.forward``, the normalizer with its scale
     cached, decoding with signed zeros at a zero bound, and the shaped
     reward through np.mean and np.sum."""
 
@@ -656,15 +690,14 @@ class TestFloatFormMatchesArrayForm:
             assert same_bits(mean, want_mean) and same_bits(normalized, want_normalized)
 
     def test_forward_of_batches(self):
-        # PPO's minibatches and the one-row act share Mlp.forward
+        # the one-row act and value take Net.forward, as would any 2-D batch
         rng = np.random.default_rng(76)
         for seed, rows in enumerate((1, 2, 63, 64, 65, 2048)):
             policy, _ = small_policy(seed, hidden=(64, 64))
             x = edgy_floats(rng, (rows, 4), 2.0, self.SPECIALS)
             for net in (policy.actor, policy.critic):
-                got, cache = net.forward(x)
-                assert same_bits(got, reference_forward(net, x))
-                assert cache[0] is x and same_bits(cache[-1], got)
+                want, cache = reference_forward(net, x)
+                assert same_bits(net.forward(x), want) and cache[-1] is want
 
     def test_cached_scale_follows_every_new_variance(self):
         # the cache is keyed on the var array: an update, a reload or an

@@ -6,12 +6,15 @@ its set-up builds a ``TwinLoop`` in every mode from
 ``perfbench/acceptance.json``, a config with a pinned fleet; a rename or a
 change of the config format would crash the benchmark, so it fails here
 first. That config must stay the experiment the acceptance suite runs, so
-the benchmark measures it. The files are loaded, never changed.
+the benchmark measures it. The files are loaded, never changed. The
+benchmark's own self-test of its failure accounting,
+``perfbench/selftest.py``, runs here in a subprocess.
 """
 
 import dataclasses
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,6 +58,15 @@ def test_schedule_decision_feeds_the_counter(workloads):
             counter.caps_met) == (1, 2, 2, 1)
 
 
+def test_benchmark_self_test_passes():
+    # the benchmark's failure accounting: a clean run of each workload must
+    # report no failed operation, a poisoned one (NaN actor weights written
+    # through policy.actor.weights, a NaN link distance) its failures
+    result = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 def test_entry_points_take_the_benchmark_arguments():
     inspect.signature(agent.train).bind("config", "hyper", 0)
     inspect.signature(harness.run_monte_carlo).bind("config", policy=None, workers=1)
@@ -92,7 +104,8 @@ def test_evaluation_acts_and_steps_once_per_qi(mode, monkeypatch):
     counts = {}
     counted(monkeypatch, agent.PolicyNetwork, "act", counts)
     counted(monkeypatch, loop.TwinLoop, "step", counts)
-    metrics = harness.run_episode(policy, config, 0)
+    env = loop.TwinLoop(config, record_trace=True)
+    metrics = harness.run_episode(policy, config, 0, env)
     assert counts == {"act": metrics.qis, "step": metrics.qis}
 
 

@@ -291,6 +291,24 @@ class TestOutage:
             power, 20.0, params, n, np.random.default_rng(22))
         assert got > 0.0
 
+    def test_threshold_reads_the_rate_demand_the_power_was_sized_for(self,
+                                                                    monkeypatch):
+        # at 4,096 bits, 1.5 ms and 5 MHz, 2 ** (D / tau / W) - 1 lies a few
+        # ulps below rate_demand's 2 ** (D / (tau W)) - 1; gains one ulp
+        # either side of the rate_demand threshold tell the two apart
+        params = ChannelParams(packet_bits=4096.0, latency_max_s=1.5e-3, bandwidth_hz=5e6)
+        other = 2.0 ** (params.packet_bits / params.latency_max_s
+                        / params.bandwidth_hz) - 1.0
+        assert other != params.rate_demand
+        power = required_power(20.0, params)
+        threshold = (params.rate_demand * 20.0 ** params.path_loss_exponent
+                     * params.noise_power_w / (params.system_gain * power))
+        gains = np.array([math.nextafter(threshold, -math.inf), threshold,
+                          math.nextafter(threshold, math.inf)])
+        monkeypatch.setattr(channel, "sample_rician_gain", lambda g, rng, size: gains)
+        assert outage_probability_mc(power, 20.0, params, 3,
+                                     np.random.default_rng(0)) == 1 / 3
+
     @pytest.mark.parametrize("power,distance,message", [
         (np.nan, 20.0, "power must be nonnegative"),
         (-1e-3, 20.0, "power must be nonnegative"),

@@ -113,10 +113,17 @@ class TestConfig:
         assert fleet[0].distance == 5.0
 
 
+def evaluate_episode(config, index):
+    """Evaluation episode ``index`` of ``config``'s fresh policy, on a new
+    loop that records its trace."""
+    env = TwinLoop(config, record_trace=True)
+    return run_episode(fresh_policy(config, env), config, index, env)
+
+
 class TestRunEpisode:
     def test_perfect_mode_has_zero_error(self):
         config = small_config(mode="perfect")
-        metrics = run_episode(fresh_policy(config, TwinLoop(config)), config, 0)
+        metrics = evaluate_episode(config, 0)
         assert metrics.mrmse == 0.0
         assert metrics.total_power_w == 0.0
 
@@ -124,7 +131,7 @@ class TestRunEpisode:
         config = small_config(mode="reverb")
         config.plant.process_noise_std = (1e-4, 1e-5)  # no free rides to the goal
         config.validate()
-        metrics = run_episode(fresh_policy(config, TwinLoop(config)), config, 0)
+        metrics = evaluate_episode(config, 0)
         assert metrics.qis == 40
         assert not metrics.reached_goal
 
@@ -133,13 +140,13 @@ class TestRunEpisode:
         config.variance_caps = (1e6, 1e6)
         config.rl.eta_max = 1e-9   # requested accuracy cannot tighten caps
         config.validate()
-        metrics = run_episode(fresh_policy(config, TwinLoop(config)), config, 0)
+        metrics = evaluate_episode(config, 0)
         assert metrics.total_power_w == 0.0
         assert metrics.mean_selected == 0.0
 
     def test_power_accounting_identity(self):
         config = small_config(mode="cost_greedy")
-        metrics = run_episode(fresh_policy(config, TwinLoop(config)), config, 1)
+        metrics = evaluate_episode(config, 1)
         env = TwinLoop.from_config(config)
         power = env.trace_table(metrics.trace)["power_w"]
         trace_total = sum(power)
@@ -154,7 +161,7 @@ class TestCommonRandomNumbers:
         states = {}
         for mode in ("perfect", "reverb", "cost_greedy"):
             config = small_config(mode=mode)
-            metrics = run_episode(fresh_policy(config, TwinLoop(config)), config, 3)
+            metrics = evaluate_episode(config, 3)
             table = TwinLoop.from_config(config).trace_table(metrics.trace)
             states[mode] = (table["true_pos"][0],
                             table["true_vel"][0])
@@ -162,8 +169,8 @@ class TestCommonRandomNumbers:
 
     def test_perfect_rerun_is_identical(self):
         config = small_config(mode="perfect")
-        a = run_episode(fresh_policy(config, TwinLoop(config)), config, 2)
-        b = run_episode(fresh_policy(config, TwinLoop(config)), config, 2)
+        a = evaluate_episode(config, 2)
+        b = evaluate_episode(config, 2)
         env = TwinLoop.from_config(config)
         assert (env.trace_table(a.trace)["true_pos"]
                 == env.trace_table(b.trace)["true_pos"])
@@ -198,7 +205,7 @@ class TestMonteCarlo:
 
         real = harness_mod.run_episode
 
-        def flaky(policy, cfg, index, env=None):
+        def flaky(policy, cfg, index, env):
             if index == 1:
                 raise NumericalFailureError("boom", qi=4)
             return real(policy, cfg, index, env=env)
@@ -219,7 +226,7 @@ class TestMonteCarlo:
     def test_untyped_exception_propagates(self, monkeypatch):
         from twinloop import harness as harness_mod
 
-        def broken(policy, cfg, index, env=None):
+        def broken(policy, cfg, index, env):
             raise RuntimeError("bug")
 
         monkeypatch.setattr(harness_mod, "run_episode", broken)
