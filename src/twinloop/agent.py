@@ -17,7 +17,12 @@ takes both networks through each hidden layer in one call, writes the
 gradient into a flat buffer of the same layout, clips each network's part
 on its own and steps the whole buffer with one ``Adam`` whose learning
 rate is set per element. Every float is the one that the per-network form
-gives (``tests/helpers.py:reference_ppo_update``).
+gives (``tests/helpers.py:reference_ppo_update``). A copied or pickled
+policy writes ``params`` alone and carves its views again.
+
+Each function takes the one form that ``TwinLoop`` and ``train`` hand it:
+``decode_action`` a list of floats, ``shape_reward`` a ``CostMode``, and
+``ppo_loss_and_grads`` the ``_Workspace`` its gradient goes into.
 """
 
 from __future__ import annotations
@@ -128,8 +133,6 @@ def shape_reward(reward: float, accuracy, kappa: float,
     fewer than eight entries (one per plant feature: the plants have two);
     its mean is that sum over its length, as np.mean takes it. ``kappa``
     is the config's ``rl.reward_weight``, checked >= 0 with it."""
-    if type(cost_mode) is not CostMode:
-        cost_mode = CostMode(cost_mode)
     total = 0.0
     for eta in accuracy:
         total += eta
@@ -139,17 +142,13 @@ def shape_reward(reward: float, accuracy, kappa: float,
 
 
 def decode_action(raw, eta_max: float, control_dim: int = 1) -> AugmentedAction:
-    """Map a raw policy output in [-1, 1]^(Z+K), a list of floats or an
-    array, onto controls and accuracies.
+    """Map a raw policy output in [-1, 1]^(Z+K), a list of floats, onto
+    controls and accuracies.
 
     Out-of-range raw entries (including +-inf) are clamped before mapping.
     The clamps are taken on floats: min(max(x, lo), hi) keeps x on a tie
     and a NaN x, as np.minimum(hi, np.maximum(lo, x)) does.
     """
-    if type(raw) is not list:
-        raw = np.asarray(raw, dtype=float).tolist()
-        if not isinstance(raw, list):   # a 0-d input, as np.atleast_1d takes it
-            raw = [raw]
     control = [min(max(x, -1.0), 1.0) for x in raw[:control_dim]]
     eta = [min(max(eta_max * (x + 1.0) / 2.0, 0.0), eta_max)
            for x in raw[control_dim:]]
@@ -159,41 +158,24 @@ def decode_action(raw, eta_max: float, control_dim: int = 1) -> AugmentedAction:
 class RunningNormalizer:
     """Streaming mean/variance used to whiten policy inputs.
 
-    The statistics are held as lists of floats, with the scale
-    sqrt(var + 1e-8) computed whenever the variance changes; ``mean`` and
-    ``var`` read and set them as arrays. Every operation is elementwise,
-    taken on floats with numpy's bits: x / 0 gives numpy's signed inf or
-    NaN, and sqrt of a negative numpy's NaN.
+    The statistics are lists of floats (``state`` gives them), with the
+    scale sqrt(var + 1e-8) computed whenever the variance changes. Every
+    operation is elementwise, taken on floats with numpy's bits. The
+    variance is never negative: Welford's update keeps it >= 0 in floating
+    point, and ``PolicyNetwork.from_state`` rejects a negative one, so the
+    scale is at least 1e-4.
     """
 
-    def __init__(self, dim: int, clip: float = 10.0):
-        self.mean = np.zeros(dim)
-        self.var = np.ones(dim)
+    clip = 10.0
+
+    def __init__(self, dim: int):
+        self._mean = [0.0] * dim
+        self._set_var([1.0] * dim)
         self.count = 0.0
-        self.clip = clip
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.array(self._mean)
-
-    @mean.setter
-    def mean(self, value):
-        self._mean = np.asarray(value, dtype=float).tolist()
-
-    @property
-    def var(self) -> np.ndarray:
-        return np.array(self._var)
-
-    @var.setter
-    def var(self, value):
-        self._set_var(np.asarray(value, dtype=float).tolist())
 
     def _set_var(self, var: list):
         self._var = var
-        self._scale = scale = []
-        for v in var:
-            s = v + 1e-8
-            scale.append(math.sqrt(s) if not s < 0.0 else _NAN)
+        self._scale = [math.sqrt(v + 1e-8) for v in var]
 
     def normalize(self, x, update: bool = False) -> np.ndarray:
         """(x - mean) / sqrt(var + 1e-8) once two samples are in, clipped
@@ -204,8 +186,7 @@ class RunningNormalizer:
             raise InvalidInputError(f"input shape {np.shape(x)} != ({len(self._mean)},)")
         out = values
         if self.count > 1:
-            out = [(v - m) / s if s else _divide_by_zero(v - m, s)
-                   for v, m, s in zip(values, self._mean, self._scale)]
+            out = [(v - m) / s for v, m, s in zip(values, self._mean, self._scale)]
         if update:
             self._update(values)
         # np.minimum(clip, np.maximum(-clip, out)), a NaN kept
@@ -233,26 +214,12 @@ class RunningNormalizer:
                 "count": self.count}
 
     @classmethod
-    def from_state(cls, state, clip: float = 10.0) -> "RunningNormalizer":
-        norm = cls(len(state["mean"]), clip)
-        norm.mean = np.asarray(state["mean"], dtype=float)
-        norm.var = np.asarray(state["var"], dtype=float)
+    def from_state(cls, state) -> "RunningNormalizer":
+        norm = cls(len(state["mean"]))
+        norm._mean = np.asarray(state["mean"], dtype=float).tolist()
+        norm._set_var(np.asarray(state["var"], dtype=float).tolist())
         norm.count = float(state["count"])
         return norm
-
-
-# the NaN that the processor gives for 0/0 or sqrt(-1), as numpy's does
-_NAN = math.inf - math.inf
-
-
-def _divide_by_zero(a: float, b: float) -> float:
-    """a / b for b = +-0.0, as numpy divides: NaN for a NaN or zero a, else
-    an infinity of the sign of a times that of b."""
-    if a != a:
-        return a
-    if a == 0.0:
-        return _NAN
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def _orthogonal(out, gain, rng):
@@ -319,9 +286,10 @@ class Adam:
     two networks' arrays keeps the bits of one per network.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.lr = lr                       # a float, or an array like params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros(params.size)
         self.v = np.zeros(params.size)
         self._scratch = None
@@ -439,8 +407,6 @@ class _Workspace:
         self.layout = layout
         self.grad = np.empty(layout.size)
         self.grads = layout.carve(self.grad)
-        self.actor_grads = self.grads.of_actor()
-        self.critic_grads = self.grads.of_critic()
         self.squares = np.empty(layout.size)
         squares = layout.carve(self.squares)
         self._squares = list(zip(self.grads.regions,
@@ -511,6 +477,14 @@ class PolicyNetwork:
         self._arrays = views = self._layout.carve(self.params)
         self.actor, self.critic, self.logstd = views.actor, views.critic, views.logstd
 
+    def __getstate__(self):
+        # the views are carved again when unpickled: each parameter is
+        # written once, in params
+        state = dict(self.__dict__)
+        for name in ("actor", "critic", "logstd", "_arrays"):
+            del state[name]
+        return state
+
     def __setstate__(self, state):
         # a copy or an unpickled policy gets its own params with views of
         # them, not separate copies of the old views
@@ -572,7 +546,7 @@ class PolicyNetwork:
         actor = _net_arrays(payload, "actor", [obs_dim, *hidden, action_dim])
         critic = _net_arrays(payload, "critic", [obs_dim, *hidden, 1])
         logstd = _checkpoint_array(_field(payload, "logstd"), (action_dim,), "logstd")
-        # a negative variance makes the scale sqrt(var + 1e-8) zero or NaN
+        # the normalizer takes var >= 0: its scale sqrt(var + 1e-8) is then >= 1e-4
         normalizer = RunningNormalizer.from_state({
             key: _checkpoint_array(_field(payload, f"normalizer.{key}"), shape,
                                    f"normalizer.{key}", nonnegative=key != "mean")
@@ -634,15 +608,13 @@ def compute_gae(rewards, values, boundary, bootstrap, discount, lam):
 
 
 def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
-                       hyper: PpoHyperparams, work=None):
+                       hyper: PpoHyperparams, work: _Workspace) -> dict:
     """Clipped-surrogate + value + entropy losses with analytic gradients.
 
     ``minibatch`` holds normalized observations, raw actions, collection-time
     log-probs, advantages, and value targets. The gradient is written into
-    the flat buffer of ``work``, a ``_Workspace`` (a new one if None).
-    Returns (diagnostics, actor grads aligned with actor.weights +
-    actor.biases + [logstd], critic grads aligned with critic.weights +
-    critic.biases), the grads as views of that buffer.
+    the flat buffer of ``work``, a ``_Workspace``, whose ``grads`` view it
+    in the parameters' layout. Returns the loss diagnostics.
 
     Both networks take each hidden layer as one (2, rows, width) stack,
     forward and backward; np.matmul gives each slice of a stack the BLAS
@@ -656,8 +628,6 @@ def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
     adv = minibatch["advantages"]
     targets = minibatch["value_targets"]
     n = obs.shape[0]
-    if work is None:
-        work = _Workspace(policy._layout)
     acts, deltas, mean, z, zz, values = work.rows(n)
     params, grads = policy._arrays, work.grads
 
@@ -726,7 +696,7 @@ def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
             np.add.reduce(g, axis=1, keepdims=True, out=grads.b_stacks[i])
             if i:
                 np.matmul(g, params.w_stacks[i].transpose(0, 2, 1), out=deltas[i - 1])
-        diags = {
+        return {
             "policy_loss": float(policy_loss),
             "value_loss": value_loss,
             "entropy": float(entropy),
@@ -736,7 +706,6 @@ def ppo_loss_and_grads(policy: PolicyNetwork, minibatch: dict,
             "total_loss": float(policy_loss + hyper.value_coef * value_loss
                                 - hyper.entropy_coef * entropy),
         }
-    return diags, work.actor_grads, work.critic_grads
 
 
 def ppo_update(batch: dict, policy: PolicyNetwork, hyper: PpoHyperparams,
@@ -765,7 +734,7 @@ def ppo_update(batch: dict, policy: PolicyNetwork, hyper: PpoHyperparams,
         for start in range(0, n, hyper.minibatch_size):
             mb = {k: v[start:start + hyper.minibatch_size]
                   for k, v in shuffled.items()}
-            diags, _, _ = ppo_loss_and_grads(policy, mb, hyper, work)
+            diags = ppo_loss_and_grads(policy, mb, hyper, work)
             if not all(map(math.isfinite, diags.values())):
                 raise TrainingFailureError("non-finite PPO loss", diagnostics=diags)
             work.clip(hyper.max_grad_norm)
@@ -793,7 +762,7 @@ def train(config, hyper: PpoHyperparams, seed: int, progress=None):
     """
     from .loop import TwinLoop, episode_seed  # deferred: loop depends on this module
 
-    env = TwinLoop.from_config(config)
+    env = TwinLoop(config)
     root = np.random.SeedSequence(seed)
     init_rng, action_rng, shuffle_rng = [
         np.random.default_rng(s) for s in root.spawn(3)]

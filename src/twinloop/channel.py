@@ -218,18 +218,18 @@ def required_power(distance_m: float, params: ChannelParams) -> float:
     return power
 
 
-def sample_rician_gain(rician_factor: float, rng, size=None):
-    """Unit-mean Rician power gain |h|^2.
+def sample_rician_gain(rician_factor: float, rng, size: int) -> np.ndarray:
+    """``size`` draws of the unit-mean Rician power gain |h|^2.
 
     h has a deterministic line-of-sight part sqrt(G/(G+1)) plus a circular
     complex Gaussian with total variance 1/(G+1); at G=0 this is a Rayleigh
-    (exponential power) channel. One draw of 2n normals (n = 1 for a
-    scalar) holds the real parts' noise z and then the imaginary parts' z',
-    the numbers two draws of n would give, and every pass after it works in
-    that buffer: re = s z + sqrt(G/(G+1)) and im = s z' are squared and
-    summed into the real half, with the bits of re * re + im * im. The
-    returned array is that half, a view of the buffer. Raises
-    InvalidInputError unless G is nonnegative and finite.
+    (exponential power) channel. One draw of 2n normals holds the real
+    parts' noise z and then the imaginary parts' z', the numbers two draws
+    of n would give, and every pass after it works in that buffer:
+    re = s z + sqrt(G/(G+1)) and im = s z' are squared and summed into the
+    real half, with the bits of re * re + im * im. The returned array is
+    that half, a view of the buffer. Raises InvalidInputError unless G is
+    nonnegative and finite.
     """
     if not 0.0 <= rician_factor < math.inf:
         raise InvalidInputError(f"rician factor must be nonnegative and finite: "
@@ -237,13 +237,11 @@ def sample_rician_gain(rician_factor: float, rng, size=None):
     g = rician_factor
     los = math.sqrt(g / (g + 1.0))
     scatter_std = math.sqrt(1.0 / (2.0 * (g + 1.0)))
-    n = 1 if size is None else size
-    buf = rng.standard_normal(2 * n)
+    buf = rng.standard_normal(2 * size)
     buf *= scatter_std
-    buf[:n] += los
+    buf[:size] += los
     buf *= buf
-    gain = np.add(buf[:n], buf[n:], out=buf[:n])
-    return float(gain[0]) if size is None else gain
+    return np.add(buf[:size], buf[size:], out=buf[:size])
 
 
 # fading draws per sample_rician_gain call in outage_probability_mc: 16 MB

@@ -131,12 +131,15 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_point(config, kappa, capacity, eps, train_steps) -> dict:
+    """One grid point's row. ``train`` and ``run_monte_carlo`` each build
+    the point's loop, which checks it, before any work, so a bad point
+    fails before its policy is trained."""
     rl = dataclasses.replace(config.rl, reward_weight=kappa)
     if train_steps:
         rl = dataclasses.replace(rl, total_steps=train_steps)
     point = dataclasses.replace(
         config, capacity=capacity, output_dir=None, rl=rl,
-        channel=dataclasses.replace(config.channel, outage_epsilon=eps)).validate()
+        channel=dataclasses.replace(config.channel, outage_epsilon=eps))
     policy = None
     if train_steps:
         policy, _ = agent_mod.train(point, point.rl, point.master_seed)

@@ -10,9 +10,11 @@ selection up to roundoff (sequential processing of uncorrelated
 measurements): the value-of-information scheduler takes one step per pick,
 and the greedy baselines one per measured feature, with the precisions of
 that feature's readings summed. ``fused_mean`` gives the posterior mean
-once the readings arrive (the schedulers' shared fusion tail calls it). The
-Joseph form keeps the covariance symmetric positive semidefinite under
-roundoff; it agrees with the plain (I - K H) P form in exact arithmetic.
+once the readings arrive: the schedulers' shared fusion tail calls it for
+every selection, since each scheduler is handed the loop's ``observe_fn``,
+so no decision carries a covariance-only posterior. The Joseph form keeps
+the covariance symmetric positive semidefinite under roundoff; it agrees
+with the plain (I - K H) P form in exact arithmetic.
 
 The batch functions are the test oracle, and no query interval calls them:
 ``stack`` builds the joint observation model of several agents (one one-hot

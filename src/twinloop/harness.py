@@ -133,9 +133,6 @@ class ExperimentConfig:
         d["rl"] = self.rl.to_dict()
         return json.loads(json.dumps(d))   # canonical JSON types (tuples -> lists)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
@@ -192,7 +189,8 @@ def run_episode(policy: PolicyNetwork, config: ExperimentConfig,
                 episode_index: int, env: TwinLoop) -> EpisodeMetrics:
     """Roll one evaluation episode on ``env``, a loop of ``config``;
     numerical failures propagate. ``env`` must record its trace, from
-    which the metrics are read."""
+    which the metrics are read; they keep that episode's list, since the
+    next ``reset`` starts a new one."""
     if not env.record_trace:
         raise InvalidInputError("run_episode needs a loop that records its trace")
     obs = env.reset(episode_seed(config.master_seed, 2, episode_index))
@@ -203,7 +201,7 @@ def run_episode(policy: PolicyNetwork, config: ExperimentConfig,
             break
         obs = step.policy_input
     return EpisodeMetrics(episode=episode_index, reached_goal=step.terminated,
-                          **env.episode_totals(env.trace), trace=list(env.trace))
+                          **env.episode_totals(env.trace), trace=env.trace)
 
 
 def run_monte_carlo(config: ExperimentConfig, policy: PolicyNetwork = None,
@@ -332,8 +330,9 @@ def write_csv(path, columns, rows):
             fh.flush()
 
 
-def export_traces(metrics, out_dir, report=None, *, env):
-    """Write episodes.csv, one trace_<i>.csv per episode, and summary.json.
+def export_traces(metrics, out_dir, report, *, env):
+    """Write episodes.csv, one trace_<i>.csv per episode, and summary.json,
+    ``report`` less its episodes.
 
     ``env`` is the ``TwinLoop`` that recorded the traces; each trace file is
     its ``trace_table`` of the episode's records, written row by row with
@@ -349,10 +348,9 @@ def export_traces(metrics, out_dir, report=None, *, env):
             with open(out / f"trace_{m.episode}.csv", "w", newline="") as fh:
                 fh.write(csv_line(list(table)))
                 fh.writelines(map(csv_line, zip(*table.values())))
-        if report is not None:
-            summary = {k: v for k, v in report.items() if k != "episodes"}
-            with open(out / "summary.json", "w") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True)
+        summary = {k: v for k, v in report.items() if k != "episodes"}
+        with open(out / "summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot write outputs under {out}: {exc}")
     return out

@@ -23,8 +23,8 @@ module knows the layout of a record.
 Within a query interval values pass between the layers as Python floats:
 the decoded action, the caps, the belief (``Belief.values`` and
 ``Belief.rows``), the readings and the true state. An array is built only
-where a layer needs one: a BLAS product, a ``Generator`` draw, the policy
-input and ``ScheduleDecision.satisfied``.
+where a layer needs one: a BLAS product, a ``Generator`` draw and the
+policy input.
 
 Episode randomness is split into independent substreams (initial state and
 process noise / observation noise / benchmark agent picks), so two modes run
@@ -176,7 +176,7 @@ class TwinLoop:
                     self._qi, *self._true_state, *posterior.values,
                     *posterior.variances, *self._prior.variances, *caps,
                     *action.accuracy, decision.selected_ids, power, control, reward,
-                    all(decision.satisfied.tolist())))
+                    all(decision.satisfied)))
 
             terminated = reached_goal
             truncated = (not terminated) and self._qi >= self.plant.episode_cap
@@ -199,7 +199,8 @@ class TwinLoop:
         A per-feature column (true_, belief_, std_, prior_ratio_, eta_) comes
         once per plant feature, named after it. The derived columns take the
         per-QI operations elementwise, so they keep their bits: std is
-        sqrt(max(var, 0)), prior_ratio is prior var / cap, and
+        sqrt(max(var, 0)), prior_ratio is prior var / cap (inf where it
+        overflows: a diagnostic of a run that went through), and
         weighted_objective, a diagnostic that is logged and never
         optimized, is (1 - w) sum_k max(var_k / cap_k - 1, 0) + w np.sum(powers)
         with w the accuracy weight. That np.sum is a pairwise sum, not the
@@ -213,9 +214,11 @@ class TwinLoop:
         post, prior, caps = (np.array(c, dtype=float).reshape(k, -1)
                              for c in (post, prior, caps))
         ids, power, control, reward, satisfied = cols[6 * k + 1:]
-        # summed per QI over a C-ordered (QI, feature) array, which gives
-        # the bits of np.sum over one QI's features
-        hinge = np.ascontiguousarray(np.maximum(post / caps - 1.0, 0.0).T).sum(axis=1)
+        with np.errstate(over="ignore"):
+            prior_ratio = (prior / caps).tolist()
+            # summed per QI over a C-ordered (QI, feature) array, which
+            # gives the bits of np.sum over one QI's features
+            hinge = np.ascontiguousarray(np.maximum(post / caps - 1.0, 0.0).T).sum(axis=1)
         selections = set(ids)
         spent = {s: float(np.sum([self.power_by_id[i] for i in s])) for s in selections}
         label = {s: ";".join(str(i) for i in s) for s in selections}
@@ -228,7 +231,7 @@ class TwinLoop:
 
         return {"qi": cols[0], **each("true_", true), **each("belief_", mean),
                 **each("std_", np.sqrt(np.maximum(post, 0.0)).tolist()),
-                **each("prior_ratio_", (prior / caps).tolist()),
+                **each("prior_ratio_", prior_ratio),
                 "n_selected": counts, "selected_ids": [label[s] for s in ids],
                 "iterations": counts, "power_w": power, **each("eta_", eta),
                 "control": control, "base_reward": reward,

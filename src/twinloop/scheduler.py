@@ -47,12 +47,16 @@ trust what the layers before them checked: the caps are positive
 (``sensing.read`` checked them), a feature's summed precision is finite
 (the ``FleetIndex`` checked it), and each rank-1 step returns a symmetric
 covariance. The shape of what ``observe_fn`` returns is checked once, by
-``_readings``.
+``_readings``. Every scheduler takes what ``TwinLoop.step`` passes and
+nothing else: a ``SchedulingMode``, the caps, the true state, the greedy
+selection and ``observe_fn``, each required, so every decision with a
+selection fuses that selection's readings.
 
 A query interval hands its values on as Python floats: the caps, the
 prior's ``Belief.values`` and ``Belief.rows``, the covariance rows between
-rank-1 steps, the readings and the posterior. Arrays are built only for
-the fused mean's BLAS product and for ``ScheduleDecision.satisfied``.
+rank-1 steps, the readings and the posterior, and
+``ScheduleDecision.satisfied`` is a tuple of bools. An array is built only
+for the fused mean's BLAS product.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ class ScheduleDecision:
 
     selected_ids: tuple
     posterior: Belief
-    satisfied: np.ndarray     # bool per feature
+    satisfied: tuple          # bool per feature
 
     @property
     def iterations(self) -> int:
@@ -101,15 +105,13 @@ class ScheduleDecision:
 
 
 def schedule(prior: Belief, caps, index: sensing.FleetIndex,
-             capacity: int, observe_fn=None) -> ScheduleDecision:
+             capacity: int, observe_fn) -> ScheduleDecision:
     """Select at most ``capacity`` agents so the posterior meets ``caps``,
     the effective caps (floats, one per feature).
 
     ``index`` is the fleet's ``sensing.FleetIndex``. ``observe_fn(positions)``
     supplies the float readings of the agents at those fleet positions,
-    one per position, as ``sensing.read`` returns them; when omitted the
-    decision carries the covariance-only posterior with the prior mean
-    (enough for selection analysis and tests).
+    one per position, as ``sensing.read`` returns them.
     """
     dim = len(prior.values)
     if len(caps) != dim:
@@ -167,7 +169,6 @@ def greedy_selection(mode: SchedulingMode, index: sensing.FleetIndex,
     and one (feature, r_k) step per feature they measure, in feature order,
     where r_k = 1 / sum(1 / r_i) over the selected agents reading feature k.
     None for the other modes, which read no fixed selection."""
-    mode = SchedulingMode(mode)
     if mode not in GREEDY_MODES:
         return None
     order = (index.by_distance if mode is SchedulingMode.COST_GREEDY
@@ -183,26 +184,22 @@ def greedy_selection(mode: SchedulingMode, index: sensing.FleetIndex,
 
 def baseline_schedule(mode: SchedulingMode, prior: Belief,
                       index: sensing.FleetIndex, rng,
-                      observe_fn=None, caps=None, true_state=None, *,
-                      traditional_count: int, greedy=None) -> ScheduleDecision:
+                      observe_fn, caps, true_state, *,
+                      traditional_count: int, greedy) -> ScheduleDecision:
     """Per-interval decision for the non-adaptive benchmark modes.
 
     ``index`` is the fleet's ``sensing.FleetIndex``; the greedy modes take
     their fixed order from it, through ``greedy``: their selection and
     fusion steps as ``greedy_selection`` returns them for this mode, fleet
-    and capacity, which a greedy mode must be given.
+    and capacity (None in the other modes).
     ``observe_fn(positions)`` returns the float readings of the agents
     at those fleet positions, as ``sensing.read`` does. ``caps`` are the
-    fixed variance caps (floats) that ``satisfied`` is judged by; None
-    counts every cap as met.
+    fixed variance caps (floats) that ``satisfied`` is judged by, and
+    ``true_state`` the plant's state, which PERFECT hands the twin.
     """
-    if type(mode) is not SchedulingMode:
-        mode = SchedulingMode(mode)
     if mode is SchedulingMode.REVERB:
         raise InvalidInputError("the adaptive mode is served by schedule")
     if mode is SchedulingMode.PERFECT:
-        if true_state is None:
-            raise InvalidInputError("PERFECT mode needs the true state")
         dim = len(prior.values)
         posterior = Belief.of_floats(np.asarray(true_state, dtype=float).tolist(),
                                      [[0.0] * dim for _ in range(dim)], prior.qi)
@@ -211,8 +208,6 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
     if mode in GREEDY_MODES:
         if index.state_dim != len(prior.values):
             raise InvalidInputError("fleet state dimension does not match belief")
-        if greedy is None:
-            raise InvalidInputError("a greedy mode reads its greedy_selection")
         chosen, steps = greedy
         # independent readings of one feature fuse as one reading with
         # their summed precision: one rank-1 step per measured feature
@@ -240,7 +235,7 @@ def baseline_schedule(mode: SchedulingMode, prior: Belief,
     # written into copies of the prior's floats
     mean = list(prior.values)
     rows = [list(row) for row in prior.rows]
-    if chosen and observe_fn is not None:
+    if chosen:
         for p, value in zip(chosen, _readings(observe_fn, chosen)):
             k = index.features[p]
             mean[k] = value
@@ -262,40 +257,29 @@ def _fused_decision(prior: Belief, selection: Selection, cov, caps,
     nothing was chosen. The readings are ``observe_fn(selection)``, fused
     with the joint gain K = P+ H^T R^-1 (``estimator.joint_gain``), which
     needs no solve: H^T picks the measured columns and R is diagonal.
-    Without ``observe_fn`` the posterior keeps the prior mean. ``caps``
-    None counts every cap as met.
     """
     if not selection:
         posterior = prior.copy()
         return ScheduleDecision((), posterior, _caps_met(posterior, caps))
-    if observe_fn is None:
-        posterior = Belief.of_floats(list(prior.values), cov, prior.qi)
-    else:
-        values = _readings(observe_fn, selection)
-        gain = estimator.joint_gain(cov, selection.features, selection.precision)
-        posterior = Belief.of_floats(
-            estimator.fused_mean(prior, selection.features, gain, values), cov, prior.qi)
+    values = _readings(observe_fn, selection)
+    gain = estimator.joint_gain(cov, selection.features, selection.precision)
+    posterior = Belief.of_floats(
+        estimator.fused_mean(prior, selection.features, gain, values), cov, prior.qi)
     return ScheduleDecision(selection.ids, posterior, _caps_met(posterior, caps))
 
 
 def _readings(observe_fn, positions) -> list:
-    """``observe_fn(positions)`` as floats, checked once: the caller's
-    callback must give one reading per position, as a list of floats
-    (``sensing.read``) or a 1-D array, which ``estimator.fused_mean`` then
-    trusts."""
+    """``observe_fn(positions)``, checked once: the caller's callback must
+    give one reading per position as a list of floats, as ``sensing.read``
+    does, which ``estimator.fused_mean`` then trusts."""
     values = observe_fn(positions)
-    if isinstance(values, np.ndarray) and values.ndim == 1:
-        values = values.tolist()
     if not (isinstance(values, list) and len(values) == len(positions)):
         raise InvalidInputError(f"observe_fn must return 1-D readings, one for each "
                                 f"of {len(positions)} agents: got {np.shape(values)}")
     return values
 
 
-def _caps_met(posterior: Belief, caps) -> np.ndarray:
+def _caps_met(posterior: Belief, caps) -> tuple:
     """Per feature, whether the posterior variance is within its effective
-    cap; every feature when ``caps`` is None."""
-    variances = posterior.variances
-    if caps is None:
-        return np.ones(len(variances), dtype=bool)
-    return np.array([v <= cap for v, cap in zip(variances, caps)], dtype=bool)
+    cap."""
+    return tuple(v <= cap for v, cap in zip(posterior.variances, caps))

@@ -65,15 +65,16 @@ def observe(agent: SensingAgentSpec, true_state, rng, qi: int = 0,
     return values
 
 
-def read(index: "FleetIndex", positions, true_state, rng, qi: int = 0) -> list:
+def read(index: "FleetIndex", positions, true_state, rng, qi: int) -> list:
     """Draw the readings o = s[features] + std * z, z ~ N(0, I), of the
     agents at fleet ``positions`` of ``index``, in that order, as floats.
 
     ``true_state`` is the state, one float per feature. One draw of
     ``len(positions)`` normals equals the agents' own draws in selection
     order, so this gives the bits of ``observe`` called agent by agent.
-    Checked finite, as ``observe`` does. The products and sums are taken on
-    floats, which gives their elementwise bits.
+    Checked finite, as ``observe`` does; ``qi`` labels the error. The
+    products and sums are taken on floats, which gives their elementwise
+    bits.
     """
     noise = rng.standard_normal(len(positions)).tolist()
     std, features = index.std, index.features

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from twinloop import Belief, SensingAgentSpec, TwinLoop, estimator, sensing
+from twinloop import Belief, SensingAgentSpec, TwinLoop, estimator, scheduler, sensing
 from twinloop.errors import InvalidInputError, NumericalFailureError
 from twinloop.estimator import CONDITION_LIMIT
 from twinloop.scheduler import ScheduleDecision, requested_caps
@@ -117,18 +117,16 @@ def invert_marcum_tail(rician_factor, epsilon, hi=None):
     return 0.5 * (lo + hi)
 
 
-def reference_sample_rician_gain(rician_factor, rng, size=None):
+def reference_sample_rician_gain(rician_factor, rng, size):
     """Rician power gains as two draws of n normals (real parts, then
     imaginary parts) and allocating array expressions: the bits
     ``channel.sample_rician_gain`` must give from its one in-place buffer."""
     g = rician_factor
     los = math.sqrt(g / (g + 1.0))
     scatter_std = math.sqrt(1.0 / (2.0 * (g + 1.0)))
-    shape = () if size is None else (size,)
-    re = los + scatter_std * rng.standard_normal(shape)
-    im = scatter_std * rng.standard_normal(shape)
-    gain = re * re + im * im
-    return float(gain) if size is None else gain
+    re = los + scatter_std * rng.standard_normal(size)
+    im = scatter_std * rng.standard_normal(size)
+    return re * re + im * im
 
 
 def reference_outage_probability_mc(power_w, distance_m, params, n_trials, rng,
@@ -400,7 +398,22 @@ def seeded_reader(seed, prior, index):
     positions at once through ``sensing.read``."""
     rng = np.random.default_rng(seed)
     state = prior.mean + rng.normal(size=prior.mean.shape[0]) * 0.01
-    return lambda positions: sensing.read(index, positions, state, rng)
+    return lambda positions: sensing.read(index, positions, state, rng, prior.qi)
+
+
+def prior_mean_reader(prior, index):
+    """An ``observe_fn`` for the fleet of ``index`` whose every reading is
+    the prior mean of the agent's feature: a zero innovation, so the fused
+    posterior keeps the prior mean, for tests about the covariance and the
+    selection alone."""
+    return lambda positions: [prior.values[index.features[p]] for p in positions]
+
+
+def select(prior, caps, index, capacity):
+    """``scheduler.schedule`` reading ``prior_mean_reader``: its selection,
+    posterior covariance and met caps, with the prior mean kept."""
+    return scheduler.schedule(prior, caps, index, capacity,
+                              prior_mean_reader(prior, index))
 
 
 def reference_clip_global_norm(grads, max_norm):
@@ -491,8 +504,9 @@ def reference_decode_action(raw, eta_max, control_dim=1):
 def reference_normalize(normalizer, x, update=False):
     """RunningNormalizer.normalize with a copy and np.clip; updates its stats."""
     x = np.asarray(x, dtype=float)
+    state = normalizer.state()
     if normalizer.count > 1:
-        out = (x - normalizer.mean) / np.sqrt(normalizer.var + 1e-8)
+        out = (x - np.array(state["mean"])) / np.sqrt(np.array(state["var"]) + 1e-8)
     else:
         out = x.copy()
     if update:
@@ -633,7 +647,7 @@ def reference_episode_metrics(policy, config, episode_index):
             error = true_state - decision.posterior.mean
             norms.append(math.sqrt(error.dot(error)))
             counts.append(len(decision.selected_ids))
-            flags.append(all(decision.satisfied.tolist()))
+            flags.append(all(decision.satisfied))
             total_base += step.base_reward
             if step.terminated or step.truncated:
                 break
@@ -845,6 +859,17 @@ def reference_backward(net, cache, grad_out):
         grad_w[i] = cache[i].T @ g
         grad_b[i] = g.sum(axis=0)
     return grad_w, grad_b
+
+
+def loss_and_grads(policy, minibatch, hyper):
+    """``agent.ppo_loss_and_grads``' diagnostics, and the actor's and the
+    critic's gradient arrays it wrote into its workspace, in the order of
+    ``reference_ppo_loss_and_grads``."""
+    from twinloop.agent import _Workspace, ppo_loss_and_grads
+
+    work = _Workspace(policy._layout)
+    diags = ppo_loss_and_grads(policy, minibatch, hyper, work)
+    return diags, work.grads.of_actor(), work.grads.of_critic()
 
 
 def reference_ppo_loss_and_grads(policy, minibatch, hyper):

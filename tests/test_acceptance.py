@@ -18,15 +18,16 @@ import pytest
 
 from twinloop import (Belief, ExperimentConfig, PpoHyperparams, SchedulingMode,
                       TwinLoop, baseline_schedule, required_power,
-                      run_monte_carlo, schedule, y_q)
-from twinloop.agent import PolicyNetwork, ppo_loss_and_grads, train
+                      run_monte_carlo, y_q)
+from twinloop.agent import PolicyNetwork, train
 from twinloop.channel import ChannelParams, outage_probability_mc
 from twinloop.estimator import predict
 from twinloop.scheduler import greedy_selection
 from twinloop.dynamics import build_linear_2d
 from tests.helpers import (batch_linear_gaussian_posterior, effective_thresholds,
                            finite_difference_gradient, invert_marcum_tail,
-                           indexed, relative_gradient_error, scalar_agent)
+                           indexed, loss_and_grads, relative_gradient_error,
+                           scalar_agent, select)
 
 
 def report(criterion, passed, detail=""):
@@ -98,10 +99,11 @@ class TestCriterion1EstimatorOracle:
                 values = np.take(state, [index.features[p] for p in positions]) \
                     + 0.1 * rng.standard_normal(len(positions))
                 read.extend(zip(positions, values.tolist()))
-                return values
+                return values.tolist()
 
             belief = baseline_schedule(
                 SchedulingMode.COST_GREEDY, belief, index, rng, observe_fn=observe,
+                caps=[1.0, 1.0], true_state=state,
                 greedy=greedy[2 if t % 2 == 0 else 1], traditional_count=2).posterior
             step_obs = [(np.eye(2)[index.features[p]], index.variance[p], value)
                         for p, value in read]
@@ -140,7 +142,7 @@ class TestCriterion2SchedulerProperties:
             fleet = [scalar_agent(i + 1, i % 2, float(10 ** rng.uniform(-4, -1)))
                      for i in range(m)]
             capacity = int(rng.integers(0, m + 2))
-            decision = schedule(prior, effective, indexed(fleet), capacity)
+            decision = select(prior, effective, indexed(fleet), capacity)
 
             assert decision.iterations <= capacity
             assert len(decision.selected_ids) <= capacity
@@ -231,11 +233,11 @@ class TestCriterion4GradientChecks:
             }
 
             def total_loss():
-                d, _, _ = ppo_loss_and_grads(policy, batch, hyper)
+                d, _, _ = loss_and_grads(policy, batch, hyper)
                 return (d["policy_loss"] + hyper.value_coef * d["value_loss"]
                         - hyper.entropy_coef * d["entropy"])
 
-            _, actor_grads, critic_grads = ppo_loss_and_grads(policy, batch, hyper)
+            _, actor_grads, critic_grads = loss_and_grads(policy, batch, hyper)
             nw = len(policy.actor.weights)
             arrays = (policy.actor.weights + policy.actor.biases
                       + [policy.logstd] + policy.critic.weights

@@ -11,13 +11,13 @@ import pytest
 from twinloop import (CostMode, PolicyNetwork, PpoHyperparams, TrainingFailureError,
                       base_reward, decode_action, shape_reward)
 from twinloop.agent import (Adam, Net, _Layout, _Workspace, compute_gae,
-                            gaussian_logprob, ppo_loss_and_grads, ppo_update)
+                            gaussian_logprob, ppo_update)
 from twinloop.agent import RunningNormalizer
 from tests.helpers import (ReferenceAdam, edgy_floats, finite_difference_gradient,
-                           reference_act, reference_backward, reference_clip_global_norm,
-                           reference_compute_gae, reference_decode_action,
-                           reference_forward, reference_initial_arrays,
-                           reference_normalize,
+                           loss_and_grads, reference_act, reference_backward,
+                           reference_clip_global_norm, reference_compute_gae,
+                           reference_decode_action, reference_forward,
+                           reference_initial_arrays, reference_normalize,
                            reference_ppo_loss_and_grads, reference_ppo_update,
                            reference_train, relative_gradient_error, same_bits)
 
@@ -61,29 +61,29 @@ class TestRewards:
 
 class TestDecodeAction:
     def test_lower_bound(self):
-        act = decode_action(np.array([0.0, -1.0, -1.0]), 1000.0)
+        act = decode_action([0.0, -1.0, -1.0], 1000.0)
         assert act.control[0] == 0.0
         np.testing.assert_allclose(act.accuracy, [0.0, 0.0])
 
     def test_upper_bound(self):
-        act = decode_action(np.array([1.0, 1.0, 1.0]), 1000.0)
+        act = decode_action([1.0, 1.0, 1.0], 1000.0)
         assert act.control[0] == 1.0
         np.testing.assert_allclose(act.accuracy, [1000.0, 1000.0])
 
     def test_midpoint_affine(self):
-        act = decode_action(np.array([0.5, 0.0, 0.0]), 1000.0)
+        act = decode_action([0.5, 0.0, 0.0], 1000.0)
         assert act.control[0] == 0.5
         np.testing.assert_allclose(act.accuracy, [500.0, 500.0])
 
     def test_infinite_inputs_clamped(self):
-        act = decode_action(np.array([np.inf, -np.inf, np.inf]), 1000.0)
+        act = decode_action([np.inf, -np.inf, np.inf], 1000.0)
         assert act.control[0] == 1.0
         np.testing.assert_allclose(act.accuracy, [0.0, 1000.0])
 
     def test_random_inputs_always_in_bounds(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            raw = rng.normal(scale=10.0, size=3)
+            raw = rng.normal(scale=10.0, size=3).tolist()
             act = decode_action(raw, 1000.0)
             assert -1.0 <= act.control[0] <= 1.0
             assert all(0.0 <= eta <= 1000.0 for eta in act.accuracy)
@@ -252,7 +252,7 @@ class TestPpoLoss:
         policy, hyper = small_policy(5)
         hyper.entropy_coef = 0.0
         batch = synthetic_batch(policy, hyper)
-        diags, actor_grads, _ = ppo_loss_and_grads(policy, batch, hyper)
+        diags, actor_grads, _ = loss_and_grads(policy, batch, hyper)
 
         # vanilla: -(1/N) sum_i A_i * grad logp_i
         obs, actions, adv = batch["obs"], batch["actions"], batch["advantages"]
@@ -273,7 +273,7 @@ class TestPpoLoss:
         batch = synthetic_batch(policy, hyper, n=4)
         batch["advantages"] = np.ones(4)
         batch["logp"] = batch["logp"] - 1.0   # ratio = e > 1 + clip
-        _, actor_grads, _ = ppo_loss_and_grads(policy, batch, hyper)
+        _, actor_grads, _ = loss_and_grads(policy, batch, hyper)
         for g in actor_grads:
             np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
@@ -282,11 +282,11 @@ class TestPpoLoss:
         batch = synthetic_batch(policy, hyper, n=24)
 
         def total_loss():
-            diags, _, _ = ppo_loss_and_grads(policy, batch, hyper)
+            diags, _, _ = loss_and_grads(policy, batch, hyper)
             return diags["policy_loss"] + hyper.value_coef * diags["value_loss"] \
                 - hyper.entropy_coef * diags["entropy"]
 
-        diags, actor_grads, critic_grads = ppo_loss_and_grads(policy, batch, hyper)
+        diags, actor_grads, critic_grads = loss_and_grads(policy, batch, hyper)
         arrays = (policy.actor.weights + policy.actor.biases + [policy.logstd]
                   + policy.critic.weights + policy.critic.biases)
         numeric = finite_difference_gradient(total_loss, arrays, step=1e-5)
@@ -437,6 +437,19 @@ class TestFlatBuffer:
             assert not any(np.shares_memory(a, policy.params) for a in arrays)
             assert all(np.shares_memory(w, clone.params) for w in clone._arrays.w_stacks)
 
+    def test_pickle_writes_each_parameter_once(self):
+        # the views are carved again when unpickled, so the pickle holds the
+        # flat buffer and the optimizer's moments and rates, each once: four
+        # buffers of the parameters' size, where writing the views as well
+        # took about seven
+        policy = PolicyNetwork.load(PERFBENCH / "reverb_policy.json")
+        data = pickle.dumps(policy)
+        assert len(data) < 4 * policy.params.nbytes + 4096
+        clone = pickle.loads(data)
+        assert same_bits(clone.params, policy.params)
+        assert all(np.shares_memory(a, clone.params) for a in policy_arrays(clone))
+        assert clone.state_dict() == policy.state_dict()
+
 
 class TestMatchesReference:
     """Flat Adam, the per-network clip, min/max clamps and skipped coercion
@@ -530,7 +543,6 @@ class TestMatchesReference:
             assert type(act.control) is list and type(act.accuracy) is list
             assert same_bits(act.control, control)
             assert same_bits(act.accuracy, eta)
-            assert same_bits(decode_action(raw, eta_max, control_dim).accuracy, eta)
 
     def test_normalize(self):
         rng = np.random.default_rng(24)
@@ -543,8 +555,8 @@ class TestMatchesReference:
                 update = bool(rng.random() < 0.7)
                 assert same_bits(mine.normalize(x, update=update),
                                  reference_normalize(ref, x, update=update))
-                assert same_bits(mine.mean, ref.mean)
-                assert same_bits(mine.var, ref.var)
+                for key in ("mean", "var"):
+                    assert same_bits(mine.state()[key], ref.state()[key])
 
     def test_normalize_leaves_its_input_alone(self):
         x = np.array([-0.0, 3.0])
@@ -565,7 +577,7 @@ class TestMatchesReference:
                 [0.0, 800.0, -800.0, np.nan], size=n, p=[0.7, 0.1, 0.1, 0.1])
             batch["advantages"] = edgy_floats(rng, n, 2.0,
                                               (0.0, -0.0, np.inf, -np.inf, np.nan))
-            diags, actor_grads, critic_grads = ppo_loss_and_grads(policy, batch, hyper)
+            diags, actor_grads, critic_grads = loss_and_grads(policy, batch, hyper)
             want, want_actor, want_critic = reference_ppo_loss_and_grads(policy, batch,
                                                                          hyper)
             assert list(diags) == list(want)
@@ -655,8 +667,8 @@ class TestMatchesReference:
             assert all(same_bits(a, b) for a, b in
                        zip(mine.weights + mine.biases, want.weights + want.biases))
         assert same_bits(policy.logstd, ref.logstd)
-        assert same_bits(policy.normalizer.mean, ref.normalizer.mean)
-        assert same_bits(policy.normalizer.var, ref.normalizer.var)
+        for key in ("mean", "var"):
+            assert same_bits(policy.normalizer.state()[key], ref.normalizer.state()[key])
 
 
 class TestFloatFormMatchesArrayForm:
@@ -700,34 +712,23 @@ class TestFloatFormMatchesArrayForm:
                 assert same_bits(net.forward(x), want) and cache[-1] is want
 
     def test_cached_scale_follows_every_new_variance(self):
-        # the cache is keyed on the var array: an update, a reload or an
-        # assignment each gives the scale of the new variance
+        # an update or a reload each gives the scale of the new variance
         rng = np.random.default_rng(73)
         norm = RunningNormalizer(3)
         for _ in range(5):
             norm.normalize(rng.normal(size=3), update=True)
         x = edgy_floats(rng, 3, 2.0, self.SPECIALS)
-        for change in ("update", "reload", "assign"):
+        for change in ("update", "reload"):
             before = norm.normalize(x)
             if change == "update":
                 norm.normalize(rng.normal(size=3) * 5.0, update=True)
-            elif change == "reload":
+            else:
                 state = norm.state()
                 state["var"] = [v * 4.0 for v in state["var"]]
                 norm = RunningNormalizer.from_state(state)
-            else:
-                norm.var = norm.var * 9.0
             got = norm.normalize(x)
             assert same_bits(got, reference_normalize(norm, x))
             assert not same_bits(got, before)
-
-    def test_zero_scale_gives_numpys_inf_and_nan(self):
-        # var = -1e-8 makes sqrt(var + 1e-8) zero: numpy's x / 0
-        norm = RunningNormalizer.from_state(
-            {"mean": [0.0, 0.0, 0.0], "var": [-1e-8, -1e-8, 1.0], "count": 5.0})
-        x = np.array([1.0, 0.0, 2.0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert same_bits(norm.normalize(x), reference_normalize(norm, x))
 
     def test_decode_action_at_a_zero_eta_max(self):
         # eta_max 0 makes the accuracy bounds 0 and 0: signed-zero ties
@@ -736,12 +737,10 @@ class TestFloatFormMatchesArrayForm:
         for _ in range(500):
             raw = edgy_floats(rng, 3, 2.0, specials)
             for eta_max in (0.0, 1.0):
-                act = decode_action(raw, eta_max)
+                act = decode_action(raw.tolist(), eta_max)
                 with np.errstate(invalid="ignore"):     # 0 * inf in the reference
                     control, eta = reference_decode_action(raw, eta_max)
                 assert same_bits(act.control, control) and same_bits(act.accuracy, eta)
-        act = decode_action(np.float64(0.5), 1.0)     # a 0-d input, as atleast_1d reads it
-        assert same_bits(act.control, [0.5]) and act.accuracy == []
 
     @pytest.mark.parametrize("cost_mode", ["penalty", "paper_eq24"])
     def test_shape_reward(self, cost_mode):
@@ -754,11 +753,8 @@ class TestFloatFormMatchesArrayForm:
             kappa = float(rng.choice([0.0, 10.0 ** rng.uniform(-7, 0)]))
             want = (reward - kappa * eta.mean() if cost_mode == "penalty"
                     else reward + kappa * 0.5 * eta.sum())
-            for mode in (cost_mode, CostMode(cost_mode)):
-                assert same_bits(shape_reward(reward, eta.tolist(), kappa, mode),
-                                 float(want))
-        with pytest.raises(ValueError):
-            shape_reward(0.0, [1.0], 1.0, "nope")
+            assert same_bits(shape_reward(reward, eta.tolist(), kappa, CostMode(cost_mode)),
+                             float(want))
 
 
 class TestBlasAssumptions:

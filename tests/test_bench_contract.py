@@ -18,11 +18,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from twinloop import SchedulingMode, agent, channel, harness, loop, scheduler
-from tests.helpers import diag_belief, indexed, scalar_agent
+from tests.helpers import diag_belief, indexed, prior_mean_reader, scalar_agent
 from tests.test_acceptance import benchmark_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -50,8 +49,9 @@ def test_every_span_target_is_in_its_owner_dict(workloads):
 
 def test_schedule_decision_feeds_the_counter(workloads):
     fleet = indexed([scalar_agent(1, 0, 0.004), scalar_agent(2, 1, 0.0001)])
-    decision = scheduler.schedule(diag_belief(0.05, 0.005),
-                                  np.array([0.01, 0.001]), fleet, 2)
+    prior = diag_belief(0.05, 0.005)
+    decision = scheduler.schedule(prior, [0.01, 0.001], fleet, 2,
+                                  prior_mean_reader(prior, fleet))
     counter = workloads.ScheduleCounter()
     counter(decision)
     assert (counter.calls, counter.iterations, counter.selected,

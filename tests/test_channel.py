@@ -209,7 +209,7 @@ class TestRicianGain:
 
     def test_negative_factor_rejected(self):
         with pytest.raises(InvalidInputError):
-            sample_rician_gain(-1.0, np.random.default_rng(0))
+            sample_rician_gain(-1.0, np.random.default_rng(0), size=3)
 
     @pytest.mark.parametrize("factor", [np.nan, np.inf])
     def test_factor_that_is_not_finite_rejected(self, factor):
@@ -218,19 +218,15 @@ class TestRicianGain:
             sample_rician_gain(factor, np.random.default_rng(0), size=3)
 
     @pytest.mark.parametrize("factor", [0.0, 10.0, 1e12])
-    @pytest.mark.parametrize("size", [None, 1, 7, 100_000])
+    @pytest.mark.parametrize("size", [1, 7, 100_000])
     def test_one_draw_matches_the_two_draw_reference(self, factor, size):
         # byte for byte, and the generator is left where two draws of n
         # leave it
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         got = sample_rician_gain(factor, rng, size=size)
         want = reference_sample_rician_gain(factor, ref_rng, size=size)
-        if size is None:
-            assert type(got) is float
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        else:
-            assert got.dtype == want.dtype and got.shape == want.shape == (size,)
-            assert got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype and got.shape == want.shape == (size,)
+        assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -103,7 +104,7 @@ def small_config_file(tmp_path, **overrides):
     for key, value in overrides.items():
         setattr(config, key, value)
     path = tmp_path / "config.json"
-    path.write_text(config.to_json())
+    path.write_text(json.dumps(config.to_dict(), indent=2))
     return path
 
 
@@ -219,6 +220,26 @@ class TestEvaluate:
         assert line["episodes"] == 1 and math.isfinite(line["mean_mrmse"])
         assert err == ("episode failures: {0: 'NumericalFailureError: non-finite "
                        "estimation error norm (QI 2)'}\n")
+
+    def test_prior_ratio_that_overflows_is_written_as_inf(self, tmp_path, capsys):
+        # caps at the smallest the rules accept and a process noise std of
+        # 10: at QI 2 the prior variance over the cap passes the largest
+        # float. The run succeeded, so its trace reads inf there; numpy's
+        # overflow warning once escaped it as an untyped exception
+        config = json.loads((PERFBENCH / "acceptance.json").read_text())
+        config.update(variance_caps=[2.3e-308, 2.3e-308], episodes=1)
+        config["plant"]["process_noise_std"] = [10, 10]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # as python -W error runs it
+            code = main(["evaluate", "--config", str(path), "--mode", "cost_greedy",
+                         "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "" and json.loads(out)["episodes"] == 1
+        with open(tmp_path / "out" / "trace_0.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[1]["qi"] == "2" and rows[1]["prior_ratio_pos"] == "inf"
 
     def test_workers_variable_is_not_read(self, tmp_path, capsys, monkeypatch):
         # the package reads no environment variable: a worker count that
@@ -810,12 +831,12 @@ class TestOneCheckPerRun:
         assert counts == {"loops": 2, "validates": 1}
 
     def test_sweep_validates_each_point_once(self, tmp_path, counts):
-        # the checked flags, then per point one check and run_monte_carlo's
-        # one loop
+        # the checked flags, then per point run_monte_carlo's one loop,
+        # whose build is the point's check
         with redirect_stdout(io.StringIO()):
             assert main(["sweep", "--config", str(small_config_file(tmp_path, episodes=1)),
                          "--out", str(tmp_path / "sweep"), "--capacity", "1", "3"]) == 0
-        assert counts == {"loops": 5, "validates": 3}
+        assert counts == {"loops": 3, "validates": 1}
 
     def test_train_builds_two_loops_and_validates_once(self, tmp_path, counts):
         with redirect_stdout(io.StringIO()):
@@ -840,7 +861,8 @@ class TestOneCheckPerRun:
         def must_not_train(*args, **kwargs):
             raise AssertionError("trained a point that fails the check")
 
-        monkeypatch.setattr(agent, "train", must_not_train)
+        # train builds its policy only after its loop has checked the point
+        monkeypatch.setattr(agent.PolicyNetwork, "__init__", must_not_train)
         code = main(["sweep", "--config", str(small_config_file(tmp_path, episodes=1)),
                      "--out", str(tmp_path / "sweep"), "--train-steps", "256",
                      "--kappa", "-1"])

@@ -47,13 +47,14 @@ def small_config(mode="reverb", episodes=2, seed=5):
 class TestConfig:
     def test_json_round_trip(self):
         config = small_config()
-        back = ExperimentConfig.from_dict(json.loads(config.to_json()))
+        text = json.dumps(config.to_dict(), indent=2)
+        back = ExperimentConfig.from_dict(json.loads(text))
         assert back.to_dict() == config.to_dict()
 
     def test_file_round_trip(self, tmp_path):
         config = small_config()
         path = tmp_path / "config.json"
-        path.write_text(config.to_json())
+        path.write_text(json.dumps(config.to_dict(), indent=2))
         loaded = ExperimentConfig.from_json_file(path)
         assert loaded.to_dict() == config.to_dict()
 
@@ -276,7 +277,7 @@ class TestMonteCarlo:
 
 class TestExport:
     def test_empty_metrics_writes_header_only(self, tmp_path):
-        export_traces([], tmp_path / "out", env=TwinLoop.from_config(small_config()))
+        export_traces([], tmp_path / "out", {}, env=TwinLoop.from_config(small_config()))
         lines = (tmp_path / "out" / "episodes.csv").read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("episode,")
@@ -287,7 +288,7 @@ class TestExport:
         config.validate()
         env = TwinLoop.from_config(config, record_trace=True)
         metrics = run_episode(fresh_policy(config, env), config, 0, env=env)
-        export_traces([metrics], tmp_path / "out", env=env)
+        export_traces([metrics], tmp_path / "out", {}, env=env)
         lines = (tmp_path / "out" / f"trace_{metrics.episode}.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
 

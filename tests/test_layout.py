@@ -53,9 +53,23 @@ def names_used(path, strings=False):
     return names
 
 
+def public_definitions(tree):
+    """(name, label, line) of each public function and class of a module,
+    and of each public method of its classes, labelled ``Class.method``."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, f"{node.name}.{item.name}", item.lineno
+
+
 def test_every_public_function_and_class_is_used():
-    # used in its own module, named in another module of the package (its
-    # re-exports in __init__ do not count), or named by the benchmark
+    # a function, class or method: used in its own module, named in another
+    # module of the package (its re-exports in __init__ do not count), or
+    # named by the benchmark
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     used = {p: names_used(p) for p in modules}
     bench = set().union(*(names_used(p, strings=True)
@@ -63,11 +77,9 @@ def test_every_public_function_and_class_is_used():
     unused = []
     for path in modules:
         elsewhere = set().union(*(used[p] for p in modules if p != path))
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in used[path] | elsewhere | bench):
-                unused.append(f"{path.name}:{node.lineno}: {node.name}")
+        for name, label, line in public_definitions(ast.parse(path.read_text())):
+            if name not in used[path] | elsewhere | bench:
+                unused.append(f"{path.name}:{line}: {label}")
     assert not unused, "\n".join(unused)
 
 

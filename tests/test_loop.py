@@ -77,7 +77,7 @@ class TestFleetIndex:
         seen = []
         real = scheduler.schedule
 
-        def spy(prior, caps, fleet, capacity, observe_fn=None):
+        def spy(prior, caps, fleet, capacity, observe_fn):
             seen.append(fleet)
             return real(prior, caps, fleet, capacity, observe_fn)
 
@@ -365,7 +365,7 @@ class TestTrace:
         config.plant.episode_cap = 8
         env = TwinLoop.from_config(config.validate(), record_trace=True)
         metrics = run_episode(fresh_policy(config, env), config, 0, env=env)
-        export_traces([metrics], tmp_path / "out", env=env)
+        export_traces([metrics], tmp_path / "out", {}, env=env)
         path = tmp_path / "out" / "trace_0.csv"
         with open(path, newline="") as fh:
             header, *rows = list(csv.reader(fh))

@@ -19,7 +19,7 @@ from twinloop.errors import NumericalFailureError
 from twinloop.scheduler import greedy_selection
 from twinloop.estimator import (StackedObservationModel, posterior_cov,
                                 scalar_posterior_cov)
-from tests.helpers import random_case, relative_error, seeded_reader
+from tests.helpers import random_case, relative_error, seeded_reader, select
 
 PROPERTY = settings(max_examples=300, derandomize=True, deadline=None,
                     database=None)
@@ -145,7 +145,7 @@ def test_scalar_step_is_symmetric_psd_and_shrinks_variances(case):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 12))
 def test_selection_never_exceeds_capacity(seed, capacity):
     prior, caps, index, _ = random_case(np.random.default_rng(seed))
-    decision = schedule(prior, caps, index, capacity)
+    decision = select(prior, caps, index, capacity)
     assert len(decision.selected_ids) <= capacity
     assert len(decision.selected_ids) == decision.iterations
     assert len(set(decision.selected_ids)) == len(decision.selected_ids)
@@ -166,7 +166,7 @@ def test_satisfied_reports_the_caps_met(seed, capacity, mode):
                                      traditional_count=2)
     met = decision.posterior.cov.diagonal() <= caps
     assert np.array_equal(decision.satisfied, met)
-    assert bool(decision.satisfied.all()) == bool(met.all())
+    assert all(decision.satisfied) == bool(met.all())
 
 
 @PROPERTY
@@ -176,11 +176,11 @@ def test_greedy_stopping_with_room_left_meets_every_cap(seed, capacity):
     # feature has an agent left; so with capacity to spare and an unchosen
     # agent for every violated feature, nothing can be violated.
     prior, caps, index, _ = random_case(np.random.default_rng(seed))
-    decision = schedule(prior, caps, index, capacity)
-    violated = np.nonzero(~decision.satisfied)[0].tolist()
+    decision = select(prior, caps, index, capacity)
+    violated = [k for k, met in enumerate(decision.satisfied) if not met]
     unchosen = {a.feature for a in index.agents if a.id not in decision.selected_ids}
     if len(decision.selected_ids) < capacity and set(violated) <= unchosen:
-        assert decision.satisfied.all()
+        assert all(decision.satisfied)
 
 
 @PROPERTY

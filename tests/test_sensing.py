@@ -216,7 +216,7 @@ class TestMatchesReference:
             order = rng.permutation(len(index))
             state = prior.mean + rng.normal(size=prior.mean.shape[0])
             for selection in (tuple(order[:rng.integers(1, len(index) + 1)]), tuple(order)):
-                got = read(index, selection, state, np.random.default_rng(case))
+                got = read(index, selection, state, np.random.default_rng(case), prior.qi)
                 draws = np.random.default_rng(case)
                 want = np.concatenate([observe(index.agents[p], state, draws)
                                        for p in selection])
