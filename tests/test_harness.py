@@ -122,6 +122,19 @@ def evaluate_episode(config, index):
 
 
 class TestRunEpisode:
+    def test_each_episode_keeps_its_own_trace(self):
+        # the metrics hold the loop's list itself; the next reset starts a
+        # new one instead of clearing it
+        config = small_config(mode="reverb")
+        env = TwinLoop(config, record_trace=True)
+        policy = fresh_policy(config, env)
+        first = run_episode(policy, config, 0, env)
+        kept = list(first.trace)
+        second = run_episode(policy, config, 1, env)
+        assert second.trace is env.trace and first.trace is not second.trace
+        assert first.trace == kept
+        assert first.trace == evaluate_episode(config, 0).trace
+
     def test_perfect_mode_has_zero_error(self):
         config = small_config(mode="perfect")
         metrics = evaluate_episode(config, 0)

@@ -223,6 +223,39 @@ class TestOneRecordPerQi:
         assert sizes == {k: len(v) for k, v in vars(env).items()
                          if isinstance(v, (list, dict))}
 
+    @pytest.mark.parametrize("mode", [m.value for m in SchedulingMode])
+    def test_each_decision_judges_every_feature_with_a_bool(self, mode, monkeypatch):
+        # ScheduleDecision.satisfied is a tuple of Python bools, one per
+        # feature, and the record keeps their conjunction
+        from twinloop import loop as loop_mod
+
+        decisions = []
+
+        def spying(real):
+            def spy(*args, **kwargs):
+                decisions.append(real(*args, **kwargs))
+                return decisions[-1]
+            return spy
+
+        monkeypatch.setattr(scheduler, "schedule", spying(scheduler.schedule))
+        monkeypatch.setattr(loop_mod, "baseline_schedule",
+                            spying(loop_mod.baseline_schedule))
+        env = TwinLoop(loop_config(mode), record_trace=True)
+        dim = len(env.plant.feature_names)
+        env.reset(0)
+        for _ in range(10):
+            env.step(np.zeros(env.action_dim))
+        assert len(decisions) == len(env.trace) == 10
+        for decision, record in zip(decisions, env.trace):
+            satisfied = decision.satisfied
+            assert type(satisfied) is tuple and len(satisfied) == dim
+            assert all(type(s) is bool for s in satisfied)
+            variances = record[1 + 2 * dim:1 + 3 * dim]
+            caps = record[1 + 4 * dim:1 + 5 * dim]
+            assert list(variances) == list(decision.posterior.variances)
+            assert satisfied == tuple(v <= c for v, c in zip(variances, caps))
+            assert record[-1] is all(satisfied)
+
     def test_run_episode_needs_a_recording_loop(self):
         config = loop_config()
         env = TwinLoop(config)
