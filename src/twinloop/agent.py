@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, TrainingFailureError
+from .errors import InvalidInputError, NumericalFailureError, TrainingFailureError
 from .settings import FLAG, at_least, check, integers, one_of, setting, within
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -162,8 +162,9 @@ class RunningNormalizer:
     scale sqrt(var + 1e-8) computed whenever the variance changes. Every
     operation is elementwise, taken on floats with numpy's bits. The
     variance is never negative: Welford's update keeps it >= 0 in floating
-    point, and ``PolicyNetwork.from_state`` rejects a negative one, so the
-    scale is at least 1e-4.
+    point unless two inputs differ by more than the largest float (it then
+    raises NumericalFailureError), and ``PolicyNetwork.from_state`` rejects
+    a negative one, so the scale is at least 1e-4.
     """
 
     clip = 10.0
@@ -175,7 +176,10 @@ class RunningNormalizer:
 
     def _set_var(self, var: list):
         self._var = var
-        self._scale = [math.sqrt(v + 1e-8) for v in var]
+        try:
+            self._scale = [math.sqrt(v + 1e-8) for v in var]
+        except ValueError:  # a negative variance: the update overflowed
+            raise NumericalFailureError("input variance overflowed") from None
 
     def normalize(self, x, update: bool = False) -> np.ndarray:
         """(x - mean) / sqrt(var + 1e-8) once two samples are in, clipped
@@ -247,7 +251,10 @@ class Net(NamedTuple):
         return (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
 
     def forward(self, x) -> np.ndarray:
-        """The output (N, out) of ``x``, a 2-D float64 array (N, in)."""
+        """The output of ``x``, a float64 array: (out,) of a 1-D row (in,),
+        (N, out) of an (N, in) batch. A row's products are vector-by-matrix
+        (gemv), with the bits of its one-row batch on OpenBLAS
+        (``tests/test_agent.py::TestBlasAssumptions``)."""
         # ndarray.dot calls the BLAS product that @ calls, with less
         # dispatch; the bias and tanh go into the product's own array
         h = x
@@ -495,15 +502,16 @@ class PolicyNetwork:
 
     def act(self, policy_input, update_stats: bool = False):
         """The mean of the action distribution: returns (mean,
-        normalized_obs). Evaluation takes the mean; training adds its own
-        exploration noise, and computes log-probs and the critic's values
-        once per batch."""
+        normalized_obs), both 1-D arrays. The normalized row goes through
+        the actor as it is, one gemv per layer. Evaluation takes the mean;
+        training adds its own exploration noise, and computes log-probs and
+        the critic's values once per batch."""
         x = self.normalizer.normalize(policy_input, update=update_stats)
-        return np.tanh(self.actor.forward(x[None, :])[0]), x
+        return np.tanh(self.actor.forward(x)), x
 
     def value(self, policy_input) -> float:
         x = self.normalizer.normalize(policy_input, update=False)
-        return float(self.critic.forward(x[None, :])[0, 0])
+        return float(self.critic.forward(x)[0])
 
     # -- persistence ---------------------------------------------------------
 
@@ -754,11 +762,12 @@ def train(config, hyper: PpoHyperparams, seed: int, progress=None):
     ``total_steps`` = 0 the initial policy is returned untouched.
 
     A collection step runs the actor only. The batch's exploration noise is
-    drawn in one call before its steps (the same numbers as one draw per
-    step), and the log-probs and critic values of its fixed networks are
-    computed after them. The bootstrap values at truncations and at the
-    batch cut are taken when they happen, since the input normalizer moves
-    during collection.
+    drawn and scaled by exp(logstd) in one call each before its steps (the
+    numbers and bits of one draw and one scaling per step), and the
+    log-probs and critic values of its fixed networks are computed after
+    them. The bootstrap values at truncations and at the batch cut are
+    taken when they happen, since the input normalizer moves during
+    collection.
     """
     from .loop import TwinLoop, episode_seed  # deferred: loop depends on this module
 
@@ -784,13 +793,12 @@ def train(config, hyper: PpoHyperparams, seed: int, progress=None):
         rew_buf = np.zeros(n)
         boundary = np.zeros(n, dtype=bool)
         bootstrap = np.zeros(n)
-        noise = action_rng.standard_normal((n, env.action_dim))
-        std = np.exp(policy.logstd)
+        scaled = np.exp(policy.logstd) * action_rng.standard_normal((n, env.action_dim))
 
         for t in range(n):
             mean, norm_obs = policy.act(
                 obs, update_stats=hyper.normalize_observations)
-            action = mean + std * noise[t]
+            action = mean + scaled[t]
             step = env.step(action)
             obs_buf[t] = norm_obs
             act_buf[t] = action

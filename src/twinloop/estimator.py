@@ -32,16 +32,18 @@ matrix passes a symmetric one (``symmetrize`` makes it so).
 
 A query interval holds a belief as Python floats (``Belief.values`` and
 ``Belief.rows``), and its layers hand those floats on. An array is built
-only for a BLAS product: ``predict``'s J P J^T, whose covariance stays an
-array until it is symmetrized, and the gain's product in ``fused_mean``.
-The products stay in numpy because OpenBLAS's kernels fuse multiplies and
-adds, so the same sums written on floats would round differently.
+only for a BLAS product: ``predict``'s J P J^T, read back as floats with
+one ``tolist()`` before C_u is added, and the gain's product in
+``fused_mean``. The products stay in numpy because OpenBLAS's kernels fuse
+multiplies and adds, so the same sums written on floats would round
+differently; an elementwise sum or scaling on floats gives numpy's bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,11 +143,12 @@ def predict(belief: Belief, control: float, model) -> Belief:
     (K, 1) and ``process_cov`` is K x K. The mean is taken on floats, where
     an overflow gives inf without a warning, with B a as 0.0 + B_k a: the
     bits of B @ a, and of ``ndarray.dot`` for K >= 2, whose sum from zero
-    turns a -0.0 product into +0.0. The covariance is taken on arrays, its
-    products by ``ndarray.dot`` (the BLAS routine that ``@`` calls, with
-    less dispatch), under ``np.errstate``, since numpy warns of an overflow
-    in them. The finiteness check reads the mean and the covariance before
-    ``symmetrize`` as floats.
+    turns a -0.0 product into +0.0. Only J P J^T is taken on arrays, by two
+    ``ndarray.dot`` calls (the BLAS routine that ``@`` calls, with less
+    dispatch) under ``np.errstate``, since numpy warns of an overflow in
+    them. The rest is elementwise and taken on the product's floats, with
+    numpy's bits: the sum with C_u, its finiteness check together with the
+    mean's, and ``symmetrize``'s 0.5 (a + b).
     """
     qi = belief.qi + 1
     values = belief.values
@@ -153,11 +156,14 @@ def predict(belief: Belief, control: float, model) -> Belief:
     mean = [m + (0.0 + b * control)
             for m, (b,) in zip(model.f(values), model.control_matrix.tolist())]
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = jac.dot(np.array(belief.rows)).dot(jac.T)
-        cov += model.process_cov
-        rows = symmetrize(cov).tolist()
-    if not _finite(mean + cov.ravel().tolist()):
+        product = jac.dot(np.array(belief.rows)).dot(jac.T)
+    # J P J^T + C_u, row-major
+    cov = list(map(operator.add, product.ravel().tolist(),
+                   model.process_cov.ravel().tolist()))
+    if not _finite(mean + cov):
         raise NumericalFailureError("non-finite belief prediction", qi=qi)
+    k = len(mean)
+    rows = [[0.5 * (cov[i * k + j] + cov[j * k + i]) for j in range(k)] for i in range(k)]
     return Belief.of_floats(mean, rows, qi)
 
 

@@ -203,8 +203,9 @@ class TwinLoop:
         overflows: a diagnostic of a run that went through), and
         weighted_objective, a diagnostic that is logged and never
         optimized, is (1 - w) sum_k max(var_k / cap_k - 1, 0) + w np.sum(powers)
-        with w the accuracy weight. That np.sum is a pairwise sum, not the
-        sequential one behind power_w, so it is taken per selection.
+        with w the accuracy weight, and w np.sum(powers) alone at w = 1,
+        where the hinge may overflow to inf. That np.sum is a pairwise sum,
+        not the sequential one behind power_w, so it is taken per selection.
         """
         names = self.plant.feature_names
         k = len(names)
@@ -223,7 +224,9 @@ class TwinLoop:
         spent = {s: float(np.sum([self.power_by_id[i] for i in s])) for s in selections}
         label = {s: ";".join(str(i) for i in s) for s in selections}
         w = self.accuracy_weight
-        objective = (1.0 - w) * hinge + w * np.array([spent[s] for s in ids], dtype=float)
+        objective = w * np.array([spent[s] for s in ids], dtype=float)
+        if w != 1.0:  # at w = 1 the hinge weighs 0 and may be inf
+            objective = (1.0 - w) * hinge + objective
         counts = [len(s) for s in ids]
 
         def each(prefix, columns):

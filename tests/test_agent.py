@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinloop import (CostMode, PolicyNetwork, PpoHyperparams, TrainingFailureError,
-                      base_reward, decode_action, shape_reward)
+from twinloop import (CostMode, NumericalFailureError, PolicyNetwork, PpoHyperparams,
+                      TrainingFailureError, base_reward, decode_action, shape_reward)
 from twinloop.agent import (Adam, Net, _Layout, _Workspace, compute_gae,
                             gaussian_logprob, ppo_update)
 from twinloop.agent import RunningNormalizer
@@ -564,6 +564,14 @@ class TestMatchesReference:
         out[1] = 7.0
         assert same_bits(x, [-0.0, 3.0])
 
+    def test_update_whose_variance_overflows_raises_typed(self):
+        # two finite inputs further apart than the largest float: d is -inf,
+        # the variance -inf, and math.sqrt raised an untyped ValueError
+        norm = RunningNormalizer(1)
+        norm.normalize(np.array([1.7e308]), update=True)
+        with pytest.raises(NumericalFailureError, match="input variance overflowed"):
+            norm.normalize(np.array([-1.7e308]), update=True)
+
     def test_loss_and_grads_keep_the_bits_at_the_edges(self):
         # ratios that overflow to inf or underflow to 0, and advantages that
         # are signed zeros, infinite or NaN: the fused loss gives the
@@ -799,6 +807,39 @@ class TestBlasAssumptions:
                             f"differs from one network's 2-D product ({name}, "
                             f"layer {i}) on this BLAS")
                 h = np.tanh(out)
+
+    def test_vector_dot_equals_the_one_row_products(self):
+        # act and value hand Net.forward the normalized row as a vector, so
+        # each layer is a gemv: it must give the bits of the one-row 2-D
+        # product and of forward_rows' stacked row, on every layer shape,
+        # the acceptance policy's (4, 64), (64, 64), (64, 3) and (64, 1) too
+        trained = PolicyNetwork.load(PERFBENCH / "reverb_policy.json")
+        rng = np.random.default_rng(84)
+        policies = [(trained, rng.normal(size=(64, trained.obs_dim)))]
+        policies += [(policy, x) for _, policy, x in self.cases(83, count=100)]
+        for policy, x in policies:
+            for net in (policy.actor, policy.critic):
+                h = x
+                for w, b in zip(net.weights, net.biases):
+                    stacked = (h[:, None, :] @ w)[:, 0]
+                    for row, want in zip(h, stacked):
+                        got = row.dot(w)
+                        assert same_bits(got, row[None, :].dot(w)[0]) and same_bits(got, want), (
+                            f"a vector-by-matrix dot differs from the one-row product "
+                            f"({w.shape}) on this BLAS")
+                    h = np.tanh(h.dot(w) + b)
+
+    def test_act_and_value_equal_the_one_row_forward(self):
+        trained = PolicyNetwork.load(PERFBENCH / "reverb_policy.json")
+        rng = np.random.default_rng(85)
+        policies = [(trained, rng.normal(size=(16, trained.obs_dim)))]
+        policies += [(policy, x) for _, policy, x in self.cases(86, count=60)]
+        for policy, x in policies:
+            for row in x:
+                mean, normalized = policy.act(row)
+                assert same_bits(mean, np.tanh(policy.actor.forward(normalized[None, :])[0]))
+                assert same_bits(policy.value(row),
+                                 policy.critic.forward(normalized[None, :])[0, 0])
 
     def test_one_row_dot_on_buffer_views_equals_contiguous_copies(self):
         for rng, policy, x in self.cases(82):

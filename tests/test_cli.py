@@ -241,6 +241,27 @@ class TestEvaluate:
             rows = list(csv.DictReader(fh))
         assert rows[1]["qi"] == "2" and rows[1]["prior_ratio_pos"] == "inf"
 
+    def test_overflowing_hinge_at_accuracy_weight_one(self, tmp_path, capsys):
+        # as above with nothing read, so the posterior is the prior and the
+        # hinge is inf at QI 2; at accuracy_weight 1 it weighs 0, and
+        # 0 * inf once escaped as numpy's invalid-value warning
+        config = json.loads((PERFBENCH / "acceptance.json").read_text())
+        config.update(variance_caps=[2.3e-308, 2.3e-308], capacity=0,
+                      accuracy_weight=1.0, mode="cost_greedy", episodes=1)
+        config["plant"]["process_noise_std"] = [10, 10]
+        path = tmp_path / "hinge.json"
+        path.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # as python -W error runs it
+            code = main(["evaluate", "--config", str(path), "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "" and json.loads(out)["episodes"] == 1
+        with open(tmp_path / "out" / "trace_0.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[1]["qi"] == "2" and rows[1]["prior_ratio_pos"] == "inf"
+        assert [float(r["weighted_objective"]) for r in rows] == \
+            [float(r["power_w"]) for r in rows]
+
     def test_workers_variable_is_not_read(self, tmp_path, capsys, monkeypatch):
         # the package reads no environment variable: a worker count that
         # is not even a number changes nothing

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twinloop import (Belief, InvalidInputError, NumericalFailureError,
+from twinloop import (Belief, InvalidInputError, LinearPlant, NumericalFailureError,
                       build_linear_2d, build_mountain_car, predict, stack,
                       update)
 from twinloop import estimator
@@ -438,15 +438,21 @@ class TestFloatFormMatchesArrayForm:
     PLANTS = (build_mountain_car(process_noise_std=(0.045, 0.001), episode_cap=999),
               build_mountain_car(process_noise_std=(0.0, 0.0), episode_cap=999),
               build_linear_2d(process_noise_std=(0.05, 0.02), episode_cap=999),
-              IdentityPlant(np.diag([0.01, 0.02])))
+              IdentityPlant(np.diag([0.01, 0.02])),
+              # the float tail's indexing at one and at three features
+              LinearPlant([[0.95]], [[0.1]], [[0.01]], ["x"], episode_cap=999),
+              LinearPlant([[1.0, 0.1, 0.0], [-0.2, 0.9, 0.3], [0.05, 0.0, 1.1]],
+                          [[0.0], [1.0], [0.5]],
+                          [[0.02, 0.005, 0.0], [0.005, 0.01, -0.002], [0.0, -0.002, 0.03]],
+                          ["a", "b", "c"], episode_cap=999))
 
     def test_predict(self):
         rng = np.random.default_rng(61)
         for _ in range(3000):
-            belief = random_belief(rng)
             control = rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-1.5, 1.5)])
             control = (control, np.float64(control))[int(rng.integers(2))]
             model = self.PLANTS[int(rng.integers(len(self.PLANTS)))]
+            belief = random_belief(rng, len(model.process_cov))
             got, want = predict(belief, control, model), reference_predict(belief, control, model)
             assert type(got.values) is list and type(got.rows) is list
             assert same_bits(got.values, want.values) and same_bits(got.rows, want.rows)
