@@ -8,8 +8,7 @@ over Rician fading links. The harness reproduces the benchmark comparison
 against perfect-information, greedy and unfiltered baselines.
 """
 
-from .agent import (AugmentedAction, CostMode, PolicyNetwork, PpoHyperparams,
-                    base_reward, decode_action, shape_reward, train)
+from .agent import PolicyNetwork, PpoHyperparams, train
 from .channel import (ChannelParams, inverse_gaussian_q, outage_probability_mc,
                       required_power, sample_rician_gain, y_q)
 from .dynamics import (PLANT_REGISTRY, LinearPlant, MountainCar,
@@ -21,7 +20,8 @@ from .estimator import Belief, StackedObservationModel, predict, stack, update
 from .harness import (EpisodeMetrics, ExperimentConfig, FleetConfig,
                       PlantConfig, aggregate_metrics, export_traces,
                       run_episode, run_monte_carlo)
-from .loop import StepResult, TwinLoop
+from .loop import (AugmentedAction, CostMode, StepResult, TwinLoop, base_reward,
+                   decode_action, shape_reward)
 from .scheduler import (ScheduleDecision, SchedulingMode, baseline_schedule,
                         schedule)
 from .sensing import FleetIndex, SensingAgentSpec, observe, place_agents

@@ -1,12 +1,13 @@
-"""Uncertainty-aware control agent: augmented actions, shaped reward, PPO.
+"""Uncertainty-aware control agent: the policy network and its PPO training.
 
 The policy maps the twin's belief summary (mean and per-feature standard
 deviation) to a raw action vector in [-1, 1]^(Z+K): the first Z entries are
-plant controls, the remaining K are requested accuracies squashed onto
-[0, eta_max]. Actor and critic are small tanh networks written directly on
-numpy with hand-derived gradients, so every gradient can be checked against
-finite differences; optimization is the clipped-surrogate objective with
-generalized advantage estimation and Adam.
+plant controls, the remaining K are requested accuracies, which
+``loop.decode_action`` squashes onto [0, eta_max]. Actor and critic are
+small tanh networks written directly on numpy with hand-derived gradients,
+so every gradient can be checked against finite differences; optimization
+is the clipped-surrogate objective with generalized advantage estimation
+and Adam.
 
 A policy's parameters live only in its flat buffer ``params``: the actor
 and the critic are ``Net``s whose weights and biases are views of it, and
@@ -21,8 +22,9 @@ gives (``tests/helpers.py:reference_ppo_update``). A copied or pickled
 policy writes ``params`` alone and carves its views again.
 
 Each function takes the one form that ``TwinLoop`` and ``train`` hand it:
-``decode_action`` a list of floats, ``shape_reward`` a ``CostMode``, and
-``ppo_loss_and_grads`` the ``_Workspace`` its gradient goes into.
+``PolicyNetwork.act`` and ``.value`` the loop's policy input, a list of
+floats, and ``ppo_loss_and_grads`` the ``_Workspace`` its gradient goes
+into.
 """
 
 from __future__ import annotations
@@ -30,38 +32,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, TrainingFailureError
+from .loop import CostMode, TwinLoop, episode_seed
 from .settings import FLAG, at_least, check, integers, one_of, setting, within
 
 LOG_2PI = math.log(2.0 * math.pi)
 # rows per stacked product in Net.forward_rows: bounds its temporaries
 ROW_BLOCK = 64
-
-
-class CostMode(str, Enum):
-    """How requested accuracy enters the shaped reward.
-
-    PENALTY charges kappa * mean(eta) (cost non-increasing in accuracy is
-    impossible to reward, so higher requests cost reward); PAPER_EQ24 adds
-    kappa * sum(eta) / 2 as a bonus instead, reproducing the published
-    formula literally.
-    """
-
-    PENALTY = "penalty"
-    PAPER_EQ24 = "paper_eq24"
-
-
-class AugmentedAction(NamedTuple):
-    """Physical control plus requested per-feature accuracies, both lists
-    of floats, as ``decode_action`` builds them."""
-
-    control: list   # Z floats in [-1, 1]
-    accuracy: list  # K floats in [0, eta_max]
 
 
 @dataclass
@@ -115,46 +96,6 @@ class PpoHyperparams:
         return d
 
 
-def base_reward(control: float, reached_goal: bool,
-                termination_bonus: float) -> float:
-    """Quadratic effort cost plus the goal bonus: -0.1 a^2 (+ bonus)."""
-    r = -0.1 * float(control) ** 2
-    if reached_goal:
-        r += termination_bonus
-    return r
-
-
-def shape_reward(reward: float, accuracy, kappa: float,
-                 cost_mode: CostMode) -> float:
-    """Fold the accuracy request, floats, into the reward according to
-    ``cost_mode``.
-
-    The request's sum is taken in order from 0.0, which is numpy's sum for
-    fewer than eight entries (one per plant feature: the plants have two);
-    its mean is that sum over its length, as np.mean takes it. ``kappa``
-    is the config's ``rl.reward_weight``, checked >= 0 with it."""
-    total = 0.0
-    for eta in accuracy:
-        total += eta
-    if cost_mode is CostMode.PENALTY:
-        return float(reward - kappa * (total / len(accuracy)))
-    return float(reward + kappa * 0.5 * total)
-
-
-def decode_action(raw, eta_max: float, control_dim: int = 1) -> AugmentedAction:
-    """Map a raw policy output in [-1, 1]^(Z+K), a list of floats, onto
-    controls and accuracies.
-
-    Out-of-range raw entries (including +-inf) are clamped before mapping.
-    The clamps are taken on floats: min(max(x, lo), hi) keeps x on a tie
-    and a NaN x, as np.minimum(hi, np.maximum(lo, x)) does.
-    """
-    control = [min(max(x, -1.0), 1.0) for x in raw[:control_dim]]
-    eta = [min(max(eta_max * (x + 1.0) / 2.0, 0.0), eta_max)
-           for x in raw[control_dim:]]
-    return AugmentedAction(control, eta)
-
-
 class RunningNormalizer:
     """Streaming mean/variance used to whiten policy inputs.
 
@@ -181,13 +122,15 @@ class RunningNormalizer:
         except ValueError:  # a negative variance: the update overflowed
             raise NumericalFailureError("input variance overflowed") from None
 
-    def normalize(self, x, update: bool = False) -> np.ndarray:
-        """(x - mean) / sqrt(var + 1e-8) once two samples are in, clipped
-        to +-clip, as a new array; with ``update`` the statistics then take
-        ``x`` in."""
-        values = np.asarray(x, dtype=float).tolist()
-        if not (isinstance(values, list) and len(values) == len(self._mean)):
-            raise InvalidInputError(f"input shape {np.shape(x)} != ({len(self._mean)},)")
+    def normalize(self, values: list, update: bool = False) -> np.ndarray:
+        """(x - mean) / sqrt(var + 1e-8) of ``values``, a list of floats
+        (the loop's policy input), once two samples are in, clipped to
+        +-clip, as a new array; with ``update`` the statistics then take
+        ``values`` in. Raises InvalidInputError for a list of another
+        length than the statistics', such as the input of a loop whose
+        state dimension differs from the checkpoint's."""
+        if len(values) != len(self._mean):
+            raise InvalidInputError(f"input length {len(values)} != {len(self._mean)}")
         out = values
         if self.count > 1:
             out = [(v - m) / s for v, m, s in zip(values, self._mean, self._scale)]
@@ -573,8 +516,15 @@ class PolicyNetwork:
 
     @classmethod
     def load(cls, path) -> "PolicyNetwork":
-        with open(path) as fh:
-            return cls.from_state(json.load(fh))
+        """The policy of the checkpoint at ``path`` (``from_state``). Raises
+        InvalidInputError for a file that is not UTF-8 JSON, or nests deeper
+        than ``json`` can decode."""
+        with open(path, encoding="utf-8") as fh:
+            try:
+                state = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+                raise InvalidInputError(f"checkpoint is not valid JSON: {exc}")
+        return cls.from_state(state)
 
 
 def gaussian_logprob(actions, means, logstd):
@@ -769,8 +719,6 @@ def train(config, hyper: PpoHyperparams, seed: int, progress=None):
     taken when they happen, since the input normalizer moves during
     collection.
     """
-    from .loop import TwinLoop, episode_seed  # deferred: loop depends on this module
-
     env = TwinLoop(config)
     root = np.random.SeedSequence(seed)
     init_rng, action_rng, shuffle_rng = [

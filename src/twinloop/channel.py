@@ -6,11 +6,13 @@ strong line-of-sight link the required transmit power rests on the threshold
 y solving 1 - Q1(sqrt(2G), y) = epsilon. The paper's closed-form
 approximation of that inverse Marcum Q tail is the starting point, and a few
 Newton steps on the exact tail (a numpy series) refine it, so the power meets
-epsilon wherever the closed form is defined. A Monte Carlo validator draws
-fading gains and measures the empirical outage so the power can be checked
-end to end; it costs about its Gaussian draws, since each chunk of gains is
-one draw of normals transformed in place. ``ChannelParams`` holds the link
-budget and is the ``channel`` section of an experiment config.
+epsilon wherever the closed form is defined. The closed form's Gaussian tail
+inverse Qinv(epsilon) is the standard library's normal quantile. A Monte
+Carlo validator draws fading gains and measures the empirical outage so the
+power can be checked end to end; it costs about its Gaussian draws, since
+each chunk of gains is one draw of normals transformed in place.
+``ChannelParams`` holds the link budget and is the ``channel`` section of an
+experiment config.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -78,49 +81,17 @@ class ChannelParams:
         return cls(**fields)
 
 
-# Acklam's rational approximation of the standard normal quantile, refined by
-# one Newton step on the tail equation; abs error well under 1e-10.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
+_NORMAL = NormalDist()
 
 
-def _acklam_ppf(p: float) -> float:
-    plow, phigh = 0.02425, 1 - 0.02425
-    if p < plow:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-               ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1)
-    if p > phigh:
-        return -_acklam_ppf(1 - p)
-    q = p - 0.5
-    r = q * q
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-           (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1)
-
-
-def gaussian_q(z: float) -> float:
-    """Standard normal tail probability P[Z > z]."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-@functools.lru_cache(maxsize=256)
 def inverse_gaussian_q(epsilon: float) -> float:
-    """z such that the standard normal tail at z equals ``epsilon``.
-    Memoised, as ``y_q`` is: building a ``ChannelParams`` asks for it."""
+    """z such that the standard normal tail P[Z > z] equals ``epsilon``,
+    -Phi^-1(epsilon) by ``statistics.NormalDist.inv_cdf`` (Wichura's AS 241,
+    full double precision down to the smallest subnormal). Raises
+    InvalidInputError unless epsilon lies in (0, 1)."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError("epsilon must lie in (0, 1)")
-    z = -_acklam_ppf(epsilon)
-    # Newton refinement on Q(z) - eps; Q'(z) = -pdf(z)
-    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    if pdf > 0:
-        z = z + (gaussian_q(z) - epsilon) / pdf
-    return z
+    return -_NORMAL.inv_cdf(epsilon)
 
 
 def _logsumexp(x: np.ndarray) -> float:

@@ -147,8 +147,8 @@ def predict(belief: Belief, control: float, model) -> Belief:
     ``ndarray.dot`` calls (the BLAS routine that ``@`` calls, with less
     dispatch) under ``np.errstate``, since numpy warns of an overflow in
     them. The rest is elementwise and taken on the product's floats, with
-    numpy's bits: the sum with C_u, its finiteness check together with the
-    mean's, and ``symmetrize``'s 0.5 (a + b).
+    numpy's bits: the sum with C_u and ``symmetrize``'s 0.5 (a + b). The
+    symmetric rows are checked finite together with the mean.
     """
     qi = belief.qi + 1
     values = belief.values
@@ -160,10 +160,12 @@ def predict(belief: Belief, control: float, model) -> Belief:
     # J P J^T + C_u, row-major
     cov = list(map(operator.add, product.ravel().tolist(),
                    model.process_cov.ravel().tolist()))
-    if not _finite(mean + cov):
-        raise NumericalFailureError("non-finite belief prediction", qi=qi)
     k = len(mean)
     rows = [[0.5 * (cov[i * k + j] + cov[j * k + i]) for j in range(k)] for i in range(k)]
+    # the symmetric rows, not the sum: a finite entry above half the
+    # largest float doubles to inf in 0.5 (a + b)
+    if not (_finite(mean) and all(map(_finite, rows))):
+        raise NumericalFailureError("non-finite belief prediction", qi=qi)
     return Belief.of_floats(mean, rows, qi)
 
 

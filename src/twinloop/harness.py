@@ -160,14 +160,15 @@ class ExperimentConfig:
 
 def read_json(path) -> dict:
     """The content of the config file at ``path``, unchecked; raises
-    ConfigurationError when the file is missing or is not JSON."""
+    ConfigurationError when the file is missing, is not UTF-8 JSON or nests
+    deeper than ``json`` can decode."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigurationError(f"config is not valid JSON: {exc}")
 
 

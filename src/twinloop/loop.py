@@ -10,7 +10,11 @@ run's plant, fleet and link powers once, when it is built, checking what
 spans them: one cap per plant feature, the fleet (its ``FleetIndex``
 checks each agent's fields) and finite link powers. The environment
 surface mirrors the usual gym step/reset contract so the trainer and the
-evaluation harness drive the same code.
+evaluation harness drive the same code. The QI's pieces of the control
+agent live here, where ``TwinLoop.step`` calls them: ``decode_action``
+maps a raw policy output, a list of floats, onto an ``AugmentedAction``,
+and ``base_reward`` and ``shape_reward`` (under a ``CostMode``) give the
+reward.
 
 With ``record_trace`` a loop keeps one flat tuple of plain values per QI
 (``TwinLoop.trace``), its only record of what a QI did; without it a loop
@@ -22,9 +26,9 @@ module knows the layout of a record.
 
 Within a query interval values pass between the layers as Python floats:
 the decoded action, the caps, the belief (``Belief.values`` and
-``Belief.rows``), the readings and the true state. An array is built only
-where a layer needs one: a BLAS product, a ``Generator`` draw and the
-policy input.
+``Belief.rows``), the readings, the true state and the policy input. An
+array is built only where a layer needs one: a BLAS product (the policy's
+net takes the normalized input as one) and a ``Generator`` draw.
 
 Episode randomness is split into independent substreams (initial state and
 process noise / observation noise / benchmark agent picks), so two modes run
@@ -36,16 +40,79 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from . import channel as channel_mod
 from . import estimator, scheduler, sensing
-from .agent import CostMode, base_reward, decode_action, shape_reward
 from .errors import ConfigurationError, InvalidInputError, NumericalFailureError
 from .estimator import Belief
 from .scheduler import SchedulingMode, baseline_schedule
 from .settings import check
+
+
+class CostMode(str, Enum):
+    """How requested accuracy enters the shaped reward.
+
+    PENALTY charges kappa * mean(eta) (cost non-increasing in accuracy is
+    impossible to reward, so higher requests cost reward); PAPER_EQ24 adds
+    kappa * sum(eta) / 2 as a bonus instead, reproducing the published
+    formula literally.
+    """
+
+    PENALTY = "penalty"
+    PAPER_EQ24 = "paper_eq24"
+
+
+class AugmentedAction(NamedTuple):
+    """Physical control plus requested per-feature accuracies, both lists
+    of floats, as ``decode_action`` builds them."""
+
+    control: list   # Z floats in [-1, 1]
+    accuracy: list  # K floats in [0, eta_max]
+
+
+def base_reward(control: float, reached_goal: bool,
+                termination_bonus: float) -> float:
+    """Quadratic effort cost plus the goal bonus: -0.1 a^2 (+ bonus)."""
+    r = -0.1 * float(control) ** 2
+    if reached_goal:
+        r += termination_bonus
+    return r
+
+
+def shape_reward(reward: float, accuracy, kappa: float,
+                 cost_mode: CostMode) -> float:
+    """Fold the accuracy request, floats, into the reward according to
+    ``cost_mode``.
+
+    The request's sum is taken in order from 0.0, which is numpy's sum for
+    fewer than eight entries (one per plant feature: the plants have two);
+    its mean is that sum over its length, as np.mean takes it. ``kappa``
+    is the config's ``rl.reward_weight``, checked >= 0 with it."""
+    total = 0.0
+    for eta in accuracy:
+        total += eta
+    if cost_mode is CostMode.PENALTY:
+        return float(reward - kappa * (total / len(accuracy)))
+    return float(reward + kappa * 0.5 * total)
+
+
+def decode_action(raw, eta_max: float, control_dim: int = 1) -> AugmentedAction:
+    """Map a raw policy output in [-1, 1]^(Z+K), a list of floats, onto
+    controls and accuracies.
+
+    Out-of-range raw entries (including +-inf) are clamped before mapping.
+    The clamps are taken on floats: min(max(x, lo), hi) keeps x on a tie
+    and a NaN x, as np.minimum(hi, np.maximum(lo, x)) does.
+    """
+    control = [min(max(x, -1.0), 1.0) for x in raw[:control_dim]]
+    eta = [min(max(eta_max * (x + 1.0) / 2.0, 0.0), eta_max)
+           for x in raw[control_dim:]]
+    return AugmentedAction(control, eta)
+
 
 def episode_seed(master_seed: int, namespace: int, index: int) -> np.random.SeedSequence:
     """Seed of episode ``index`` of a run: training episodes use namespace 1
@@ -55,7 +122,7 @@ def episode_seed(master_seed: int, namespace: int, index: int) -> np.random.Seed
 
 @dataclass
 class StepResult:
-    policy_input: np.ndarray
+    policy_input: list
     base_reward: float
     shaped_reward: float
     terminated: bool
@@ -110,7 +177,7 @@ class TwinLoop:
 
     # -- episode control ----------------------------------------------------
 
-    def reset(self, seed) -> np.ndarray:
+    def reset(self, seed) -> list:
         """Start a new episode; returns the first policy input."""
         ss = seed if isinstance(seed, np.random.SeedSequence) \
             else np.random.SeedSequence(seed)
@@ -278,9 +345,10 @@ class TwinLoop:
         return sensing.read(self.fleet_index, positions, self._true_state,
                             self._obs_rng, self._qi)
 
-    def _policy_input(self, belief: Belief) -> np.ndarray:
-        """The belief's mean and standard deviations, as one new array."""
-        return np.array(belief.values + belief.deviations)
+    def _policy_input(self, belief: Belief) -> list:
+        """The belief's mean and standard deviations, as one new list of
+        floats."""
+        return belief.values + belief.deviations
 
     def _initial_belief(self) -> Belief:
         return Belief(self.plant.initial_mean,

@@ -85,7 +85,7 @@ GREEDY_MODES = (SchedulingMode.COST_GREEDY, SchedulingMode.ERROR_GREEDY)
 def requested_caps(caps, eta) -> list:
     """min(cap_k, 1/eta_k) as floats, with 1/0 treated as +inf, for inputs
     known good: positive float caps and a float request of their length in
-    [0, inf), as ``agent.decode_action`` returns it from an action without
+    [0, inf), as ``loop.decode_action`` returns it from an action without
     NaN. A division and a minimum per feature give numpy's bits."""
     return [min(cap, 1.0 / e) if e > 0 else cap for cap, e in zip(caps, eta)]
 

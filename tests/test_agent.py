@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinloop import (CostMode, NumericalFailureError, PolicyNetwork, PpoHyperparams,
-                      TrainingFailureError, base_reward, decode_action, shape_reward)
+from twinloop import (CostMode, InvalidInputError, NumericalFailureError, PolicyNetwork,
+                      PpoHyperparams, TrainingFailureError, base_reward, decode_action,
+                      shape_reward)
 from twinloop.agent import (Adam, Net, _Layout, _Workspace, compute_gae,
                             gaussian_logprob, ppo_update)
 from twinloop.agent import RunningNormalizer
@@ -100,7 +101,7 @@ class TestPolicyForward:
         policy, _ = small_policy()
         for w in policy.actor.weights + policy.critic.weights:
             w[:] = 0.0
-        x = np.array([0.3, -0.2, 0.05, 0.01])
+        x = [0.3, -0.2, 0.05, 0.01]
         mean, _ = policy.act(x)
         value = policy.value(x)
         np.testing.assert_allclose(mean, 0.0)
@@ -109,7 +110,7 @@ class TestPolicyForward:
 
     def test_deterministic_repeat(self):
         policy, _ = small_policy(3)
-        x = np.array([0.1, 0.2, 0.3, 0.4])
+        x = [0.1, 0.2, 0.3, 0.4]
         first = policy.act(x)[0], policy.value(x)
         second = policy.act(x)[0], policy.value(x)
         np.testing.assert_array_equal(first[0], second[0])
@@ -119,7 +120,7 @@ class TestPolicyForward:
         policy, _ = small_policy(5)
         policy.normalizer._update([1.0, 2.0, 3.0, 4.0])
         policy.normalizer._update([2.0, 1.0, 0.0, -1.0])
-        x = np.array([0.1, -0.2, 0.3, 0.4])
+        x = [0.1, -0.2, 0.3, 0.4]
         action, normalized = policy.act(x)
         value = policy.value(x)
         assert same_bits(normalized, policy.normalizer.normalize(x))
@@ -130,7 +131,7 @@ class TestPolicyForward:
         # act gives the mean action and its input only; the critic is
         # value()'s, and training's batch pass
         policy, _ = small_policy(6)
-        x = np.array([0.1, -0.2, 0.3, 0.4])
+        x = [0.1, -0.2, 0.3, 0.4]
         calls = []
         real = Net.forward
         monkeypatch.setattr(Net, "forward",
@@ -345,13 +346,24 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         policy.save(path)
         loaded = PolicyNetwork.load(path)
-        x = np.array([0.2, -0.4, 1.0, 0.5])
+        x = [0.2, -0.4, 1.0, 0.5]
         want = policy.act(x)[0], policy.value(x)
         got = loaded.act(x)[0], loaded.value(x)
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
         np.testing.assert_array_equal(loaded.logstd, policy.logstd)
         assert loaded.normalizer.count == policy.normalizer.count
+
+    def test_input_of_another_dimension_is_rejected(self):
+        # the policy input is read as the loop hands it, a list, with no
+        # array made of it; its length is still checked, so a checkpoint
+        # built for another state dimension fails instead of truncating
+        policy, _ = small_policy(15, obs_dim=6)
+        for x in ([0.1, 0.2, 0.3, 0.4], [0.0] * 7):
+            with pytest.raises(InvalidInputError, match=f"input length {len(x)} != 6"):
+                policy.act(x)
+            with pytest.raises(InvalidInputError):
+                policy.value(x)
 
     def test_load_draws_no_initialisation(self, tmp_path, monkeypatch):
         # the checkpoint's arrays go straight into the flat buffer: no
@@ -383,7 +395,7 @@ class TestCheckpoint:
         # an unpickled policy view their own, so training one leaves the
         # other as it was
         policy, hyper = small_policy(13)
-        x = np.array([0.2, -0.4, 1.0, 0.5])
+        x = [0.2, -0.4, 1.0, 0.5]
         before = policy.act(x)[0]
         for clone in (copy.deepcopy(policy), pickle.loads(pickle.dumps(policy))):
             assert same_bits(clone.act(x)[0], before)
@@ -420,7 +432,7 @@ class TestFlatBuffer:
     def test_nan_written_through_the_actor_weights_reaches_act(self):
         # the benchmark's self-test poisons a policy this way
         policy, _ = small_policy(4)
-        x = np.array([0.2, -0.4, 1.0, 0.5])
+        x = [0.2, -0.4, 1.0, 0.5]
         assert np.isfinite(policy.act(x)[0]).all()
         for weights in policy.actor.weights:
             weights[...] = np.nan
@@ -551,7 +563,7 @@ class TestMatchesReference:
             dim = int(rng.integers(1, 6))
             mine, ref = RunningNormalizer(dim), RunningNormalizer(dim)
             for _ in range(int(rng.integers(1, 8))):
-                x = edgy_floats(rng, dim, 10.0 ** rng.uniform(-2, 2), specials)
+                x = edgy_floats(rng, dim, 10.0 ** rng.uniform(-2, 2), specials).tolist()
                 update = bool(rng.random() < 0.7)
                 assert same_bits(mine.normalize(x, update=update),
                                  reference_normalize(ref, x, update=update))
@@ -559,7 +571,7 @@ class TestMatchesReference:
                     assert same_bits(mine.state()[key], ref.state()[key])
 
     def test_normalize_leaves_its_input_alone(self):
-        x = np.array([-0.0, 3.0])
+        x = [-0.0, 3.0]
         out = RunningNormalizer(2).normalize(x)
         out[1] = 7.0
         assert same_bits(x, [-0.0, 3.0])
@@ -568,9 +580,9 @@ class TestMatchesReference:
         # two finite inputs further apart than the largest float: d is -inf,
         # the variance -inf, and math.sqrt raised an untyped ValueError
         norm = RunningNormalizer(1)
-        norm.normalize(np.array([1.7e308]), update=True)
+        norm.normalize([1.7e308], update=True)
         with pytest.raises(NumericalFailureError, match="input variance overflowed"):
-            norm.normalize(np.array([-1.7e308]), update=True)
+            norm.normalize([-1.7e308], update=True)
 
     def test_loss_and_grads_keep_the_bits_at_the_edges(self):
         # ratios that overflow to inf or underflow to 0, and advantages that
@@ -692,9 +704,9 @@ class TestFloatFormMatchesArrayForm:
         for seed in range(30):
             policy, _ = small_policy(seed, hidden=((8, 8), (64, 64), (5,))[seed % 3])
             for _ in range(int(rng.integers(0, 6))):
-                policy.normalizer.normalize(rng.normal(size=4), update=True)
+                policy.normalizer.normalize(rng.normal(size=4).tolist(), update=True)
             for _ in range(40):
-                x = edgy_floats(rng, 4, 10.0 ** rng.uniform(-2, 2), self.SPECIALS)
+                x = edgy_floats(rng, 4, 10.0 ** rng.uniform(-2, 2), self.SPECIALS).tolist()
                 mean, normalized = policy.act(x)
                 want_mean, want_normalized = reference_act(policy, x)
                 assert same_bits(mean, want_mean)
@@ -704,7 +716,7 @@ class TestFloatFormMatchesArrayForm:
         policy = PolicyNetwork.load(PERFBENCH / "reverb_policy.json")
         rng = np.random.default_rng(72)
         for _ in range(500):
-            x = edgy_floats(rng, 4, 10.0 ** rng.uniform(-3, 0), self.SPECIALS)
+            x = edgy_floats(rng, 4, 10.0 ** rng.uniform(-3, 0), self.SPECIALS).tolist()
             mean, normalized = policy.act(x)
             want_mean, want_normalized = reference_act(policy, x)
             assert same_bits(mean, want_mean) and same_bits(normalized, want_normalized)
@@ -724,12 +736,12 @@ class TestFloatFormMatchesArrayForm:
         rng = np.random.default_rng(73)
         norm = RunningNormalizer(3)
         for _ in range(5):
-            norm.normalize(rng.normal(size=3), update=True)
-        x = edgy_floats(rng, 3, 2.0, self.SPECIALS)
+            norm.normalize(rng.normal(size=3).tolist(), update=True)
+        x = edgy_floats(rng, 3, 2.0, self.SPECIALS).tolist()
         for change in ("update", "reload"):
             before = norm.normalize(x)
             if change == "update":
-                norm.normalize(rng.normal(size=3) * 5.0, update=True)
+                norm.normalize((rng.normal(size=3) * 5.0).tolist(), update=True)
             else:
                 state = norm.state()
                 state["var"] = [v * 4.0 for v in state["var"]]
@@ -835,7 +847,7 @@ class TestBlasAssumptions:
         policies = [(trained, rng.normal(size=(16, trained.obs_dim)))]
         policies += [(policy, x) for _, policy, x in self.cases(86, count=60)]
         for policy, x in policies:
-            for row in x:
+            for row in x.tolist():
                 mean, normalized = policy.act(row)
                 assert same_bits(mean, np.tanh(policy.actor.forward(normalized[None, :])[0]))
                 assert same_bits(policy.value(row),

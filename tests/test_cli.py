@@ -209,6 +209,32 @@ class TestEvaluate:
         path.write_text(json.dumps({"mode": "bogus"}))
         assert main(["evaluate", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--policy", b"not json", "invalid input: checkpoint is not valid JSON: "),
+        ("--policy", b'{"obs_dim": "\xff"}', "invalid input: checkpoint is not valid JSON: "),
+        ("--config", b"not json", "configuration error: config is not valid JSON: "),
+        ("--config", b'{"mode": "\xff"}', "configuration error: config is not valid JSON: "),
+        ("--policy", b"[" * 100_000, "invalid input: checkpoint is not valid JSON: "),
+        ("--config", b"[" * 100_000, "configuration error: config is not valid JSON: "),
+    ], ids=["policy-not-json", "policy-not-utf8", "config-not-json", "config-not-utf8",
+            "policy-too-deep", "config-too-deep"])
+    def test_undecodable_file_exits_one_with_one_line(self, tmp_path, capsys, flag,
+                                                      content, message):
+        # a checkpoint that is not JSON, and either file that is not UTF-8
+        # or nests past the recursion limit, ended in a JSONDecodeError,
+        # UnicodeDecodeError or RecursionError traceback
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        files = {"--config": str(small_config_file(tmp_path)), flag: str(path)}
+        out = tmp_path / "out"
+        code = main(["evaluate", *[a for item in files.items() for a in item],
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_non_finite_error_norm_exits_two_with_valid_json(self, tmp_path, capsys,
                                                              monkeypatch):
         # the overflowing episode once reached the aggregate, and the

@@ -58,6 +58,20 @@ class TestPredict:
         assert err.value.qi == 42
 
 
+    def test_variance_that_symmetrizing_overflows_reports_qi(self):
+        # J P J^T + C_u is finite here, but 0.5 (a + b) of a diagonal entry
+        # above half the largest float overflows to inf; the check once read
+        # the sum and returned the inf variance without an error
+        plant = LinearPlant(np.eye(2), np.zeros((2, 1)), np.zeros((2, 2)),
+                            ["x", "v"], episode_cap=999)
+        belief = Belief([0.0, 0.0], [[1.7e308, 0.0], [0.0, 1.0]], qi=41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError) as err:
+                predict(belief, 0.0, plant)
+        assert err.value.qi == belief.qi + 1
+
+
 class TestStack:
     def test_single_agent(self):
         stacked = stack([scalar_agent(1, 0, 0.01)], 2)

@@ -36,6 +36,49 @@ def test_no_private_name_crosses_a_module_boundary():
     assert not found, "\n".join(found)
 
 
+def package_imports(path):
+    """The package modules that a module imports, at module level or inside
+    a function: ``from .x import ...``, ``from . import x`` and their
+    absolute ``twinloop`` forms."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "twinloop" and not module.startswith("twinloop."):
+                    continue
+                module = module[len("twinloop."):]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("twinloop."))
+    return found & modules - {path.stem}
+
+
+def test_package_imports_form_no_cycle():
+    # a cycle forces one of its imports into a function body, where the
+    # module's dependencies are no longer read at its top
+    graph = {p.stem: package_imports(p) for p in PACKAGE.glob("*.py")
+             if p.name != "__init__.py"}
+    assert graph["agent"] >= {"loop"}
+    cycles = []
+
+    def visit(module, path):
+        for after in sorted(graph.get(module, ())):
+            if after in path:
+                cycles.append(" -> ".join(path[path.index(after):] + [after]))
+            else:
+                visit(after, path + [after])
+
+    for module in sorted(graph):
+        visit(module, [module])
+    assert not cycles, "\n".join(sorted(set(cycles)))
+
+
 def names_used(path, strings=False):
     """Every name a module's code refers to: variables, attributes and
     imported names, and with ``strings`` its string constants too (the
