@@ -1,20 +1,23 @@
 """Extended Kalman filter over the twin's belief.
 
 ``predict`` propagates the belief blindly through the plant model (the mean
-through the full nonlinear map, the covariance through its Jacobian plus the
-process noise). Every scheduler fuses through ``scalar_posterior_cov``, the
-Joseph-form posterior covariance after one reading of one feature: a rank-1
-step with a scalar innovation and no LAPACK call. Since agent noises are
-independent, a chain of such steps gives the batch posterior of a whole
-selection up to roundoff (sequential processing of uncorrelated
-measurements): the value-of-information scheduler takes one step per pick,
-and the greedy baselines one per measured feature, with the precisions of
-that feature's readings summed. ``fused_mean`` gives the posterior mean
-once the readings arrive: the schedulers' shared fusion tail calls it for
-every selection, since each scheduler is handed the loop's ``observe_fn``,
-so no decision carries a covariance-only posterior. The Joseph form keeps
-the covariance symmetric positive semidefinite under roundoff; it agrees
-with the plain (I - K H) P form in exact arithmetic.
+through the full nonlinear map, the covariance through its Jacobian, J P J^T
+from the plant's ``propagate_cov``, plus the process noise). Every scheduler
+fuses through ``scalar_posterior_cov``, the Joseph-form posterior covariance
+after one reading of one feature: a rank-1 step with a scalar innovation and
+no LAPACK call. Since agent noises are independent, a chain of such steps
+gives the batch posterior of a whole selection up to roundoff (sequential
+processing of uncorrelated measurements): the value-of-information scheduler
+takes one step per pick, and the greedy baselines one per measured feature,
+with the precisions of that feature's readings summed. ``fused_mean`` gives
+the posterior mean once the readings arrive: the schedulers' shared fusion
+tail calls it for every selection, since each scheduler is handed the loop's
+``observe_fn``, so no decision carries a covariance-only posterior. The
+Joseph form keeps the covariance symmetric under roundoff and agrees with
+the plain (I - K H) P form in exact arithmetic. Roundoff can still take a
+rank-deficient covariance out of the positive semidefinite (PSD) cone, so
+``predict`` and ``scalar_posterior_cov`` hand theirs through ``keep_psd``,
+which clamps it back only when it has left.
 
 The batch functions are the test oracle, and no query interval calls them:
 ``stack`` builds the joint observation model of several agents (one one-hot
@@ -32,11 +35,14 @@ matrix passes a symmetric one (``symmetrize`` makes it so).
 
 A query interval holds a belief as Python floats (``Belief.values`` and
 ``Belief.rows``), and its layers hand those floats on. An array is built
-only for a BLAS product: ``predict``'s J P J^T, read back as floats with
-one ``tolist()`` before C_u is added, and the gain's product in
-``fused_mean``. The products stay in numpy because OpenBLAS's kernels fuse
-multiplies and adds, so the same sums written on floats would round
-differently; an elementwise sum or scaling on floats gives numpy's bits.
+only for a BLAS product: in ``predict`` only J P J^T is taken on arrays,
+and only for a linear plant, read back as floats with one ``tolist()``;
+and the gain's product in ``fused_mean``. The products stay in numpy
+because OpenBLAS's kernels fuse multiplies and adds, so the same sums
+written on floats would round differently. The mountain car's J P J^T is
+taken on floats with the kernel's bits, since half its Jacobian is ones
+(``dynamics.MountainCar.propagate_cov``), so its prediction makes no numpy
+call. An elementwise sum or scaling on floats gives numpy's bits.
 """
 
 from __future__ import annotations
@@ -133,40 +139,91 @@ def identity(dim: int) -> np.ndarray:
     return eye
 
 
+@functools.lru_cache(maxsize=None)
+def transposed_order(dim: int) -> tuple:
+    """The row-major index of entry (j, i) at position (i, j), for a
+    dim x dim matrix held row-major: its transpose's order."""
+    return tuple(j * dim + i for i in range(dim) for j in range(dim))
+
+
 def predict(belief: Belief, control: float, model) -> Belief:
-    """Blind prediction: mean through f + B a, covariance through P Psi P^T + C_u.
+    """Blind prediction: mean through f + B a, covariance through J P J^T + C_u.
 
     The mean update is deterministic; process noise enters only through the
     covariance inflation. ``control`` is the plant's one control, a float,
-    and ``model`` a plant: ``f`` and ``jacobian``
-    take the mean's floats, ``f`` returns floats, ``control_matrix`` is
-    (K, 1) and ``process_cov`` is K x K. The mean is taken on floats, where
-    an overflow gives inf without a warning, with B a as 0.0 + B_k a: the
-    bits of B @ a, and of ``ndarray.dot`` for K >= 2, whose sum from zero
-    turns a -0.0 product into +0.0. Only J P J^T is taken on arrays, by two
-    ``ndarray.dot`` calls (the BLAS routine that ``@`` calls, with less
-    dispatch) under ``np.errstate``, since numpy warns of an overflow in
-    them. The rest is elementwise and taken on the product's floats, with
-    numpy's bits: the sum with C_u and ``symmetrize``'s 0.5 (a + b). The
-    symmetric rows are checked finite together with the mean.
+    and ``model`` a plant (``dynamics``): ``f`` takes the mean's floats and
+    returns floats, ``propagate_cov`` takes them with the covariance's rows
+    and returns J P J^T row-major as floats (it raises first on a state it
+    refuses), and ``control_column`` (B, K floats) and ``process_cov_flat``
+    (C_u, K x K floats row-major) are built with the plant. Everything here
+    is taken on floats, where an overflow gives inf without a warning: B a
+    as 0.0 + B_k a, the bits of B @ a, and of ``ndarray.dot`` for K >= 2,
+    whose sum from zero turns a -0.0 product into +0.0; then the sum with
+    C_u and ``symmetrize``'s 0.5 (a + b), with numpy's elementwise bits. A
+    mountain car's J P J^T is on floats too, so its prediction makes no
+    numpy call; a linear plant's is a BLAS product. The symmetric rows are
+    checked finite together with the mean, then kept in the PSD cone
+    (``keep_psd``).
     """
     qi = belief.qi + 1
     values = belief.values
-    jac = model.jacobian(values)
-    mean = [m + (0.0 + b * control)
-            for m, (b,) in zip(model.f(values), model.control_matrix.tolist())]
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = jac.dot(np.array(belief.rows)).dot(jac.T)
-    # J P J^T + C_u, row-major
-    cov = list(map(operator.add, product.ravel().tolist(),
-                   model.process_cov.ravel().tolist()))
+    product = model.propagate_cov(values, belief.rows)
+    mean = [m + (0.0 + b * control) for m, b in zip(model.f(values), model.control_column)]
+    # J P J^T + C_u, row-major, and symmetrize's 0.5 (a + b) with its transpose
+    cov = list(map(operator.add, product, model.process_cov_flat))
     k = len(mean)
-    rows = [[0.5 * (cov[i * k + j] + cov[j * k + i]) for j in range(k)] for i in range(k)]
-    # the symmetric rows, not the sum: a finite entry above half the
+    sym = [0.5 * (x + cov[t]) for x, t in zip(cov, transposed_order(k))]
+    # the symmetric entries, not the sum: a finite entry above half the
     # largest float doubles to inf in 0.5 (a + b)
-    if not (_finite(mean) and all(map(_finite, rows))):
+    if not _finite(mean + sym):
         raise NumericalFailureError("non-finite belief prediction", qi=qi)
-    return Belief.of_floats(mean, rows, qi)
+    return Belief.of_floats(mean, keep_psd([sym[i:i + k] for i in range(0, k * k, k)]), qi)
+
+
+def keep_psd(rows: list) -> list:
+    """``rows`` (K lists of K floats, symmetric) as they are while no
+    variance is negative and no pair of features has |P_ij| above
+    sqrt(P_ii) sqrt(P_jj); otherwise their projection ``clamp_psd``.
+
+    Roundoff can take a rank-deficient covariance out of the cone: J P J^T
+    without process noise turns a correlation of 1 into a squared one of
+    1 + a few ulps, and a rank-1 step on such a prior leaves a variance
+    like -8e-17, on which the next reading's innovation is not positive.
+    NaN compares false and is left as it is, for the checks downstream to
+    report. Every registered plant has two features, whose one pair is
+    checked without a loop.
+    """
+    if len(rows) == 2:
+        (p00, _), (p10, p11) = rows
+        if p00 < 0.0 or p11 < 0.0 or abs(p10) > math.sqrt(p00) * math.sqrt(p11):
+            return clamp_psd(rows)
+        return rows
+    for i, row in enumerate(rows):
+        d = row[i]
+        if d < 0.0:
+            return clamp_psd(rows)
+        for j in range(i):
+            if abs(row[j]) > math.sqrt(d) * math.sqrt(rows[j][j]):
+                return clamp_psd(rows)
+    return rows
+
+
+def clamp_psd(rows: list) -> list:
+    """New rows with each variance clamped at 0 and each |P_ij| at
+    sqrt(P_ii) sqrt(P_jj), its sign kept; NaN stays NaN.
+
+    For K <= 2 this gives a PSD matrix up to the rounding of that bound:
+    a symmetric 2 x 2 matrix with a nonnegative diagonal and P_01^2 <=
+    P_00 P_11 has a nonnegative trace and determinant. For K > 2 the
+    pairwise bounds are necessary but not sufficient (correlations of 0.9,
+    0.9 and -0.9 are pairwise valid, jointly indefinite), so a plant of
+    more features would need a projection of the eigenvalues instead:
+    clip the negative eigenvalues of ``eigh`` at 0 and rebuild.
+    """
+    scale = [math.sqrt(max(row[i], 0.0)) for i, row in enumerate(rows)]
+    return [[max(p, 0.0) if i == j else math.copysign(min(abs(p), si * sj), p)
+             for j, (p, sj) in enumerate(zip(row, scale))]
+            for i, (row, si) in enumerate(zip(rows, scale))]
 
 
 def _finite(values) -> bool:
@@ -221,7 +278,8 @@ def scalar_posterior_cov(cov: list, feature: int, variance: float) -> list:
     With c = P[:, k], s = c[k] + r and g = c / s, the Joseph form
     (I - g h) P (I - g h)^T + r g g^T is P - (g c^T + c g^T) + s g g^T.
     Each term is symmetric bit for bit (a product and a sum of two floats
-    do not depend on their order), so the result needs no ``symmetrize``.
+    do not depend on their order), so the result needs no ``symmetrize``;
+    it is returned through ``keep_psd``.
     Row and column k are instead written from c (r / s), which they equal
     in exact arithmetic: the difference above cancels there when P_kk >> r,
     and the read feature's variance would lose digits. Each entry takes one
@@ -249,7 +307,7 @@ def scalar_posterior_cov(cov: list, feature: int, variance: float) -> list:
         new = [p - (gi * cj + gj * ci) + s * (gi * gj) for p, gj, cj in zip(row, g, c)]
         new[feature] = column[i]
         out.append(new)
-    return out
+    return keep_psd(out)
 
 
 def _ill_conditioned(s) -> bool:

@@ -28,7 +28,10 @@ Within a query interval values pass between the layers as Python floats:
 the decoded action, the caps, the belief (``Belief.values`` and
 ``Belief.rows``), the readings, the true state and the policy input. An
 array is built only where a layer needs one: a BLAS product (the policy's
-net takes the normalized input as one) and a ``Generator`` draw.
+net takes the normalized input as one, the fused mean's gain is one, and a
+linear plant's blind prediction takes J P J^T on arrays, where the
+mountain car's is taken on floats) and a ``Generator`` draw (the plant's
+process noise and the readings' noise).
 
 Episode randomness is split into independent substreams (initial state and
 process noise / observation noise / benchmark agent picks), so two modes run

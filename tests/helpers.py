@@ -733,15 +733,36 @@ def reference_train(config, hyper, seed):
 
 def reference_predict(belief, control, model):
     """``estimator.predict`` on arrays: f(m) + B a and J P J^T + C_u, then
-    one finiteness check and ``symmetrize``."""
+    one finiteness check, ``symmetrize`` and ``reference_keep_psd``."""
     with np.errstate(over="ignore", invalid="ignore"):
         jac = model.jacobian(belief.mean)
-        mean = model.f(belief.mean) + model.control_matrix @ np.atleast_1d(control)
+        control_matrix = np.array(model.control_column)[:, None]
+        mean = model.f(belief.mean) + control_matrix @ np.atleast_1d(control)
         cov = jac @ belief.cov @ jac.T + model.process_cov
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise NumericalFailureError("non-finite belief prediction",
                                         qi=belief.qi + 1)
-        return Belief(mean, estimator.symmetrize(cov), belief.qi + 1)
+        return Belief(mean, reference_keep_psd(estimator.symmetrize(cov)), belief.qi + 1)
+
+
+def reference_keep_psd(cov):
+    """``estimator.keep_psd`` on arrays: when a variance is negative or an
+    |off-diagonal| exceeds sqrt(P_ii) sqrt(P_jj), a copy with the negative
+    variances set to 0 and each such entry set to its bound with its sign;
+    NaN compares false and is kept."""
+    cov = np.array(cov, dtype=float)
+    d = cov.diagonal().copy()
+    off = ~np.eye(len(d), dtype=bool)
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt(d)
+        outside = (d < 0).any() or (np.abs(cov) > np.outer(root, root))[off].any()
+    if not outside:
+        return cov
+    root = np.sqrt(np.where(d < 0, 0.0, d))
+    bound = np.outer(root, root)
+    clamped = np.where(np.abs(cov) > bound, np.copysign(bound, cov), cov)
+    clamped[~off] = np.where(d < 0, 0.0, d)
+    return clamped
 
 
 def reference_mountain_car_f(car, state):
@@ -780,7 +801,7 @@ def reference_scalar_posterior_cov(cov, feature, variance):
     column = c * (variance / s)
     out[feature] = column
     out[:, feature] = column
-    return out
+    return reference_keep_psd(out)
 
 
 def reference_fused_mean(prior, features, gain, values):

@@ -961,6 +961,34 @@ class TestNumericalFailure:
         assert (tmp_path / "out" / "episodes.csv").exists()
 
 
+    @pytest.mark.parametrize("mode", ["cost_greedy", "error_greedy"])
+    def test_a_rank_one_covariance_reads_on(self, tmp_path, capsys, mode):
+        # no process noise and a velocity reading of variance 1e-100: the
+        # covariance is rank-1 up to roundoff, and unprojected a variance
+        # went negative, so a later reading's innovation failed the guard
+        # ("ill-conditioned innovation covariance (QI 3)") in episode 1
+        config = json.loads((PERFBENCH / "acceptance.json").read_text())
+        config["episodes"] = 2
+        config["plant"]["process_noise_std"] = [0.0, 0.0]
+        config["fleet"]["agents"] = [
+            {"id": 1, "feature": 0, "variance": 6e-3, "distance": 11.5},
+            {"id": 2, "feature": 1, "variance": 1e-100, "distance": 4.4}]
+        path = tmp_path / "rank_one.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stdout(io.StringIO()):
+                code = main(["evaluate", "--config", str(path), "--mode", mode,
+                             "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        with open(out / "episodes.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 2
+        assert all(math.isfinite(float(v)) for row in rows for v in row.values()
+                   if v not in ("True", "False"))
+
+
 class TestTrain:
     def test_tiny_training_run(self, tmp_path):
         config_path = small_config_file(tmp_path, total_steps=256)

@@ -1,11 +1,12 @@
 """Plant model tests: update semantics, Jacobian correctness, clamp safety."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from twinloop import InvalidInputError, build_linear_2d, build_mountain_car
+from twinloop import InvalidInputError, LinearPlant, build_linear_2d, build_mountain_car
 from tests.helpers import (edgy_floats, reference_mountain_car_f,
                            reference_mountain_car_jacobian, reference_mountain_car_step,
                            same_bits)
@@ -167,6 +168,31 @@ class TestLinearPlant:
         np.testing.assert_allclose(plant.f(state), plant.transition @ state)
         np.testing.assert_allclose(plant.jacobian(state), plant.transition)
 
+    def test_propagate_cov_is_the_blas_product_of_the_transition(self):
+        plant = LinearPlant([[1.0, 0.1, 0.0], [-0.2, 0.9, 0.3], [0.05, 0.0, 1.1]],
+                            [[0.0], [1.0], [0.5]], np.eye(3) * 1e-4, ["a", "b", "c"],
+                            episode_cap=999)
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            a = rng.normal(size=(3, 3))
+            cov = a @ a.T
+            got = plant.propagate_cov([0.0, 0.0, 0.0], cov.tolist())
+            assert type(got) is list and len(got) == 9
+            assert same_bits(got, (plant.transition @ cov @ plant.transition.T).ravel())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(plant.propagate_cov([0.0] * 3, (np.eye(3) * 1.7e308).tolist())).any()
+
+    def test_floats_built_once(self):
+        plant = build_linear_2d(process_noise_std=(0.05, 0.02), episode_cap=999)
+        car = build_mountain_car(process_noise_std=(0.045, 0.001), episode_cap=999)
+        assert plant.control_column == plant.control_matrix[:, 0].tolist() == [0.0, 1.0]
+        assert car.control_column == [car.force_gain, car.force_gain]
+        for model in (plant, car):
+            assert model.process_cov_flat == model.process_cov.ravel().tolist()
+        assert same_bits(plant.process_cov_flat, [0.05 ** 2, 0.0, 0.0, 0.02 ** 2])
+        assert same_bits(car.process_cov_flat, [0.045 ** 2, 0.0, 0.0, 0.001 ** 2])
+
     def test_step_applies_control(self):
         plant = build_linear_2d(process_noise_std=(0.0, 0.0), episode_cap=999)
         out = plant.step(np.array([1.0, 2.0]), 0.5, np.random.default_rng(0))
@@ -208,6 +234,8 @@ class TestFloatFormMatchesArrayForm:
         for state in (np.array([bad, 0.0]), np.array([0.0, bad])):
             with pytest.raises(InvalidInputError, match="non-finite state"):
                 car.jacobian(state)
+            with pytest.raises(InvalidInputError, match="non-finite state"):
+                car.propagate_cov(state, [[1.0, 0.0], [0.0, 1.0]])
             with pytest.raises(InvalidInputError, match="invalid state"):
                 car.step(state, 0.0, None)
         with pytest.raises(InvalidInputError, match="invalid control"):

@@ -1,33 +1,48 @@
 """Filter tests: prediction, stacking, fusion, and the batch-oracle check."""
 
+import dataclasses
+import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twinloop import (Belief, InvalidInputError, LinearPlant, NumericalFailureError,
-                      build_linear_2d, build_mountain_car, predict, stack,
-                      update)
+from twinloop import (Belief, ExperimentConfig, InvalidInputError, LinearPlant,
+                      NumericalFailureError, PolicyNetwork, SchedulingMode,
+                      build_linear_2d, build_mountain_car, predict, run_monte_carlo,
+                      stack, train, update)
 from twinloop import estimator
 from twinloop.estimator import StackedObservationModel, posterior_cov
 from tests.helpers import (batch_linear_gaussian_posterior, diag_belief, edgy_floats,
                            exact_posterior, reference_fused_mean, reference_gain,
-                           reference_ill_conditioned, reference_predict,
-                           reference_scalar_posterior_cov, same_bits, scalar_agent)
+                           reference_ill_conditioned, reference_keep_psd,
+                           reference_predict, reference_scalar_posterior_cov, same_bits,
+                           scalar_agent)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class IdentityPlant:
-    control_matrix = np.zeros((2, 1))
+    control_column = [0.0, 0.0]
 
     def __init__(self, process_cov):
         self.process_cov = np.asarray(process_cov, dtype=float)
+        self.process_cov_flat = self.process_cov.ravel().tolist()
 
     def f(self, state):
         return np.asarray(state, dtype=float)
 
     def jacobian(self, state):
         return np.eye(2)
+
+    def propagate_cov(self, state, rows):
+        # the BLAS product, as a linear plant takes it: I P I^T turns -0.0
+        # into +0.0 and 0 * inf into NaN
+        jac = self.jacobian(state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return jac.dot(np.array(rows)).dot(jac.T).ravel().tolist()
 
 
 class TestPredict:
@@ -517,7 +532,7 @@ class TestFloatFormMatchesArrayForm:
         # would change the prior's mean
         belief = diag_belief(0.3, 0.2, mean=[0.25, -0.0])
         model = IdentityPlant(np.diag([0.01, 0.02]))
-        model.control_matrix = np.array([[1.0], [2.0]])
+        model.control_column = [1.0, 2.0]
         mean, cov = belief.mean.copy(), belief.cov.copy()
         out = predict(belief, 0.5, model)
         assert same_bits(belief.mean, mean) and same_bits(belief.cov, cov)
@@ -599,3 +614,179 @@ class TestBlasAssumptions:
             error = edgy_floats(rng, (rows, dim), 1.0, specials) * scales
             stacked = (error[:, None, :] @ error[:, :, None])[:, 0, 0]
             assert same_bits(stacked, [e.dot(e) for e in error]), dim
+
+    def test_mountain_car_covariance_product_is_the_blas_product(self):
+        # MountainCar.propagate_cov takes J P J^T as (0.0 + x y) + z per
+        # entry: J's second column is ones, so the second product is exact
+        # and OpenBLAS's fused multiply-add sums round as the floats do
+        car = build_mountain_car(process_noise_std=(0.0, 0.0), episode_cap=999)
+        rng = np.random.default_rng(66)
+        specials = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e308, -1.7e308,
+                    8.9e307, 1.0)
+        count = 100000
+        positions = rng.uniform(-1.2, 0.6, count)
+        swap = rng.random(count) < 0.1
+        positions[swap] = rng.choice([0.0, -0.0, np.pi / 6, -np.pi / 6, 5e-324, 40.0],
+                                     int(swap.sum()))
+        # a random scale per covariance, then some entries swapped for specials
+        covs = rng.normal(size=(count, 2, 2)) * 10.0 ** rng.uniform(-300, 300, (count, 1, 1))
+        swap = rng.random(covs.shape) < 0.2
+        covs[swap] = rng.choice(specials, int(swap.sum()))
+        symmetric = rng.random(count) < 0.5
+        covs[symmetric, 0, 1] = covs[symmetric, 1, 0]
+        got, want = [], []
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for pos, cov in zip(positions.tolist(), covs):
+                state = [pos, 0.0]
+                jac = car.jacobian(state)
+                got.append(car.propagate_cov(state, cov.tolist()))
+                want.append(jac.dot(cov).dot(jac.T).ravel())
+        assert same_bits(got, want)
+        assert not np.isfinite(want).all()      # overflows were compared too
+
+    def test_a_generic_jacobian_differs_from_the_float_sums(self):
+        # why a linear plant keeps the BLAS product: with both of J's
+        # columns generic, the same sums on floats round differently from
+        # the fused multiply-adds on most inputs
+        rng = np.random.default_rng(67)
+        differ = 0
+        for _ in range(2000):
+            jac, a = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+            cov = a @ a.T
+            (j00, j01), (j10, j11) = jac.tolist()
+            (p00, p01), (p10, p11) = cov.tolist()
+            m = [[(0.0 + j00 * p00) + j01 * p10, (0.0 + j00 * p01) + j01 * p11],
+                 [(0.0 + j10 * p00) + j11 * p10, (0.0 + j10 * p01) + j11 * p11]]
+            floats = [(0.0 + m[i][0] * jac[j, 0]) + m[i][1] * jac[j, 1]
+                      for i in range(2) for j in range(2)]
+            differ += not same_bits(floats, jac.dot(cov).dot(jac.T).ravel())
+        assert differ > 1000
+
+    def test_mountain_car_prediction_calls_no_numpy(self, monkeypatch):
+        car = build_mountain_car(process_noise_std=(0.045, 0.001), episode_cap=999)
+        plant = build_linear_2d(process_noise_std=(0.05, 0.02), episode_cap=999)
+        belief = diag_belief(0.3, 0.2, mean=[-0.5, 0.01])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy called")
+
+        monkeypatch.setattr(np, "errstate", refuse)
+        monkeypatch.setattr(np, "array", refuse)
+        out = predict(belief, 0.5, car)
+        assert type(out.values) is list and type(out.rows) is list
+        with pytest.raises(AssertionError, match="numpy called"):
+            predict(belief, 0.5, plant)
+
+
+class TestKeepPsd:
+    """``predict`` and ``scalar_posterior_cov`` return covariances inside
+    the PSD cone: roundoff that leaves it is clamped back."""
+
+    @staticmethod
+    def rank_one_prior():
+        # squared correlation 1 + 2.2e-16: the entry one ulp above its bound
+        rho = math.nextafter(math.sqrt(0.3 * 0.002), 1.0)
+        assert rho * rho > 0.3 * 0.002
+        return [[0.3, rho], [rho, 0.002]]
+
+    def test_a_rank_one_prior_reads_on_after_two_readings(self):
+        # unprojected, the position variance came out -8.2e-17 after these
+        # two readings, and a third reading of position raised
+        # "ill-conditioned innovation covariance"
+        cov = estimator.scalar_posterior_cov(self.rank_one_prior(), 0, 1e-12)
+        cov = estimator.scalar_posterior_cov(cov, 1, 1e-20)
+        assert cov[0][0] >= 0.0 and cov[1][1] >= 0.0
+        assert abs(cov[0][1]) <= math.sqrt(cov[0][0]) * math.sqrt(cov[1][1])
+        cov = estimator.scalar_posterior_cov(cov, 0, 1e-20)
+        assert all(map(math.isfinite, cov[0] + cov[1]))
+        assert cov[0][0] >= 0.0 and cov[1][1] >= 0.0
+
+    def test_the_steps_leave_the_cone_without_the_projection(self, monkeypatch):
+        monkeypatch.setattr(estimator, "keep_psd", lambda rows: rows)
+        cov = estimator.scalar_posterior_cov(self.rank_one_prior(), 0, 1e-12)
+        cov = estimator.scalar_posterior_cov(cov, 1, 1e-20)
+        assert cov[0][0] < 0.0
+        with pytest.raises(NumericalFailureError, match="ill-conditioned"):
+            estimator.scalar_posterior_cov(cov, 0, 1e-20)
+
+    def test_prediction_of_a_rank_one_belief_stays_in_the_cone(self, monkeypatch):
+        # without process noise J P J^T of a rank-1 P is rank-1 in exact
+        # arithmetic; in floats it leaves the cone on some draws
+        calls = []
+        clamp = estimator.clamp_psd
+        monkeypatch.setattr(estimator, "clamp_psd",
+                            lambda rows: calls.append(rows) or clamp(rows))
+        car = build_mountain_car(process_noise_std=(0.0, 0.0), episode_cap=999)
+        rng = np.random.default_rng(68)
+        for _ in range(2000):
+            v = rng.normal(size=2) * 10.0 ** rng.uniform(-4, 0)
+            belief = Belief(rng.uniform(-1.2, 0.6, 2), np.outer(v, v))
+            out = predict(belief, 0.0, car)
+            assert same_bits(out.rows, reference_predict(belief, 0.0, car).rows)
+            (p00, p01), (_, p11) = out.rows
+            assert p00 >= 0.0 and p11 >= 0.0
+            assert abs(p01) <= math.sqrt(p00) * math.sqrt(p11)
+        assert len(calls) > 100
+
+    def test_equals_the_array_form_at_every_size(self):
+        rng = np.random.default_rng(69)
+        kept, clamped = {1: 0, 2: 0, 3: 0, 4: 0}, {1: 0, 2: 0, 3: 0, 4: 0}
+        for _ in range(8000):
+            # a PSD matrix of random rank and scale, off the cone by a
+            # relative roundoff-sized or larger perturbation or by a negated
+            # variance, or entries drawn with signed zeros, a subnormal or NaN
+            dim = int(rng.integers(1, 5))
+            a = rng.normal(size=(dim, int(rng.integers(1, dim + 1))))
+            cov = a @ a.T * 10.0 ** rng.uniform(-8, 2)
+            cov *= 1.0 + rng.normal(size=(dim, dim)) * 10.0 ** rng.uniform(-16, -1)
+            if rng.random() < 0.1:
+                k = int(rng.integers(dim))
+                cov[k, k] = -cov[k, k]
+            cov = edgy_floats(rng, (dim, dim), 1.0, (0.0, -0.0, 1e-320, np.nan)) \
+                if rng.random() < 0.05 else cov
+            cov = estimator.symmetrize(cov)
+            rows = cov.tolist()
+            got = estimator.keep_psd(rows)
+            assert same_bits(got, reference_keep_psd(cov))
+            if got is rows:
+                kept[dim] += 1
+            else:
+                clamped[dim] += 1
+                # the input's NaN are kept, and no NaN is made
+                assert same_bits(np.isnan(got), np.isnan(cov))
+        assert min(kept.values()) > 100 and min(clamped.values()) > 100
+
+    def test_a_two_by_two_projection_is_psd(self):
+        rng = np.random.default_rng(70)
+        for _ in range(5000):
+            cov = estimator.symmetrize(rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-150, 150))
+            (p00, p01), (_, p11) = estimator.keep_psd(cov.tolist())
+            assert p00 >= 0.0 and p11 >= 0.0
+            # nonnegative trace and determinant, up to the bound's rounding
+            assert p01 * p01 <= p00 * p11 * (1 + 4e-16) or abs(p01) <= 1e-150
+
+    def test_a_covariance_inside_the_cone_is_returned_as_it_is(self):
+        for rows in ([[0.01, 0.0005], [0.0005, 0.0002]], [[0.0, 0.0], [0.0, 0.0]],
+                     [[-0.0, 0.0], [0.0, 1.0]], [[4.0, -2.0], [-2.0, 1.0]], [[0.5]],
+                     [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]):
+            assert estimator.keep_psd(rows) is rows
+
+    def test_no_projection_on_the_acceptance_config(self, monkeypatch):
+        # why evaluation and training outputs keep their bits: on the
+        # acceptance experiment every covariance stays in the cone
+        calls = []
+        clamp = estimator.clamp_psd
+        monkeypatch.setattr(estimator, "clamp_psd",
+                            lambda rows: calls.append(rows) or clamp(rows))
+        config = ExperimentConfig.from_json_file(PERFBENCH / "acceptance.json")
+        policy = PolicyNetwork.load(PERFBENCH / "reverb_policy.json")
+        qis = 0
+        for mode in SchedulingMode:
+            report = run_monte_carlo(
+                dataclasses.replace(config, mode=mode.value, episodes=3), policy=policy)
+            assert not report["failures"]
+            qis += sum(m.qis for m in report["episodes"])
+        config.rl = dataclasses.replace(config.rl, total_steps=config.rl.batch_size)
+        _, curve = train(config, config.rl, 0)
+        assert curve[-1]["steps"] == 2048
+        assert qis > 1000 and calls == []
