@@ -3,19 +3,18 @@
 Two plants are registered: the continuous-force mountain car (the nonlinear
 benchmark the control loop is evaluated on) and a 2-state linear system used
 by the estimator oracle tests. Both expose the same surface: ``step`` advances
-the true state with process noise, ``f``/``control_column``/``jacobian``
-describe the noiseless state-update map the estimator linearizes,
-``propagate_cov`` carries a covariance through that map's Jacobian,
-``is_goal`` tests termination, ``initial_mean``/``initial_cov`` give the
-twin's initial belief, and ``feature_names`` names each state feature (the
-trace columns carry these names). A state is handed in and out as a list of
-floats (``step``, ``f``, ``initial_state``), and so is a covariance
+the true state with process noise, ``f``/``control_column`` describe the
+noiseless state-update map the estimator linearizes, ``propagate_cov``
+carries a covariance through that map's Jacobian J, ``is_goal`` tests
+termination, ``initial_mean``/``initial_cov`` give the twin's initial
+belief, and ``feature_names`` names each state feature (the trace columns
+carry these names). A state is handed in and out as a list of floats
+(``step``, ``f``, ``initial_state``), and so is a covariance
 (``propagate_cov`` reads K lists of K floats and returns J P J^T row-major);
 ``control_column`` and ``process_cov_flat`` hold B and C_u as floats, built
-once. ``jacobian`` returns the array that the estimator's BLAS product
-needs: a linear plant's ``propagate_cov`` is that product. The mountain car
-takes J P J^T on floats instead, with the bits of the BLAS product of its
-``jacobian``, because half of that Jacobian is ones
+once. A linear plant's ``propagate_cov`` is the BLAS product of its
+``transition`` array. The mountain car takes J P J^T on floats instead,
+with the bits of the BLAS product, because half of its Jacobian is ones
 (``MountainCar.propagate_cov``).
 
 The mountain-car update follows the reference environment semantics: the
@@ -80,41 +79,31 @@ class MountainCar:
         new_vel = vel - self.gravity * _cos(3.0 * pos)
         return [pos + new_vel, new_vel]
 
-    def jacobian(self, state) -> np.ndarray:
-        """d f / d state. Matches central finite differences of ``f``."""
-        slope = self._slope(state)
-        return np.array([[1.0 + slope, 1.0],
-                         [slope, 1.0]])
-
     def propagate_cov(self, state, rows) -> list:
-        """J P J^T row-major as four floats, with J = ``jacobian(state)``
-        and P the covariance's two rows of two floats.
+        """J P J^T row-major as four floats, with J = d f / d state and P
+        the covariance's two rows of two floats.
 
-        J is [[a, 1], [s, 1]] with a = 1 + s, so each entry of M = J P and
-        of M J^T is x y + z, whose second product is exact. So a fused
-        multiply-add rounds it as the floats do, and on OpenBLAS
-        ``J.dot(P).dot(J.T)`` has the bits of (0.0 + x y) + z, the kernel's
-        sum from zero, signed zeros, subnormals and overflow included
-        (pinned in tests/test_estimator.py). The sum from zero is written
-        in M J^T alone: it gives +0.0 for a zero from either stage, so the
-        sign of a zero in M never reaches the result. An overflow gives inf
-        or NaN without a warning. A non-finite state raises
-        InvalidInputError, as ``jacobian`` does.
+        J is [[a, 1], [s, 1]], with s = 3 gravity sin(3 pos) the gravity
+        slope and a = 1 + s. Each entry of M = J P and of M J^T is x y + z,
+        whose second product is exact. So a fused multiply-add rounds it as
+        the floats do, and on OpenBLAS ``J.dot(P).dot(J.T)`` has the bits of
+        (0.0 + x y) + z, the kernel's sum from zero, signed zeros,
+        subnormals and overflow included (pinned in tests/test_estimator.py).
+        The sum from zero is written in M J^T alone: it gives +0.0 for a
+        zero from either stage, so the sign of a zero in M never reaches
+        the result. An overflow gives inf or NaN without a warning. A
+        non-finite state raises InvalidInputError.
         """
-        s = self._slope(state)
+        pos, vel = state
+        if not (math.isfinite(pos) and math.isfinite(vel)):
+            raise InvalidInputError("non-finite state")
+        s = 3.0 * self.gravity * _sin(3.0 * pos)
         a = 1.0 + s
         (p00, p01), (p10, p11) = rows
         m00, m01 = a * p00 + p10, a * p01 + p11
         m10, m11 = s * p00 + p10, s * p01 + p11
         return [(0.0 + m00 * a) + m01, (0.0 + m00 * s) + m01,
                 (0.0 + m10 * a) + m11, (0.0 + m10 * s) + m11]
-
-    def _slope(self, state) -> float:
-        """The gravity slope 3 gravity sin(3 pos) of a finite state."""
-        pos, vel = state
-        if not (math.isfinite(pos) and math.isfinite(vel)):
-            raise InvalidInputError("non-finite state")
-        return 3.0 * self.gravity * _sin(3.0 * pos)
 
     def step(self, state, control: float, rng) -> list:
         """Advance the true plant one query interval; returns the new
@@ -186,18 +175,15 @@ class LinearPlant:
         with np.errstate(over="ignore", invalid="ignore"):
             return (self.transition @ np.asarray(state, dtype=float)).tolist()
 
-    def jacobian(self, state) -> np.ndarray:
-        return self.transition.copy()
-
     def propagate_cov(self, state, rows) -> list:
         """A P A^T row-major as floats, by two ``ndarray.dot`` calls (the
         BLAS routine that ``@`` calls, with less dispatch): A can be any
         matrix, and for most the same sums on floats round differently
         from OpenBLAS's fused multiply-adds. An overflow gives inf or NaN
         without a warning."""
-        jac = self.jacobian(state)
+        a = self.transition
         with np.errstate(over="ignore", invalid="ignore"):
-            return jac.dot(np.array(rows)).dot(jac.T).ravel().tolist()
+            return a.dot(np.array(rows)).dot(a.T).ravel().tolist()
 
     def step(self, state, control, rng) -> list:
         state = np.asarray(state, dtype=float)

@@ -139,13 +139,6 @@ def identity(dim: int) -> np.ndarray:
     return eye
 
 
-@functools.lru_cache(maxsize=None)
-def transposed_order(dim: int) -> tuple:
-    """The row-major index of entry (j, i) at position (i, j), for a
-    dim x dim matrix held row-major: its transpose's order."""
-    return tuple(j * dim + i for i in range(dim) for j in range(dim))
-
-
 def predict(belief: Belief, control: float, model) -> Belief:
     """Blind prediction: mean through f + B a, covariance through J P J^T + C_u.
 
@@ -172,12 +165,12 @@ def predict(belief: Belief, control: float, model) -> Belief:
     # J P J^T + C_u, row-major, and symmetrize's 0.5 (a + b) with its transpose
     cov = list(map(operator.add, product, model.process_cov_flat))
     k = len(mean)
-    sym = [0.5 * (x + cov[t]) for x, t in zip(cov, transposed_order(k))]
-    # the symmetric entries, not the sum: a finite entry above half the
+    rows = [[0.5 * (cov[i * k + j] + cov[j * k + i]) for j in range(k)] for i in range(k)]
+    # the symmetric rows, not the sum: a finite entry above half the
     # largest float doubles to inf in 0.5 (a + b)
-    if not _finite(mean + sym):
+    if not (_finite(mean) and all(map(_finite, rows))):
         raise NumericalFailureError("non-finite belief prediction", qi=qi)
-    return Belief.of_floats(mean, keep_psd([sym[i:i + k] for i in range(0, k * k, k)]), qi)
+    return Belief.of_floats(mean, keep_psd(rows), qi)
 
 
 def keep_psd(rows: list) -> list:
@@ -190,14 +183,8 @@ def keep_psd(rows: list) -> list:
     1 + a few ulps, and a rank-1 step on such a prior leaves a variance
     like -8e-17, on which the next reading's innovation is not positive.
     NaN compares false and is left as it is, for the checks downstream to
-    report. Every registered plant has two features, whose one pair is
-    checked without a loop.
+    report.
     """
-    if len(rows) == 2:
-        (p00, _), (p10, p11) = rows
-        if p00 < 0.0 or p11 < 0.0 or abs(p10) > math.sqrt(p00) * math.sqrt(p11):
-            return clamp_psd(rows)
-        return rows
     for i, row in enumerate(rows):
         d = row[i]
         if d < 0.0:

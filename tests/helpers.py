@@ -27,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from twinloop import Belief, SensingAgentSpec, TwinLoop, estimator, scheduler, sensing
+from twinloop import (Belief, MountainCar, SensingAgentSpec, TwinLoop, estimator, scheduler,
+                      sensing)
 from twinloop.errors import InvalidInputError, NumericalFailureError
 from twinloop.estimator import CONDITION_LIMIT
 from twinloop.scheduler import ScheduleDecision, requested_caps
@@ -733,9 +734,12 @@ def reference_train(config, hyper, seed):
 
 def reference_predict(belief, control, model):
     """``estimator.predict`` on arrays: f(m) + B a and J P J^T + C_u, then
-    one finiteness check, ``symmetrize`` and ``reference_keep_psd``."""
+    one finiteness check, ``symmetrize`` and ``reference_keep_psd``. J is a
+    linear plant's ``transition``, or the mountain car's reference
+    Jacobian."""
     with np.errstate(over="ignore", invalid="ignore"):
-        jac = model.jacobian(belief.mean)
+        jac = (reference_mountain_car_jacobian(model, belief.mean)
+               if isinstance(model, MountainCar) else model.transition)
         control_matrix = np.array(model.control_column)[:, None]
         mean = model.f(belief.mean) + control_matrix @ np.atleast_1d(control)
         cov = jac @ belief.cov @ jac.T + model.process_cov
@@ -773,7 +777,9 @@ def reference_mountain_car_f(car, state):
 
 
 def reference_mountain_car_jacobian(car, state):
-    """MountainCar.jacobian with np.isfinite and np.sin."""
+    """d f / d state of the mountain car, [[1 + s, 1], [s, 1]] with the
+    gravity slope s = 3 gravity sin(3 pos), by np.isfinite and np.sin;
+    ``MountainCar.propagate_cov`` carries a covariance through it."""
     state = np.asarray(state, dtype=float)
     if not np.isfinite(state).all():
         raise InvalidInputError("non-finite state")

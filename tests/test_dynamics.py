@@ -120,17 +120,22 @@ class TestMatchesReference:
 
 
 class TestJacobian:
+    """The mountain car's J, seen through ``propagate_cov``: with P = I it
+    returns J J^T, and the reference J is checked against ``f``."""
+
     def test_flat_point(self):
         car = noiseless_car()
-        np.testing.assert_allclose(car.jacobian(np.array([0.0, 0.0])),
-                                   [[1.0, 1.0], [0.0, 1.0]], atol=1e-15)
+        jac = np.array([[1.0, 1.0], [0.0, 1.0]])
+        np.testing.assert_allclose(car.propagate_cov([0.0, 0.0], np.eye(2).tolist()),
+                                   (jac @ jac.T).ravel(), atol=1e-15)
 
     def test_maximum_slope_point(self):
         # at 3x = pi/2 the gravity slope is 3*gravity = 0.0075, and it enters
         # the position row as well because the new velocity moves the position
         car = noiseless_car()
-        np.testing.assert_allclose(car.jacobian(np.array([math.pi / 6, 0.0])),
-                                   [[1.0075, 1.0], [0.0075, 1.0]], rtol=1e-12)
+        jac = np.array([[1.0075, 1.0], [0.0075, 1.0]])
+        np.testing.assert_allclose(car.propagate_cov([math.pi / 6, 0.0], np.eye(2).tolist()),
+                                   (jac @ jac.T).ravel(), rtol=1e-12)
 
     def test_matches_finite_differences_at_100_random_states(self):
         car = noiseless_car()
@@ -138,17 +143,21 @@ class TestJacobian:
         h = 1e-6
         for _ in range(100):
             state = np.array([rng.uniform(-1.1, 0.55), rng.uniform(-0.06, 0.06)])
-            jac = car.jacobian(state)
             fd = np.zeros((2, 2))
             for j in range(2):
                 dx = np.zeros(2)
                 dx[j] = h
                 fd[:, j] = (np.array(car.f(state + dx)) - car.f(state - dx)) / (2 * h)
-            np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-9)
+            np.testing.assert_allclose(reference_mountain_car_jacobian(car, state), fd,
+                                       rtol=1e-5, atol=1e-9)
+            a = rng.normal(size=(2, 2))
+            cov = a @ a.T
+            np.testing.assert_allclose(car.propagate_cov(state.tolist(), cov.tolist()),
+                                       (fd @ cov @ fd.T).ravel(), rtol=1e-5, atol=1e-9)
 
     def test_rejects_non_finite_state(self):
         with pytest.raises(InvalidInputError):
-            noiseless_car().jacobian(np.array([np.inf, 0.0]))
+            noiseless_car().propagate_cov([np.inf, 0.0], np.eye(2).tolist())
 
 
 class TestGoal:
@@ -162,11 +171,10 @@ class TestGoal:
 
 
 class TestLinearPlant:
-    def test_f_and_jacobian_consistent(self):
+    def test_f_is_the_transition(self):
         plant = build_linear_2d(process_noise_std=(0.0, 0.0), episode_cap=999)
         state = np.array([0.3, -0.2])
         np.testing.assert_allclose(plant.f(state), plant.transition @ state)
-        np.testing.assert_allclose(plant.jacobian(state), plant.transition)
 
     def test_propagate_cov_is_the_blas_product_of_the_transition(self):
         plant = LinearPlant([[1.0, 0.1, 0.0], [-0.2, 0.9, 0.3], [0.05, 0.0, 1.1]],
@@ -200,7 +208,7 @@ class TestLinearPlant:
 
 
 class TestFloatFormMatchesArrayForm:
-    """f and the Jacobian take math.cos and math.sin on floats: the bits of
+    """f and propagate_cov take math.cos and math.sin on floats: the bits of
     np.cos and np.sin on numpy scalars, signed zeros and overflow included."""
 
     EDGES = (-1.2, 0.6, 0.45, -0.5, 0.0, -0.0, -0.07, 0.07, 1e300, -1e300,
@@ -221,19 +229,21 @@ class TestFloatFormMatchesArrayForm:
             assert same_bits(car.f(state), want)
             assert same_bits(car.f(state.tolist()), want)
 
-    def test_jacobian(self):
+    def test_propagate_cov(self):
         car = build_mountain_car(process_noise_std=(1e-4, 1e-5), episode_cap=999)
+        rng = np.random.default_rng(52)
         for state in self.states(52, 4000):
+            a = rng.normal(size=(2, 2))
+            cov = a @ a.T
             with np.errstate(invalid="ignore", over="ignore"):
-                want = reference_mountain_car_jacobian(car, state)
-            assert same_bits(car.jacobian(state), want)
+                jac = reference_mountain_car_jacobian(car, state)
+            assert same_bits(car.propagate_cov(state.tolist(), cov.tolist()),
+                             jac.dot(cov).dot(jac.T).ravel())
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_state_still_raises(self, bad):
         car = noiseless_car()
         for state in (np.array([bad, 0.0]), np.array([0.0, bad])):
-            with pytest.raises(InvalidInputError, match="non-finite state"):
-                car.jacobian(state)
             with pytest.raises(InvalidInputError, match="non-finite state"):
                 car.propagate_cov(state, [[1.0, 0.0], [0.0, 1.0]])
             with pytest.raises(InvalidInputError, match="invalid state"):
@@ -245,7 +255,7 @@ class TestFloatFormMatchesArrayForm:
         # 3 * 1e308 is inf: np.cos gave NaN there, math.cos raises
         car = noiseless_car()
         assert np.isnan(car.f([1e308, 0.0])).all()
-        assert np.isnan(car.jacobian([1e308, 0.0])[:, 0]).all()
+        assert np.isnan(car.propagate_cov([1e308, 0.0], np.eye(2).tolist())).all()
 
     def test_step_at_clamp_bounds_and_signed_zeros(self):
         car = build_mountain_car(process_noise_std=(1e-4, 1e-5), episode_cap=999)

@@ -18,8 +18,8 @@ from twinloop.estimator import StackedObservationModel, posterior_cov
 from tests.helpers import (batch_linear_gaussian_posterior, diag_belief, edgy_floats,
                            exact_posterior, reference_fused_mean, reference_gain,
                            reference_ill_conditioned, reference_keep_psd,
-                           reference_predict, reference_scalar_posterior_cov, same_bits,
-                           scalar_agent)
+                           reference_mountain_car_jacobian, reference_predict,
+                           reference_scalar_posterior_cov, same_bits, scalar_agent)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,15 +34,13 @@ class IdentityPlant:
     def f(self, state):
         return np.asarray(state, dtype=float)
 
-    def jacobian(self, state):
-        return np.eye(2)
+    transition = np.eye(2)
 
     def propagate_cov(self, state, rows):
         # the BLAS product, as a linear plant takes it: I P I^T turns -0.0
         # into +0.0 and 0 * inf into NaN
-        jac = self.jacobian(state)
         with np.errstate(over="ignore", invalid="ignore"):
-            return jac.dot(np.array(rows)).dot(jac.T).ravel().tolist()
+            return self.transition.dot(np.array(rows)).dot(self.transition.T).ravel().tolist()
 
 
 class TestPredict:
@@ -495,7 +493,7 @@ class TestFloatFormMatchesArrayForm:
          build_mountain_car(process_noise_std=(0, 0), episode_cap=999), NumericalFailureError),
         ([1e308, 0.0], np.eye(2),
          build_mountain_car(process_noise_std=(0, 0), episode_cap=999), NumericalFailureError),
-        # the Jacobian refuses a non-finite mean
+        # propagate_cov refuses a non-finite mean
         ([np.inf, 0.0], np.eye(2),
          build_mountain_car(process_noise_std=(0, 0), episode_cap=999), InvalidInputError),
         ([0.0, np.nan], np.eye(2),
@@ -638,7 +636,7 @@ class TestBlasAssumptions:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for pos, cov in zip(positions.tolist(), covs):
                 state = [pos, 0.0]
-                jac = car.jacobian(state)
+                jac = reference_mountain_car_jacobian(car, state)
                 got.append(car.propagate_cov(state, cov.tolist()))
                 want.append(jac.dot(cov).dot(jac.T).ravel())
         assert same_bits(got, want)
